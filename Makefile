@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke service-smoke service-bench cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
+.PHONY: ci vet build test bench-test race bench bench-smoke service-smoke service-bench cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
 
-ci: vet build test race
+ci: vet build test bench-test race
 
 vet:
 	$(GO) vet ./...
@@ -13,11 +13,19 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark harness is its own module (bench/go.mod, `replace mpcjoin
+# => ../`), so the root `go test ./...` never compiles it. This lane does:
+# a refactor that renames something bench/ imports fails here instead of
+# in the benchmark run.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Run every package that spawns goroutines under the race detector: the
 # worker-pool runtime, the mpc primitives it drives, the engine dispatch
-# (concurrent executions + cancellation), and the query service.
+# (concurrent executions + cancellation), the query service and its
+# admission queue.
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/mpc/... ./internal/core/... ./internal/server/... ./internal/spmv/...
+	$(GO) test -race ./internal/runtime/... ./internal/mpc/... ./internal/core/... ./internal/server/... ./internal/serve/... ./internal/spmv/...
 
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x .
@@ -71,7 +79,7 @@ boundcheck:
 	$(GO) run ./cmd/boundcheck -quick -trace -json BOUND_trace.json
 
 # Cost-based planner regression lane: per query class and cluster size,
-# StrategyAuto runs once and every legal candidate engine runs forced;
+# the auto-planned execution runs once and every legal candidate engine runs forced;
 # auto's measured MaxLoad must stay within 1.1× of the best candidate and
 # its Stats must be bit-identical to its chosen engine forced directly.
 # PLAN_report.json carries each instance's ranked candidates with their

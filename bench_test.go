@@ -130,7 +130,7 @@ func BenchmarkExecuteMatMulBaseline(b *testing.B) {
 	q, data := buildMatMulData(4096, rand.New(rand.NewSource(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute[int64](Ints(), q, data, WithServers(16), WithBaseline()); err != nil {
+		if _, err := Execute[int64](Ints(), q, data, WithServers(16), WithEngine(EngineYannakakis)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@
 // caused it.
 //
 // -planner switches to the cost-based planner's dominated-engine check:
-// per class instance and cluster size, StrategyAuto runs once and every
+// per class instance and cluster size, the auto-planned execution runs once and every
 // legal candidate engine runs forced, and auto's measured MaxLoad must
 // stay within a 1.1× tolerance of the best candidate.
 package main

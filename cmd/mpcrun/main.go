@@ -6,7 +6,7 @@
 //
 //	datagen -query line3 -kind blocks -blocks 16 -fan 4 -out /tmp/ln
 //	mpcrun -data /tmp/ln -p 16
-//	mpcrun -data /tmp/ln -p 16 -engine yannakakis    # the baseline
+//	mpcrun -data /tmp/ln -p 16 -engine yannakakis    # force the baseline
 //	mpcrun -data /tmp/ln -p 16 -workers 8            # concurrent simulator
 //
 // -workers sizes the concurrent execution runtime the per-server work runs
@@ -21,117 +21,104 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"mpcjoin/internal/core"
-	"mpcjoin/internal/db"
-	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	xrt "mpcjoin/internal/runtime"
 	"mpcjoin/internal/semiring"
 	"mpcjoin/internal/textio"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its exit status returned: 2 for a bad invocation, 1 for
+// a failed load, execution or verification.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpcrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		data   = flag.String("data", "", "directory with query.txt and <rel>.tsv files (required)")
-		p      = flag.Int("p", 16, "number of simulated servers")
-		engine = flag.String("engine", "auto", "auto|yannakakis|tree")
-		seed   = flag.Uint64("seed", 1, "randomness seed")
-		limit   = flag.Int("limit", 10, "print at most this many result rows (0 = none)")
-		verify  = flag.Bool("verify", false, "also run the Yannakakis baseline and cross-check the answers")
-		workers = flag.Int("workers", -1, "concurrent runtime workers (1 = serial, <=0 = one per CPU)")
+		data    = fs.String("data", "", "directory with query.txt and <rel>.tsv files (required)")
+		p       = fs.Int("p", 16, "number of simulated servers")
+		engine  = fs.String("engine", "auto", "auto, or an engine to force: "+strings.Join(planner.Names(), "|"))
+		seed    = fs.Uint64("seed", 1, "randomness seed")
+		limit   = fs.Int("limit", 10, "print at most this many result rows (0 = none)")
+		verify  = fs.Bool("verify", false, "also run the Yannakakis baseline and cross-check the answers")
+		workers = fs.Int("workers", -1, "concurrent runtime workers (1 = serial, <=0 = one per CPU)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *data == "" {
-		fmt.Fprintln(os.Stderr, "mpcrun: -data is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mpcrun: -data is required")
+		return 2
+	}
+	forced, err := planner.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(stderr, "mpcrun:", err)
+		return 2
 	}
 
 	q, inst, err := textio.ReadInstance(*data)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpcrun:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mpcrun:", err)
+		return 1
 	}
-
-	// The loaded instance is executed once, so hand its rows over to the
-	// execution — unless -verify re-runs it through the baseline.
-	opts := core.Options{Servers: *p, Seed: *seed, Workers: *workers, OwnInput: !*verify}
-	switch *engine {
-	case "auto":
-	case "yannakakis":
-		opts.Strategy = core.StrategyYannakakis
-	case "tree":
-		opts.Strategy = core.StrategyTree
-	default:
-		fmt.Fprintf(os.Stderr, "mpcrun: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
-
-	pl, err := core.PlanQuery(q, opts.Strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpcrun:", err)
-		os.Exit(1)
-	}
-
 	n := 0
 	for _, e := range q.Edges {
 		n += inst[e.Name].Len()
 	}
-	fmt.Printf("query: %d relations, outputs %v, class %s, engine %s\n",
-		len(q.Edges), q.Output, pl.Class, pl.Engine)
-	fmt.Printf("input: N = %d tuples across %d servers\n", n, *p)
 
+	// The loaded instance is executed once, so hand its rows over to the
+	// execution — unless -verify re-runs it through the baseline.
+	var plan planner.Plan
+	opts := core.Options{Servers: *p, Seed: *seed, Workers: *workers, OwnInput: !*verify, Engine: forced, PlanOut: &plan}
 	t0 := time.Now()
 	res, st, err := core.Execute(semiring.IntSumProd{}, q, inst, opts)
 	wall := time.Since(t0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpcrun:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mpcrun:", err)
+		return 1
 	}
 	res.SortRows()
 
-	fmt.Printf("result: OUT = %d tuples\n", res.Len())
-	fmt.Printf("cost:   rounds = %d, load L = %d, total communication = %d units\n",
+	// Class and engine come from the executed plan: under -engine auto the
+	// planner picks per instance, and the header names what ran.
+	fmt.Fprintf(stdout, "query: %d relations, outputs %v, class %s, engine %s\n",
+		len(q.Edges), q.Output, plan.Class, plan.Chosen)
+	fmt.Fprintf(stdout, "input: N = %d tuples across %d servers\n", n, *p)
+	fmt.Fprintf(stdout, "result: OUT = %d tuples\n", res.Len())
+	fmt.Fprintf(stdout, "cost:   rounds = %d, load L = %d, total communication = %d units\n",
 		st.Rounds, st.MaxLoad, st.TotalComm)
-	fmt.Printf("wall:   %v (workers = %d)\n", wall.Round(time.Microsecond), effectiveWorkers(*workers))
+	fmt.Fprintf(stdout, "wall:   %v (workers = %d)\n", wall.Round(time.Microsecond), xrt.New(max(*workers, 0)).Workers()) // New(0) sizes to GOMAXPROCS
 	if *limit > 0 {
-		fmt.Printf("rows (first %d):\n", *limit)
+		fmt.Fprintf(stdout, "rows (first %d):\n", *limit)
 		for i, row := range res.Rows {
 			if i >= *limit {
-				fmt.Printf("  … %d more\n", res.Len()-*limit)
+				fmt.Fprintf(stdout, "  … %d more\n", res.Len()-*limit)
 				break
 			}
-			fmt.Printf("  %v  ⊕-annotation %d\n", row.Vals, row.W)
+			fmt.Fprintf(stdout, "  %v  ⊕-annotation %d\n", row.Vals, row.W)
 		}
 	}
 
 	if *verify {
-		verifyBaseline(q, inst, *p, *seed, res)
+		base, stB, err := core.Execute(semiring.IntSumProd{}, q, inst,
+			core.Options{Servers: *p, Engine: planner.EngineYannakakis, Seed: *seed})
+		if err != nil {
+			fmt.Fprintln(stderr, "mpcrun: baseline:", err)
+			return 1
+		}
+		sr := semiring.IntSumProd{}
+		if !relation.Equal[int64](sr, sr.Equal, res, base) {
+			fmt.Fprintln(stderr, "verify: MISMATCH against the Yannakakis baseline")
+			return 1
+		}
+		fmt.Fprintf(stdout, "verify: answers match the Yannakakis baseline (baseline load L = %d)\n", stB.MaxLoad)
 	}
-}
-
-// effectiveWorkers reports the worker count the -workers flag resolves to.
-func effectiveWorkers(n int) int {
-	if n <= 0 {
-		n = 0 // runtime.New(0) sizes to GOMAXPROCS
-	}
-	return xrt.New(n).Workers()
-}
-
-func verifyBaseline(q *hypergraph.Query, inst db.Instance[int64], p int, seed uint64, res *relation.Relation[int64]) {
-	base, stB, err := core.Execute(semiring.IntSumProd{}, q, inst,
-		core.Options{Servers: p, Strategy: core.StrategyYannakakis, Seed: seed})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpcrun: baseline:", err)
-		os.Exit(1)
-	}
-	sr := semiring.IntSumProd{}
-	if relation.Equal[int64](sr, sr.Equal, res, base) {
-		fmt.Printf("verify: answers match the Yannakakis baseline (baseline load L = %d)\n", stB.MaxLoad)
-	} else {
-		fmt.Fprintln(os.Stderr, "verify: MISMATCH against the Yannakakis baseline")
-		os.Exit(1)
-	}
+	return 0
 }

@@ -62,7 +62,7 @@ func Example_tropical() {
 }
 
 // Forcing the distributed Yannakakis baseline to compare MPC loads.
-func ExampleWithBaseline() {
+func ExampleWithEngine() {
 	q := mpcjoin.NewQuery().
 		Relation("R1", "A", "B").
 		Relation("R2", "B", "C").
@@ -81,7 +81,7 @@ func ExampleWithBaseline() {
 	}
 
 	alg, _ := mpcjoin.Execute[int64](mpcjoin.Ints(), q, data, mpcjoin.WithServers(8), mpcjoin.WithSeed(2))
-	base, _ := mpcjoin.Execute[int64](mpcjoin.Ints(), q, data, mpcjoin.WithServers(8), mpcjoin.WithBaseline())
+	base, _ := mpcjoin.Execute[int64](mpcjoin.Ints(), q, data, mpcjoin.WithServers(8), mpcjoin.WithEngine(mpcjoin.EngineYannakakis))
 	fmt.Println("same answers:", len(alg.Rows) == len(base.Rows))
 	fmt.Println("paper's algorithm beats baseline:", alg.Stats.MaxLoad < base.Stats.MaxLoad)
 	// Output:

@@ -105,7 +105,7 @@ func main() {
 	}
 	// Baseline comparison on the same instance.
 	base, err := mpcjoin.Execute[int64](mpcjoin.Ints(), q, counts,
-		mpcjoin.WithServers(p), mpcjoin.WithBaseline())
+		mpcjoin.WithServers(p), mpcjoin.WithEngine(mpcjoin.EngineYannakakis))
 	if err != nil {
 		panic(err)
 	}

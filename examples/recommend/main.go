@@ -91,7 +91,7 @@ func main() {
 		bestTriple[0], bestTriple[1], bestTriple[2], best)
 
 	base, err := mpcjoin.Execute[int64](mpcjoin.Ints(), q, data,
-		mpcjoin.WithServers(p), mpcjoin.WithBaseline())
+		mpcjoin.WithServers(p), mpcjoin.WithEngine(mpcjoin.EngineYannakakis))
 	if err != nil {
 		panic(err)
 	}

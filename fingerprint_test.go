@@ -3,6 +3,8 @@ package mpcjoin
 import (
 	"math/rand"
 	"testing"
+
+	"mpcjoin/internal/core"
 )
 
 // TestFingerprintOrderIndependent asserts the canonical hash ignores the
@@ -10,7 +12,7 @@ import (
 func TestFingerprintOrderIndependent(t *testing.T) {
 	opts := []Option{
 		WithServers(8),
-		WithTreeEngine(),
+		WithEngine(EngineTree),
 		WithSeed(42),
 		WithEstimator(64, 7),
 		WithFaults(FaultSpec{DropProb: 0.1, Seed: 9}),
@@ -46,8 +48,8 @@ func TestFingerprintResultKnobsDistinct(t *testing.T) {
 	}
 	variants := map[string][]Option{
 		"servers":   {WithSeed(1), WithServers(8)},
-		"baseline":  {WithSeed(1), WithBaseline()},
-		"tree":      {WithSeed(1), WithTreeEngine()},
+		"baseline":  {WithSeed(1), WithEngine(EngineYannakakis)},
+		"tree":      {WithSeed(1), WithEngine(EngineTree)},
 		"seed":      {WithSeed(2)},
 		"estimator": {WithSeed(1), WithEstimator(64, 7)},
 		"oracle":    {WithSeed(1), WithOutOracle(100)},
@@ -116,11 +118,34 @@ func TestFingerprintDefaultsResolved(t *testing.T) {
 	}
 }
 
+// TestFingerprintOneEngineSpelling asserts the root option and the core
+// field are one selection: forcing an engine through either fingerprints
+// alike, and "auto" is the absent option. (The service's "strategy" field
+// is pinned against the same core value in internal/server.)
+func TestFingerprintOneEngineSpelling(t *testing.T) {
+	for _, e := range []Engine{EngineYannakakis, EngineTree, "matmul-outsens"} {
+		got, err := Fingerprint(WithSeed(3), WithEngine(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (core.Options{Seed: 3, Engine: string(e)}).ResultFingerprint(); got != want {
+			t.Fatalf("WithEngine(%q) fingerprints %x, core.Options.Engine %x", e, got, want)
+		}
+	}
+	auto, _ := Fingerprint(WithEngine(EngineAuto))
+	if none, _ := Fingerprint(); auto != none {
+		t.Fatalf("EngineAuto %x != no option %x", auto, none)
+	}
+}
+
 // TestFingerprintConflictErrors asserts invalid combinations surface the
 // same errors Execute reports.
 func TestFingerprintConflictErrors(t *testing.T) {
-	if _, err := Fingerprint(WithBaseline(), WithTreeEngine()); err == nil {
-		t.Fatal("conflicting engines accepted")
+	if _, err := Fingerprint(WithEngine(EngineYannakakis), WithOutOracle(5)); err == nil {
+		t.Fatal("an output oracle for the baseline accepted")
+	}
+	if _, err := Fingerprint(WithEngine("quantum")); err == nil {
+		t.Fatal("unknown engine accepted")
 	}
 	if _, err := Fingerprint(WithRetry(2)); err == nil {
 		t.Fatal("WithRetry without WithFaults accepted")

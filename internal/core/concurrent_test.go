@@ -12,6 +12,7 @@ import (
 
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 )
 
@@ -30,8 +31,8 @@ func TestConcurrentExecutionsIsolated(t *testing.T) {
 		{hypergraph.MatMulQuery(), Options{Servers: 8, Seed: 1}},
 		{hypergraph.LineQuery(3), Options{Servers: 16, Seed: 2}},
 		{hypergraph.Fig1StarLike(), Options{Servers: 5, Seed: 6}},
-		{hypergraph.StarQuery(3), Options{Servers: 8, Seed: 3, Strategy: StrategyYannakakis}},
-		{hypergraph.Fig3Twig(), Options{Servers: 5, Seed: 4, Strategy: StrategyTree}},
+		{hypergraph.StarQuery(3), Options{Servers: 8, Seed: 3, Engine: planner.EngineYannakakis}},
+		{hypergraph.Fig3Twig(), Options{Servers: 5, Seed: 4, Engine: planner.EngineTree}},
 	}
 	type baseline struct {
 		rel *relation.Relation[int64]
@@ -103,7 +104,7 @@ func TestExecuteContextCancel(t *testing.T) {
 	q := hypergraph.LineQuery(3)
 	rng := rand.New(rand.NewSource(11))
 	inst := randomInstance(rng, q, 80, 10)
-	opts := Options{Servers: 8, Seed: 5, Workers: 2, Strategy: StrategyYannakakis}
+	opts := Options{Servers: 8, Seed: 5, Workers: 2, Engine: planner.EngineYannakakis}
 	sr := slowSR{d: 200 * time.Microsecond}
 
 	// Uncancelled reference duration: the full run must be much slower

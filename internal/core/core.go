@@ -13,56 +13,17 @@ import (
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/hypergraph"
-	"mpcjoin/internal/linequery"
-	"mpcjoin/internal/matmul"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
-	"mpcjoin/internal/starlike"
-	"mpcjoin/internal/starquery"
 	"mpcjoin/internal/transport"
-	"mpcjoin/internal/treequery"
-	"mpcjoin/internal/yannakakis"
 )
-
-// Strategy selects the execution engine.
-type Strategy int
-
-const (
-	// StrategyAuto selects the engine with the cost-based planner: an
-	// estimate-only pre-pass (§2.2 sketches plus an exact count fold)
-	// predicts OUT and the join cardinality, each legal candidate's
-	// Table 1 formula is instantiated with the instance's sizes, and the
-	// min-predicted-load engine runs (see internal/planner).
-	StrategyAuto Strategy = iota
-	// StrategyYannakakis forces the distributed Yannakakis baseline —
-	// Table 1's comparison column.
-	StrategyYannakakis
-	// StrategyTree forces the general §7 tree engine regardless of class
-	// (it subsumes all the specialized classes via its twig dispatch).
-	StrategyTree
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategyYannakakis:
-		return "yannakakis"
-	case StrategyTree:
-		return "tree"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
 
 // Options configures Execute.
 type Options struct {
 	// Servers is p, the simulated cluster size (default 16).
 	Servers int
-	// Strategy selects the engine (default StrategyAuto).
-	Strategy Strategy
 	// Est configures the §2.2 estimator used by the specialized engines.
 	Est estimate.Params
 	// Seed drives hash partitioning (reproducible runs).
@@ -98,20 +59,24 @@ type Options struct {
 	// *mpc.FaultBudgetError (errors.Is mpc.ErrFaultBudgetExceeded). nil
 	// (the default) keeps the flawless-cluster fast path.
 	Faults *mpc.FaultPlane
-	// Engine, when non-empty, forces a specific engine by its dispatch
-	// name (the planner.Engine* constants), bypassing both the Strategy
-	// and the cost-based planner. The engine must be legal for the
-	// query's class (planner.Legal). The boundcheck dominated-engine
-	// sweep forces each candidate this way, and the serving tier pins an
-	// execution to the engine it resolved when keying its result cache.
+	// Engine selects the engine by its name in the engine table
+	// (planner.Engines; user-facing spellings go through
+	// planner.ParseEngine). Empty — the default — lets the cost-based
+	// planner choose: an estimate-only pre-pass predicts OUT and the join
+	// cardinality, each legal candidate's Table 1 formula is instantiated
+	// with the instance's sizes, and the min-predicted-load engine runs. A
+	// name forces that engine, which must be legal for the query's class:
+	// the boundcheck sweep forces each candidate this way, and the serving
+	// tier pins an execution to the engine it resolved when keying its
+	// result cache.
 	Engine string
 	// PlanOut, when non-nil, receives the executed plan: chosen engine,
 	// ranked candidates with predicted loads, the pre-pass predictions,
 	// and the measured MaxLoad. Like Tracer it is a pure observer — it
 	// never changes rows or Stats and is excluded from the result
-	// fingerprint. It is filled for forced strategies too (with a
-	// trivial "forced" plan), so callers have one place to read the
-	// resolved engine.
+	// fingerprint. It is filled for forced engines too (with a trivial
+	// "forced" plan), so callers have one place to read the engine that
+	// ran.
 	PlanOut *planner.Plan
 	// Transport selects the exchange backend the execution's round
 	// barriers run on: nil or transport.InProc() is the in-process path
@@ -128,49 +93,6 @@ func (o Options) withDefaults() Options {
 		o.Servers = 16
 	}
 	return o
-}
-
-// Plan describes how a query will be executed.
-type Plan struct {
-	Class    hypergraph.Class
-	Strategy Strategy
-	// Engine is the algorithm that will run ("yannakakis", "matmul", …).
-	Engine string
-}
-
-// PlanQuery classifies the query and reports the class-default engine —
-// the one Auto dispatches to absent instance information. The
-// instance-aware decision (which may pick a different legal engine) is
-// made by the cost-based planner at execution time; read it from
-// Options.PlanOut or compute it without executing via PlanInstance.
-func PlanQuery(q *hypergraph.Query, strat Strategy) (Plan, error) {
-	if err := q.Validate(); err != nil {
-		return Plan{}, err
-	}
-	c := q.Classify()
-	pl := Plan{Class: c, Strategy: strat}
-	switch strat {
-	case StrategyYannakakis:
-		pl.Engine = "yannakakis"
-	case StrategyTree:
-		pl.Engine = "tree"
-	default:
-		switch c {
-		case hypergraph.ClassFreeConnex:
-			pl.Engine = "yannakakis"
-		case hypergraph.ClassMatMul:
-			pl.Engine = "matmul"
-		case hypergraph.ClassLine:
-			pl.Engine = "line"
-		case hypergraph.ClassStar:
-			pl.Engine = "star"
-		case hypergraph.ClassStarLike:
-			pl.Engine = "star-like"
-		default:
-			pl.Engine = "tree"
-		}
-	}
-	return pl, nil
 }
 
 // Execute evaluates the query over the instance on a simulated p-server
@@ -191,12 +113,6 @@ func ExecuteContext[W any](ctx context.Context, sr semiring.Semiring[W], q *hype
 		return nil, mpc.Stats{}, err
 	}
 	return dist.ToRelation(res), st, nil
-}
-
-// ExecuteDistributed is Execute but leaves the result distributed, as the
-// MPC model does.
-func ExecuteDistributed[W any](sr semiring.Semiring[W], q *hypergraph.Query, inst db.Instance[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	return ExecuteDistributedContext(context.Background(), sr, q, inst, opts)
 }
 
 // NewScope builds the per-execution scope the Options describe: a runtime
@@ -234,6 +150,23 @@ func (o Options) NewScope(ctx context.Context) (*mpc.Exec, func(), error) {
 	return ex, release, nil
 }
 
+// prepare is what happens before anything is placed: the query and the
+// instance are validated, and a forced engine is checked against the engine
+// table, yielding its trivial plan.
+func prepare[W any](q *hypergraph.Query, inst db.Instance[W], engine string) (class hypergraph.Class, forced planner.Plan, err error) {
+	if err = q.Validate(); err != nil {
+		return
+	}
+	if err = db.Validate(q, inst); err != nil {
+		return
+	}
+	class = q.Classify()
+	if engine != "" {
+		forced, err = planner.Forced(class, engine)
+	}
+	return
+}
+
 // ExecuteDistributedContext is ExecuteContext but leaves the result
 // distributed. It is the execution root: it builds the per-execution scope
 // (worker runtime + context) that every Part of this execution carries, and
@@ -241,13 +174,7 @@ func (o Options) NewScope(ctx context.Context) (*mpc.Exec, func(), error) {
 // error, so callers see cancellation as an ordinary context error.
 func ExecuteDistributedContext[W any](ctx context.Context, sr semiring.Semiring[W], q *hypergraph.Query, inst db.Instance[W], opts Options) (res dist.Rel[W], st mpc.Stats, err error) {
 	opts = opts.withDefaults()
-	if err := q.Validate(); err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, err
-	}
-	if err := db.Validate(q, inst); err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, err
-	}
-	pl, err := PlanQuery(q, opts.Strategy)
+	class, plan, err := prepare(q, inst, opts.Engine)
 	if err != nil {
 		return dist.Rel[W]{}, mpc.Stats{}, err
 	}
@@ -270,17 +197,19 @@ func ExecuteDistributedContext[W any](ctx context.Context, sr semiring.Semiring[
 		}
 	}
 
-	// Resolve the plan: forced engine/strategy short-circuits; Auto runs
-	// the estimate-only pre-pass and the cost model. The pre-pass is
-	// metered into plan.EstimateStats, not st, so an auto run's Stats are
-	// bit-identical to the chosen engine forced directly.
-	plan, err := resolvePlan(ex, q, pl.Class, rels, opts)
-	if err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, err
+	// With no engine forced, the estimate-only pre-pass and the cost model
+	// choose one. The pre-pass is metered into plan.EstimateStats, not st,
+	// so an auto run's Stats are bit-identical to the chosen engine forced
+	// directly.
+	if opts.Engine == "" {
+		plan = planAuto(ex, q, class, rels, opts)
 	}
-	pl.Engine = plan.Chosen
 
-	res, st, err = dispatch(sr, q, rels, pl, opts)
+	run, ok := runners[W]()[plan.Chosen]
+	if !ok {
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("core: engine %q has no runner", plan.Chosen)
+	}
+	res, st, err = run(sr, q, rels, opts)
 	if err != nil {
 		return dist.Rel[W]{}, mpc.Stats{}, err
 	}
@@ -294,47 +223,4 @@ func ExecuteDistributedContext[W any](ctx context.Context, sr semiring.Semiring[
 		res = dist.Reorder(res, q.Output)
 	}
 	return res, st, nil
-}
-
-func dispatch[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], pl Plan, opts Options) (dist.Rel[W], mpc.Stats, error) {
-	switch pl.Engine {
-	case "yannakakis":
-		res, st := yannakakis.Run(sr, q, rels)
-		return res, st, nil
-	case "matmul", "matmul-linear", "matmul-worstcase", "matmul-outsens":
-		view, _ := q.LineView()
-		in := matmul.Input[W]{
-			R1: rels[q.Edges[view.EdgeOrder[0]].Name],
-			R2: rels[q.Edges[view.EdgeOrder[1]].Name],
-			B:  view.Vertices[1],
-		}
-		var alg matmul.Algorithm
-		switch pl.Engine {
-		case "matmul-linear":
-			alg = matmul.Linear
-		case "matmul-worstcase":
-			alg = matmul.WorstCase
-		case "matmul-outsens":
-			alg = matmul.OutputSensitive
-		default:
-			alg = matmul.Auto
-		}
-		res, st, err := matmul.Compute(sr, in, matmul.Options{Algorithm: alg, Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
-		if err != nil {
-			return dist.Rel[W]{}, mpc.Stats{}, err
-		}
-		return res, st, nil
-	case "line":
-		res, st, err := linequery.Compute(sr, q, rels, linequery.Options{Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
-		return res, st, err
-	case "star":
-		res, st, err := starquery.Compute(sr, q, rels, starquery.Options{Est: opts.Est, Seed: opts.Seed})
-		return res, st, err
-	case "star-like":
-		res, st, err := starlike.Compute(sr, q, rels, starlike.Options{Est: opts.Est, Seed: opts.Seed})
-		return res, st, err
-	default:
-		res, st, err := treequery.Compute(sr, q, rels, treequery.Options{Est: opts.Est, Seed: opts.Seed})
-		return res, st, err
-	}
 }

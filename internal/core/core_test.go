@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/refengine"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
@@ -31,36 +34,74 @@ func randomInstance(rng *rand.Rand, q *hypergraph.Query, n, dom int) db.Instance
 	return inst
 }
 
-func TestPlanEngineSelection(t *testing.T) {
-	cases := []struct {
-		q      *hypergraph.Query
-		engine string
-	}{
-		{hypergraph.MatMulQuery(), "matmul"},
-		{hypergraph.LineQuery(3), "line"},
-		{hypergraph.StarQuery(3), "star"},
-		{hypergraph.Fig1StarLike(), "star-like"},
-		{hypergraph.Fig2Tree(), "tree"},
-		{hypergraph.NewQuery([]hypergraph.Edge{
-			hypergraph.Bin("R1", "A", "B"), hypergraph.Bin("R2", "B", "C"),
-		}, "A", "B", "C"), "yannakakis"},
+// TestRunnersMatchEngineTable keeps the two halves of the engine table in
+// step: every row of planner.Engines has a runner and nothing else does.
+func TestRunnersMatchEngineTable(t *testing.T) {
+	run := runners[int64]()
+	for _, name := range planner.Names() {
+		if run[name] == nil {
+			t.Errorf("engine %q is in planner.Engines but has no runner", name)
+		}
 	}
-	for _, c := range cases {
-		pl, err := PlanQuery(c.q, StrategyAuto)
+	if len(run) != len(planner.Engines) {
+		t.Errorf("%d runners for %d table rows: a runner names no engine", len(run), len(planner.Engines))
+	}
+}
+
+// TestEveryLegalEngineRunsForced forces each class's legal engines by name
+// and checks the executed plan reports exactly that engine and the
+// reference answer comes back.
+func TestEveryLegalEngineRunsForced(t *testing.T) {
+	queries := []*hypergraph.Query{
+		hypergraph.MatMulQuery(),
+		hypergraph.LineQuery(3),
+		hypergraph.StarQuery(3),
+		hypergraph.Fig1StarLike(),
+		hypergraph.Fig3Twig(),
+		hypergraph.NewQuery([]hypergraph.Edge{
+			hypergraph.Bin("R1", "A", "B"), hypergraph.Bin("R2", "B", "C"),
+		}, "A", "B", "C"),
+	}
+	for qi, q := range queries {
+		inst := randomInstance(rand.New(rand.NewSource(int64(qi))), q, 18, 5)
+		want, err := refengine.Yannakakis[int64](intSR, q, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.Engine != c.engine {
-			t.Errorf("query %v: engine %s, want %s", c.q.Output, pl.Engine, c.engine)
+		for _, engine := range planner.Legal(q.Classify()) {
+			var plan planner.Plan
+			got, _, err := Execute[int64](intSR, q, inst, Options{Servers: 5, Seed: uint64(qi), Engine: engine, PlanOut: &plan})
+			if err != nil {
+				t.Fatalf("query %d engine %s: %v", qi, engine, err)
+			}
+			if plan.Chosen != engine || len(plan.Candidates) != 0 {
+				t.Fatalf("query %d: forced %s, plan %+v", qi, engine, plan)
+			}
+			if !relation.Equal[int64](intSR, intEq, got, want) {
+				t.Fatalf("query %d engine %s: %v != %v", qi, engine, got, want)
+			}
 		}
 	}
-	pl, _ := PlanQuery(hypergraph.MatMulQuery(), StrategyYannakakis)
-	if pl.Engine != "yannakakis" {
-		t.Errorf("forced baseline ignored: %s", pl.Engine)
-	}
-	pl, _ = PlanQuery(hypergraph.MatMulQuery(), StrategyTree)
-	if pl.Engine != "tree" {
-		t.Errorf("forced tree ignored: %s", pl.Engine)
+}
+
+// TestUnknownOrIllegalEngineIsAnError pins that a name outside the engine
+// table, or one the table does not allow for the query's class, fails the
+// execution and the dry-run plan — it never falls through to some engine.
+func TestUnknownOrIllegalEngineIsAnError(t *testing.T) {
+	q := hypergraph.LineQuery(3)
+	inst := randomInstance(rand.New(rand.NewSource(1)), q, 18, 5)
+	for _, engine := range []string{"quantum", "Tree", "auto", planner.EngineStar, planner.EngineMatMul} {
+		var plan planner.Plan
+		res, st, err := Execute[int64](intSR, q, inst, Options{Servers: 5, Engine: engine, PlanOut: &plan})
+		if err == nil || res != nil || st.Rounds != 0 || plan.Chosen != "" {
+			t.Fatalf("Execute with engine %q: res %v, stats %+v, plan %+v, err %v", engine, res, st, plan, err)
+		}
+		if !strings.Contains(err.Error(), "not legal for class line") {
+			t.Fatalf("engine %q: unhelpful error %v", engine, err)
+		}
+		if _, err := PlanInstance(context.Background(), q, inst, Options{Servers: 5, Engine: engine}); err == nil {
+			t.Fatalf("PlanInstance accepted engine %q", engine)
+		}
 	}
 }
 
@@ -79,16 +120,16 @@ func TestAllStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []Strategy{StrategyAuto, StrategyYannakakis, StrategyTree} {
-			got, st, err := Execute[int64](intSR, q, inst, Options{Servers: 5, Strategy: strat, Seed: uint64(qi)})
+		for _, strat := range []string{"", planner.EngineYannakakis, planner.EngineTree} {
+			got, st, err := Execute[int64](intSR, q, inst, Options{Servers: 5, Engine: strat, Seed: uint64(qi)})
 			if err != nil {
-				t.Fatalf("query %d strategy %v: %v", qi, strat, err)
+				t.Fatalf("query %d engine %q: %v", qi, strat, err)
 			}
 			if !relation.Equal[int64](intSR, intEq, got, want) {
-				t.Fatalf("query %d strategy %v: %v != %v", qi, strat, got, want)
+				t.Fatalf("query %d engine %q: %v != %v", qi, strat, got, want)
 			}
 			if st.Rounds == 0 && want.Len() > 0 {
-				t.Fatalf("query %d strategy %v: no rounds metered", qi, strat)
+				t.Fatalf("query %d engine %q: no rounds metered", qi, strat)
 			}
 		}
 	}

@@ -1,0 +1,62 @@
+package core
+
+import (
+	"mpcjoin/internal/dist"
+	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/linequery"
+	"mpcjoin/internal/matmul"
+	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
+	"mpcjoin/internal/semiring"
+	"mpcjoin/internal/starlike"
+	"mpcjoin/internal/starquery"
+	"mpcjoin/internal/treequery"
+	"mpcjoin/internal/yannakakis"
+)
+
+// runner executes one engine over the placed relations.
+type runner[W any] func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error)
+
+// runners is the run half of the engine table: one runner per row of
+// planner.Engines, under the same name (TestRunnersMatchEngineTable fails
+// when the key sets differ). It is a function only because a runner is
+// generic over the semiring type; there is nothing to register — adding an
+// engine is adding an entry here and a row there.
+func runners[W any]() map[string]runner[W] {
+	return map[string]runner[W]{
+		planner.EngineYannakakis: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], _ Options) (dist.Rel[W], mpc.Stats, error) {
+			res, st := yannakakis.Run(sr, q, rels)
+			return res, st, nil
+		},
+		planner.EngineMatMul:          runMatMul[W](matmul.Auto),
+		planner.EngineMatMulLinear:    runMatMul[W](matmul.Linear),
+		planner.EngineMatMulWorstCase: runMatMul[W](matmul.WorstCase),
+		planner.EngineMatMulOutSens:   runMatMul[W](matmul.OutputSensitive),
+		planner.EngineLine: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
+			return linequery.Compute(sr, q, rels, linequery.Options{Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
+		},
+		planner.EngineStar: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
+			return starquery.Compute(sr, q, rels, starquery.Options{Est: opts.Est, Seed: opts.Seed})
+		},
+		planner.EngineStarLike: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
+			return starlike.Compute(sr, q, rels, starlike.Options{Est: opts.Est, Seed: opts.Seed})
+		},
+		planner.EngineTree: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
+			return treequery.Compute(sr, q, rels, treequery.Options{Est: opts.Est, Seed: opts.Seed})
+		},
+	}
+}
+
+// runMatMul runs one branch of Theorem 1 (or its own dispatch, for
+// matmul.Auto) on the query's two relations in LineView order.
+func runMatMul[W any](alg matmul.Algorithm) runner[W] {
+	return func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
+		view, _ := q.LineView()
+		in := matmul.Input[W]{
+			R1: rels[q.Edges[view.EdgeOrder[0]].Name],
+			R2: rels[q.Edges[view.EdgeOrder[1]].Name],
+			B:  view.Vertices[1],
+		}
+		return matmul.Compute(sr, in, matmul.Options{Algorithm: alg, Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
+	}
+}

@@ -8,17 +8,18 @@ import (
 
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 )
 
 // faultedRun executes q under a fresh fault plane built from spec and
 // returns the sorted result, the base stats, and the plane's accounting.
-func faultedRun(t *testing.T, q *hypergraph.Query, strat Strategy, spec mpc.FaultSpec, workers, n int) (*relation.Relation[int64], mpc.Stats, mpc.FaultReport) {
+func faultedRun(t *testing.T, q *hypergraph.Query, strat string, spec mpc.FaultSpec, workers, n int) (*relation.Relation[int64], mpc.Stats, mpc.FaultReport) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	inst := randomInstance(rng, q, n, 6)
 	fp := mpc.NewFaultPlane(spec)
-	res, st, err := Execute(intSR, q, inst, Options{Servers: 6, Seed: 5, Workers: workers, Strategy: strat, Faults: fp})
+	res, st, err := Execute(intSR, q, inst, Options{Servers: 6, Seed: 5, Workers: workers, Engine: strat, Faults: fp})
 	if err != nil {
 		t.Fatalf("faulted execute: %v", err)
 	}
@@ -43,17 +44,17 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		name  string
 		q     *hypergraph.Query
-		strat Strategy
+		strat string
 		// n sizes the random instance; the tree engine's twig query is
 		// far more expensive per row, so it runs on a smaller one to
 		// keep the race lane fast.
 		n int
 	}{
-		{"matmul-auto", hypergraph.MatMulQuery(), StrategyAuto, 40},
-		{"star-auto", hypergraph.StarQuery(3), StrategyAuto, 40},
-		{"line-auto", hypergraph.LineQuery(3), StrategyAuto, 40},
-		{"tree", hypergraph.Fig3Twig(), StrategyTree, 14},
-		{"yannakakis", hypergraph.MatMulQuery(), StrategyYannakakis, 40},
+		{"matmul-auto", hypergraph.MatMulQuery(), "", 40},
+		{"star-auto", hypergraph.StarQuery(3), "", 40},
+		{"line-auto", hypergraph.LineQuery(3), "", 40},
+		{"tree", hypergraph.Fig3Twig(), planner.EngineTree, 14},
+		{"yannakakis", hypergraph.MatMulQuery(), planner.EngineYannakakis, 40},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -91,7 +92,7 @@ func TestFaultRetryMatchesFaultFree(t *testing.T) {
 	free.SortRows()
 
 	spec := mpc.FaultSpec{Seed: 23, CrashProb: 0.08, DropProb: 0.10, StragglerProb: 0.30, StragglerDelay: 8, MaxRetries: 12}
-	faulted, st, rep := faultedRun(t, q, StrategyAuto, spec, 1, 40)
+	faulted, st, rep := faultedRun(t, q, "", spec, 1, 40)
 	if rep.Injected == 0 {
 		t.Fatal("schedule injected nothing")
 	}

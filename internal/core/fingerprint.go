@@ -36,11 +36,10 @@ func (o Options) ResultFingerprint() uint64 {
 		}
 	}
 	put(uint64(o.Servers))
-	put(uint64(o.Strategy))
-	// The forced engine changes Stats and trace content (and, for
-	// auto-planned serving-tier queries, *is* the resolved plan), so it is
-	// part of the result identity. PlanOut, like Tracer, is an observer
-	// and stays out.
+	// The engine ("" = planner's choice) changes Stats and trace content
+	// (and, for auto-planned serving-tier queries, *is* the resolved plan),
+	// so it is part of the result identity. PlanOut, like Tracer, is an
+	// observer and stays out.
 	putStr(o.Engine)
 	put(uint64(o.Est.K))
 	put(uint64(o.Est.Reps))

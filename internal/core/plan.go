@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
@@ -11,37 +10,6 @@ import (
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 )
-
-// resolvePlan decides which engine this execution runs. Forced engines and
-// strategies short-circuit to a trivial plan; StrategyAuto runs the
-// estimate-only pre-pass over the placed relations and ranks the class's
-// legal candidates by predicted load.
-func resolvePlan[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, rels map[string]dist.Rel[W], opts Options) (planner.Plan, error) {
-	if opts.Engine != "" {
-		if err := checkEngine(class, opts.Engine); err != nil {
-			return planner.Plan{}, err
-		}
-		return planner.Forced(class, opts.Engine, "forced by Options.Engine"), nil
-	}
-	switch opts.Strategy {
-	case StrategyYannakakis:
-		return planner.Forced(class, planner.EngineYannakakis, "forced by StrategyYannakakis"), nil
-	case StrategyTree:
-		return planner.Forced(class, planner.EngineTree, "forced by StrategyTree"), nil
-	}
-	return planAuto(ex, q, class, rels, opts), nil
-}
-
-// checkEngine validates a forced engine name against the class's legal set.
-func checkEngine(class hypergraph.Class, engine string) error {
-	legal := planner.Legal(class)
-	for _, e := range legal {
-		if e == engine {
-			return nil
-		}
-	}
-	return fmt.Errorf("core: engine %q is not legal for class %s (legal: %v)", engine, class, legal)
-}
 
 // planAuto is the cost-based planner: it reads the exact per-relation
 // input sizes off the placed shards (local metadata, no communication),
@@ -65,12 +33,12 @@ func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, 
 		view, _ = q.LineView()
 		in.N1 = int64(rels[q.Edges[view.EdgeOrder[0]].Name].N())
 		in.N2 = int64(rels[q.Edges[view.EdgeOrder[1]].Name].N())
-		// Theorem 1's degenerate fast paths need no estimates; mirror the
-		// engine's own dispatch and skip the pre-pass entirely.
-		p := int64(in.P)
-		if in.N1 <= 1 || in.N2 <= 1 || in.N1*p < in.N2 || in.N2*p < in.N1 {
-			return planner.Rank(in)
-		}
+	}
+	// An engine that claims the instance on its input sizes alone (Theorem
+	// 1's degenerate matmul dispatches) needs no estimates: skip the
+	// pre-pass entirely.
+	if plan, ok := planner.FastPath(in); ok {
+		return plan
 	}
 
 	var st mpc.Stats
@@ -119,24 +87,16 @@ func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, 
 }
 
 // PlanInstance plans a query over an instance without executing it: it
-// places the relations, runs the same estimate-only pre-pass StrategyAuto
-// would run, and returns the ranked plan. The serving tier's dry-run
+// places the relations, runs the same estimate-only pre-pass an automatic
+// execution would run, and returns the ranked plan. The serving tier's dry-run
 // endpoint (/v2/plan) and its engine-resolved cache keys are built on
 // this. The instance is never mutated (placement always copies, ignoring
 // OwnInput), and MeasuredLoad is left zero.
 func PlanInstance[W any](ctx context.Context, q *hypergraph.Query, inst db.Instance[W], opts Options) (pl planner.Plan, err error) {
 	opts = opts.withDefaults()
-	if err := q.Validate(); err != nil {
-		return planner.Plan{}, err
-	}
-	if err := db.Validate(q, inst); err != nil {
-		return planner.Plan{}, err
-	}
-	class := q.Classify()
-
-	// Forced plans need no placement at all.
-	if opts.Engine != "" || opts.Strategy != StrategyAuto {
-		return resolvePlan[W](nil, q, class, nil, opts)
+	class, forced, err := prepare(q, inst, opts.Engine)
+	if err != nil || opts.Engine != "" {
+		return forced, err // forced plans need no placement at all
 	}
 
 	ex, release, err := opts.NewScope(ctx)

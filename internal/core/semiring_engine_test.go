@@ -14,6 +14,7 @@ import (
 
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/refengine"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
@@ -64,13 +65,13 @@ func checkSemiring[W any](t *testing.T, name string, sr semiring.Semiring[W], eq
 		if err != nil {
 			return false
 		}
-		for _, strat := range []Strategy{StrategyAuto, StrategyTree} {
-			got, _, err := Execute[W](sr, q, inst, Options{Servers: rng.Intn(5) + 2, Strategy: strat, Seed: uint64(seed)})
+		for _, strat := range []string{"", planner.EngineTree} {
+			got, _, err := Execute[W](sr, q, inst, Options{Servers: rng.Intn(5) + 2, Engine: strat, Seed: uint64(seed)})
 			if err != nil {
 				return false
 			}
 			if !relation.Equal[W](sr, eq, got, want) {
-				t.Logf("%s: mismatch on %s (strategy %v)", name, refengine.String(q), strat)
+				t.Logf("%s: mismatch on %s (engine %q)", name, refengine.String(q), strat)
 				return false
 			}
 		}

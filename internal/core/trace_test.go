@@ -6,6 +6,7 @@ import (
 
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 )
 
@@ -15,20 +16,20 @@ func TestTraceDeterminism(t *testing.T) {
 	cases := []struct {
 		name  string
 		q     *hypergraph.Query
-		strat Strategy
+		strat string
 	}{
-		{"matmul", hypergraph.MatMulQuery(), StrategyAuto},
-		{"line", hypergraph.LineQuery(3), StrategyAuto},
-		{"star", hypergraph.StarQuery(3), StrategyAuto},
-		{"star-like", hypergraph.Fig1StarLike(), StrategyAuto},
-		{"tree", hypergraph.Fig3Twig(), StrategyTree},
-		{"yannakakis", hypergraph.MatMulQuery(), StrategyYannakakis},
+		{"matmul", hypergraph.MatMulQuery(), ""},
+		{"line", hypergraph.LineQuery(3), ""},
+		{"star", hypergraph.StarQuery(3), ""},
+		{"star-like", hypergraph.Fig1StarLike(), ""},
+		{"tree", hypergraph.Fig3Twig(), planner.EngineTree},
+		{"yannakakis", hypergraph.MatMulQuery(), planner.EngineYannakakis},
 	}
 	for qi, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(qi)))
 			inst := randomInstance(rng, c.q, 24, 6)
-			opts := Options{Servers: 5, Strategy: c.strat, Seed: uint64(qi)}
+			opts := Options{Servers: 5, Engine: c.strat, Seed: uint64(qi)}
 
 			plain, plainSt, err := Execute[int64](intSR, c.q, inst, opts)
 			if err != nil {

@@ -59,22 +59,6 @@ func FromRelationOwnedIn[W any](ex *mpc.Exec, r *relation.Relation[W], p int) Re
 	}
 }
 
-// FromCols distributes a columnar relation over p servers: the rows are
-// materialized once (all value vectors carved from a single backing
-// buffer) and handed to the execution with ownership transfer, so a
-// loader that builds instances column-wise (relation.FromColumnsOwned)
-// feeds an execution without a defensive row copy. The caller keeps c,
-// but must not mutate its weight column while the execution runs — row
-// annotations share it.
-func FromCols[W any](c *relation.Cols[W], p int) Rel[W] {
-	return FromColsIn(nil, c, p)
-}
-
-// FromColsIn is FromCols into an execution scope (nil = ambient).
-func FromColsIn[W any](ex *mpc.Exec, c *relation.Cols[W], p int) Rel[W] {
-	return FromRelationOwnedIn(ex, c.Relation(), p)
-}
-
 // Empty returns an empty Rel with the given schema over p servers.
 // The Rel has no execution scope; see EmptyIn.
 func Empty[W any](schema []Attr, p int) Rel[W] {

@@ -15,7 +15,7 @@ import (
 
 // planner.go is the dominated-engine checker for the cost-based planner:
 // one controlled instance per query class, swept across cluster sizes,
-// with StrategyAuto's measured MaxLoad asserted against every forced
+// with the auto-planned run's measured MaxLoad asserted against every forced
 // legal candidate. The planner is allowed to be approximate — estimates
 // are estimates — but it must never pick an engine that measures more
 // than PlannerSlack× worse than the best candidate on the instance.
@@ -107,7 +107,7 @@ var planCases = []planCase{
 }
 
 // RunPlanner sweeps every planner case across cfg's cluster sizes. For
-// each (instance, p) it executes StrategyAuto once and every legal
+// each (instance, p) it executes the query auto-planned once and every legal
 // candidate forced, and scores auto against the measured best. It also
 // asserts the auto run's Stats are bit-identical to its chosen engine
 // forced — the invariant that makes the comparison meaningful at all.

@@ -25,6 +25,7 @@ import (
 	"mpcjoin/internal/hypercube"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 	"mpcjoin/internal/transport"
@@ -116,12 +117,13 @@ func Engines() []string {
 	return names
 }
 
-// coreEngine runs q over inst through the core dispatcher, which covers
-// every strategy the query service exposes.
-func coreEngine(name string, strat core.Strategy, mk func(cfg Config) (*hypergraph.Query, db.Instance[int64])) engine {
+// coreEngine runs q over inst through core.Execute with the named engine
+// forced ("" = the planner's choice), covering the selections the query
+// service exposes.
+func coreEngine(name, forced string, mk func(cfg Config) (*hypergraph.Query, db.Instance[int64])) engine {
 	return engine{name: name, run: func(cfg Config, fp *mpc.FaultPlane) (*relation.Relation[int64], mpc.Stats, error) {
 		q, inst := mk(cfg)
-		o := core.Options{Servers: cfg.p(), Seed: cfg.Seed, Workers: cfg.Workers, Strategy: strat, Faults: fp}
+		o := core.Options{Servers: cfg.p(), Seed: cfg.Seed, Workers: cfg.Workers, Engine: forced, Faults: fp}
 		if fp != nil {
 			o.Transport = cfg.Transport // baseline (fp == nil) stays in-process
 		}
@@ -130,27 +132,27 @@ func coreEngine(name string, strat core.Strategy, mk func(cfg Config) (*hypergra
 }
 
 var engines = []engine{
-	coreEngine("matmul", core.StrategyAuto, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
+	coreEngine("matmul", "", func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
 		q := hypergraph.MatMulQuery()
 		inst, _ := workload.MatMulBlocks(cfg.scale(128, 32), 2, 2)
 		return q, inst
 	}),
-	coreEngine("star", core.StrategyAuto, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
+	coreEngine("star", "", func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
 		q := hypergraph.StarQuery(3)
 		inst, _ := workload.Blocks(q, cfg.scale(64, 16), 4)
 		return q, inst
 	}),
-	coreEngine("line", core.StrategyAuto, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
+	coreEngine("line", "", func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
 		q := hypergraph.LineQuery(3)
 		inst, _ := workload.Blocks(q, cfg.scale(64, 16), 4)
 		return q, inst
 	}),
-	coreEngine("tree", core.StrategyTree, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
+	coreEngine("tree", planner.EngineTree, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
 		q := hypergraph.Fig3Twig()
 		inst, _ := workload.BlocksMulti(q, cfg.scale(16, 8), 2, 2)
 		return q, inst
 	}),
-	coreEngine("yannakakis", core.StrategyYannakakis, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
+	coreEngine("yannakakis", planner.EngineYannakakis, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
 		q := hypergraph.MatMulQuery()
 		inst, _ := workload.MatMulBlocks(cfg.scale(128, 32), 2, 2)
 		return q, inst

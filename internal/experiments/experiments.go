@@ -292,9 +292,9 @@ func run(id string, cfg Config) (Table, error) {
 	case "T1-MM-unequal":
 		return mmUnequal(cfg), nil
 	case "T1-Line-load":
-		return classLoad(cfg, "T1-Line-load", hypergraph.LineQuery(3), "line"), nil
+		return classLoad(cfg, "T1-Line-load", hypergraph.LineQuery(3), planner.EngineLine), nil
 	case "T1-Star-load":
-		return classLoad(cfg, "T1-Star-load", hypergraph.StarQuery(3), "star"), nil
+		return classLoad(cfg, "T1-Star-load", hypergraph.StarQuery(3), planner.EngineStar), nil
 	case "T1-Tree-load":
 		return treeLoad(cfg), nil
 	case "T1-scaling-p":
@@ -365,7 +365,7 @@ func runEngine(cfg Config, q *hypergraph.Query, inst db.Instance[int64], p int, 
 	if err != nil {
 		panic(err)
 	}
-	resY, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Strategy: core.StrategyYannakakis, Seed: seed, Workers: cfg.Workers})
+	resY, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: seed, Workers: cfg.Workers})
 	if err != nil {
 		panic(err)
 	}
@@ -600,7 +600,7 @@ func scalingP(cfg Config) Table {
 		if err != nil {
 			panic(err)
 		}
-		_, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Strategy: core.StrategyYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
+		_, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {
 			panic(err)
 		}
@@ -634,11 +634,11 @@ func roundsConstant(cfg Config) Table {
 		name string
 		q    *hypergraph.Query
 	}{
-		{"matmul", hypergraph.MatMulQuery()},
-		{"line", hypergraph.LineQuery(3)},
-		{"star", hypergraph.StarQuery(3)},
-		{"star-like", hypergraph.Fig1StarLike()},
-		{"tree", hypergraph.Fig3Twig()},
+		{planner.EngineMatMul, hypergraph.MatMulQuery()},
+		{planner.EngineLine, hypergraph.LineQuery(3)},
+		{planner.EngineStar, hypergraph.StarQuery(3)},
+		{planner.EngineStarLike, hypergraph.Fig1StarLike()},
+		{planner.EngineTree, hypergraph.Fig3Twig()},
 	}
 	small := cfg.scale(64, 16)
 	large := cfg.scale(1024, 128)
@@ -768,7 +768,7 @@ func fig1(cfg Config) Table {
 		rb := runEngine(cfg, q, inst, p, planner.EngineStarLike)
 		lNew, lY, ok := rb.stNew.MaxLoad, rb.stY.MaxLoad, rb.verified
 		t.addBench(p, int64(meta.N), meta.Out, rb)
-		if rb.engine != "star-like" {
+		if rb.engine != planner.EngineStarLike {
 			panic("FIG1 must run the star-like engine, got " + rb.engine)
 		}
 		t.Rows = append(t.Rows, []string{
@@ -890,7 +890,7 @@ func ablLocality(cfg Config) Table {
 		if err != nil {
 			panic(err)
 		}
-		resY, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Strategy: core.StrategyYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
+		resY, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {
 			panic(err)
 		}
@@ -977,7 +977,7 @@ func altFullJoin(cfg Config) Table {
 		rb := runEngine(cfg, q, inst, p, planner.EngineMatMul)
 		lNew, lY, ok := rb.stNew.MaxLoad, rb.stY.MaxLoad, rb.verified
 		t.addBench(p, int64(meta.N), meta.Out, rb)
-		resY, _, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Strategy: core.StrategyYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
+		resY, _, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {
 			panic(err)
 		}

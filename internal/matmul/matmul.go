@@ -237,44 +237,17 @@ func osLoad(n1, n2, out int64, p int) float64 {
 // Shared plumbing
 // ---------------------------------------------------------------------------
 
-// sideRow tags a row with its side so both relations travel in a single
-// exchange (loads on shared destinations add up).
-type sideRow[W any] struct {
-	left bool
-	row  relation.Row[W]
-}
-
-// AppendWireColumns implements mpc.ColumnarWire: sideRow exchanges over a
-// transport ship as a sided columnar stream (flag bitmap + per-side
-// column groups) instead of raw row-header memory.
-func (sideRow[W]) AppendWireColumns(dst []byte, msg []sideRow[W]) []byte {
-	return relation.AppendSidedRowColumns(dst, len(msg), func(i int) (bool, relation.Row[W]) {
-		return msg[i].left, msg[i].row
-	})
-}
-
-// DecodeWireColumns is the decoding half of the ColumnarWire seam.
-func (sideRow[W]) DecodeWireColumns(dst []sideRow[W], units int, payload []byte) ([]sideRow[W], error) {
-	err := relation.DecodeSidedRowColumns(units, payload, func(left bool, row relation.Row[W]) {
-		dst = append(dst, sideRow[W]{left: left, row: row})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // localJoinAgg joins the two sides of a shard on B and ⊕-aggregates onto
 // the output schema — the per-server local computation every strategy ends
 // with. Free in the MPC model.
-func localJoinAgg[W any](sr semiring.Semiring[W], in Input[W], shard []sideRow[W]) []relation.Row[W] {
+func localJoinAgg[W any](sr semiring.Semiring[W], in Input[W], shard []relation.SidedRow[W]) []relation.Row[W] {
 	left := relation.New[W](in.R1.Schema...)
 	right := relation.New[W](in.R2.Schema...)
 	for _, s := range shard {
-		if s.left {
-			left.AppendRow(s.row)
+		if s.Left {
+			left.AppendRow(s.Row)
 		} else {
-			right.AppendRow(s.row)
+			right.AppendRow(s.Row)
 		}
 	}
 	joined := relation.Join(sr, left, right)

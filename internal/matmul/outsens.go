@@ -137,7 +137,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	// block. Rows gain a synthetic leading G column carrying the group.
 	gSchema1 := append([]dist.Attr{"⟨G⟩"}, in.R1.Schema...)
 	gSchema2 := append([]dist.Attr{"⟨G⟩"}, in.R2.Schema...)
-	outA := make([][][]sideRow[W], p)
+	outA := make([][][]relation.SidedRow[W], p)
 	ex.ForEachShardScratch(p, func(src int, sc *xrt.Scratch) {
 		gShard := grouped.Shards[src]
 		r2Shard := in.R2.Part.Shards[src]
@@ -164,7 +164,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 				r2Dests[j*len(layout)+l] = blk.off + hashStr(ck, blk.size, seed^0x51ed)
 			}
 		}
-		outA[src] = mpc.BuildOutbox[sideRow[W]](sc, totalA, "outputSensitive phase A", func(fill bool, emit func(int, sideRow[W])) {
+		outA[src] = mpc.BuildOutbox[relation.SidedRow[W]](sc, totalA, "outputSensitive phase A", func(fill bool, emit func(int, relation.SidedRow[W])) {
 			for j, pr := range gShard {
 				d := gDests[j]
 				if d < 0 {
@@ -174,7 +174,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 				if fill {
 					row = withGroup(int64(pr.Y.Bin), pr.X)
 				}
-				emit(d, sideRow[W]{left: true, row: row})
+				emit(d, relation.SidedRow[W]{Left: true, Row: row})
 			}
 			for j, r := range r2Shard {
 				for l, blk := range layout {
@@ -182,7 +182,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 					if fill {
 						row = withGroup(blk.group, r)
 					}
-					emit(r2Dests[j*len(layout)+l], sideRow[W]{left: false, row: row})
+					emit(r2Dests[j*len(layout)+l], relation.SidedRow[W]{Left: false, Row: row})
 				}
 			}
 		})
@@ -191,10 +191,10 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	routedA, stA := mpc.ExchangeToIn(ex, totalA, outA)
 	st = mpc.Seq(st, stA)
 
-	r1Blk := dist.Rel[W]{Schema: gSchema1, Part: mpc.Map(mpc.Filter(routedA, func(s sideRow[W]) bool { return s.left }),
-		func(s sideRow[W]) relation.Row[W] { return s.row })}
-	r2Blk := dist.Rel[W]{Schema: gSchema2, Part: mpc.Map(mpc.Filter(routedA, func(s sideRow[W]) bool { return !s.left }),
-		func(s sideRow[W]) relation.Row[W] { return s.row })}
+	r1Blk := dist.Rel[W]{Schema: gSchema1, Part: mpc.Map(mpc.Filter(routedA, func(s relation.SidedRow[W]) bool { return s.Left }),
+		func(s relation.SidedRow[W]) relation.Row[W] { return s.Row })}
+	r2Blk := dist.Rel[W]{Schema: gSchema2, Part: mpc.Map(mpc.Filter(routedA, func(s relation.SidedRow[W]) bool { return !s.Left }),
+		func(s relation.SidedRow[W]) relation.Row[W] { return s.Row })}
 
 	// Per-(group, c) result-count estimates: sketches of distinct A per
 	// (G, B), folded through R2 onto (G, C) — §2.2 inside each group, run
@@ -320,7 +320,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	// Phase B routing.
 	gCol1 := 0 // G is the leading column on both sides
 	b1 := r1Blk.Cols(in.B)[0]
-	outB := make([][][]sideRow[W], totalA)
+	outB := make([][][]relation.SidedRow[W], totalA)
 	ex.ForEachShardScratch(totalA, func(src int, sc *xrt.Scratch) {
 		r1Shard := r1Blk.Part.Shards[src]
 		r2Shard := r2WithBin.Shards[src]
@@ -350,17 +350,17 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 				}
 			}
 		}
-		outB[src] = mpc.BuildOutbox[sideRow[W]](sc, totalB, "outputSensitive phase B", func(fill bool, emit func(int, sideRow[W])) {
+		outB[src] = mpc.BuildOutbox[relation.SidedRow[W]](sc, totalB, "outputSensitive phase B", func(fill bool, emit func(int, relation.SidedRow[W])) {
 			for _, r := range r1Shard {
 				g := int64(r.Vals[gCol1])
 				b := r.Vals[b1]
 				for _, sb := range perGroupSubs[g] {
-					emit(sb.off+hashB(b, sb.size, seed^0xb10c), sideRow[W]{left: true, row: r})
+					emit(sb.off+hashB(b, sb.size, seed^0xb10c), relation.SidedRow[W]{Left: true, Row: r})
 				}
 			}
 			for j, pr := range r2Shard {
 				if d := r2Dests[j]; d >= 0 {
-					emit(d, sideRow[W]{left: false, row: pr.X})
+					emit(d, relation.SidedRow[W]{Left: false, Row: pr.X})
 				}
 			}
 		})
@@ -377,7 +377,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 		R2: dist.Rel[W]{Schema: gSchema2},
 		B:  in.B,
 	}
-	partials := mpc.MapShards(routedB, func(_ int, shard []sideRow[W]) []relation.Row[W] {
+	partials := mpc.MapShards(routedB, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
 		return localJoinAggOn(sr, gin, outSchema, shard)
 	})
 	res34, sAgg := dist.ProjectAgg(sr, dist.Rel[W]{Schema: outSchema, Part: partials}, outSchema...)
@@ -411,14 +411,14 @@ func binSizes[W any](r2Blk dist.Rel[W], gcCols []int, binTable mpc.Part[mpc.KeyB
 }
 
 // localJoinAggOn is localJoinAgg with explicit schemas and output attrs.
-func localJoinAggOn[W any](sr semiring.Semiring[W], in Input[W], outSchema []dist.Attr, shard []sideRow[W]) []relation.Row[W] {
+func localJoinAggOn[W any](sr semiring.Semiring[W], in Input[W], outSchema []dist.Attr, shard []relation.SidedRow[W]) []relation.Row[W] {
 	left := relation.New[W](in.R1.Schema...)
 	right := relation.New[W](in.R2.Schema...)
 	for _, s := range shard {
-		if s.left {
-			left.AppendRow(s.row)
+		if s.Left {
+			left.AppendRow(s.Row)
 		} else {
-			right.AppendRow(s.row)
+			right.AppendRow(s.Row)
 		}
 	}
 	joined := relation.Join(sr, left, right)

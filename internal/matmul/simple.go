@@ -23,12 +23,12 @@ func broadcastSmall[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64) (
 	bsmall, st := dist.Broadcast(small)
 
 	partials := mpc.MapShards(big.Part, func(s int, shard []relation.Row[W]) []relation.Row[W] {
-		rows := make([]sideRow[W], 0, len(shard)+len(bsmall.Part.Shards[s]))
+		rows := make([]relation.SidedRow[W], 0, len(shard)+len(bsmall.Part.Shards[s]))
 		for _, r := range bsmall.Part.Shards[s] {
-			rows = append(rows, sideRow[W]{left: smallLeft, row: r})
+			rows = append(rows, relation.SidedRow[W]{Left: smallLeft, Row: r})
 		}
 		for _, r := range shard {
-			rows = append(rows, sideRow[W]{left: !smallLeft, row: r})
+			rows = append(rows, relation.SidedRow[W]{Left: !smallLeft, Row: r})
 		}
 		return localJoinAgg(sr, in, rows)
 	})
@@ -55,12 +55,12 @@ func unequalRatio[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64) (di
 	bsmall, st2 := dist.Broadcast(small)
 
 	result := mpc.MapShards(grouped.Part, func(s int, shard []relation.Row[W]) []relation.Row[W] {
-		rows := make([]sideRow[W], 0, len(shard)+len(bsmall.Part.Shards[s]))
+		rows := make([]relation.SidedRow[W], 0, len(shard)+len(bsmall.Part.Shards[s]))
 		for _, r := range bsmall.Part.Shards[s] {
-			rows = append(rows, sideRow[W]{left: smallLeft, row: r})
+			rows = append(rows, relation.SidedRow[W]{Left: smallLeft, Row: r})
 		}
 		for _, r := range shard {
-			rows = append(rows, sideRow[W]{left: !smallLeft, row: r})
+			rows = append(rows, relation.SidedRow[W]{Left: !smallLeft, Row: r})
 		}
 		return localJoinAgg(sr, in, rows)
 	})
@@ -81,25 +81,25 @@ func linearSparseMM[W any](sr semiring.Semiring[W], in Input[W]) (dist.Rel[W], m
 	bCol2 := in.R2.Cols(in.B)[0]
 
 	ex := in.R1.Part.Scope()
-	merged := mpc.NewPartIn[sideRow[W]](ex, p)
+	merged := mpc.NewPartIn[relation.SidedRow[W]](ex, p)
 	ex.ForEachShard(p, func(s int) {
-		rows := make([]sideRow[W], 0, len(in.R1.Part.Shards[s])+len(in.R2.Part.Shards[s]))
+		rows := make([]relation.SidedRow[W], 0, len(in.R1.Part.Shards[s])+len(in.R2.Part.Shards[s]))
 		for _, r := range in.R1.Part.Shards[s] {
-			rows = append(rows, sideRow[W]{left: true, row: r})
+			rows = append(rows, relation.SidedRow[W]{Left: true, Row: r})
 		}
 		for _, r := range in.R2.Part.Shards[s] {
-			rows = append(rows, sideRow[W]{left: false, row: r})
+			rows = append(rows, relation.SidedRow[W]{Left: false, Row: r})
 		}
 		merged.Shards[s] = rows
 	})
-	grouped, st1 := mpc.GroupByKey(merged, func(x sideRow[W]) relation.Value {
-		if x.left {
-			return x.row.Vals[bCol1]
+	grouped, st1 := mpc.GroupByKey(merged, func(x relation.SidedRow[W]) relation.Value {
+		if x.Left {
+			return x.Row.Vals[bCol1]
 		}
-		return x.row.Vals[bCol2]
+		return x.Row.Vals[bCol2]
 	})
 
-	partials := mpc.MapShards(grouped, func(_ int, shard []sideRow[W]) []relation.Row[W] {
+	partials := mpc.MapShards(grouped, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
 		return localJoinAgg(sr, in, shard)
 	})
 	res, st2 := dist.ProjectAgg(sr, dist.Rel[W]{Schema: in.OutSchema(), Part: partials}, in.OutSchema()...)

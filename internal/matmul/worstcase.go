@@ -78,7 +78,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	// One exchange routes everything. The layout is read-only and each
 	// source owns its outbox row, so the builds run concurrently on the
 	// execution's runtime.
-	out := make([][][]sideRow[W], p)
+	out := make([][][]relation.SidedRow[W], p)
 	ex.ForEachShardScratch(p, func(src int, sc *xrt.Scratch) {
 		rShard := rLook.Shards[src]
 		sShard := sLook.Shards[src]
@@ -109,7 +109,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 				sTags[j] = -1
 			}
 		}
-		out[src] = mpc.BuildOutbox[sideRow[W]](sc, lay.total, "worstCase route", func(fill bool, emit func(int, sideRow[W])) {
+		out[src] = mpc.BuildOutbox[relation.SidedRow[W]](sc, lay.total, "worstCase route", func(fill bool, emit func(int, relation.SidedRow[W])) {
 			for j, pr := range rShard {
 				row := pr.X
 				b := row.Vals[bCol1]
@@ -117,19 +117,19 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 					ai := t - 1
 					for cj := range lay.hC {
 						off, size := lay.hhBlock(ai, cj)
-						emit(off+hashB(b, size, seed), sideRow[W]{left: true, row: row})
+						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: true, Row: row})
 					}
 					off, size := lay.hlOff[ai], lay.hlSize[ai]
-					emit(off+hashB(b, size, seed), sideRow[W]{left: true, row: row})
+					emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: true, Row: row})
 				} else {
 					// Light a: its bin row of the LL grid plus every LH block.
 					bin := -t - 1
 					for j2 := 0; j2 < lay.lBins; j2++ {
-						emit(lay.llStart+bin*lay.lBins+j2, sideRow[W]{left: true, row: row})
+						emit(lay.llStart+bin*lay.lBins+j2, relation.SidedRow[W]{Left: true, Row: row})
 					}
 					for cj := range lay.hC {
 						off, size := lay.lhOff[cj], lay.lhSize[cj]
-						emit(off+hashB(b, size, seed), sideRow[W]{left: true, row: row})
+						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: true, Row: row})
 					}
 				}
 			}
@@ -140,18 +140,18 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 					cj := t - 1
 					for ai := range lay.hA {
 						off, size := lay.hhBlock(ai, cj)
-						emit(off+hashB(b, size, seed), sideRow[W]{left: false, row: row})
+						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: false, Row: row})
 					}
 					off, size := lay.lhOff[cj], lay.lhSize[cj]
-					emit(off+hashB(b, size, seed), sideRow[W]{left: false, row: row})
+					emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: false, Row: row})
 				} else {
 					bin := -t - 1
 					for i := 0; i < lay.kBins; i++ {
-						emit(lay.llStart+i*lay.lBins+bin, sideRow[W]{left: false, row: row})
+						emit(lay.llStart+i*lay.lBins+bin, relation.SidedRow[W]{Left: false, Row: row})
 					}
 					for ai := range lay.hA {
 						off, size := lay.hlOff[ai], lay.hlSize[ai]
-						emit(off+hashB(b, size, seed), sideRow[W]{left: false, row: row})
+						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: false, Row: row})
 					}
 				}
 			}
@@ -160,7 +160,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	mpc.TraceOp(ex, "matmul.wc.grid")
 	routed, stx := mpc.ExchangeToIn(ex, lay.total, out)
 
-	partials := mpc.MapShards(routed, func(_ int, shard []sideRow[W]) []relation.Row[W] {
+	partials := mpc.MapShards(routed, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
 		return localJoinAgg(sr, in, shard)
 	})
 

@@ -1,8 +1,10 @@
-// Package planner is the cost model behind StrategyAuto: it instantiates
-// each candidate engine's Table 1 load profile with the exact per-relation
-// input sizes of the concrete instance and the estimate pre-pass's OUT,
-// full-join and fold-intermediate predictions, and ranks the class's legal
-// candidates by predicted load.
+// Package planner owns the engine table (engines.go) — the one place an
+// engine is named, legalised per query class and priced — and the cost
+// model behind automatic engine selection: it instantiates each candidate
+// engine's Table 1 load profile with the exact per-relation input sizes of
+// the concrete instance and the estimate pre-pass's OUT, full-join and
+// fold-intermediate predictions, and ranks the class's legal candidates by
+// predicted load.
 //
 // The package is pure arithmetic over sizes — it never touches relations
 // or the mpc plane. The estimate-only pre-pass that produces the OUT,
@@ -32,25 +34,10 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
-)
-
-// Engine names understood by core's dispatch. The planner ranks a subset
-// of these per class; all of them are accepted as forced candidates.
-const (
-	EngineYannakakis      = "yannakakis"
-	EngineTree            = "tree"
-	EngineLine            = "line"
-	EngineStar            = "star"
-	EngineStarLike        = "star-like"
-	EngineMatMul          = "matmul" // Theorem 1 auto dispatch (fast paths included)
-	EngineMatMulLinear    = "matmul-linear"
-	EngineMatMulWorstCase = "matmul-worstcase"
-	EngineMatMulOutSens   = "matmul-outsens"
 )
 
 // Candidate is one engine the planner considered, with the load its
@@ -79,7 +66,7 @@ type Plan struct {
 	// Reason says why Chosen won (cost crossover, fast path, or forced).
 	Reason string `json:"reason"`
 	// Candidates are the ranked alternatives, best first. Empty for
-	// forced strategies (nothing was compared).
+	// forced engines (nothing was compared).
 	Candidates []Candidate `json:"candidates,omitempty"`
 	// PredictedOut is the pre-pass output-size prediction (0 when the
 	// plan was forced or an oracle short-circuited the sketches).
@@ -122,179 +109,23 @@ type Input struct {
 	MaxImage int64
 }
 
-// Rank instantiates every legal candidate's formula for the class and
-// returns the ranked plan. It never returns an empty Chosen: every class
-// has at least one always-feasible candidate.
+// Rank prices every ranked engine legal for the class and returns the
+// ranked plan. It never returns an empty Chosen: every class has at least
+// one always-feasible ranked engine (pinned by the table tests).
 func Rank(in Input) Plan {
-	p := float64(in.P)
-	if p < 1 {
-		p = 1
+	if pl, ok := FastPath(in); ok {
+		return pl
 	}
-	n, nmax := float64(in.N), float64(in.NMax)
-	out, j := float64(in.Out), float64(in.J)
-	// sortCost prices one distributed sample sort of a collection of size
-	// M: the balanced range-partition reshuffle (M/p per server) and the
-	// regular-sampling gather (each holder sends min(p, local) samples to
-	// one coordinator, so the coordinator receives min(M, p²)).
-	sortCost := func(m float64) float64 {
-		return math.Max(m/p, math.Min(m, p*p))
-	}
-	// Every engine first sorts its input relations (dangling removal /
-	// initial placement touches each tuple plus its reducer messages).
-	floor := sortCost(2 * nmax)
-	// foldJ is the Yannakakis candidate's largest pre-aggregation fold
-	// intermediate: the profiled value when the pre-pass ran, else the
-	// early-aggregation cap min(J, NMax+OUT) — a fold joins one relation
-	// against an aggregated image, which the output plus the relation's
-	// own rows bound. img is the largest aggregated image itself (the
-	// input side of that join), falling back to OUT.
-	foldJ := float64(in.MaxFold)
-	if in.MaxFold <= 0 {
-		foldJ = math.Min(j, nmax+out)
-	}
-	img := float64(in.MaxImage)
-	if in.MaxImage <= 0 {
-		img = out
-	}
-
-	pl := Plan{Class: in.Class.String(), PredictedOut: in.Out, PredictedJoin: in.J}
-
-	// Matmul fast paths mirror Theorem 1's dispatch: they need no
-	// estimates and no cost comparison, so short-circuit like the engine
-	// itself does.
-	if in.Class == hypergraph.ClassMatMul {
-		fast := math.Max(floor, sortCost(out))
-		if in.N1 <= 1 || in.N2 <= 1 {
-			pl.Chosen = EngineMatMul
-			pl.Reason = "broadcast fast path: one side has at most one tuple"
-			pl.Candidates = []Candidate{{Engine: EngineMatMul, PredictedLoad: fast, Formula: "sort(N) + sort(OUT)", Feasible: true}}
-			pl.PredictedLoad = fast
-			return pl
-		}
-		if in.N1*int64(in.P) < in.N2 || in.N2*int64(in.P) < in.N1 {
-			pl.Chosen = EngineMatMul
-			pl.Reason = "unequal-ratio fast path: size ratio exceeds p"
-			pl.Candidates = []Candidate{{Engine: EngineMatMul, PredictedLoad: fast, Formula: "sort(N) + sort(OUT)", Feasible: true}}
-			pl.PredictedLoad = fast
-			return pl
-		}
-	}
-
-	// The Yannakakis baseline folds leaves into parents. Each fold is a
-	// grid two-way join whose per-server receive is twice the join's load
-	// target max(inputs/p, √(Jfold/p)) — servers receive the fold's inputs
-	// (the edge relation plus the aggregated subtree image), never its
-	// output, which is produced locally — followed by an early-aggregation
-	// sort of the fold intermediate. That sort's reshuffle runs where the
-	// grid join left the collection, a subcluster of d(p) = max(3, (√p−1)²)
-	// effective targets (calibrated against the sweep's measured fold
-	// rounds), over the intermediate after local pre-combination — bounded
-	// by the fold's aggregated result OUT+Nmax. Its sample gather sees the
-	// un-combined intermediate (samples leave before runs collapse), hence
-	// the min(Jfold, p²) cap on the raw fold size.
-	d := math.Max(3, (math.Sqrt(p)-1)*(math.Sqrt(p)-1))
-	foldSort := math.Max(math.Min(foldJ, out+nmax)/d, math.Min(foldJ, p*p))
-	yann := Candidate{
-		Engine:        EngineYannakakis,
-		PredictedLoad: math.Max(floor, math.Max(2*math.Max((nmax+img)/p, math.Sqrt(foldJ/p)), foldSort)),
-		Formula:       "max(sort(2·Nmax), 2·max((Nmax+IMG)/p, √(Jfold/p)), min(Jfold, OUT+Nmax)/d(p), min(Jfold, p²))",
-		Feasible:      true,
-	}
-	// The specialized engines assemble the output from heavy/light-
-	// decomposed pair lists, and their residual matmul subjoins run on
-	// scratch grids spanning up to p+2 servers — so their sample gathers
-	// are capped by min(·, (p+2)²), not p². What differs per engine (per
-	// sweep calibration) is how the gather round composes with the
-	// assembly reshuffle. (Their Table 1 skew terms — Nmax·√OUT/p and
-	// friends — bound the heavy-value handling, which these collection
-	// prices subsume on concrete instances: heavy values inflate the
-	// collections, never the per-sort structure.)
-	scratch := math.Min(n+out, (p+2)*(p+2))
-	// Chain assembly (line, star-like): the accumulated output list is
-	// threaded through a chain of pair-list joins (the pair lists ride
-	// inside it, so the reshuffle is OUT/p), and the scratch-grid gather
-	// piggybacks on the reshuffle round, so the two add.
-	chainSpec := func(engine string) Candidate {
-		return Candidate{
-			Engine:        engine,
-			PredictedLoad: math.Max(floor, out/p+scratch),
-			Formula:       "max(sort(2·Nmax), OUT/p + min(N+OUT, (p+2)²))",
-			Feasible:      true,
-		}
-	}
-	// Product assembly (star): one root-keyed product joins all branch
-	// lists at once — the N/p + OUT/p receive of Table 1's star bound —
-	// and the gather stays a round of its own, so the terms max.
-	starSpec := func(engine string) Candidate {
-		return Candidate{
-			Engine:        engine,
-			PredictedLoad: math.Max(floor, math.Max((n+nmax+out)/p, scratch)),
-			Formula:       "max(sort(2·Nmax), (N+Nmax+OUT)/p, min(N+OUT, (p+2)²))",
-			Feasible:      true,
-		}
-	}
-	// Generic tree join: assembly sorts see only the aggregated output
-	// relation, so the gather operand is Nmax+OUT rather than the raw
-	// carried collection.
-	treeSpec := func(engine string) Candidate {
-		return Candidate{
-			Engine:        engine,
-			PredictedLoad: math.Max(floor, math.Max((nmax+out)/p, math.Min(nmax+out, (p+2)*(p+2)))),
-			Formula:       "max(sort(2·Nmax), (Nmax+OUT)/p, min(Nmax+OUT, (p+2)²))",
-			Feasible:      true,
-		}
-	}
-
-	// Candidates are emitted in tie-preference order: predictions compare
-	// coarse collection inventories, so exact ties are common (several
-	// engines pinned to the same sample-gather cap, say), and the stable
-	// sort keeps the earlier candidate. The matmul specializations come
-	// first in their class — at a tie the cheaper algorithm wins. The
-	// pair-list specializations (line, star, star-like) buy their skew
-	// bounds with residual matmul grids whose sample gathers span scratch
-	// servers beyond p, so at a tie the simpler fold pipeline measures no
-	// worse and yannakakis is emitted first; the tree engine is itself a
-	// fold and keeps precedence over the baseline in its own class.
+	// Candidates are emitted in the table's tie-preference order:
+	// predictions compare coarse collection inventories, so exact ties are
+	// common (several engines pinned to the same sample-gather cap, say),
+	// and the stable sort keeps the earlier candidate.
 	var cands []Candidate
-	switch in.Class {
-	case hypergraph.ClassMatMul:
-		n12 := float64(in.N1) * float64(in.N2)
-		cands = []Candidate{
-			{
-				Engine:        EngineMatMulLinear,
-				PredictedLoad: math.Max(floor, math.Max(sortCost(float64(in.N1)), math.Max(sortCost(float64(in.N2)), sortCost(out)))),
-				Formula:       "max(sort(N1), sort(N2), sort(OUT))  [OUT ≤ N/p]",
-				Feasible:      float64(in.Out) <= (float64(in.N1)+float64(in.N2))/p,
-			},
-			{
-				Engine:        EngineMatMulWorstCase,
-				PredictedLoad: math.Max(floor, (float64(in.N1)+float64(in.N2))/math.Sqrt(p)),
-				Formula:       "max(sort(N), N/√p)",
-				Feasible:      true,
-			},
-			{
-				Engine:        EngineMatMulOutSens,
-				PredictedLoad: math.Max(floor, math.Max(math.Cbrt(n12*out)/math.Cbrt(p*p), sortCost(n+out))),
-				Formula:       "max(sort(N), (N1·N2·OUT)^{1/3}/p^{2/3}, sort(N+OUT))",
-				Feasible:      true,
-			},
-			yann,
+	for _, e := range legal(in.Class) {
+		if _, ranked := e.Ranked[in.Class]; ranked {
+			cands = append(cands, e.price(in))
 		}
-	// Inside line/star/star-like classes the tree engine follows the same
-	// assembly shape as the class engine on that instance, so it is priced
-	// by the class formula, not by treeSpec.
-	case hypergraph.ClassLine:
-		cands = []Candidate{yann, chainSpec(EngineLine), chainSpec(EngineTree)}
-	case hypergraph.ClassStar:
-		cands = []Candidate{yann, starSpec(EngineStar), starSpec(EngineTree)}
-	case hypergraph.ClassStarLike:
-		cands = []Candidate{yann, chainSpec(EngineStarLike), chainSpec(EngineTree)}
-	case hypergraph.ClassFreeConnex:
-		cands = []Candidate{yann, treeSpec(EngineTree)}
-	default: // ClassTree
-		cands = []Candidate{treeSpec(EngineTree), yann}
 	}
-
 	sort.SliceStable(cands, func(a, b int) bool {
 		ca, cb := cands[a], cands[b]
 		if ca.Feasible != cb.Feasible {
@@ -302,37 +133,29 @@ func Rank(in Input) Plan {
 		}
 		return ca.PredictedLoad < cb.PredictedLoad
 	})
-	pl.Candidates = cands
-	pl.Chosen = cands[0].Engine
-	pl.PredictedLoad = cands[0].PredictedLoad
-	pl.Reason = fmt.Sprintf("min predicted load %.0f among %d candidates (IN=%d, OUT≈%d, p=%d)",
-		cands[0].PredictedLoad, len(cands), in.N, in.Out, in.P)
-	return pl
+	return choose(in, cands, fmt.Sprintf("min predicted load %.0f among %d candidates (IN=%d, OUT≈%d, p=%d)",
+		cands[0].PredictedLoad, len(cands), in.N, in.Out, in.P))
 }
 
-// Forced builds the trivial plan for an execution whose engine was fixed
-// up front (forced strategy or Options.Engine), so Result.Plan is always
-// populated.
-func Forced(class hypergraph.Class, engine, why string) Plan {
-	return Plan{Class: class.String(), Chosen: engine, Reason: why}
+// FastPath returns the plan of an engine that claims the instance outright
+// (Engine.FastPath), if one does. Such plans depend on the input sizes
+// alone, so core asks before paying for the estimate pre-pass.
+func FastPath(in Input) (Plan, bool) {
+	for _, e := range legal(in.Class) {
+		if e.FastPath == nil {
+			continue
+		}
+		if why := e.FastPath(in); why != "" {
+			return choose(in, []Candidate{e.price(in)}, why), true
+		}
+	}
+	return Plan{}, false
 }
 
-// Legal returns the engines core's dispatch accepts for a class, in the
-// planner's preference order. The first entry is the class-default engine
-// the pre-planner dispatch used.
-func Legal(class hypergraph.Class) []string {
-	switch class {
-	case hypergraph.ClassMatMul:
-		return []string{EngineMatMul, EngineMatMulLinear, EngineMatMulWorstCase, EngineMatMulOutSens, EngineYannakakis}
-	case hypergraph.ClassLine:
-		return []string{EngineLine, EngineTree, EngineYannakakis}
-	case hypergraph.ClassStar:
-		return []string{EngineStar, EngineTree, EngineYannakakis}
-	case hypergraph.ClassStarLike:
-		return []string{EngineStarLike, EngineTree, EngineYannakakis}
-	case hypergraph.ClassFreeConnex:
-		return []string{EngineYannakakis, EngineTree}
-	default:
-		return []string{EngineTree, EngineYannakakis}
+// choose builds the plan that runs the first of the ordered candidates.
+func choose(in Input, cands []Candidate, reason string) Plan {
+	return Plan{
+		Class: in.Class.String(), Chosen: cands[0].Engine, Reason: reason, Candidates: cands,
+		PredictedOut: in.Out, PredictedJoin: in.J, PredictedLoad: cands[0].PredictedLoad,
 	}
 }

@@ -1,11 +1,17 @@
 package planner
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"mpcjoin/internal/hypergraph"
 )
+
+var allClasses = []hypergraph.Class{
+	hypergraph.ClassMatMul, hypergraph.ClassLine, hypergraph.ClassStar,
+	hypergraph.ClassStarLike, hypergraph.ClassFreeConnex, hypergraph.ClassTree,
+}
 
 // rank is a sweep helper: every Rank call in this file also checks the
 // structural invariants every plan must satisfy.
@@ -187,11 +193,7 @@ func TestMatMulFastPaths(t *testing.T) {
 // crossovers — so no corner of the matrix can panic, pick an infeasible
 // candidate, or return an unsorted plan.
 func TestSweepInvariants(t *testing.T) {
-	classes := []hypergraph.Class{
-		hypergraph.ClassMatMul, hypergraph.ClassLine, hypergraph.ClassStar,
-		hypergraph.ClassStarLike, hypergraph.ClassFreeConnex, hypergraph.ClassTree,
-	}
-	for _, class := range classes {
+	for _, class := range allClasses {
 		for _, p := range []int{1, 4, 16, 64} {
 			for _, n := range []int64{0, 100, 100000} {
 				for _, out := range []int64{0, 1, n / 2, 10 * n} {
@@ -207,33 +209,90 @@ func TestSweepInvariants(t *testing.T) {
 	}
 }
 
-// TestForcedAndLegal pins the trivial-plan constructor and the per-class
-// legal engine sets core's dispatch accepts.
+// TestForcedAndLegal pins the forced-plan constructor and the per-class
+// legal engine sets the table derives: ranked engines in tie-preference
+// order, then the forced-only ones.
 func TestForcedAndLegal(t *testing.T) {
-	pl := Forced(hypergraph.ClassLine, EngineTree, "forced by test")
-	if pl.Chosen != EngineTree || pl.Class != "line" || pl.Reason != "forced by test" {
-		t.Fatalf("forced plan %+v", pl)
-	}
-	if len(pl.Candidates) != 0 {
-		t.Fatalf("forced plan must not rank candidates: %+v", pl.Candidates)
-	}
 	want := map[hypergraph.Class][]string{
-		hypergraph.ClassMatMul:     {EngineMatMul, EngineMatMulLinear, EngineMatMulWorstCase, EngineMatMulOutSens, EngineYannakakis},
-		hypergraph.ClassLine:       {EngineLine, EngineTree, EngineYannakakis},
-		hypergraph.ClassStar:       {EngineStar, EngineTree, EngineYannakakis},
-		hypergraph.ClassStarLike:   {EngineStarLike, EngineTree, EngineYannakakis},
+		hypergraph.ClassMatMul:     {EngineMatMulLinear, EngineMatMulWorstCase, EngineMatMulOutSens, EngineYannakakis, EngineMatMul, EngineTree},
+		hypergraph.ClassLine:       {EngineYannakakis, EngineLine, EngineTree},
+		hypergraph.ClassStar:       {EngineYannakakis, EngineStar, EngineTree},
+		hypergraph.ClassStarLike:   {EngineYannakakis, EngineStarLike, EngineTree},
 		hypergraph.ClassFreeConnex: {EngineYannakakis, EngineTree},
 		hypergraph.ClassTree:       {EngineTree, EngineYannakakis},
 	}
 	for class, engines := range want {
-		got := Legal(class)
-		if len(got) != len(engines) {
+		if got := Legal(class); !reflect.DeepEqual(got, engines) {
 			t.Fatalf("Legal(%s) = %v, want %v", class, got, engines)
 		}
-		for i := range got {
-			if got[i] != engines[i] {
-				t.Fatalf("Legal(%s) = %v, want %v", class, got, engines)
+		for _, e := range engines {
+			pl, err := Forced(class, e)
+			if err != nil || pl.Chosen != e || pl.Class != class.String() || pl.Reason == "" {
+				t.Fatalf("Forced(%s, %s) = %+v, %v", class, e, pl, err)
+			}
+			if len(pl.Candidates) != 0 {
+				t.Fatalf("forced plan must not rank candidates: %+v", pl.Candidates)
 			}
 		}
+	}
+	for _, e := range []string{EngineLine, "quantum", ""} {
+		if _, err := Forced(hypergraph.ClassStar, e); err == nil {
+			t.Fatalf("engine %q accepted for a star query", e)
+		}
+	}
+}
+
+// TestEngineTable checks the table is well formed: every row is complete,
+// names are unique, each class's tie ranks are distinct (so tie order
+// never depends on table order), and every class has a ranked engine
+// (TestSweepInvariants checks one of them is feasible at every grid point).
+func TestEngineTable(t *testing.T) {
+	seen := map[string]bool{}
+	ranks := map[hypergraph.Class]map[int]string{}
+	for _, e := range Engines {
+		if e.Name == "" || e.Name == EngineAuto || seen[e.Name] {
+			t.Fatalf("bad or duplicate engine name %q", e.Name)
+		}
+		seen[e.Name] = true
+		if len(e.Ranked)+len(e.ForcedOnly) == 0 || e.Cost == nil {
+			t.Fatalf("engine %s: needs at least one class and a cost", e.Name)
+		}
+		for c, r := range e.Ranked {
+			if ranks[c] == nil {
+				ranks[c] = map[int]string{}
+			}
+			if other, dup := ranks[c][r]; dup {
+				t.Fatalf("class %s: %s and %s share tie rank %d", c, other, e.Name, r)
+			}
+			ranks[c][r] = e.Name
+		}
+		for _, c := range e.ForcedOnly {
+			if _, both := e.Ranked[c]; both {
+				t.Fatalf("engine %s is both ranked and forced-only in class %s", e.Name, c)
+			}
+		}
+	}
+	for _, c := range allClasses {
+		if len(ranks[c]) == 0 {
+			t.Fatalf("class %s has no ranked engine", c)
+		}
+	}
+}
+
+// TestParseEngine pins the accepted spellings: the table's names, plus ""
+// and "auto" for automatic selection.
+func TestParseEngine(t *testing.T) {
+	for _, s := range []string{"", EngineAuto} {
+		if got, err := ParseEngine(s); err != nil || got != "" {
+			t.Fatalf("ParseEngine(%q) = %q, %v; want automatic", s, got, err)
+		}
+	}
+	for _, e := range Engines {
+		if got, err := ParseEngine(e.Name); err != nil || got != e.Name {
+			t.Fatalf("ParseEngine(%q) = %q, %v", e.Name, got, err)
+		}
+	}
+	if _, err := ParseEngine("quantum"); err == nil || !strings.Contains(err.Error(), EngineMatMulOutSens) {
+		t.Fatalf("unknown engine error must list the table's names, got %v", err)
 	}
 }

@@ -246,24 +246,43 @@ func (Row[W]) DecodeWireColumns(dst []Row[W], units int, payload []byte) ([]Row[
 // Sided row streams
 // ---------------------------------------------------------------------------
 
-// AppendSidedRowColumns encodes a message of two-relation tagged rows (the
-// routers' sideRow shape: a left/right flag plus a row, with uniform arity
-// within each side but not across sides). Format: u32 left count, a
-// packed flag bitmap (bit set = left), then the left rows' columnar
-// encoding followed by the right rows'. at(i) returns element i.
-func AppendSidedRowColumns[W any](dst []byte, n int, at func(i int) (left bool, row Row[W])) []byte {
+// SidedRow tags a row with the relation it came from, so both inputs of a
+// two-relation router (twoway's grid join, the matmul branches) travel in
+// a single exchange round — loads on shared destinations must add up.
+type SidedRow[W any] struct {
+	Left bool
+	Row  Row[W]
+}
+
+// AppendWireColumns implements mpc.ColumnarWire: SidedRow exchanges over a
+// transport ship as a sided columnar stream (flag bitmap + per-side
+// column groups) instead of raw row-header memory.
+func (SidedRow[W]) AppendWireColumns(dst []byte, msg []SidedRow[W]) []byte {
+	return AppendSidedRowColumns(dst, msg)
+}
+
+// DecodeWireColumns is the decoding half of the ColumnarWire seam.
+func (SidedRow[W]) DecodeWireColumns(dst []SidedRow[W], units int, payload []byte) ([]SidedRow[W], error) {
+	return DecodeSidedRowColumns(dst, units, payload)
+}
+
+// AppendSidedRowColumns encodes a message of two-relation tagged rows (a
+// left/right flag plus a row, with uniform arity within each side but not
+// across sides). Format: u32 left count, a packed flag bitmap (bit set =
+// left), then the left rows' columnar encoding followed by the right rows'.
+func AppendSidedRowColumns[W any](dst []byte, msg []SidedRow[W]) []byte {
 	var lefts, rights []Row[W]
-	for i := 0; i < n; i++ {
-		if left, row := at(i); left {
-			lefts = append(lefts, row)
+	for _, m := range msg {
+		if m.Left {
+			lefts = append(lefts, m.Row)
 		} else {
-			rights = append(rights, row)
+			rights = append(rights, m.Row)
 		}
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lefts)))
 	var acc byte
-	for i := 0; i < n; i++ {
-		if left, _ := at(i); left {
+	for i, m := range msg {
+		if m.Left {
 			acc |= 1 << (i % 8)
 		}
 		if i%8 == 7 {
@@ -271,7 +290,7 @@ func AppendSidedRowColumns[W any](dst []byte, n int, at func(i int) (left bool, 
 			acc = 0
 		}
 	}
-	if n%8 != 0 {
+	if len(msg)%8 != 0 {
 		dst = append(dst, acc)
 	}
 	dst = AppendRowColumns(dst, lefts)
@@ -279,54 +298,54 @@ func AppendSidedRowColumns[W any](dst []byte, n int, at func(i int) (left bool, 
 }
 
 // DecodeSidedRowColumns decodes a sided message of units elements,
-// invoking emit once per element in stream order. The whole payload must
-// be consumed.
-func DecodeSidedRowColumns[W any](units int, payload []byte, emit func(left bool, row Row[W])) error {
+// appending them to dst in stream order. The whole payload must be
+// consumed; on error nothing is returned.
+func DecodeSidedRowColumns[W any](dst []SidedRow[W], units int, payload []byte) ([]SidedRow[W], error) {
 	if units < 0 {
-		return fmt.Errorf("negative unit count %d", units)
+		return nil, fmt.Errorf("negative unit count %d", units)
 	}
 	if len(payload) < 4 {
-		return fmt.Errorf("sided payload truncated")
+		return nil, fmt.Errorf("sided payload truncated")
 	}
 	nLeft := int(binary.LittleEndian.Uint32(payload))
 	if nLeft > units {
-		return fmt.Errorf("sided payload claims %d left rows of %d", nLeft, units)
+		return nil, fmt.Errorf("sided payload claims %d left rows of %d", nLeft, units)
 	}
 	payload = payload[4:]
 	bm := (units + 7) / 8
 	if len(payload) < bm {
-		return fmt.Errorf("sided payload bitmap truncated")
+		return nil, fmt.Errorf("sided payload bitmap truncated")
 	}
 	bitmap := payload[:bm]
 	payload = payload[bm:]
 	lefts, rest, err := DecodeRowColumns[W](nil, nLeft, payload)
 	if err != nil {
-		return fmt.Errorf("left rows: %w", err)
+		return nil, fmt.Errorf("left rows: %w", err)
 	}
 	rights, rest, err := DecodeRowColumns[W](nil, units-nLeft, rest)
 	if err != nil {
-		return fmt.Errorf("right rows: %w", err)
+		return nil, fmt.Errorf("right rows: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("sided payload has %d trailing bytes", len(rest))
+		return nil, fmt.Errorf("sided payload has %d trailing bytes", len(rest))
 	}
 	li, ri := 0, 0
 	for i := 0; i < units; i++ {
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
 			if li >= len(lefts) {
-				return fmt.Errorf("sided bitmap marks more than %d left rows", nLeft)
+				return nil, fmt.Errorf("sided bitmap marks more than %d left rows", nLeft)
 			}
-			emit(true, lefts[li])
+			dst = append(dst, SidedRow[W]{Left: true, Row: lefts[li]})
 			li++
 		} else {
 			if ri >= len(rights) {
-				return fmt.Errorf("sided bitmap marks more than %d right rows", units-nLeft)
+				return nil, fmt.Errorf("sided bitmap marks more than %d right rows", units-nLeft)
 			}
-			emit(false, rights[ri])
+			dst = append(dst, SidedRow[W]{Row: rights[ri]})
 			ri++
 		}
 	}
-	return nil
+	return dst, nil
 }
 
 // ---------------------------------------------------------------------------

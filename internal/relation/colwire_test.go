@@ -173,26 +173,18 @@ func TestRowColumnsDecodeRejectsCorruption(t *testing.T) {
 // — the shape that forces per-side column groups.
 func TestSidedRowColumnsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	type sided struct {
-		left bool
-		row  Row[int64]
-	}
+	type sided = SidedRow[int64]
 	for _, n := range []int{0, 1, 9, 200} {
 		els := make([]sided, n)
 		for i := range els {
 			if rng.Intn(2) == 0 {
-				els[i] = sided{left: true, row: Row[int64]{Vals: []Value{Value(i % 4), 7, Value(-i)}, W: int64(i)}}
+				els[i] = sided{Left: true, Row: Row[int64]{Vals: []Value{Value(i % 4), 7, Value(-i)}, W: int64(i)}}
 			} else {
-				els[i] = sided{row: Row[int64]{Vals: []Value{Value(i % 3)}, W: -int64(i)}}
+				els[i] = sided{Row: Row[int64]{Vals: []Value{Value(i % 3)}, W: -int64(i)}}
 			}
 		}
-		payload := AppendSidedRowColumns(nil, n, func(i int) (bool, Row[int64]) {
-			return els[i].left, els[i].row
-		})
-		var got []sided
-		err := DecodeSidedRowColumns(n, payload, func(left bool, row Row[int64]) {
-			got = append(got, sided{left: left, row: row})
-		})
+		payload := AppendSidedRowColumns(nil, els)
+		got, err := DecodeSidedRowColumns[int64](nil, n, payload)
 		if err != nil {
 			t.Fatalf("n=%d: decode failed: %v", n, err)
 		}
@@ -200,19 +192,19 @@ func TestSidedRowColumnsRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: decoded %d elements", n, len(got))
 		}
 		for i := range els {
-			if got[i].left != els[i].left || got[i].row.W != els[i].row.W ||
-				len(got[i].row.Vals) != len(els[i].row.Vals) {
+			if got[i].Left != els[i].Left || got[i].Row.W != els[i].Row.W ||
+				len(got[i].Row.Vals) != len(els[i].Row.Vals) {
 				t.Fatalf("element %d diverged: %+v want %+v", i, got[i], els[i])
 			}
-			for c := range els[i].row.Vals {
-				if got[i].row.Vals[c] != els[i].row.Vals[c] {
-					t.Fatalf("element %d col %d: %d want %d", i, c, got[i].row.Vals[c], els[i].row.Vals[c])
+			for c := range els[i].Row.Vals {
+				if got[i].Row.Vals[c] != els[i].Row.Vals[c] {
+					t.Fatalf("element %d col %d: %d want %d", i, c, got[i].Row.Vals[c], els[i].Row.Vals[c])
 				}
 			}
 		}
 		// Truncations of the sided stream also error.
 		for k := 0; k < len(payload); k++ {
-			if err := DecodeSidedRowColumns(n, payload[:k], func(bool, Row[int64]) {}); err == nil {
+			if _, err := DecodeSidedRowColumns[int64](nil, n, payload[:k]); err == nil {
 				t.Fatalf("n=%d: decode of %d-byte prefix succeeded", n, k)
 			}
 		}

@@ -219,3 +219,91 @@ func TestFairQueueAbandonReleasesSlot(t *testing.T) {
 	}
 	q.Release(n)
 }
+
+// The two tests below were re-homed from internal/server's admission tests
+// when the single-tenant server.Semaphore view was deleted; they drive the
+// queue the way it did, through one anonymous tenant. The rest of that file
+// was dropped as already pinned here: fast path → TestFairQueueFastPath,
+// weight clamped to capacity → TestFairQueueClampsOversized, queue full →
+// TestFairQueueGlobalBound, cancel while queued →
+// TestFairQueueAbandonReleasesSlot.
+
+// TestFairQueueHeavyHeadNotStarved checks a light late arrival cannot
+// overtake a parked heavy waiter of the same tenant even when it would fit.
+func TestFairQueueHeavyHeadNotStarved(t *testing.T) {
+	q := NewFairQueue(FairConfig{Capacity: 4, MaxQueue: 16})
+	ctx := context.Background()
+	if _, err := q.Acquire(ctx, "", 3); err != nil {
+		t.Fatal(err)
+	}
+	heavyHas := make(chan struct{})
+	go func() {
+		if _, err := q.Acquire(ctx, "", 3); err != nil {
+			t.Error(err)
+		}
+		close(heavyHas)
+	}()
+	for q.Queued() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// Capacity 4, 3 in use: a weight-1 acquire would fit, but the heavy
+	// waiter is ahead — FIFO parks the light one behind it.
+	lightHas := make(chan struct{})
+	go func() {
+		if _, err := q.Acquire(ctx, "", 1); err != nil {
+			t.Error(err)
+		}
+		close(lightHas)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-lightHas:
+		t.Fatal("light acquire overtook parked heavy waiter")
+	default:
+	}
+	q.Release(3) // heavy (3) admitted; light (1) fits alongside it
+	<-heavyHas
+	<-lightHas
+	q.Release(3)
+	q.Release(1)
+	if got := q.InUse(); got != 0 {
+		t.Fatalf("InUse = %d, want 0", got)
+	}
+}
+
+// TestFairQueueStress hammers the queue from many goroutines and checks
+// the capacity invariant is never violated. Run under -race.
+func TestFairQueueStress(t *testing.T) {
+	const capacity = 5
+	q := NewFairQueue(FairConfig{Capacity: capacity, MaxQueue: 1024})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	held := int64(0)
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				n, err := q.Acquire(context.Background(), "", int64(g%3+1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				held += n
+				if held > capacity {
+					t.Errorf("capacity invariant violated: %d > %d", held, capacity)
+				}
+				mu.Unlock()
+				mu.Lock()
+				held -= n
+				mu.Unlock()
+				q.Release(n)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := q.InUse(); got != 0 {
+		t.Fatalf("InUse = %d after stress, want 0", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mpcjoin/internal/core"
+	"mpcjoin/internal/planner"
 )
 
 // Cache-control modes of a query ("options":{"cache": ...} in v2).
@@ -41,14 +42,18 @@ var validCacheModes = map[string]bool{cacheDefault: true, "default": true, cache
 //     hits are structurally impossible even without invalidation;
 //   - the group-by list and the semiring;
 //   - the canonical fingerprint of the resolved engine options (servers,
-//     strategy, forced/resolved engine, seeds, fault schedule — see
+//     forced/resolved engine, seeds, fault schedule — see
 //     core.ResultFingerprint);
 //   - the resolved engine again as an explicit key component: for
 //     auto-planned queries the server resolves the plan before keying, so
 //     a planner decision that flips with the data can never cross-serve a
 //     result computed by a different engine;
 //   - whether a trace or an explanation was requested, since the response
-//     body differs.
+//     body differs — and for an explanation, whether the engine was forced
+//     or planned: a forced run and an auto-planned run that resolved to
+//     the same engine return the same rows and Stats (and share an entry),
+//     but the first explains itself with a stub and the second with the
+//     ranked candidates.
 //
 // Relation order is preserved: two permutations of the same join key
 // differently and may both miss — a correctness-neutral inefficiency.
@@ -62,8 +67,9 @@ func cacheKey(req *QueryRequest, insts map[string]*Dataset, o core.Options) stri
 		}
 		fmt.Fprintf(&b, "rel=%q attrs=%q ds=%q@%d;", rel.Name, strings.Join(rel.Attrs, ","), dsName, ds.Version)
 	}
-	fmt.Fprintf(&b, "group_by=%q;semiring=%q;trace=%v;explain=%v;engine=%q;opts=%016x",
-		strings.Join(req.GroupBy, ","), req.Semiring, req.Trace, req.Explain, o.Engine, o.ResultFingerprint())
+	forced, _ := planner.ParseEngine(req.Strategy)
+	fmt.Fprintf(&b, "group_by=%q;semiring=%q;trace=%v;explain=%v,ranked=%v;engine=%q;opts=%016x",
+		strings.Join(req.GroupBy, ","), req.Semiring, req.Trace, req.Explain, req.Explain && forced == "", o.Engine, o.ResultFingerprint())
 	if g := req.Graph; g != nil {
 		// Graph-driver parameters are not core options, so they are not in
 		// the fingerprint; a graph run must never share identity with the

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"mpcjoin/internal/planner"
 )
 
 // Request decoding and validation, kept as pure functions over bytes so
@@ -62,7 +64,9 @@ type QueryRequest struct {
 	GroupBy []string `json:"group_by,omitempty"`
 	// Servers is the simulated cluster size p (default 16).
 	Servers int `json:"servers,omitempty"`
-	// Strategy is "auto" (default), "yannakakis" or "tree".
+	// Strategy is "auto" (default) or an engine name — any value the
+	// response's "engine" field can report (planner.ParseEngine). The
+	// engine must be legal for the query's class.
 	Strategy string `json:"strategy,omitempty"`
 	// Semiring is "ints" (default), "minplus", "maxplus", "maxmin" or
 	// "bools" (annotation != 0 is true; results are true groups).
@@ -99,7 +103,6 @@ type QueryRequest struct {
 	Explain bool `json:"-"`
 }
 
-var validStrategies = map[string]bool{"": true, "auto": true, "yannakakis": true, "tree": true}
 var validSemirings = map[string]bool{"": true, "ints": true, "minplus": true, "maxplus": true, "maxmin": true, "bools": true}
 
 // DecodeDatasetRequest parses and validates a dataset registration body.
@@ -182,8 +185,8 @@ func validateQueryRequest(req *QueryRequest) error {
 	if req.Servers < 0 || req.Servers > maxServers {
 		return fmt.Errorf("servers must be in [0, %d], got %d", maxServers, req.Servers)
 	}
-	if !validStrategies[req.Strategy] {
-		return fmt.Errorf("unknown strategy %q (want auto, yannakakis or tree)", req.Strategy)
+	if _, err := planner.ParseEngine(req.Strategy); err != nil {
+		return fmt.Errorf("strategy: %w", err)
 	}
 	if !validSemirings[req.Semiring] {
 		return fmt.Errorf("unknown semiring %q (want ints, minplus, maxplus, maxmin or bools)", req.Semiring)

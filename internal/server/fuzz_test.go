@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mpcjoin/internal/planner"
 )
 
 // FuzzDecodeQueryRequest asserts the query decoder's contract over
@@ -46,7 +48,7 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 			req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
 			t.Fatalf("accepted out-of-range numerics %+v", req)
 		}
-		if !validStrategies[req.Strategy] || !validSemirings[req.Semiring] {
+		if _, err := planner.ParseEngine(req.Strategy); err != nil || !validSemirings[req.Semiring] {
 			t.Fatalf("accepted unknown strategy/semiring %+v", req)
 		}
 	})
@@ -82,7 +84,7 @@ func FuzzDecodeQueryRequestV2(f *testing.F) {
 			req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
 			t.Fatalf("accepted out-of-range numerics %+v", req)
 		}
-		if !validStrategies[req.Strategy] || !validSemirings[req.Semiring] {
+		if _, err := planner.ParseEngine(req.Strategy); err != nil || !validSemirings[req.Semiring] {
 			t.Fatalf("accepted unknown strategy/semiring %+v", req)
 		}
 		if !validCacheModes[req.Cache] {

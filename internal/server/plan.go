@@ -62,6 +62,125 @@ func bindQuery(req *QueryRequest, view *RegistryView) (*hypergraph.Query, map[st
 	return q, insts, nil
 }
 
+// queryCall is the state of one /v1/query, /v2/query or /v2/plan request
+// past the front half the three share (openQuery).
+type queryCall struct {
+	s      *Server
+	w      http.ResponseWriter
+	v      apiVersion
+	start  time.Time
+	entry  AccessEntry
+	tenant string
+	req    *QueryRequest
+	view   *RegistryView
+	q      *hypergraph.Query
+	insts  map[string]*Dataset
+	o      core.Options
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// fail writes the versioned error response and records the outcome for
+// the access log.
+func (c *queryCall) fail(status int, cause, format string, args ...any) {
+	c.entry.Status, c.entry.Cause = status, cause
+	c.v.writeError(c.w, status, cause, format, args...)
+}
+
+// close ends the request: it releases the deadline and emits the access
+// log entry, whatever the outcome.
+func (c *queryCall) close() {
+	c.cancel()
+	if c.s.cfg.AccessLog != nil {
+		c.entry.WallNS = time.Since(c.start).Nanoseconds()
+		c.s.cfg.AccessLog(c.entry)
+	}
+}
+
+// openQuery is the front half of every query-shaped endpoint: drain gate,
+// tenant, decode, binding, options and deadline. On false the error
+// response has been written; the caller defers close either way.
+func (s *Server) openQuery(w http.ResponseWriter, r *http.Request, v apiVersion) (*queryCall, bool) {
+	c := &queryCall{s: s, w: w, v: v, start: time.Now(), ctx: r.Context(), cancel: func() {},
+		entry: AccessEntry{Path: r.URL.Path, Tenant: DefaultTenant}}
+	if s.Draining() {
+		s.met.QueryRejected()
+		c.fail(http.StatusServiceUnavailable, "drain", "draining")
+		return c, false
+	}
+	tenant, err := tenantFromRequest(r)
+	if err != nil {
+		c.fail(http.StatusBadRequest, "bad_request", "%v", err)
+		return c, false
+	}
+	c.tenant, c.entry.Tenant = tenant, tenant
+
+	decode := DecodeQueryRequest
+	if v == apiV2 {
+		decode = DecodeQueryRequestV2
+	}
+	if c.req, err = decode(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		c.fail(http.StatusBadRequest, "bad_request", "%v", err)
+		return c, false
+	}
+
+	// Resolve relation → dataset bindings against ONE registry snapshot,
+	// before spending any admission budget: the query pins the dataset
+	// versions it starts on, a concurrent registration publishes a new
+	// snapshot without touching this one, and a dangling reference is a
+	// client error, not load.
+	c.view = s.reg.View()
+	var bf *bindFail
+	if c.q, c.insts, bf = bindQuery(c.req, c.view); bf != nil {
+		c.fail(bf.status, bf.cause, "%s", bf.msg)
+		return c, false
+	}
+	c.entry.DatasetVersion = c.view.Version()
+
+	if c.o, err = s.queryOptions(c.req, c.q); err != nil {
+		c.fail(http.StatusBadRequest, "bad_request", "%v", err)
+		return c, false
+	}
+
+	// Deadline: derived before planning and admission so it covers the
+	// planner pre-pass and queue wait as well as execution — a query must
+	// not sit in the admission queue past its own deadline and then still
+	// run.
+	if c.req.DeadlineMS > 0 {
+		c.ctx, c.cancel = context.WithTimeout(c.ctx, time.Duration(c.req.DeadlineMS)*time.Millisecond)
+	}
+	return c, true
+}
+
+// queryOptions is the one QueryRequest → core.Options mapping, shared by
+// the query and plan endpoints. For join-aggregate requests it also checks
+// what both need before any work is spent: a well-formed query, and a
+// "strategy" naming an engine the engine table allows for the query's
+// class. Errors are the client's.
+func (s *Server) queryOptions(req *QueryRequest, q *hypergraph.Query) (core.Options, error) {
+	engine, err := planner.ParseEngine(req.Strategy)
+	if err != nil {
+		return core.Options{}, err
+	}
+	if req.Graph == nil {
+		if err := q.Validate(); err != nil {
+			return core.Options{}, err
+		}
+		if engine != "" {
+			if _, err := planner.Forced(q.Classify(), engine); err != nil {
+				return core.Options{}, err
+			}
+		}
+	}
+	return core.Options{
+		Servers:   req.Servers,
+		Seed:      req.Seed,
+		Workers:   req.Workers,
+		Transport: s.cfg.Transport,
+		Engine:    engine,
+	}, nil
+}
+
 // resolveQueryPlan runs the cost-based planner for a bound query without
 // executing it. Plans are keyed like results (dataset versions, canonical
 // options), so a registration or option change replans; the annotation
@@ -80,12 +199,9 @@ func (s *Server) resolveQueryPlan(ctx context.Context, req *QueryRequest, q *hyp
 		rel.Rows = ds.Rows
 		inst[name] = rel
 	}
-	// Validate here so request-shape problems classify as client errors;
-	// whatever PlanInstance then fails on (beyond cancellation) is
-	// internal.
-	if err := q.Validate(); err != nil {
-		return nil, &clientError{err}
-	}
+	// Validate here (the query itself was validated by queryOptions) so
+	// request-shape problems classify as client errors; whatever
+	// PlanInstance then fails on (beyond cancellation) is internal.
 	if err := db.Validate(q, inst); err != nil {
 		return nil, &clientError{err}
 	}
@@ -139,82 +255,29 @@ type PlanResponse struct {
 // outside admission control on purpose — it is estimate-sized work, not
 // query-sized work.
 func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
-	reqStart := time.Now()
-	entry := AccessEntry{Path: r.URL.Path, Tenant: DefaultTenant}
-	defer func() {
-		if s.cfg.AccessLog != nil {
-			entry.WallNS = time.Since(reqStart).Nanoseconds()
-			s.cfg.AccessLog(entry)
-		}
-	}()
-	fail := func(status int, cause, format string, args ...any) {
-		entry.Status, entry.Cause = status, cause
-		apiV2.writeError(w, status, cause, format, args...)
-	}
-
-	if s.Draining() {
-		s.met.QueryRejected()
-		fail(http.StatusServiceUnavailable, "drain", "draining")
+	c, ok := s.openQuery(w, r, apiV2)
+	defer c.close()
+	if !ok {
 		return
 	}
-	tenant, err := tenantFromRequest(r)
+	if c.req.Graph != nil {
+		c.fail(http.StatusBadRequest, "bad_request", "graph queries are not planned: the %s driver is the engine", c.req.Graph.Kind)
+		return
+	}
+
+	pl, err := s.resolveQueryPlan(c.ctx, c.req, c.q, c.insts, c.o)
 	if err != nil {
-		fail(http.StatusBadRequest, "bad_request", "%v", err)
+		s.failPlan(c.ctx, c.fail, err)
 		return
 	}
-	entry.Tenant = tenant
-
-	req, err := DecodeQueryRequestV2(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		fail(http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	if req.Graph != nil {
-		fail(http.StatusBadRequest, "bad_request", "graph queries are not planned: the %s driver is the engine", req.Graph.Kind)
-		return
-	}
-
-	view := s.reg.View()
-	q, insts, bf := bindQuery(req, view)
-	if bf != nil {
-		fail(bf.status, bf.cause, "%s", bf.msg)
-		return
-	}
-	entry.DatasetVersion = view.Version()
-
-	o := core.Options{
-		Servers:   req.Servers,
-		Seed:      req.Seed,
-		Workers:   req.Workers,
-		Transport: s.cfg.Transport,
-	}
-	switch req.Strategy {
-	case "yannakakis":
-		o.Strategy = core.StrategyYannakakis
-	case "tree":
-		o.Strategy = core.StrategyTree
-	}
-
-	ctx := r.Context()
-	cancel := context.CancelFunc(func() {})
-	if req.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-	}
-	defer cancel()
-
-	pl, err := s.resolveQueryPlan(ctx, req, q, insts, o)
-	if err != nil {
-		s.failPlan(ctx, fail, err)
-		return
-	}
-	entry.Engine = pl.Chosen
-	entry.Status = http.StatusOK
+	c.entry.Engine = pl.Chosen
+	c.entry.Status = http.StatusOK
 	s.met.PlanEngine(pl.Chosen)
-	s.met.TenantServed(tenant)
+	s.met.TenantServed(c.tenant)
 	writeJSON(w, http.StatusOK, PlanResponse{
 		Class:          pl.Class,
 		Plan:           pl,
-		DatasetVersion: view.Version(),
-		WallNS:         time.Since(reqStart).Nanoseconds(),
+		DatasetVersion: c.view.Version(),
+		WallNS:         time.Since(c.start).Nanoseconds(),
 	})
 }

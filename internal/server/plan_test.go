@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"mpcjoin/internal/core"
+	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/planner"
 )
 
 // planOf decodes the "plan" block shared by /v2/plan and explained
@@ -37,7 +39,7 @@ func TestV2QueryExplain(t *testing.T) {
 		t.Fatalf("explained query = %d %s", resp.StatusCode, body)
 	}
 	var out struct {
-		Engine string  `json:"engine"`
+		Engine string `json:"engine"`
 		Stats  struct{ MaxLoad int }
 		Plan   *planOf `json:"plan"`
 	}
@@ -197,5 +199,88 @@ func TestCacheKeyCarriesResolvedEngine(t *testing.T) {
 	req.Explain = true
 	if k3 := cacheKey(req, insts, o); k3 == k2 {
 		t.Fatal("cache key ignores explain")
+	}
+}
+
+// TestStrategyIsTheEngineTable pins the service's one engine spelling: the
+// "strategy" field accepts exactly what the response's "engine" field
+// reports (plus "auto"), maps onto core.Options.Engine — so a forced
+// engine has one result fingerprint whichever front door it came through —
+// and a name the table does not allow for the query's class is the
+// client's error on both the query and the plan endpoint.
+func TestStrategyIsTheEngineTable(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	registerMatMul(t, ts.URL)
+	withStrategy := func(name string) string {
+		return strings.Replace(matmulQueryV2, "%s", `,"strategy":"`+name+`","options":{"servers":4,"seed":1,"explain":true}`, 1)
+	}
+
+	for _, name := range planner.Legal(hypergraph.ClassMatMul) {
+		req, err := DecodeQueryRequestV2(strings.NewReader(withStrategy(name)))
+		if err != nil {
+			t.Fatalf("strategy %q rejected at decode: %v", name, err)
+		}
+		q, _, bf := bindQuery(req, s.reg.View())
+		if bf != nil {
+			t.Fatal(bf.msg)
+		}
+		o, err := s.queryOptions(req, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Options{Servers: 4, Seed: 1, Engine: name}.ResultFingerprint()
+		if o.Engine != name || o.ResultFingerprint() != want {
+			t.Fatalf("strategy %q → engine %q fingerprint %x, want %x", name, o.Engine, o.ResultFingerprint(), want)
+		}
+
+		resp, body := postJSON(t, ts.URL+"/v2/query", withStrategy(name))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("strategy %q = %d %s", name, resp.StatusCode, body)
+		}
+		var out struct {
+			Engine string  `json:"engine"`
+			Plan   *planOf `json:"plan"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Engine != name || out.Plan == nil || out.Plan.Chosen != name || len(out.Plan.Candidates) != 0 {
+			t.Fatalf("strategy %q ran %q with plan %+v", name, out.Engine, out.Plan)
+		}
+	}
+
+	// "auto" is the absent field.
+	auto, _ := DecodeQueryRequestV2(strings.NewReader(withStrategy("auto")))
+	none, _ := DecodeQueryRequestV2(strings.NewReader(strings.Replace(matmulQueryV2, "%s", `,"options":{"servers":4,"seed":1,"explain":true}`, 1)))
+	q, insts, _ := bindQuery(auto, s.reg.View())
+	oa, _ := s.queryOptions(auto, q)
+	on, _ := s.queryOptions(none, q)
+	if oa.Engine != "" || cacheKey(auto, insts, oa) != cacheKey(none, insts, on) {
+		t.Fatal(`"strategy":"auto" and no strategy differ in cache identity`)
+	}
+
+	// An explained auto query must not be served the stub plan of a forced
+	// run of the same engine (they share rows, not explanations).
+	resp, body := postJSON(t, ts.URL+"/v2/query", withStrategy("auto"))
+	var out struct {
+		Engine string  `json:"engine"`
+		Plan   *planOf `json:"plan"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto = %d %s", resp.StatusCode, body)
+	}
+	if out.Plan == nil || len(out.Plan.Candidates) == 0 || out.Plan.Chosen != out.Engine {
+		t.Fatalf("auto query after forced runs explained itself with %+v", out.Plan)
+	}
+
+	for _, path := range []string{"/v2/query", "/v2/plan"} {
+		resp, body := postJSON(t, ts.URL+path, withStrategy(planner.EngineLine))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "not legal for class matmul") {
+			t.Fatalf("%s with an illegal engine = %d %s", path, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, ts.URL+path, withStrategy("quantum"))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown engine") {
+			t.Fatalf("%s with an unknown engine = %d %s", path, resp.StatusCode, body)
+		}
 	}
 }

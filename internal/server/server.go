@@ -219,6 +219,11 @@ func isClientError(err error) bool {
 	return errors.As(err, &ce)
 }
 
+// ErrQueueFull is returned by the fair admission queue when the bounded
+// wait queue is at capacity: the server is saturated and the handler sheds
+// the request (429) rather than let the queue grow without bound.
+var ErrQueueFull = serve.ErrQueueFull
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -380,42 +385,14 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion) {
-	reqStart := time.Now()
-	entry := AccessEntry{Path: r.URL.Path, Tenant: DefaultTenant}
-	defer func() {
-		if s.cfg.AccessLog != nil {
-			entry.WallNS = time.Since(reqStart).Nanoseconds()
-			s.cfg.AccessLog(entry)
-		}
-	}()
-	// fail writes the versioned error response and records the outcome
-	// for the access log.
-	fail := func(status int, cause, format string, args ...any) {
-		entry.Status, entry.Cause = status, cause
-		v.writeError(w, status, cause, format, args...)
-	}
-
-	if s.Draining() {
-		s.met.QueryRejected()
-		fail(http.StatusServiceUnavailable, "drain", "draining")
+	c, ok := s.openQuery(w, r, v)
+	defer c.close()
+	if !ok {
 		return
 	}
-	tenant, err := tenantFromRequest(r)
-	if err != nil {
-		fail(http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	entry.Tenant = tenant
-
-	decode := DecodeQueryRequest
-	if v == apiV2 {
-		decode = DecodeQueryRequestV2
-	}
-	req, err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		fail(http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
+	req, view, q, insts, o, tenant := c.req, c.view, c.q, c.insts, c.o, c.tenant
+	ctx, entry, fail, reqStart := c.ctx, &c.entry, c.fail, c.start
+	var err error
 
 	// Cache mode: v1 predates the cache and pins per-request execution
 	// semantics, so it always runs off.
@@ -427,66 +404,22 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 		mode = cacheOff
 	}
 
-	// Resolve relation → dataset bindings against ONE registry snapshot,
-	// before spending any admission budget: the query pins the dataset
-	// versions it starts on, a concurrent registration publishes a new
-	// snapshot without touching this one, and a dangling reference is a
-	// client error, not load.
-	view := s.reg.View()
-	q, insts, bf := bindQuery(req, view)
-	if bf != nil {
-		fail(bf.status, bf.cause, "%s", bf.msg)
-		return
-	}
-	entry.DatasetVersion = view.Version()
-
-	o := core.Options{
-		Servers:   req.Servers,
-		Seed:      req.Seed,
-		Workers:   req.Workers,
-		Transport: s.cfg.Transport,
-	}
-	switch req.Strategy {
-	case "yannakakis":
-		o.Strategy = core.StrategyYannakakis
-	case "tree":
-		o.Strategy = core.StrategyTree
-	}
 	if req.Faults != nil {
 		o.Faults = mpc.NewFaultPlane(req.Faults.Spec(req.Seed))
 	}
+	// The provisional engine label: the graph driver, a forced engine, or
+	// nothing yet — the resolved plan names what an auto query ran.
+	entry.Engine = o.Engine
 	if req.Graph != nil {
-		// Graph queries bypass the join-aggregate planner: the graph block
-		// itself names the driver.
 		entry.Engine = "spmv-" + req.Graph.Kind
-	} else {
-		// Class-only validation and a provisional engine label; the
-		// cost-based resolution below refines the label for auto queries.
-		cpl, err := core.PlanQuery(q, o.Strategy)
-		if err != nil {
-			fail(http.StatusBadRequest, "bad_request", "%v", err)
-			return
-		}
-		entry.Engine = cpl.Engine
 	}
-
-	// Deadline: derived before planning and admission so it covers the
-	// planner pre-pass and queue wait as well as execution — a query must
-	// not sit in the admission queue past its own deadline and then still
-	// run.
-	ctx := r.Context()
-	cancel := context.CancelFunc(func() {})
-	if req.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-	}
-	defer cancel()
 
 	// Resolve the auto plan before the cache is keyed: the result key must
 	// carry the engine that will actually run, so an auto-planned query
 	// whose planner decision flips with the data can never cross-serve a
 	// result computed by a different engine.
 	var resolved *planner.Plan
-	if req.Graph == nil && mode != cacheOff && o.Strategy == core.StrategyAuto {
+	if req.Graph == nil && mode != cacheOff && o.Engine == "" {
 		resolved, err = s.resolveQueryPlan(ctx, req, q, insts, o)
 		if err != nil {
 			s.failPlan(ctx, fail, err)
@@ -677,17 +610,14 @@ func (s *Server) execAdmitted(ctx context.Context, tenant string, req *QueryRequ
 		}
 		return nil, err
 	}
-	engine, class := "", ""
 	if req.Graph != nil {
-		engine, class = "spmv-"+req.Graph.Kind, "graph"
+		resp.Engine, resp.Class = "spmv-"+req.Graph.Kind, "graph"
 	} else if resp.plan != nil {
 		// The plan observer names the engine that actually ran — the
 		// planner's choice for auto queries, the forced engine otherwise.
-		engine, class = resp.plan.Chosen, resp.plan.Class
+		resp.Engine, resp.Class = resp.plan.Chosen, resp.plan.Class
 	}
-	s.met.QueryCompleted(engine, resp.Stats)
-	resp.Class = class
-	resp.Engine = engine
+	s.met.QueryCompleted(resp.Engine, resp.Stats)
 	if req.Explain {
 		resp.Plan = resp.plan
 	}
@@ -847,12 +777,10 @@ func newRelation[W any](q *hypergraph.Query, name string) *relation.Relation[W] 
 
 // runTyped executes the query over a typed instance and renders the rows.
 func runTyped[W any](ctx context.Context, sr semiring.Semiring[W], q *hypergraph.Query, inst db.Instance[W], o core.Options, annot func(W) any) (*QueryResponse, error) {
-	// Validate up front so request-shape problems classify as client
-	// errors; whatever core then fails on (beyond cancellation) is an
-	// internal engine error on a well-formed request.
-	if err := q.Validate(); err != nil {
-		return nil, &clientError{err}
-	}
+	// Validate up front (the query itself was validated by queryOptions)
+	// so request-shape problems classify as client errors; whatever core
+	// then fails on (beyond cancellation) is an internal engine error on a
+	// well-formed request.
 	if err := db.Validate(q, inst); err != nil {
 		return nil, &clientError{err}
 	}

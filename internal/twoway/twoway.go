@@ -30,33 +30,6 @@ import (
 	"mpcjoin/internal/semiring"
 )
 
-// sideRow tags a row with the relation it came from so both inputs travel
-// in a single exchange round (loads on shared destinations must add up).
-type sideRow[W any] struct {
-	left bool
-	row  relation.Row[W]
-}
-
-// AppendWireColumns implements mpc.ColumnarWire: sideRow exchanges over a
-// transport ship as a sided columnar stream (flag bitmap + per-side
-// column groups) instead of raw row-header memory.
-func (sideRow[W]) AppendWireColumns(dst []byte, msg []sideRow[W]) []byte {
-	return relation.AppendSidedRowColumns(dst, len(msg), func(i int) (bool, relation.Row[W]) {
-		return msg[i].left, msg[i].row
-	})
-}
-
-// DecodeWireColumns is the decoding half of the ColumnarWire seam.
-func (sideRow[W]) DecodeWireColumns(dst []sideRow[W], units int, payload []byte) ([]sideRow[W], error) {
-	err := relation.DecodeSidedRowColumns(units, payload, func(left bool, row relation.Row[W]) {
-		dst = append(dst, sideRow[W]{left: left, row: row})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // keyStat carries per-join-key degrees.
 type keyStat struct {
 	key    string
@@ -152,7 +125,7 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 	if pDst == 0 {
 		pDst = 1
 	}
-	out := make([][][]sideRow[W], p)
+	out := make([][][]relation.SidedRow[W], p)
 	gridByKey := make(map[string]gridAssign, len(gridBcast.Shards[0]))
 	// Every server sees the same broadcast table; use shard 0's copy for
 	// the routing closure (identical content).
@@ -247,16 +220,16 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 				sMemo[3*m+2] = -1
 			}
 		}
-		out[src] = mpc.BuildOutbox[sideRow[W]](scr, pDst, "twoway route", func(fill bool, emit func(int, sideRow[W])) {
+		out[src] = mpc.BuildOutbox[relation.SidedRow[W]](scr, pDst, "twoway route", func(fill bool, emit func(int, relation.SidedRow[W])) {
 			for m, pr := range rShard {
 				base, n := rMemo[2*m], rMemo[2*m+1]
 				switch {
 				case n < 0:
 				case n == 0:
-					emit(base, sideRow[W]{left: true, row: pr.X})
+					emit(base, relation.SidedRow[W]{Left: true, Row: pr.X})
 				default:
 					for j := 0; j < n; j++ {
-						emit(base+j, sideRow[W]{left: true, row: pr.X})
+						emit(base+j, relation.SidedRow[W]{Left: true, Row: pr.X})
 					}
 				}
 			}
@@ -265,10 +238,10 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 				switch {
 				case n < 0:
 				case n == 0:
-					emit(base, sideRow[W]{left: false, row: pr.X})
+					emit(base, relation.SidedRow[W]{Left: false, Row: pr.X})
 				default:
 					for i := 0; i < n; i++ {
-						emit(base+i*step, sideRow[W]{left: false, row: pr.X})
+						emit(base+i*step, relation.SidedRow[W]{Left: false, Row: pr.X})
 					}
 				}
 			}
@@ -279,14 +252,14 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 
 	// Local joins.
 	outSchema := joinSchema(r.Schema, s.Schema)
-	result := mpc.MapShards(routed, func(_ int, shard []sideRow[W]) []relation.Row[W] {
+	result := mpc.MapShards(routed, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
 		left := relation.New[W](r.Schema...)
 		right := relation.New[W](s.Schema...)
 		for _, sr2 := range shard {
-			if sr2.left {
-				left.AppendRow(sr2.row)
+			if sr2.Left {
+				left.AppendRow(sr2.Row)
 			} else {
-				right.AppendRow(sr2.row)
+				right.AppendRow(sr2.Row)
 			}
 		}
 		return relation.Join(sr, left, right).Rows

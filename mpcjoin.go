@@ -206,8 +206,8 @@ type Result[W any] struct {
 	// Engine is the algorithm that ran ("matmul", "matmul-linear",
 	// "matmul-worstcase", "matmul-outsens", "line", "star", "star-like",
 	// "tree" or "yannakakis"). Under the default cost-based planning it
-	// is Plan.Chosen; forced engines (WithEngine, WithBaseline,
-	// WithTreeEngine) short-circuit the planner.
+	// is Plan.Chosen; a forced engine (WithEngine) short-circuits the
+	// planner.
 	Engine string
 	// Plan explains how the engine was chosen: the ranked candidates with
 	// predicted loads, the pre-pass OUT/join-cardinality predictions, and
@@ -241,8 +241,9 @@ func ExecuteContext[W any](ctx context.Context, sr Semiring[W], q *Query, data I
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	// Resolve the options as a set: conflicts (WithBaseline+WithTreeEngine,
-	// WithRetry without WithFaults, …) fail here, before any work runs.
+	// Resolve the options as a set: conflicts (WithRetry without
+	// WithFaults, an oracle for the baseline, …) fail here, before any work
+	// runs.
 	// See options.go for the combination rules.
 	o, err := buildOptions(opts)
 	if err != nil {

@@ -75,11 +75,11 @@ func TestBaselineAgreesWithAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Execute[int64](Ints(), q, data, WithServers(6), WithBaseline())
+	base, err := Execute[int64](Ints(), q, data, WithServers(6), WithEngine(EngineYannakakis))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Execute[int64](Ints(), q, data, WithServers(6), WithTreeEngine())
+	tree, err := Execute[int64](Ints(), q, data, WithServers(6), WithEngine(EngineTree))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,9 @@ package mpcjoin
 //     retry budget.
 //   - Repeating the same option overwrites its earlier value (last call
 //     wins within one option).
-//   - Engine selection is exclusive: WithEngine, WithBaseline and
-//     WithTreeEngine pairwise conflict (ErrOptionConflict). WithEngine is
-//     the current spelling; the other two are deprecated wrappers.
 //   - WithOutOracle feeds the cost-based planner and the specialized
-//     matmul/line engines, and conflicts with the Yannakakis baseline,
-//     which cannot consume it.
+//     matmul/line engines, and conflicts with
+//     WithEngine(EngineYannakakis): the baseline cannot consume it.
 //   - WithRetry tunes the fault plane and requires WithFaults.
 //   - Out-of-domain arguments (WithServers(p < 1), an invalid FaultSpec)
 //     fail Execute with a descriptive error rather than being clamped.
@@ -35,12 +32,13 @@ import (
 	"mpcjoin/internal/core"
 	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/transport"
 )
 
 // ErrOptionConflict is wrapped by the error Execute returns when two
-// options contradict each other (for example WithBaseline together with
-// WithTreeEngine). Test with errors.Is.
+// options contradict each other (for example WithRetry without
+// WithFaults). Test with errors.Is.
 var ErrOptionConflict = errors.New("mpcjoin: conflicting options")
 
 // ErrFaultBudgetExceeded is wrapped by the error Execute returns when a
@@ -71,15 +69,11 @@ type FaultEvent = mpc.FaultEvent
 type Option func(*optionSet)
 
 // optionSet is the internal builder the With* constructors write to.
-// It records which option supplied each exclusive setting, so build can
-// name both sides of a conflict, and defers every cross-option
-// derivation (estimator seed, fault retry budget) to build time for
-// order independence.
+// It defers every cross-option check and derivation (oracle vs. engine,
+// estimator seed, fault retry budget) to build time for order
+// independence.
 type optionSet struct {
 	core core.Options
-
-	strategyBy string // option name that selected core.Strategy
-	oracleBy   string // option name that set OutOracle
 
 	est    *estimate.Params // Seed filled at build
 	faults *mpc.FaultSpec
@@ -95,15 +89,6 @@ type optionSet struct {
 }
 
 func (o *optionSet) fail(err error) { o.errs = append(o.errs, err) }
-
-func (o *optionSet) setStrategy(by string, s core.Strategy) {
-	if o.strategyBy != "" && o.strategyBy != by {
-		o.fail(fmt.Errorf("%w: %s and %s both select the engine", ErrOptionConflict, o.strategyBy, by))
-		return
-	}
-	o.strategyBy = by
-	o.core.Strategy = s
-}
 
 // build resolves the recorded options into a core.Options, applying the
 // combination rules and returning the first violation.
@@ -123,8 +108,8 @@ func (o *optionSet) build() (core.Options, error) {
 // buildCore is build without the iterated-option rejection — the shared
 // tail the graph entry points use after consuming those options.
 func (o *optionSet) buildCore() (core.Options, error) {
-	if o.core.Strategy == core.StrategyYannakakis && o.strategyBy != "" && o.oracleBy != "" {
-		o.fail(fmt.Errorf("%w: %s requires the matmul/line engines, which %s disables", ErrOptionConflict, o.oracleBy, o.strategyBy))
+	if o.core.OutOracle > 0 && o.core.Engine == planner.EngineYannakakis {
+		o.fail(fmt.Errorf("%w: WithOutOracle requires the matmul/line engines, which WithEngine(EngineYannakakis) disables", ErrOptionConflict))
 	}
 	if o.retry != nil && o.faults == nil {
 		o.fail(fmt.Errorf("%w: WithRetry tunes the fault plane and requires WithFaults", ErrOptionConflict))
@@ -217,56 +202,36 @@ func WithServers(p int) Option {
 }
 
 // Engine names an execution engine for WithEngine. The zero value is
-// EngineAuto.
+// EngineAuto. Besides the constants below, every name Result.Engine can
+// report ("line", "star", "star-like", "matmul", "matmul-linear",
+// "matmul-worstcase", "matmul-outsens") is a valid Engine.
 type Engine string
 
 const (
 	// EngineAuto lets the cost-based planner pick the min-predicted-load
 	// engine per instance (the default; see Result.Plan for the decision).
-	EngineAuto Engine = "auto"
+	EngineAuto Engine = planner.EngineAuto
 	// EngineYannakakis forces the distributed Yannakakis baseline —
 	// Table 1's comparison column.
-	EngineYannakakis Engine = "yannakakis"
+	EngineYannakakis Engine = planner.EngineYannakakis
 	// EngineTree forces the general §7 tree engine regardless of class
 	// (it subsumes all the specialized classes via its twig dispatch).
-	EngineTree Engine = "tree"
+	EngineTree Engine = planner.EngineTree
 )
 
 // WithEngine selects the execution engine: EngineAuto (the cost-based
-// planner, the default), EngineYannakakis, or EngineTree. It supersedes
-// WithBaseline and WithTreeEngine and conflicts with both
-// (ErrOptionConflict), so a caller migrating cannot silently mix the two
-// spellings. Forcing EngineYannakakis conflicts with WithOutOracle.
+// planner, the default) or a specific engine, which must be legal for the
+// query's class — Execute fails otherwise. It is the only engine-selecting
+// option. Forcing EngineYannakakis conflicts with WithOutOracle.
 func WithEngine(e Engine) Option {
 	return func(o *optionSet) {
-		switch e {
-		case EngineAuto, "":
-			o.setStrategy("WithEngine", core.StrategyAuto)
-		case EngineYannakakis:
-			o.setStrategy("WithEngine", core.StrategyYannakakis)
-		case EngineTree:
-			o.setStrategy("WithEngine", core.StrategyTree)
-		default:
-			o.fail(fmt.Errorf("mpcjoin: WithEngine(%q): unknown engine (want %q, %q or %q)", e, EngineAuto, EngineYannakakis, EngineTree))
+		name, err := planner.ParseEngine(string(e))
+		if err != nil {
+			o.fail(fmt.Errorf("mpcjoin: WithEngine: %w", err))
+			return
 		}
+		o.core.Engine = name
 	}
-}
-
-// WithBaseline forces the distributed Yannakakis baseline. Conflicts
-// with WithTreeEngine and WithEngine (all select the engine) and with
-// WithOutOracle (the baseline has no use for an output-size oracle).
-//
-// Deprecated: use WithEngine(EngineYannakakis).
-func WithBaseline() Option {
-	return func(o *optionSet) { o.setStrategy("WithBaseline", core.StrategyYannakakis) }
-}
-
-// WithTreeEngine forces the general §7 tree engine. Conflicts with
-// WithBaseline and WithEngine.
-//
-// Deprecated: use WithEngine(EngineTree).
-func WithTreeEngine() Option {
-	return func(o *optionSet) { o.setStrategy("WithTreeEngine", core.StrategyTree) }
 }
 
 // WithSeed fixes the randomness seed (hash partitioning, estimators);
@@ -285,12 +250,9 @@ func WithEstimator(k, reps int) Option {
 
 // WithOutOracle supplies the exact output size to the matmul and line
 // engines instead of the §2.2 estimate (experiment support). Conflicts
-// with WithBaseline.
+// with WithEngine(EngineYannakakis).
 func WithOutOracle(out int64) Option {
-	return func(o *optionSet) {
-		o.oracleBy = "WithOutOracle"
-		o.core.OutOracle = out
-	}
+	return func(o *optionSet) { o.core.OutOracle = out }
 }
 
 // WithWorkers runs the simulator's per-server work on n concurrent OS

@@ -38,13 +38,16 @@ func TestOptionsMatrix(t *testing.T) {
 	}{
 		{name: "none"},
 		{name: "servers", opts: []Option{WithServers(8)}},
-		{name: "baseline", opts: []Option{WithBaseline()}},
-		{name: "tree", opts: []Option{WithTreeEngine()}},
-		{name: "baseline-twice", opts: []Option{WithBaseline(), WithBaseline()}},
+		{name: "baseline", opts: []Option{WithEngine(EngineYannakakis)}},
+		{name: "tree", opts: []Option{WithEngine(EngineTree)}},
+		{name: "auto", opts: []Option{WithEngine(EngineAuto)}},
+		{name: "engine-by-name", opts: []Option{WithEngine("matmul-outsens")}},
+		{name: "engine-repeated", opts: []Option{WithEngine(EngineYannakakis), WithEngine(EngineTree)}}, // last wins, like every repeated option
+		{name: "oracle+baseline-overridden", opts: []Option{WithOutOracle(40), WithEngine(EngineYannakakis), WithEngine(EngineAuto)}},
 		{name: "seed+estimator", opts: []Option{WithSeed(7), WithEstimator(64, 3)}},
 		{name: "estimator+seed", opts: []Option{WithEstimator(64, 3), WithSeed(7)}},
 		{name: "oracle", opts: []Option{WithOutOracle(40)}},
-		{name: "oracle+tree", opts: []Option{WithOutOracle(40), WithTreeEngine()}},
+		{name: "oracle+tree", opts: []Option{WithOutOracle(40), WithEngine(EngineTree)}},
 		{name: "workers", opts: []Option{WithWorkers(4)}},
 		{name: "workers-auto", opts: []Option{WithWorkers(0)}},
 		{name: "trace", opts: []Option{WithTrace()}},
@@ -58,11 +61,11 @@ func TestOptionsMatrix(t *testing.T) {
 			WithTrace(), WithFaults(FaultSpec{DropProb: 0.2}), WithRetry(10),
 		}},
 
-		{name: "baseline+tree", opts: []Option{WithBaseline(), WithTreeEngine()}, conflict: true},
-		{name: "tree+baseline", opts: []Option{WithTreeEngine(), WithBaseline()}, conflict: true},
-		{name: "baseline+oracle", opts: []Option{WithBaseline(), WithOutOracle(40)}, conflict: true},
-		{name: "oracle+baseline", opts: []Option{WithOutOracle(40), WithBaseline()}, conflict: true},
+		{name: "baseline+oracle", opts: []Option{WithEngine(EngineYannakakis), WithOutOracle(40)}, conflict: true},
+		{name: "oracle+baseline", opts: []Option{WithOutOracle(40), WithEngine(EngineYannakakis)}, conflict: true},
 		{name: "retry-alone", opts: []Option{WithRetry(3)}, conflict: true},
+		{name: "engine-unknown", opts: []Option{WithEngine("quantum")}, invalid: true},
+		{name: "engine-illegal-for-class", opts: []Option{WithEngine("line")}, invalid: true},
 		{name: "servers-zero", opts: []Option{WithServers(0)}, invalid: true},
 		{name: "servers-negative", opts: []Option{WithServers(-4)}, invalid: true},
 		{name: "faults-bad-spec", opts: []Option{WithFaults(FaultSpec{CrashProb: 1.5})}, invalid: true},
