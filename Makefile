@@ -4,8 +4,11 @@ GO ?= go
 
 ci: vet build test bench-test race
 
+# gofmt -l prints the files it would rewrite; any output fails the lane.
+# bench/ is its own module and is vetted by bench-test.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^bench/'); test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -23,9 +26,10 @@ bench-test:
 # Run every package that spawns goroutines under the race detector: the
 # worker-pool runtime, the mpc primitives it drives, the engine dispatch
 # (concurrent executions + cancellation), the query service and its
-# admission queue.
+# admission queue, and the TCP transport's per-peer round trips. CI calls
+# this target, so the package list exists once.
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/mpc/... ./internal/core/... ./internal/server/... ./internal/serve/... ./internal/spmv/...
+	$(GO) test -race ./internal/runtime/... ./internal/mpc/... ./internal/core/... ./internal/server/... ./internal/serve/... ./internal/transport/... ./internal/spmv/...
 
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x .

@@ -31,7 +31,7 @@ func FromRelation[W any](r *relation.Relation[W], p int) Rel[W] {
 	return FromRelationIn(nil, r, p)
 }
 
-// FromRelationIn is FromRelation into an execution scope (nil = ambient):
+// FromRelationIn is FromRelation into an execution scope (possibly nil):
 // the placement stamps the scope onto the Part, and every Part derived
 // from it inherits the scope's runtime and cancellation context. This is
 // how core threads per-execution scoping under the engines.
@@ -42,16 +42,11 @@ func FromRelationIn[W any](ex *mpc.Exec, r *relation.Relation[W], p int) Rel[W] 
 	}
 }
 
-// FromRelationOwned is FromRelation with ownership transfer: shards alias
-// r.Rows instead of copying it. The caller must not mutate r afterwards
-// and must tolerate primitives reordering rows in place. Use it for
-// freshly built instances handed to exactly one execution (loaded or
-// generated inputs); keep FromRelation for relations that are reused.
-func FromRelationOwned[W any](r *relation.Relation[W], p int) Rel[W] {
-	return FromRelationOwnedIn(nil, r, p)
-}
-
-// FromRelationOwnedIn is FromRelationOwned into an execution scope.
+// FromRelationOwnedIn is FromRelationIn with ownership transfer: shards
+// alias r.Rows instead of copying it. The caller must not mutate r
+// afterwards and must tolerate primitives reordering rows in place. Use it
+// for freshly built instances handed to exactly one execution (loaded or
+// generated inputs); keep FromRelationIn for relations that are reused.
 func FromRelationOwnedIn[W any](ex *mpc.Exec, r *relation.Relation[W], p int) Rel[W] {
 	return Rel[W]{
 		Schema: append([]Attr(nil), r.Schema()...),

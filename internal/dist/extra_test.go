@@ -12,7 +12,7 @@ func TestSemijoinValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := randomRel(rng, []Attr{"A", "B"}, 200, 20)
 	d := FromRelation(r, 6)
-	keys := mpc.Distribute([]relation.Value{3, 7, 11}, 6)
+	keys := mpc.DistributeIn(nil, []relation.Value{3, 7, 11}, 6)
 	got, _ := SemijoinValues(d, "B", keys)
 	want := map[relation.Value]bool{3: true, 7: true, 11: true}
 	n := 0

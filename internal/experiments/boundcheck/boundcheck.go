@@ -63,12 +63,12 @@ func (c Config) scale(full, quick int) int {
 
 // Result is one (class, p) measurement against its Table 1 bound.
 type Result struct {
-	Class   string  `json:"class"`
-	P       int     `json:"p"`
-	N       int64   `json:"N"`
-	Out     int64   `json:"OUT"`
-	MaxLoad int     `json:"maxLoad"`
-	Rounds  int     `json:"rounds"`
+	Class   string `json:"class"`
+	P       int    `json:"p"`
+	N       int64  `json:"N"`
+	Out     int64  `json:"OUT"`
+	MaxLoad int    `json:"maxLoad"`
+	Rounds  int    `json:"rounds"`
 	// Bound is the raw Table 1 formula value; the check is
 	// MaxLoad ≤ Slack·Bound, and Ratio = MaxLoad/(Slack·Bound).
 	Bound float64 `json:"bound"`

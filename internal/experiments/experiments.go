@@ -931,7 +931,7 @@ func ablPacking(cfg Config) Table {
 				maxDeg = d
 			}
 		}
-		pt := mpc.DistributeOwned(keys, p) // keys are not reused below
+		pt := mpc.DistributeOwnedIn(nil, keys, p) // keys are not reused below
 		_, stSort := mpc.CountByKey(pt, func(k int64) int64 { return k })
 		// Naive: route by key hash, combine locally; load = max received.
 		_, stHash := mpc.Route(pt, func(_ int, k int64) int {

@@ -10,7 +10,7 @@
 //
 // The simulator is deterministic and physical: datasets are really
 // partitioned into per-server shards (Part), and every primitive moves data
-// only through Exchange, which meters per-destination received units. Local
+// only through ExchangeIn, which meters per-destination received units. Local
 // computation is unmetered, exactly as in the model.
 //
 // Cost composition follows the model's semantics: steps executed one after
@@ -30,11 +30,11 @@
 // execution runtime of the scope (Exec) their input Parts carry — each
 // execution owns its runtime and cancellation context, and the scope flows
 // from the initial placement (DistributeIn) through every derived Part, so
-// concurrent executions with different worker counts never interact. Parts
-// created without a scope use the serial runtime. The runtime affects
-// only wall-clock time; results and Stats are bit-for-bit identical across
-// runtimes, because per-server work is independent within a round and all
-// cross-server assembly (Exchange) is owned per destination with metering
+// concurrent executions with different worker counts never interact. A nil
+// scope is the serial runtime. The runtime affects only wall-clock time;
+// results and Stats are bit-for-bit identical across runtimes, because
+// per-server work is independent within a round and all cross-server
+// assembly (the exchange barrier) is owned per destination with metering
 // aggregated after the round barrier. Per-element callbacks passed to
 // primitives must therefore be safe for concurrent invocation across
 // servers (pure functions and read-only captures qualify).
@@ -42,6 +42,7 @@ package mpc
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	xrt "mpcjoin/internal/runtime"
@@ -116,16 +117,13 @@ func Par(ss ...Stats) Stats {
 type Part[T any] struct {
 	Shards [][]T
 
-	// ex is the execution scope; nil denotes the ambient scope (see Exec).
+	// ex is the execution scope; nil is the serial, never-cancelled scope
+	// (see Exec).
 	ex *Exec
 }
 
-// NewPart returns an empty Part over p servers in the ambient scope.
-// Execution-scoped callers use NewPartIn.
-func NewPart[T any](p int) Part[T] { return NewPartIn[T](nil, p) }
-
 // NewPartIn returns an empty Part over p servers belonging to the given
-// execution scope (nil = ambient).
+// execution scope.
 func NewPartIn[T any](ex *Exec, p int) Part[T] {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: invalid server count %d", p))
@@ -156,35 +154,26 @@ func (pt Part[T]) MaxShard() int {
 	return m
 }
 
-// Distribute splits data round-robin across p servers, modelling the
-// model's assumption that input starts evenly distributed (N/p per server).
-// It is the uncounted initial placement, not a communication step. Each
-// shard is a defensive copy, so the caller may keep mutating data; when
-// the caller hands ownership instead, DistributeOwned skips the copies.
-func Distribute[T any](data []T, p int) Part[T] {
-	return distributeIn(nil, data, p, true)
-}
-
-// DistributeIn is Distribute into an execution scope (nil = ambient); the
-// scope then flows to every Part derived from the placement.
+// DistributeIn splits data round-robin across p servers of the execution
+// scope ex, modelling the model's assumption that input starts evenly
+// distributed (N/p per server); the scope then flows to every Part derived
+// from the placement. It is the uncounted initial placement, not a
+// communication step. Each shard is a defensive copy, so the caller may
+// keep mutating data; when the caller hands ownership instead,
+// DistributeOwnedIn skips the copies.
 func DistributeIn[T any](ex *Exec, data []T, p int) Part[T] {
 	return distributeIn(ex, data, p, true)
 }
 
-// DistributeOwnedIn is DistributeOwned into an execution scope.
-func DistributeOwnedIn[T any](ex *Exec, data []T, p int) Part[T] {
-	return distributeIn(ex, data, p, false)
-}
-
-// DistributeOwned is Distribute without the per-shard defensive copy:
+// DistributeOwnedIn is DistributeIn without the per-shard defensive copy:
 // shards alias sub-slices of data. The caller transfers ownership — it
 // must not mutate data afterwards, and must tolerate primitives
 // reordering elements within it (local in-place sorts). Use it on
 // freshly built inputs that are handed to exactly one execution
 // (cmd/mpcrun's loaded instances, the experiment drivers' generated
-// ones); keep Distribute for inputs that are reused or shared.
-func DistributeOwned[T any](data []T, p int) Part[T] {
-	return distributeIn(nil, data, p, false)
+// ones); keep DistributeIn for inputs that are reused or shared.
+func DistributeOwnedIn[T any](ex *Exec, data []T, p int) Part[T] {
+	return distributeIn(ex, data, p, false)
 }
 
 func distributeIn[T any](ex *Exec, data []T, p int, copyShards bool) Part[T] {
@@ -222,107 +211,154 @@ func Collect[T any](pt Part[T]) []T {
 	return out
 }
 
-// Exchange performs one communication round. out[src][dst] holds the units
-// server src sends to server dst; the result's shard dst is the
-// concatenation over src (in src order, preserving order within each
-// message). A nil out[src] row means server src sends nothing — sparse
-// senders (coordinator fan-outs) need not materialize p empty
-// destinations. The returned Stats has Rounds=1 and MaxLoad equal to the
-// largest per-destination received volume.
+// ExchangeIn performs one communication round inside the execution scope
+// ex. out[src][dst] holds the units server src sends to server dst; the
+// result's shard dst is the concatenation over src (in src order,
+// preserving order within each message). A nil out[src] row means server
+// src sends nothing — sparse senders (coordinator fan-outs) need not
+// materialize p empty destinations. The returned Stats has Rounds=1 and
+// MaxLoad equal to the largest per-destination received volume.
 //
-// Inbox assembly runs on the ambient runtime (one worker per
-// destination); see internal/runtime.Exchange for why the result and
-// metering are identical to serial execution.
-func Exchange[T any](p int, out [][][]T) (Part[T], Stats) {
-	return ExchangeIn(nil, p, out)
-}
-
-// ExchangeIn is Exchange inside an execution scope (nil = ambient): the
-// round runs on the scope's runtime, observes its cancellation, and the
+// The round runs on the scope's runtime (one worker per destination; see
+// internal/runtime.ExchangeCtx for why the result and metering are
+// identical to serial execution), observes its cancellation, and the
 // resulting Part carries the scope.
 func ExchangeIn[T any](ex *Exec, p int, out [][][]T) (Part[T], Stats) {
 	if len(out) != p {
 		panic(fmt.Sprintf("mpc: Exchange expects %d source servers, got %d", p, len(out)))
 	}
-	for src := range out {
-		if len(out[src]) != p && len(out[src]) != 0 {
-			panic(fmt.Sprintf("mpc: Exchange source %d has %d destinations, want %d", src, len(out[src]), p))
-		}
-	}
-	return exchangeOnRuntime(ex, p, out)
+	return ExchangeToIn(ex, p, out)
 }
 
-// ExchangeTo performs one communication round from the current server set
-// onto a (possibly different-sized) destination server set: out[src][dst]
-// with len(out) source servers and pDst destinations per source (nil rows
-// allowed, as in Exchange). This is how "allocate p_i servers to subquery
-// i" steps route each subquery's input onto its group of (virtual)
-// servers in a single metered round.
-func ExchangeTo[T any](pDst int, out [][][]T) (Part[T], Stats) {
-	return ExchangeToIn(nil, pDst, out)
-}
-
-// ExchangeToIn is ExchangeTo inside an execution scope (nil = ambient).
+// ExchangeToIn performs one communication round from the current server
+// set onto a (possibly different-sized) destination server set:
+// out[src][dst] with len(out) source servers and pDst destinations per
+// source (nil rows allowed, as in ExchangeIn). This is how "allocate p_i
+// servers to subquery i" steps route each subquery's input onto its group
+// of (virtual) servers in a single metered round.
 func ExchangeToIn[T any](ex *Exec, pDst int, out [][][]T) (Part[T], Stats) {
 	for src := range out {
 		if len(out[src]) != pDst && len(out[src]) != 0 {
-			panic(fmt.Sprintf("mpc: ExchangeTo source %d has %d destinations, want %d", src, len(out[src]), pDst))
+			panic(fmt.Sprintf("mpc: Exchange source %d has %d destinations, want %d", src, len(out[src]), pDst))
 		}
 	}
-	return exchangeOnRuntime(ex, pDst, out)
+	return exchange(ex, pDst, out)
 }
 
-// exchangeOnRuntime assembles the round's inboxes on the scope's runtime
-// (shape already validated by the caller) and aggregates the
-// per-destination received counts into Stats after the barrier, keeping
-// the metering deterministic regardless of worker count. It is the round
-// barrier of the simulator and therefore the canonical cancellation
-// point: a done context is observed here, before and during assembly.
-// With a fault plane on the scope, the round instead runs under the
-// plane's inject → detect → retry protocol (exchangeFaulty); with a
-// transport wire, the barrier is delegated to it (see wire.go); without
-// either, the dispatch costs two nil checks.
-func exchangeOnRuntime[T any](ex *Exec, pDst int, out [][][]T) (Part[T], Stats) {
-	if ex != nil && ex.fp != nil {
-		return exchangeFaulty(ex, ex.fp, pDst, out)
+// exchange is the round barrier of the simulator — the one place data
+// moves between servers, and so the one place the meter, the tracer, the
+// fault plane and the transport meet (shape already validated by the
+// caller). It builds the round's manifest from the outboxes, which are
+// also its checkpoint because no carrier mutates them, then loops:
+// decide this attempt's faults, carry the round, verify the delivered
+// counts against the manifest, account the attempt, and either return,
+// retry from the checkpoint, or abort.
+//
+// A scope without a fault plane runs the same loop with nothing injected
+// and a retry budget of 0, so a short delivery there is a transport error;
+// under a plane it is retried and, past the budget, aborts with a
+// *FaultBudgetError. Both unwind through the sentinel and surface as
+// errors at the execution root. The carrier is the scope's wire when it
+// has one (carryWire) and in-process assembly otherwise (carryInProc).
+//
+// The attempt that succeeds moves exactly the units the outboxes hold, so
+// Stats and the trace record of a recovered round are bit-identical to a
+// fault-free execution on either carrier, for any worker count; everything
+// fault-related is accounted on the plane. The barrier is also the
+// canonical cancellation point: a done context is observed before every
+// attempt and during assembly.
+func exchange[T any](ex *Exec, pDst int, out [][][]T) (Part[T], Stats) {
+	fp := ex.Faults()
+	round, op, budget := fp.beginRound()
+
+	// Manifest: the units each destination must receive and the number of
+	// non-empty messages (the drop candidates, in src-major order), in one
+	// row-major pass over the outboxes. The vector comes from the scratch
+	// pool, so a fault-free round allocates nothing for being verified.
+	sc := xrt.GetScratch()
+	defer xrt.PutScratch(sc)
+	expected, nMsgs := sc.Ints(pDst), 0
+	for src := range out {
+		for dst, m := range out[src] {
+			if len(m) > 0 {
+				expected[dst] += len(m)
+				nMsgs++
+			}
+		}
 	}
-	var (
-		shards [][]T
-		recv   []int64
-	)
+	carry, seq := carryInProc[T], int64(0)
 	if ex != nil && ex.wire != nil {
-		// Fault-free wire barrier: the transport must deliver every unit.
-		// Verifying the counts against the outboxes here means an
-		// undetected transport loss can never silently corrupt a result —
-		// without a fault plane there is no retry, so a mismatch aborts.
-		shards, recv, _ = exchangeWire[T](ex, ex.nextWireSeq(), 0, pDst, out, -1, -1)
-		for src := range out {
-			for dst, m := range out[src] {
-				if len(m) > 0 {
-					recv[dst] -= int64(len(m))
-				}
-			}
+		// One wire sequence number per logical round; retry attempts
+		// re-present the same Seq with a higher Attempt, which is how a
+		// peer distinguishes "resend from the checkpoint" from progress.
+		carry, seq = carryWire[T], ex.nextWireSeq()
+	}
+
+	for attempt := 0; ; attempt++ {
+		inj := fp.decide(round, attempt, pDst, nMsgs)
+		if inj.dropIdx >= 0 {
+			inj.dropped = roundMessages(out, nil)[inj.dropIdx]
 		}
-		for dst, d := range recv {
-			if d != 0 {
-				wireError(fmt.Errorf("destination %d delivery off by %d units with no fault plane to retry", dst, -d))
-			}
-			recv[dst] = int64(len(shards[dst]))
-		}
-	} else {
 		ex.checkpoint()
-		var err error
-		shards, recv, err = xrt.ExchangeCtx(ex.Context(), ex.runtime(), pDst, out)
-		if err != nil {
-			panic(canceled{err})
+		shards, recv, lost := carry(ex, seq, attempt, pDst, out, inj)
+
+		// Post-round barrier: the failure detector sees a crashed server,
+		// and count verification against the manifest sees everything else
+		// that went missing — an injected drop or a transport that lost
+		// data on its own.
+		kind, short := "", -1
+		if inj.crash >= 0 {
+			kind = "crash"
 		}
+		for dst := 0; kind == "" && dst < pDst; dst++ {
+			if recv[dst] != int64(expected[dst]) {
+				kind, short = "drop", dst
+			}
+		}
+
+		retrying := kind != "" && attempt < budget
+		fp.observe(round, op, attempt, inj, lost, retrying)
+		if kind == "" {
+			if tr := ex.Tracer(); tr != nil {
+				var zero T
+				tr.record(recv, int64(unsafe.Sizeof(zero)))
+			}
+			return Part[T]{Shards: shards, ex: ex}, recvStats(recv)
+		}
+		if retrying {
+			continue
+		}
+		if fp == nil {
+			wireError(fmt.Errorf("destination %d received %d of %d units with no fault plane to retry",
+				short, recv[short], expected[short]))
+		}
+		panic(canceled{&FaultBudgetError{Round: round, Op: op, Attempts: attempt + 1, Kind: kind}})
 	}
-	st := recvStats(recv)
-	if ex != nil && ex.tr != nil {
-		var zero T
-		ex.tr.record(recv, int64(unsafe.Sizeof(zero)))
+}
+
+// carryInProc is the in-process carrier: one attempt assembled on the
+// scope's runtime, with the attempt's faults applied to its result (seq
+// and attempt only matter to a wire). A dropped message is withheld from
+// assembly through a view that shallow-copies the affected source row
+// only; a crashed destination dies mid-round and its assembled inbox is
+// lost with everything in it.
+func carryInProc[T any](ex *Exec, _ int64, _, pDst int, out [][][]T, inj injection) (shards [][]T, recv []int64, lost int64) {
+	if inj.dropIdx >= 0 {
+		m := inj.dropped
+		out = slices.Clone(out)
+		out[m.From] = slices.Clone(out[m.From])
+		out[m.From][m.To] = nil
 	}
-	return Part[T]{Shards: shards, ex: ex}, st
+	shards, recv, err := xrt.ExchangeCtx(ex.Context(), ex.runtime(), pDst, out)
+	if err != nil {
+		panic(canceled{err})
+	}
+	if inj.crash >= 0 {
+		lost = recv[inj.crash]
+		shards[inj.crash] = nil
+		recv[inj.crash] = 0
+	}
+	return shards, recv, lost
 }
 
 // recvStats folds a round's per-destination received counts into Stats.
@@ -338,123 +374,10 @@ func recvStats(recv []int64) Stats {
 	return st
 }
 
-// exchangeFaulty is the exchange barrier under a fault plane: execute the
-// round, let the plane corrupt it, detect the corruption at the
-// post-round barrier, and recover by re-executing the round from its
-// checkpoint — the immutable outboxes — within the spec's retry budget.
-//
-// The successful attempt moves exactly the units a fault-free round
-// would, so the Stats (and any Tracer record) of a recovered round are
-// bit-identical to a fault-free execution; every fault-related quantity
-// is accounted on the plane instead. A round still faulty past the
-// budget aborts the execution with a *FaultBudgetError through the
-// sentinel unwind (recovered into an error at the execution root).
-func exchangeFaulty[T any](ex *Exec, fp *FaultPlane, pDst int, out [][][]T) (Part[T], Stats) {
-	round, op := fp.beginRound()
-
-	// The pre-round checkpoint's manifest: expected per-destination
-	// units, and the round's non-empty messages (drop candidates), both
-	// derived from the outboxes in deterministic src-major order.
-	expected := make([]int64, pDst)
-	var msgs []msgRef
-	for src := range out {
-		for dst, m := range out[src] {
-			if len(m) == 0 {
-				continue
-			}
-			expected[dst] += int64(len(m))
-			msgs = append(msgs, msgRef{src: src, dst: dst, units: int64(len(m))})
-		}
-	}
-
-	budget := fp.spec.retries()
-	var seq int64
-	if ex.wire != nil {
-		// One wire sequence number per logical round; retry attempts
-		// re-present the same Seq with a higher Attempt, which is how a
-		// peer distinguishes "resend from the checkpoint" from progress.
-		seq = ex.nextWireSeq()
-	}
-	for attempt := 0; ; attempt++ {
-		inj := fp.decide(round, attempt, pDst, msgs)
-
-		var (
-			shards [][]T
-			recv   []int64
-			lost   int64
-		)
-		if ex.wire != nil {
-			// Over a wire the plane's directives become physical: the
-			// transport elides the dropped message before it is written to
-			// the socket and discards a crashed destination's assembled
-			// inbox (reporting what it lost), so detection below sees real
-			// missing frames, not simulated ones. The checkpoint (out) is
-			// still never mutated — retries re-encode from it.
-			shards, recv, lost = exchangeWire[T](ex, seq, attempt, pDst, out, inj.crash, inj.dropIdx)
-		} else {
-			// Apply network-level faults to this attempt's transfer: a
-			// dropped message is withheld from assembly. The checkpoint
-			// (out) is never mutated — the faulted view shallow-copies the
-			// affected source row only.
-			fout := out
-			if inj.dropIdx >= 0 {
-				m := msgs[inj.dropIdx]
-				fout = append([][][]T(nil), out...)
-				row := append([][]T(nil), fout[m.src]...)
-				row[m.dst] = nil
-				fout[m.src] = row
-			}
-
-			ex.checkpoint()
-			var err error
-			shards, recv, err = xrt.ExchangeCtx(ex.Context(), ex.runtime(), pDst, fout)
-			if err != nil {
-				panic(canceled{err})
-			}
-			// A crashed destination dies mid-round: its assembled inbox is
-			// lost with everything it had received this round.
-			if inj.crash >= 0 {
-				lost = recv[inj.crash]
-				shards[inj.crash] = nil
-				recv[inj.crash] = 0
-			}
-		}
-
-		// Post-round barrier: the failure detector sees crashed servers,
-		// and count verification compares received units against the
-		// checkpoint manifest — how the barrier notices dropped messages.
-		failed := inj.crash >= 0
-		if !failed {
-			for dst, n := range recv {
-				if n != expected[dst] {
-					failed = true
-					break
-				}
-			}
-		}
-
-		retrying := failed && attempt < budget
-		fp.observe(round, op, attempt, inj, msgs, lost, retrying)
-		if !failed {
-			st := recvStats(recv)
-			if ex.tr != nil {
-				var zero T
-				ex.tr.record(recv, int64(unsafe.Sizeof(zero)))
-			}
-			return Part[T]{Shards: shards, ex: ex}, st
-		}
-		if !retrying {
-			panic(canceled{&FaultBudgetError{
-				Round: round, Op: op, Attempts: attempt + 1, Kind: inj.failKind(),
-			}})
-		}
-	}
-}
-
 // RouteTo performs one exchange onto pDst destination servers, with each
 // element's destinations chosen by dest (returning one or more targets —
 // replication is allowed, as in grid joins). The per-source outbox builds
-// run on the ambient runtime, so dest must be safe for concurrent calls
+// run on the scope's runtime, so dest must be safe for concurrent calls
 // across source servers (pure functions and read-only captures are; it is
 // invoked serially within one source, in element order).
 func RouteTo[T any](pt Part[T], pDst int, dest func(src int, x T) []int) (Part[T], Stats) {
@@ -533,7 +456,7 @@ func Gather[T any](pt Part[T], dst int) (Part[T], Stats) {
 }
 
 // Map applies f to every element locally; zero rounds, zero load. The
-// per-shard loops run on the ambient runtime, so f must be safe for
+// per-shard loops run on the scope's runtime, so f must be safe for
 // concurrent calls across servers (as must the callbacks of FlatMap,
 // Filter and MapShards — within one server they run serially in element
 // order).
@@ -583,7 +506,7 @@ func Filter[T any](pt Part[T], pred func(T) bool) Part[T] {
 
 // MapShards applies f to each shard locally (f receives the server index).
 // This is how algorithm packages run their per-server local joins: the
-// shard closures execute concurrently on the ambient runtime, one call
+// shard closures execute concurrently on the scope's runtime, one call
 // per server, each owning its output slice.
 func MapShards[T, U any](pt Part[T], f func(server int, shard []T) []U) Part[U] {
 	out := NewPartIn[U](pt.scope(), pt.P())

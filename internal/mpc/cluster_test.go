@@ -46,14 +46,14 @@ func TestSumLoadAccounting(t *testing.T) {
 		{nil, nil, nil},
 		{nil, {3, 4, 5}, nil},
 	}
-	_, st := Exchange(3, out)
+	_, st := ExchangeIn(nil, 3, out)
 	if st.SumLoad != int64(st.MaxLoad) || st.SumLoad != 5 {
 		t.Fatalf("Exchange: SumLoad = %d MaxLoad = %d, want both 5", st.SumLoad, st.MaxLoad)
 	}
 
 	// Chaining two exchanges: MaxLoad stays at the bottleneck round,
 	// SumLoad accumulates across rounds.
-	_, st2 := Exchange(3, [][][]int{
+	_, st2 := ExchangeIn(nil, 3, [][][]int{
 		{{1}, nil, nil},
 		{nil, {2, 3}, nil},
 		{nil, nil, {4}},
@@ -69,7 +69,7 @@ func TestDistributeCollect(t *testing.T) {
 	for i := range data {
 		data[i] = i
 	}
-	pt := Distribute(data, 8)
+	pt := DistributeIn(nil, data, 8)
 	if pt.P() != 8 || pt.Len() != 103 {
 		t.Fatalf("P=%d Len=%d", pt.P(), pt.Len())
 	}
@@ -86,7 +86,7 @@ func TestDistributeCollect(t *testing.T) {
 }
 
 func TestDistributeEmpty(t *testing.T) {
-	pt := Distribute([]int(nil), 4)
+	pt := DistributeIn(nil, []int(nil), 4)
 	if pt.Len() != 0 || pt.P() != 4 {
 		t.Fatalf("empty distribute wrong: %+v", pt)
 	}
@@ -100,7 +100,7 @@ func TestExchangeAccounting(t *testing.T) {
 		{nil, nil, nil},
 		{nil, {3, 4, 5}, nil},
 	}
-	res, st := Exchange(3, out)
+	res, st := ExchangeIn(nil, 3, out)
 	if st.Rounds != 1 {
 		t.Fatalf("rounds = %d", st.Rounds)
 	}
@@ -123,7 +123,7 @@ func TestExchangeAccounting(t *testing.T) {
 }
 
 func TestRoute(t *testing.T) {
-	pt := Distribute([]int{0, 1, 2, 3, 4, 5, 6, 7}, 4)
+	pt := DistributeIn(nil, []int{0, 1, 2, 3, 4, 5, 6, 7}, 4)
 	res, st := Route(pt, func(_ int, x int) int { return x % 4 })
 	if st.Rounds != 1 {
 		t.Fatalf("rounds = %d", st.Rounds)
@@ -141,7 +141,7 @@ func TestRoute(t *testing.T) {
 }
 
 func TestBroadcast(t *testing.T) {
-	pt := NewPart[int](4)
+	pt := NewPartIn[int](nil, 4)
 	pt.Shards[2] = []int{9, 8}
 	res, st := Broadcast(pt)
 	if st.MaxLoad != 2 {
@@ -155,7 +155,7 @@ func TestBroadcast(t *testing.T) {
 }
 
 func TestGather(t *testing.T) {
-	pt := Distribute([]int{1, 2, 3, 4, 5}, 3)
+	pt := DistributeIn(nil, []int{1, 2, 3, 4, 5}, 3)
 	res, st := Gather(pt, 1)
 	if len(res.Shards[1]) != 5 || len(res.Shards[0]) != 0 {
 		t.Fatalf("gather wrong: %v", res.Shards)
@@ -166,7 +166,7 @@ func TestGather(t *testing.T) {
 }
 
 func TestMapFilterFlatMap(t *testing.T) {
-	pt := Distribute([]int{1, 2, 3, 4}, 2)
+	pt := DistributeIn(nil, []int{1, 2, 3, 4}, 2)
 	doubled := Map(pt, func(x int) int { return 2 * x })
 	if doubled.Len() != 4 {
 		t.Fatalf("map len = %d", doubled.Len())
@@ -182,8 +182,8 @@ func TestMapFilterFlatMap(t *testing.T) {
 }
 
 func TestConcatWidenSlice(t *testing.T) {
-	a := Distribute([]int{1, 2}, 2)
-	b := Distribute([]int{3}, 3)
+	a := DistributeIn(nil, []int{1, 2}, 2)
+	b := DistributeIn(nil, []int{3}, 3)
 	c := Concat(a, b)
 	if c.P() != 5 || c.Len() != 3 {
 		t.Fatalf("concat P=%d len=%d", c.P(), c.Len())
@@ -199,7 +199,7 @@ func TestConcatWidenSlice(t *testing.T) {
 }
 
 func TestRebalance(t *testing.T) {
-	pt := NewPart[int](4)
+	pt := NewPartIn[int](nil, 4)
 	pt.Shards[0] = []int{1, 2, 3, 4, 5, 6, 7, 8}
 	res, _ := Rebalance(pt)
 	if res.MaxShard() != 2 {
@@ -231,7 +231,7 @@ func TestSortCorrectness(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Intn(500)
 	}
-	pt := Distribute(data, 16)
+	pt := DistributeIn(nil, data, 16)
 	sorted, st := Sort(pt, func(x int) int { return x })
 	if sorted.Len() != len(data) {
 		t.Fatalf("sort lost data: %d vs %d", sorted.Len(), len(data))
@@ -257,7 +257,7 @@ func TestSortBalancedUnderTotalSkew(t *testing.T) {
 	// Every element identical: tie-breaking must still balance shards.
 	const n, p = 4096, 16
 	data := make([]int, n)
-	pt := Distribute(data, p)
+	pt := DistributeIn(nil, data, p)
 	sorted, _ := Sort(pt, func(x int) int { return x })
 	if m := sorted.MaxShard(); m > 2*n/p+p {
 		t.Fatalf("skewed shard %d exceeds 2N/p+p = %d", m, 2*n/p+p)
@@ -271,7 +271,7 @@ func TestSortLoadBound(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Intn(100) // heavy duplication
 	}
-	pt := Distribute(data, p)
+	pt := DistributeIn(nil, data, p)
 	_, st := Sort(pt, func(x int) int { return x })
 	if st.MaxLoad > 2*n/p+p*p {
 		t.Fatalf("sort load %d exceeds 2N/p + p² = %d", st.MaxLoad, 2*n/p+p*p)
@@ -287,7 +287,7 @@ func TestQuickSortByPermutations(t *testing.T) {
 		for i := range data {
 			data[i] = rng.Intn(40)
 		}
-		pt := Distribute(data, p)
+		pt := DistributeIn(nil, data, p)
 		sorted, _ := SortBy(pt, func(a, b int) bool { return a < b })
 		if sorted.Len() != n || !sortedGlobal(sorted, func(a, b int) bool { return a < b }) {
 			return false
@@ -319,7 +319,7 @@ func TestGroupByKeyColocation(t *testing.T) {
 		for i := range data {
 			data[i] = rng.Intn(20)
 		}
-		pt := Distribute(data, p)
+		pt := DistributeIn(nil, data, p)
 		grouped, _ := GroupByKey(pt, func(x int) int { return x })
 		if grouped.Len() != n {
 			return false
@@ -344,7 +344,7 @@ func TestGroupByKeySingleKeyEverywhere(t *testing.T) {
 	// One key spanning every server must collapse onto one server.
 	const n, p = 64, 8
 	data := make([]int, n) // all zeros
-	pt := Distribute(data, p)
+	pt := DistributeIn(nil, data, p)
 	grouped, _ := GroupByKey(pt, func(x int) int { return x })
 	nonEmpty := 0
 	for _, shard := range grouped.Shards {

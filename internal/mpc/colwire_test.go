@@ -75,9 +75,9 @@ func TestWireExchangeColumnarMatchesInline(t *testing.T) {
 	}
 }
 
-// corruptWire flips a byte inside the first delivered payload. The decode
-// layer must abort the execution with a transport error, never panic or
-// hand the algorithm corrupt rows.
+// corruptWire flips a byte inside the first delivered payload and
+// truncates it. The carrier must abort the execution with a transport
+// error, never panic or hand the algorithm corrupt rows.
 type corruptWire struct{ loopWire }
 
 func (w *corruptWire) ExchangeRound(ctx context.Context, r *WireRound) (*WireInbox, error) {
@@ -100,18 +100,29 @@ func (w *corruptWire) ExchangeRound(ctx context.Context, r *WireRound) (*WireInb
 }
 
 func TestWireColumnarCorruptionAborts(t *testing.T) {
-	var err error
-	func() {
-		defer Recover(&err)
-		ex := NewExec(context.Background(), 1).WithWire(&corruptWire{})
-		pt := DistributeIn(ex, rowFixture(32), 4)
-		Route(pt, func(_ int, r relation.Row[int64]) int { return int(r.Vals[1]) % 4 })
-	}()
-	if err == nil {
-		t.Fatal("corrupt columnar payload went undetected")
+	routes := map[string]func(ex *Exec){
+		"decoded": func(ex *Exec) {
+			pt := DistributeIn(ex, rowFixture(32), 4)
+			Route(pt, func(_ int, r relation.Row[int64]) int { return int(r.Vals[1]) % 4 })
+		},
+		// A pointer-bearing element is never decoded, only compared with
+		// what was sent; a payload that does not compare equal is corrupt.
+		"compared": func(ex *Exec) {
+			pt := DistributeIn(ex, []gcElem{{ID: 1, Vals: []int64{1}}, {ID: 2}, {ID: 3}}, 4)
+			Route(pt, func(_ int, x gcElem) int { return int(x.ID) % 4 })
+		},
 	}
-	if !strings.Contains(err.Error(), "transport") {
-		t.Fatalf("err = %v, want a transport error", err)
+	for name, route := range routes {
+		var err error
+		func() {
+			defer Recover(&err)
+			route(NewExec(context.Background(), 1).WithWire(&corruptWire{}))
+		}()
+		if err == nil {
+			t.Errorf("%s: corrupt payload went undetected", name)
+		} else if !strings.Contains(err.Error(), "transport") {
+			t.Errorf("%s: err = %v, want a transport error", name, err)
+		}
 	}
 }
 

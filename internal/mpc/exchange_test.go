@@ -12,7 +12,7 @@ func TestExchangeToRectangular(t *testing.T) {
 		{{1}, nil, {2, 3}, nil, nil},
 		{nil, nil, {4}, nil, {5}},
 	}
-	res, st := ExchangeTo(5, out)
+	res, st := ExchangeToIn(nil, 5, out)
 	if res.P() != 5 {
 		t.Fatalf("P = %d", res.P())
 	}
@@ -28,7 +28,7 @@ func TestExchangeToRectangular(t *testing.T) {
 }
 
 func TestRouteToReplication(t *testing.T) {
-	pt := Distribute([]int{1, 2, 3}, 2)
+	pt := DistributeIn(nil, []int{1, 2, 3}, 2)
 	// Every element goes to destinations 0 and 2 of a 3-server target.
 	res, st := RouteTo(pt, 3, func(_ int, x int) []int { return []int{0, 2} })
 	if len(res.Shards[0]) != 3 || len(res.Shards[2]) != 3 || len(res.Shards[1]) != 0 {
@@ -45,12 +45,12 @@ func TestRouteToOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	pt := Distribute([]int{1}, 1)
+	pt := DistributeIn(nil, []int{1}, 1)
 	RouteTo(pt, 2, func(_ int, _ int) []int { return []int{7} })
 }
 
 func TestReshape(t *testing.T) {
-	pt := NewPart[int](5)
+	pt := NewPartIn[int](nil, 5)
 	for s := 0; s < 5; s++ {
 		pt.Shards[s] = []int{s}
 	}
@@ -82,7 +82,7 @@ func TestQuickReshapePreservesMultiset(t *testing.T) {
 		for i := range data {
 			data[i] = rng.Intn(50)
 		}
-		pt := Distribute(data, rng.Intn(10)+1)
+		pt := DistributeIn(nil, data, rng.Intn(10)+1)
 		r := Reshape(pt, rng.Intn(10)+1)
 		if r.Len() != n {
 			return false
@@ -108,7 +108,7 @@ func TestQuickReshapePreservesMultiset(t *testing.T) {
 
 func TestSortNegativeKeys(t *testing.T) {
 	data := []int{5, -3, 0, -100, 42, -3}
-	sorted, _ := Sort(Distribute(data, 3), func(x int) int { return x })
+	sorted, _ := Sort(DistributeIn(nil, data, 3), func(x int) int { return x })
 	got := Collect(sorted)
 	want := []int{-100, -3, -3, 0, 5, 42}
 	for i := range want {
@@ -120,7 +120,7 @@ func TestSortNegativeKeys(t *testing.T) {
 
 func TestSortStringKeys(t *testing.T) {
 	data := []string{"pear", "apple", "fig", "apple", "banana"}
-	sorted, _ := Sort(Distribute(data, 2), func(s string) string { return s })
+	sorted, _ := Sort(DistributeIn(nil, data, 2), func(s string) string { return s })
 	got := Collect(sorted)
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
@@ -132,7 +132,7 @@ func TestSortStringKeys(t *testing.T) {
 func TestSortBySingleServer(t *testing.T) {
 	// p = 1 must work (degenerate splitters).
 	data := []int{3, 1, 2}
-	sorted, st := SortBy(Distribute(data, 1), func(a, b int) bool { return a < b })
+	sorted, st := SortBy(DistributeIn(nil, data, 1), func(a, b int) bool { return a < b })
 	got := Collect(sorted)
 	if got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v", got)
@@ -143,7 +143,7 @@ func TestSortBySingleServer(t *testing.T) {
 }
 
 func TestBroadcastEmpty(t *testing.T) {
-	pt := NewPart[int](3)
+	pt := NewPartIn[int](nil, 3)
 	res, st := Broadcast(pt)
 	if res.Len() != 0 || st.MaxLoad != 0 {
 		t.Fatal("empty broadcast wrong")
@@ -151,7 +151,7 @@ func TestBroadcastEmpty(t *testing.T) {
 }
 
 func TestMapShards(t *testing.T) {
-	pt := Distribute([]int{1, 2, 3, 4}, 2)
+	pt := DistributeIn(nil, []int{1, 2, 3, 4}, 2)
 	sums := MapShards(pt, func(s int, shard []int) []int {
 		total := 0
 		for _, x := range shard {
@@ -168,12 +168,12 @@ func TestMapShards(t *testing.T) {
 }
 
 func TestGroupByKeyEmptyAndSingle(t *testing.T) {
-	empty := NewPart[int](4)
+	empty := NewPartIn[int](nil, 4)
 	res, _ := GroupByKey(empty, func(x int) int { return x })
 	if res.Len() != 0 {
 		t.Fatal("empty group wrong")
 	}
-	single := Distribute([]int{7}, 4)
+	single := DistributeIn(nil, []int{7}, 4)
 	res2, _ := GroupByKey(single, func(x int) int { return x })
 	if res2.Len() != 1 {
 		t.Fatal("single group wrong")

@@ -37,11 +37,8 @@ import (
 // unwinding through it is safe. The sentinel never escapes a root that
 // uses Recover/CanceledError; any other panic re-propagates unchanged.
 //
-// A nil *Exec is a valid scope everywhere one is accepted: it denotes the
-// ambient scope — the serial runtime and a never-cancelled context. Parts
-// built by the unscoped constructors (NewPart, Distribute, Exchange …)
-// carry the nil scope, which keeps scope-less callers and tests working
-// unchanged.
+// A nil *Exec is a valid scope everywhere one is accepted: the serial
+// runtime, a never-cancelled context, and no tracer, fault plane or wire.
 type Exec struct {
 	rt  *xrt.Runtime
 	ctx context.Context
@@ -103,7 +100,7 @@ func (ex *Exec) WithTracer(tr *Tracer) *Exec {
 	return &cp
 }
 
-// Tracer returns the scope's tracer (nil when untraced or ambient).
+// Tracer returns the scope's tracer (nil when untraced).
 func (ex *Exec) Tracer() *Tracer {
 	if ex == nil {
 		return nil
@@ -125,7 +122,7 @@ func (ex *Exec) WithFaults(fp *FaultPlane) *Exec {
 }
 
 // Faults returns the scope's fault plane (nil when fault injection is
-// off or the scope is ambient).
+// off).
 func (ex *Exec) Faults() *FaultPlane {
 	if ex == nil {
 		return nil
@@ -144,8 +141,8 @@ func (ex *Exec) Context() context.Context {
 // Workers returns the scope's worker-pool size.
 func (ex *Exec) Workers() int { return ex.runtime().Workers() }
 
-// runtime resolves the scope's runtime; the nil (ambient) scope resolves
-// to the serial runtime.
+// runtime resolves the scope's runtime; the nil scope resolves to the
+// serial runtime.
 func (ex *Exec) runtime() *xrt.Runtime {
 	if ex == nil {
 		return xrt.Serial()
@@ -220,18 +217,18 @@ func (ex *Exec) ForEachShardScratch(n int, fn func(i int, sc *xrt.Scratch)) {
 	}
 }
 
-// scope returns the Part's execution scope (nil = ambient); primitives
+// scope returns the Part's execution scope (possibly nil); primitives
 // propagate it to every Part they derive.
 func (pt Part[T]) scope() *Exec { return pt.ex }
 
 // Scope returns the execution scope the Part belongs to, for algorithm
 // code that needs to create fresh Parts (NewPartIn) or raw exchanges
-// (ExchangeIn) inside the same execution. It may be nil (ambient scope);
-// the *In constructors accept that.
+// (ExchangeIn) inside the same execution. It may be nil; the *In
+// constructors accept that.
 func (pt Part[T]) Scope() *Exec { return pt.ex }
 
 // mergeScope picks the non-nil scope when a primitive combines two Parts
-// (MultiSearch, SemijoinKeys); both nil yields the ambient scope. Mixing
+// (MultiSearch, SemijoinKeys); both nil yields the nil scope. Mixing
 // two different non-nil scopes is a caller bug — executions must not
 // share data — and panics rather than silently picking one.
 func mergeScope[X, Y any](a Part[X], b Part[Y]) *Exec {

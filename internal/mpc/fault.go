@@ -273,18 +273,22 @@ func (fp *FaultPlane) Reset() {
 	fp.round.Store(0)
 }
 
-// beginRound claims the next physical round index and consumes the
-// pending op label (set by TraceOp, first-set-wins — the same labeling
-// protocol the Tracer uses, so fault events carry the primitive names
-// engines already emit).
-func (fp *FaultPlane) beginRound() (round int, op string) {
+// beginRound claims the next physical round index, consumes the pending
+// op label (set by TraceOp, first-set-wins — the same labeling protocol
+// the Tracer uses, so fault events carry the primitive names engines
+// already emit) and resolves the round's retry budget. A nil plane is the
+// flawless cluster: no round numbering, nothing injected, budget 0.
+func (fp *FaultPlane) beginRound() (round int, op string, budget int) {
+	if fp == nil {
+		return 0, "", 0
+	}
 	round = int(fp.round.Add(1))
 	fp.mu.Lock()
 	op = fp.op
 	fp.op = ""
 	fp.rep.Rounds = round
 	fp.mu.Unlock()
-	return round, op
+	return round, op, fp.spec.retries()
 }
 
 func (fp *FaultPlane) setOp(op string) {
@@ -295,43 +299,27 @@ func (fp *FaultPlane) setOp(op string) {
 	fp.mu.Unlock()
 }
 
-// msgRef identifies one non-empty message of a round: what source src
-// sends destination dst, and how many units that is.
-type msgRef struct {
-	src, dst int
-	units    int64
-}
-
 // injection is one attempt's decided faults; -1 fields mean "none".
 type injection struct {
-	straggler int   // destination server that straggles
-	delay     int64 // its simulated delay units
-	crash     int   // destination server that crashes
-	dropIdx   int   // index into the round's msgRef list
-}
-
-func (in injection) failed() bool { return in.crash >= 0 || in.dropIdx >= 0 }
-
-// failKind names the fault that made the attempt fail (crash dominates:
-// a crashed server loses its whole inbox, dropped message included).
-func (in injection) failKind() string {
-	if in.crash >= 0 {
-		return "crash"
-	}
-	if in.dropIdx >= 0 {
-		return "drop"
-	}
-	return ""
+	straggler int     // destination server that straggles
+	delay     int64   // its simulated delay units
+	crash     int     // destination server that crashes
+	dropIdx   int     // index into the round's non-empty messages
+	dropped   WireMsg // the message dropIdx names, resolved by the barrier
 }
 
 // decide computes the faults injected into one (round, attempt). It is a
 // pure function of the spec, the indices and the round's deterministic
-// shape (destination count and message list), which is what makes the
-// whole schedule reproducible across worker counts: nothing here reads
-// scheduling, time, or global randomness. Draws happen in a fixed order
-// (straggler, crash, drop) from a stream keyed by (Seed, round, attempt).
-func (fp *FaultPlane) decide(round, attempt, pDst int, msgs []msgRef) injection {
+// shape (destination count and non-empty message count), which is what
+// makes the whole schedule reproducible across worker counts: nothing here
+// reads scheduling, time, or global randomness. Draws happen in a fixed
+// order (straggler, crash, drop) from a stream keyed by (Seed, round,
+// attempt). A nil plane decides nothing.
+func (fp *FaultPlane) decide(round, attempt, pDst, nMsgs int) injection {
 	inj := injection{straggler: -1, crash: -1, dropIdx: -1}
+	if fp == nil {
+		return inj
+	}
 	s := fp.spec
 	if s.StopAfter > 0 && round > s.StopAfter {
 		return inj
@@ -349,15 +337,19 @@ func (fp *FaultPlane) decide(round, attempt, pDst int, msgs []msgRef) injection 
 	} else if s.CrashProb > 0 && rng.float() < s.CrashProb {
 		inj.crash = rng.intn(pDst)
 	}
-	if s.DropProb > 0 && len(msgs) > 0 && rng.float() < s.DropProb {
-		inj.dropIdx = rng.intn(len(msgs))
+	if s.DropProb > 0 && nMsgs > 0 && rng.float() < s.DropProb {
+		inj.dropIdx = rng.intn(nMsgs)
 	}
 	return inj
 }
 
 // observe accounts one executed attempt: which faults were injected,
-// whether the barrier detected a failure, and whether a retry follows.
-func (fp *FaultPlane) observe(round int, op string, attempt int, inj injection, msgs []msgRef, lost int64, retrying bool) {
+// whether the barrier detected a failure, and whether a retry follows. A
+// nil plane accounts nothing.
+func (fp *FaultPlane) observe(round int, op string, attempt int, inj injection, lost int64, retrying bool) {
+	if fp == nil {
+		return
+	}
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	add := func(ev FaultEvent) {
@@ -381,10 +373,10 @@ func (fp *FaultPlane) observe(round int, op string, attempt int, inj injection, 
 		add(FaultEvent{Kind: "crash", Server: inj.crash, Src: -1, Units: lost, Retried: retrying})
 	}
 	if inj.dropIdx >= 0 {
-		m := msgs[inj.dropIdx]
 		fp.rep.Drops++
 		fp.rep.Detected++
-		add(FaultEvent{Kind: "drop", Server: m.dst, Src: m.src, Units: m.units, Retried: retrying})
+		m := inj.dropped
+		add(FaultEvent{Kind: "drop", Server: m.To, Src: m.From, Units: int64(m.Units), Retried: retrying})
 	}
 	if retrying {
 		fp.rep.Retried++

@@ -35,14 +35,19 @@ func execWith(workers int, spec *FaultSpec) (*Exec, *FaultPlane) {
 	return ex.WithFaults(fp), fp
 }
 
-// TestFaultRetryTransparent: any schedule the retry budget absorbs must
-// leave data and base Stats bit-identical to a fault-free run.
+// TestFaultRetryTransparent pins the complete-delivery exits of the
+// barrier loop: with no plane, with a plane that may not retry, and with
+// any schedule the retry budget absorbs, on either carrier, data, base
+// Stats and the trace are bit-identical to a fault-free in-process run —
+// and the two carriers account the same FaultReport.
 func TestFaultRetryTransparent(t *testing.T) {
 	const p, n = 8, 400
-	exFree, _ := execWith(1, nil)
-	wantData, wantStats := faultPipeline(exFree, p, n)
+	trFree := NewTracer()
+	wantData, wantStats := faultPipeline(NewExec(context.Background(), 1).WithTracer(trFree), p, n)
 
-	specs := map[string]FaultSpec{
+	specs := map[string]*FaultSpec{
+		"no-plane":       nil,
+		"no-retries":     {Seed: 7, StragglerProb: 0.9, MaxRetries: -1},
 		"crash-round-1":  {Seed: 3, CrashRound: 1},
 		"crash-10pct":    {Seed: 18, CrashProb: 0.10, MaxRetries: 8},
 		"drop-20pct":     {Seed: 5, DropProb: 0.20, MaxRetries: 8},
@@ -50,26 +55,43 @@ func TestFaultRetryTransparent(t *testing.T) {
 		"mixed":          {Seed: 9, CrashProb: 0.1, DropProb: 0.2, StragglerProb: 0.3, MaxRetries: 10},
 	}
 	for name, spec := range specs {
-		ex, fp := execWith(1, &spec)
-		got, st := faultPipeline(ex, p, n)
-		if !reflect.DeepEqual(got, wantData) {
-			t.Errorf("%s: data differs from fault-free run", name)
+		var reports []FaultReport
+		for _, carrier := range []string{"in-proc", "wire"} {
+			ex, fp := execWith(1, spec)
+			if carrier == "wire" {
+				ex = ex.WithWire(&loopWire{})
+			}
+			tr := NewTracer()
+			got, st := faultPipeline(ex.WithTracer(tr), p, n)
+			if !reflect.DeepEqual(got, wantData) {
+				t.Errorf("%s/%s: data differs from fault-free run", name, carrier)
+			}
+			if st != wantStats {
+				t.Errorf("%s/%s: stats %+v != fault-free %+v", name, carrier, st, wantStats)
+			}
+			if !reflect.DeepEqual(tr.Rounds(), trFree.Rounds()) {
+				t.Errorf("%s/%s: trace differs from fault-free run", name, carrier)
+			}
+			if spec == nil {
+				continue
+			}
+			rep := fp.Report()
+			reports = append(reports, rep)
+			if rep.Rounds == 0 {
+				t.Errorf("%s/%s: plane observed no rounds", name, carrier)
+			}
+			if rep.Injected == 0 {
+				t.Errorf("%s/%s: schedule injected nothing (weak test seed)", name, carrier)
+			}
+			if rep.Detected != rep.Crashes+rep.Drops {
+				t.Errorf("%s/%s: detected %d != crashes %d + drops %d", name, carrier, rep.Detected, rep.Crashes, rep.Drops)
+			}
+			if rep.Absorbed != rep.Stragglers {
+				t.Errorf("%s/%s: absorbed %d != stragglers %d", name, carrier, rep.Absorbed, rep.Stragglers)
+			}
 		}
-		if st != wantStats {
-			t.Errorf("%s: stats %+v != fault-free %+v", name, st, wantStats)
-		}
-		rep := fp.Report()
-		if rep.Rounds == 0 {
-			t.Errorf("%s: plane observed no rounds", name)
-		}
-		if rep.Injected == 0 {
-			t.Errorf("%s: schedule injected nothing (weak test seed)", name)
-		}
-		if rep.Detected != rep.Crashes+rep.Drops {
-			t.Errorf("%s: detected %d != crashes %d + drops %d", name, rep.Detected, rep.Crashes, rep.Drops)
-		}
-		if rep.Absorbed != rep.Stragglers {
-			t.Errorf("%s: absorbed %d != stragglers %d", name, rep.Absorbed, rep.Stragglers)
+		if len(reports) == 2 && !reflect.DeepEqual(reports[0], reports[1]) {
+			t.Errorf("%s: fault reports differ across carriers:\nin-proc %+v\nwire    %+v", name, reports[0], reports[1])
 		}
 	}
 }

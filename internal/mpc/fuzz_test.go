@@ -23,7 +23,7 @@ func FuzzReduceByKey(f *testing.F) {
 			data[i] = KeyCount[int64]{Key: int64(k), Count: int64(i + 1)}
 			want[int64(k)] += int64(i + 1)
 		}
-		reduced, st := ReduceByKey(Distribute(data, p),
+		reduced, st := ReduceByKey(DistributeIn(nil, data, p),
 			func(kc KeyCount[int64]) int64 { return kc.Key },
 			func(a, b KeyCount[int64]) KeyCount[int64] {
 				return KeyCount[int64]{Key: a.Key, Count: a.Count + b.Count}
@@ -63,7 +63,7 @@ func FuzzSortBy(f *testing.F) {
 		for i, v := range vals {
 			data[i] = int(v)
 		}
-		sorted, _ := SortBy(Distribute(data, p), func(a, b int) bool { return a < b })
+		sorted, _ := SortBy(DistributeIn(nil, data, p), func(a, b int) bool { return a < b })
 		if sorted.Len() != len(data) {
 			t.Fatalf("lost elements: %d vs %d", sorted.Len(), len(data))
 		}
@@ -109,7 +109,7 @@ func FuzzMultiSearch(f *testing.F) {
 		for i, v := range ysRaw {
 			ys[i] = int(v)
 		}
-		preds, _ := MultiSearch(Distribute(xs, p), Distribute(ys, p),
+		preds, _ := MultiSearch(DistributeIn(nil, xs, p), DistributeIn(nil, ys, p),
 			func(x int) int { return x }, func(y int) int { return y })
 		if preds.Len() != len(xs) {
 			t.Fatalf("result count %d, want %d", preds.Len(), len(xs))

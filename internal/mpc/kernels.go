@@ -55,7 +55,7 @@ func BuildOutbox[T any](sc *xrt.Scratch, pDst int, what string, scan func(fill b
 	at := 0
 	for d, c := range counts {
 		if c > 0 {
-			row[d] = buf[at:at : at+c]
+			row[d] = buf[at : at : at+c]
 			at += c
 		}
 	}

@@ -23,7 +23,7 @@ func benchPart(n, p int) Part[int64] {
 	for i := range data {
 		data[i] = int64(rng.Intn(n / 4))
 	}
-	return Distribute(data, p)
+	return DistributeIn(nil, data, p)
 }
 
 func BenchmarkRouteKernel(b *testing.B) {
@@ -40,7 +40,7 @@ func BenchmarkRouteKernel(b *testing.B) {
 
 func BenchmarkRebalanceKernel(b *testing.B) {
 	// Skewed input: everything on server 0.
-	pt := NewPart[int64](benchP)
+	pt := NewPartIn[int64](nil, benchP)
 	pt.Shards[0] = make([]int64, benchN)
 	for i := range pt.Shards[0] {
 		pt.Shards[0][i] = int64(i)
@@ -126,7 +126,7 @@ func BenchmarkExchangeKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, st := Exchange(benchP, out)
+		res, st := ExchangeIn(nil, benchP, out)
 		if res.Len() != benchN || st.MaxLoad == 0 {
 			b.Fatal("exchange wrong")
 		}

@@ -40,18 +40,18 @@ func appendRouteOracle(pt Part[int64], dest func(src int, x int64) int) [][]int6
 // rest empty), a single-server cluster, and a mixed case with interleaved
 // empty shards.
 func adversarialParts() map[string]Part[int64] {
-	giant := NewPart[int64](8)
+	giant := NewPartIn[int64](nil, 8)
 	giant.Shards[3] = make([]int64, 4096)
 	for i := range giant.Shards[3] {
 		giant.Shards[3][i] = int64(i * 7)
 	}
 
-	single := NewPart[int64](1)
+	single := NewPartIn[int64](nil, 1)
 	for i := 0; i < 100; i++ {
 		single.Shards[0] = append(single.Shards[0], int64(i))
 	}
 
-	mixed := NewPart[int64](8)
+	mixed := NewPartIn[int64](nil, 8)
 	for s := 0; s < 8; s += 2 {
 		for i := 0; i < 50*(s+1); i++ {
 			mixed.Shards[s] = append(mixed.Shards[s], int64(s*1000+i))
@@ -59,7 +59,7 @@ func adversarialParts() map[string]Part[int64] {
 	}
 
 	return map[string]Part[int64]{
-		"all-empty":       NewPart[int64](8),
+		"all-empty":       NewPartIn[int64](nil, 8),
 		"one-giant-shard": giant,
 		"p=1":             single,
 		"interleaved":     mixed,

@@ -125,8 +125,8 @@ func TestSortRadixMatchesComparisonStringKeys(t *testing.T) {
 	const p = 8
 	for name, data := range inputs {
 		t.Run(name, func(t *testing.T) {
-			want, wantSt := SortBy(Distribute(data, p), func(a, b string) bool { return a < b })
-			got, gotSt := Sort(Distribute(data, p), func(x string) string { return x })
+			want, wantSt := SortBy(DistributeIn(nil, data, p), func(a, b string) bool { return a < b })
+			got, gotSt := Sort(DistributeIn(nil, data, p), func(x string) string { return x })
 			if gotSt != wantSt {
 				t.Fatalf("Stats diverged: radix %+v, comparison %+v", gotSt, wantSt)
 			}
@@ -155,8 +155,8 @@ func TestSortFloatFallback(t *testing.T) {
 	data[13] = math.Inf(-1)
 	data[21] = math.Copysign(0, -1)
 	const p = 4
-	want, wantSt := SortBy(Distribute(data, p), func(a, b float64) bool { return a < b })
-	got, gotSt := Sort(Distribute(data, p), func(x float64) float64 { return x })
+	want, wantSt := SortBy(DistributeIn(nil, data, p), func(a, b float64) bool { return a < b })
+	got, gotSt := Sort(DistributeIn(nil, data, p), func(x float64) float64 { return x })
 	if gotSt != wantSt {
 		t.Fatalf("Stats diverged: %+v vs %+v", gotSt, wantSt)
 	}

@@ -17,7 +17,7 @@ import (
 // leaves one element per key per server, and a constant-size coordinator
 // round stitches runs that straddle server boundaries.
 //
-// The per-server phases run on the ambient runtime: key and combine must
+// The per-server phases run on the scope's runtime: key and combine must
 // be safe for concurrent calls across servers.
 func ReduceByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K, combine func(a, b T) T) (Part[T], Stats) {
 	p := pt.P()

@@ -24,7 +24,7 @@ func TestReduceByKeyMatchesMap(t *testing.T) {
 		for i := range data {
 			data[i] = KeyCount[int]{Key: rng.Intn(nkeys), Count: int64(rng.Intn(10) + 1)}
 		}
-		pt := Distribute(data, p)
+		pt := DistributeIn(nil, data, p)
 		reduced, _ := ReduceByKey(pt, func(kc KeyCount[int]) int { return kc.Key },
 			func(a, b KeyCount[int]) KeyCount[int] { return KeyCount[int]{Key: a.Key, Count: a.Count + b.Count} })
 
@@ -60,7 +60,7 @@ func TestReduceByKeySingleHotKey(t *testing.T) {
 	for i := range data {
 		data[i] = KeyCount[int]{Key: 42, Count: 1}
 	}
-	pt := Distribute(data, p)
+	pt := DistributeIn(nil, data, p)
 	reduced, st := ReduceByKey(pt, func(kc KeyCount[int]) int { return kc.Key },
 		func(a, b KeyCount[int]) KeyCount[int] { return KeyCount[int]{Key: a.Key, Count: a.Count + b.Count} })
 	all := Collect(reduced)
@@ -76,7 +76,7 @@ func TestReduceByKeySingleHotKey(t *testing.T) {
 func TestReduceByKeyAlternatingChains(t *testing.T) {
 	// Keys 0..k-1 each appearing on every server: many simultaneous chains.
 	const p, k = 8, 5
-	pt := NewPart[KeyCount[int]](p)
+	pt := NewPartIn[KeyCount[int]](nil, p)
 	for s := 0; s < p; s++ {
 		for key := 0; key < k; key++ {
 			pt.Shards[s] = append(pt.Shards[s], KeyCount[int]{Key: key, Count: 1})
@@ -96,7 +96,7 @@ func TestReduceByKeyAlternatingChains(t *testing.T) {
 }
 
 func TestReduceByKeyEmpty(t *testing.T) {
-	pt := NewPart[KeyCount[int]](4)
+	pt := NewPartIn[KeyCount[int]](nil, 4)
 	reduced, st := ReduceByKey(pt, func(kc KeyCount[int]) int { return kc.Key },
 		func(a, b KeyCount[int]) KeyCount[int] { return a })
 	if reduced.Len() != 0 {
@@ -121,10 +121,10 @@ func TestReduceByKeyNonCommutativeOrderIndependence(t *testing.T) {
 	}
 	key := func(kc KeyCount[int]) int { return kc.Key }
 
-	r1, _ := ReduceByKey(Distribute(data, 4), key, comb)
+	r1, _ := ReduceByKey(DistributeIn(nil, data, 4), key, comb)
 	shuffled := append([]KeyCount[int](nil), data...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	r2, _ := ReduceByKey(Distribute(shuffled, 9), key, comb)
+	r2, _ := ReduceByKey(DistributeIn(nil, shuffled, 9), key, comb)
 
 	m1, m2 := map[int]int64{}, map[int]int64{}
 	for _, kc := range Collect(r1) {
@@ -145,7 +145,7 @@ func TestReduceByKeyNonCommutativeOrderIndependence(t *testing.T) {
 
 func TestCountByKey(t *testing.T) {
 	data := []string{"a", "b", "a", "c", "a", "b"}
-	pt := Distribute(data, 3)
+	pt := DistributeIn(nil, data, 3)
 	counts, _ := CountByKey(pt, func(s string) string { return s })
 	got := map[string]int64{}
 	for _, kc := range Collect(counts) {
@@ -157,7 +157,7 @@ func TestCountByKey(t *testing.T) {
 }
 
 func TestTotalCount(t *testing.T) {
-	pt := Distribute(make([]int, 77), 5)
+	pt := DistributeIn(nil, make([]int, 77), 5)
 	total, st := TotalCount(pt)
 	if total != 77 {
 		t.Fatalf("total = %d", total)
@@ -194,7 +194,7 @@ func TestMultiSearchMatchesBruteForce(t *testing.T) {
 		for i := range ys {
 			ys[i] = rng.Intn(100)
 		}
-		preds, _ := MultiSearch(Distribute(xs, p), Distribute(ys, p),
+		preds, _ := MultiSearch(DistributeIn(nil, xs, p), DistributeIn(nil, ys, p),
 			func(x int) int { return x }, func(y int) int { return y })
 		if preds.Len() != nx {
 			return false
@@ -237,9 +237,9 @@ func TestSemijoinAntijoinKeys(t *testing.T) {
 		for _, y := range ys {
 			inY[y] = true
 		}
-		semi, _ := SemijoinKeys(Distribute(xs, p), Distribute(ys, p),
+		semi, _ := SemijoinKeys(DistributeIn(nil, xs, p), DistributeIn(nil, ys, p),
 			func(x int) int { return x }, func(y int) int { return y })
-		anti, _ := AntijoinKeys(Distribute(xs, p), Distribute(ys, p),
+		anti, _ := AntijoinKeys(DistributeIn(nil, xs, p), DistributeIn(nil, ys, p),
 			func(x int) int { return x }, func(y int) int { return y })
 		if semi.Len()+anti.Len() != len(xs) {
 			return false
@@ -264,7 +264,7 @@ func TestSemijoinAntijoinKeys(t *testing.T) {
 func TestLookupJoin(t *testing.T) {
 	xs := []int{1, 2, 3, 4}
 	ys := []KeyCount[int]{{Key: 2, Count: 20}, {Key: 4, Count: 40}}
-	res, _ := LookupJoin(Distribute(xs, 3), Distribute(ys, 3),
+	res, _ := LookupJoin(DistributeIn(nil, xs, 3), DistributeIn(nil, ys, 3),
 		func(x int) int { return x }, func(kc KeyCount[int]) int { return kc.Key })
 	found := 0
 	for _, pr := range Collect(res) {
@@ -294,7 +294,7 @@ func TestParallelPackInvariants(t *testing.T) {
 			data[i] = rng.Int63n(cap) + 1
 			total += data[i]
 		}
-		binned, nBins, _ := ParallelPack(Distribute(data, p), func(x int64) int64 { return x }, cap)
+		binned, nBins, _ := ParallelPack(DistributeIn(nil, data, p), func(x int64) int64 { return x }, cap)
 
 		sums := map[int]int64{}
 		for _, b := range Collect(binned) {
@@ -328,7 +328,7 @@ func TestParallelPackLoadIsCoordinatorOnly(t *testing.T) {
 		data[i] = 1
 	}
 	const p = 16
-	_, _, st := ParallelPack(Distribute(data, p), func(x int64) int64 { return x }, 100)
+	_, _, st := ParallelPack(DistributeIn(nil, data, p), func(x int64) int64 { return x }, 100)
 	if st.MaxLoad > p {
 		t.Fatalf("pack load %d should be O(p)", st.MaxLoad)
 	}
@@ -339,7 +339,7 @@ func TestParallelPackLoadIsCoordinatorOnly(t *testing.T) {
 
 func TestPackGroups(t *testing.T) {
 	stats := []KeyCount[int]{{1, 30}, {2, 30}, {3, 30}, {4, 30}, {5, 30}}
-	pt := Distribute(stats, 2)
+	pt := DistributeIn(nil, stats, 2)
 	bins, nBins, _ := PackGroups(pt, 60)
 	if nBins < 3 {
 		t.Fatalf("nBins = %d", nBins)

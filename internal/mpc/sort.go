@@ -27,7 +27,7 @@ type tagged[T any] struct {
 // Cost: 3 rounds — samples to coordinator (≤ p² units), splitter broadcast
 // (≤ p units per server), and the data reshuffle (≈ 2N/p per server).
 //
-// The per-server sort and partition phases run on the ambient runtime, so
+// The per-server sort and partition phases run on the scope's runtime, so
 // less must be safe for concurrent calls across servers.
 //
 // SortBy is the comparison path; Sort takes the radix path for encodable

@@ -114,7 +114,7 @@ func (t *Tracer) setOp(op string) {
 }
 
 // record appends one round computed from the per-destination received
-// counts; called by exchangeOnRuntime after the round barrier, so the
+// counts; called by exchange after the round barrier, so the
 // distribution it sees is the deterministic post-barrier metering.
 func (t *Tracer) record(recv []int64, elemBytes int64) {
 	if len(recv) == 0 {

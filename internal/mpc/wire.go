@@ -1,22 +1,23 @@
 package mpc
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
-	stdruntime "runtime"
+	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// wire.go is the transport seam of the simulator: the single exchange
-// barrier — the only point where data moves between servers, the only
-// metered step, and the step the tracer and fault plane instrument — can
-// be delegated to a pluggable Wire instead of the in-process inbox
-// assembly of internal/runtime. A scope without a wire (the default)
-// takes the existing inline path and pays one nil check per round; a
-// scope with one (Exec.WithWire, installed by core from the options'
-// transport backend) encodes every round's outboxes into counted frames,
-// hands them to the wire, and decodes the assembled inboxes it returns.
+// wire.go is the transport carrier of the exchange barrier (see exchange
+// in cluster.go): a scope with a Wire (Exec.WithWire, installed by core
+// from the options' transport backend) has every attempt of every round
+// encoded into counted frames, handed to the wire, and its inboxes taken
+// from what the wire delivers. Detection, retry, metering and tracing stay
+// in the barrier, which treats this carrier and in-process assembly alike.
 //
 // Division of labor: the engine's local computation is arbitrary Go code
 // (closures over typed shards) and stays in the process that runs the
@@ -36,11 +37,33 @@ import (
 // RoundTrace, fault detection by count verification — is derived from
 // those counts after the barrier, which is why results, Stats and traces
 // are bit-for-bit identical across transports.
+//
+// What is rebuilt from delivered bytes is decided once per element type T
+// (wireCodecOf), never per message and never by an option, because bytes
+// that passed through a socket are untyped memory the collector does not
+// trace — a pointer copied out of them into a typed slice is one it never
+// saw, and whatever it points to can be freed underneath the inbox:
+//
+//  1. T holds no pointers: the payload is the raw memory image of the
+//     message (rawBytes) and the inbox is decoded from the delivered bytes
+//     (appendRaw).
+//  2. T implements ColumnarWire and the one part of T its codec copies as
+//     a memory image (WireImageType — a row's annotation) holds no
+//     pointers: the payload is the structural encoding and the inbox is
+//     decoded from the delivered bytes, every pointer in it freshly
+//     allocated by the decoder.
+//  3. Anything else — the engines' wrapper structs around rows, string
+//     keys, provenance annotations: the same payload still crosses the
+//     socket, so frames, unit and byte counts and peer statistics are
+//     those of cases 1 and 2, but it is opaque. The receiver only compares
+//     the delivered bytes with the message it sent and takes the elements
+//     from the outbox, which the barrier holds for the whole round, by a
+//     typed append. No pointer-bearing value is ever rebuilt from bytes.
 
 // WireMsg is one source→destination message of an exchange round in
 // encoded form: its endpoints, its metered size in model units, and its
 // payload bytes. Payload is opaque to the transport; only the execution
-// that produced it decodes it (see the raw element codec below).
+// that produced it decodes or compares it.
 type WireMsg struct {
 	From, To int
 	Units    int
@@ -79,27 +102,29 @@ type WireInbox struct {
 // ColumnarWire is the structural payload seam: an element type that
 // implements it supplies its own wire codec, and every exchange of that
 // type over a Wire ships the structural encoding instead of the raw
-// memory snapshot below. relation.Row implements it (columnar,
-// dictionary-encoded value columns), as do the routers' tagged-row types;
-// the interface lives here, satisfied structurally, so element packages
-// need not import mpc.
+// memory image. relation.Row implements it (columnar, dictionary-encoded
+// value columns), as does the two-relation routers' SidedRow; the
+// interface lives here, satisfied structurally, so element packages need
+// not import mpc.
 //
 // Contract: DecodeWireColumns(nil, units, AppendWireColumns(nil, msg))
 // must reproduce msg for any msg with len(msg) == units, consuming the
 // whole payload; decode errors must be returned, never panics (a
-// malformed segment aborts the execution cleanly). Both methods are
+// malformed segment aborts the execution cleanly). The methods are
 // invoked on the zero value of T and must not depend on the receiver.
 // The codec sees one message at a time — per-message state like
 // dictionaries is self-contained — so frames stay opaque to transport
 // peers, the frame format is unchanged (Version 1 interops), and Units,
 // Stats and traces are byte-count-independent of the payload encoding.
 //
-// The raw snapshot's pinning rule still applies to any pointer-carrying
-// bytes a codec copies (relation's weight bytes): exchangeWire KeepAlives
-// the outboxes until decode completes.
+// WireImageType names the one type whose values the codec carries as a
+// memory image instead of rebuilding them (nil when there is none).
+// DecodeWireColumns is only ever invoked when that type holds no pointers;
+// otherwise the payload is compared, not decoded (case 3 above).
 type ColumnarWire[T any] interface {
 	AppendWireColumns(dst []byte, msg []T) []byte
 	DecodeWireColumns(dst []T, units int, payload []byte) ([]T, error)
+	WireImageType() reflect.Type
 }
 
 // Wire executes exchange barriers on a transport backend. Implementations
@@ -128,14 +153,6 @@ func (ex *Exec) WithWire(w Wire) *Exec {
 	return &cp
 }
 
-// Wire returns the scope's transport wire (nil on the in-process path).
-func (ex *Exec) Wire() Wire {
-	if ex == nil {
-		return nil
-	}
-	return ex.wire
-}
-
 // nextWireSeq claims the next exchange index for wire framing.
 func (ex *Exec) nextWireSeq() int64 { return ex.wireSeq.Add(1) }
 
@@ -146,54 +163,104 @@ func wireError(err error) {
 	panic(canceled{fmt.Errorf("mpc: transport: %w", err)})
 }
 
-// exchangeWire runs one attempt of one exchange barrier over the scope's
-// wire: encode the outboxes into counted frames, let the transport
-// deliver and assemble them (executing the attempt's fault directives),
-// and decode the returned inbox. The caller owns detection: it compares
-// recv against its pre-round manifest exactly as on the in-process path.
-//
-// crash and drop are the attempt's fault directives (-1 when fault-free);
-// drop indexes the round's non-empty messages in ascending (src, dst)
-// order, matching the manifest order exchangeFaulty builds.
-func exchangeWire[T any](ex *Exec, seq int64, attempt, pDst int, out [][][]T, crash, drop int) (shards [][]T, recv []int64, lost int64) {
-	var zero T
-	cw, columnar := any(zero).(ColumnarWire[T])
+// wireRebuild memoizes wireCodecOf's per-type decision (reflect.Type →
+// bool); it is a pure function of the type.
+var wireRebuild sync.Map
 
-	r := &WireRound{
-		Seq: seq, Attempt: attempt,
-		PSrc: len(out), PDst: pDst,
-		Crash: crash, Drop: drop,
+// wireCodecOf is the only gate in front of appendRaw and DecodeWireColumns:
+// it reports T's structural codec (nil when T has none) and whether an
+// inbox of T may be rebuilt from delivered bytes — cases 1 and 2 of the
+// rule in the file header — or must be taken from the outbox (case 3).
+func wireCodecOf[T any]() (cw ColumnarWire[T], rebuild bool) {
+	var zero T
+	cw, _ = any(zero).(ColumnarWire[T])
+	t := reflect.TypeFor[T]()
+	if v, ok := wireRebuild.Load(t); ok {
+		return cw, v.(bool)
 	}
+	image := t
+	if cw != nil {
+		image = cw.WireImageType()
+	}
+	rebuild = image == nil || pointerFree(image)
+	wireRebuild.Store(t, rebuild)
+	return cw, rebuild
+}
+
+// pointerFree reports whether values of type t hold no pointers, so that
+// their memory image is the whole value.
+func pointerFree(t reflect.Type) bool {
+	switch k := t.Kind(); {
+	case k >= reflect.Bool && k <= reflect.Complex128: // the scalar kinds
+		return true
+	case k == reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case k == reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// roundMessages lists a round's non-empty messages in ascending (src, dst)
+// order — the one order drop indices, wire frames and inbox assembly
+// share — with payloads from encode (nil leaves them empty).
+func roundMessages[T any](out [][][]T, encode func(m []T) []byte) []WireMsg {
+	var msgs []WireMsg
 	for src := range out {
 		for dst, m := range out[src] {
 			if len(m) == 0 {
 				continue
 			}
-			var payload []byte
-			if columnar {
-				payload = cw.AppendWireColumns(nil, m)
-			} else {
-				payload = rawBytes(m)
+			msg := WireMsg{From: src, To: dst, Units: len(m)}
+			if encode != nil {
+				msg.Payload = encode(m)
 			}
-			r.Msgs = append(r.Msgs, WireMsg{From: src, To: dst, Units: len(m), Payload: payload})
+			msgs = append(msgs, msg)
 		}
 	}
+	return msgs
+}
 
-	ex.checkpoint()
+// carryWire is the transport carrier: one attempt of one exchange barrier
+// over the scope's wire. It encodes the outboxes into counted frames, lets
+// the transport deliver and assemble them — executing the attempt's fault
+// directives physically: the dropped message, an index into the round's
+// non-empty messages in ascending (src, dst) order, is elided before it is
+// written to a socket, and a crashed destination's assembled inbox is
+// discarded peer-side — and takes the inboxes from what came back. The
+// outboxes are never mutated, so a retry re-encodes from them.
+func carryWire[T any](ex *Exec, seq int64, attempt, pDst int, out [][][]T, inj injection) (shards [][]T, recv []int64, lost int64) {
+	cw, rebuild := wireCodecOf[T]()
+
+	r := &WireRound{
+		Seq: seq, Attempt: attempt,
+		PSrc: len(out), PDst: pDst,
+		Crash: inj.crash, Drop: inj.dropIdx,
+		Msgs: roundMessages(out, func(m []T) []byte {
+			if cw != nil {
+				return cw.AppendWireColumns(nil, m)
+			}
+			return rawBytes(m)
+		}),
+	}
+
 	in, err := ex.wire.ExchangeRound(ex.Context(), r)
 	if err != nil {
-		if ctx := ex.Context(); ctx != nil && ctx.Err() != nil {
-			panic(canceled{ctx.Err()})
-		}
+		ex.checkpoint() // a cancelled round is a cancellation, not a transport failure
 		wireError(err)
 	}
 	if len(in.Recv) != pDst || len(in.Segs) != pDst {
 		wireError(fmt.Errorf("inbox shape %d/%d destinations, want %d", len(in.Recv), len(in.Segs), pDst))
 	}
 
-	// Decode per destination on the scope's runtime (destinations are
-	// independent, exactly like in-process assembly); a malformed segment
-	// aborts via the sentinel, which ForEachShard re-propagates.
+	// Destinations are independent, exactly like in-process assembly, so
+	// they are taken on the scope's runtime; a malformed segment aborts via
+	// the sentinel, which ForEachShard re-propagates.
 	shards = make([][]T, pDst)
 	ex.ForEachShard(pDst, func(dst int) {
 		segs := in.Segs[dst]
@@ -211,63 +278,40 @@ func exchangeWire[T any](ex *Exec, seq int64, attempt, pDst int, out [][][]T, cr
 				wireError(fmt.Errorf("destination %d segments out of source order (%d after %d)", dst, sg.From, prev))
 			}
 			prev = sg.From
-			var dec []T
 			var err error
-			if columnar {
-				dec, err = cw.DecodeWireColumns(inbox, sg.Units, sg.Payload)
-			} else {
-				dec, err = appendRaw(inbox, sg.Units, sg.Payload)
+			switch {
+			case !rebuild:
+				i, sent := slices.BinarySearchFunc(r.Msgs, sg.From, func(m WireMsg, from int) int {
+					return cmp.Or(cmp.Compare(m.From, from), cmp.Compare(m.To, dst))
+				})
+				if sent && sg.Units == r.Msgs[i].Units && bytes.Equal(sg.Payload, r.Msgs[i].Payload) {
+					inbox = append(inbox, out[sg.From][dst]...)
+				} else {
+					err = fmt.Errorf("delivered %d units that are not the message sent", sg.Units)
+				}
+			case cw != nil:
+				inbox, err = cw.DecodeWireColumns(inbox, sg.Units, sg.Payload)
+			default:
+				inbox, err = appendRaw(inbox, sg.Units, sg.Payload)
 			}
 			if err != nil {
 				wireError(fmt.Errorf("destination %d segment from %d: %w", dst, sg.From, err))
 			}
-			inbox = dec
 		}
 		if int64(total) != in.Recv[dst] {
 			wireError(fmt.Errorf("destination %d decoded %d units but transport counted %d", dst, total, in.Recv[dst]))
 		}
 		shards[dst] = inbox
 	})
-
-	// The typed outboxes must stay reachable until decoding has finished:
-	// payloads round-trip through untyped buffers (sockets, frame codecs)
-	// the garbage collector does not trace, and the raw element codec is
-	// only sound while the originals pin every object the snapshot bytes
-	// reference (see rawBytes).
-	stdruntime.KeepAlive(out)
 	return shards, in.Recv, in.Lost
 }
 
-// ---------------------------------------------------------------------------
-// Raw element codec
-// ---------------------------------------------------------------------------
-
-// The payload codec is a process-faithful raw snapshot: the bytes of a
-// message are the memory of its []T elements (the PR 2 outboxes carve
-// all rows of a source from one backing buffer, so a message is one
-// contiguous span — it serializes with a single copy, and its byte count
-// is exactly the Units × sizeof(element) the tracer already reports as
-// Bytes). Decoding copies the bytes into a freshly allocated []T, which
-// reproduces the shallow-copy semantics of in-process assembly exactly:
-// elements whose fields reference heap objects (row value slices,
-// provenance strings) come back referencing the same objects, just as
-// `append(inbox, msg...)` would.
-//
-// That makes the codec valid only where encode and decode happen in the
-// process that owns the execution — which is precisely the delegated-
-// exchange architecture: transport peers assemble and count frames but
-// never interpret payloads. Two obligations follow, both enforced here:
-// the encoder's originals must outlive decoding (exchangeWire pins them
-// with KeepAlive, because address bytes inside untyped buffers don't
-// keep their objects alive), and decode must write into typed memory
-// allocated as []T (never reinterpret a raw []byte as elements), so GC
-// metadata and alignment are always those of a real []T allocation. A
-// cross-process data plane needs a structural codec instead; the
-// columnar relation layout on the roadmap is the natural carrier.
-
-// rawBytes returns the raw memory of xs as a byte slice aliasing xs (no
-// copy). The view keeps the backing allocation reachable, but copies of
-// these bytes do not — callers that buffer them must pin xs separately.
+// rawBytes returns the memory of xs as a byte slice aliasing xs (no copy):
+// the PR 2 outboxes carve all rows of a source from one backing buffer, so
+// a message is one contiguous span and its byte count is exactly the
+// Units × sizeof(element) the tracer reports as Bytes. For a pointer-free
+// element type these bytes are the message; for any other they are an
+// opaque image that only ever gets compared (see the file header).
 func rawBytes[T any](xs []T) []byte {
 	if len(xs) == 0 {
 		return nil
@@ -279,9 +323,10 @@ func rawBytes[T any](xs []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), uintptr(len(xs))*sz)
 }
 
-// appendRaw decodes units elements from payload onto dst. The payload
-// length must be exactly units × sizeof(T); the bytes are copied into
-// dst's typed backing, never aliased.
+// appendRaw decodes units elements of a pointer-free T (wireCodecOf is the
+// gate) from payload onto dst. The payload length must be exactly
+// units × sizeof(T); the bytes are copied into dst's typed backing, never
+// aliased, so alignment is always that of a real []T allocation.
 func appendRaw[T any](dst []T, units int, payload []byte) ([]T, error) {
 	if units < 0 {
 		return dst, fmt.Errorf("negative unit count %d", units)

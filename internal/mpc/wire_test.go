@@ -1,20 +1,27 @@
 package mpc
 
-// wire_test.go covers the mpc-side wire seam with an in-memory fake:
-// round numbering, the raw element codec, and the abort paths for a
-// misbehaving transport. End-to-end TCP behavior lives in
-// internal/transport's tests.
+// wire_test.go covers the mpc-side wire carrier with an in-memory fake:
+// round numbering, the per-type codec gate, the raw element codec, and the
+// abort paths for a misbehaving transport. End-to-end TCP behavior lives
+// in internal/transport's tests.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
+
+	"mpcjoin/internal/relation"
+	"mpcjoin/internal/semiring"
 )
 
 // loopWire is a correct in-memory Wire: it assembles inboxes exactly as
 // the in-process Exchange would, honoring drop and crash directives, and
-// records the rounds it carried.
+// records the rounds it carried. Like a socket it delivers a copy of every
+// payload in untyped memory — a wire that aliased the outboxes would keep
+// their objects reachable and hide any decode that rebuilds pointers from
+// bytes.
 type loopWire struct {
 	rounds []WireRound
 	closed bool
@@ -24,11 +31,15 @@ func (w *loopWire) Close() error { w.closed = true; return nil }
 
 func (w *loopWire) ExchangeRound(_ context.Context, r *WireRound) (*WireInbox, error) {
 	cp := *r
-	cp.Msgs = append([]WireMsg(nil), r.Msgs...)
+	cp.Msgs = make([]WireMsg, len(r.Msgs))
+	for i, m := range r.Msgs {
+		m.Payload = bytes.Clone(m.Payload)
+		cp.Msgs[i] = m
+	}
 	w.rounds = append(w.rounds, cp)
 
 	in := &WireInbox{Segs: make([][]WireMsg, r.PDst), Recv: make([]int64, r.PDst)}
-	for i, m := range r.Msgs {
+	for i, m := range cp.Msgs {
 		if i == r.Drop {
 			continue
 		}
@@ -116,19 +127,38 @@ func (w *shortWire) ExchangeRound(ctx context.Context, r *WireRound) (*WireInbox
 	return in, nil
 }
 
+// TestWireShortDeliveryAborts pins the short-delivery exits of the barrier
+// loop: without a plane nothing can retry, so it is a transport error;
+// under a plane it is a detected drop, retried up to the budget and then
+// the typed budget error.
 func TestWireShortDeliveryAborts(t *testing.T) {
-	var err error
-	func() {
-		defer Recover(&err)
-		ex := NewExec(context.Background(), 1).WithWire(&shortWire{})
-		pt := DistributeIn(ex, []int64{1, 2, 3, 4, 5, 6, 7, 8}, 4)
-		Route(pt, func(_ int, x int64) int { return int(x) % 4 })
-	}()
-	if err == nil {
-		t.Fatal("short delivery went undetected")
+	cases := map[string]struct {
+		spec     *FaultSpec
+		attempts int // 0 = transport error
+	}{
+		"no-plane":   {nil, 0},
+		"no-retries": {&FaultSpec{Seed: 1, StragglerProb: 1, MaxRetries: -1}, 1},
+		"retries-2":  {&FaultSpec{Seed: 1, StragglerProb: 1, MaxRetries: 2}, 3},
 	}
-	if !strings.Contains(err.Error(), "transport") {
-		t.Fatalf("err = %v, want a transport error", err)
+	for name, tc := range cases {
+		var err error
+		func() {
+			defer Recover(&err)
+			ex, _ := execWith(1, tc.spec)
+			pt := DistributeIn(ex.WithWire(&shortWire{}), []int64{1, 2, 3, 4, 5, 6, 7, 8}, 4)
+			Route(pt, func(_ int, x int64) int { return int(x) % 4 })
+		}()
+		var fbe *FaultBudgetError
+		switch {
+		case err == nil:
+			t.Errorf("%s: short delivery went undetected", name)
+		case tc.attempts == 0:
+			if errors.As(err, &fbe) || !strings.Contains(err.Error(), "transport") {
+				t.Errorf("%s: err = %v, want a transport error", name, err)
+			}
+		case !errors.As(err, &fbe) || fbe.Attempts != tc.attempts || fbe.Kind != "drop" || fbe.Round != 1:
+			t.Errorf("%s: err = %v, want a drop budget error after %d attempts of round 1", name, err, tc.attempts)
+		}
 	}
 }
 
@@ -150,6 +180,61 @@ func TestWireErrorSurfacesAtRoot(t *testing.T) {
 	}()
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want the wire's error", err)
+	}
+}
+
+// wireGate is wireCodecOf's decision for one element type: whether the
+// payload is the structural encoding, and whether the inbox is rebuilt
+// from the delivered bytes.
+type wireGate struct{ columnar, rebuild bool }
+
+func gateOf[T any]() wireGate {
+	cw, rebuild := wireCodecOf[T]()
+	return wireGate{cw != nil, rebuild}
+}
+
+// TestWireCodecGate pins the per-type decision that is the only gate in
+// front of appendRaw and the structural decoders (relation's weight bytes
+// included): an element type holding a pointer anywhere a decoder would
+// copy it from bytes must never be rebuilt.
+func TestWireCodecGate(t *testing.T) {
+	type row = relation.Row[int64]
+	var (
+		raw      = wireGate{columnar: false, rebuild: true}
+		columnar = wireGate{columnar: true, rebuild: true}
+		opaque   = wireGate{columnar: false, rebuild: false}
+		opaqueCW = wireGate{columnar: true, rebuild: false}
+	)
+	cases := []struct {
+		name      string
+		got, want wireGate
+	}{
+		{"int64", gateOf[int64](), raw},
+		{"pair", gateOf[pair](), raw},
+		{"struct{}", gateOf[struct{}](), raw},
+		{"[3]pair", gateOf[[3]pair](), raw},
+		{"KeyCount[int64]", gateOf[KeyCount[int64]](), raw},
+		{"Row[int64]", gateOf[row](), columnar},
+		{"Row[struct{}]", gateOf[relation.Row[struct{}]](), columnar},
+		{"SidedRow[bool]", gateOf[relation.SidedRow[bool]](), columnar},
+		{"Row[Provenance]", gateOf[relation.Row[semiring.Provenance]](), opaqueCW},
+		{"SidedRow[Provenance]", gateOf[relation.SidedRow[semiring.Provenance]](), opaqueCW},
+		{"gcElem", gateOf[gcElem](), opaque},
+		{"string", gateOf[string](), opaque},
+		{"*int64", gateOf[*int64](), opaque},
+		{"any", gateOf[any](), opaque},
+		{"[2]string", gateOf[[2]string](), opaque},
+		{"tagged[Row[int64]]", gateOf[tagged[row]](), opaque},
+		{"KeyCount[string]", gateOf[KeyCount[string]](), opaque},
+		{"struct with a func", gateOf[struct {
+			A int64
+			F func()
+		}](), opaque},
+	}
+	for _, tc := range cases {
+		if tc.got != tc.want {
+			t.Errorf("%s: gate %+v, want %+v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

@@ -3,27 +3,29 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"unsafe"
 )
 
 // colwire.go is the structural columnar payload codec for wire exchanges
-// of rows. The simulator's default wire payload is a raw memory snapshot
-// of the element slice (see internal/mpc's raw element codec): correct,
-// one memcpy, but process-bound — a Row's bytes are a slice header whose
-// pointer only means something in the encoding process. This codec ships
-// the row *contents* as columns instead: per attribute one dictionary (in
-// first-seen order) plus one uint32 code per row — or the plain values
-// when a message's column has few repeats — then the weight column. That
-// is both smaller on the wire for the key-repetitive messages join
-// workloads exchange, and the carrier a future cross-process data plane
-// needs, since no pointers cross.
+// of rows. The simulator's default wire payload is a raw memory image of
+// the element slice (see internal/mpc/wire.go): one memcpy, but a Row's
+// bytes are a slice header whose pointer means nothing once it has been
+// through a socket. This codec ships the row *contents* as columns
+// instead: per attribute one dictionary (in first-seen order) plus one
+// uint32 code per row — or the plain values when a message's column has
+// few repeats — then the weight column. That is both smaller on the wire
+// for the key-repetitive messages join workloads exchange, and lets the
+// receiver rebuild every value vector in memory it allocated itself.
 //
-// Weight bytes are still a raw memory copy of each W: the codec's
-// structural guarantee covers the relational payload (values), while
-// annotations keep the in-process shallow-copy semantics of the raw codec
-// — including its pinning obligation (the encoder's originals must stay
-// reachable until decode; mpc's exchangeWire KeepAlives them). A W that
-// itself contains pointers is exactly as portable as it was before.
+// The weight section is structural only for a pointer-free W: weight bytes
+// are the memory image of each W, which is the whole value of an int64, a
+// bool or a float but only addresses for a provenance set. WireImageType
+// tells mpc so, and mpc — which decides once per element type — decodes
+// this format only when W holds no pointers; for any other W the payload
+// still crosses the wire but is compared with what was sent, never decoded
+// (mpc/wire.go, case 3). DecodeRowColumns must not be called with a
+// pointer-bearing W.
 //
 // Wire format of one message of n rows (all integers little-endian):
 //
@@ -229,6 +231,10 @@ func (Row[W]) AppendWireColumns(dst []byte, msg []Row[W]) []byte {
 	return AppendRowColumns(dst, msg)
 }
 
+// WireImageType implements the ColumnarWire seam: the annotation is the
+// one part of a row the codec carries as a memory image.
+func (Row[W]) WireImageType() reflect.Type { return reflect.TypeFor[W]() }
+
 // DecodeWireColumns is the decoding half of the ColumnarWire seam. The
 // whole payload must be consumed.
 func (Row[W]) DecodeWireColumns(dst []Row[W], units int, payload []byte) ([]Row[W], error) {
@@ -260,6 +266,9 @@ type SidedRow[W any] struct {
 func (SidedRow[W]) AppendWireColumns(dst []byte, msg []SidedRow[W]) []byte {
 	return AppendSidedRowColumns(dst, msg)
 }
+
+// WireImageType implements the ColumnarWire seam, as for Row.
+func (SidedRow[W]) WireImageType() reflect.Type { return reflect.TypeFor[W]() }
 
 // DecodeWireColumns is the decoding half of the ColumnarWire seam.
 func (SidedRow[W]) DecodeWireColumns(dst []SidedRow[W], units int, payload []byte) ([]SidedRow[W], error) {
@@ -352,7 +361,7 @@ func DecodeSidedRowColumns[W any](dst []SidedRow[W], units int, payload []byte) 
 // Weight bytes
 // ---------------------------------------------------------------------------
 
-// appendWeightBytes appends the raw memory of every row's annotation.
+// appendWeightBytes appends the memory image of every row's annotation.
 func appendWeightBytes[W any](dst []byte, rows []Row[W]) []byte {
 	var zero W
 	sz := int(unsafe.Sizeof(zero))
@@ -365,8 +374,9 @@ func appendWeightBytes[W any](dst []byte, rows []Row[W]) []byte {
 	return dst
 }
 
-// decodeWeightBytes fills the annotations of out from the raw weight
-// section at the front of p, returning the remainder.
+// decodeWeightBytes fills the annotations of out from the weight section
+// at the front of p, returning the remainder. W must be pointer-free (see
+// the file header): the bytes are copied into typed memory as they are.
 func decodeWeightBytes[W any](out []Row[W], p []byte) ([]byte, error) {
 	var zero W
 	sz := int(unsafe.Sizeof(zero))

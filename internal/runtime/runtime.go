@@ -8,7 +8,7 @@
 // round, the p simulated servers are independent by definition: each
 // reads only its own shard (plus read-only broadcast state) and writes
 // only its own outputs. ForEachShard maps that independence onto real
-// parallelism. Exchange is the one primitive where servers' outputs
+// parallelism. ExchangeCtx is the one primitive where servers' outputs
 // meet; there, each *destination* server owns its inbox — one worker
 // assembles shard dst by concatenating the messages out[0][dst],
 // out[1][dst], ... in ascending source order, so no two workers ever
@@ -31,7 +31,7 @@ import (
 )
 
 // Runtime executes per-shard work on up to workers concurrent OS
-// workers. The zero value is not valid; use New, Default or Serial.
+// workers. The zero value is not valid; use New or Serial.
 type Runtime struct {
 	workers int
 }
@@ -39,8 +39,8 @@ type Runtime struct {
 var serial = &Runtime{workers: 1}
 
 // New returns a Runtime with the given worker count. workers <= 0
-// selects GOMAXPROCS (the Default sizing); workers == 1 is equivalent
-// to Serial.
+// selects GOMAXPROCS — one worker per available CPU, the right sizing
+// because shard work is CPU-bound; workers == 1 is equivalent to Serial.
 func New(workers int) *Runtime {
 	if workers <= 0 {
 		workers = stdruntime.GOMAXPROCS(0)
@@ -51,12 +51,8 @@ func New(workers int) *Runtime {
 	return &Runtime{workers: workers}
 }
 
-// Default returns a Runtime sized to GOMAXPROCS — one worker per
-// available CPU, the right default because shard work is CPU-bound.
-func Default() *Runtime { return New(0) }
-
 // Serial returns the single-worker Runtime: every ForEachShard and
-// Exchange runs inline on the calling goroutine, with no goroutines
+// ExchangeCtx runs inline on the calling goroutine, with no goroutines
 // forked. It is the escape hatch for debugging and the reference
 // semantics the concurrent paths must reproduce exactly.
 func Serial() *Runtime { return serial }
@@ -231,7 +227,7 @@ func (rt *Runtime) forEachShard(ctx context.Context, n int, scratch bool, fn fun
 	return nil
 }
 
-// Exchange assembles the inboxes of one simulated communication round:
+// ExchangeCtx assembles the inboxes of one simulated communication round:
 // out[src][dst] is the message source server src sends to destination
 // dst, and shard dst of the result is the concatenation of
 // out[0][dst], out[1][dst], ... in ascending src order (message order
@@ -242,24 +238,20 @@ func (rt *Runtime) forEachShard(ctx context.Context, n int, scratch bool, fn fun
 //
 // recv[dst] is the number of units destination dst received. It is
 // written once per destination before the join barrier and read by the
-// caller only after Exchange returns, making the metering aggregation
+// caller only after ExchangeCtx returns, making the metering aggregation
 // (max → MaxLoad, sum → TotalComm) independent of scheduling.
 //
 // A nil (or empty) out[src] row means source src sends nothing this
 // round; sparse senders (coordinator fan-outs, boundary fix-ups) use
 // this to avoid materializing p empty destination rows per silent
-// source. Exchange validates only pDst-conformance of out's rows that
+// source. ExchangeCtx validates only pDst-conformance of out's rows that
 // it touches; callers perform shape validation (with their own panic
 // messages) before calling.
-func Exchange[T any](rt *Runtime, pDst int, out [][][]T) (shards [][]T, recv []int64) {
-	shards, recv, _ = ExchangeCtx[T](nil, rt, pDst, out)
-	return shards, recv
-}
-
-// ExchangeCtx is Exchange with cooperative cancellation (the semantics of
-// ForEachShardCtx): on cancellation the partially assembled shards are
-// abandoned and ctx.Err() is returned; the caller must not use them. This
-// is the round barrier a cancelled query stops at.
+//
+// Cancellation is cooperative (the semantics of ForEachShardCtx; a nil
+// ctx is never cancelled): on cancellation the partially assembled shards
+// are abandoned and ctx.Err() is returned; the caller must not use them.
+// This is the round barrier a cancelled query stops at.
 func ExchangeCtx[T any](ctx context.Context, rt *Runtime, pDst int, out [][][]T) (shards [][]T, recv []int64, err error) {
 	shards = make([][]T, pDst)
 	recv = make([]int64, pDst)

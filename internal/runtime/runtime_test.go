@@ -14,9 +14,6 @@ func TestNewSizing(t *testing.T) {
 	if got := New(0).Workers(); got != stdruntime.GOMAXPROCS(0) {
 		t.Fatalf("New(0).Workers() = %d, want GOMAXPROCS", got)
 	}
-	if got := Default().Workers(); got != stdruntime.GOMAXPROCS(0) {
-		t.Fatalf("Default().Workers() = %d, want GOMAXPROCS", got)
-	}
 	if Serial().Workers() != 1 {
 		t.Fatal("Serial() must have exactly one worker")
 	}
@@ -69,7 +66,7 @@ func TestForEachShardPanicPropagation(t *testing.T) {
 	}
 }
 
-// serialExchange is the reference semantics Exchange must reproduce.
+// serialExchange is the reference semantics ExchangeCtx must reproduce.
 func serialExchange(pDst int, out [][][]int) ([][]int, []int64) {
 	shards := make([][]int, pDst)
 	recv := make([]int64, pDst)
@@ -106,7 +103,7 @@ func TestExchangeMatchesSerialReference(t *testing.T) {
 		}
 		wantShards, wantRecv := serialExchange(pDst, out)
 		for _, workers := range []int{1, 2, 8} {
-			gotShards, gotRecv := Exchange(New(workers), pDst, out)
+			gotShards, gotRecv, _ := ExchangeCtx(nil, New(workers), pDst, out)
 			for dst := 0; dst < pDst; dst++ {
 				if gotRecv[dst] != wantRecv[dst] {
 					t.Fatalf("workers=%d dst=%d recv=%d want %d", workers, dst, gotRecv[dst], wantRecv[dst])
@@ -127,7 +124,7 @@ func TestExchangeMatchesSerialReference(t *testing.T) {
 
 func TestExchangeEmptyInboxStaysNil(t *testing.T) {
 	out := [][][]int{{nil, {1}}, {nil, {2}}}
-	shards, recv := Exchange(New(4), 2, out)
+	shards, recv, _ := ExchangeCtx(nil, New(4), 2, out)
 	if shards[0] != nil || recv[0] != 0 {
 		t.Fatalf("empty inbox not nil: %v recv=%d", shards[0], recv[0])
 	}

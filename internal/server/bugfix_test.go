@@ -280,8 +280,8 @@ func TestQueryTrace(t *testing.T) {
 	}
 
 	type qr struct {
-		Rows   [][]any `json:"rows"`
-		Stats  struct {
+		Rows  [][]any `json:"rows"`
+		Stats struct {
 			Rounds  int   `json:"rounds"`
 			MaxLoad int64 `json:"max_load"`
 		} `json:"stats"`

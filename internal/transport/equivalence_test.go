@@ -11,6 +11,7 @@ package transport_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"mpcjoin/internal/core"
@@ -74,6 +75,11 @@ func assertTransportEquivalent[W any](t *testing.T, sr semiring.Semiring[W], q *
 	tcpOpts := base
 	tcpOpts.Tracer = mpc.NewTracer()
 	tcpOpts.Transport = transport.TCP(peers...)
+	// The TCP legs of both sweeps run with the collector going almost
+	// continuously, so an inbox holding a pointer the collector never saw
+	// — one rebuilt from bytes that crossed a socket — gets its referent
+	// freed within the run instead of once in a long while.
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
 	resT, stT, err := core.Execute(sr, q, inst, tcpOpts)
 	if err != nil {
 		t.Fatalf("tcp execute: %v", err)
@@ -95,7 +101,7 @@ func assertTransportEquivalent[W any](t *testing.T, sr semiring.Semiring[W], q *
 	}
 }
 
-// TestTransportEquivalence sweeps every query class × three semirings ×
+// TestTransportEquivalence sweeps every query class × four semirings ×
 // p ∈ {4, 16} over a 3-peer loopback cluster, comparing the TCP backend
 // against in-process execution. One cluster serves the whole sweep —
 // every execution dials its own connections, like coordinators sharing
@@ -134,6 +140,13 @@ func TestTransportEquivalence(t *testing.T) {
 				tropInst := mapAnnot(uni, func(w int64) int64 { return w })
 				assertTransportEquivalent[int64](t, semiring.MinPlus{}, qc.q, tropInst, p, peers)
 			})
+			// A pointer-bearing annotation inside a columnar Row: its
+			// payload crosses the wire but must never be decoded.
+			t.Run(qc.name+"/why-provenance/p="+itoa(p), func(t *testing.T) {
+				var id semiring.Witness
+				whyInst := mapAnnot(uni, func(int64) semiring.Provenance { id++; return semiring.Why(id) })
+				assertTransportEquivalent[semiring.Provenance](t, semiring.WhyProvenance{}, qc.q, whyInst, p, peers)
+			})
 		}
 	}
 }
@@ -168,6 +181,7 @@ func TestTransportEquivalenceUnderFaults(t *testing.T) {
 			tcpOpts := base
 			tcpOpts.Faults = mpc.NewFaultPlane(spec)
 			tcpOpts.Transport = transport.TCP(peers...)
+			defer debug.SetGCPercent(debug.SetGCPercent(1)) // as in assertTransportEquivalent
 			resT, stT, err := core.Execute[int64](semiring.IntSumProd{}, q, inst, tcpOpts)
 			if err != nil {
 				t.Fatalf("tcp faulted execute: %v", err)
