@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test bench-test race bench bench-smoke service-smoke service-bench cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
+.PHONY: ci vet build test bench-test bench-gate race bench service-smoke cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
 
 ci: vet build test bench-test race
 
@@ -31,15 +31,21 @@ bench-test:
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/mpc/... ./internal/core/... ./internal/server/... ./internal/serve/... ./internal/transport/... ./internal/spmv/...
 
+# One iteration of every Go benchmark in the repo with allocation counts —
+# cheap enough for CI, and enough to see an allocation regression in the
+# exchange/sort kernels. Numbers to compare across commits come from
+# bench/ (bench-gate below), not from here.
 bench:
-	$(GO) test -run NONE -bench . -benchtime 1x .
+	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./... | tee bench.txt
 
-# One iteration of every benchmark in the repo with allocation counts —
-# cheap enough for CI, and enough to catch an allocation regression in
-# the exchange/sort kernels (compare against BENCH_kernels.json).
-bench-smoke:
-	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./... | tee bench-smoke.txt
-	$(GO) test -run NONE -bench 'Kernel|RadixVsSortFunc' -benchtime 20x -benchmem ./internal/mpc/ | tee -a bench-smoke.txt
+# The benchmark gate: bench/run.sh on BASE and on this checkout, every
+# workload BENCHMARK.json lists, alternating which side goes first; fails
+# when a run is wrong or a deterministic metric (rounds_per_pass,
+# load_over_bound_max, alloc_mb_per_pass) is worse than BASE beyond its
+# BENCHMARK.json bound. Timing metrics are printed, not gated. ~5 min.
+#   make bench-gate BASE=origin/main
+bench-gate:
+	bash scripts/bench-gate.sh $(BASE)
 
 # End-to-end lane for the mpcd daemon: the test builds the binary with
 # -race, boots it on an ephemeral port, registers a dataset, queries it
@@ -48,13 +54,6 @@ bench-smoke:
 # JSON access log.
 service-smoke:
 	$(GO) test -run TestServiceSmoke -count=1 -v ./cmd/mpcd
-
-# Serving-plane benchmark lane: closed-loop load against an in-process
-# mpcd over real HTTP — cold/warm cache, registration churn, and a
-# two-tenant flood (see internal/servicebench). -quick keeps it CI-sized;
-# BENCH_service.json carries the per-scenario report for upload.
-service-bench:
-	$(GO) run ./cmd/mpcbench -service -quick -json BENCH_service.json
 
 # Iterated graph-analytics lane: generate a power-law graph through the
 # datagen CLI (exercising the graph generator end to end), then run the

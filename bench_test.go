@@ -163,9 +163,8 @@ func BenchmarkExecuteLine3(b *testing.B) {
 
 // BenchmarkMatMulKernel is the kernel-level wall-clock/allocation target
 // of the allocation-lean exchange/sort work: one p=16 matrix
-// multiplication over N = 16384 total tuples (8192 per relation), the
-// same shape as the BENCH_runtime.json matmul row. Run with -benchmem;
-// BENCH_kernels.json records before/after rows for it.
+// multiplication over N = 16384 total tuples (8192 per relation). Run
+// with -benchmem.
 func BenchmarkMatMulKernel(b *testing.B) {
 	q, data := buildMatMulData(8192, rand.New(rand.NewSource(5)))
 	b.ReportAllocs()

@@ -9,7 +9,7 @@
 //	mpcbench -list
 //	mpcbench -experiment all            # full-size run (minutes)
 //	mpcbench -experiment T1-MM-load,LB-Thm3 -quick
-//	mpcbench -experiment T1-MM-load -workers 8 -json BENCH_runtime.json
+//	mpcbench -experiment T1-MM-load -workers 8 -json rows.json
 //
 // -workers sizes the concurrent execution runtime (default: one worker
 // per CPU); it changes wall-clock time only — metered loads are identical
@@ -51,24 +51,15 @@
 // with allocation sites recorded); inspect with `go tool pprof`. See the
 // README's profiling quick-start.
 //
-// -service switches mpcbench from the paper experiments to the serving
-// plane: it boots an in-process mpcd server and drives it closed-loop
-// over real HTTP with Zipf-popular queries and a two-tenant flood (see
-// internal/servicebench), reporting per-scenario latency percentiles,
-// throughput, cache hit ratio and shed rate plus the derived
-// cache-speedup, register-churn and tenant-isolation figures:
-//
-//	mpcbench -service -json BENCH_service.json
-//	mpcbench -service -quick
-//
 // -graph selects only the iterated graph-analytics experiments — the
 // BFS/SSSP/PageRank drivers over a seeded power-law graph, checking each
 // driver iteration's max-load against the Table 1 matmul formula:
 //
 //	mpcbench -graph -quick -json BENCH_graph.json
 //
-// -quick shrinks the dataset and duration for a fast CI pass; -workers
-// sizes the closed-loop client pool and -seed the query generators.
+// The end-to-end benchmark of the whole stack — library, planner and the
+// serving plane over HTTP — is bench/ (see BENCHMARK.json), not this
+// command.
 //
 // Every experiment verifies its results against the distributed
 // Yannakakis baseline (or the sequential reference) as it runs; a
@@ -79,6 +70,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -86,44 +78,45 @@ import (
 	"time"
 
 	"mpcjoin/internal/experiments"
-	"mpcjoin/internal/servicebench"
 	"mpcjoin/internal/transport"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run holds main's body so deferred profile writers execute before the
-// process exits (os.Exit skips defers).
-func run() int {
+// run is main with its exit status returned — 2 for a bad invocation, 1
+// for a failed or mismatching experiment — so deferred profile writers
+// execute before the process exits (os.Exit skips defers).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		exper   = flag.String("experiment", "all", "comma-separated experiment ids, or 'all'")
-		quick   = flag.Bool("quick", false, "shrink instance sizes for a fast pass")
-		seed    = flag.Uint64("seed", 7, "randomness seed (runs are reproducible per seed)")
-		workers = flag.Int("workers", -1, "concurrent runtime workers (1 = serial, <=0 = one per CPU)")
-		jsonOut = flag.String("json", "", "write per-experiment benchmark rows as JSON to this file")
-		trace   = flag.Bool("trace", false, "record per-round load timelines in the -json rows")
-		explain = flag.Bool("explain", false, "record each benched run's executed cost-based plan in the -json rows")
-		faults  = flag.String("faults", "", "run benched engines under a deterministic fault schedule, e.g. crash=0.05,drop=0.05,straggler=0.2,retries=6")
-		trans   = flag.String("transport", "inproc", "exchange transport for benched engine runs: inproc or tcp")
-		tpeers  = flag.String("transport-peers", "", "comma-separated shuffle peer addresses for -transport tcp (default: boot 3 loopback peers in-process)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile (post-run snapshot) to this file")
-		service = flag.Bool("service", false, "benchmark the serving plane (cache, coalescing, tenant fairness) instead of the paper experiments")
-		graph   = flag.Bool("graph", false, "run only the iterated graph-analytics experiments (BFS/SSSP/PageRank per-iteration load sweep)")
+		list    = fs.Bool("list", false, "list experiment ids and exit")
+		exper   = fs.String("experiment", "all", "comma-separated experiment ids, or 'all'")
+		quick   = fs.Bool("quick", false, "shrink instance sizes for a fast pass")
+		seed    = fs.Uint64("seed", 7, "randomness seed (runs are reproducible per seed)")
+		workers = fs.Int("workers", -1, "concurrent runtime workers (1 = serial, <=0 = one per CPU)")
+		jsonOut = fs.String("json", "", "write per-experiment benchmark rows as JSON to this file")
+		trace   = fs.Bool("trace", false, "record per-round load timelines in the -json rows")
+		explain = fs.Bool("explain", false, "record each benched run's executed cost-based plan in the -json rows")
+		faults  = fs.String("faults", "", "run benched engines under a deterministic fault schedule, e.g. crash=0.05,drop=0.05,straggler=0.2,retries=6")
+		trans   = fs.String("transport", "inproc", "exchange transport for benched engine runs: inproc or tcp")
+		tpeers  = fs.String("transport-peers", "", "comma-separated shuffle peer addresses for -transport tcp (default: boot 3 loopback peers in-process)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile (post-run snapshot) to this file")
+		graph   = fs.Bool("graph", false, "run only the iterated graph-analytics experiments (BFS/SSSP/PageRank per-iteration load sweep)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: %v\n", err)
+			fmt.Fprintf(stderr, "mpcbench: %v\n", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: starting CPU profile: %v\n", err)
+			fmt.Fprintf(stderr, "mpcbench: starting CPU profile: %v\n", err)
 			return 1
 		}
 		defer func() {
@@ -135,26 +128,22 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mpcbench: %v\n", err)
+				fmt.Fprintf(stderr, "mpcbench: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the snapshot reflects retained memory
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "mpcbench: writing heap profile: %v\n", err)
+				fmt.Fprintf(stderr, "mpcbench: writing heap profile: %v\n", err)
 			}
 		}()
 	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
 		return 0
-	}
-
-	if *service {
-		return runService(*quick, *seed, *workers, *jsonOut)
 	}
 
 	var ids []string
@@ -169,7 +158,7 @@ func run() int {
 
 	faultSpec, err := experiments.ParseFaultSpec(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpcbench: %v\n", err)
+		fmt.Fprintf(stderr, "mpcbench: %v\n", err)
 		return 2
 	}
 
@@ -182,17 +171,17 @@ func run() int {
 			for i := 0; i < 3; i++ {
 				p, err := transport.ListenPeer("127.0.0.1:0")
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "mpcbench: booting loopback peer: %v\n", err)
+					fmt.Fprintf(stderr, "mpcbench: booting loopback peer: %v\n", err)
 					return 1
 				}
 				defer p.Close()
 				addrs = append(addrs, p.Addr())
 			}
-			fmt.Fprintf(os.Stderr, "mpcbench: exchanging over tcp via %d loopback shuffle peers\n", len(addrs))
+			fmt.Fprintf(stderr, "mpcbench: exchanging over tcp via %d loopback shuffle peers\n", len(addrs))
 		}
 		cfg.Transport = transport.TCP(addrs...)
 	default:
-		fmt.Fprintf(os.Stderr, "mpcbench: unknown -transport %q (want inproc or tcp)\n", *trans)
+		fmt.Fprintf(stderr, "mpcbench: unknown -transport %q (want inproc or tcp)\n", *trans)
 		return 2
 	}
 	failed := false
@@ -202,15 +191,15 @@ func run() int {
 		t0 := time.Now()
 		tab, err := experiments.Run(id, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: %v\n", err)
+			fmt.Fprintf(stderr, "mpcbench: %v\n", err)
 			failed = true
 			continue
 		}
 		out := tab.Format()
-		fmt.Println(out)
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintln(stdout, out)
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(t0).Round(time.Millisecond))
 		if strings.Contains(out, "MISMATCH") {
-			fmt.Fprintf(os.Stderr, "mpcbench: %s: verification MISMATCH\n", id)
+			fmt.Fprintf(stderr, "mpcbench: %s: verification MISMATCH\n", id)
 			failed = true
 		}
 		bench = append(bench, tab.Bench...)
@@ -224,57 +213,11 @@ func run() int {
 			err = os.WriteFile(*jsonOut, append(buf, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: writing %s: %v\n", *jsonOut, err)
+			fmt.Fprintf(stderr, "mpcbench: writing %s: %v\n", *jsonOut, err)
 			failed = true
 		}
 	}
 	if failed {
-		return 1
-	}
-	return 0
-}
-
-// runService runs the serving-plane benchmark (mpcbench -service) and
-// writes the report to jsonOut when given.
-func runService(quick bool, seed uint64, workers int, jsonOut string) int {
-	opts := servicebench.Options{Seed: int64(seed)}
-	if workers > 0 {
-		opts.Workers = workers
-	}
-	if quick {
-		// The CI smoke scale: small dataset, short windows. DatasetN must
-		// still make one execution cost tens of milliseconds, or the
-		// flood scenario cannot build admission pressure (see the
-		// servicebench smoke test).
-		opts.Duration = 400 * time.Millisecond
-		opts.Population = 16
-		opts.DatasetN = 1600
-		opts.DatasetDom = 40
-		if workers <= 0 {
-			opts.Workers = 4
-		}
-	}
-	rep, err := servicebench.Run(opts, func(format string, args ...any) {
-		fmt.Printf("mpcbench: service: "+format+"\n", args...)
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpcbench: service: %v\n", err)
-		return 1
-	}
-	fmt.Printf("mpcbench: service: cache p99 speedup %.1fx, qps gain %.1fx, churn failed %d, quiet p99 ratio %.2fx, flood shed rate %.2f\n",
-		rep.CacheP99SpeedupX, rep.CacheQPSGainX, rep.RegisterChurnFailed, rep.FloodQuietP99RatioX, rep.FloodShedRate)
-	if jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonOut, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcbench: writing %s: %v\n", jsonOut, err)
-			return 1
-		}
-	}
-	if rep.RegisterChurnFailed != 0 {
-		fmt.Fprintf(os.Stderr, "mpcbench: service: %d queries failed under registration churn (want 0)\n", rep.RegisterChurnFailed)
 		return 1
 	}
 	return 0

@@ -124,7 +124,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	query := func(base, body string) answer {
 		t.Helper()
-		code, out := post(base, "/v1/query", body)
+		code, out := post(base, "/v2/query", body)
 		if code != http.StatusOK {
 			t.Fatalf("query on %s: %d %s", base, code, out)
 		}
@@ -138,7 +138,7 @@ func TestClusterSmoke(t *testing.T) {
 	// One query per strategy; the TCP answer must be bit-identical to the
 	// in-process golden — rows and metered Stats.
 	for _, strat := range []string{"auto", "yannakakis", "tree"} {
-		body := fmt.Sprintf(`{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"strategy":%q,"workers":2,"seed":9}`, strat)
+		body := fmt.Sprintf(`{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"strategy":%q,"options":{"workers":2,"seed":9,"cache":"off"}}`, strat)
 		tcpAns := query(coord, body)
 		goldAns := query(golden, body)
 		if len(tcpAns.Rows) == 0 || tcpAns.Stats.Rounds == 0 {
@@ -175,7 +175,7 @@ func TestClusterSmoke(t *testing.T) {
 		if err := json.Unmarshal(out, &qr); err != nil {
 			t.Fatalf("faulted v2 query: %v", err)
 		}
-		goldAns := query(golden, `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"workers":2,"seed":9}`)
+		goldAns := query(golden, `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"options":{"workers":2,"seed":9,"cache":"off"}}`)
 		if fmt.Sprint(qr.Rows) != fmt.Sprint(goldAns.Rows) {
 			t.Fatalf("faulted tcp rows diverge from fault-free golden")
 		}

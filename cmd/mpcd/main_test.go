@@ -94,8 +94,8 @@ func TestServiceSmoke(t *testing.T) {
 	}
 	var rows []string
 	for _, strat := range []string{"auto", "yannakakis", "tree"} {
-		body := fmt.Sprintf(`{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"strategy":%q,"workers":2,"seed":9}`, strat)
-		code, out := post("/v1/query", body)
+		body := fmt.Sprintf(`{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"strategy":%q,"options":{"workers":2,"seed":9,"cache":"off"}}`, strat)
+		code, out := post("/v2/query", body)
 		if code != http.StatusOK {
 			t.Fatalf("query %s: %d %s", strat, code, out)
 		}
@@ -119,9 +119,9 @@ func TestServiceSmoke(t *testing.T) {
 		t.Fatalf("strategies disagree: %v", rows)
 	}
 
-	// The same query through /v2/query: knobs ride the options object,
-	// here with a fault schedule the retry plane must absorb — rows must
-	// match the v1 answers exactly and the response reports the faults.
+	// The same query with a fault schedule the retry plane must absorb —
+	// rows must match the fault-free answers exactly and the response
+	// reports the faults.
 	{
 		body := `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],` +
 			`"options":{"workers":2,"seed":9,"faults":{"crash_prob":0.1,"drop_prob":0.1,"max_retries":10}}}`
@@ -139,12 +139,12 @@ func TestServiceSmoke(t *testing.T) {
 			t.Fatalf("v2 query: %v", err)
 		}
 		if fmt.Sprint(qr.Rows) != rows[0] {
-			t.Fatalf("v2 rows diverge from v1: %v vs %v", qr.Rows, rows[0])
+			t.Fatalf("faulted rows diverge from fault-free: %v vs %v", qr.Rows, rows[0])
 		}
 		if qr.Faults.Injected == 0 {
 			t.Fatalf("v2 fault schedule injected nothing: %s", out)
 		}
-		// A flat v1 knob must be rejected by the v2 decoder with the
+		// An execution knob outside "options" must be rejected with the
 		// typed error envelope.
 		code, out = post("/v2/query", `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"}],"servers":4}`)
 		var env struct {
@@ -158,7 +158,7 @@ func TestServiceSmoke(t *testing.T) {
 		t.Logf("v2 ok (faults injected=%d, typed errors)", qr.Faults.Injected)
 	}
 
-	// Metrics reflect the completed queries (three v1 + one v2).
+	// Metrics reflect the completed queries (three strategies + one faulted).
 	mresp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestServiceSmoke(t *testing.T) {
 	// synchronized with the child) carries one structured line per query
 	// with tenant, cache and outcome fields.
 	logs := stderr.String()
-	for _, want := range []string{`"cache_hit":true`, `"tenant":"noisy"`, `"tenant":"quiet"`, `"cause":"queue_full"`, `"path":"/v1/query"`} {
+	for _, want := range []string{`"cache_hit":true`, `"tenant":"noisy"`, `"tenant":"quiet"`, `"cause":"queue_full"`, `"path":"/v2/query"`} {
 		if !strings.Contains(logs, want) {
 			t.Fatalf("access log missing %s:\n%s", want, logs)
 		}
@@ -372,8 +372,8 @@ func TestDrainCancelsInFlight(t *testing.T) {
 
 	// A query that will far outlive the 500ms drain window.
 	go func() {
-		body := `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"Big"},{"name":"R2","attrs":["B","C"],"dataset":"Big"}],"group_by":["A","C"]}`
-		resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(body))
+		body := `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"Big"},{"name":"R2","attrs":["B","C"],"dataset":"Big"}],"group_by":["A","C"],"options":{"cache":"off"}}`
+		resp, err := http.Post(base+"/v2/query", "application/json", strings.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
 		}

@@ -67,8 +67,8 @@ type Options struct {
 	// with the instance's sizes, and the min-predicted-load engine runs. A
 	// name forces that engine, which must be legal for the query's class:
 	// the boundcheck sweep forces each candidate this way, and the serving
-	// tier pins an execution to the engine it resolved when keying its
-	// result cache.
+	// tier runs every admitted query forced to the engine its own
+	// PlanInstance call resolved.
 	Engine string
 	// PlanOut, when non-nil, receives the executed plan: chosen engine,
 	// ranked candidates with predicted loads, the pre-pass predictions,

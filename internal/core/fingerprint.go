@@ -36,8 +36,7 @@ func (o Options) ResultFingerprint() uint64 {
 		}
 	}
 	put(uint64(o.Servers))
-	// The engine ("" = planner's choice) changes Stats and trace content
-	// (and, for auto-planned serving-tier queries, *is* the resolved plan),
+	// The engine ("" = planner's choice) changes Stats and trace content,
 	// so it is part of the result identity. PlanOut, like Tracer, is an
 	// observer and stays out.
 	putStr(o.Engine)

@@ -46,17 +46,6 @@ func InputSize[W any](inst Instance[W]) int {
 	return n
 }
 
-// MaxRelationSize returns max_e |R_e|.
-func MaxRelationSize[W any](inst Instance[W]) int {
-	m := 0
-	for _, r := range inst {
-		if r.Len() > m {
-			m = r.Len()
-		}
-	}
-	return m
-}
-
 // Clone deep-copies the instance.
 func Clone[W any](inst Instance[W]) Instance[W] {
 	out := make(Instance[W], len(inst))

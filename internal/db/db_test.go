@@ -58,9 +58,6 @@ func TestSizes(t *testing.T) {
 	if InputSize(i) != 3 {
 		t.Fatalf("InputSize = %d", InputSize(i))
 	}
-	if MaxRelationSize(i) != 2 {
-		t.Fatalf("MaxRelationSize = %d", MaxRelationSize(i))
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

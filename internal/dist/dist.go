@@ -24,17 +24,12 @@ type Rel[W any] struct {
 	Part   mpc.Part[relation.Row[W]]
 }
 
-// FromRelation distributes r evenly over p servers (the model's uncounted
-// initial placement). Shards are defensive copies; the caller keeps
-// ownership of r.
-func FromRelation[W any](r *relation.Relation[W], p int) Rel[W] {
-	return FromRelationIn(nil, r, p)
-}
-
-// FromRelationIn is FromRelation into an execution scope (possibly nil):
-// the placement stamps the scope onto the Part, and every Part derived
-// from it inherits the scope's runtime and cancellation context. This is
-// how core threads per-execution scoping under the engines.
+// FromRelationIn distributes r evenly over p servers (the model's
+// uncounted initial placement) into an execution scope (possibly nil).
+// Shards are defensive copies; the caller keeps ownership of r. The
+// placement stamps the scope onto the Part, and every Part derived from it
+// inherits the scope's runtime and cancellation context. This is how core
+// threads per-execution scoping under the engines.
 func FromRelationIn[W any](ex *mpc.Exec, r *relation.Relation[W], p int) Rel[W] {
 	return Rel[W]{
 		Schema: append([]Attr(nil), r.Schema()...),
@@ -128,13 +123,6 @@ func SharedAttrs[W any](r, s Rel[W]) []Attr {
 	return out
 }
 
-// ShardRel views server s's shard as a sequential relation (local compute).
-func ShardRel[W any](r Rel[W], s int) *relation.Relation[W] {
-	out := relation.New[W](r.Schema...)
-	out.Rows = r.Part.Shards[s]
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Distributed operators
 // ---------------------------------------------------------------------------
@@ -174,16 +162,6 @@ func Semijoin[W any](r, s Rel[W]) (Rel[W], mpc.Stats) {
 		panic("dist: Semijoin with no shared attributes")
 	}
 	filtered, st := mpc.SemijoinKeys(r.Part, s.Part, r.Key(shared...), s.Key(shared...))
-	return Rel[W]{Schema: r.Schema, Part: filtered}, st
-}
-
-// SemijoinValues filters r to rows whose attr value appears in the keys
-// Part (values need not be unique).
-func SemijoinValues[W any](r Rel[W], a Attr, keys mpc.Part[relation.Value]) (Rel[W], mpc.Stats) {
-	c := r.Cols(a)[0]
-	filtered, st := mpc.SemijoinKeys(r.Part, keys,
-		func(row relation.Row[W]) relation.Value { return row.Vals[c] },
-		func(v relation.Value) relation.Value { return v })
 	return Rel[W]{Schema: r.Schema, Part: filtered}, st
 }
 
@@ -296,19 +274,6 @@ func Reorder[W any](r Rel[W], schema []Attr) Rel[W] {
 		return relation.Row[W]{Vals: vals, W: row.W}
 	})
 	return Rel[W]{Schema: append([]Attr(nil), schema...), Part: part}
-}
-
-// Project drops columns without aggregation (local; duplicates remain).
-func Project[W any](r Rel[W], attrs ...Attr) Rel[W] {
-	idx := r.Cols(attrs...)
-	part := mpc.Map(r.Part, func(row relation.Row[W]) relation.Row[W] {
-		vals := make([]relation.Value, len(idx))
-		for i, c := range idx {
-			vals[i] = row.Vals[c]
-		}
-		return relation.Row[W]{Vals: vals, W: row.W}
-	})
-	return Rel[W]{Schema: append([]Attr(nil), attrs...), Part: part}
 }
 
 // Filter keeps rows satisfying pred (local, zero cost).

@@ -4,37 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/relation"
 )
-
-func TestSemijoinValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	r := randomRel(rng, []Attr{"A", "B"}, 200, 20)
-	d := FromRelation(r, 6)
-	keys := mpc.DistributeIn(nil, []relation.Value{3, 7, 11}, 6)
-	got, _ := SemijoinValues(d, "B", keys)
-	want := map[relation.Value]bool{3: true, 7: true, 11: true}
-	n := 0
-	for _, row := range r.Rows {
-		if want[row.Vals[1]] {
-			n++
-		}
-	}
-	if got.N() != n {
-		t.Fatalf("SemijoinValues kept %d rows, want %d", got.N(), n)
-	}
-	for _, row := range mpc.Collect(got.Part) {
-		if !want[row.Vals[1]] {
-			t.Fatalf("row %v should have been filtered", row.Vals)
-		}
-	}
-}
 
 func TestReshapeRel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	r := randomRel(rng, []Attr{"A", "B"}, 50, 5)
-	d := FromRelation(r, 12)
+	d := FromRelationIn(nil, r, 12)
 	narrow := Reshape(d, 3)
 	if narrow.P() != 3 || narrow.N() != 50 {
 		t.Fatalf("reshape wrong: P=%d N=%d", narrow.P(), narrow.N())
@@ -51,7 +27,7 @@ func TestProjectAggSingleColumnStability(t *testing.T) {
 	r.Append(1, -10, 1)
 	r.Append(2, -10, 2)
 	r.Append(5, 10, 1)
-	d := FromRelation(r, 4)
+	d := FromRelationIn(nil, r, 4)
 	got, _ := ProjectAgg[int64](intSR, d, "A")
 	want := relation.New[int64]("A")
 	want.Append(3, -10)
@@ -67,7 +43,7 @@ func TestUnionAggDifferentWidths(t *testing.T) {
 	b := relation.New[int64]("A")
 	b.Append(2, 5)
 	// Different virtual server counts (as after sub-allocations).
-	got, _ := UnionAgg[int64](intSR, FromRelation(a, 3), FromRelation(b, 11))
+	got, _ := UnionAgg[int64](intSR, FromRelationIn(nil, a, 3), FromRelationIn(nil, b, 11))
 	want := relation.New[int64]("A")
 	want.Append(3, 5)
 	if !relation.Equal[int64](intSR, intEq, ToRelation(got), want) {
@@ -81,6 +57,6 @@ func TestColsPanicsOnMissing(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	r := FromRelation(relation.New[int64]("A"), 2)
+	r := FromRelationIn(nil, relation.New[int64]("A"), 2)
 	r.Cols("Z")
 }

@@ -71,8 +71,8 @@ func TestMatMulOutAccuracy(t *testing.T) {
 	inst, q := buildMatMul(50, 40) // OUT = 2000
 	_ = q
 	const p = 8
-	r1 := dist.FromRelation(inst["R1"], p)
-	r2 := dist.FromRelation(inst["R2"], p)
+	r1 := dist.FromRelationIn(nil, inst["R1"], p)
+	r2 := dist.FromRelationIn(nil, inst["R2"], p)
 	ests, total, st := MatMulOut(r1, r2, a1, b1, c1, Params{Seed: 11})
 	if total < 1000 || total > 4000 {
 		t.Fatalf("OUT estimate %d too far from 2000", total)
@@ -111,7 +111,7 @@ func TestMatMulOutSharedColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	_, total, _ := MatMulOut(dist.FromRelation(r1, p), dist.FromRelation(r2, p), a1, b1, c1, Params{Seed: 5})
+	_, total, _ := MatMulOut(dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p), a1, b1, c1, Params{Seed: 5})
 	if float64(total) < 0.5*float64(wantOut) || float64(total) > 2*float64(wantOut) {
 		t.Fatalf("OUT estimate %d vs true %d", total, wantOut)
 	}
@@ -140,9 +140,9 @@ func TestLineOutLongerPath(t *testing.T) {
 	}
 	const p = 6
 	rels := []dist.Rel[int64]{
-		dist.FromRelation(red["R1"], p),
-		dist.FromRelation(red["R2"], p),
-		dist.FromRelation(red["R3"], p),
+		dist.FromRelationIn(nil, red["R1"], p),
+		dist.FromRelationIn(nil, red["R2"], p),
+		dist.FromRelationIn(nil, red["R3"], p),
 	}
 	_, total, _ := LineOut(rels, [][]dist.Attr{{"A1"}, {"A2"}, {"A3"}, {"A4"}}, Params{Seed: 9})
 	ratio := float64(total) / float64(wantOut)
@@ -161,7 +161,7 @@ func TestLineOutLinearLoad(t *testing.T) {
 		r1.Append(1, relation.Value(rng.Intn(n)), relation.Value(rng.Intn(200)))
 		r2.Append(1, relation.Value(rng.Intn(200)), relation.Value(rng.Intn(n)))
 	}
-	_, _, st := MatMulOut(dist.FromRelation(r1, p), dist.FromRelation(r2, p), a1, b1, c1, Params{Seed: 2})
+	_, _, st := MatMulOut(dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p), a1, b1, c1, Params{Seed: 2})
 	if st.MaxLoad > 8*(2*n)/p {
 		t.Fatalf("estimator load %d not linear (N/p = %d)", st.MaxLoad, 2*n/p)
 	}
@@ -187,7 +187,7 @@ func TestEstimateExactBelowK(t *testing.T) {
 	inst, _ := buildMatMul(10, 3) // per-a fanout 3 < K
 	const p = 4
 	ests, total, _ := MatMulOut(
-		dist.FromRelation(inst["R1"], p), dist.FromRelation(inst["R2"], p),
+		dist.FromRelationIn(nil, inst["R1"], p), dist.FromRelationIn(nil, inst["R2"], p),
 		a1, b1, c1, Params{Seed: 1})
 	if total != 30 {
 		t.Fatalf("exact regime estimate %d, want 30", total)

@@ -44,18 +44,13 @@ func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p Params
 	return total, f.st
 }
 
-// TreeOut approximates the aggregated output size OUT of a tree query: the
-// number of distinct output-attribute tuples in the join, every other
-// attribute projected away with its multiplicity absorbed into the ⊕
-// weight. It is the §2.2 sketch fold generalized from paths to trees, and
-// the usual KMV constant-factor estimate.
-func TreeOut[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p Params) (int64, mpc.Stats) {
-	out, _, _, st := TreeOutProfile(q, rels, p)
-	return out, st
-}
-
-// TreeOutProfile is TreeOut plus the fold profile an early-aggregating
-// (Yannakakis-style) execution would exhibit on the instance:
+// TreeOutProfile approximates the aggregated output size OUT of a tree
+// query — the number of distinct output-attribute tuples in the join, every
+// other attribute projected away with its multiplicity absorbed into the ⊕
+// weight; the §2.2 sketch fold generalized from paths to trees, and the
+// usual KMV constant-factor estimate — together with the fold profile an
+// early-aggregating (Yannakakis-style) execution would exhibit on the
+// instance:
 //
 //   - maxFold is the largest un-aggregated intermediate — for every edge,
 //     the size of the edge relation joined against the aggregated image of

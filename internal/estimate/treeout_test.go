@@ -80,9 +80,9 @@ func TestTreeOutProfileExactSmall(t *testing.T) {
 	}
 	const p = 4
 	rels := map[string]dist.Rel[int64]{
-		"R1": dist.FromRelation(inst["R1"], p),
-		"R2": dist.FromRelation(inst["R2"], p),
-		"R3": dist.FromRelation(inst["R3"], p),
+		"R1": dist.FromRelationIn(nil, inst["R1"], p),
+		"R2": dist.FromRelationIn(nil, inst["R2"], p),
+		"R3": dist.FromRelationIn(nil, inst["R3"], p),
 	}
 	out, maxFold, maxImage, _ := TreeOutProfile(q, rels, Params{Seed: 9})
 	if out != int64(wantOut) {
@@ -117,9 +117,9 @@ func TestTreeOutProfileAggregationShrinksImages(t *testing.T) {
 	inst["R2"] = r2
 	const p = 4
 	rels := map[string]dist.Rel[int64]{
-		"R1": dist.FromRelation(inst["R1"], p),
-		"R2": dist.FromRelation(inst["R2"], p),
-		"R3": dist.FromRelation(inst["R3"], p),
+		"R1": dist.FromRelationIn(nil, inst["R1"], p),
+		"R2": dist.FromRelationIn(nil, inst["R2"], p),
+		"R3": dist.FromRelationIn(nil, inst["R3"], p),
 	}
 	out, maxFold, maxImage, _ := TreeOutProfile(q, rels, Params{Seed: 9})
 	if out != 10 {

@@ -95,15 +95,6 @@ type class struct {
 	run   func(cfg Config, ex *mpc.Exec, p int) (measured, error)
 }
 
-// Classes lists the checked class names in sweep order.
-func Classes() []string {
-	names := make([]string, len(classes))
-	for i, c := range classes {
-		names[i] = c.name
-	}
-	return names
-}
-
 var classes = []class{
 	// Theorem 1 linear branch on the OUT ≤ N/p regime: O((N+OUT)/p).
 	{name: "matmul-linear", slack: 6, run: func(cfg Config, ex *mpc.Exec, p int) (measured, error) {

@@ -13,7 +13,7 @@ func TestBoundsHoldAcrossP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := len(Classes()) * 3
+	wantRows := len(classes) * 3
 	if len(results) != wantRows {
 		t.Fatalf("got %d results, want %d (classes × p values)", len(results), wantRows)
 	}

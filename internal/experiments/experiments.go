@@ -323,7 +323,7 @@ func run(id string, cfg Config) (Table, error) {
 	return Table{}, fmt.Errorf("experiments: unknown id %q", id)
 }
 
-// bothRun is runBoth's result: the full metered Stats of both engines, the
+// bothRun is runEngine's result: the full metered Stats of both engines, the
 // new engine's wall-clock time on the current runtime, the chosen engine,
 // whether the two answers agree, and (under Config.Trace) the new engine's
 // per-round load timeline.
@@ -337,20 +337,15 @@ type bothRun struct {
 	plan       *planner.Plan
 }
 
-// runBoth executes the query under the planner's auto choice and under the
-// baseline, verifying they agree. Under Config.Faults the new engine's run
-// carries a fresh fault plane while the baseline stays fault-free, so
-// verification doubles as a retry-transparency check: an absorbed schedule
-// must still agree with the undisturbed baseline. Config.Transport likewise
-// rides only the benched run; the baseline always exchanges in process.
-func runBoth(cfg Config, q *hypergraph.Query, inst db.Instance[int64], p int) bothRun {
-	return runEngine(cfg, q, inst, p, "")
-}
-
-// runEngine is runBoth with the benched run pinned to a specific engine
-// (empty = let the cost-based planner choose). Experiments that reproduce a
-// section's algorithm force its engine so the figure measures that engine
-// even when the planner would route the instance elsewhere.
+// runEngine executes the query under the given engine (empty = let the
+// cost-based planner choose) and under the baseline, verifying they agree.
+// Experiments that reproduce a section's algorithm force its engine so the
+// figure measures that engine even when the planner would route the
+// instance elsewhere. Under Config.Faults the benched run carries a fresh
+// fault plane while the baseline stays fault-free, so verification doubles
+// as a retry-transparency check: an absorbed schedule must still agree with
+// the undisturbed baseline. Config.Transport likewise rides only the
+// benched run; the baseline always exchanges in process.
 func runEngine(cfg Config, q *hypergraph.Query, inst db.Instance[int64], p int, engine string) bothRun {
 	var tr *mpc.Tracer
 	if cfg.Trace {

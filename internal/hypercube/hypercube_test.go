@@ -21,7 +21,7 @@ func intEq(a, b int64) bool { return a == b }
 func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]dist.Rel[int64] {
 	rels := make(map[string]dist.Rel[int64])
 	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelation(inst[e.Name], p)
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
 	}
 	return rels
 }

@@ -130,10 +130,6 @@ func (s Sketch) Estimate() float64 {
 	return float64(s.K-1) / vk
 }
 
-// IsExact reports whether Estimate is an exact distinct count (the sketch
-// never filled up).
-func (s Sketch) IsExact() bool { return len(s.Vals) < s.K }
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -32,7 +32,7 @@ func randomInstance(rng *rand.Rand, q *hypergraph.Query, n, dom int) db.Instance
 func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]dist.Rel[int64] {
 	rels := make(map[string]dist.Rel[int64])
 	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelation(inst[e.Name], p)
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
 	}
 	return rels
 }
@@ -155,7 +155,7 @@ func TestCompositeEndpoint(t *testing.T) {
 
 	const p = 5
 	rels := []dist.Rel[int64]{
-		dist.FromRelation(r1, p), dist.FromRelation(r2, p), dist.FromRelation(r3, p),
+		dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p), dist.FromRelationIn(nil, r3, p),
 	}
 	path := [][]dist.Attr{{"X1", "X2"}, {"A2"}, {"A3"}, {"A4"}}
 	got, _ := Run[int64](intSR, rels, path, Options{})
@@ -182,7 +182,7 @@ func TestTropicalShortestPath(t *testing.T) {
 	}
 	rels := make(map[string]dist.Rel[int64])
 	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelation(inst[e.Name], 4)
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], 4)
 	}
 	got, _, err := Compute[int64](mp, q, rels, Options{})
 	if err != nil {

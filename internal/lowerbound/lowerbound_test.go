@@ -83,8 +83,8 @@ func TestOptimalityOnThm3(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := matmul.Input[bool]{
-			R1: dist.FromRelation(inst.Inst["R1"], p),
-			R2: dist.FromRelation(inst.Inst["R2"], p),
+			R1: dist.FromRelationIn(nil, inst.Inst["R1"], p),
+			R2: dist.FromRelationIn(nil, inst.Inst["R2"], p),
 			B:  "B",
 		}
 		_, st, err := matmul.Compute[bool](boolSR, in, matmul.Options{Seed: 1})
@@ -109,8 +109,8 @@ func TestThm2AuditLinearLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := matmul.Input[bool]{
-		R1: dist.FromRelation(inst.Inst["R1"], p),
-		R2: dist.FromRelation(inst.Inst["R2"], p),
+		R1: dist.FromRelationIn(nil, inst.Inst["R1"], p),
+		R2: dist.FromRelationIn(nil, inst.Inst["R2"], p),
 		B:  "B",
 	}
 	_, st, err := matmul.Compute[bool](boolSR, in, matmul.Options{Seed: 2})

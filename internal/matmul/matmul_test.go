@@ -17,8 +17,8 @@ func intEq(a, b int64) bool { return a == b }
 
 func mkInput(r1, r2 *relation.Relation[int64], p int) Input[int64] {
 	return Input[int64]{
-		R1: dist.FromRelation(r1, p),
-		R2: dist.FromRelation(r2, p),
+		R1: dist.FromRelationIn(nil, r1, p),
+		R2: dist.FromRelationIn(nil, r2, p),
 		B:  "B",
 	}
 }
@@ -169,7 +169,7 @@ func TestCompositeAttributes(t *testing.T) {
 	r1 = relation.Compact[int64](intSR, r1)
 	r2 = relation.Compact[int64](intSR, r2)
 	for _, alg := range []Algorithm{WorstCase, OutputSensitive, Linear, Auto} {
-		in := Input[int64]{R1: dist.FromRelation(r1, 5), R2: dist.FromRelation(r2, 5), B: "B"}
+		in := Input[int64]{R1: dist.FromRelationIn(nil, r1, 5), R2: dist.FromRelationIn(nil, r2, 5), B: "B"}
 		got, _, err := Compute[int64](intSR, in, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func TestIdempotentSemiring(t *testing.T) {
 		r1.Append(true, relation.Value(rng.Intn(10)), relation.Value(rng.Intn(6)))
 		r2.Append(true, relation.Value(rng.Intn(6)), relation.Value(rng.Intn(10)))
 	}
-	in := Input[bool]{R1: dist.FromRelation(r1, 4), R2: dist.FromRelation(r2, 4), B: "B"}
+	in := Input[bool]{R1: dist.FromRelationIn(nil, r1, 4), R2: dist.FromRelationIn(nil, r2, 4), B: "B"}
 	got, _, err := Compute[bool](boolSR, in, Options{Algorithm: WorstCase})
 	if err != nil {
 		t.Fatal(err)
@@ -351,13 +351,13 @@ func TestOutOracleAccepted(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	r1 := relation.New[int64]("A", "X")
 	r2 := relation.New[int64]("B", "C")
-	in := Input[int64]{R1: dist.FromRelation(r1, 2), R2: dist.FromRelation(r2, 2), B: "B"}
+	in := Input[int64]{R1: dist.FromRelationIn(nil, r1, 2), R2: dist.FromRelationIn(nil, r2, 2), B: "B"}
 	if _, _, err := Compute[int64](intSR, in, Options{}); err == nil {
 		t.Fatal("expected schema error")
 	}
 	dup1 := relation.New[int64]("A", "B")
 	dup2 := relation.New[int64]("B", "A")
-	in2 := Input[int64]{R1: dist.FromRelation(dup1, 2), R2: dist.FromRelation(dup2, 2), B: "B"}
+	in2 := Input[int64]{R1: dist.FromRelationIn(nil, dup1, 2), R2: dist.FromRelationIn(nil, dup2, 2), B: "B"}
 	if _, _, err := Compute[int64](intSR, in2, Options{}); err == nil {
 		t.Fatal("expected duplicate side attribute error")
 	}
@@ -372,7 +372,7 @@ func TestTropicalMinPlus(t *testing.T) {
 	r2 := relation.New[int64]("B", "C")
 	r2.Append(4, 1, 9)
 	r2.Append(1, 2, 9)
-	in := Input[int64]{R1: dist.FromRelation(r1, 3), R2: dist.FromRelation(r2, 3), B: "B"}
+	in := Input[int64]{R1: dist.FromRelationIn(nil, r1, 3), R2: dist.FromRelationIn(nil, r2, 3), B: "B"}
 	got, _, err := Compute[int64](mp, in, Options{Algorithm: WorstCase})
 	if err != nil {
 		t.Fatal(err)

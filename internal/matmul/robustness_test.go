@@ -103,8 +103,8 @@ func TestProvenanceThroughWorstCase(t *testing.T) {
 		}
 	}
 	in := Input[semiring.Provenance]{
-		R1: dist.FromRelation(r1, 4),
-		R2: dist.FromRelation(r2, 4),
+		R1: dist.FromRelationIn(nil, r1, 4),
+		R2: dist.FromRelationIn(nil, r2, 4),
 		B:  "B",
 	}
 	got, _, err := Compute[semiring.Provenance](why, in, Options{Algorithm: WorstCase, Seed: 3})

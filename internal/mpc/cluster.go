@@ -457,9 +457,8 @@ func Gather[T any](pt Part[T], dst int) (Part[T], Stats) {
 
 // Map applies f to every element locally; zero rounds, zero load. The
 // per-shard loops run on the scope's runtime, so f must be safe for
-// concurrent calls across servers (as must the callbacks of FlatMap,
-// Filter and MapShards — within one server they run serially in element
-// order).
+// concurrent calls across servers (as must the callbacks of Filter and
+// MapShards — within one server they run serially in element order).
 func Map[T, U any](pt Part[T], f func(T) U) Part[U] {
 	out := NewPartIn[U](pt.scope(), pt.P())
 	pt.scope().ForEachShard(pt.P(), func(i int) {
@@ -470,19 +469,6 @@ func Map[T, U any](pt Part[T], f func(T) U) Part[U] {
 		us := make([]U, len(shard))
 		for j, x := range shard {
 			us[j] = f(x)
-		}
-		out.Shards[i] = us
-	})
-	return out
-}
-
-// FlatMap applies f to every element locally, concatenating results.
-func FlatMap[T, U any](pt Part[T], f func(T) []U) Part[U] {
-	out := NewPartIn[U](pt.scope(), pt.P())
-	pt.scope().ForEachShard(pt.P(), func(i int) {
-		var us []U
-		for _, x := range pt.Shards[i] {
-			us = append(us, f(x)...)
 		}
 		out.Shards[i] = us
 	})

@@ -175,10 +175,6 @@ func TestMapFilterFlatMap(t *testing.T) {
 	if evens.Len() != 2 {
 		t.Fatalf("filter len = %d", evens.Len())
 	}
-	dup := FlatMap(pt, func(x int) []int { return []int{x, x} })
-	if dup.Len() != 8 {
-		t.Fatalf("flatmap len = %d", dup.Len())
-	}
 }
 
 func TestConcatWidenSlice(t *testing.T) {

@@ -10,7 +10,8 @@ import (
 // kernels_bench_test.go holds the primitive-level benchmarks of the
 // allocation-lean kernel work: steady-state Route, SortBy, GroupByKey and
 // ReduceByKey at p = 16 over a fixed 16k-element instance. Run with
-// -benchmem; BENCH_kernels.json records before/after rows.
+// -benchmem; bench/'s mpc.*_us and mpc.*_allocs per-layer metrics time the
+// same shapes across commits.
 
 const (
 	benchP = 16

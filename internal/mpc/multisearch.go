@@ -157,15 +157,6 @@ func SemijoinKeys[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) 
 	return Map(matched, func(pr Pred[X, Y]) X { return pr.X }), st
 }
 
-// AntijoinKeys filters xs to the elements whose key does NOT appear in ys.
-func AntijoinKeys[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K) (Part[X], Stats) {
-	preds, st := MultiSearch(xs, ys, xkey, ykey)
-	unmatched := Filter(preds, func(pr Pred[X, Y]) bool {
-		return !pr.Found || ykey(pr.Y) != xkey(pr.X)
-	})
-	return Map(unmatched, func(pr Pred[X, Y]) X { return pr.X }), st
-}
-
 // LookupJoin annotates every x with the Y value sharing its key, if any —
 // a one-to-many lookup where ys must have at most one element per key
 // (e.g. the output of ReduceByKey). Cost: one MultiSearch.

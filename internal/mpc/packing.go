@@ -104,17 +104,6 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 	return out, numBins, Seq(st1, st2)
 }
 
-// PackGroups runs ParallelPack over (key, weight) statistics and returns
-// the bin index assigned to every key — the form the paper's algorithms
-// use ("divide A^light into k groups such that each group has total degree
-// O(L)"). stats must contain one element per key.
-func PackGroups[K cmp.Ordered](pt Part[KeyCount[K]], cap int64) (Part[KeyBin[K]], int, Stats) {
-	binned, nBins, st := ParallelPack(pt, func(kc KeyCount[K]) int64 { return kc.Count }, cap)
-	return Map(binned, func(b Binned[KeyCount[K]]) KeyBin[K] {
-		return KeyBin[K]{Key: b.X.Key, Bin: b.Bin, Count: b.X.Count}
-	}), nBins, st
-}
-
 // KeyBin records a key's assigned group plus its weight.
 type KeyBin[K cmp.Ordered] struct {
 	Key   K

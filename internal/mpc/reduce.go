@@ -240,21 +240,6 @@ func TotalCount[T any](pt Part[T]) (int64, Stats) {
 	return total, Seq(st1, st2)
 }
 
-// SortedRuns is a local helper returning the (start, end) index pairs of
-// equal-key runs in a key-sorted shard.
-func SortedRuns[T any, K cmp.Ordered](shard []T, key func(T) K) [][2]int {
-	var runs [][2]int
-	for i := 0; i < len(shard); {
-		j := i + 1
-		for j < len(shard) && key(shard[j]) == key(shard[i]) {
-			j++
-		}
-		runs = append(runs, [2]int{i, j})
-		i = j
-	}
-	return runs
-}
-
 // SortLocal sorts a shard in place by key (local helper, zero cost). The
 // sort is stable: equal-key elements keep their input order. Radix-
 // encodable key batches (integers; uniform-length strings such as the

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -170,12 +171,8 @@ func TestTotalCount(t *testing.T) {
 func TestSortedRunsAndSortLocal(t *testing.T) {
 	shard := []int{3, 1, 2, 1, 3}
 	SortLocal(shard, func(x int) int { return x })
-	runs := SortedRuns(shard, func(x int) int { return x })
-	if len(runs) != 3 {
-		t.Fatalf("runs = %v", runs)
-	}
-	if runs[0] != [2]int{0, 2} || runs[2] != [2]int{3, 5} {
-		t.Fatalf("run bounds = %v", runs)
+	if !slices.Equal(shard, []int{1, 1, 2, 3, 3}) {
+		t.Fatalf("sorted shard = %v", shard)
 	}
 }
 
@@ -239,18 +236,17 @@ func TestSemijoinAntijoinKeys(t *testing.T) {
 		}
 		semi, _ := SemijoinKeys(DistributeIn(nil, xs, p), DistributeIn(nil, ys, p),
 			func(x int) int { return x }, func(y int) int { return y })
-		anti, _ := AntijoinKeys(DistributeIn(nil, xs, p), DistributeIn(nil, ys, p),
-			func(x int) int { return x }, func(y int) int { return y })
-		if semi.Len()+anti.Len() != len(xs) {
+		kept := 0
+		for _, x := range xs {
+			if inY[x] {
+				kept++
+			}
+		}
+		if semi.Len() != kept {
 			return false
 		}
 		for _, x := range Collect(semi) {
 			if !inY[x] {
-				return false
-			}
-		}
-		for _, x := range Collect(anti) {
-			if inY[x] {
 				return false
 			}
 		}
@@ -334,23 +330,5 @@ func TestParallelPackLoadIsCoordinatorOnly(t *testing.T) {
 	}
 	if st.Rounds != 2 {
 		t.Fatalf("pack rounds = %d, want 2", st.Rounds)
-	}
-}
-
-func TestPackGroups(t *testing.T) {
-	stats := []KeyCount[int]{{1, 30}, {2, 30}, {3, 30}, {4, 30}, {5, 30}}
-	pt := DistributeIn(nil, stats, 2)
-	bins, nBins, _ := PackGroups(pt, 60)
-	if nBins < 3 {
-		t.Fatalf("nBins = %d", nBins)
-	}
-	sums := map[int]int64{}
-	for _, kb := range Collect(bins) {
-		sums[kb.Bin] += kb.Count
-	}
-	for _, s := range sums {
-		if s >= 120 {
-			t.Fatalf("bin overfull: %v", sums)
-		}
 	}
 }

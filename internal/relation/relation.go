@@ -321,47 +321,6 @@ func Compact[W any](sr semiring.Semiring[W], r *Relation[W]) *Relation[W] {
 	return ProjectAgg(sr, r, r.schema...)
 }
 
-// SelectEq returns the rows of r with value v in attribute a.
-func SelectEq[W any](r *Relation[W], a Attr, v Value) *Relation[W] {
-	c := r.Col(a)
-	if c < 0 {
-		panic(fmt.Sprintf("relation: attribute %q not in schema %v", a, r.schema))
-	}
-	out := r.Empty()
-	for _, row := range r.Rows {
-		if row.Vals[c] == v {
-			out.AppendRow(Row[W]{Vals: append([]Value(nil), row.Vals...), W: row.W})
-		}
-	}
-	return out
-}
-
-// SelectIn returns the rows of r whose value in attribute a belongs to set.
-func SelectIn[W any](r *Relation[W], a Attr, set map[Value]struct{}) *Relation[W] {
-	c := r.Col(a)
-	if c < 0 {
-		panic(fmt.Sprintf("relation: attribute %q not in schema %v", a, r.schema))
-	}
-	out := r.Empty()
-	for _, row := range r.Rows {
-		if _, ok := set[row.Vals[c]]; ok {
-			out.AppendRow(Row[W]{Vals: append([]Value(nil), row.Vals...), W: row.W})
-		}
-	}
-	return out
-}
-
-// Select returns the rows of r satisfying pred.
-func Select[W any](r *Relation[W], pred func(Row[W]) bool) *Relation[W] {
-	out := r.Empty()
-	for _, row := range r.Rows {
-		if pred(row) {
-			out.AppendRow(Row[W]{Vals: append([]Value(nil), row.Vals...), W: row.W})
-		}
-	}
-	return out
-}
-
 // UnionAgg returns the ⊕-union of relations with identical schemas:
 // duplicate tuples across inputs are merged with ⊕.
 func UnionAgg[W any](sr semiring.Semiring[W], rs ...*Relation[W]) *Relation[W] {
@@ -390,41 +349,6 @@ func sameSchema(a, b []Attr) bool {
 		}
 	}
 	return true
-}
-
-// Rename returns a copy of r with attribute from renamed to to.
-func Rename[W any](r *Relation[W], from, to Attr) *Relation[W] {
-	schema := make([]Attr, len(r.schema))
-	for i, a := range r.schema {
-		if a == from {
-			schema[i] = to
-		} else {
-			schema[i] = a
-		}
-	}
-	out := New[W](schema...)
-	for _, row := range r.Rows {
-		out.AppendRow(Row[W]{Vals: append([]Value(nil), row.Vals...), W: row.W})
-	}
-	return out
-}
-
-// Distinct returns the distinct values of attribute a in r.
-func Distinct[W any](r *Relation[W], a Attr) []Value {
-	c := r.Col(a)
-	if c < 0 {
-		panic(fmt.Sprintf("relation: attribute %q not in schema %v", a, r.schema))
-	}
-	seen := make(map[Value]struct{})
-	var out []Value
-	for _, row := range r.Rows {
-		v := row.Vals[c]
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Degrees returns, for each distinct value of attribute a, the number of

@@ -46,7 +46,7 @@ func tenantFromRequest(r *http.Request) (string, error) {
 // coalescing), how long it waited and ran, and how it ended. mpcd's
 // -log-format json emits one JSON line per query from these.
 type AccessEntry struct {
-	// Path is the query endpoint ("/v1/query", "/v2/query").
+	// Path is the endpoint ("/v2/query", "/v2/plan").
 	Path string `json:"path"`
 	// Tenant is the admitted tenant (DefaultTenant when no header).
 	Tenant string `json:"tenant"`

@@ -40,8 +40,8 @@ func occupyCapacity(t *testing.T, s *Server, ts string) func() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts+"/v1/query",
-			strings.NewReader(fmt.Sprintf(bigQuery, "")))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts+"/v2/query",
+			strings.NewReader(fmt.Sprintf(bigQuery, `,"options":{"cache":"off"}`)))
 		if err != nil {
 			return
 		}
@@ -89,8 +89,8 @@ func TestWorkersZeroFloodIsAdmissionControlled(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(matmulQuery, `,"workers":0`)
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+			body := fmt.Sprintf(matmulQuery, `,"options":{"workers":0,"cache":"off"}`)
+			resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(body))
 			if err != nil {
 				return
 			}
@@ -139,8 +139,8 @@ func TestDeadlineCoversQueueWait(t *testing.T) {
 	wait := occupyCapacity(t, s, ts.URL)
 
 	start := time.Now()
-	body := fmt.Sprintf(matmulQuery, `,"deadline_ms":100`)
-	resp, out := postJSON(t, ts.URL+"/v1/query", body)
+	body := fmt.Sprintf(matmulQuery, `,"options":{"deadline_ms":100,"cache":"off"}`)
+	resp, out := postJSON(t, ts.URL+"/v2/query", body)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("queued-past-deadline query = %d (%s), want 504", resp.StatusCode, out)
 	}
@@ -218,8 +218,8 @@ func TestDrainCancellationCause(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/query",
-			strings.NewReader(fmt.Sprintf(bigQuery, "")))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v2/query",
+			strings.NewReader(fmt.Sprintf(bigQuery, `,"options":{"cache":"off"}`)))
 		if err != nil {
 			return
 		}
@@ -273,8 +273,8 @@ func TestQueryTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 
-	respPlain, outPlain := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(matmulQuery, ""))
-	respTraced, outTraced := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(matmulQuery, `,"trace":true`))
+	respPlain, outPlain := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, ""))
+	respTraced, outTraced := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"options":{"trace":true}`))
 	if respPlain.StatusCode != http.StatusOK || respTraced.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d / %d", respPlain.StatusCode, respTraced.StatusCode)
 	}

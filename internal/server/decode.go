@@ -9,7 +9,7 @@ import (
 )
 
 // Request decoding and validation, kept as pure functions over bytes so
-// they can be fuzzed directly (FuzzDecodeQueryRequest): whatever bytes
+// they can be fuzzed directly (FuzzDecodeQueryRequestV2): whatever bytes
 // arrive, the decoder must return a request or an error — never panic —
 // and every error maps to a 4xx at the handler.
 
@@ -57,50 +57,48 @@ type QueryRelation struct {
 	Dataset string `json:"dataset,omitempty"`
 }
 
-// QueryRequest is the body of POST /v1/query.
+// QueryRequest is the normalized internal form of a query: what
+// DecodeQueryRequestV2 fills from the wire shape (QueryRequestV2 and its
+// options object) and everything past the decoder runs on.
 type QueryRequest struct {
-	Relations []QueryRelation `json:"relations"`
+	Relations []QueryRelation
 	// GroupBy lists the output attributes; empty means full aggregation.
-	GroupBy []string `json:"group_by,omitempty"`
+	GroupBy []string
 	// Servers is the simulated cluster size p (default 16).
-	Servers int `json:"servers,omitempty"`
+	Servers int
 	// Strategy is "auto" (default) or an engine name — any value the
 	// response's "engine" field can report (planner.ParseEngine). The
 	// engine must be legal for the query's class.
-	Strategy string `json:"strategy,omitempty"`
+	Strategy string
 	// Semiring is "ints" (default), "minplus", "maxplus", "maxmin" or
 	// "bools" (annotation != 0 is true; results are true groups).
-	Semiring string `json:"semiring,omitempty"`
+	Semiring string
 	// Workers sizes this query's OS worker pool: 0 (the default)
 	// inherits the ambient runtime — the service never installs one, so 0
 	// runs serially; -1 = GOMAXPROCS; n > 0 = n workers. Per-query, not
 	// process-global. Every value admits at least one unit of weight.
-	Workers int `json:"workers,omitempty"`
-	// DeadlineMS bounds execution wall time; the query is cancelled at
-	// the next MPC round barrier after the deadline. 0 means no deadline.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	Workers int
+	// DeadlineMS bounds queue wait, planning and execution wall time; the
+	// query is cancelled at the next MPC round barrier after the deadline.
+	// 0 means no deadline.
+	DeadlineMS int64
 	// Seed drives hash partitioning and estimators (reproducibility).
-	Seed uint64 `json:"seed,omitempty"`
+	Seed uint64
 	// Trace returns the per-round load timeline ("rounds" in the
 	// response). Off by default; tracing never changes results or stats.
-	Trace bool `json:"trace,omitempty"`
-	// Faults is the fault-injection block, settable only through the v2
-	// request's options object ("json:-" keeps it out of the v1 wire
-	// shape: a v1 body with a "faults" key is an unknown field and gets
-	// 400). Both versions execute through this normalized struct.
-	Faults *FaultBlock `json:"-"`
-	// Cache is the cache-control mode ("", "default", "bypass", "off"),
-	// settable only through the v2 options object; v1 always runs off.
-	Cache string `json:"-"`
+	Trace bool
+	// Faults is the fault-injection block.
+	Faults *FaultBlock
+	// Cache is the cache-control mode: cacheDefault (the wire's "" and
+	// "default"), cacheBypass or cacheOff.
+	Cache string
 	// Graph turns the request into an iterated graph-analytics run over
-	// the single bound edge relation. v2-only ("json:-" keeps it out of
-	// the v1 wire shape, like Faults).
-	Graph *GraphBlock `json:"-"`
+	// the single bound edge relation.
+	Graph *GraphBlock
 	// Explain asks for the planner's explanation — class, ranked
-	// candidates, chosen engine and why — in the response's "plan" block.
-	// Settable only through the v2 options object; explaining never
-	// changes rows or stats.
-	Explain bool `json:"-"`
+	// candidates, chosen engine and why — in the response's "plan" block;
+	// explaining never changes rows or stats.
+	Explain bool
 }
 
 var validSemirings = map[string]bool{"": true, "ints": true, "minplus": true, "maxplus": true, "maxmin": true, "bools": true}
@@ -141,22 +139,7 @@ func DecodeDatasetRequest(r io.Reader) (*DatasetRequest, error) {
 	return &req, nil
 }
 
-// DecodeQueryRequest parses and validates a v1 query body.
-func DecodeQueryRequest(r io.Reader) (*QueryRequest, error) {
-	var req QueryRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("invalid JSON: %w", err)
-	}
-	if err := validateQueryRequest(&req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// validateQueryRequest checks the normalized request shape shared by the
-// v1 and v2 decoders.
+// validateQueryRequest checks the normalized request shape.
 func validateQueryRequest(req *QueryRequest) error {
 	if len(req.Relations) == 0 {
 		return fmt.Errorf("relations is required")

@@ -11,11 +11,54 @@ import (
 	"mpcjoin/internal/planner"
 )
 
-// FuzzDecodeQueryRequest asserts the query decoder's contract over
-// arbitrary bytes: it returns a validated request or an error — it must
-// never panic, and anything it accepts must satisfy the documented
-// bounds (so a hostile body cannot smuggle out-of-range parameters past
-// validation into the engine).
+// checkDecoded asserts what the query decoder promises about anything it
+// accepts: every field inside its documented bounds, so a hostile body
+// cannot smuggle out-of-range parameters past validation into the engine.
+func checkDecoded(t *testing.T, req *QueryRequest) {
+	t.Helper()
+	if len(req.Relations) == 0 || len(req.Relations) > maxRelations {
+		t.Fatalf("accepted request with %d relations", len(req.Relations))
+	}
+	for _, rel := range req.Relations {
+		if rel.Name == "" || len(rel.Attrs) < 1 || len(rel.Attrs) > 2 {
+			t.Fatalf("accepted malformed relation %+v", rel)
+		}
+	}
+	if req.Servers < 0 || req.Servers > maxServers ||
+		req.Workers < -1 || req.Workers > maxQueryWorkers ||
+		req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		t.Fatalf("accepted out-of-range numerics %+v", req)
+	}
+	if _, err := planner.ParseEngine(req.Strategy); err != nil || !validSemirings[req.Semiring] {
+		t.Fatalf("accepted unknown strategy/semiring %+v", req)
+	}
+	if !validCacheModes[req.Cache] {
+		t.Fatalf("accepted unknown cache mode %q", req.Cache)
+	}
+	if fb := req.Faults; fb != nil {
+		if fb.CrashProb < 0 || fb.CrashProb > 1 ||
+			fb.DropProb < 0 || fb.DropProb > 1 ||
+			fb.StragglerProb < 0 || fb.StragglerProb > 1 ||
+			fb.StragglerDelay < 0 || fb.CrashRound < 0 ||
+			fb.MaxRetries > maxFaultRetries || fb.StopAfter < 0 {
+			t.Fatalf("accepted out-of-range fault block %+v", fb)
+		}
+		// Whatever the decoder accepts must construct a valid plane.
+		if err := fb.Spec(req.Seed).Validate(); err != nil {
+			t.Fatalf("accepted fault block fails engine validation: %v (%+v)", err, fb)
+		}
+	}
+}
+
+// flatKnobs are the execution knobs the deleted v1 dialect took at the top
+// level of the body; they now live inside "options".
+var flatKnobs = []string{"servers", "workers", "seed", "trace", "deadline_ms"}
+
+// FuzzDecodeQueryRequest is the migration guard: its corpus is what a
+// client of the deleted flat dialect sends. Over arbitrary bytes the
+// decoder returns a validated request or an error and never panics, and a
+// body that still carries an execution knob at the top level is never
+// silently accepted with the knob dropped.
 func FuzzDecodeQueryRequest(f *testing.F) {
 	f.Add(`{"relations":[{"name":"R1","attrs":["A","B"]},{"name":"R2","attrs":["B","C"]}],"group_by":["A","C"]}`)
 	f.Add(`{"relations":[{"name":"R","attrs":["A"],"dataset":"ds"}],"servers":32,"strategy":"tree","semiring":"maxmin","workers":-1,"deadline_ms":100,"seed":7}`)
@@ -31,32 +74,24 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 	f.Add(`{"relations":[{"name":"R","attrs":["A","B"]}],"strategy":"☃"}`)
 	f.Add(strings.Repeat(`{"relations":`, 100))
 	f.Fuzz(func(t *testing.T, body string) {
-		req, err := DecodeQueryRequest(strings.NewReader(body))
+		req, err := DecodeQueryRequestV2(strings.NewReader(body))
 		if err != nil {
 			return // rejected input: the handler maps this to a 4xx
 		}
-		if len(req.Relations) == 0 || len(req.Relations) > maxRelations {
-			t.Fatalf("accepted request with %d relations", len(req.Relations))
-		}
-		for _, rel := range req.Relations {
-			if rel.Name == "" || len(rel.Attrs) < 1 || len(rel.Attrs) > 2 {
-				t.Fatalf("accepted malformed relation %+v", rel)
+		checkDecoded(t, req)
+		var top map[string]json.RawMessage
+		if json.Unmarshal([]byte(body), &top) == nil {
+			for _, k := range flatKnobs {
+				if _, ok := top[k]; ok {
+					t.Fatalf("accepted a body with top-level %q: %s", k, body)
+				}
 			}
-		}
-		if req.Servers < 0 || req.Servers > maxServers ||
-			req.Workers < -1 || req.Workers > maxQueryWorkers ||
-			req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
-			t.Fatalf("accepted out-of-range numerics %+v", req)
-		}
-		if _, err := planner.ParseEngine(req.Strategy); err != nil || !validSemirings[req.Semiring] {
-			t.Fatalf("accepted unknown strategy/semiring %+v", req)
 		}
 	})
 }
 
-// FuzzDecodeQueryRequestV2 is the same contract for the v2 decoder,
-// plus the invariants of the faults block and the v2-specific rule that
-// flat v1 knobs are unknown fields.
+// FuzzDecodeQueryRequestV2 is the decoder's contract over bodies of its
+// own dialect: options object, faults block, cache modes.
 func FuzzDecodeQueryRequestV2(f *testing.F) {
 	f.Add(`{"relations":[{"name":"R1","attrs":["A","B"]},{"name":"R2","attrs":["B","C"]}],"group_by":["A","C"]}`)
 	f.Add(`{"relations":[{"name":"R","attrs":["A"]}],"options":{"servers":32,"workers":-1,"seed":7,"deadline_ms":100,"trace":true}}`)
@@ -71,38 +106,16 @@ func FuzzDecodeQueryRequestV2(f *testing.F) {
 	f.Add(`{"relations":[{"name":"R","attrs":["A","B"]}],"options":{"cache":""}}`)
 	f.Add(`{`)
 	f.Add(`null`)
+	// The flat dialect's corpus, with its knobs moved into "options".
+	f.Add(`{"relations":[{"name":"R","attrs":["A"],"dataset":"ds"}],"strategy":"tree","semiring":"maxmin","options":{"servers":32,"workers":-1,"deadline_ms":100,"seed":7}}`)
+	f.Add(`{"relations":[{"name":"R","attrs":["A","B"]}],"options":{"workers":9999999}}`)
+	f.Add(`{"relations":[{"name":"R","attrs":["A","B"]}],"options":{"deadline_ms":-5}}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req, err := DecodeQueryRequestV2(strings.NewReader(body))
 		if err != nil {
 			return // rejected input: the handler maps this to a 4xx
 		}
-		if len(req.Relations) == 0 || len(req.Relations) > maxRelations {
-			t.Fatalf("accepted request with %d relations", len(req.Relations))
-		}
-		if req.Servers < 0 || req.Servers > maxServers ||
-			req.Workers < -1 || req.Workers > maxQueryWorkers ||
-			req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
-			t.Fatalf("accepted out-of-range numerics %+v", req)
-		}
-		if _, err := planner.ParseEngine(req.Strategy); err != nil || !validSemirings[req.Semiring] {
-			t.Fatalf("accepted unknown strategy/semiring %+v", req)
-		}
-		if !validCacheModes[req.Cache] {
-			t.Fatalf("accepted unknown cache mode %q", req.Cache)
-		}
-		if fb := req.Faults; fb != nil {
-			if fb.CrashProb < 0 || fb.CrashProb > 1 ||
-				fb.DropProb < 0 || fb.DropProb > 1 ||
-				fb.StragglerProb < 0 || fb.StragglerProb > 1 ||
-				fb.StragglerDelay < 0 || fb.CrashRound < 0 ||
-				fb.MaxRetries > maxFaultRetries || fb.StopAfter < 0 {
-				t.Fatalf("accepted out-of-range fault block %+v", fb)
-			}
-			// Whatever the decoder accepts must construct a valid plane.
-			if err := fb.Spec(req.Seed).Validate(); err != nil {
-				t.Fatalf("accepted fault block fails engine validation: %v (%+v)", err, fb)
-			}
-		}
+		checkDecoded(t, req)
 	})
 }
 
@@ -146,7 +159,7 @@ func FuzzQueryEndpoint(f *testing.F) {
 	_ = s.Registry().Put("R1", 2, GenerateRows(2, 50, 8, 1))
 	_ = s.Registry().Put("R2", 2, GenerateRows(2, 50, 8, 2))
 	f.Fuzz(func(t *testing.T, body string) {
-		req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader([]byte(body)))
+		req := httptest.NewRequest("POST", "/v2/query", bytes.NewReader([]byte(body)))
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
 		if rec.Code != 200 && (rec.Code < 400 || rec.Code > 599) {

@@ -179,13 +179,6 @@ func TestGraphQueryValidation(t *testing.T) {
 			t.Errorf("%s: status = %d %s, want 400", name, resp.StatusCode, out)
 		}
 	}
-
-	// v1 predates the graph block: the key is an unknown field there.
-	resp, out := postJSON(t, ts.URL+"/v1/query",
-		fmt.Sprintf(graphQueryV2, `{"kind":"bfs"}`, ""))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("v1 graph query = %d %s, want 400", resp.StatusCode, out)
-	}
 }
 
 func TestGraphQueryCacheRoundTrip(t *testing.T) {
@@ -233,9 +226,9 @@ func TestCacheIdentityFaultedVsClean(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 
-	faulted := fmt.Sprintf(matmulQueryV2,
+	faulted := fmt.Sprintf(matmulQuery,
 		`,"options":{"seed":11,"faults":{"drop_prob":0.3,"max_retries":16}}`)
-	clean := fmt.Sprintf(matmulQueryV2, `,"options":{"seed":11}`)
+	clean := fmt.Sprintf(matmulQuery, `,"options":{"seed":11}`)
 
 	resp, fbody := postJSON(t, ts.URL+"/v2/query", faulted)
 	if resp.StatusCode != http.StatusOK {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -10,14 +9,16 @@ import (
 	"mpcjoin/internal/core"
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
+	"mpcjoin/internal/serve"
 )
 
-// plan.go is the serving tier's side of the cost-based planner: the
-// pre-execution plan resolution that lets result-cache keys carry the
-// *resolved* engine (so an auto-planned query whose planner decision
-// flips with the data never cross-serves), a bounded plan cache so the
-// resolution is close to free for repeated queries, and the /v2/plan
+// plan.go is the front half every query-shaped endpoint shares — open,
+// bind, options — and the serving tier's side of the cost-based planner:
+// the one plan resolution (run inside admission, see Server.admit), the
+// bounded plan cache that makes it close to free for repeated queries and
+// bridges /v2/plan to the /v2/query that follows, and the /v2/plan
 // dry-run endpoint that explains a query without executing it.
 
 // bindFail classifies a relation-binding failure for the handler.
@@ -29,16 +30,13 @@ type bindFail struct {
 
 // bindQuery resolves the request's relation → dataset bindings against
 // one registry snapshot, building the hypergraph query and the dataset
-// map the execution (or planning) runs on. Shared by /v1/query, /v2/query
-// and /v2/plan so all three bind — and therefore plan — identically.
+// map the execution (or planning) runs on. Shared by /v2/query and
+// /v2/plan so both bind — and therefore plan — identically.
 func bindQuery(req *QueryRequest, view *RegistryView) (*hypergraph.Query, map[string]*Dataset, *bindFail) {
 	q := &hypergraph.Query{}
 	insts := make(map[string]*Dataset, len(req.Relations))
 	for _, rel := range req.Relations {
-		dsName := rel.Dataset
-		if dsName == "" {
-			dsName = rel.Name
-		}
+		dsName := datasetOf(rel)
 		ds, ok := view.Get(dsName)
 		if !ok {
 			return nil, nil, &bindFail{http.StatusNotFound, "not_found",
@@ -62,29 +60,35 @@ func bindQuery(req *QueryRequest, view *RegistryView) (*hypergraph.Query, map[st
 	return q, insts, nil
 }
 
-// queryCall is the state of one /v1/query, /v2/query or /v2/plan request
-// past the front half the three share (openQuery).
-type queryCall struct {
-	s      *Server
-	w      http.ResponseWriter
-	v      apiVersion
-	start  time.Time
-	entry  AccessEntry
+// boundQuery is a decoded request bound to one registry snapshot: all
+// the admitted path (plan, run) reads. Nothing writes it once openQuery
+// returns, so a shared execution may outlive the request that built it.
+type boundQuery struct {
 	tenant string
 	req    *QueryRequest
 	view   *RegistryView
 	q      *hypergraph.Query
 	insts  map[string]*Dataset
 	o      core.Options
+}
+
+// queryCall is the state of one /v2/query or /v2/plan request past the
+// front half the two share (openQuery).
+type queryCall struct {
+	boundQuery
+	s      *Server
+	w      http.ResponseWriter
+	start  time.Time
+	entry  AccessEntry
 	ctx    context.Context
 	cancel context.CancelFunc
 }
 
-// fail writes the versioned error response and records the outcome for
-// the access log.
+// fail writes the error envelope and records the outcome for the access
+// log.
 func (c *queryCall) fail(status int, cause, format string, args ...any) {
 	c.entry.Status, c.entry.Cause = status, cause
-	c.v.writeError(c.w, status, cause, format, args...)
+	writeQueryError(c.w, status, cause, fmt.Sprintf(format, args...))
 }
 
 // close ends the request: it releases the deadline and emits the access
@@ -100,8 +104,8 @@ func (c *queryCall) close() {
 // openQuery is the front half of every query-shaped endpoint: drain gate,
 // tenant, decode, binding, options and deadline. On false the error
 // response has been written; the caller defers close either way.
-func (s *Server) openQuery(w http.ResponseWriter, r *http.Request, v apiVersion) (*queryCall, bool) {
-	c := &queryCall{s: s, w: w, v: v, start: time.Now(), ctx: r.Context(), cancel: func() {},
+func (s *Server) openQuery(w http.ResponseWriter, r *http.Request) (*queryCall, bool) {
+	c := &queryCall{s: s, w: w, start: time.Now(), ctx: r.Context(), cancel: func() {},
 		entry: AccessEntry{Path: r.URL.Path, Tenant: DefaultTenant}}
 	if s.Draining() {
 		s.met.QueryRejected()
@@ -115,13 +119,12 @@ func (s *Server) openQuery(w http.ResponseWriter, r *http.Request, v apiVersion)
 	}
 	c.tenant, c.entry.Tenant = tenant, tenant
 
-	decode := DecodeQueryRequest
-	if v == apiV2 {
-		decode = DecodeQueryRequestV2
-	}
-	if c.req, err = decode(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+	if c.req, err = DecodeQueryRequestV2(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		c.fail(http.StatusBadRequest, "bad_request", "%v", err)
 		return c, false
+	}
+	if !s.cacheOn {
+		c.req.Cache = cacheOff
 	}
 
 	// Resolve relation → dataset bindings against ONE registry snapshot,
@@ -141,11 +144,16 @@ func (s *Server) openQuery(w http.ResponseWriter, r *http.Request, v apiVersion)
 		c.fail(http.StatusBadRequest, "bad_request", "%v", err)
 		return c, false
 	}
+	// The provisional engine label: the graph driver, a forced engine, or
+	// nothing yet — the resolved plan names what an auto query ran.
+	c.entry.Engine = c.o.Engine
+	if c.req.Graph != nil {
+		c.entry.Engine = "spmv-" + c.req.Graph.Kind
+	}
 
-	// Deadline: derived before planning and admission so it covers the
-	// planner pre-pass and queue wait as well as execution — a query must
-	// not sit in the admission queue past its own deadline and then still
-	// run.
+	// Deadline: derived before admission so it covers queue wait and the
+	// planner pre-pass as well as execution — a query must not sit in the
+	// admission queue past its own deadline and then still run.
 	if c.req.DeadlineMS > 0 {
 		c.ctx, c.cancel = context.WithTimeout(c.ctx, time.Duration(c.req.DeadlineMS)*time.Millisecond)
 	}
@@ -172,66 +180,61 @@ func (s *Server) queryOptions(req *QueryRequest, q *hypergraph.Query) (core.Opti
 			}
 		}
 	}
-	return core.Options{
+	o := core.Options{
 		Servers:   req.Servers,
 		Seed:      req.Seed,
 		Workers:   req.Workers,
 		Transport: s.cfg.Transport,
 		Engine:    engine,
-	}, nil
+	}
+	if req.Faults != nil {
+		o.Faults = mpc.NewFaultPlane(req.Faults.Spec(req.Seed))
+	}
+	return o, nil
 }
 
-// resolveQueryPlan runs the cost-based planner for a bound query without
-// executing it. Plans are keyed like results (dataset versions, canonical
-// options), so a registration or option change replans; the annotation
-// semiring is irrelevant to planning (only sizes matter), so one plan
-// serves every semiring of the same shape.
-func (s *Server) resolveQueryPlan(ctx context.Context, req *QueryRequest, q *hypergraph.Query, insts map[string]*Dataset, o core.Options) (*planner.Plan, error) {
-	key := cacheKey(req, insts, o) + ";plan"
-	if s.cacheOn {
+// planOptions strips what must never reach the planner from a request's
+// options: the fault plane and the tracer. Planning runs on a scope of
+// its own, so neither the "faults" nor the "rounds" block of an answer
+// can depend on whether its plan was computed or found in the plan cache.
+func planOptions(o core.Options) core.Options {
+	o.Faults, o.Tracer = nil, nil
+	return o
+}
+
+// resolveQueryPlan runs the cost-based planner for a bound join query
+// without executing it: the ranked plan of an auto query, the trivial
+// "forced by name" plan otherwise (no placement at all). Plans are keyed
+// by planKey, so a registration or a change of p or seed replans.
+// Its one caller is Server.admit: planning is admitted work.
+func (s *Server) resolveQueryPlan(ctx context.Context, b *boundQuery) (*planner.Plan, error) {
+	// A forced plan costs nothing to rebuild; only ranked plans are cached.
+	key, cached := planKey(b.req, b.insts, b.o), s.cacheOn && b.o.Engine == ""
+	if cached {
 		if pl, ok := s.plans.Get(key); ok {
 			return pl, nil
 		}
 	}
-	inst := make(db.Instance[int64], len(insts))
-	for name, ds := range insts {
-		rel := newRelation[int64](q, name)
+	inst := make(db.Instance[int64], len(b.insts))
+	for name, ds := range b.insts {
+		rel := newRelation[int64](b.q, name)
 		rel.Rows = ds.Rows
 		inst[name] = rel
 	}
 	// Validate here (the query itself was validated by queryOptions) so
 	// request-shape problems classify as client errors; whatever
 	// PlanInstance then fails on (beyond cancellation) is internal.
-	if err := db.Validate(q, inst); err != nil {
+	if err := db.Validate(b.q, inst); err != nil {
 		return nil, &clientError{err}
 	}
-	pl, err := core.PlanInstance(ctx, q, inst, o)
+	pl, err := core.PlanInstance(ctx, b.q, inst, planOptions(b.o))
 	if err != nil {
 		return nil, err
 	}
-	if s.cacheOn {
-		s.plans.Put(key, cacheTags(req), &pl)
+	if cached {
+		s.plans.Put(key, cacheTags(b.req), &pl)
 	}
 	return &pl, nil
-}
-
-// failPlan maps a planning error onto the response and the metrics;
-// planning failures classify exactly like execution failures.
-func (s *Server) failPlan(ctx context.Context, fail func(status int, cause, format string, args ...any), err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.met.QueryCancelled("deadline")
-		fail(http.StatusGatewayTimeout, "deadline", "deadline exceeded")
-	case errors.Is(err, context.Canceled):
-		s.met.QueryCancelled(s.cancelCause(ctx))
-		fail(http.StatusServiceUnavailable, "drain", "cancelled (%s)", s.disconnectCause())
-	case isClientError(err):
-		s.met.QueryFailedClient()
-		fail(http.StatusBadRequest, "bad_request", "%v", err)
-	default:
-		s.met.QueryFailedInternal()
-		fail(http.StatusInternalServerError, "internal", "planning failed: %v", err)
-	}
 }
 
 // PlanResponse is the body of a successful POST /v2/plan: the dry-run
@@ -245,17 +248,19 @@ type PlanResponse struct {
 	Plan *planner.Plan `json:"plan"`
 	// DatasetVersion is the registry version the plan's snapshot pinned.
 	DatasetVersion uint64 `json:"dataset_version"`
-	// WallNS is the planning wall time in nanoseconds.
+	// WallNS is the request's wall time in nanoseconds: admission wait plus
+	// planning (next to nothing when the plan was cached).
 	WallNS int64 `json:"wall_ns"`
 }
 
 // handlePlanV2 is the dry-run planning endpoint: it accepts the /v2/query
-// request shape, resolves the same plan the query endpoint would, and
-// returns it without admitting or executing anything. The pre-pass runs
-// outside admission control on purpose — it is estimate-sized work, not
-// query-sized work.
+// request shape, takes the same admitted step the query endpoint takes —
+// wait for the request's weight in the tenant's fair queue, then resolve
+// the plan — and returns the plan without executing anything. The plan
+// stays in the plan cache, so an identical /v2/query that follows starts
+// from it.
 func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.openQuery(w, r, apiV2)
+	c, ok := s.openQuery(w, r)
 	defer c.close()
 	if !ok {
 		return
@@ -265,11 +270,13 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	pl, err := s.resolveQueryPlan(c.ctx, c.req, c.q, c.insts, c.o)
+	pl, queueNS, release, err := s.admit(c.ctx, &c.boundQuery)
+	c.entry.QueueNS = queueNS
 	if err != nil {
-		s.failPlan(c.ctx, c.fail, err)
+		c.failExec(serve.Led, err)
 		return
 	}
+	release()
 	c.entry.Engine = pl.Chosen
 	c.entry.Status = http.StatusOK
 	s.met.PlanEngine(pl.Chosen)

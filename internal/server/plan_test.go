@@ -34,7 +34,7 @@ func TestV2QueryExplain(t *testing.T) {
 	registerMatMul(t, ts.URL)
 
 	resp, body := postJSON(t, ts.URL+"/v2/query",
-		strings.Replace(matmulQueryV2, "%s", `,"options":{"servers":4,"seed":1,"explain":true}`, 1))
+		strings.Replace(matmulQuery, "%s", `,"options":{"servers":4,"seed":1,"explain":true}`, 1))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explained query = %d %s", resp.StatusCode, body)
 	}
@@ -60,7 +60,7 @@ func TestV2QueryExplain(t *testing.T) {
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v2/query",
-		strings.Replace(matmulQueryV2, "%s", `,"options":{"servers":4,"seed":1}`, 1))
+		strings.Replace(matmulQuery, "%s", `,"options":{"servers":4,"seed":1}`, 1))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plain query = %d %s", resp.StatusCode, body)
 	}
@@ -88,7 +88,7 @@ func TestV2PlanDryRun(t *testing.T) {
 	}})
 	registerMatMul(t, ts.URL)
 
-	reqBody := strings.Replace(matmulQueryV2, "%s", `,"options":{"servers":4,"seed":1}`, 1)
+	reqBody := strings.Replace(matmulQuery, "%s", `,"options":{"servers":4,"seed":1}`, 1)
 	resp, body := postJSON(t, ts.URL+"/v2/plan", reqBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan = %d %s", resp.StatusCode, body)
@@ -158,7 +158,7 @@ func TestPlanEngineMetricProm(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 	resp, body := postJSON(t, ts.URL+"/v2/plan",
-		strings.Replace(matmulQueryV2, "%s", `,"options":{"servers":4,"seed":1}`, 1))
+		strings.Replace(matmulQuery, "%s", `,"options":{"servers":4,"seed":1}`, 1))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan = %d %s", resp.StatusCode, body)
 	}
@@ -172,9 +172,10 @@ func TestPlanEngineMetricProm(t *testing.T) {
 	}
 }
 
-// TestCacheKeyCarriesResolvedEngine pins the bugfix: two executions of
-// the same request that resolve to different engines must never share a
-// result-cache identity.
+// TestCacheKeyCarriesResolvedEngine: two requests that force different
+// engines must never share a result-cache identity (the options
+// fingerprint hashes the forced name; an auto query's engine is a function
+// of the rest of the key).
 func TestCacheKeyCarriesResolvedEngine(t *testing.T) {
 	req := &QueryRequest{
 		Relations: []QueryRelation{
@@ -212,7 +213,7 @@ func TestStrategyIsTheEngineTable(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 	withStrategy := func(name string) string {
-		return strings.Replace(matmulQueryV2, "%s", `,"strategy":"`+name+`","options":{"servers":4,"seed":1,"explain":true}`, 1)
+		return strings.Replace(matmulQuery, "%s", `,"strategy":"`+name+`","options":{"servers":4,"seed":1,"explain":true}`, 1)
 	}
 
 	for _, name := range planner.Legal(hypergraph.ClassMatMul) {
@@ -251,7 +252,7 @@ func TestStrategyIsTheEngineTable(t *testing.T) {
 
 	// "auto" is the absent field.
 	auto, _ := DecodeQueryRequestV2(strings.NewReader(withStrategy("auto")))
-	none, _ := DecodeQueryRequestV2(strings.NewReader(strings.Replace(matmulQueryV2, "%s", `,"options":{"servers":4,"seed":1,"explain":true}`, 1)))
+	none, _ := DecodeQueryRequestV2(strings.NewReader(strings.Replace(matmulQuery, "%s", `,"options":{"servers":4,"seed":1,"explain":true}`, 1)))
 	q, insts, _ := bindQuery(auto, s.reg.View())
 	oa, _ := s.queryOptions(auto, q)
 	on, _ := s.queryOptions(none, q)
@@ -260,7 +261,7 @@ func TestStrategyIsTheEngineTable(t *testing.T) {
 	}
 
 	// An explained auto query must not be served the stub plan of a forced
-	// run of the same engine (they share rows, not explanations).
+	// run of the same engine (they key apart).
 	resp, body := postJSON(t, ts.URL+"/v2/query", withStrategy("auto"))
 	var out struct {
 		Engine string  `json:"engine"`

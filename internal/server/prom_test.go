@@ -93,7 +93,7 @@ func TestMetricsPromFormat(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 	for i := 0; i < 3; i++ {
-		resp, out := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(matmulQuery, ""))
+		resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"options":{"cache":"off"}`))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: %d %s", i, resp.StatusCode, out)
 		}

@@ -37,8 +37,7 @@
 //	GET  /metrics      — MetricsSnapshot JSON
 //	POST /v1/datasets  — register a dataset (rows inline or generated)
 //	GET  /v1/datasets  — list registered dataset names
-//	POST /v1/query     — run a join-aggregate query
-//	POST /v2/query     — options object, faults, cache control, tenants
+//	POST /v2/query     — run a join-aggregate or graph query
 //	POST /v2/plan      — dry-run the cost-based planner, no execution
 package server
 
@@ -164,8 +163,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("POST /v1/datasets", s.handleRegisterDataset)
 	s.mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
-	s.mux.HandleFunc("POST /v1/query", s.handleQueryV1)
-	s.mux.HandleFunc("POST /v2/query", s.handleQueryV2)
+	s.mux.HandleFunc("POST /v2/query", s.serveQuery)
 	s.mux.HandleFunc("POST /v2/plan", s.handlePlanV2)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -199,7 +197,8 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports drain mode.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// errorBody is the uniform error response shape.
+// errorBody is the error response shape of the dataset endpoints; the
+// query endpoints answer with the typed envelope (writeQueryError).
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -317,7 +316,7 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"datasets": s.reg.Names()})
 }
 
-// QueryResponse is the body of a successful POST /v1/query or /v2/query.
+// QueryResponse is the body of a successful POST /v2/query.
 type QueryResponse struct {
 	// Attrs is the output schema, in group_by order.
 	Attrs []string `json:"attrs"`
@@ -333,25 +332,23 @@ type QueryResponse struct {
 	// Plan is the planner's explanation — class, ranked candidates with
 	// predicted loads, chosen engine and why, predicted vs. measured
 	// load — present only when the request asked for it
-	// ("options":{"explain":true}, v2 only). Explaining never changes rows
-	// or stats.
+	// ("options":{"explain":true}). Explaining never changes rows or stats.
 	Plan *planner.Plan `json:"plan,omitempty"`
 	// WallNS is the query's wall-clock execution time in nanoseconds
 	// (excluding queueing); for a cache hit, the time to serve the hit.
 	WallNS int64 `json:"wall_ns"`
-	// DatasetVersion is the registry version the query's snapshot pinned
-	// (v2 responses only; v1 predates versioning and keeps its shape).
+	// DatasetVersion is the registry version the query's snapshot pinned.
 	DatasetVersion uint64 `json:"dataset_version,omitempty"`
 	// Cached is true when the result was served from the result cache
 	// without executing; Coalesced when it was served by joining another
-	// request's in-flight execution. Both only ever set on v2.
+	// request's in-flight execution.
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Rounds is the per-round load timeline, present only when the request
 	// set "trace": true.
 	Rounds []mpc.RoundTrace `json:"rounds,omitempty"`
 	// Faults is the fault-injection accounting, present only when the
-	// request carried a faults block (v2). Rows and Stats of a fault-
+	// request carried a faults block. Rows and Stats of a fault-
 	// injected query whose faults were absorbed by the retry budget are
 	// identical to a fault-free run.
 	Faults *mpc.FaultReport `json:"faults,omitempty"`
@@ -363,196 +360,168 @@ type QueryResponse struct {
 
 	// queueNS is the execution's admission-queue wait, for the access log.
 	queueNS int64
-	// plan is the plan the execution observed (always, explain or not) —
-	// the source of the Class/Engine labels; nil for graph queries.
-	plan *planner.Plan
 }
 
-// handleQueryV1 is the deprecated flat-shape query endpoint: a thin
-// adapter over the same execution path as /v2/query, kept byte-for-byte
-// backward compatible (flat request knobs, {"error": "..."} responses,
-// no caching or coalescing) and stamped with deprecation headers pointing
-// at the successor.
-func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
-	markDeprecated(w)
-	s.serveQuery(w, r, apiV1)
-}
-
-// handleQueryV2 is the current query endpoint: options object, faults
-// block, cache control, tenant admission, typed error envelope.
-func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
-	s.serveQuery(w, r, apiV2)
-}
-
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion) {
-	c, ok := s.openQuery(w, r, v)
+// serveQuery is the query endpoint, one straight line of stages:
+//
+//	openQuery → key → cache / flight → admit → plan → run → render
+//
+// Everything before admit is a function of the request and the registry
+// snapshot it pinned and does no placement and no rounds; everything that
+// does — the planner pre-pass as much as the engine — happens inside
+// execAdmitted, holding the request's admission weight.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
+	c, ok := s.openQuery(w, r)
 	defer c.close()
 	if !ok {
 		return
 	}
-	req, view, q, insts, o, tenant := c.req, c.view, c.q, c.insts, c.o, c.tenant
-	ctx, entry, fail, reqStart := c.ctx, &c.entry, c.fail, c.start
-	var err error
 
-	// Cache mode: v1 predates the cache and pins per-request execution
-	// semantics, so it always runs off.
-	mode := req.Cache
-	if mode == "default" {
-		mode = cacheDefault
-	}
-	if v == apiV1 || !s.cacheOn {
-		mode = cacheOff
-	}
-
-	if req.Faults != nil {
-		o.Faults = mpc.NewFaultPlane(req.Faults.Spec(req.Seed))
-	}
-	// The provisional engine label: the graph driver, a forced engine, or
-	// nothing yet — the resolved plan names what an auto query ran.
-	entry.Engine = o.Engine
-	if req.Graph != nil {
-		entry.Engine = "spmv-" + req.Graph.Kind
-	}
-
-	// Resolve the auto plan before the cache is keyed: the result key must
-	// carry the engine that will actually run, so an auto-planned query
-	// whose planner decision flips with the data can never cross-serve a
-	// result computed by a different engine.
-	var resolved *planner.Plan
-	if req.Graph == nil && mode != cacheOff && o.Engine == "" {
-		resolved, err = s.resolveQueryPlan(ctx, req, q, insts, o)
-		if err != nil {
-			s.failPlan(ctx, fail, err)
-			return
-		}
-		o.Engine = resolved.Chosen
-		entry.Engine = resolved.Chosen
-	}
-
-	// respond renders a success from resp without mutating it: resp may
-	// be shared with the cache and with coalesced waiters, so per-request
-	// decoration happens on a shallow copy.
-	respond := func(resp *QueryResponse, hit, coalesced bool) {
-		out := *resp
-		out.Cached, out.Coalesced = hit, coalesced
-		if v == apiV2 {
-			out.DatasetVersion = view.Version()
-		} else {
-			out.DatasetVersion = 0
-		}
-		if hit {
-			out.WallNS = time.Since(reqStart).Nanoseconds()
-		}
-		entry.Status = http.StatusOK
-		entry.CacheHit, entry.Coalesced = hit, coalesced
-		entry.Engine = out.Engine
-		if !hit {
-			entry.QueueNS = resp.queueNS
-		}
-		if req.Graph == nil {
-			s.met.PlanEngine(out.Engine)
-		}
-		s.met.TenantServed(tenant)
-		writeJSON(w, http.StatusOK, &out)
-	}
-
+	mode := c.req.Cache
 	var key string
 	if mode != cacheOff {
-		key = cacheKey(req, insts, o)
+		key = cacheKey(c.req, c.insts, c.o)
 	}
 	if mode == cacheDefault {
 		if resp, ok := s.cache.Get(key); ok {
 			s.met.QueryCacheServed()
-			respond(resp, true, false)
+			c.render(resp, true, false)
 			return
 		}
 	}
 
-	// exec is the one shared execution: admission, engine run, metrics,
-	// cache write. In coalescing mode it runs under a context derived
-	// from the server's base context — NOT from any single waiter — so a
-	// waiter's deadline or disconnect never cancels the result the other
-	// waiters are waiting for.
+	// exec is the one shared execution: admission, plan, engine run,
+	// metrics, cache write. In coalescing mode it runs under a context
+	// derived from the server's base context — NOT from any single waiter —
+	// so a waiter's deadline or disconnect never cancels the result the
+	// other waiters are waiting for.
 	exec := func(execCtx context.Context) (*QueryResponse, error) {
-		resp, err := s.execAdmitted(execCtx, tenant, req, q, insts, o)
-		if err == nil {
-			if req.Explain && resolved != nil {
-				// The ranked plan came from the pre-resolution above; the
-				// execution itself ran with the engine forced, so its own
-				// observer holds only the forced stub.
-				rich := *resolved
-				rich.MeasuredLoad = resp.Stats.MaxLoad
-				resp.Plan = &rich
-			}
-			if mode != cacheOff {
-				s.cache.Put(key, cacheTags(req), resp)
-			}
+		resp, err := s.execAdmitted(execCtx, &c.boundQuery)
+		if err == nil && mode != cacheOff {
+			s.cache.Put(key, cacheTags(c.req), resp)
 		}
 		return resp, err
 	}
 
-	var resp *QueryResponse
-	outcome := serve.Led
+	var (
+		resp    *QueryResponse
+		err     error
+		outcome = serve.Led
+	)
 	if mode == cacheDefault {
-		resp, outcome, err = s.flight.Do(ctx, s.baseCtx, key, exec)
+		resp, outcome, err = s.flight.Do(c.ctx, s.baseCtx, key, exec)
 	} else {
-		resp, err = exec(ctx)
+		resp, err = exec(c.ctx)
 	}
 	if err != nil {
-		if outcome == serve.AbandonedShared || outcome == serve.AbandonedLast {
-			// This waiter's own context ended; the shared execution either
-			// runs on for the others (its metrics are recorded there) or,
-			// if this was the last waiter, is being cancelled and records
-			// the cancellation itself.
-			if outcome == serve.AbandonedShared {
-				s.met.QueryCancelled(s.cancelCause(ctx))
-			}
-			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-				fail(http.StatusGatewayTimeout, "deadline", "deadline exceeded")
-			} else {
-				fail(http.StatusServiceUnavailable, "drain", "cancelled (%s)", s.disconnectCause())
-			}
-			return
-		}
-		switch {
-		case errors.Is(err, serve.ErrTenantQueueFull):
-			s.met.TenantShed(tenant)
-			fail(http.StatusTooManyRequests, "queue_full", "tenant %q admission quota exhausted", tenant)
-		case errors.Is(err, ErrQueueFull):
-			s.met.TenantShed(tenant)
-			fail(http.StatusTooManyRequests, "queue_full", "admission queue full")
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusGatewayTimeout, "deadline", "deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			// The client may be gone; the write is best-effort.
-			fail(http.StatusServiceUnavailable, "drain", "cancelled (%s)", s.disconnectCause())
-		case errors.Is(err, mpc.ErrFaultBudgetExceeded):
-			fail(http.StatusInternalServerError, "fault_budget", "%v", err)
-		case isClientError(err):
-			fail(http.StatusBadRequest, "bad_request", "%v", err)
-		default:
-			fail(http.StatusInternalServerError, "internal", "internal error: %v", err)
-		}
+		c.failExec(outcome, err)
 		return
 	}
 	if outcome == serve.Joined {
 		s.met.QueryCoalesced()
 	}
-	respond(resp, false, outcome == serve.Joined)
+	c.render(resp, false, outcome == serve.Joined)
 }
 
-// execAdmitted runs one admitted execution end to end — queue, engine,
-// metrics — and is called exactly once per execution (directly for
-// uncached modes, as the shared flight body otherwise), so every metric
-// it records counts executions, not waiters.
-func (s *Server) execAdmitted(ctx context.Context, tenant string, req *QueryRequest, q *hypergraph.Query, insts map[string]*Dataset, o core.Options) (*QueryResponse, error) {
-	// Admission: hold weight proportional to the OS parallelism this query
-	// runs with for the duration of its execution. The wait respects the
-	// execution's context, so an abandoned execution frees its queue slot.
-	// workers: 0 (the default) runs serially, which still occupies one OS
-	// worker — clamp to 1 so default queries cannot bypass the capacity.
-	weight := int64(req.Workers)
-	if req.Workers < 0 {
+// render writes a success from resp without mutating it: resp may be
+// shared with the cache and with coalesced waiters, so per-request
+// decoration happens on a shallow copy.
+func (c *queryCall) render(resp *QueryResponse, hit, coalesced bool) {
+	out := *resp
+	out.Cached, out.Coalesced = hit, coalesced
+	out.DatasetVersion = c.view.Version()
+	if hit {
+		out.WallNS = time.Since(c.start).Nanoseconds()
+	} else {
+		c.entry.QueueNS = resp.queueNS
+	}
+	c.entry.Status = http.StatusOK
+	c.entry.CacheHit, c.entry.Coalesced = hit, coalesced
+	c.entry.Engine = out.Engine
+	if c.req.Graph == nil {
+		c.s.met.PlanEngine(out.Engine)
+	}
+	c.s.met.TenantServed(c.tenant)
+	writeJSON(c.w, http.StatusOK, &out)
+}
+
+// failExec maps the error of an admitted step (admission, planning or
+// execution; outcome says how this request was attached to it) onto the
+// response. The execution-level metrics were recorded where the error
+// arose (countFailure); what is counted here is per waiter.
+func (c *queryCall) failExec(outcome serve.FlightOutcome, err error) {
+	s := c.s
+	if outcome == serve.AbandonedShared || outcome == serve.AbandonedLast {
+		// This waiter's own context ended; the shared execution either
+		// runs on for the others (its metrics are recorded there) or, if
+		// this was the last waiter, is being cancelled and records the
+		// cancellation itself.
+		if outcome == serve.AbandonedShared {
+			s.met.QueryCancelled(s.cancelCause(c.ctx))
+		}
+		if err = context.Canceled; errors.Is(context.Cause(c.ctx), context.DeadlineExceeded) {
+			err = context.DeadlineExceeded
+		}
+	}
+	switch {
+	case errors.Is(err, serve.ErrTenantQueueFull):
+		s.met.TenantShed(c.tenant)
+		c.fail(http.StatusTooManyRequests, "queue_full", "tenant %q admission quota exhausted", c.tenant)
+	case errors.Is(err, ErrQueueFull):
+		s.met.TenantShed(c.tenant)
+		c.fail(http.StatusTooManyRequests, "queue_full", "admission queue full")
+	case errors.Is(err, context.DeadlineExceeded):
+		c.fail(http.StatusGatewayTimeout, "deadline", "deadline exceeded")
+	case errors.Is(err, context.Canceled):
+		// The client may be gone; the write is best-effort.
+		c.fail(http.StatusServiceUnavailable, "drain", "cancelled (%s)", s.disconnectCause())
+	case errors.Is(err, mpc.ErrFaultBudgetExceeded):
+		c.fail(http.StatusInternalServerError, "fault_budget", "%v", err)
+	case isClientError(err):
+		c.fail(http.StatusBadRequest, "bad_request", "%v", err)
+	default:
+		c.fail(http.StatusInternalServerError, "internal", "internal error: %v", err)
+	}
+}
+
+// countFailure records the execution-level outcome of a failed admitted
+// step — shed at the queue, cancelled, out of fault budget, the client's
+// fault, or ours. Called once per execution, not per waiter.
+func (s *Server) countFailure(ctx context.Context, faults *mpc.FaultPlane, err error) {
+	switch {
+	case errors.Is(err, serve.ErrTenantQueueFull), errors.Is(err, ErrQueueFull):
+		s.met.QueryRejected()
+	case errors.Is(err, context.DeadlineExceeded):
+		s.met.QueryCancelled("deadline")
+	case errors.Is(err, context.Canceled):
+		s.met.QueryCancelled(s.cancelCause(ctx))
+	case errors.Is(err, mpc.ErrFaultBudgetExceeded):
+		s.met.QueryFailedInternal()
+		s.met.FaultBudgetExhausted()
+		if faults != nil {
+			s.met.FaultsObserved(faults.Report())
+		}
+	case isClientError(err):
+		s.met.QueryFailedClient()
+	default:
+		s.met.QueryFailedInternal()
+	}
+}
+
+// admit is the step every query-shaped request takes before it may place
+// a row or run a round: wait in the tenant's fair queue for the request's
+// weight, then — holding it — resolve the plan. It returns the plan (nil
+// for graph queries, whose driver is the engine), the queue wait, and the
+// release of the held weight; on error nothing is held and the failure
+// has been counted.
+func (s *Server) admit(ctx context.Context, b *boundQuery) (*planner.Plan, int64, func(), error) {
+	// Hold weight proportional to the OS parallelism this query runs with.
+	// The wait respects the caller's context, so an abandoned execution
+	// frees its queue slot. workers: 0 (the default) runs serially, which
+	// still occupies one OS worker — clamp to 1 so default queries cannot
+	// bypass the capacity.
+	weight := int64(b.req.Workers)
+	if b.req.Workers < 0 {
 		weight = int64(runtime.GOMAXPROCS(0))
 	}
 	if weight < 1 {
@@ -561,66 +530,75 @@ func (s *Server) execAdmitted(ctx context.Context, tenant string, req *QueryRequ
 
 	s.met.QueryQueued()
 	queueStart := time.Now()
-	weight, err := s.fair.Acquire(ctx, tenant, weight)
+	weight, err := s.fair.Acquire(ctx, b.tenant, weight)
 	queueNS := time.Since(queueStart).Nanoseconds()
 	s.met.QueryDequeued()
 	if err != nil {
-		switch {
-		case errors.Is(err, serve.ErrTenantQueueFull), errors.Is(err, ErrQueueFull):
-			s.met.QueryRejected()
-		case errors.Is(err, context.DeadlineExceeded):
-			s.met.QueryCancelled("deadline")
-		default:
-			s.met.QueryCancelled(s.cancelCause(ctx))
+		s.countFailure(ctx, nil, err)
+		return nil, queueNS, nil, err
+	}
+	s.met.QueryStarted()
+	release := func() {
+		s.met.QueryFinished()
+		s.fair.Release(weight)
+	}
+
+	var plan *planner.Plan
+	if b.req.Graph == nil {
+		if plan, err = s.resolveQueryPlan(ctx, b); err != nil {
+			release()
+			s.countFailure(ctx, nil, err)
+			return nil, queueNS, nil, err
 		}
+	}
+	return plan, queueNS, release, nil
+}
+
+// execAdmitted runs one execution end to end — admit, plan, run, metrics
+// — and is called exactly once per execution (directly for uncached modes,
+// as the shared flight body otherwise), so every metric it records counts
+// executions, not waiters.
+func (s *Server) execAdmitted(ctx context.Context, b *boundQuery) (*QueryResponse, error) {
+	plan, queueNS, release, err := s.admit(ctx, b)
+	if err != nil {
 		return nil, err
 	}
-	defer s.fair.Release(weight)
+	defer release()
 
-	s.met.QueryStarted()
-	defer s.met.QueryFinished()
-
-	if req.Trace {
+	// The engine runs forced to the plan's choice, under the request's
+	// tracer and fault plane; WallNS starts here and excludes planning.
+	o := b.o
+	if plan != nil {
+		o.Engine = plan.Chosen
+	}
+	if b.req.Trace {
 		o.Tracer = mpc.NewTracer()
 	}
 	start := time.Now()
 	var resp *QueryResponse
-	if req.Graph != nil {
-		resp, err = s.executeGraph(ctx, req, insts, o)
+	if b.req.Graph != nil {
+		resp, err = s.executeGraph(ctx, b.req, b.insts, o)
 	} else {
-		resp, err = s.execute(ctx, req, q, insts, o)
+		resp, err = s.execute(ctx, b.req, b.q, b.insts, o)
 	}
 	wall := time.Since(start)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.met.QueryCancelled("deadline")
-		case errors.Is(err, context.Canceled):
-			s.met.QueryCancelled(s.cancelCause(ctx))
-		case errors.Is(err, mpc.ErrFaultBudgetExceeded):
-			s.met.QueryFailedInternal()
-			s.met.FaultBudgetExhausted()
-			if o.Faults != nil {
-				s.met.FaultsObserved(o.Faults.Report())
-			}
-		case isClientError(err):
-			s.met.QueryFailedClient()
-		default:
-			s.met.QueryFailedInternal()
-		}
+		s.countFailure(ctx, o.Faults, err)
 		return nil, err
 	}
-	if req.Graph != nil {
-		resp.Engine, resp.Class = "spmv-"+req.Graph.Kind, "graph"
-	} else if resp.plan != nil {
-		// The plan observer names the engine that actually ran — the
-		// planner's choice for auto queries, the forced engine otherwise.
-		resp.Engine, resp.Class = resp.plan.Chosen, resp.plan.Class
+	if plan == nil {
+		resp.Engine, resp.Class = "spmv-"+b.req.Graph.Kind, "graph"
+	} else {
+		// A run reports the plan it was resolved with, stamped with what
+		// it measured.
+		ran := *plan
+		ran.MeasuredLoad = resp.Stats.MaxLoad
+		resp.Engine, resp.Class = ran.Chosen, ran.Class
+		if b.req.Explain {
+			resp.Plan = &ran
+		}
 	}
 	s.met.QueryCompleted(resp.Engine, resp.Stats)
-	if req.Explain {
-		resp.Plan = resp.plan
-	}
 	resp.WallNS = wall.Nanoseconds()
 	resp.queueNS = queueNS
 	if o.Tracer != nil {
@@ -784,16 +762,12 @@ func runTyped[W any](ctx context.Context, sr semiring.Semiring[W], q *hypergraph
 	if err := db.Validate(q, inst); err != nil {
 		return nil, &clientError{err}
 	}
-	// The executed plan (chosen engine, candidates, predictions) is read
-	// back through the PlanOut observer; it never changes rows or Stats.
-	var plan planner.Plan
-	o.PlanOut = &plan
 	rel, st, err := core.ExecuteContext(ctx, sr, q, inst, o)
 	if err != nil {
 		return nil, err
 	}
 	rel.SortRows()
-	resp := &QueryResponse{Stats: st, Rows: make([][]any, len(rel.Rows)), plan: &plan}
+	resp := &QueryResponse{Stats: st, Rows: make([][]any, len(rel.Rows))}
 	for _, a := range rel.Schema() {
 		resp.Attrs = append(resp.Attrs, string(a))
 	}

@@ -77,7 +77,7 @@ func TestHealthzAndDraining(t *testing.T) {
 	if registerResp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining register = %d, want 503", registerResp.StatusCode)
 	}
-	qResp, _ := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(matmulQuery, ""))
+	qResp, _ := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, ""))
 	if qResp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining query = %d, want 503", qResp.StatusCode)
 	}
@@ -99,7 +99,7 @@ func TestQueryMatMulAllSemirings(t *testing.T) {
 	}
 	for _, c := range cases {
 		body := fmt.Sprintf(matmulQuery, `,"semiring":"`+c.semiring+`"`)
-		resp, out := postJSON(t, ts.URL+"/v1/query", body)
+		resp, out := postJSON(t, ts.URL+"/v2/query", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", c.semiring, resp.StatusCode, out)
 		}
@@ -136,7 +136,7 @@ func TestQueryStrategiesAgree(t *testing.T) {
 	var bodies []string
 	for _, strat := range []string{"auto", "yannakakis", "tree"} {
 		body := fmt.Sprintf(matmulQuery, `,"strategy":"`+strat+`"`)
-		resp, out := postJSON(t, ts.URL+"/v1/query", body)
+		resp, out := postJSON(t, ts.URL+"/v2/query", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", strat, resp.StatusCode, out)
 		}
@@ -176,9 +176,9 @@ func TestQueryDeterministicAcrossWorkers(t *testing.T) {
 	var got []string
 	for _, workers := range []int{0, 1, 2, -1} {
 		body := fmt.Sprintf(
-			`{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"workers":%d,"seed":3}`,
+			`{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"E"},{"name":"R2","attrs":["B","C"],"dataset":"E"}],"group_by":["A"],"options":{"workers":%d,"seed":3,"cache":"off"}}`,
 			workers)
-		resp, out := postJSON(t, ts.URL+"/v1/query", body)
+		resp, out := postJSON(t, ts.URL+"/v2/query", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("workers=%d: %d %s", workers, resp.StatusCode, out)
 		}
@@ -208,7 +208,7 @@ func TestQueryErrors(t *testing.T) {
 		{"unknown field", `{"relations":[{"name":"R1","attrs":["A","B"]}],"bogus":1}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		resp, out := postJSON(t, ts.URL+"/v1/query", c.body)
+		resp, out := postJSON(t, ts.URL+"/v2/query", c.body)
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status = %d (%s), want %d", c.name, resp.StatusCode, out, c.want)
 		}
@@ -246,8 +246,8 @@ func TestQueryDeadlineCancels(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: %d %s", resp.StatusCode, out)
 	}
-	body := `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"Big"},{"name":"R2","attrs":["B","C"],"dataset":"Big"}],"group_by":["A","C"],"deadline_ms":1}`
-	resp, out = postJSON(t, ts.URL+"/v1/query", body)
+	body := `{"relations":[{"name":"R1","attrs":["A","B"],"dataset":"Big"},{"name":"R2","attrs":["B","C"],"dataset":"Big"}],"group_by":["A","C"],"options":{"deadline_ms":1,"cache":"off"}}`
+	resp, out = postJSON(t, ts.URL+"/v2/query", body)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline query = %d (%s), want 504", resp.StatusCode, out)
 	}
@@ -272,8 +272,8 @@ func TestConcurrentQueriesAndMetrics(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(matmulQuery, fmt.Sprintf(`,"workers":%d`, i%3))
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+			body := fmt.Sprintf(matmulQuery, fmt.Sprintf(`,"options":{"workers":%d,"cache":"off"}`, i%3))
+			resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(body))
 			if err != nil {
 				results[i] = "error: " + err.Error()
 				return

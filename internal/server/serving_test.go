@@ -72,7 +72,7 @@ func stripVolatile(t *testing.T, body []byte) map[string]any {
 func TestCacheHitRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
-	body := fmt.Sprintf(matmulQueryV2, "")
+	body := fmt.Sprintf(matmulQuery, "")
 
 	resp, cold := postJSON(t, ts.URL+"/v2/query", body)
 	if resp.StatusCode != http.StatusOK {
@@ -127,7 +127,7 @@ func TestCacheBypassExecutesButWrites(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 
-	bypass := fmt.Sprintf(matmulQueryV2, `,"options":{"cache":"bypass"}`)
+	bypass := fmt.Sprintf(matmulQuery, `,"options":{"cache":"bypass"}`)
 	for i := 0; i < 2; i++ {
 		resp, out := postJSON(t, ts.URL+"/v2/query", bypass)
 		if resp.StatusCode != http.StatusOK || strings.Contains(string(out), `"cached":true`) {
@@ -136,7 +136,7 @@ func TestCacheBypassExecutesButWrites(t *testing.T) {
 	}
 	// Both bypass runs executed, but the second one's write means a
 	// default-mode reader now hits.
-	resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, ""))
+	resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, ""))
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(out), `"cached":true`) {
 		t.Fatalf("default query after bypass = %d %s, want cache hit", resp.StatusCode, out)
 	}
@@ -148,7 +148,7 @@ func TestCacheBypassExecutesButWrites(t *testing.T) {
 func TestCacheOffTouchesNothing(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
-	off := fmt.Sprintf(matmulQueryV2, `,"options":{"cache":"off"}`)
+	off := fmt.Sprintf(matmulQuery, `,"options":{"cache":"off"}`)
 	for i := 0; i < 2; i++ {
 		resp, out := postJSON(t, ts.URL+"/v2/query", off)
 		if resp.StatusCode != http.StatusOK || strings.Contains(string(out), `"cached":true`) {
@@ -166,7 +166,7 @@ func TestCacheOffTouchesNothing(t *testing.T) {
 func TestBadCacheModeRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
-	resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, `,"options":{"cache":"sometimes"}`))
+	resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"options":{"cache":"sometimes"}`))
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "cache mode") {
 		t.Fatalf("bad cache mode = %d %s, want 400", resp.StatusCode, out)
 	}
@@ -187,7 +187,7 @@ func TestCoalescedWaitersShareExecution(t *testing.T) {
 	}
 
 	const n = 4
-	body := fmt.Sprintf(matmulQueryV2, `,"options":{"trace":true}`)
+	body := fmt.Sprintf(matmulQuery, `,"options":{"trace":true}`)
 	type result struct {
 		status int
 		body   []byte
@@ -232,7 +232,7 @@ func TestCoalescedWaitersShareExecution(t *testing.T) {
 
 	// Bit-identity: all waiters against each other and against a fresh
 	// uncoalesced execution.
-	resp, solo := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, `,"options":{"trace":true,"cache":"bypass"}`))
+	resp, solo := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"options":{"trace":true,"cache":"bypass"}`))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bypass query = %d %s", resp.StatusCode, solo)
 	}
@@ -258,7 +258,7 @@ func TestWaiterDeadlineExpiresOnlyThatWaiter(t *testing.T) {
 
 	leaderDone := make(chan []byte, 1)
 	go func() {
-		resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, ""))
+		resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, ""))
 		if resp.StatusCode != http.StatusOK {
 			out = fmt.Appendf(nil, "status %d: %s", resp.StatusCode, out)
 		}
@@ -268,7 +268,7 @@ func TestWaiterDeadlineExpiresOnlyThatWaiter(t *testing.T) {
 
 	// The joiner shares the leader's key (deadline_ms is not part of the
 	// result identity) but carries its own 50ms deadline.
-	resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, `,"options":{"deadline_ms":50}`))
+	resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"options":{"deadline_ms":50}`))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("expired waiter = %d %s, want 504", resp.StatusCode, out)
 	}
@@ -311,7 +311,7 @@ func TestDrainCancelsQueuedSharedExecution(t *testing.T) {
 
 	done := make(chan result2, 1)
 	go func() {
-		resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, ""))
+		resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, ""))
 		done <- result2{resp.StatusCode, out}
 	}()
 	waitFor(t, "query parked in admission queue", func() bool { return s.fair.Queued() == 1 })
@@ -355,7 +355,7 @@ func TestRegistrationNeverBlocksQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < queriesEach; i++ {
-				resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, ""))
+				resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, ""))
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Sprintf("query: %d %s", resp.StatusCode, out)
 				}
@@ -393,7 +393,7 @@ func TestTenantQuotaAndIsolation(t *testing.T) {
 	}
 
 	// cache off so each request is an independent admission, not a coalesce.
-	off := fmt.Sprintf(matmulQueryV2, `,"options":{"cache":"off"}`)
+	off := fmt.Sprintf(matmulQuery, `,"options":{"cache":"off"}`)
 	var wg sync.WaitGroup
 	statuses := make(chan int, 3)
 	enqueue := func(tenant string, wantQueued int) {
@@ -450,7 +450,7 @@ func TestTenantQuotaAndIsolation(t *testing.T) {
 func TestTenantHeaderValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
-	body := fmt.Sprintf(matmulQueryV2, "")
+	body := fmt.Sprintf(matmulQuery, "")
 	for _, bad := range []string{"has space", "semi;colon", strings.Repeat("x", 65)} {
 		resp, out := postTenant(t, ts.URL+"/v2/query", bad, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -478,7 +478,7 @@ func TestAccessLogEntries(t *testing.T) {
 	}}
 	_, ts := newTestServer(t, cfg)
 	registerMatMul(t, ts.URL)
-	body := fmt.Sprintf(matmulQueryV2, "")
+	body := fmt.Sprintf(matmulQuery, "")
 
 	postTenant(t, ts.URL+"/v2/query", "acme", body) // miss, executes
 	postTenant(t, ts.URL+"/v2/query", "acme", body) // hit

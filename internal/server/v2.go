@@ -9,12 +9,12 @@ import (
 	"mpcjoin/internal/mpc"
 )
 
-// v2.go is the /v2/query surface: an explicit options object instead of
-// v1's flat knob soup, a fault-injection block, and a typed error
-// envelope carrying a machine-readable cause. /v1/query remains a thin
-// adapter over the same execution path (see serveQuery): it keeps its
-// flat request shape and its legacy {"error": "..."} responses, and
-// advertises its successor with a Deprecation header.
+// v2.go is the wire dialect of the query endpoints (/v2/query, /v2/plan):
+// the query shape top-level, every execution knob in an explicit options
+// object, a fault-injection block, a graph block, and a typed error
+// envelope carrying a machine-readable cause. It is the only dialect:
+// DecodeQueryRequestV2 normalizes a body into the QueryRequest everything
+// past the decoder runs on.
 
 // FaultBlock is the "faults" object of a v2 query: the wire form of
 // mpc.FaultSpec. All fields are optional; a present block with all-zero
@@ -182,16 +182,15 @@ type QueryRequestV2 struct {
 	Strategy  string          `json:"strategy,omitempty"`
 	Semiring  string          `json:"semiring,omitempty"`
 	// Graph turns the request into an iterated graph-analytics run over
-	// the single bound edge relation (v2-only, like the faults block).
+	// the single bound edge relation.
 	Graph   *GraphBlock   `json:"graph,omitempty"`
 	Options *QueryOptions `json:"options,omitempty"`
 }
 
-// DecodeQueryRequestV2 parses and validates a v2 query body and
-// normalizes it into the shared QueryRequest the execution path runs on.
-// Validation rules are those of DecodeQueryRequest plus the faults
-// block; the flat v1 knobs arriving top-level in a v2 body are unknown
-// fields and rejected.
+// DecodeQueryRequestV2 parses and validates a query body and normalizes
+// it into the QueryRequest the execution path runs on. An execution knob
+// arriving top-level instead of inside "options" is an unknown field and
+// rejected.
 func DecodeQueryRequestV2(r io.Reader) (*QueryRequest, error) {
 	var v2 QueryRequestV2
 	dec := json.NewDecoder(r)
@@ -213,7 +212,9 @@ func DecodeQueryRequestV2(r io.Reader) (*QueryRequest, error) {
 		req.Trace = o.Trace
 		req.DeadlineMS = o.DeadlineMS
 		req.Faults = o.Faults
-		req.Cache = o.Cache
+		if req.Cache = o.Cache; req.Cache == "default" {
+			req.Cache = cacheDefault
+		}
 		req.Explain = o.Explain
 	}
 	if err := validateQueryRequest(req); err != nil {
@@ -221,15 +222,6 @@ func DecodeQueryRequestV2(r io.Reader) (*QueryRequest, error) {
 	}
 	return req, nil
 }
-
-// apiVersion selects the wire dialect of a query endpoint: how the body
-// decodes and how errors render.
-type apiVersion int
-
-const (
-	apiV1 apiVersion = 1
-	apiV2 apiVersion = 2
-)
 
 // v2Error is the typed error envelope of the v2 API:
 //
@@ -248,23 +240,7 @@ type v2ErrorBody struct {
 	Error v2Error `json:"error"`
 }
 
-// writeError renders an error in the version's dialect. v1 keeps the
-// legacy flat {"error": "message"} shape byte-for-byte (clients parse
-// it); v2 wraps the typed envelope. The cause is dropped on v1, which
-// predates causes.
-func (v apiVersion) writeError(w http.ResponseWriter, status int, cause, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if v == apiV1 {
-		writeJSON(w, status, errorBody{Error: msg})
-		return
-	}
+// writeQueryError renders the typed error envelope.
+func writeQueryError(w http.ResponseWriter, status int, cause, msg string) {
 	writeJSON(w, status, v2ErrorBody{Error: v2Error{Code: status, Cause: cause, Message: msg}})
-}
-
-// markDeprecated stamps the deprecation headers on a v1 query response,
-// pointing clients at the successor endpoint. Header form follows RFC
-// 8594 (Link rel) and the Deprecation header draft.
-func markDeprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v2/query>; rel="successor-version"`)
 }

@@ -8,8 +8,6 @@ import (
 	"testing"
 )
 
-const matmulQueryV2 = `{"relations":[{"name":"R1","attrs":["A","B"]},{"name":"R2","attrs":["B","C"]}],"group_by":["A","C"]%s}`
-
 // TestV2QueryGolden pins the full /v2/query response body (wall_ns
 // zeroed): the v2 wire shape is a contract, and any drift must be a
 // conscious change to this golden string.
@@ -17,12 +15,9 @@ func TestV2QueryGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 
-	resp, body := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, `,"options":{"servers":4,"seed":1}`))
+	resp, body := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"options":{"servers":4,"seed":1}`))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("v2 query = %d %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("v2 response must not carry a Deprecation header")
 	}
 
 	var out map[string]any
@@ -43,36 +38,25 @@ func TestV2QueryGolden(t *testing.T) {
 	}
 }
 
-// TestV1QueryGoldenAndDeprecation pins the v1 response body (byte
-// compatibility with pre-v2 clients) and the deprecation headers the
-// adapter stamps on it.
-func TestV1QueryGoldenAndDeprecation(t *testing.T) {
+// TestV1QueryUnrouted: the flat v1 dialect is gone, not adapted — a body
+// the v1 endpoint used to answer 200 finds no route — while the dataset
+// endpoints, which never had a successor, are still there. (The same flat
+// body on /v2/query is a 400: TestV2ErrorEnvelope/v1-knobs-rejected.)
+func TestV1QueryUnrouted(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 
 	resp, body := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(matmulQuery, `,"servers":4,"seed":1`))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 query = %d %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/query = %d %s, want 404", resp.StatusCode, body)
 	}
-	if dep := resp.Header.Get("Deprecation"); dep != "true" {
-		t.Errorf("v1 Deprecation header = %q, want \"true\"", dep)
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v2/query") {
-		t.Errorf("v1 Link header = %q, want successor /v2/query", link)
-	}
-
-	var out map[string]any
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	out["wall_ns"] = 0
-	got, err := json.Marshal(out)
+	getResp, err := http.Get(ts.URL + "/v1/datasets")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"attrs":["A","C"],"class":"matmul","engine":"matmul","rows":[[6,0,1],[15,1,1]],"stats":{"MaxLoad":4,"Rounds":20,"SumLoad":45,"TotalComm":92},"wall_ns":0}`
-	if string(got) != golden {
-		t.Errorf("v1 golden mismatch:\n got %s\nwant %s", got, golden)
+	getResp.Body.Close()
+	if getResp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/datasets = %d, want 200", getResp.StatusCode)
 	}
 }
 
@@ -106,8 +90,8 @@ func TestV2ErrorEnvelope(t *testing.T) {
 		check(t, resp.StatusCode, "bad_request", body)
 	})
 	t.Run("v1-knobs-rejected", func(t *testing.T) {
-		// Flat v1 knobs are unknown fields in a v2 body.
-		resp, body := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, `,"servers":4`))
+		// An execution knob outside "options" is an unknown field.
+		resp, body := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"servers":4`))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d %s", resp.StatusCode, body)
 		}
@@ -122,7 +106,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	})
 	t.Run("fault_budget", func(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v2/query",
-			fmt.Sprintf(matmulQueryV2, `,"options":{"servers":4,"faults":{"crash_prob":1,"max_retries":1}}`))
+			fmt.Sprintf(matmulQuery, `,"options":{"servers":4,"faults":{"crash_prob":1,"max_retries":1}}`))
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("status %d %s", resp.StatusCode, body)
 		}
@@ -138,7 +122,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	t.Run("drain", func(t *testing.T) {
 		s.SetDraining(true)
 		defer s.SetDraining(false)
-		resp, body := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, ""))
+		resp, body := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, ""))
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
@@ -146,8 +130,8 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	})
 
 	t.Run("v1-error-shape-unchanged", func(t *testing.T) {
-		// The v1 adapter must keep the legacy flat error shape.
-		resp, body := postJSON(t, ts.URL+"/v1/query", `{"relations":[]}`)
+		// The dataset endpoints keep the flat error shape they always had.
+		resp, body := postJSON(t, ts.URL+"/v1/datasets", `{"name":"X","arity":3,"rows":[]}`)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
@@ -156,7 +140,7 @@ func TestV2ErrorEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, ok := out["error"].(string); !ok {
-			t.Errorf("v1 error must be a flat string, got %s", body)
+			t.Errorf("/v1/datasets error must be a flat string, got %s", body)
 		}
 	})
 }
@@ -168,12 +152,12 @@ func TestV2FaultedQueryTransparent(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerMatMul(t, ts.URL)
 
-	respFree, bodyFree := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQueryV2, `,"options":{"servers":4,"seed":1}`))
+	respFree, bodyFree := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(matmulQuery, `,"options":{"servers":4,"seed":1}`))
 	if respFree.StatusCode != http.StatusOK {
 		t.Fatalf("fault-free query = %d %s", respFree.StatusCode, bodyFree)
 	}
 	resp, body := postJSON(t, ts.URL+"/v2/query",
-		fmt.Sprintf(matmulQueryV2, `,"options":{"servers":4,"seed":1,"faults":{"seed":9,"crash_prob":0.3,"drop_prob":0.3,"max_retries":10}}`))
+		fmt.Sprintf(matmulQuery, `,"options":{"servers":4,"seed":1,"faults":{"seed":9,"crash_prob":0.3,"drop_prob":0.3,"max_retries":10}}`))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("faulted query = %d %s", resp.StatusCode, body)
 	}
@@ -225,12 +209,12 @@ func TestV2DecodeFaultBounds(t *testing.T) {
 		`{"stop_after":-1}`,
 	}
 	for _, fb := range bad {
-		body := fmt.Sprintf(matmulQueryV2, `,"options":{"faults":`+fb+`}`)
+		body := fmt.Sprintf(matmulQuery, `,"options":{"faults":`+fb+`}`)
 		if _, err := DecodeQueryRequestV2(strings.NewReader(body)); err == nil {
 			t.Errorf("fault block %s decoded without error", fb)
 		}
 	}
-	ok := fmt.Sprintf(matmulQueryV2, `,"options":{"faults":{"crash_prob":0.5,"max_retries":-1}}`)
+	ok := fmt.Sprintf(matmulQuery, `,"options":{"faults":{"crash_prob":0.5,"max_retries":-1}}`)
 	req, err := DecodeQueryRequestV2(strings.NewReader(ok))
 	if err != nil {
 		t.Fatalf("valid fault block rejected: %v", err)

@@ -169,22 +169,6 @@ func NewEngine[W any](ex *mpc.Exec, sr semiring.Semiring[W], edges []Edge[W], p 
 	return e
 }
 
-// FromRows converts a binary relation into the engine's edge list:
-// Vals[0] → Src, Vals[1] → Dst, the annotation mapped by ann. For a
-// matrix relation M(I, J) whose entries multiply as y[I] = ⊕_J M[I,J] ⊗
-// x[J], pass swap=true so J (the column, Vals[1]) becomes Src.
-func FromRows[W, V any](rows []relation.Row[V], ann func(V) W, swap bool) []Edge[W] {
-	out := make([]Edge[W], len(rows))
-	for i, r := range rows {
-		s, d := r.Vals[0], r.Vals[1]
-		if swap {
-			s, d = d, s
-		}
-		out[i] = Edge[W]{Src: s, Dst: d, W: ann(r.W)}
-	}
-	return out
-}
-
 // P returns the server count, N the vertex-universe size, NNZ the number
 // of matrix entries, and BuildStats the placement cost.
 func (e *Engine[W]) P() int                { return e.p }

@@ -33,7 +33,7 @@ func randomInstance(rng *rand.Rand, q *hypergraph.Query, n, dom int) db.Instance
 func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]dist.Rel[int64] {
 	rels := make(map[string]dist.Rel[int64])
 	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelation(inst[e.Name], p)
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
 	}
 	return rels
 }
@@ -209,9 +209,9 @@ func TestRunTwoArmsDegeneratesToLine(t *testing.T) {
 	rb1 := mk("C2", "Y")
 	const p = 4
 	arms := []Arm[int64]{
-		{Rels: []dist.Rel[int64]{dist.FromRelation(ra0, p), dist.FromRelation(ra1, p)},
+		{Rels: []dist.Rel[int64]{dist.FromRelationIn(nil, ra0, p), dist.FromRelationIn(nil, ra1, p)},
 			Path: [][]dist.Attr{{"B"}, {"C1"}, {"X"}}},
-		{Rels: []dist.Rel[int64]{dist.FromRelation(rb0, p), dist.FromRelation(rb1, p)},
+		{Rels: []dist.Rel[int64]{dist.FromRelationIn(nil, rb0, p), dist.FromRelationIn(nil, rb1, p)},
 			Path: [][]dist.Attr{{"B"}, {"C2"}, {"Y"}}},
 	}
 	got, _ := Run[int64](intSR, arms, "B", Options{})

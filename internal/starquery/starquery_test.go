@@ -33,7 +33,7 @@ func randomInstance(rng *rand.Rand, q *hypergraph.Query, n, domA, domB int) db.I
 func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]dist.Rel[int64] {
 	rels := make(map[string]dist.Rel[int64])
 	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelation(inst[e.Name], p)
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
 	}
 	return rels
 }
@@ -168,7 +168,7 @@ func TestCompositeLeaves(t *testing.T) {
 
 	const p = 4
 	got, _ := Run[int64](intSR,
-		[]dist.Rel[int64]{dist.FromRelation(a1, p), dist.FromRelation(a2, p), dist.FromRelation(a3, p)},
+		[]dist.Rel[int64]{dist.FromRelationIn(nil, a1, p), dist.FromRelationIn(nil, a2, p), dist.FromRelationIn(nil, a3, p)},
 		[][]dist.Attr{{"X1", "X2"}, {"Y1"}, {"Z1", "Z2"}}, "B", Options{})
 
 	want := relation.ProjectAgg[int64](intSR,

@@ -43,7 +43,7 @@ func buildTwig(t *testing.T, nB int, fan1, fan2 int, p int) (*vtree[int64], *hyp
 	}
 	vt := &vtree[int64]{q: q, groups: map[hypergraph.Attr][]dist.Attr{}, rels: map[string]dist.Rel[int64]{}}
 	for name, r := range inst {
-		vt.rels[name] = dist.FromRelation(r, p)
+		vt.rels[name] = dist.FromRelationIn(nil, r, p)
 	}
 	sk := hypergraph.SkeletonOf(q)
 	if sk == nil {

@@ -36,7 +36,7 @@ func randomInstance(rng *rand.Rand, q *hypergraph.Query, n, dom int) db.Instance
 func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]dist.Rel[int64] {
 	rels := make(map[string]dist.Rel[int64])
 	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelation(inst[e.Name], p)
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
 	}
 	return rels
 }
@@ -246,7 +246,7 @@ func TestBooleanSemiringTree(t *testing.T) {
 			r.Append(true, relation.Value(rng.Intn(5)), relation.Value(rng.Intn(5)))
 		}
 		inst[e.Name] = r
-		rels[e.Name] = dist.FromRelation(r, 4)
+		rels[e.Name] = dist.FromRelationIn(nil, r, 4)
 	}
 	got, _, err := Compute[bool](boolSR, q, rels, Options{})
 	if err != nil {

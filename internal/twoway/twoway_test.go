@@ -33,7 +33,7 @@ func TestJoinMatchesSequential(t *testing.T) {
 		p := rng.Intn(10) + 2
 		r := randomRel(rng, []relation.Attr{"A", "B"}, rng.Intn(150)+1, 8)
 		s := randomRel(rng, []relation.Attr{"B", "C"}, rng.Intn(150)+1, 8)
-		got, outf, _ := Join[int64](intSR, dist.FromRelation(r, p), dist.FromRelation(s, p))
+		got, outf, _ := Join[int64](intSR, dist.FromRelationIn(nil, r, p), dist.FromRelationIn(nil, s, p))
 		want := relation.Join[int64](intSR, r, s)
 		if int(outf) != want.Len() {
 			return false
@@ -51,7 +51,7 @@ func TestJoinAggMatchesSequential(t *testing.T) {
 		p := rng.Intn(8) + 2
 		r := randomRel(rng, []relation.Attr{"A", "B"}, rng.Intn(120)+1, 6)
 		s := randomRel(rng, []relation.Attr{"B", "C"}, rng.Intn(120)+1, 6)
-		got, _ := JoinAgg[int64](intSR, dist.FromRelation(r, p), dist.FromRelation(s, p), "A", "C")
+		got, _ := JoinAgg[int64](intSR, dist.FromRelationIn(nil, r, p), dist.FromRelationIn(nil, s, p), "A", "C")
 		want := relation.ProjectAgg[int64](intSR, relation.Join[int64](intSR, r, s), "A", "C")
 		return relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want)
 	}
@@ -64,7 +64,7 @@ func TestJoinEmptySides(t *testing.T) {
 	r := relation.New[int64]("A", "B")
 	s := relation.New[int64]("B", "C")
 	s.Append(1, 1, 2)
-	got, outf, _ := Join[int64](intSR, dist.FromRelation(r, 4), dist.FromRelation(s, 4))
+	got, outf, _ := Join[int64](intSR, dist.FromRelationIn(nil, r, 4), dist.FromRelationIn(nil, s, 4))
 	if got.N() != 0 || outf != 0 {
 		t.Fatalf("empty join produced %d rows (outf %d)", got.N(), outf)
 	}
@@ -81,7 +81,7 @@ func TestJoinSingleHotKeyLoad(t *testing.T) {
 		r.Append(1, relation.Value(i), 0)
 		s.Append(1, 0, relation.Value(i))
 	}
-	got, outf, st := Join[int64](intSR, dist.FromRelation(r, p), dist.FromRelation(s, p))
+	got, outf, st := Join[int64](intSR, dist.FromRelationIn(nil, r, p), dist.FromRelationIn(nil, s, p))
 	if outf != int64(n)*int64(n) {
 		t.Fatalf("outf = %d", outf)
 	}
@@ -109,7 +109,7 @@ func TestJoinSkewMixture(t *testing.T) {
 		s.Append(1, b, relation.Value(i+1000))
 	}
 	const p = 8
-	got, _, _ := Join[int64](intSR, dist.FromRelation(r, p), dist.FromRelation(s, p))
+	got, _, _ := Join[int64](intSR, dist.FromRelationIn(nil, r, p), dist.FromRelationIn(nil, s, p))
 	want := relation.Join[int64](intSR, r, s)
 	if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
 		t.Fatal("skew mixture join mismatch")
@@ -126,7 +126,7 @@ func TestJoinLinearLoadOnLightData(t *testing.T) {
 		r.Append(1, relation.Value(rng.Intn(n)), relation.Value(rng.Intn(n)))
 		s.Append(1, relation.Value(rng.Intn(n)), relation.Value(rng.Intn(n)))
 	}
-	_, _, st := Join[int64](intSR, dist.FromRelation(r, p), dist.FromRelation(s, p))
+	_, _, st := Join[int64](intSR, dist.FromRelationIn(nil, r, p), dist.FromRelationIn(nil, s, p))
 	if st.MaxLoad > 8*(2*n)/p+p*p {
 		t.Fatalf("light join load %d not O(N/p) (N/p = %d)", st.MaxLoad, 2*n/p)
 	}
@@ -139,7 +139,7 @@ func TestJoinConstantRounds(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		r := randomRel(rng, []relation.Attr{"A", "B"}, n, 50)
 		s := randomRel(rng, []relation.Attr{"B", "C"}, n, 50)
-		_, _, st := Join[int64](intSR, dist.FromRelation(r, 8), dist.FromRelation(s, 8))
+		_, _, st := Join[int64](intSR, dist.FromRelationIn(nil, r, 8), dist.FromRelationIn(nil, s, 8))
 		rounds[st.Rounds] = n
 	}
 	if len(rounds) != 1 {

@@ -130,20 +130,6 @@ func blocksGen(q *hypergraph.Query, blocks int, fans map[hypergraph.Attr]int, de
 	return inst, meta
 }
 
-// FanForOut returns the fan that makes Blocks produce approximately the
-// target OUT with the given block count: fan = (out/blocks)^(1/|y|).
-func FanForOut(q *hypergraph.Query, blocks int, out int64) int {
-	k := len(q.Output)
-	if k == 0 {
-		return 1
-	}
-	f := math.Pow(float64(out)/float64(blocks), 1/float64(k))
-	if f < 1 {
-		return 1
-	}
-	return int(math.Round(f))
-}
-
 // Uniform fills every edge with n tuples drawn uniformly from [0, dom) per
 // attribute; duplicates are merged (annotation = multiplicity).
 func Uniform(q *hypergraph.Query, n, dom int, rng *rand.Rand) (db.Instance[int64], Meta) {

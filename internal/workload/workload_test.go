@@ -56,17 +56,6 @@ func TestBlocksOutExactAcrossShapes(t *testing.T) {
 	}
 }
 
-func TestFanForOut(t *testing.T) {
-	q := hypergraph.MatMulQuery()
-	fan := FanForOut(q, 10, 4000) // fan² = 400 → fan = 20
-	if fan != 20 {
-		t.Fatalf("fan = %d", fan)
-	}
-	if f := FanForOut(q, 1000, 10); f != 1 {
-		t.Fatalf("tiny out fan = %d", f)
-	}
-}
-
 func TestUniformAndZipf(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := hypergraph.LineQuery(3)

@@ -101,7 +101,7 @@ func RunOnInstance[W any](sr semiring.Semiring[W], q *hypergraph.Query, inst db.
 	}
 	rels := make(map[string]dist.Rel[W], len(q.Edges))
 	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelation(inst[e.Name], p)
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
 	}
 	res, st := Run(sr, q, rels)
 	return res, st, nil
