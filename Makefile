@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test bench-test bench-gate race bench service-smoke cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
+.PHONY: ci vet build test loc bench-test bench-gate race bench service-smoke cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
 
 ci: vet build test bench-test race
 
@@ -15,6 +15,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The size ROADMAP's quality axis tracks: lines of non-test Go outside
+# bench/ (tracked or not yet added, ignored build outputs excluded).
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l
 
 # The benchmark harness is its own module (bench/go.mod, `replace mpcjoin
 # => ../`), so the root `go test ./...` never compiles it. This lane does:

@@ -73,7 +73,6 @@ func SpMVContext[W any](ctx context.Context, sr Semiring[W], a []MatrixEntry[W],
 	if err != nil {
 		return nil, err
 	}
-	p := serversOf(co)
 	edges := make([]spmv.Edge[W], len(a))
 	for i, e := range a {
 		edges[i] = spmv.Edge[W]{Src: e.Col, Dst: e.Row, W: e.W}
@@ -83,22 +82,19 @@ func SpMVContext[W any](ctx context.Context, sr Semiring[W], a []MatrixEntry[W],
 		in[i] = spmv.Entry[W]{Idx: e.Idx, Val: e.Val}
 	}
 
-	ex, release, err := co.NewScope(ctx)
+	res = &SpMVResult[W]{}
+	res.Trace, res.Faults, err = inScope(ctx, co, func(ex *mpc.Exec, p int) {
+		eng := spmv.NewEngine[W](ex, sr, edges, p, co.Seed)
+		xv, vst := eng.NewVector(in)
+		y, ms := eng.Mul(xv)
+		res.Stats = mpc.Seq(eng.BuildStats(), mpc.Seq(vst, ms.Stats))
+		for _, en := range y.Entries() {
+			res.Entries = append(res.Entries, VecEntry[W]{Idx: en.Idx, Val: en.Val})
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	defer mpc.Recover(&err)
-
-	eng := spmv.NewEngine[W](ex, sr, edges, p, co.Seed)
-	xv, vst := eng.NewVector(in)
-	y, ms := eng.Mul(xv)
-
-	res = &SpMVResult[W]{Stats: mpc.Seq(eng.BuildStats(), mpc.Seq(vst, ms.Stats))}
-	for _, en := range y.Entries() {
-		res.Entries = append(res.Entries, VecEntry[W]{Idx: en.Idx, Val: en.Val})
-	}
-	finishRun(co, &res.Trace, &res.Faults)
 	return res, nil
 }
 
@@ -180,27 +176,19 @@ func SSSPContext(ctx context.Context, edges []GraphEdge, src Value, opts ...Opti
 }
 
 func runTraversal(ctx context.Context, co core.Options, run func(ex *mpc.Exec, p int) *spmv.GraphResult) (res *GraphResult, err error) {
-	p := serversOf(co)
-	ex, release, err := co.NewScope(ctx)
+	res = &GraphResult{}
+	res.Trace, res.Faults, err = inScope(ctx, co, func(ex *mpc.Exec, p int) {
+		gr := run(ex, p)
+		res.Iterations, res.Stats, res.Converged = gr.Iters, mpc.Seq(gr.Build, gr.Stats), gr.Converged
+		res.Vertices, res.Edges = gr.N, gr.NNZ
+		res.Rows = make([]VertexRow, len(gr.Rows))
+		for i, en := range gr.Rows {
+			res.Rows[i] = VertexRow{Vertex: en.Idx, Val: en.Val}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	defer mpc.Recover(&err)
-
-	gr := run(ex, p)
-	res = &GraphResult{
-		Iterations: gr.Iters,
-		Stats:      mpc.Seq(gr.Build, gr.Stats),
-		Converged:  gr.Converged,
-		Vertices:   gr.N,
-		Edges:      gr.NNZ,
-	}
-	res.Rows = make([]VertexRow, len(gr.Rows))
-	for i, en := range gr.Rows {
-		res.Rows[i] = VertexRow{Vertex: en.Idx, Val: en.Val}
-	}
-	finishRun(co, &res.Trace, &res.Faults)
 	return res, nil
 }
 
@@ -239,51 +227,52 @@ func PageRankContext(ctx context.Context, edges []GraphEdge, opts ...Option) (re
 	if err != nil {
 		return nil, err
 	}
-	p := serversOf(co)
-	ex, release, err := co.NewScope(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	defer mpc.Recover(&err)
-
 	wedges := make([]spmv.Edge[int64], len(edges))
 	for i, e := range edges {
 		wedges[i] = spmv.Edge[int64]{Src: e.Src, Dst: e.Dst, W: e.W}
 	}
-	pr := spmv.PageRank(ex, wedges, p, co.Seed, ip.damping, ip.tol, ip.maxIters)
-	res = &PageRankResult{
-		Iterations: pr.Iters,
-		Stats:      mpc.Seq(pr.Build, pr.Stats),
-		Converged:  pr.Converged,
-		Vertices:   pr.N,
-		Edges:      pr.NNZ,
+	res = &PageRankResult{}
+	res.Trace, res.Faults, err = inScope(ctx, co, func(ex *mpc.Exec, p int) {
+		pr := spmv.PageRank(ex, wedges, p, co.Seed, ip.damping, ip.tol, ip.maxIters)
+		res.Iterations, res.Stats, res.Converged = pr.Iters, mpc.Seq(pr.Build, pr.Stats), pr.Converged
+		res.Vertices, res.Edges = pr.N, pr.NNZ
+		res.Ranks = make([]RankRow, len(pr.Ranks))
+		for i, en := range pr.Ranks {
+			res.Ranks[i] = RankRow{Vertex: en.Idx, Rank: en.Val}
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Ranks = make([]RankRow, len(pr.Ranks))
-	for i, en := range pr.Ranks {
-		res.Ranks[i] = RankRow{Vertex: en.Idx, Rank: en.Val}
-	}
-	finishRun(co, &res.Trace, &res.Faults)
 	return res, nil
 }
 
-// serversOf resolves the cluster size with Execute's default.
-func serversOf(co core.Options) int {
-	if co.Servers == 0 {
-		return 16
+// inScope is the scope/finish tail every graph entry point shares: run
+// executes on the execution scope the options describe, at Execute's
+// default cluster size when none is set (an abort — cancellation, fault
+// budget — unwinds out of it into err), and the trace and fault accounting
+// the options recorded come back for the result.
+func inScope(ctx context.Context, co core.Options, run func(ex *mpc.Exec, p int)) (trace []RoundTrace, faults *FaultReport, err error) {
+	ex, release, err := co.NewScope(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
-	return co.Servers
-}
+	defer release()
+	defer mpc.Recover(&err)
 
-// finishRun attaches the trace and fault accounting the options recorded.
-func finishRun(co core.Options, trace *[]RoundTrace, faults **FaultReport) {
+	p := co.Servers
+	if p == 0 {
+		p = 16
+	}
+	run(ex, p)
 	if co.Tracer != nil {
-		*trace = co.Tracer.Rounds()
+		trace = co.Tracer.Rounds()
 	}
 	if co.Faults != nil {
 		rep := co.Faults.Report()
-		*faults = &rep
+		faults = &rep
 	}
+	return trace, faults, nil
 }
 
 // Compile-time check: the drivers' semirings keep implementing the

@@ -162,7 +162,7 @@ func prepare[W any](q *hypergraph.Query, inst db.Instance[W], engine string) (cl
 	}
 	class = q.Classify()
 	if engine != "" {
-		forced, err = planner.Forced(class, engine)
+		forced, err = planner.Forced(q, engine)
 	}
 	return
 }

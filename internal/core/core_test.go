@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"mpcjoin/internal/db"
+	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/refengine"
 	"mpcjoin/internal/relation"
@@ -157,5 +159,46 @@ func TestDefaultServers(t *testing.T) {
 	want, _ := refengine.Yannakakis[int64](intSR, q, inst)
 	if !relation.Equal[int64](intSR, intEq, got, want) {
 		t.Fatal("default-server execution mismatch")
+	}
+}
+
+// TestSixteenArmStarNeverPanics pins the class-split limit end to end: the
+// degree-permutation codec names at most dist.MaxPermArms arms, so on a
+// well-formed 16-relation star the engines built on it are an error before
+// any round — not a panic inside the execution — and auto prices them
+// infeasible and answers through another engine.
+func TestSixteenArmStarNeverPanics(t *testing.T) {
+	q := hypergraph.StarQuery(dist.MaxPermArms + 1)
+	inst := randomInstance(rand.New(rand.NewSource(16)), q, 6, 3)
+	for _, engine := range []string{planner.EngineStar, planner.EngineTree} {
+		tr := mpc.NewTracer()
+		res, st, err := Execute[int64](intSR, q, inst, Options{Servers: 4, Engine: engine, Tracer: tr})
+		if err == nil || res != nil || st.Rounds != 0 || len(tr.Rounds()) != 0 {
+			t.Fatalf("forced %s: res %v, stats %+v, %d traced rounds, err %v", engine, res, st, len(tr.Rounds()), err)
+		}
+		if !strings.Contains(err.Error(), "at most 15") {
+			t.Fatalf("forced %s: unhelpful error %v", engine, err)
+		}
+		if _, err := PlanInstance(context.Background(), q, inst, Options{Servers: 4, Engine: engine}); err == nil {
+			t.Fatalf("PlanInstance accepted %s on a 16-arm star", engine)
+		}
+	}
+
+	want, err := refengine.Yannakakis[int64](intSR, q, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan planner.Plan
+	got, _, err := Execute[int64](intSR, q, inst, Options{Servers: 4, PlanOut: &plan})
+	if err != nil {
+		t.Fatalf("auto: %v", err)
+	}
+	if plan.Chosen != planner.EngineYannakakis || !relation.Equal[int64](intSR, intEq, got, want) {
+		t.Fatalf("auto chose %s; rows match reference: %v", plan.Chosen, relation.Equal[int64](intSR, intEq, got, want))
+	}
+	for _, c := range plan.Candidates {
+		if c.Engine != planner.EngineYannakakis && c.Feasible {
+			t.Fatalf("auto priced %s feasible on a 16-arm star", c.Engine)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // their cost is metered into Plan.EstimateStats, never the execution
 // Stats.
 func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, rels map[string]dist.Rel[W], opts Options) planner.Plan {
-	in := planner.Input{Class: class, P: opts.Servers}
+	in := planner.Input{Class: class, P: opts.Servers, Arms: q.AggregatedDegree()}
 	for _, e := range q.Edges {
 		n := int64(rels[e.Name].N())
 		in.N += n

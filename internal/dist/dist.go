@@ -96,6 +96,27 @@ func (r Rel[W]) Cols(attrs ...Attr) []int {
 	return idx
 }
 
+// Without returns schema minus the attribute b, in schema order.
+func Without(schema []Attr, b Attr) []Attr {
+	var out []Attr
+	for _, a := range schema {
+		if a != b {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// AnyRel returns one of the query's placed relations — they all share the
+// server count and the execution scope an engine needs before it touches a
+// particular one.
+func AnyRel[W any](rels map[string]Rel[W]) Rel[W] {
+	for _, r := range rels {
+		return r
+	}
+	panic("dist: no relations")
+}
+
 // Has reports whether the schema contains a.
 func (r Rel[W]) Has(a Attr) bool {
 	for _, s := range r.Schema {

@@ -28,7 +28,6 @@ import (
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/kmv"
 	"mpcjoin/internal/mpc"
-	"mpcjoin/internal/relation"
 )
 
 // DefaultK is the per-sketch size; the estimator's relative error is
@@ -160,42 +159,22 @@ func hashItem(enc string) uint64 {
 
 // SketchValues builds, for every distinct value tuple of keyAttrs in r, a
 // sketch vector of the distinct itemAttrs tuples co-occurring with it — the
-// base case of the §2.2 fold (hashing dom(A_{n+1}) per value of A_n).
-// Cost: one reduce-by-key.
+// base case of the §2.2 fold (hashing dom(A_{n+1}) per value of A_n), i.e.
+// the leaf step of the image fold. Cost: one reduce-by-key.
 func SketchValues[W any](r dist.Rel[W], keyAttrs, itemAttrs []dist.Attr, p Params) (mpc.Part[KeySketch], mpc.Stats) {
-	p = p.WithDefaults(r.N())
-	kc := r.Cols(keyAttrs...)
-	ic := r.Cols(itemAttrs...)
-	singles := mpc.Map(r.Part, func(row relation.Row[W]) KeySketch {
-		return KeySketch{
-			Key: relation.EncodeKey(row.Vals, kc),
-			V:   SingletonVec(p, hashItem(relation.EncodeKey(row.Vals, ic))),
-		}
-	})
-	return mpc.ReduceByKey(singles,
-		func(ks KeySketch) string { return ks.Key },
-		func(a, b KeySketch) KeySketch { return KeySketch{Key: a.Key, V: MergeVec(a.V, b.V)} })
+	f := fold[W, KeySketch]{alg: imageAlgebra(p.WithDefaults(r.N()))}
+	return f.leaf(r, keyAttrs, itemAttrs), f.st
 }
 
 // Propagate folds sketches one edge toward the output: given per-value
 // sketches over dom(fromAttrs) and an edge relation over
 // (toAttrs ∪ fromAttrs), it returns per-value sketches over dom(toAttrs),
-// where each to-value's sketch is the KMV merge over its from-neighbors.
-// Cost: one multi-search plus one reduce-by-key.
+// where each to-value's sketch is the KMV merge over its from-neighbors —
+// the propagate step of the image fold, untagged (the from-values are
+// aggregated away). Cost: one multi-search plus one reduce-by-key.
 func Propagate[W any](edges dist.Rel[W], toAttrs, fromAttrs []dist.Attr, sk mpc.Part[KeySketch], p Params) (mpc.Part[KeySketch], mpc.Stats) {
-	tc := edges.Cols(toAttrs...)
-	fc := edges.Cols(fromAttrs...)
-	looked, st1 := mpc.LookupJoin(edges.Part, sk,
-		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, fc) },
-		func(ks KeySketch) string { return ks.Key })
-	carried := mpc.Map(mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], KeySketch]) bool { return pr.Found }),
-		func(pr mpc.Pred[relation.Row[W], KeySketch]) KeySketch {
-			return KeySketch{Key: relation.EncodeKey(pr.X.Vals, tc), V: pr.Y.V}
-		})
-	merged, st2 := mpc.ReduceByKey(carried,
-		func(ks KeySketch) string { return ks.Key },
-		func(a, b KeySketch) KeySketch { return KeySketch{Key: a.Key, V: MergeVec(a.V, b.V)} })
-	return merged, mpc.Seq(st1, st2)
+	f := fold[W, KeySketch]{alg: imageAlgebra(p)}
+	return f.propagate(edges, toAttrs, fromAttrs, sk, false), f.st
 }
 
 // LineOut runs the full §2.2 pipeline on a line query: rels[i] is the
@@ -234,27 +213,16 @@ func MatMulOut[W any](r1, r2 dist.Rel[W], a, b, c []dist.Attr, p Params) (mpc.Pa
 	return LineOut([]dist.Rel[W]{r1, r2}, [][]dist.Attr{a, b, c}, p)
 }
 
-// SumCounts totals the Count fields via a coordinator round and broadcast,
-// so every server learns the global sum.
+// SumCounts totals the Count fields with an AllReduce, so every server
+// learns the global sum.
 func SumCounts[K interface{ ~string | ~int64 }](pt mpc.Part[mpc.KeyCount[K]]) (int64, mpc.Stats) {
-	p := pt.P()
-	local := mpc.NewPartIn[int64](pt.Scope(), p)
+	local := make([]int64, pt.P())
 	for s, shard := range pt.Shards {
-		var t int64
 		for _, kc := range shard {
-			t += kc.Count
+			local[s] += kc.Count
 		}
-		local.Shards[s] = []int64{t}
 	}
-	g, st1 := mpc.Gather(local, 0)
-	var total int64
-	for _, x := range g.Shards[0] {
-		total += x
-	}
-	tot := mpc.NewPartIn[int64](pt.Scope(), p)
-	tot.Shards[0] = []int64{total}
-	_, st2 := mpc.Broadcast(tot)
-	return total, mpc.Seq(st1, st2)
+	return mpc.AllReduce(pt.Scope(), local, mpc.Add[int64], "")
 }
 
 func totalN[W any](rels []dist.Rel[W]) int {

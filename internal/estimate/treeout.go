@@ -23,16 +23,19 @@ import (
 )
 
 // TreeCount computes the exact full-join cardinality J of a tree query:
-// the number of tuples in ⋈_i R_i before aggregation. Cost: one
-// reduce-by-key per leaf edge and one multi-search + reduce-by-key per
-// internal edge.
-func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p Params) (int64, mpc.Stats) {
-	n := 0
-	for _, r := range rels {
-		n += r.N()
-	}
-	p = p.WithDefaults(n)
-	f := &countFolder[W]{q: q, rels: rels}
+// the number of tuples in ⋈_i R_i before aggregation — the fold over the
+// count algebra (per-value join-result counts, summed along edges and
+// multiplied across sibling subtrees). Cost: one reduce-by-key per leaf
+// edge and one multi-search + reduce-by-key per internal edge.
+func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], _ Params) (int64, mpc.Stats) {
+	type kc = mpc.KeyCount[string]
+	f := &fold[W, kc]{q: q, rels: rels, alg: algebra[kc]{
+		key:   func(c kc) string { return c.Key },
+		leaf:  func(key string, _ []relation.Value, _ []int) kc { return kc{Key: key, Count: 1} },
+		carry: func(key string, sub kc, _ bool) kc { return kc{Key: key, Count: sub.Count} },
+		merge: func(a, b kc) kc { return kc{Key: a.Key, Count: addSat(a.Count, b.Count)} },
+		cross: func(a, b kc) kc { return kc{Key: a.Key, Count: MulSat(a.Count, b.Count)} },
+	}}
 	per, ok := f.down(foldRoot(q), -1)
 	if !ok {
 		// A single-attribute query (unary edges only at the root with no
@@ -40,8 +43,7 @@ func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p Params
 		return 0, f.st
 	}
 	total, st := SumCounts(per)
-	f.st = mpc.Seq(f.st, st)
-	return total, f.st
+	return total, mpc.Seq(f.st, st)
 }
 
 // TreeOutProfile approximates the aggregated output size OUT of a tree
@@ -65,25 +67,61 @@ func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p Params
 // output, which is exactly why Yannakakis beats its own worst case on
 // such instances. The maxima are taken over local sums of per-value
 // estimates, so the profile adds no communication rounds to the fold.
+//
+// It is the fold over the image algebra: for every value a of the current
+// attribute the fold carries a sketch of the distinct kept output-attribute
+// tuples of a's subtree — exactly the relation an early-aggregating
+// execution would have materialized after folding the subtree and
+// ⊕-aggregating. Unions across parallel paths deduplicate (the same kept
+// tuple reached through two intermediate values counts once), which is
+// what separates OUT from the full-join count J.
 func TreeOutProfile[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p Params) (out, maxFold, maxImage int64, st mpc.Stats) {
 	n := 0
 	for _, r := range rels {
 		n += r.N()
 	}
 	p = p.WithDefaults(n)
-	f := &imageFolder[W]{q: q, rels: rels, p: p}
+	f := &fold[W, KeySketch]{q: q, rels: rels, alg: imageAlgebra(p)}
+	f.alg.size = func(ks KeySketch) float64 { return ks.V.Estimate() }
 	per, ok := f.down(foldRoot(q), -1)
 	if !ok {
 		return 0, 0, 0, f.st
 	}
 	// Root values are distinct, so the output tuples {a} × image(a) are
 	// disjoint across a and OUT is the plain sum of per-value images.
-	total := int64(math.Round(f.sumEst(per)))
+	total := int64(math.Round(f.sumSize(per)))
 	if total < 1 {
 		total = 1
 	}
-	f.note(float64(total))
+	f.noteJoin(float64(total))
 	return total, int64(math.Round(f.maxFold)), int64(math.Round(f.maxImage)), f.st
+}
+
+// imageAlgebra is the KMV image algebra of the §2.2 sketch fold: a value's
+// summary is a sketch of the distinct kept tuples reachable from it.
+func imageAlgebra(p Params) algebra[KeySketch] {
+	return algebra[KeySketch]{
+		key: func(ks KeySketch) string { return ks.Key },
+		// The image of one row is its kept far-endpoint value — the §2.2
+		// base case — or, with nothing kept beyond the edge (ic empty), the
+		// unit tuple: aggregation projects the far endpoint away, so the
+		// row contributes existence only.
+		leaf: func(key string, vals []relation.Value, ic []int) KeySketch {
+			return KeySketch{Key: key, V: SingletonVec(p, hashItem(relation.EncodeKey(vals, ic)))}
+		},
+		// When the far endpoint is itself an output attribute the kept
+		// tuples include its value b, so images reached through different
+		// b values are disjoint rather than merged: tag each by b first.
+		carry: func(key string, sub KeySketch, tag bool) KeySketch {
+			if tag {
+				return KeySketch{Key: key, V: TagVec(sub.V, hashItem(sub.Key))}
+			}
+			return KeySketch{Key: key, V: sub.V}
+		},
+		merge: func(a, b KeySketch) KeySketch { return KeySketch{Key: a.Key, V: MergeVec(a.V, b.V)} },
+		// The kept tuples of two sibling subtrees combined are the pairs.
+		cross: func(a, b KeySketch) KeySketch { return KeySketch{Key: a.Key, V: ProductVec(a.V, b.V)} },
+	}
 }
 
 // foldRoot picks the attribute both folds recurse from: the first output
@@ -95,21 +133,46 @@ func foldRoot(q *hypergraph.Query) hypergraph.Attr {
 	return q.Edges[0].Attrs[0]
 }
 
-// countFolder is the exact full-join count fold: per-value join-result
-// counts flow from the leaves toward the root, multiplied across sibling
-// subtrees and summed along edges.
-type countFolder[W any] struct {
+// algebra is what distinguishes one bottom-up fold over the query tree
+// from another: V is the per-value summary of a subtree (a count, an image
+// sketch), keyed by the encoded value of the subtree's root attribute.
+type algebra[V any] struct {
+	key func(V) string
+	// leaf is one edge row's summary under the row's near-endpoint key;
+	// ic are the columns of the far endpoint when it is a kept (output)
+	// leaf, empty when the far endpoint is projected away or the edge is
+	// unary.
+	leaf func(key string, vals []relation.Value, ic []int) V
+	// carry re-keys a subtree summary across one edge row; tag says the
+	// subtree's root attribute is itself an output attribute.
+	carry func(key string, sub V, tag bool) V
+	// merge is ⊕: two summaries reaching the same value along one edge.
+	merge func(a, b V) V
+	// cross is ⊗: the summaries of two sibling subtrees under one value.
+	cross func(a, b V) V
+	// size, when set, is a summary's estimated cardinality, and makes the
+	// fold observe its profile (maxFold, maxImage) as it goes — local sums,
+	// no exchange: the profile is a prediction, not a metered computation.
+	size func(V) float64
+}
+
+// fold is the one bottom-up fold over the query tree: per-value summaries
+// flow from the leaves toward the root, ⊗-combined across sibling subtrees
+// and ⊕-merged along edges.
+type fold[W, V any] struct {
 	q    *hypergraph.Query
 	rels map[string]dist.Rel[W]
+	alg  algebra[V]
 	st   mpc.Stats
+	// The profile, observed only when alg.size is set.
+	maxFold, maxImage float64
 }
 
 // down returns, for every value a of attribute u reachable through edges
-// other than skipEdge, the number of join results of u's subtree rooted at
-// a (keyed by the value's encoding). ok is false when u has no such edges
-// (u is a leaf from the parent's perspective).
-func (f *countFolder[W]) down(u hypergraph.Attr, skipEdge int) (mpc.Part[mpc.KeyCount[string]], bool) {
-	var acc mpc.Part[mpc.KeyCount[string]]
+// other than skipEdge, the summary of u's subtree rooted at a. ok is false
+// when u has no such edges (u is a leaf from the parent's perspective).
+func (f *fold[W, V]) down(u hypergraph.Attr, skipEdge int) (mpc.Part[V], bool) {
+	var acc mpc.Part[V]
 	have := false
 	for _, ei := range f.q.EdgesAt(u) {
 		if ei == skipEdge {
@@ -117,16 +180,17 @@ func (f *countFolder[W]) down(u hypergraph.Attr, skipEdge int) (mpc.Part[mpc.Key
 		}
 		e := f.q.Edges[ei]
 		r := f.rels[e.Name]
-		var contrib mpc.Part[mpc.KeyCount[string]]
+		var contrib mpc.Part[V]
 		if e.IsUnary() {
-			contrib = f.degree(r, u)
+			contrib = f.leaf(r, []dist.Attr{u}, nil)
 		} else {
 			v := e.Other(u)
-			sub, ok := f.down(v, ei)
-			if !ok {
-				contrib = f.degree(r, u)
+			if sub, ok := f.down(v, ei); ok {
+				contrib = f.propagate(r, []dist.Attr{u}, []dist.Attr{v}, sub, f.q.IsOutput(v))
+			} else if f.q.IsOutput(v) {
+				contrib = f.leaf(r, []dist.Attr{u}, []dist.Attr{v})
 			} else {
-				contrib = f.propagate(r, u, v, sub)
+				contrib = f.leaf(r, []dist.Attr{u}, nil)
 			}
 		}
 		if !have {
@@ -138,217 +202,104 @@ func (f *countFolder[W]) down(u hypergraph.Attr, skipEdge int) (mpc.Part[mpc.Key
 	return acc, have
 }
 
-// degree counts rows of r per value of u: the leaf base case.
-func (f *countFolder[W]) degree(r dist.Rel[W], u hypergraph.Attr) mpc.Part[mpc.KeyCount[string]] {
-	uc := r.Cols(u)
-	ones := mpc.Map(r.Part, func(row relation.Row[W]) mpc.KeyCount[string] {
-		return mpc.KeyCount[string]{Key: relation.EncodeKey(row.Vals, uc), Count: 1}
+// reduce ⊕-merges summaries sharing a key.
+func (f *fold[W, V]) reduce(pt mpc.Part[V]) (mpc.Part[V], mpc.Stats) {
+	return mpc.ReduceByKey(pt, f.alg.key, f.alg.merge)
+}
+
+// leaf is the base case: one summary per row of r keyed by its u value,
+// ⊕-merged per value. kept names the far endpoint when it is an output
+// leaf. (u, like every attribute the steps take, may be a composite list.)
+func (f *fold[W, V]) leaf(r dist.Rel[W], u, kept []dist.Attr) mpc.Part[V] {
+	uc, ic := r.Cols(u...), r.Cols(kept...)
+	singles := mpc.Map(r.Part, func(row relation.Row[W]) V {
+		return f.alg.leaf(relation.EncodeKey(row.Vals, uc), row.Vals, ic)
 	})
-	red, st := mpc.ReduceByKey(ones,
-		func(kc mpc.KeyCount[string]) string { return kc.Key },
-		func(a, b mpc.KeyCount[string]) mpc.KeyCount[string] {
-			return mpc.KeyCount[string]{Key: a.Key, Count: addSat(a.Count, b.Count)}
-		})
+	red, st := f.reduce(singles)
 	f.st = mpc.Seq(f.st, st)
 	return red
 }
 
-// propagate carries per-v counts across the edge relation r(u,v) and sums
-// them per u: count(a) = Σ_{(a,b) ∈ r} sub(b). Rows whose v-value has no
-// subtree match contribute nothing (they are dangling below v).
-func (f *countFolder[W]) propagate(r dist.Rel[W], u, v hypergraph.Attr, sub mpc.Part[mpc.KeyCount[string]]) mpc.Part[mpc.KeyCount[string]] {
-	uc, vc := r.Cols(u), r.Cols(v)
+// propagate carries per-v summaries across the edge relation r(u,v) and
+// ⊕-merges them per u: summary(a) = ⊕_{(a,b) ∈ r} carry(sub(b)). Rows whose
+// v-value has no subtree match contribute nothing (they are dangling below
+// v); tag says v is itself an output attribute. The size of the
+// un-aggregated join — every row of r paired with its subtree summary — is
+// noted for the profile.
+func (f *fold[W, V]) propagate(r dist.Rel[W], u, v []dist.Attr, sub mpc.Part[V], tag bool) mpc.Part[V] {
+	uc, vc := r.Cols(u...), r.Cols(v...)
+	f.noteImage(sub)
 	looked, st1 := mpc.LookupJoin(r.Part, sub,
-		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, vc) },
-		func(kc mpc.KeyCount[string]) string { return kc.Key })
-	carried := mpc.Map(
-		mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) bool { return pr.Found }),
-		func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) mpc.KeyCount[string] {
-			return mpc.KeyCount[string]{Key: relation.EncodeKey(pr.X.Vals, uc), Count: pr.Y.Count}
-		})
-	red, st2 := mpc.ReduceByKey(carried,
-		func(kc mpc.KeyCount[string]) string { return kc.Key },
-		func(a, b mpc.KeyCount[string]) mpc.KeyCount[string] {
-			return mpc.KeyCount[string]{Key: a.Key, Count: addSat(a.Count, b.Count)}
-		})
+		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, vc) }, f.alg.key)
+	matched := mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], V]) bool { return pr.Found })
+	if f.alg.size != nil {
+		var join float64
+		for _, sh := range matched.Shards {
+			for _, pr := range sh {
+				join += f.alg.size(pr.Y)
+			}
+		}
+		f.noteJoin(join)
+	}
+	carried := mpc.Map(matched, func(pr mpc.Pred[relation.Row[W], V]) V {
+		return f.alg.carry(relation.EncodeKey(pr.X.Vals, uc), pr.Y, tag)
+	})
+	red, st2 := f.reduce(carried)
 	f.st = mpc.Seq(f.st, st1, st2)
 	return red
 }
 
-// product multiplies two per-value count maps key-wise (sibling subtrees
-// hanging off the same branch attribute); keys missing from either side
-// drop out, matching the join semantics.
-func (f *countFolder[W]) product(a, b mpc.Part[mpc.KeyCount[string]]) mpc.Part[mpc.KeyCount[string]] {
-	looked, st := mpc.LookupJoin(a, b,
-		func(kc mpc.KeyCount[string]) string { return kc.Key },
-		func(kc mpc.KeyCount[string]) string { return kc.Key })
+// product ⊗-combines two sibling summaries key-wise (subtrees hanging off
+// the same branch attribute); keys missing from either side drop out,
+// matching the join semantics. The materialized sibling join —
+// Σ_a |A_a|·|B_a| — is noted for the profile.
+func (f *fold[W, V]) product(a, b mpc.Part[V]) mpc.Part[V] {
+	f.noteImage(a)
+	f.noteImage(b)
+	looked, st := mpc.LookupJoin(a, b, f.alg.key, f.alg.key)
 	f.st = mpc.Seq(f.st, st)
-	return mpc.Map(
-		mpc.Filter(looked, func(pr mpc.Pred[mpc.KeyCount[string], mpc.KeyCount[string]]) bool { return pr.Found }),
-		func(pr mpc.Pred[mpc.KeyCount[string], mpc.KeyCount[string]]) mpc.KeyCount[string] {
-			return mpc.KeyCount[string]{Key: pr.X.Key, Count: mulSat(pr.X.Count, pr.Y.Count)}
-		})
-}
-
-// imageFolder is the KMV image fold behind TreeOutProfile: for every value
-// a of the current attribute it carries a sketch of the distinct kept
-// output-attribute tuples of a's subtree — exactly the relation an
-// early-aggregating execution would have materialized after folding the
-// subtree and ⊕-aggregating. Unions across parallel paths deduplicate (the
-// same kept tuple reached through two intermediate values counts once),
-// which is what separates OUT from the full-join count J.
-type imageFolder[W any] struct {
-	q        *hypergraph.Query
-	rels     map[string]dist.Rel[W]
-	p        Params
-	st       mpc.Stats
-	maxFold  float64
-	maxImage float64
-}
-
-// note records a fold-intermediate size for the profile.
-func (f *imageFolder[W]) note(size float64) {
-	if size > f.maxFold {
-		f.maxFold = size
+	matched := mpc.Filter(looked, func(pr mpc.Pred[V, V]) bool { return pr.Found })
+	if f.alg.size != nil {
+		var join float64
+		for _, sh := range matched.Shards {
+			for _, pr := range sh {
+				join += f.alg.size(pr.X) * f.alg.size(pr.Y)
+			}
+		}
+		f.noteJoin(join)
 	}
+	return mpc.Map(matched, func(pr mpc.Pred[V, V]) V { return f.alg.cross(pr.X, pr.Y) })
 }
 
-// sumEst sums the per-value image-cardinality estimates locally (no
-// exchange): the fold profile is a prediction, not a metered computation.
-func (f *imageFolder[W]) sumEst(pt mpc.Part[KeySketch]) float64 {
+// sumSize sums the per-value sizes of a summary collection locally.
+func (f *fold[W, V]) sumSize(pt mpc.Part[V]) float64 {
 	var t float64
 	for _, sh := range pt.Shards {
-		for _, ks := range sh {
-			t += ks.V.Estimate()
+		for _, v := range sh {
+			t += f.alg.size(v)
 		}
 	}
 	return t
+}
+
+// noteJoin records a fold-intermediate size for the profile.
+func (f *fold[W, V]) noteJoin(size float64) {
+	if size > f.maxFold {
+		f.maxFold = size
+	}
 }
 
 // noteImage records an aggregated image at the moment a fold consumes it
 // as join input. Only consumed images count toward maxImage: the root
 // image is the output itself, produced by the last fold but never fed
 // into another one, so it does not price any fold's input side.
-func (f *imageFolder[W]) noteImage(pt mpc.Part[KeySketch]) {
-	if t := f.sumEst(pt); t > f.maxImage {
+func (f *fold[W, V]) noteImage(pt mpc.Part[V]) {
+	if f.alg.size == nil {
+		return
+	}
+	if t := f.sumSize(pt); t > f.maxImage {
 		f.maxImage = t
 	}
-}
-
-// down returns, for every value a of attribute u reachable through edges
-// other than skipEdge, the image sketch of a's subtree. ok is false when u
-// has no such edges (u is a leaf from the parent's perspective).
-func (f *imageFolder[W]) down(u hypergraph.Attr, skipEdge int) (mpc.Part[KeySketch], bool) {
-	var acc mpc.Part[KeySketch]
-	have := false
-	for _, ei := range f.q.EdgesAt(u) {
-		if ei == skipEdge {
-			continue
-		}
-		e := f.q.Edges[ei]
-		r := f.rels[e.Name]
-		var contrib mpc.Part[KeySketch]
-		if e.IsUnary() {
-			// A unary edge only filters u: its image is the unit tuple.
-			contrib = f.exists(r, u)
-		} else {
-			v := e.Other(u)
-			sub, ok := f.down(v, ei)
-			switch {
-			case !ok && f.q.IsOutput(v):
-				// Output leaf: the image per a is the distinct v values —
-				// the §2.2 base case.
-				sk, st := SketchValues(r, []dist.Attr{u}, []dist.Attr{v}, f.p)
-				f.st = mpc.Seq(f.st, st)
-				contrib = sk
-			case !ok:
-				// Non-output leaf: aggregation projects v away entirely, so
-				// the subtree contributes existence only.
-				contrib = f.exists(r, u)
-			default:
-				contrib = f.propagate(r, u, v, sub)
-			}
-		}
-		if !have {
-			acc, have = contrib, true
-			continue
-		}
-		acc = f.product(acc, contrib)
-	}
-	return acc, have
-}
-
-// exists builds the existence image: every value of u present in r maps to
-// the one-element unit image.
-func (f *imageFolder[W]) exists(r dist.Rel[W], u hypergraph.Attr) mpc.Part[KeySketch] {
-	uc := r.Cols(u)
-	unit := hashItem("")
-	singles := mpc.Map(r.Part, func(row relation.Row[W]) KeySketch {
-		return KeySketch{Key: relation.EncodeKey(row.Vals, uc), V: SingletonVec(f.p, unit)}
-	})
-	red, st := mpc.ReduceByKey(singles,
-		func(ks KeySketch) string { return ks.Key },
-		func(a, b KeySketch) KeySketch { return KeySketch{Key: a.Key, V: MergeVec(a.V, b.V)} })
-	f.st = mpc.Seq(f.st, st)
-	return red
-}
-
-// propagate carries subtree images across the edge relation r(u,v):
-// image(a) = ∪_{(a,b) ∈ r} image(b), with each image tagged by b first
-// when v itself is an output attribute (the kept tuples then include b, so
-// images reached through different b values are disjoint rather than
-// merged). The size of the un-aggregated join — every row of r paired with
-// its subtree image — is noted for the fold profile.
-func (f *imageFolder[W]) propagate(r dist.Rel[W], u, v hypergraph.Attr, sub mpc.Part[KeySketch]) mpc.Part[KeySketch] {
-	uc, vc := r.Cols(u), r.Cols(v)
-	tagV := f.q.IsOutput(v)
-	f.noteImage(sub)
-	looked, st1 := mpc.LookupJoin(r.Part, sub,
-		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, vc) },
-		func(ks KeySketch) string { return ks.Key })
-	matched := mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], KeySketch]) bool { return pr.Found })
-	var join float64
-	for _, sh := range matched.Shards {
-		for _, pr := range sh {
-			join += pr.Y.V.Estimate()
-		}
-	}
-	f.note(join)
-	carried := mpc.Map(matched, func(pr mpc.Pred[relation.Row[W], KeySketch]) KeySketch {
-		vec := pr.Y.V
-		if tagV {
-			vec = TagVec(vec, hashItem(pr.Y.Key))
-		}
-		return KeySketch{Key: relation.EncodeKey(pr.X.Vals, uc), V: vec}
-	})
-	red, st2 := mpc.ReduceByKey(carried,
-		func(ks KeySketch) string { return ks.Key },
-		func(a, b KeySketch) KeySketch { return KeySketch{Key: a.Key, V: MergeVec(a.V, b.V)} })
-	f.st = mpc.Seq(f.st, st1, st2)
-	return red
-}
-
-// product crosses two sibling images key-wise: the kept tuples of the
-// combined subtree are the pairs, so the sketch is the pair sketch and the
-// materialized sibling join — Σ_a |A_a|·|B_a| — is noted for the profile.
-func (f *imageFolder[W]) product(a, b mpc.Part[KeySketch]) mpc.Part[KeySketch] {
-	f.noteImage(a)
-	f.noteImage(b)
-	looked, st := mpc.LookupJoin(a, b,
-		func(ks KeySketch) string { return ks.Key },
-		func(ks KeySketch) string { return ks.Key })
-	f.st = mpc.Seq(f.st, st)
-	matched := mpc.Filter(looked, func(pr mpc.Pred[KeySketch, KeySketch]) bool { return pr.Found })
-	var join float64
-	for _, sh := range matched.Shards {
-		for _, pr := range sh {
-			join += pr.X.V.Estimate() * pr.Y.V.Estimate()
-		}
-	}
-	f.note(join)
-	return mpc.Map(matched, func(pr mpc.Pred[KeySketch, KeySketch]) KeySketch {
-		return KeySketch{Key: pr.X.Key, V: ProductVec(pr.X.V, pr.Y.V)}
-	})
 }
 
 // TagVec returns the sketch vector of the tagged set {tag} × S given the
@@ -388,8 +339,9 @@ func ProductVec(a, b Vec) Vec {
 	return out
 }
 
-// addSat and mulSat saturate at a large sentinel instead of wrapping:
-// predicted sizes only feed cost comparisons, where "astronomically big"
+// addSat and MulSat saturate at a large sentinel instead of wrapping:
+// predicted sizes only feed comparisons (candidate costs, the engines'
+// small/large and heavy/light degree tests), where "astronomically big"
 // ranks the same as "bigger than any rival" and an overflowed negative
 // would invert the ranking.
 const satMax = math.MaxInt64 / 4
@@ -401,7 +353,8 @@ func addSat(a, b int64) int64 {
 	return a + b
 }
 
-func mulSat(a, b int64) int64 {
+// MulSat is the saturating product of two non-negative sizes.
+func MulSat(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}

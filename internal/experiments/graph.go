@@ -90,7 +90,7 @@ func graphIterLoad(cfg Config) Table {
 				outRows = int64(len(gr.Rows))
 				verified = entriesEqual(gr.Rows, wantDist)
 			case "pagerank":
-				pr := spmv.PageRank(ex, intEdges, p, cfg.Seed, 0.85, 1e-9, 0)
+				pr := spmv.PageRank(ex, intEdges, p, cfg.Seed, spmv.DefaultDamping, 1e-9, 0)
 				iters, st, conv, nnz, nVerts = pr.Iters, mpc.Seq(pr.Build, pr.Stats), pr.Converged, pr.NNZ, pr.N
 				outRows = int64(len(pr.Ranks))
 				var sum float64

@@ -98,8 +98,8 @@ func OptimalShares(q *hypergraph.Query, sizes map[string]int, p int) Shares {
 // O(N/p^{1/ρ*}) per server for the chosen shares, plus the coordinator
 // rounds that size the shares.
 func FullJoin[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], seed uint64) (dist.Rel[W], mpc.Stats) {
-	p := anyRel(rels).P()
-	ex := anyRel(rels).Part.Scope()
+	p := dist.AnyRel(rels).P()
+	ex := dist.AnyRel(rels).Part.Scope()
 
 	// Learn the relation sizes (a coordinator statistic).
 	sizes := make(map[string]int, len(q.Edges))
@@ -153,7 +153,7 @@ func FullJoin[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[stri
 	st = mpc.Seq(st, s)
 
 	// Local full join per cell.
-	order := joinOrder(q)
+	order := q.JoinOrder()
 	outSchema := make([]dist.Attr, len(attrs))
 	copy(outSchema, attrs)
 	result := mpc.MapShards(routed, func(_ int, shard []hcRow) []relation.Row[W] {
@@ -183,41 +183,6 @@ func JoinAggregate[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map
 	st = mpc.Seq(st, s)
 	agg, s2 := dist.ProjectAgg(sr, full, toAttrs(q.Output)...)
 	return agg, mpc.Seq(st, s2)
-}
-
-// joinOrder returns edge indices such that each edge after the first
-// shares an attribute with the union of the previous ones.
-func joinOrder(q *hypergraph.Query) []int {
-	used := make([]bool, len(q.Edges))
-	attrs := make(map[hypergraph.Attr]bool)
-	order := []int{0}
-	used[0] = true
-	for _, a := range q.Edges[0].Attrs {
-		attrs[a] = true
-	}
-	for len(order) < len(q.Edges) {
-		for i, e := range q.Edges {
-			if used[i] {
-				continue
-			}
-			touches := false
-			for _, a := range e.Attrs {
-				if attrs[a] {
-					touches = true
-					break
-				}
-			}
-			if touches {
-				used[i] = true
-				order = append(order, i)
-				for _, a := range e.Attrs {
-					attrs[a] = true
-				}
-				break
-			}
-		}
-	}
-	return order
 }
 
 // forEachCell enumerates all grid cells whose coordinates agree with the
@@ -261,11 +226,4 @@ func toAttrs(as []hypergraph.Attr) []dist.Attr {
 	out := make([]dist.Attr, len(as))
 	copy(out, as)
 	return out
-}
-
-func anyRel[W any](rels map[string]dist.Rel[W]) dist.Rel[W] {
-	for _, r := range rels {
-		return r
-	}
-	panic("hypercube: no relations")
 }

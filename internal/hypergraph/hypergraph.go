@@ -115,6 +115,20 @@ func (q *Query) EdgesAt(a Attr) []int {
 // Degree returns the number of edges containing a (counting unary edges).
 func (q *Query) Degree(a Attr) int { return len(q.EdgesAt(a)) }
 
+// AggregatedDegree returns the largest number of edges meeting at one
+// non-output attribute: the widest join the query aggregates away, and an
+// upper bound on the arm count of every star or star-like subquery the
+// tree engine's reductions can produce (they only ever remove edges).
+func (q *Query) AggregatedDegree() int {
+	widest := 0
+	for _, a := range q.Attrs() {
+		if !q.IsOutput(a) {
+			widest = max(widest, q.Degree(a))
+		}
+	}
+	return widest
+}
+
 // Validate checks that the query is well-formed and its hypergraph is a
 // tree: edges have 1 or 2 distinct attributes, unique names, no two binary
 // edges connect the same pair, the binary edges form a connected acyclic
@@ -239,6 +253,47 @@ func (q *Query) JoinTree() (order []int, parent []int) {
 		panic("hypergraph: JoinTree on disconnected query")
 	}
 	return order, parent
+}
+
+// JoinOrder returns edge indices such that each edge after the first
+// shares an attribute with the union of the previous ones (possible for
+// any connected query), avoiding accidental cross products.
+func (q *Query) JoinOrder() []int {
+	used := make([]bool, len(q.Edges))
+	attrs := make(map[Attr]bool)
+	order := []int{0}
+	used[0] = true
+	for _, a := range q.Edges[0].Attrs {
+		attrs[a] = true
+	}
+	for len(order) < len(q.Edges) {
+		found := false
+		for i, e := range q.Edges {
+			if used[i] {
+				continue
+			}
+			touches := false
+			for _, a := range e.Attrs {
+				if attrs[a] {
+					touches = true
+					break
+				}
+			}
+			if touches {
+				used[i] = true
+				order = append(order, i)
+				for _, a := range e.Attrs {
+					attrs[a] = true
+				}
+				found = true
+				break
+			}
+		}
+		if !found {
+			panic("hypergraph: JoinOrder on disconnected query")
+		}
+	}
+	return order
 }
 
 func edgesShareAttr(a, b Edge) bool {

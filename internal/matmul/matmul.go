@@ -44,24 +44,14 @@ type Input[W any] struct {
 }
 
 // ASide returns R1's output attributes (schema minus B), in schema order.
-func (in Input[W]) ASide() []dist.Attr { return minusAttr(in.R1.Schema, in.B) }
+func (in Input[W]) ASide() []dist.Attr { return dist.Without(in.R1.Schema, in.B) }
 
 // CSide returns R2's output attributes.
-func (in Input[W]) CSide() []dist.Attr { return minusAttr(in.R2.Schema, in.B) }
+func (in Input[W]) CSide() []dist.Attr { return dist.Without(in.R2.Schema, in.B) }
 
 // OutSchema returns the output schema: A-side attributes then C-side.
 func (in Input[W]) OutSchema() []dist.Attr {
 	return append(append([]dist.Attr(nil), in.ASide()...), in.CSide()...)
-}
-
-func minusAttr(schema []dist.Attr, b dist.Attr) []dist.Attr {
-	var out []dist.Attr
-	for _, a := range schema {
-		if a != b {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // validate checks the Input invariants.

@@ -217,27 +217,48 @@ type KeyCount[K cmp.Ordered] struct {
 	Count int64
 }
 
-// TotalCount sums shard sizes via a coordinator round and broadcasts the
-// result, so every server learns |pt| — used when an algorithm branches on
-// a global size. Returns the count and the (O(p)-load) stats.
+// AllReduce is the one gather → combine → broadcast: server s contributes
+// vals[s], the coordinator folds the p contributions with combine — in
+// server order, starting from V's zero value, so combine must treat that as
+// its identity (a sum; a max over non-negatives) — and broadcasts the
+// result, so every server learns it. Two O(p)-load rounds. A non-empty op
+// labels them op+".gather" and op+".broadcast"; with an empty op they keep
+// Gather's and Broadcast's own labels.
+func AllReduce[V any](ex *Exec, vals []V, combine func(acc, v V) V, op string) (V, Stats) {
+	p := len(vals)
+	pt := NewPartIn[V](ex, p)
+	for s := range vals {
+		pt.Shards[s] = vals[s : s+1 : s+1]
+	}
+	if op != "" {
+		TraceOp(ex, op+".gather")
+	}
+	gathered, st1 := Gather(pt, 0)
+	var acc V
+	for _, v := range gathered.Shards[0] {
+		acc = combine(acc, v)
+	}
+	res := NewPartIn[V](ex, p)
+	res.Shards[0] = []V{acc}
+	if op != "" {
+		TraceOp(ex, op+".broadcast")
+	}
+	_, st2 := Broadcast(res)
+	return acc, Seq(st1, st2)
+}
+
+// Add is the AllReduce combine of a global sum.
+func Add[V ~int64 | ~float64](a, b V) V { return a + b }
+
+// TotalCount sums shard sizes with an AllReduce, so every server learns
+// |pt| — used when an algorithm branches on a global size. Returns the
+// count and the (O(p)-load) stats.
 func TotalCount[T any](pt Part[T]) (int64, Stats) {
-	p := pt.P()
-	ex := pt.scope()
-	counts := NewPartIn[int64](ex, p)
+	counts := make([]int64, pt.P())
 	for s, shard := range pt.Shards {
-		counts.Shards[s] = []int64{int64(len(shard))}
+		counts[s] = int64(len(shard))
 	}
-	TraceOp(ex, "count.gather")
-	gathered, st1 := Gather(counts, 0)
-	var total int64
-	for _, c := range gathered.Shards[0] {
-		total += c
-	}
-	tot := NewPartIn[int64](ex, p)
-	tot.Shards[0] = []int64{total}
-	TraceOp(ex, "count.broadcast")
-	_, st2 := Broadcast(tot)
-	return total, Seq(st1, st2)
+	return AllReduce(pt.scope(), counts, Add[int64], "count")
 }
 
 // SortLocal sorts a shard in place by key (local helper, zero cost). The

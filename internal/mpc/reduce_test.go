@@ -168,6 +168,57 @@ func TestTotalCount(t *testing.T) {
 	}
 }
 
+// TestAllReduce pins the one gather → combine → broadcast: the fold runs in
+// server order from the zero value (float sums are order-sensitive), the
+// two rounds are exactly a Gather of one unit per server plus a Broadcast
+// of one unit, and op labels them — or, empty, leaves the primitives' own.
+func TestAllReduce(t *testing.T) {
+	const p = 6
+	ex, tr := tracedExec(t)
+
+	sum, st := AllReduce(ex, []int64{5, 0, 7, 1, 0, 9}, Add[int64], "count")
+	ones := NewPartIn[int64](nil, p)
+	for s := range ones.Shards {
+		ones.Shards[s] = []int64{1}
+	}
+	one := NewPartIn[int64](nil, p)
+	one.Shards[0] = []int64{1}
+	_, g := Gather(ones, 0)
+	_, b := Broadcast(one)
+	if sum != 22 || st != Seq(g, b) || st.Rounds != 2 || st.MaxLoad != p || st.TotalComm != 2*p {
+		t.Fatalf("sum %d, stats %+v; want 22, %+v", sum, st, Seq(g, b))
+	}
+
+	worst, _ := AllReduce(ex, []float64{0.25, 3, 0, 1.5, 3, 0.5}, func(w, d float64) float64 {
+		if d > w {
+			return d
+		}
+		return w
+	}, "")
+	if worst != 3 {
+		t.Fatalf("max = %v", worst)
+	}
+
+	// (1e16 + 1) + 1 loses both ones in float64; 1 + 1 + 1e16 keeps them.
+	// Only the server-order fold tells the two apart.
+	lo, _ := AllReduce(ex, []float64{1e16, 1, 1, 0, 0, 0}, Add[float64], "mass")
+	hi, _ := AllReduce(ex, []float64{1, 1, 1e16, 0, 0, 0}, Add[float64], "mass")
+	if lo != 1e16 || hi != 1e16+2 {
+		t.Fatalf("float fold order: %v, %v", lo, hi)
+	}
+
+	var ops []string
+	for _, r := range tr.Rounds()[:4] {
+		ops = append(ops, r.Op)
+		if r.Servers != p || r.TotalUnits != p {
+			t.Fatalf("round %+v is not an O(p) round", r)
+		}
+	}
+	if want := []string{"count.gather", "count.broadcast", "gather", "broadcast"}; !slices.Equal(ops, want) {
+		t.Fatalf("round labels %v, want %v", ops, want)
+	}
+}
+
 func TestSortedRunsAndSortLocal(t *testing.T) {
 	shard := []int{3, 1, 2, 1, 3}
 	SortLocal(shard, func(x int) int { return x })

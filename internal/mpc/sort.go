@@ -30,58 +30,113 @@ type tagged[T any] struct {
 // The per-server sort and partition phases run on the scope's runtime, so
 // less must be safe for concurrent calls across servers.
 //
-// SortBy is the comparison path; Sort takes the radix path for encodable
-// keys and produces bit-identical results (see radix.go).
+// SortBy is sampleSort with no key image: every phase compares. It is the
+// reference Sort's radix phases are tested against (radix_test.go) — both
+// compute the same unique (element, src, idx) total order.
 func SortBy[T any](pt Part[T], less func(a, b T) bool) (Part[T], Stats) {
-	p := pt.P()
-	tless := func(a, b tagged[T]) bool {
-		if less(a.x, b.x) {
-			return true
-		}
-		if less(b.x, a.x) {
-			return false
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.idx < b.idx
-	}
-	// tcmp is tless as a three-way comparison for the unstable fallback
-	// sorts; the (src, idx) provenance tie-break makes it a total order, so
-	// the unstable pdqsort is deterministic.
-	tcmp := func(a, b tagged[T]) int {
-		if less(a.x, b.x) {
+	return sampleSort(pt, func(a, b T) int {
+		if less(a, b) {
 			return -1
 		}
-		if less(b.x, a.x) {
+		if less(b, a) {
 			return 1
+		}
+		return 0
+	}, nil)
+}
+
+// Sort is SortBy ordered by an ordered key. When K is radix-encodable
+// (integers; the engines' uniform-length EncodeKey strings) every sorting
+// phase runs the stable LSD radix kernel of radix.go instead of a
+// comparison sort; results, shard contents and Stats are bit-for-bit
+// identical to the comparison path either way, because both compute the
+// same unique (key, src, idx) total order.
+func Sort[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
+	order := func(a, b T) int { return cmp.Compare(key(a), key(b)) }
+	if !radixEncodable[K]() {
+		return sampleSort(pt, order, nil)
+	}
+	return sampleSort(pt, order, func(ts []tagged[T]) (radixKeys, bool) {
+		ks := make([]K, len(ts))
+		for i, t := range ts {
+			ks[i] = key(t.x)
+		}
+		return encodeRadixKeys(ks)
+	})
+}
+
+// sampleSort is the one sample sort: local sort, regular samples to the
+// coordinator, splitter broadcast, bucket, reshuffle, final local sort.
+// order is the three-way element comparison; encode, when non-nil, builds
+// the order-preserving radix image of a batch's keys, or reports false when
+// this batch has none (ragged or long strings). Each phase decides for its
+// own batch — an encodable batch runs the stable radix kernel, any other
+// the comparison sort — which cannot change results, because every path
+// computes the same unique (element, src, idx) total order:
+//
+//   - Local sort: stable by element, then idx assignment. Stability keeps
+//     equal elements in arrival order on the radix and the comparison path
+//     alike.
+//   - Coordinator sample sort: the gathered samples arrive in ascending
+//     (src, element, idx) order, so a stable radix by key alone reproduces
+//     the full (element, src, idx) order.
+//   - Bucketing: shard and splitters are both sorted in the full order, so
+//     one forward merge-walk computes every element's bucket — the count of
+//     splitters ≤ it — in O(n + p) instead of n binary searches. The walk
+//     runs in encoded-word space when the shard's and the splitters' images
+//     share a class, else on comparisons.
+//   - Final sort: a routed shard is the ascending-src concatenation of
+//     sorted runs, so the same stability argument applies again.
+func sampleSort[T any](pt Part[T], order func(a, b T) int, encode func(ts []tagged[T]) (radixKeys, bool)) (Part[T], Stats) {
+	p := pt.P()
+	ex := pt.scope()
+	xcmp := func(a, b tagged[T]) int { return order(a.x, b.x) }
+	// tcmp extends order by the (src, idx) provenance tie-break into a
+	// total order, so the unstable comparison sort is deterministic.
+	tcmp := func(a, b tagged[T]) int {
+		if c := order(a.x, b.x); c != 0 {
+			return c
 		}
 		if a.src != b.src {
 			return cmp.Compare(a.src, b.src)
 		}
 		return cmp.Compare(a.idx, b.idx)
 	}
-
-	ex := pt.scope()
+	if encode == nil {
+		encode = func([]tagged[T]) (radixKeys, bool) { return radixKeys{}, false }
+	}
+	// sortTagged sorts a batch that arrives in ascending (src, idx) order
+	// within equal elements into the full order.
+	sortTagged := func(ts []tagged[T]) {
+		if enc, ok := encode(ts); ok {
+			radixSortKeyed(enc, ts)
+			return
+		}
+		sortFunc(ts, tcmp)
+	}
 
 	// Local sort; tag with (src, idx) for global uniqueness. One worker
-	// per server — less must be safe for concurrent calls across servers.
+	// per server — order must be safe for concurrent calls across servers.
+	// The encoded image is kept per shard (aligned with the sorted
+	// elements) for the bucket walk below.
 	local := make([][]tagged[T], p)
+	localKeys := make([]radixKeys, p)
+	localOK := make([]bool, p)
 	ex.ForEachShard(p, func(s int) {
 		shard := pt.Shards[s]
+		if len(shard) == 0 {
+			return
+		}
 		ts := make([]tagged[T], len(shard))
 		for i, x := range shard {
 			ts[i] = tagged[T]{src: s, x: x}
 		}
-		sortStableFunc(ts, func(a, b tagged[T]) int {
-			if less(a.x, b.x) {
-				return -1
-			}
-			if less(b.x, a.x) {
-				return 1
-			}
-			return 0
-		})
+		if enc, ok := encode(ts); ok {
+			radixSortKeyed(enc, ts)
+			localKeys[s], localOK[s] = enc, true
+		} else {
+			sortStableFunc(ts, xcmp)
+		}
 		for i := range ts {
 			ts[i].idx = i
 		}
@@ -108,173 +163,7 @@ func SortBy[T any](pt Part[T], less func(a, b T) bool) (Part[T], Stats) {
 
 	// Coordinator picks p−1 splitters at regular ranks.
 	samples := gathered.Shards[0]
-	sortFunc(samples, tcmp)
-	var splits []tagged[T]
-	if len(samples) > 0 {
-		for i := 1; i < p; i++ {
-			splits = append(splits, samples[i*len(samples)/p])
-		}
-	}
-
-	// Round 2: broadcast splitters.
-	splitPart := NewPartIn[tagged[T]](ex, p)
-	splitPart.Shards[0] = splits
-	TraceOp(ex, "sort.splitters")
-	bcast, st2 := Broadcast(splitPart)
-	splits = bcast.Shards[0] // identical on every server
-
-	// Round 3: route each element to its bucket (= number of splitters ≤ it).
-	// The splitter slice is read-only from here on, so the per-source
-	// bucket builds are independent.
-	out := make([][][]tagged[T], p)
-	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
-		ts := local[s]
-		if len(ts) == 0 {
-			return
-		}
-		// Memoize each element's bucket so the counted build's two passes
-		// pay the binary search once.
-		buckets := sc.Ints(len(ts))
-		for j, t := range ts {
-			buckets[j] = sort.Search(len(splits), func(i int) bool {
-				return tless(t, splits[i]) // first splitter strictly greater
-			})
-		}
-		out[s] = BuildOutbox[tagged[T]](sc, p, "SortBy", func(fill bool, emit func(int, tagged[T])) {
-			for j, t := range ts {
-				emit(buckets[j], t)
-			}
-		})
-	})
-	TraceOp(ex, "sort.partition")
-	routed, st3 := ExchangeIn(ex, p, out)
-
-	// Final local sort.
-	res := NewPartIn[T](ex, p)
-	ex.ForEachShard(p, func(s int) {
-		ts := routed.Shards[s]
-		sortFunc(ts, tcmp)
-		if len(ts) == 0 {
-			return
-		}
-		xs := make([]T, len(ts))
-		for i, t := range ts {
-			xs[i] = t.x
-		}
-		res.Shards[s] = xs
-	})
-	return res, Seq(st1, st2, st3)
-}
-
-// Sort is SortBy ordered by an ordered key. When K is radix-encodable
-// (integers; the engines' uniform-length EncodeKey strings) every sorting
-// phase runs the stable LSD radix kernel of radix.go instead of a
-// comparison sort; results, shard contents and Stats are bit-for-bit
-// identical to the comparison path either way, because both compute the
-// same unique (key, src, idx) total order.
-func Sort[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
-	if !radixEncodable[K]() {
-		return SortBy(pt, func(a, b T) bool { return key(a) < key(b) })
-	}
-	return sortKeyed(pt, key)
-}
-
-// sortKeyed is Sort's radix sample sort. It mirrors SortBy's three-round
-// structure exactly — same sample positions, same splitter ranks, same
-// bucket boundaries, same exchanged messages — swapping each comparison
-// sort for a stable radix pass over the encoded keys and each per-element
-// binary search against the splitters for one merge-walk over the sorted
-// shard:
-//
-//   - Local sort: stable radix by key, then idx assignment. Stability makes
-//     equal keys keep arrival order, which is exactly the order the
-//     comparison path's stable sort leaves them in.
-//   - Coordinator sample sort: the gathered samples arrive in ascending
-//     (src, key, idx) order, so a stable radix by key alone reproduces the
-//     full (key, src, idx) order.
-//   - Final sort: a routed shard is the ascending-src concatenation of
-//     key-sorted runs, so the same stability argument applies again.
-//
-// String batches are encodable only when uniform-length (≤ 16 bytes); each
-// phase falls back to the comparison sort independently when its batch is
-// not, which cannot change results — every path computes the same unique
-// total order.
-func sortKeyed[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
-	p := pt.P()
-	ex := pt.scope()
-	tless := func(a, b tagged[T]) bool {
-		ka, kb := key(a.x), key(b.x)
-		if ka != kb {
-			return ka < kb
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.idx < b.idx
-	}
-	tcmp := func(a, b tagged[T]) int {
-		if c := cmp.Compare(key(a.x), key(b.x)); c != 0 {
-			return c
-		}
-		if a.src != b.src {
-			return cmp.Compare(a.src, b.src)
-		}
-		return cmp.Compare(a.idx, b.idx)
-	}
-	kcmp := func(a, b tagged[T]) int { return cmp.Compare(key(a.x), key(b.x)) }
-
-	// Local sort; tag with (src, idx). The encoded key image is kept per
-	// shard (aligned with the sorted elements) for the bucket walk below.
-	local := make([][]tagged[T], p)
-	localKeys := make([]radixKeys, p)
-	localOK := make([]bool, p)
-	ex.ForEachShard(p, func(s int) {
-		shard := pt.Shards[s]
-		if len(shard) == 0 {
-			return
-		}
-		ts := make([]tagged[T], len(shard))
-		ks := make([]K, len(shard))
-		for i, x := range shard {
-			ts[i] = tagged[T]{src: s, x: x}
-			ks[i] = key(x)
-		}
-		if enc, ok := encodeRadixKeys(ks); ok {
-			radixSortKeyed(enc, ts)
-			localKeys[s], localOK[s] = enc, true
-		} else {
-			sortStableFunc(ts, kcmp)
-		}
-		for i := range ts {
-			ts[i].idx = i
-		}
-		local[s] = ts
-	})
-
-	// Round 1: regular samples to the coordinator (server 0) — identical
-	// positions to SortBy's, since the local orders are identical.
-	samplePart := NewPartIn[tagged[T]](ex, p)
-	for s, ts := range local {
-		n := len(ts)
-		if n == 0 {
-			continue
-		}
-		c := p
-		if n < c {
-			c = n
-		}
-		for j := 0; j < c; j++ {
-			samplePart.Shards[s] = append(samplePart.Shards[s], ts[j*n/c])
-		}
-	}
-	TraceOp(ex, "sort.samples")
-	gathered, st1 := Gather(samplePart, 0)
-
-	// Coordinator picks p−1 splitters at regular ranks. Arrival order is
-	// ascending src with ascending (key, idx) within each src, so a stable
-	// radix by key equals the (key, src, idx) order.
-	samples := gathered.Shards[0]
-	sortTaggedByKey(samples, key, tcmp)
+	sortTagged(samples)
 	var splits []tagged[T]
 	if len(samples) > 0 {
 		for i := 1; i < p; i++ {
@@ -293,18 +182,10 @@ func sortKeyed[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats)
 	var splitKeys radixKeys
 	splitOK := false
 	if len(splits) > 0 {
-		sks := make([]K, len(splits))
-		for i, t := range splits {
-			sks[i] = key(t.x)
-		}
-		splitKeys, splitOK = encodeRadixKeys(sks)
+		splitKeys, splitOK = encode(splits)
 	}
 
-	// Round 3: bucket by merge-walk. Shard and splitters are both sorted in
-	// the full (key, src, idx) order, so one forward walk computes every
-	// element's bucket — the count of splitters ≤ it — in O(n + p) instead
-	// of n binary searches. The walk runs in encoded-word space when the
-	// shard's and the splitters' images share a class, else on comparisons.
+	// Round 3: route each element to its bucket (= number of splitters ≤ it).
 	out := make([][][]tagged[T], p)
 	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
 		ts := local[s]
@@ -323,7 +204,7 @@ func sortKeyed[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats)
 			}
 		} else {
 			for j := range ts {
-				for i < len(splits) && !tless(ts[j], splits[i]) {
+				for i < len(splits) && tcmp(splits[i], ts[j]) <= 0 {
 					i++
 				}
 				buckets[j] = i
@@ -334,15 +215,14 @@ func sortKeyed[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats)
 	TraceOp(ex, "sort.partition")
 	routed, st3 := ExchangeIn(ex, p, out)
 
-	// Final local sort: ascending-src concatenation of key-sorted runs, so
-	// stable radix by key reproduces the (key, src, idx) order.
+	// Final local sort.
 	res := NewPartIn[T](ex, p)
 	ex.ForEachShard(p, func(s int) {
 		ts := routed.Shards[s]
 		if len(ts) == 0 {
 			return
 		}
-		sortTaggedByKey(ts, key, tcmp)
+		sortTagged(ts)
 		xs := make([]T, len(ts))
 		for i, t := range ts {
 			xs[i] = t.x
@@ -350,22 +230,6 @@ func sortKeyed[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats)
 		res.Shards[s] = xs
 	})
 	return res, Seq(st1, st2, st3)
-}
-
-// sortTaggedByKey sorts ts into the full (key, src, idx) order, by stable
-// radix when the batch encodes (valid because the caller guarantees ts
-// arrives in ascending (src, idx) order within equal keys), else by the
-// comparison fallback with explicit provenance tie-breaks.
-func sortTaggedByKey[T any, K cmp.Ordered](ts []tagged[T], key func(T) K, tcmp func(a, b tagged[T]) int) {
-	ks := make([]K, len(ts))
-	for i, t := range ts {
-		ks[i] = key(t.x)
-	}
-	if enc, ok := encodeRadixKeys(ks); ok {
-		radixSortKeyed(enc, ts)
-		return
-	}
-	sortFunc(ts, tcmp)
 }
 
 // splitterLE reports splitter i ≤ element j in the (key, src, idx) total

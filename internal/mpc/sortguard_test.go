@@ -1,8 +1,11 @@
 package mpc
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -24,6 +27,35 @@ func TestNoComparisonSortsInHotKernels(t *testing.T) {
 			t.Errorf("%s:%d: comparison sort call site %q in a hot kernel file; route it through the radix.go fallbacks",
 				file, line, src[loc[0]:loc[1]])
 		}
+	}
+}
+
+// TestOneSampleSort guards the single sample-sort skeleton: the
+// "sort.samples" round is labelled at exactly one call site in the package
+// (sampleSort), so a second sample sort — a keyed twin, a specialised copy
+// for one primitive — cannot reappear beside it unnoticed. Fusing or
+// re-cutting Sort's rounds is then one edit, not one per copy.
+func TestOneSampleSort(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := regexp.MustCompile(`TraceOp\([^)]*"sort\.samples"\)`)
+	var sites []string
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("reading %s: %v", file, err)
+		}
+		for _, loc := range site.FindAllIndex(src, -1) {
+			sites = append(sites, fmt.Sprintf("%s:%d", file, 1+countNewlines(src[:loc[0]])))
+		}
+	}
+	if len(sites) != 1 || !strings.HasPrefix(sites[0], "sort.go:") {
+		t.Fatalf(`TraceOp(ex, "sort.samples") call sites: %v; want exactly one, in sort.go`, sites)
 	}
 }
 

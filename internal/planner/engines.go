@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
 )
 
@@ -45,11 +46,19 @@ type Engine struct {
 	// FastPath, when set, returns a non-empty reason on instances this
 	// engine wins without any comparison and without size estimates.
 	FastPath func(Input) string
+	// PermClasses marks the engines built on the degree-permutation class
+	// split (dist.DegreeOrderClasses), which cannot name the classes of a
+	// query joining more than dist.MaxPermArms relations at one aggregated
+	// attribute: there they are infeasible candidates and cannot be forced.
+	PermClasses bool
 }
 
 func (e *Engine) price(in Input) Candidate {
 	c := e.Cost(in)
 	c.Engine = e.Name
+	if e.PermClasses && in.Arms > dist.MaxPermArms {
+		c.Feasible = false
+	}
 	return c
 }
 
@@ -85,9 +94,9 @@ var Engines = []Engine{
 	{Name: EngineYannakakis, Cost: costYannakakis,
 		Ranked: ranks{cMatMul: 3, cLine: 0, cStar: 0, cStarLike: 0, cFreeConnex: 0, cTree: 1}},
 	{Name: EngineLine, Ranked: ranks{cLine: 1}, Cost: costChain},
-	{Name: EngineStar, Ranked: ranks{cStar: 1}, Cost: costProduct},
-	{Name: EngineStarLike, Ranked: ranks{cStarLike: 1}, Cost: costChain},
-	{Name: EngineTree, Cost: costTree, ForcedOnly: []hypergraph.Class{cMatMul},
+	{Name: EngineStar, Ranked: ranks{cStar: 1}, Cost: costProduct, PermClasses: true},
+	{Name: EngineStarLike, Ranked: ranks{cStarLike: 1}, Cost: costChain, PermClasses: true},
+	{Name: EngineTree, Cost: costTree, ForcedOnly: []hypergraph.Class{cMatMul}, PermClasses: true,
 		Ranked: ranks{cLine: 2, cStar: 2, cStarLike: 2, cFreeConnex: 1, cTree: 0}},
 }
 
@@ -140,14 +149,24 @@ func ParseEngine(s string) (string, error) {
 	return "", fmt.Errorf("unknown engine %q (want %s or one of %s)", s, EngineAuto, strings.Join(Names(), ", "))
 }
 
-// Forced checks that the named engine may run a query of the class
-// (unknown names fail like illegal ones) and builds the trivial plan of an
+// Forced checks that the named engine may run the query — legal for its
+// class (unknown names fail like illegal ones) and, for a class-split
+// engine, within dist.MaxPermArms — and builds the trivial plan of an
 // execution whose engine was fixed up front, so a plan is always reported.
-func Forced(class hypergraph.Class, engine string) (Plan, error) {
-	if !slices.Contains(Legal(class), engine) {
-		return Plan{}, fmt.Errorf("engine %q is not legal for class %s (legal: %v)", engine, class, Legal(class))
+func Forced(q *hypergraph.Query, engine string) (Plan, error) {
+	class := q.Classify()
+	for _, e := range legal(class) {
+		if e.Name != engine {
+			continue
+		}
+		if e.PermClasses {
+			if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
+				return Plan{}, fmt.Errorf("engine %q cannot run this query: %w", engine, err)
+			}
+		}
+		return Plan{Class: class.String(), Chosen: engine, Reason: "forced by name"}, nil
 	}
-	return Plan{Class: class.String(), Chosen: engine, Reason: "forced by name"}, nil
+	return Plan{}, fmt.Errorf("engine %q is not legal for class %s (legal: %v)", engine, class, Legal(class))
 }
 
 // ---------------------------------------------------------------------------

@@ -95,6 +95,10 @@ type Input struct {
 	// N1, N2 are the two matmul sides in LineView order (0 outside
 	// ClassMatMul).
 	N1, N2 int64
+	// Arms is the query's widest aggregated join
+	// (hypergraph.Query.AggregatedDegree), which the class-split engines
+	// bound.
+	Arms int
 	// Out is the predicted output size; J the predicted full-join
 	// cardinality (J ≥ Out).
 	Out, J int64

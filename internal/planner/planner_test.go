@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
 )
 
@@ -221,12 +222,25 @@ func TestForcedAndLegal(t *testing.T) {
 		hypergraph.ClassFreeConnex: {EngineYannakakis, EngineTree},
 		hypergraph.ClassTree:       {EngineTree, EngineYannakakis},
 	}
+	queries := map[hypergraph.Class]*hypergraph.Query{
+		hypergraph.ClassMatMul:   hypergraph.MatMulQuery(),
+		hypergraph.ClassLine:     hypergraph.LineQuery(3),
+		hypergraph.ClassStar:     hypergraph.StarQuery(3),
+		hypergraph.ClassStarLike: hypergraph.Fig1StarLike(),
+		hypergraph.ClassFreeConnex: hypergraph.NewQuery([]hypergraph.Edge{
+			hypergraph.Bin("R1", "A", "B"), hypergraph.Bin("R2", "B", "C"),
+		}, "A", "B", "C"),
+		hypergraph.ClassTree: hypergraph.Fig3Twig(),
+	}
 	for class, engines := range want {
 		if got := Legal(class); !reflect.DeepEqual(got, engines) {
 			t.Fatalf("Legal(%s) = %v, want %v", class, got, engines)
 		}
+		if got := queries[class].Classify(); got != class {
+			t.Fatalf("the %s query classifies as %s", class, got)
+		}
 		for _, e := range engines {
-			pl, err := Forced(class, e)
+			pl, err := Forced(queries[class], e)
 			if err != nil || pl.Chosen != e || pl.Class != class.String() || pl.Reason == "" {
 				t.Fatalf("Forced(%s, %s) = %+v, %v", class, e, pl, err)
 			}
@@ -236,8 +250,36 @@ func TestForcedAndLegal(t *testing.T) {
 		}
 	}
 	for _, e := range []string{EngineLine, "quantum", ""} {
-		if _, err := Forced(hypergraph.ClassStar, e); err == nil {
+		if _, err := Forced(hypergraph.StarQuery(3), e); err == nil {
 			t.Fatalf("engine %q accepted for a star query", e)
+		}
+	}
+}
+
+// TestClassSplitEnginesBoundArms pins the class-split limit in both halves
+// of planning: past dist.MaxPermArms relations at one aggregated attribute
+// the star and tree engines cannot be forced and rank infeasible, while the
+// query stays plannable — yannakakis takes it.
+func TestClassSplitEnginesBoundArms(t *testing.T) {
+	for _, n := range []int{dist.MaxPermArms, dist.MaxPermArms + 1} {
+		q := hypergraph.StarQuery(n)
+		wide := n > dist.MaxPermArms
+		for _, e := range []string{EngineStar, EngineTree} {
+			if _, err := Forced(q, e); (err != nil) != wide {
+				t.Fatalf("Forced(%d-arm star, %s): %v", n, e, err)
+			}
+		}
+		if _, err := Forced(q, EngineYannakakis); err != nil {
+			t.Fatalf("Forced(%d-arm star, yannakakis): %v", n, err)
+		}
+		pl := Rank(Input{Class: q.Classify(), P: 16, N: 1600, NMax: 100, Out: 100, J: 100, Arms: q.AggregatedDegree()})
+		for _, c := range pl.Candidates {
+			if c.Engine != EngineYannakakis && c.Feasible == wide {
+				t.Fatalf("%d-arm star: candidate %+v", n, c)
+			}
+		}
+		if wide && pl.Chosen != EngineYannakakis {
+			t.Fatalf("%d-arm star: chose %s", n, pl.Chosen)
 		}
 	}
 }

@@ -25,53 +25,12 @@ func BruteForce[W any](sr semiring.Semiring[W], q *hypergraph.Query, inst db.Ins
 	if err := db.Validate(q, inst); err != nil {
 		return nil, err
 	}
-	order := joinOrder(q)
+	order := q.JoinOrder()
 	acc := inst[q.Edges[order[0]].Name].Clone()
 	for _, i := range order[1:] {
 		acc = relation.Join(sr, acc, inst[q.Edges[i].Name])
 	}
 	return relation.ProjectAgg(sr, acc, q.Output...), nil
-}
-
-// joinOrder returns edge indices such that each edge after the first
-// shares an attribute with the union of the previous ones (possible for
-// any connected query), avoiding accidental cross products.
-func joinOrder(q *hypergraph.Query) []int {
-	used := make([]bool, len(q.Edges))
-	attrs := make(map[hypergraph.Attr]bool)
-	order := []int{0}
-	used[0] = true
-	for _, a := range q.Edges[0].Attrs {
-		attrs[a] = true
-	}
-	for len(order) < len(q.Edges) {
-		found := false
-		for i, e := range q.Edges {
-			if used[i] {
-				continue
-			}
-			touches := false
-			for _, a := range e.Attrs {
-				if attrs[a] {
-					touches = true
-					break
-				}
-			}
-			if touches {
-				used[i] = true
-				order = append(order, i)
-				for _, a := range e.Attrs {
-					attrs[a] = true
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic("refengine: query graph is disconnected")
-		}
-	}
-	return order
 }
 
 // RemoveDangling returns a copy of the instance with every tuple that

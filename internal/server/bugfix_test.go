@@ -14,6 +14,7 @@ import (
 	"mpcjoin/internal/core"
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/semiring"
 )
 
@@ -312,5 +313,94 @@ func TestQueryTrace(t *testing.T) {
 		if rt.Round != i+1 || rt.Op == "" || rt.Servers <= 0 {
 			t.Fatalf("malformed round %d: %+v", i+1, rt)
 		}
+	}
+}
+
+// TestSixteenArmStarIsNotFatal: a well-formed 16-relation star is within
+// maxRelations, but the degree-permutation class split names at most 15
+// arms. Forcing an engine built on it is the client's error, answered
+// before admission; auto prices those engines infeasible and answers
+// through another. (Either request used to panic inside the shared
+// execution's goroutine and take the daemon down.)
+func TestSixteenArmStarIsNotFatal(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if resp, out := postJSON(t, ts.URL+"/v1/datasets", `{"name":"E","arity":2,"rows":[[1,0,7],[2,1,8]]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, out)
+	}
+	var rels, groupBy []string
+	for i := 0; i < 16; i++ {
+		rels = append(rels, fmt.Sprintf(`{"name":"R%d","attrs":["A%d","B"],"dataset":"E"}`, i, i))
+		groupBy = append(groupBy, fmt.Sprintf(`"A%d"`, i))
+	}
+	query := `{"relations":[` + strings.Join(rels, ",") + `],"group_by":[` + strings.Join(groupBy, ",") + `]%s}`
+
+	for _, strategy := range []string{"star", "tree"} {
+		for _, path := range []string{"/v2/query", "/v2/plan"} {
+			resp, out := postJSON(t, ts.URL+path, fmt.Sprintf(query, `,"strategy":"`+strategy+`"`))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), `"bad_request"`) || !strings.Contains(string(out), "at most 15") {
+				t.Fatalf("%s forced %s: %d %s", path, strategy, resp.StatusCode, out)
+			}
+		}
+	}
+	if snap := s.Metrics().Snapshot(); snap.Completed != 0 || snap.Failed != 0 {
+		t.Fatalf("a forced 16-arm star reached admission: %+v", snap)
+	}
+
+	resp, out := postJSON(t, ts.URL+"/v2/query", fmt.Sprintf(query, ""))
+	var qr QueryResponse
+	if err := json.Unmarshal(out, &qr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto: %d %s (%v)", resp.StatusCode, out, err)
+	}
+	// One output tuple per B value: (0,…,0) and (1,…,1).
+	if qr.Engine != "yannakakis" || len(qr.Rows) != 2 {
+		t.Fatalf("auto ran %s and returned %d rows", qr.Engine, len(qr.Rows))
+	}
+}
+
+// panicWire is an exchange backend with a bug: its first round panics.
+type panicWire struct{}
+
+func (panicWire) Name() string                              { return "panic" }
+func (panicWire) Connect(context.Context) (mpc.Wire, error) { return panicWire{}, nil }
+func (panicWire) Close() error                              { return nil }
+func (panicWire) ExchangeRound(context.Context, *mpc.WireRound) (*mpc.WireInbox, error) {
+	panic("injected engine bug")
+}
+
+// TestEnginePanicIsAnInternalError: a panic inside an admitted execution —
+// here injected at the first exchange barrier of a coalesced execution,
+// which runs on the flight's own goroutine — is a 500 for every waiter, not
+// the end of the process; the admission weight it held is released.
+func TestEnginePanicIsAnInternalError(t *testing.T) {
+	s, ts := newTestServer(t, Config{Transport: panicWire{}})
+	registerMatMul(t, ts.URL)
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v2/query", "application/json",
+				strings.NewReader(fmt.Sprintf(matmulQuery, `,"strategy":"yannakakis"`)))
+			if err != nil {
+				t.Errorf("waiter: %v", err)
+				return
+			}
+			defer resp.Body.Close()
+			var env struct {
+				Error struct{ Cause, Message string }
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusInternalServerError ||
+				env.Error.Cause != "internal" || !strings.Contains(env.Error.Message, "injected engine bug") {
+				t.Errorf("waiter: %d %+v (%v)", resp.StatusCode, env, err)
+			}
+		}()
+	}
+	wg.Wait()
+	snap := s.Metrics().Snapshot()
+	if snap.InFlight != 0 || snap.FailedInternal == 0 || snap.Completed != 0 {
+		t.Fatalf("after the panics: %+v", snap)
+	}
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon did not survive: %v", err)
 	}
 }

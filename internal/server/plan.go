@@ -175,7 +175,7 @@ func (s *Server) queryOptions(req *QueryRequest, q *hypergraph.Query) (core.Opti
 			return core.Options{}, err
 		}
 		if engine != "" {
-			if _, err := planner.Forced(q.Classify(), engine); err != nil {
+			if _, err := planner.Forced(q, engine); err != nil {
 				return core.Options{}, err
 			}
 		}

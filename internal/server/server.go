@@ -46,9 +46,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -558,7 +560,19 @@ func (s *Server) admit(ctx context.Context, b *boundQuery) (*planner.Plan, int64
 // — and is called exactly once per execution (directly for uncached modes,
 // as the shared flight body otherwise), so every metric it records counts
 // executions, not waiters.
-func (s *Server) execAdmitted(ctx context.Context, b *boundQuery) (*QueryResponse, error) {
+func (s *Server) execAdmitted(ctx context.Context, b *boundQuery) (resp *QueryResponse, err error) {
+	// Last line of defence: a panic in an admitted step is a bug in the
+	// planner or an engine (aborts unwind as errors, see mpc.Recover), and
+	// it must cost this execution — a 500 for each of its waiters — not the
+	// daemon. A coalesced execution runs on the flight's own goroutine,
+	// where nothing else would stop it from ending the process.
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("mpcd: panic in admitted execution: %v\n%s", r, debug.Stack())
+			resp, err = nil, fmt.Errorf("execution panicked: %v", r)
+			s.met.QueryFailedInternal()
+		}
+	}()
 	plan, queueNS, release, err := s.admit(ctx, b)
 	if err != nil {
 		return nil, err
@@ -575,7 +589,6 @@ func (s *Server) execAdmitted(ctx context.Context, b *boundQuery) (*QueryRespons
 		o.Tracer = mpc.NewTracer()
 	}
 	start := time.Now()
-	var resp *QueryResponse
 	if b.req.Graph != nil {
 		resp, err = s.executeGraph(ctx, b.req, b.insts, o)
 	} else {
@@ -690,52 +703,48 @@ func (s *Server) executeGraph(ctx context.Context, req *QueryRequest, insts map[
 	defer release()
 	defer mpc.Recover(&err)
 
-	resp = &QueryResponse{Attrs: []string{"vertex"}, Rows: [][]any{}}
-	var conv bool
+	src := relation.Value(g.Source)
 	switch g.Kind {
 	case "bfs":
-		edges := make([]spmv.Edge[bool], len(ds.Rows))
-		for i, row := range ds.Rows {
-			edges[i] = spmv.Edge[bool]{Src: row.Vals[0], Dst: row.Vals[1], W: true}
-		}
-		gr := spmv.BFS(ex, edges, p, o.Seed, relation.Value(g.Source), g.MaxIters)
-		for _, en := range gr.Rows {
-			resp.Rows = append(resp.Rows, []any{en.Val, int64(en.Idx)})
-		}
-		resp.Stats, resp.Iterations, conv = mpc.Seq(gr.Build, gr.Stats), gr.Iters, gr.Converged
+		gr := spmv.BFS(ex, graphEdges(ds, func(int64) bool { return true }), p, o.Seed, src, g.MaxIters)
+		return graphResponse(gr.Rows, gr.Iters, gr.Build, gr.Stats, gr.Converged), nil
 	case "sssp":
-		edges := make([]spmv.Edge[int64], len(ds.Rows))
-		for i, row := range ds.Rows {
+		for _, row := range ds.Rows {
 			if row.W < 0 {
 				return nil, &clientError{fmt.Errorf("sssp needs non-negative edge weights; dataset %q has weight %d", req.Relations[0].Name, row.W)}
 			}
-			edges[i] = spmv.Edge[int64]{Src: row.Vals[0], Dst: row.Vals[1], W: row.W}
 		}
-		gr := spmv.SSSP(ex, edges, p, o.Seed, relation.Value(g.Source), g.MaxIters)
-		for _, en := range gr.Rows {
-			resp.Rows = append(resp.Rows, []any{en.Val, int64(en.Idx)})
-		}
-		resp.Stats, resp.Iterations, conv = mpc.Seq(gr.Build, gr.Stats), gr.Iters, gr.Converged
+		gr := spmv.SSSP(ex, graphEdges(ds, weight), p, o.Seed, src, g.MaxIters)
+		return graphResponse(gr.Rows, gr.Iters, gr.Build, gr.Stats, gr.Converged), nil
 	case "pagerank":
-		edges := make([]spmv.Edge[int64], len(ds.Rows))
-		for i, row := range ds.Rows {
-			edges[i] = spmv.Edge[int64]{Src: row.Vals[0], Dst: row.Vals[1], W: row.W}
-		}
-		damping := g.Damping
-		if damping == 0 {
-			damping = 0.85
-		}
-		pr := spmv.PageRank(ex, edges, p, o.Seed, damping, g.Tol, g.MaxIters)
-		for _, en := range pr.Ranks {
-			resp.Rows = append(resp.Rows, []any{en.Val, int64(en.Idx)})
-		}
-		resp.Stats, resp.Iterations, conv = mpc.Seq(pr.Build, pr.Stats), pr.Iters, pr.Converged
-	default:
-		// Unreachable past validation; defense against future decoders.
-		return nil, &clientError{fmt.Errorf("unknown graph kind %q", g.Kind)}
+		pr := spmv.PageRank(ex, graphEdges(ds, weight), p, o.Seed, g.Damping, g.Tol, g.MaxIters)
+		return graphResponse(pr.Ranks, pr.Iters, pr.Build, pr.Stats, pr.Converged), nil
 	}
-	resp.Converged = &conv
-	return resp, nil
+	// Unreachable past validation; defense against future decoders.
+	return nil, &clientError{fmt.Errorf("unknown graph kind %q", g.Kind)}
+}
+
+func weight(w int64) int64 { return w }
+
+// graphEdges reads the bound dataset as the driver's edge list: row
+// (src, dst) with its annotation, mapped by w, as the edge weight.
+func graphEdges[W any](ds *Dataset, w func(int64) W) []spmv.Edge[W] {
+	edges := make([]spmv.Edge[W], len(ds.Rows))
+	for i, row := range ds.Rows {
+		edges[i] = spmv.Edge[W]{Src: row.Vals[0], Dst: row.Vals[1], W: w(row.W)}
+	}
+	return edges
+}
+
+// graphResponse renders a driver's outcome: rows [value, vertex], the
+// placement and loop costs as one Stats, and the per-iteration metering.
+func graphResponse[V any](rows []spmv.Entry[V], iters []spmv.IterStat, build, loop mpc.Stats, conv bool) *QueryResponse {
+	resp := &QueryResponse{Attrs: []string{"vertex"}, Rows: make([][]any, len(rows)),
+		Stats: mpc.Seq(build, loop), Iterations: iters, Converged: &conv}
+	for i, en := range rows {
+		resp.Rows[i] = []any{en.Val, int64(en.Idx)}
+	}
+	return resp
 }
 
 // newRelation builds an empty relation carrying the query's schema for

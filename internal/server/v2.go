@@ -113,7 +113,8 @@ type GraphBlock struct {
 	// (BFS/PageRank: a fixed cap; SSSP: the Bellman-Ford |V|+1 bound). A
 	// budget-exhausted run answers with "converged": false, not an error.
 	MaxIters int `json:"max_iters,omitempty"`
-	// Damping is PageRank's damping factor in (0, 1); 0 selects 0.85.
+	// Damping is PageRank's damping factor in (0, 1); 0 selects
+	// spmv.DefaultDamping.
 	Damping float64 `json:"damping,omitempty"`
 	// Tol is PageRank's L∞ convergence threshold; 0 selects 1e-9.
 	Tol float64 `json:"tol,omitempty"`

@@ -157,6 +157,10 @@ func traversalResult[W any](e *Engine[W], state [][]Entry[int64], setup mpc.Stat
 	}
 }
 
+// DefaultDamping is PageRank's damping factor — the probability of
+// following an edge rather than teleporting — when the caller names none.
+const DefaultDamping = 0.85
+
 // PageRankResult is PageRank's outcome: one rank per vertex (summing to 1
 // up to float error), sorted by vertex, plus the iterated metering.
 type PageRankResult struct {
@@ -176,8 +180,11 @@ type PageRankResult struct {
 // The state is dense over the vertex universe, so every iteration runs
 // the dense multiply path; convergence is the L∞ residual dropping to
 // tol (<= 0 selects 1e-9), under a maxIters budget (<= 0 selects
-// DefaultMaxIters).
+// DefaultMaxIters). damping 0 selects DefaultDamping.
 func PageRank[W any](ex *mpc.Exec, edges []Edge[W], p int, seed uint64, damping, tol float64, maxIters int) *PageRankResult {
+	if damping == 0 {
+		damping = DefaultDamping
+	}
 	if damping <= 0 || damping >= 1 {
 		panic(fmt.Sprintf("spmv: PageRank: damping %v outside (0, 1)", damping))
 	}
@@ -233,7 +240,7 @@ func PageRank[W any](ex *mpc.Exec, edges []Edge[W], p int, seed uint64, damping,
 			}
 			fs[s] = m
 		})
-		mass, mst := globalSumFloat(ex, p, fs, fmt.Sprintf("iter%d.dangling", iter))
+		mass, mst := mpc.AllReduce(ex, fs, mpc.Add[float64], fmt.Sprintf("iter%d.dangling", iter))
 
 		next := mpc.NewPartIn[Entry[float64]](ex, p)
 		base := (1 - damping) / n
@@ -267,23 +274,4 @@ func PageRank[W any](ex *mpc.Exec, edges []Edge[W], p int, seed uint64, damping,
 		Build: e.BuildStats(), Stats: it.Stats,
 		Converged: it.Converged, N: e.n, NNZ: e.nnz,
 	}
-}
-
-// globalSumFloat is globalSum over float64 payloads (dangling mass).
-func globalSumFloat(ex *mpc.Exec, p int, vals []float64, op string) (float64, mpc.Stats) {
-	pt := mpc.NewPartIn[float64](ex, p)
-	for s := 0; s < p; s++ {
-		pt.Shards[s] = []float64{vals[s]}
-	}
-	mpc.TraceOp(ex, op+".gather")
-	gathered, st1 := mpc.Gather(pt, 0)
-	var total float64
-	for _, v := range gathered.Shards[0] {
-		total += v
-	}
-	res := mpc.NewPartIn[float64](ex, p)
-	res.Shards[0] = []float64{total}
-	mpc.TraceOp(ex, op+".broadcast")
-	_, st2 := mpc.Broadcast(res)
-	return total, mpc.Seq(st1, st2)
 }

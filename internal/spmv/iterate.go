@@ -127,12 +127,17 @@ func Iterate[W any](e *Engine[W], x Vector[W], opts IterOptions[W]) IterResult[W
 			converged = n == 0
 		case ConvergeFixpoint:
 			diffs := shardDiffs(e, res.X, next, eq)
-			total, cst := globalSum(e.edges.Scope(), e.p, diffs, e.iterTag+".converge")
+			total, cst := mpc.AllReduce(e.edges.Scope(), diffs, mpc.Add[int64], e.iterTag+".converge")
 			st = mpc.Seq(st, cst)
 			converged = total == 0
 		case ConvergeDelta:
 			deltas := shardDeltas(e, res.X, next, opts.Delta)
-			worst, cst := globalMaxFloat(e.edges.Scope(), e.p, deltas, e.iterTag+".converge")
+			worst, cst := mpc.AllReduce(e.edges.Scope(), deltas, func(worst, d float64) float64 {
+				if d > worst {
+					return d
+				}
+				return worst
+			}, e.iterTag+".converge")
 			st = mpc.Seq(st, cst)
 			converged = worst <= opts.Tol
 		}

@@ -328,45 +328,3 @@ func combineEntries[W any](sr semiring.Semiring[W], shard []Entry[W]) []Entry[W]
 	}
 	return out
 }
-
-// globalSum gathers one int64 per server to a coordinator, sums, and
-// broadcasts the total back — the O(p)-load convergence-round shape
-// (TotalCount's pattern, generalized to driver-computed summaries).
-func globalSum(ex *mpc.Exec, p int, vals []int64, op string) (int64, mpc.Stats) {
-	pt := mpc.NewPartIn[int64](ex, p)
-	for s := 0; s < p; s++ {
-		pt.Shards[s] = []int64{vals[s]}
-	}
-	mpc.TraceOp(ex, op+".gather")
-	gathered, st1 := mpc.Gather(pt, 0)
-	var total int64
-	for _, v := range gathered.Shards[0] {
-		total += v
-	}
-	res := mpc.NewPartIn[int64](ex, p)
-	res.Shards[0] = []int64{total}
-	mpc.TraceOp(ex, op+".broadcast")
-	_, st2 := mpc.Broadcast(res)
-	return total, mpc.Seq(st1, st2)
-}
-
-// globalMaxFloat is globalSum's max-combine twin for L∞ deltas.
-func globalMaxFloat(ex *mpc.Exec, p int, vals []float64, op string) (float64, mpc.Stats) {
-	pt := mpc.NewPartIn[float64](ex, p)
-	for s := 0; s < p; s++ {
-		pt.Shards[s] = []float64{vals[s]}
-	}
-	mpc.TraceOp(ex, op+".gather")
-	gathered, st1 := mpc.Gather(pt, 0)
-	max := 0.0
-	for _, v := range gathered.Shards[0] {
-		if v > max {
-			max = v
-		}
-	}
-	res := mpc.NewPartIn[float64](ex, p)
-	res.Shards[0] = []float64{max}
-	mpc.TraceOp(ex, op+".broadcast")
-	_, st2 := mpc.Broadcast(res)
-	return max, mpc.Seq(st1, st2)
-}

@@ -20,7 +20,6 @@
 package starlike
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -60,6 +59,9 @@ func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[strin
 	view, ok := q.StarLikeView()
 	if !ok {
 		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starlike: query is not a star-like query")
+	}
+	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starlike: %w", err)
 	}
 	arms := make([]Arm[W], len(view.Arms))
 	for i, va := range view.Arms {
@@ -123,91 +125,36 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 
 	// Step 1: per-arm degree estimates d_i(b) by the §2.2 estimator run
 	// along each arm (exact when the arm is a single relation and the
-	// distinct leaf count is below the sketch size).
-	type armDeg struct {
-		b   relation.Value
-		arm int
-		deg int64
-	}
-	degTagged := mpc.NewPartIn[armDeg](arms[0].Rels[0].Part.Scope(), p)
+	// distinct leaf count is below the sketch size). Each b's class is its
+	// sorting permutation ϕ_b plus the small/large flag —
+	// EncodePerm(ϕ_b)·2 + small-bit — and the B-incident relation of
+	// every arm is tagged with its b's class.
+	degs := make([]mpc.Part[mpc.KeyCount[int64]], n)
 	for i := range arms {
 		ests, _, s := estimate.LineOut(arms[i].Rels, arms[i].Path, opts.Est)
 		st = mpc.Seq(st, s)
-		tagged := mpc.Map(ests, func(kc mpc.KeyCount[string]) armDeg {
-			return armDeg{b: relation.DecodeKey(kc.Key)[0], arm: i, deg: kc.Count}
+		degs[i] = mpc.Map(ests, func(kc mpc.KeyCount[string]) mpc.KeyCount[int64] {
+			return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
 		})
-		for sh, shard := range tagged.Shards {
-			degTagged.Shards[sh] = append(degTagged.Shards[sh], shard...)
-		}
 	}
-	grouped, s2 := mpc.GroupByKey(degTagged, func(ad armDeg) int64 { return int64(ad.b) })
-	st = mpc.Seq(st, s2)
-
-	// Per-b class: permutation ϕ_b plus the small/large flag.
-	type bClass struct {
-		b     relation.Value
-		class int64 // encodePerm(ϕ_b)·2 + small-bit
-	}
-	classes := mpc.MapShards(grouped, func(_ int, shard []armDeg) []bClass {
-		var out []bClass
-		byB := make(map[relation.Value][]armDeg)
-		var bOrder []relation.Value
-		for _, ad := range shard {
-			if _, seen := byB[ad.b]; !seen {
-				bOrder = append(bOrder, ad.b)
-			}
-			byB[ad.b] = append(byB[ad.b], ad)
+	classes, s2 := dist.DegreeOrderClasses(degs, func(order []int, sorted []int64) int64 {
+		var prod int64 = 1
+		for _, d := range sorted[:len(sorted)-1] {
+			prod = estimate.MulSat(prod, d)
 		}
-		// First-seen key order, not map order: shard contents must be
-		// reproducible run to run for the determinism guarantees.
-		for _, bv := range bOrder {
-			ads := byB[bv]
-			slices.SortFunc(ads, func(x, y armDeg) int {
-				if x.deg != y.deg {
-					return cmp.Compare(x.deg, y.deg)
-				}
-				return cmp.Compare(x.arm, y.arm)
-			})
-			order := make([]int, len(ads))
-			var prod int64 = 1
-			for i, ad := range ads {
-				order[i] = ad.arm
-				if i < len(ads)-1 {
-					prod = satMul(prod, ad.deg)
-				}
-			}
-			small := int64(0)
-			if prod <= ads[len(ads)-1].deg {
-				small = 1
-			}
-			out = append(out, bClass{b: bv, class: encodePerm(order, n)*2 + small})
+		small := int64(0)
+		if prod <= sorted[len(sorted)-1] {
+			small = 1
 		}
-		return out
+		return dist.EncodePerm(order, n)*2 + small
 	})
-
-	distinct, s3 := mpc.ReduceByKey(classes, func(bc bClass) int64 { return bc.class },
-		func(a, b bClass) bClass { return a })
-	idsPart, s4 := mpc.Gather(mpc.Map(distinct, func(bc bClass) int64 { return bc.class }), 0)
-	idsBcast, s5 := mpc.Broadcast(idsPart)
-	st = mpc.Seq(st, s3, s4, s5)
-	classIDs := append([]int64(nil), idsBcast.Shards[0]...)
-	slices.Sort(classIDs)
-
-	// Tag the B-incident relation of every arm with its b's class.
-	taggedInner := make([]mpc.Part[rowClass[W]], n)
+	classIDs, s3 := dist.DistinctClasses(classes)
+	st = mpc.Seq(st, s2, s3)
+	taggedInner := make([]dist.ClassedRel[W], n)
 	for i := range arms {
-		bCol := arms[i].Rels[0].Cols(b)[0]
-		looked, s := mpc.LookupJoin(arms[i].Rels[0].Part, classes,
-			func(r relation.Row[W]) int64 { return int64(r.Vals[bCol]) },
-			func(bc bClass) int64 { return int64(bc.b) })
+		var s mpc.Stats
+		taggedInner[i], s = dist.TagByClass(arms[i].Rels[0], b, classes)
 		st = mpc.Seq(st, s)
-		taggedInner[i] = mpc.Map(looked, func(pr mpc.Pred[relation.Row[W], bClass]) rowClass[W] {
-			cl := int64(-1)
-			if pr.Found {
-				cl = pr.Y.class
-			}
-			return rowClass[W]{row: pr.X, class: cl}
-		})
 	}
 
 	// Steps 2–3 per class. The (constantly many) subqueries run on disjoint
@@ -218,16 +165,14 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 	for _, cid := range classIDs {
 		var cst mpc.Stats
 		small := cid%2 == 1
-		order := decodePerm(cid/2, n)
+		order := dist.DecodePerm(cid/2, n)
 
 		// The class's arms: B-incident relations filtered to the class,
 		// outer relations restricted by an outward semijoin sweep.
 		classArms := make([]Arm[W], n)
 		for i := range arms {
-			rows := mpc.Map(mpc.Filter(taggedInner[i], func(rc rowClass[W]) bool { return rc.class == cid }),
-				func(rc rowClass[W]) relation.Row[W] { return rc.row })
 			ca := Arm[W]{Path: arms[i].Path, Rels: append([]dist.Rel[W](nil), arms[i].Rels...)}
-			ca.Rels[0] = dist.Rel[W]{Schema: arms[i].Rels[0].Schema, Part: rows}
+			ca.Rels[0] = taggedInner[i].Select(cid)
 			for j := 1; j < len(ca.Rels); j++ {
 				filtered, s := dist.Semijoin(ca.Rels[j], ca.Rels[j-1])
 				ca.Rels[j] = filtered
@@ -264,20 +209,16 @@ func runSmall[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 
 	shrunk := make([]dist.Rel[W], 0, n-1)
 	for _, i := range order[:n-1] {
-		r, s := shrinkArm(sr, arms[i], b, p)
+		r, s := ShrinkArm(sr, arms[i], p)
 		st = mpc.Seq(st, s)
 		shrunk = append(shrunk, r)
 	}
 	// R_ϕ(A^small, B): full join of the shrunk arms on B.
-	acc := shrunk[0]
-	for _, r := range shrunk[1:] {
-		joined, _, s := twoway.Join(sr, acc, r)
-		st = mpc.Seq(st, s)
-		acc = dist.Reshape(joined, p)
-	}
+	acc, s := twoway.JoinAll(sr, p, shrunk...)
+	st = mpc.Seq(st, s)
 	// Combined-attribute line query through the last arm.
 	last := arms[order[n-1]]
-	smallAttrs := minus(acc.Schema, b)
+	smallAttrs := dist.Without(acc.Schema, b)
 	rels := append([]dist.Rel[W]{acc}, last.Rels...)
 	path := append([][]dist.Attr{smallAttrs}, last.Path...)
 	res, s := linequery.Run(sr, rels, path, linequery.Options{Est: opts.Est, Seed: opts.Seed})
@@ -294,48 +235,32 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 
 	shrunk := make([]dist.Rel[W], n)
 	for i := range arms {
-		r, s := shrinkArm(sr, arms[i], b, p)
+		r, s := ShrinkArm(sr, arms[i], p)
 		st = mpc.Seq(st, s)
 		shrunk[i] = r
 	}
 
-	// I = {ϕ(n), ϕ(n−3), ϕ(n−6), …} (1-indexed), J = the rest.
-	inI := make([]bool, n)
-	for k := n; k >= 1; k -= 3 {
-		inI[k-1] = true
-	}
-	var iIdx, jIdx []int
+	// I = {ϕ(n), ϕ(n−3), ϕ(n−6), …} (1-indexed), J = the rest — never
+	// empty, since n ≥ 3 here (n = 2 ran as a line query).
+	var sideI, sideJ []dist.Rel[W]
 	for pos, armIdx := range order {
-		if inI[pos] {
-			iIdx = append(iIdx, armIdx)
+		if (n-1-pos)%3 == 0 {
+			sideI = append(sideI, shrunk[armIdx])
 		} else {
-			jIdx = append(jIdx, armIdx)
+			sideJ = append(sideJ, shrunk[armIdx])
 		}
 	}
-	fold := func(idx []int) dist.Rel[W] {
-		acc := shrunk[idx[0]]
-		for _, i := range idx[1:] {
-			joined, _, s := twoway.Join(sr, acc, shrunk[i])
-			st = mpc.Seq(st, s)
-			acc = dist.Reshape(joined, p)
-		}
-		return acc
-	}
-	rI := fold(iIdx)
-	if len(jIdx) == 0 {
-		// Degenerate (n = 1 cannot happen; n = 2 gives J = {ϕ(1)} — only
-		// possible if n ≤ 1, guarded upstream).
-		panic("starlike: empty J side")
-	}
-	rJ := fold(jIdx)
+	rI, sI := twoway.JoinAll(sr, p, sideI...)
+	rJ, sJ := twoway.JoinAll(sr, p, sideJ...)
+	st = mpc.Seq(st, sI, sJ)
 
 	// Uniformize: group b values by ⌈log₂ deg⌉ in R(A^I, B).
 	degI, s := dist.Degrees(rI, b)
 	st = mpc.Seq(st, s)
-	classOf := mpc.Map(degI, func(kc mpc.KeyCount[int64]) mpc.KeyCount[int64] {
-		return mpc.KeyCount[int64]{Key: kc.Key, Count: int64(bitLen(kc.Count))}
+	classOf := mpc.Map(degI, func(kc mpc.KeyCount[int64]) dist.ValueClass {
+		return dist.ValueClass{B: relation.Value(kc.Key), Class: int64(bitLen(kc.Count))}
 	})
-	distinct, s1 := mpc.ReduceByKey(mpc.Map(classOf, func(kc mpc.KeyCount[int64]) int64 { return kc.Count }),
+	distinct, s1 := mpc.ReduceByKey(mpc.Map(classOf, func(vc dist.ValueClass) int64 { return vc.Class }),
 		func(c int64) int64 { return c }, func(a, b int64) int64 { return a })
 	clPart, s2 := mpc.Gather(distinct, 0)
 	clBcast, s3 := mpc.Broadcast(clPart)
@@ -343,28 +268,15 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	classIDs := append([]int64(nil), clBcast.Shards[0]...)
 	slices.Sort(classIDs)
 
-	bColI := rI.Cols(b)[0]
-	bColJ := rJ.Cols(b)[0]
-	tagI, s4 := mpc.LookupJoin(rI.Part, classOf,
-		func(r relation.Row[W]) int64 { return int64(r.Vals[bColI]) },
-		func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
-	tagJ, s5 := mpc.LookupJoin(rJ.Part, classOf,
-		func(r relation.Row[W]) int64 { return int64(r.Vals[bColJ]) },
-		func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
+	tagI, s4 := dist.TagByClass(rI, b, classOf)
+	tagJ, s5 := dist.TagByClass(rJ, b, classOf)
 	st = mpc.Seq(st, s4, s5)
 
-	outSchema := append(minus(rI.Schema, b), minus(rJ.Schema, b)...)
+	outSchema := append(dist.Without(rI.Schema, b), dist.Without(rJ.Schema, b)...)
 	var parts []mpc.Part[relation.Row[W]]
 	var mmStats []mpc.Stats
 	for _, cid := range classIDs {
-		selRows := func(pt mpc.Part[mpc.Pred[relation.Row[W], mpc.KeyCount[int64]]]) mpc.Part[relation.Row[W]] {
-			return mpc.Map(mpc.Filter(pt, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[int64]]) bool {
-				return pr.Found && pr.Y.Count == cid
-			}), func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[int64]]) relation.Row[W] { return pr.X })
-		}
-		subI := dist.Rel[W]{Schema: rI.Schema, Part: selRows(tagI)}
-		subJ := dist.Rel[W]{Schema: rJ.Schema, Part: selRows(tagJ)}
-		res, s, err := matmul.Compute(sr, matmul.Input[W]{R1: subI, R2: subJ, B: b},
+		res, s, err := matmul.Compute(sr, matmul.Input[W]{R1: tagI.Select(cid), R2: tagJ.Select(cid), B: b},
 			matmul.Options{Est: opts.Est, Seed: opts.Seed ^ uint64(cid), SkipDangling: true})
 		if err != nil {
 			panic(err)
@@ -387,9 +299,9 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	return res, mpc.Seq(st, s6)
 }
 
-// shrinkArm folds an arm into R(leaf…, B) with Yannakakis aggregations
+// ShrinkArm folds an arm into R(leaf…, B) with Yannakakis aggregations
 // from the leaf toward the center (Step 2.1 / 3.1).
-func shrinkArm[W any](sr semiring.Semiring[W], arm Arm[W], b dist.Attr, p int) (dist.Rel[W], mpc.Stats) {
+func ShrinkArm[W any](sr semiring.Semiring[W], arm Arm[W], p int) (dist.Rel[W], mpc.Stats) {
 	var st mpc.Stats
 	h := len(arm.Rels) - 1
 	acc := arm.Rels[h]
@@ -400,7 +312,6 @@ func shrinkArm[W any](sr semiring.Semiring[W], arm Arm[W], b dist.Attr, p int) (
 		st = mpc.Seq(st, s)
 		acc = dist.Reshape(folded, p)
 	}
-	_ = b
 	return acc, st
 }
 
@@ -440,42 +351,12 @@ func removeDangling[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr) 
 	return st
 }
 
-type rowClass[W any] struct {
-	row   relation.Row[W]
-	class int64
-}
-
 func cloneArms[W any](arms []Arm[W]) []Arm[W] {
 	out := make([]Arm[W], len(arms))
 	for i, a := range arms {
 		out[i] = Arm[W]{Rels: append([]dist.Rel[W](nil), a.Rels...), Path: a.Path}
 	}
 	return out
-}
-
-func minus(schema []dist.Attr, b dist.Attr) []dist.Attr {
-	var out []dist.Attr
-	for _, a := range schema {
-		if a != b {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func satMul(a, b int64) int64 {
-	const lim = int64(1) << 40
-	if a > lim/maxI64(b, 1) {
-		return lim
-	}
-	return a * b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func bitLen(x int64) int {
@@ -485,26 +366,4 @@ func bitLen(x int64) int {
 		n++
 	}
 	return n
-}
-
-// encodePerm packs an arm order into an int64 (base-n digits; n ≤ 15).
-func encodePerm(order []int, n int) int64 {
-	if n > 15 {
-		panic("starlike: more than 15 arms unsupported")
-	}
-	var id int64
-	for i := len(order) - 1; i >= 0; i-- {
-		id = id*int64(n) + int64(order[i])
-	}
-	return id
-}
-
-// decodePerm inverts encodePerm.
-func decodePerm(id int64, n int) []int {
-	order := make([]int, n)
-	for i := 0; i < n; i++ {
-		order[i] = int(id % int64(n))
-		id /= int64(n)
-	}
-	return order
 }

@@ -2,6 +2,7 @@ package starlike
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,18 +223,20 @@ func TestRunTwoArmsDegeneratesToLine(t *testing.T) {
 	}
 }
 
+// TestPermCodecRoundtrip round-trips the class id of §6 — permutation·2 +
+// small-bit — through the one codec, at every arm count it admits: the flag
+// bit must survive next to the widest permutation without overflow.
 func TestPermCodecRoundtrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(6) + 2
+		n := rng.Intn(dist.MaxPermArms-1) + 2
 		order := rng.Perm(n)
-		got := decodePerm(encodePerm(order, n), n)
-		for i := range order {
-			if got[i] != order[i] {
-				return false
-			}
+		small := int64(rng.Intn(2))
+		cid := dist.EncodePerm(order, n)*2 + small
+		if cid < 0 || cid%2 != small {
+			return false
 		}
-		return true
+		return slices.Equal(dist.DecodePerm(cid/2, n), order)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -18,16 +18,13 @@
 package starquery
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/matmul"
 	"mpcjoin/internal/mpc"
-	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 	"mpcjoin/internal/twoway"
 )
@@ -45,6 +42,9 @@ func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[strin
 	view, ok := q.StarView()
 	if !ok {
 		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starquery: query is not a star query")
+	}
+	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starquery: %w", err)
 	}
 	arms := make([]dist.Rel[W], len(view.ArmEdge))
 	leaves := make([][]dist.Attr, len(view.ArmEdge))
@@ -93,84 +93,22 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 		return dist.Empty[W](outSchema, p), st
 	}
 
-	// Step 1: per-arm degrees d_i(b) and the per-b sorting permutation.
-	type armDeg struct {
-		b   relation.Value
-		arm int
-		deg int64
-	}
-	degTagged := mpc.NewPartIn[armDeg](inter.Part.Scope(), p)
+	// Step 1: per-arm degrees d_i(b); each b's class is its sorting
+	// permutation ϕ_b. Every arm row is tagged with its b's class.
+	degs := make([]mpc.Part[mpc.KeyCount[int64]], n)
 	for i := range arms {
 		deg, s := dist.Degrees(arms[i], b)
 		st = mpc.Seq(st, s)
-		tagged := mpc.Map(deg, func(kc mpc.KeyCount[int64]) armDeg {
-			return armDeg{b: relation.Value(kc.Key), arm: i, deg: kc.Count}
-		})
-		for sh, shard := range tagged.Shards {
-			degTagged.Shards[sh] = append(degTagged.Shards[sh], shard...)
-		}
+		degs[i] = deg
 	}
-	grouped, s2 := mpc.GroupByKey(degTagged, func(ad armDeg) int64 { return int64(ad.b) })
-	st = mpc.Seq(st, s2)
-
-	// One permutation id per b (bases are local after grouping).
-	type bPerm struct {
-		b    relation.Value
-		perm int64
-	}
-	perms := mpc.MapShards(grouped, func(_ int, shard []armDeg) []bPerm {
-		var out []bPerm
-		byB := make(map[relation.Value][]armDeg)
-		var bOrder []relation.Value
-		for _, ad := range shard {
-			if _, seen := byB[ad.b]; !seen {
-				bOrder = append(bOrder, ad.b)
-			}
-			byB[ad.b] = append(byB[ad.b], ad)
-		}
-		// First-seen key order, not map order: shard contents must be
-		// reproducible run to run for the determinism guarantees.
-		for _, bv := range bOrder {
-			ads := byB[bv]
-			slices.SortFunc(ads, func(x, y armDeg) int {
-				if x.deg != y.deg {
-					return cmp.Compare(x.deg, y.deg)
-				}
-				return cmp.Compare(x.arm, y.arm)
-			})
-			order := make([]int, len(ads))
-			for i, ad := range ads {
-				order[i] = ad.arm
-			}
-			out = append(out, bPerm{b: bv, perm: encodePerm(order, n)})
-		}
-		return out
-	})
-
-	// Distinct occurring permutations (≤ n!, usually far fewer).
-	distinctPerms, s3 := mpc.ReduceByKey(perms, func(bp bPerm) int64 { return bp.perm },
-		func(a, b bPerm) bPerm { return a })
-	permIDsPart, s4 := mpc.Gather(mpc.Map(distinctPerms, func(bp bPerm) int64 { return bp.perm }), 0)
-	permBcast, s5 := mpc.Broadcast(permIDsPart)
-	st = mpc.Seq(st, s3, s4, s5)
-	permIDs := append([]int64(nil), permBcast.Shards[0]...)
-	slices.Sort(permIDs)
-
-	// Tag every arm row with its b's permutation class.
-	tagged := make([]mpc.Part[rowPerm[W]], n)
+	perms, s2 := dist.DegreeOrderClasses(degs, func(order []int, _ []int64) int64 { return dist.EncodePerm(order, n) })
+	permIDs, s3 := dist.DistinctClasses(perms)
+	st = mpc.Seq(st, s2, s3)
+	tagged := make([]dist.ClassedRel[W], n)
 	for i := range arms {
-		bCol := arms[i].Cols(b)[0]
-		looked, s := mpc.LookupJoin(arms[i].Part, perms,
-			func(r relation.Row[W]) int64 { return int64(r.Vals[bCol]) },
-			func(bp bPerm) int64 { return int64(bp.b) })
+		var s mpc.Stats
+		tagged[i], s = dist.TagByClass(arms[i], b, perms)
 		st = mpc.Seq(st, s)
-		tagged[i] = mpc.Map(looked, func(pr mpc.Pred[relation.Row[W], bPerm]) rowPerm[W] {
-			perm := int64(-1)
-			if pr.Found {
-				perm = pr.Y.perm
-			}
-			return rowPerm[W]{row: pr.X, perm: perm}
-		})
 	}
 
 	// Steps 2–3: per-permutation subqueries, each reduced to one matrix
@@ -180,44 +118,24 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 	var results []dist.Rel[W]
 	var classStats []mpc.Stats
 	for _, pid := range permIDs {
-		var cst mpc.Stats
-		order := decodePerm(pid, n)
-
 		// Interleave sorted arms into odd/even halves (1-indexed odds).
-		var oddIdx, evenIdx []int
-		for pos, armIdx := range order {
+		var odd, even []dist.Rel[W]
+		for pos, armIdx := range dist.DecodePerm(pid, n) {
 			if pos%2 == 0 {
-				oddIdx = append(oddIdx, armIdx)
+				odd = append(odd, tagged[armIdx].Select(pid))
 			} else {
-				evenIdx = append(evenIdx, armIdx)
+				even = append(even, tagged[armIdx].Select(pid))
 			}
 		}
-
-		classArm := func(i int) dist.Rel[W] {
-			rows := mpc.Map(mpc.Filter(tagged[i], func(rp rowPerm[W]) bool { return rp.perm == pid }),
-				func(rp rowPerm[W]) relation.Row[W] { return rp.row })
-			return dist.Rel[W]{Schema: arms[i].Schema, Part: rows}
-		}
-
-		fold := func(idx []int) dist.Rel[W] {
-			acc := classArm(idx[0])
-			for _, i := range idx[1:] {
-				joined, _, s := twoway.Join(sr, acc, classArm(i))
-				cst = mpc.Seq(cst, s)
-				acc = dist.Reshape(joined, p)
-			}
-			return acc
-		}
-		rOdd := fold(oddIdx)
-		rEven := fold(evenIdx)
+		rOdd, s1 := twoway.JoinAll(sr, p, odd...)
+		rEven, s2 := twoway.JoinAll(sr, p, even...)
 
 		res, s, err := matmul.Compute(sr, matmul.Input[W]{R1: rOdd, R2: rEven, B: b},
 			matmul.Options{Est: opts.Est, Seed: opts.Seed ^ uint64(pid), SkipDangling: true})
 		if err != nil {
 			panic(err)
 		}
-		cst = mpc.Seq(cst, s)
-		classStats = append(classStats, cst)
+		classStats = append(classStats, mpc.Seq(s1, s2, s))
 		results = append(results, dist.Reshape(dist.Reorder(res, outSchema), p))
 	}
 	st = mpc.Seq(st, mpc.Par(classStats...))
@@ -227,32 +145,4 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 
 	final, s6 := dist.UnionAgg(sr, results...)
 	return final, mpc.Seq(st, s6)
-}
-
-// rowPerm tags a row with its b value's permutation class.
-type rowPerm[W any] struct {
-	row  relation.Row[W]
-	perm int64
-}
-
-// encodePerm packs an arm order into an int64 (base-n digits; n ≤ 15).
-func encodePerm(order []int, n int) int64 {
-	if n > 15 {
-		panic("starquery: more than 15 arms unsupported")
-	}
-	var id int64
-	for i := len(order) - 1; i >= 0; i-- {
-		id = id*int64(n) + int64(order[i])
-	}
-	return id
-}
-
-// decodePerm inverts encodePerm.
-func decodePerm(id int64, n int) []int {
-	order := make([]int, n)
-	for i := 0; i < n; i++ {
-		order[i] = int(id % int64(n))
-		id /= int64(n)
-	}
-	return order
 }

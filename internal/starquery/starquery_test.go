@@ -179,12 +179,14 @@ func TestCompositeLeaves(t *testing.T) {
 	}
 }
 
+// TestPermCodec round-trips the class id of §5 — the bare permutation —
+// through the one codec, at every arm count it admits.
 func TestPermCodec(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(6) + 2
+		n := rng.Intn(dist.MaxPermArms-1) + 2
 		order := rng.Perm(n)
-		got := decodePerm(encodePerm(order, n), n)
+		got := dist.DecodePerm(dist.EncodePerm(order, n), n)
 		for i := range order {
 			if got[i] != order[i] {
 				return false

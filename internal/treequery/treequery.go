@@ -56,7 +56,12 @@ func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[strin
 	if err := q.Validate(); err != nil {
 		return dist.Rel[W]{}, mpc.Stats{}, err
 	}
-	p := anyRel(rels).P()
+	// Star and star-like twigs run the class split; no reduction below
+	// widens a join, so the query's own widest aggregated join bounds theirs.
+	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("treequery: %w", err)
+	}
+	p := dist.AnyRel(rels).P()
 
 	// Dangling removal, then the §7 preprocessing reduction.
 	live, st := dist.RemoveDangling(q, rels)
@@ -183,7 +188,7 @@ func evalTwig[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options) (dist.
 // skeletonRecurse is the §7.1 divide-and-conquer on a general twig.
 func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options) (dist.Rel[W], mpc.Stats) {
 	q := vt.q
-	p := anyRel(vt.rels).P()
+	p := dist.AnyRel(vt.rels).P()
 	outSchema := vt.expandAll(q.Output)
 
 	sk := hypergraph.SkeletonOf(q)
@@ -224,7 +229,7 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options)
 	st = mpc.Seq(st, mpc.Par(yStats...))
 
 	// Per-root heavy tables: b is heavy iff x(b) > y(b).
-	heavyTables := make(map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]], len(roots))
+	heavyTables := make(map[hypergraph.Attr]mpc.Part[dist.ValueClass], len(roots))
 	for _, b := range roots {
 		joined, s := mpc.LookupJoin(xParts[b], yParts[b],
 			func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
@@ -237,8 +242,8 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options)
 					y = pr.Y.Count
 				}
 				return pr.X.Count > y
-			}), func(pr mpc.Pred[mpc.KeyCount[int64], mpc.KeyCount[int64]]) mpc.KeyCount[int64] {
-			return pr.X
+			}), func(pr mpc.Pred[mpc.KeyCount[int64], mpc.KeyCount[int64]]) dist.ValueClass {
+			return dist.ValueClass{B: relation.Value(pr.X.Key), Class: heavyClass}
 		})
 	}
 
@@ -322,7 +327,7 @@ func pendantX[W any](sr semiring.Semiring[W], vt *vtree[W], pq *hypergraph.Query
 	arms := armsOf(vt, pq, b)
 	var st mpc.Stats
 	var per []mpc.Part[mpc.KeyCount[int64]]
-	p := anyRel(vt.rels).P()
+	p := dist.AnyRel(vt.rels).P()
 	for _, arm := range arms {
 		ests, _, s := estimate.LineOut(arm.rels, arm.path, opts.Est)
 		st = mpc.Seq(st, s)
@@ -330,7 +335,7 @@ func pendantX[W any](sr semiring.Semiring[W], vt *vtree[W], pq *hypergraph.Query
 			return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
 		}))
 	}
-	merged := mpc.NewPartIn[mpc.KeyCount[int64]](anyRel(vt.rels).Part.Scope(), p)
+	merged := mpc.NewPartIn[mpc.KeyCount[int64]](dist.AnyRel(vt.rels).Part.Scope(), p)
 	for _, pt := range per {
 		for s, shard := range pt.Shards {
 			merged.Shards[s%p] = append(merged.Shards[s%p], shard...)
@@ -340,7 +345,7 @@ func pendantX[W any](sr semiring.Semiring[W], vt *vtree[W], pq *hypergraph.Query
 	prod, s := mpc.ReduceByKey(merged,
 		func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
 		func(a, b mpc.KeyCount[int64]) mpc.KeyCount[int64] {
-			return mpc.KeyCount[int64]{Key: a.Key, Count: satMul(a.Count, b.Count)}
+			return mpc.KeyCount[int64]{Key: a.Key, Count: estimate.MulSat(a.Count, b.Count)}
 		})
 	return prod, mpc.Seq(st, s)
 }
@@ -393,8 +398,8 @@ func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergrap
 		}
 
 		// For each child factor: propagate max y(c') through the edge.
-		p := anyRel(vt.rels).P()
-		merged := mpc.NewPartIn[mpc.KeyCount[int64]](anyRel(vt.rels).Part.Scope(), p)
+		p := dist.AnyRel(vt.rels).P()
+		merged := mpc.NewPartIn[mpc.KeyCount[int64]](dist.AnyRel(vt.rels).Part.Scope(), p)
 		for _, f := range factors {
 			erel := vt.rels[ts.Edges[f.edge].Name]
 			vCol := erel.Cols(dist.Attr(v))[0]
@@ -430,7 +435,7 @@ func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergrap
 		prod, s := mpc.ReduceByKey(merged,
 			func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
 			func(a, b mpc.KeyCount[int64]) mpc.KeyCount[int64] {
-				return mpc.KeyCount[int64]{Key: a.Key, Count: satMul(a.Count, b.Count)}
+				return mpc.KeyCount[int64]{Key: a.Key, Count: estimate.MulSat(a.Count, b.Count)}
 			})
 		st = mpc.Seq(st, s)
 		return prod, true
@@ -439,36 +444,36 @@ func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergrap
 	res, nontrivial := visit(root, -1)
 	if !nontrivial {
 		// No other pendant roots: y(b) = 1 for every b.
-		p := anyRel(vt.rels).P()
-		res = mpc.NewPartIn[mpc.KeyCount[int64]](anyRel(vt.rels).Part.Scope(), p)
+		p := dist.AnyRel(vt.rels).P()
+		res = mpc.NewPartIn[mpc.KeyCount[int64]](dist.AnyRel(vt.rels).Part.Scope(), p)
 	}
 	_ = sr
 	return res, st
 }
 
+// heavyClass is the one class of a pendant root's heavy table: its heavy
+// values are classified, its light values are not (dist.NoClass).
+const heavyClass int64 = 0
+
 // buildSubquery filters the relations incident to each pendant root by its
 // heavy/light side (bit set in mask = heavy) and runs the full reducer.
 // Returns the filtered vtree and whether the subquery is empty.
-func buildSubquery[W any](sr semiring.Semiring[W], vt *vtree[W], roots []hypergraph.Attr, heavy map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]], mask int) (*vtree[W], bool, mpc.Stats) {
+func buildSubquery[W any](sr semiring.Semiring[W], vt *vtree[W], roots []hypergraph.Attr, heavy map[hypergraph.Attr]mpc.Part[dist.ValueClass], mask int) (*vtree[W], bool, mpc.Stats) {
 	sub := &vtree[W]{q: vt.q, groups: vt.groups, rels: make(map[string]dist.Rel[W], len(vt.rels)), seed: vt.seed + uint64(mask)*0x9e37 + 1, depth: vt.depth}
 	for k, v := range vt.rels {
 		sub.rels[k] = v
 	}
 	var st mpc.Stats
 	for i, b := range roots {
-		wantHeavy := mask&(1<<i) != 0
+		side := dist.NoClass // the light rows: their root value is in no heavy table
+		if mask&(1<<i) != 0 {
+			side = heavyClass
+		}
 		for _, ei := range vt.q.EdgesAt(b) {
 			name := vt.q.Edges[ei].Name
-			rel := sub.rels[name]
-			bCol := rel.Cols(dist.Attr(b))[0]
-			looked, s := mpc.LookupJoin(rel.Part, heavy[b],
-				func(r relation.Row[W]) int64 { return int64(r.Vals[bCol]) },
-				func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
+			tagged, s := dist.TagByClass(sub.rels[name], b, heavy[b])
 			st = mpc.Seq(st, s)
-			rows := mpc.Map(mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[int64]]) bool {
-				return pr.Found == wantHeavy
-			}), func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[int64]]) relation.Row[W] { return pr.X })
-			sub.rels[name] = dist.Rel[W]{Schema: rel.Schema, Part: rows}
+			sub.rels[name] = tagged.Select(side)
 		}
 	}
 	clean, s := dist.RemoveDangling(sub.q, sub.rels)
@@ -483,7 +488,7 @@ func buildSubquery[W any](sr semiring.Semiring[W], vt *vtree[W], roots []hypergr
 // replaces each pendant by a combined output vertex, and recurses.
 func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergraph.Skeleton, lights []hypergraph.Attr, outSchema []dist.Attr, opts Options) (dist.Rel[W], mpc.Stats) {
 	var st mpc.Stats
-	p := anyRel(vt.rels).P()
+	p := dist.AnyRel(vt.rels).P()
 
 	next := &vtree[W]{
 		q:      &hypergraph.Query{Output: append([]hypergraph.Attr(nil), vt.q.Output...)},
@@ -506,14 +511,8 @@ func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hyp
 		// the arms into Q_B over (b, all pendant leaves).
 		var acc dist.Rel[W]
 		for ai, arm := range arms {
-			leaf := arm.path[len(arm.path)-1]
-			armRel := arm.rels[len(arm.rels)-1]
-			for j := len(arm.rels) - 2; j >= 0; j-- {
-				keep := append(append([]dist.Attr(nil), arm.path[j]...), leaf...)
-				folded, s := twoway.JoinAgg(sr, arm.rels[j], armRel, keep...)
-				st = mpc.Seq(st, s)
-				armRel = dist.Reshape(folded, p)
-			}
+			armRel, s := starlike.ShrinkArm(sr, starlike.Arm[W]{Rels: arm.rels, Path: arm.path}, p)
+			st = mpc.Seq(st, s)
 			// Single-relation arms may span extra attrs already (keep all).
 			if ai == 0 {
 				acc = armRel
@@ -526,13 +525,7 @@ func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hyp
 
 		// Register the combined vertex.
 		gname := hypergraph.Attr(fmt.Sprintf("⟨Q%s:%d⟩", b, vt.depth))
-		var concrete []dist.Attr
-		for _, a := range acc.Schema {
-			if a != dist.Attr(b) {
-				concrete = append(concrete, a)
-			}
-		}
-		next.groups[gname] = concrete
+		next.groups[gname] = dist.Without(acc.Schema, b)
 		ename := fmt.Sprintf("⟨R%s:%d⟩", b, vt.depth)
 		next.q.Edges = append(next.q.Edges, hypergraph.Edge{Name: ename, Attrs: []hypergraph.Attr{b, gname}})
 		next.rels[ename] = acc
@@ -565,22 +558,4 @@ func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hyp
 	res, s := evalTwig(sr, next, opts)
 	st = mpc.Seq(st, s)
 	return dist.Reorder(res, outSchema), st
-}
-
-func anyRel[W any](rels map[string]dist.Rel[W]) dist.Rel[W] {
-	for _, r := range rels {
-		return r
-	}
-	panic("treequery: no relations")
-}
-
-func satMul(a, b int64) int64 {
-	const lim = int64(1) << 40
-	if b < 1 {
-		b = 1
-	}
-	if a > lim/b {
-		return lim
-	}
-	return a * b
 }

@@ -78,7 +78,13 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 	})
 
 	// OUT_f = Σ d_R·d_S via a coordinator round.
-	outf, st4 := sumInt64(mpc.Map(stats, func(ks keyStat) int64 { return ks.dr * ks.ds }))
+	local := make([]int64, p)
+	for sv, shard := range stats.Shards {
+		for _, ks := range shard {
+			local[sv] += ks.dr * ks.ds
+		}
+	}
+	outf, st4 := mpc.AllReduce(ex, local, mpc.Add[int64], "")
 
 	// Load target.
 	n := int64(r.N() + s.N())
@@ -280,6 +286,19 @@ func JoinAgg[W any](sr semiring.Semiring[W], r, s dist.Rel[W], attrs ...relation
 	return agg, mpc.Seq(st, st2)
 }
 
+// JoinAll is the left-deep chain rels[0] ⋈ rels[1] ⋈ …, every
+// intermediate hosted back on p servers.
+func JoinAll[W any](sr semiring.Semiring[W], p int, rels ...dist.Rel[W]) (dist.Rel[W], mpc.Stats) {
+	acc := rels[0]
+	var st mpc.Stats
+	for _, r := range rels[1:] {
+		joined, _, s := Join(sr, acc, r)
+		st = mpc.Seq(st, s)
+		acc = dist.Reshape(joined, p)
+	}
+	return acc, st
+}
+
 func joinSchema(a, b []relation.Attr) []relation.Attr {
 	out := append([]relation.Attr(nil), a...)
 	for _, x := range b {
@@ -295,27 +314,4 @@ func joinSchema(a, b []relation.Attr) []relation.Attr {
 		}
 	}
 	return out
-}
-
-// sumInt64 sums a distributed set of int64 via the coordinator and returns
-// the total (broadcast back so every server knows it).
-func sumInt64(pt mpc.Part[int64]) (int64, mpc.Stats) {
-	p := pt.P()
-	local := mpc.NewPartIn[int64](pt.Scope(), p)
-	for s, shard := range pt.Shards {
-		var t int64
-		for _, x := range shard {
-			t += x
-		}
-		local.Shards[s] = []int64{t}
-	}
-	g, st1 := mpc.Gather(local, 0)
-	var total int64
-	for _, x := range g.Shards[0] {
-		total += x
-	}
-	tot := mpc.NewPartIn[int64](pt.Scope(), p)
-	tot.Shards[0] = []int64{total}
-	_, st2 := mpc.Broadcast(tot)
-	return total, mpc.Seq(st1, st2)
 }

@@ -149,7 +149,7 @@ func buildOptions(opts []Option) (core.Options, error) {
 }
 
 // iterParams is the resolved iterated-driver configuration of a graph
-// entry point. Zero maxIters/tol select the kernel defaults.
+// entry point. Zero values select the kernel defaults.
 type iterParams struct {
 	maxIters int
 	tol      float64
@@ -165,7 +165,7 @@ func buildIterOptions(opts []Option, pagerank bool) (core.Options, iterParams, e
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ip := iterParams{damping: 0.85}
+	var ip iterParams
 	if o.maxIters != nil {
 		ip.maxIters = *o.maxIters
 	}
