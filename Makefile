@@ -48,9 +48,12 @@ bench:
 # when a run is wrong or a deterministic metric (rounds_per_pass,
 # load_over_bound_max, alloc_mb_per_pass) is worse than BASE beyond its
 # BENCHMARK.json bound. Timing metrics are printed, not gated. ~5 min.
-#   make bench-gate BASE=origin/main
+# BASE_DIR names an existing checkout of BASE to use instead of a git
+# worktree; the script's --pairs mode (see its header) is how a timing
+# claim is measured.
+#   make bench-gate BASE=origin/main [BASE_DIR=../base-clone]
 bench-gate:
-	bash scripts/bench-gate.sh $(BASE)
+	bash scripts/bench-gate.sh $(BASE) $(BASE_DIR)
 
 # End-to-end lane for the mpcd daemon: the test builds the binary with
 # -race, boots it on an ephemeral port, registers a dataset, queries it

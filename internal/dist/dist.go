@@ -155,12 +155,24 @@ func SharedAttrs[W any](r, s Rel[W]) []Attr {
 // the input size.
 func ProjectAgg[W any](sr semiring.Semiring[W], r Rel[W], attrs ...Attr) (Rel[W], mpc.Stats) {
 	idx := r.Cols(attrs...)
-	projected := mpc.Map(r.Part, func(row relation.Row[W]) relation.Row[W] {
-		vals := make([]relation.Value, len(idx))
-		for i, c := range idx {
-			vals[i] = row.Vals[c]
+	// A shard's projections share one backing buffer (every row has
+	// len(idx) values) rather than one allocation per row; the capacity-
+	// limited sub-slices keep a later append from reaching a neighbour.
+	w := len(idx)
+	projected := mpc.MapShards(r.Part, func(_ int, shard []relation.Row[W]) []relation.Row[W] {
+		if len(shard) == 0 {
+			return nil
 		}
-		return relation.Row[W]{Vals: vals, W: row.W}
+		buf := make([]relation.Value, len(shard)*w)
+		rows := make([]relation.Row[W], len(shard))
+		for j, row := range shard {
+			vals := buf[j*w : (j+1)*w : (j+1)*w]
+			for i, c := range idx {
+				vals[i] = row.Vals[c]
+			}
+			rows[j] = relation.Row[W]{Vals: vals, W: row.W}
+		}
+		return rows
 	})
 	allIdx := make([]int, len(attrs))
 	for i := range allIdx {

@@ -343,7 +343,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 			}
 			r2Dests[j] = -1
 			if pr.Found {
-				g := relation.DecodeKey(gc)[0]
+				g := r.Vals[gcCols[0]]
 				bk := relation.EncodeKey([]relation.Value{g, relation.Value(pr.Y.Bin)}, []int{0, 1})
 				if sb, ok := binBlockOf[bk]; ok {
 					r2Dests[j] = sb.off + hashB(b, sb.size, seed^0xb10c)
@@ -404,7 +404,7 @@ func binSizes[W any](r2Blk dist.Rel[W], gcCols []int, binTable mpc.Part[mpc.KeyB
 		func(kb mpc.KeyBin[string]) string { return kb.Key })
 	inBin := mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], mpc.KeyBin[string]]) bool { return pr.Found })
 	counts, st2 := mpc.CountByKey(inBin, func(pr mpc.Pred[relation.Row[W], mpc.KeyBin[string]]) string {
-		g := relation.DecodeKey(relation.EncodeKey(pr.X.Vals, gcCols))[0]
+		g := pr.X.Vals[gcCols[0]]
 		return relation.EncodeKey([]relation.Value{g, relation.Value(pr.Y.Bin)}, []int{0, 1})
 	})
 	return counts, mpc.Seq(st1, st2)

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"mpcjoin/internal/relation"
 )
 
 // faultPipeline runs a small multi-round dataflow (route, rebalance,
@@ -26,6 +28,24 @@ func faultPipeline(ex *Exec, p, n int) ([]int, Stats) {
 	return Collect(pt), Seq(st1, st2, st3, st4)
 }
 
+// sortPipeline is faultPipeline for the sample sort: fat rows are sorted by
+// a 3-column EncodeKey key and then multi-searched against a sample of
+// themselves, so every partition round ships rows cut from the sorted
+// tagged array (the zero-copy outbox) and a retry must re-read them from
+// that checkpoint intact.
+func sortPipeline(ex *Exec, p, n int) ([]int, Stats) {
+	type row = relation.Row[int64]
+	rows, idx := fatRows(n, 3, 61), allCols(3)
+	key := func(r row) string { return relation.EncodeKey(r.Vals, idx) }
+	sorted, st1 := Sort(DistributeIn(ex, rows, p), key)
+	preds, st2 := MultiSearch(sorted, DistributeIn(ex, rows[:n/4], p), key, key)
+	var out []int
+	for _, pr := range Collect(preds) {
+		out = append(out, int(pr.X.W), int(pr.Y.W))
+	}
+	return out, Seq(st1, st2)
+}
+
 func execWith(workers int, spec *FaultSpec) (*Exec, *FaultPlane) {
 	ex := NewExec(context.Background(), workers)
 	if spec == nil {
@@ -39,11 +59,19 @@ func execWith(workers int, spec *FaultSpec) (*Exec, *FaultPlane) {
 // barrier loop: with no plane, with a plane that may not retry, and with
 // any schedule the retry budget absorbs, on either carrier, data, base
 // Stats and the trace are bit-identical to a fault-free in-process run —
-// and the two carriers account the same FaultReport.
+// and the two carriers account the same FaultReport. It runs over the
+// routing pipeline and over the sort pipeline, whose outboxes alias the
+// sorted shard instead of owning a copy.
 func TestFaultRetryTransparent(t *testing.T) {
 	const p, n = 8, 400
+	for pname, pipeline := range map[string]func(*Exec, int, int) ([]int, Stats){"route": faultPipeline, "sort": sortPipeline} {
+		testFaultRetryTransparent(t, pname, p, n, pipeline)
+	}
+}
+
+func testFaultRetryTransparent(t *testing.T, pname string, p, n int, pipeline func(*Exec, int, int) ([]int, Stats)) {
 	trFree := NewTracer()
-	wantData, wantStats := faultPipeline(NewExec(context.Background(), 1).WithTracer(trFree), p, n)
+	wantData, wantStats := pipeline(NewExec(context.Background(), 1).WithTracer(trFree), p, n)
 
 	specs := map[string]*FaultSpec{
 		"no-plane":       nil,
@@ -55,6 +83,7 @@ func TestFaultRetryTransparent(t *testing.T) {
 		"mixed":          {Seed: 9, CrashProb: 0.1, DropProb: 0.2, StragglerProb: 0.3, MaxRetries: 10},
 	}
 	for name, spec := range specs {
+		name = pname + "/" + name
 		var reports []FaultReport
 		for _, carrier := range []string{"in-proc", "wire"} {
 			ex, fp := execWith(1, spec)
@@ -62,7 +91,7 @@ func TestFaultRetryTransparent(t *testing.T) {
 				ex = ex.WithWire(&loopWire{})
 			}
 			tr := NewTracer()
-			got, st := faultPipeline(ex.WithTracer(tr), p, n)
+			got, st := pipeline(ex.WithTracer(tr), p, n)
 			if !reflect.DeepEqual(got, wantData) {
 				t.Errorf("%s/%s: data differs from fault-free run", name, carrier)
 			}

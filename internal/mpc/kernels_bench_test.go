@@ -1,9 +1,11 @@
 package mpc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"mpcjoin/internal/relation"
 	xrt "mpcjoin/internal/runtime"
 )
 
@@ -11,7 +13,10 @@ import (
 // allocation-lean kernel work: steady-state Route, SortBy, GroupByKey and
 // ReduceByKey at p = 16 over a fixed 16k-element instance. Run with
 // -benchmem; bench/'s mpc.*_us and mpc.*_allocs per-layer metrics time the
-// same shapes across commits.
+// same shapes across commits. Those sort bare int64s; SortRowsKernel and
+// MultiSearchKernel sort what the engines sort — relation.Row payloads
+// under 2- and 3-column EncodeKey keys — where the cost of moving a fat
+// element through a sort shows.
 
 const (
 	benchP = 16
@@ -81,6 +86,41 @@ func BenchmarkSortByFallbackKernel(b *testing.B) {
 		if res.Len() != benchN {
 			b.Fatal("sort wrong")
 		}
+	}
+}
+
+func BenchmarkSortRowsKernel(b *testing.B) {
+	for _, cols := range []int{2, 3} {
+		b.Run(fmt.Sprintf("cols=%d", cols), func(b *testing.B) {
+			pt, idx := DistributeIn(nil, fatRows(benchN, cols, 42), benchP), allCols(cols)
+			key := func(r relation.Row[int64]) string { return relation.EncodeKey(r.Vals, idx) }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, _ := Sort(pt, key)
+				if res.Len() != benchN {
+					b.Fatal("sort wrong")
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkMultiSearchKernel(b *testing.B) {
+	for _, cols := range []int{2, 3} {
+		b.Run(fmt.Sprintf("cols=%d", cols), func(b *testing.B) {
+			xs, idx := DistributeIn(nil, fatRows(benchN, cols, 42), benchP), allCols(cols)
+			ys := DistributeIn(nil, fatRows(benchN/4, cols, 43), benchP)
+			key := func(r relation.Row[int64]) string { return relation.EncodeKey(r.Vals, idx) }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, _ := MultiSearch(xs, ys, key, key)
+				if res.Len() != benchN {
+					b.Fatal("multi-search wrong")
+				}
+			}
+		})
 	}
 }
 

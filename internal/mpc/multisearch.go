@@ -1,6 +1,10 @@
 package mpc
 
-import "cmp"
+import (
+	"cmp"
+
+	xrt "mpcjoin/internal/runtime"
+)
 
 // Pred is the result of a multi-search: the element x paired with its
 // predecessor y — the element of Y with the greatest key ≤ key(x). Found is
@@ -40,6 +44,13 @@ type lastY[Y any, K cmp.Ordered] struct {
 // coordinator round (each server's last Y is prefix-maxed across servers).
 // Cost: the Sort cost plus two O(p)-load rounds.
 func MultiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K) (Part[Pred[X, Y]], Stats) {
+	return multiSearch(xs, ys, xkey, ykey, radixEncodable[K]())
+}
+
+// multiSearch is MultiSearch with the sort's kernel chosen by the caller:
+// radix false keeps every phase on comparisons, the reference the radix
+// phases are tested against.
+func multiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K, radix bool) (Part[Pred[X, Y]], Stats) {
 	p := xs.P()
 	if ys.P() != p {
 		panic("mpc: MultiSearch parts span different server counts")
@@ -60,13 +71,37 @@ func MultiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K
 
 	// Sort by (key, Y-before-X): on equal keys every Y globally precedes
 	// every X, so the local scan plus the cross-server carry below sees the
-	// correct "greatest Y with key ≤ x" for every X.
-	sorted, st := SortBy(merged, func(a, b msItem[X, Y, K]) bool {
-		if a.k != b.k {
-			return a.k < b.k
+	// correct "greatest Y with key ≤ x" for every X. The radix image is the
+	// key's with isX appended as the least-significant word, so the tie-break
+	// is part of the image and every phase of the sort goes radix.
+	type item = msItem[X, Y, K]
+	var encode encodeFunc[item]
+	if radix {
+		encode = func(n int, at func(i int) *item, sc *xrt.Scratch) (radixKeys, bool) {
+			img, ok := encodeRadixKeys(n, func(i int) K { return at(i).k }, 1, sc)
+			if ok {
+				side := img.col(img.w - 1)
+				for i := range side {
+					if at(i).isX {
+						side[i] = 1
+					}
+				}
+			}
+			return img, ok
 		}
-		return !a.isX && b.isX
-	})
+	}
+	sorted, st := sampleSort(merged, func(a, b item) int {
+		if c := cmp.Compare(a.k, b.k); c != 0 {
+			return c
+		}
+		if a.isX != b.isX {
+			if b.isX {
+				return -1
+			}
+			return 1
+		}
+		return 0
+	}, encode)
 
 	// Each server's greatest local Y → coordinator.
 	lasts := NewPartIn[lastY[Y, K]](ex, p)

@@ -4,15 +4,19 @@ import (
 	"cmp"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"unsafe"
+
+	xrt "mpcjoin/internal/runtime"
 )
 
-// radix.go is the keyed sorting kernel behind Sort, GroupByKey, ReduceByKey
-// and SortLocal: a stable LSD radix sort over an order-preserving uint64
-// image of the keys, replacing the comparison sorts those paths used to run.
-// Comparison sorting pays a cache-missing indirect call per comparison
-// (O(n log n) of them); the radix kernel pays O(n) sequential passes over
-// flat uint64 arrays — 2–4× on the kernel benchmarks at 16k elements.
+// radix.go is the keyed sorting kernel behind Sort, MultiSearch,
+// GroupByKey, ReduceByKey and SortLocal: a stable LSD radix sort over an
+// order-preserving image of the keys in uint64 words, replacing the
+// comparison sorts those paths used to run. Comparison sorting pays a
+// cache-missing indirect call per comparison (O(n log n) of them) and swaps
+// whole elements; the radix kernel pays O(n) sequential passes over flat
+// word arrays.
 //
 // Key encoding. A key type K is radix-encodable when an order- and
 // equality-preserving mapping onto fixed-width unsigned words exists:
@@ -20,21 +24,26 @@ import (
 //   - signed integers: widen to int64, flip the sign bit (the EncodeKey
 //     trick) — one uint64 word;
 //   - unsigned integers: widen — one word;
-//   - strings: big-endian bytes packed into one word (length ≤ 8) or two
-//     (length ≤ 16), valid only when every key in the batch has the same
-//     length — zero padding would otherwise merge "a" and "a\x00", breaking
-//     injectivity and with it the provenance tie-break order. The engines'
-//     keys are relation.EncodeKey strings (exactly 8 bytes per column), so
-//     1- and 2-column keys take this path.
+//   - strings: big-endian bytes packed eight to a word, most-significant
+//     word first, valid only when every key in the batch has the same
+//     length (≤ radixMaxKeyBytes) — zero padding would otherwise merge "a"
+//     and "a\x00", breaking injectivity and with it the provenance
+//     tie-break order. The engines' keys are relation.EncodeKey strings
+//     (exactly 8 bytes per column), so a k-column key is a k-word image.
 //
 // Everything else — floats (NaN ordering differs between < and a bitwise
-// image), long or ragged strings — takes the comparison fallback, which is
-// the pre-radix slices.SortFunc path, centralized here so the sort/reduce
-// kernels themselves contain no comparison-sort call sites (a guard test
-// pins that).
+// image), long or ragged strings — takes the comparison fallback,
+// centralized here so the sort/reduce kernels themselves contain no
+// comparison-sort call sites (a guard test pins that).
+//
+// Two kernels sort by an image. sortPerm sorts a permutation of the batch
+// and never touches the elements — the sample sort's kernel, whose elements
+// are fat tagged rows that should move once, into their final place.
+// radixSortKeyed moves the elements with their words — SortLocal's kernel,
+// for small fixed-size entries sorted in place.
 //
 // Encodability is decided per batch at run time: one reflect.Kind check per
-// sort call, then a tight per-kind loop extracting values through unsafe
+// sort call, then a per-kind word function reading the keys through unsafe
 // pointer reinterpretation (no per-element boxing). The decision is purely
 // local — every batch is sorted into the same unique (key, provenance)
 // total order whether it took the radix or the comparison path, so mixed
@@ -50,165 +59,279 @@ type RadixKey interface {
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr | ~string
 }
 
-// radixKeys is the encoded image of one batch of keys: element j's image is
-// (hi[j], lo[j]) compared lexicographically; hi is nil for one-word keys.
-// class tags the encoding domain: -1 for numeric keys, the uniform byte
-// length for string keys. Two batches' images are mutually comparable only
-// when their classes match.
+// radixKeys is the encoded image of one batch of n keys: w words per key,
+// most-significant first, compared lexicographically. The words are stored
+// column-major — word c of key j is words[c*n+j] — so a sorting pass streams
+// one column. class tags the encoding domain: -1 for numeric keys, the
+// uniform byte length for string keys. Two batches' images are mutually
+// comparable only when their classes and widths match.
 type radixKeys struct {
-	lo    []uint64
-	hi    []uint64
+	n, w  int
+	words []uint64
 	class int
 }
 
-// signFlip maps int64 order onto uint64 order.
-const signFlip = uint64(1) << 63
+// col returns word column c of the image.
+func (k radixKeys) col(c int) []uint64 { return k.words[c*k.n : (c+1)*k.n] }
 
-// radixEncodable reports whether K's kind can ever take the radix path
-// (string batches additionally require uniform length ≤ 16 at encode time).
-func radixEncodable[K cmp.Ordered]() bool {
-	switch reflect.TypeFor[K]().Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.String:
-		return true
+// comparable reports whether k's and o's images order against each other.
+func (k radixKeys) comparable(o radixKeys) bool { return k.class == o.class && k.w == o.w }
+
+// radixCmp three-way compares image j of a with image i of b, which must be
+// comparable. Injectivity of the encoding (numeric, or uniform-length
+// strings of equal class) makes 0 equivalent to key equality.
+func radixCmp(a radixKeys, j int, b radixKeys, i int) int {
+	for c := 0; c < a.w; c++ {
+		if x, y := a.words[c*a.n+j], b.words[c*b.n+i]; x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
 	}
-	return false
+	return 0
 }
 
-// encodeRadixKeys builds the order-preserving uint64 image of ks, or
-// reports false when the batch is not radix-encodable. The kind dispatch
-// happens once; the per-kind loops read the keys through unsafe pointers,
-// which is sound because cmp.Ordered admits only types whose memory layout
-// is exactly their kind's.
-func encodeRadixKeys[K cmp.Ordered](ks []K) (radixKeys, bool) {
-	if len(ks) == 0 {
-		return radixKeys{class: -1}, true
+// sorted returns a heap copy of the image with its keys in perm order (the
+// input order when perm is nil): the form that outlives the scratch arena
+// the image and the permutation were carved from.
+func (k radixKeys) sorted(perm []uint32) radixKeys {
+	out := k
+	out.words = make([]uint64, len(k.words))
+	if perm == nil {
+		copy(out.words, k.words)
+		return out
 	}
-	lo := make([]uint64, len(ks))
+	for c := 0; c < k.w; c++ {
+		src, dst := k.col(c), out.col(c)
+		for i, j := range perm {
+			dst[i] = src[j]
+		}
+	}
+	return out
+}
+
+const (
+	// signFlip maps int64 order onto uint64 order.
+	signFlip = uint64(1) << 63
+
+	// radixMaxKeyBytes is the longest string key the kernel images: 16
+	// EncodeKey columns. LSD work grows with the bytes on which a batch
+	// differs, so past some length a comparison sort, which stops at the
+	// first differing byte, is the better kernel.
+	radixMaxKeyBytes = 128
+)
+
+// numericWord returns K's order-preserving map onto one uint64 word, or nil
+// when K is not an integer kind. The kind dispatch happens once per batch;
+// the returned function reads its argument through an unsafe pointer (no
+// boxing), which is sound because cmp.Ordered admits only types whose
+// memory layout is exactly their kind's.
+func numericWord[K cmp.Ordered]() func(k K) uint64 {
 	switch reflect.TypeFor[K]().Kind() {
 	case reflect.Int:
-		for j := range ks {
-			lo[j] = uint64(int64(*(*int)(unsafe.Pointer(&ks[j])))) ^ signFlip
-		}
+		return func(k K) uint64 { return uint64(int64(*(*int)(unsafe.Pointer(&k)))) ^ signFlip }
 	case reflect.Int8:
-		for j := range ks {
-			lo[j] = uint64(int64(*(*int8)(unsafe.Pointer(&ks[j])))) ^ signFlip
-		}
+		return func(k K) uint64 { return uint64(int64(*(*int8)(unsafe.Pointer(&k)))) ^ signFlip }
 	case reflect.Int16:
-		for j := range ks {
-			lo[j] = uint64(int64(*(*int16)(unsafe.Pointer(&ks[j])))) ^ signFlip
-		}
+		return func(k K) uint64 { return uint64(int64(*(*int16)(unsafe.Pointer(&k)))) ^ signFlip }
 	case reflect.Int32:
-		for j := range ks {
-			lo[j] = uint64(int64(*(*int32)(unsafe.Pointer(&ks[j])))) ^ signFlip
-		}
+		return func(k K) uint64 { return uint64(int64(*(*int32)(unsafe.Pointer(&k)))) ^ signFlip }
 	case reflect.Int64:
-		for j := range ks {
-			lo[j] = uint64(*(*int64)(unsafe.Pointer(&ks[j]))) ^ signFlip
-		}
+		return func(k K) uint64 { return uint64(*(*int64)(unsafe.Pointer(&k))) ^ signFlip }
 	case reflect.Uint:
-		for j := range ks {
-			lo[j] = uint64(*(*uint)(unsafe.Pointer(&ks[j])))
-		}
+		return func(k K) uint64 { return uint64(*(*uint)(unsafe.Pointer(&k))) }
 	case reflect.Uint8:
-		for j := range ks {
-			lo[j] = uint64(*(*uint8)(unsafe.Pointer(&ks[j])))
-		}
+		return func(k K) uint64 { return uint64(*(*uint8)(unsafe.Pointer(&k))) }
 	case reflect.Uint16:
-		for j := range ks {
-			lo[j] = uint64(*(*uint16)(unsafe.Pointer(&ks[j])))
-		}
+		return func(k K) uint64 { return uint64(*(*uint16)(unsafe.Pointer(&k))) }
 	case reflect.Uint32:
-		for j := range ks {
-			lo[j] = uint64(*(*uint32)(unsafe.Pointer(&ks[j])))
-		}
+		return func(k K) uint64 { return uint64(*(*uint32)(unsafe.Pointer(&k))) }
 	case reflect.Uint64:
-		for j := range ks {
-			lo[j] = *(*uint64)(unsafe.Pointer(&ks[j]))
-		}
+		return func(k K) uint64 { return *(*uint64)(unsafe.Pointer(&k)) }
 	case reflect.Uintptr:
-		for j := range ks {
-			lo[j] = uint64(*(*uintptr)(unsafe.Pointer(&ks[j])))
-		}
-	case reflect.String:
-		return encodeStringKeys(ks, lo)
-	default:
-		return radixKeys{}, false
+		return func(k K) uint64 { return uint64(*(*uintptr)(unsafe.Pointer(&k))) }
 	}
-	return radixKeys{lo: lo, class: -1}, true
+	return nil
 }
 
-// encodeStringKeys packs uniform-length string keys (≤ 16 bytes) into one
-// or two big-endian words per key, left-aligned. Uniform length makes the
-// zero padding unambiguous, so word order equals string order and equal
-// words mean equal strings. Ragged or longer batches report false.
-func encodeStringKeys[K cmp.Ordered](ks []K, lo []uint64) (radixKeys, bool) {
-	length := len(*(*string)(unsafe.Pointer(&ks[0])))
-	if length > 16 {
+// radixEncodable reports whether K's kind can ever take the radix path
+// (string batches additionally require uniform length ≤ radixMaxKeyBytes at
+// encode time).
+func radixEncodable[K cmp.Ordered]() bool {
+	return reflect.TypeFor[K]().Kind() == reflect.String || numericWord[K]() != nil
+}
+
+// encodeRadixKeys builds the order-preserving image of the n ≥ 1 keys keyAt
+// yields (each index is read exactly once, in order), or reports false when
+// the batch is not radix-encodable. extra appends that many zeroed
+// least-significant words per key for the caller to fill — how MultiSearch
+// makes "Y before X on equal keys" part of the image. The words come from
+// sc, or from the heap when sc is nil.
+func encodeRadixKeys[K cmp.Ordered](n int, keyAt func(i int) K, extra int, sc *xrt.Scratch) (radixKeys, bool) {
+	if reflect.TypeFor[K]().Kind() == reflect.String {
+		return encodeStringKeys(n, keyAt, extra, sc)
+	}
+	word := numericWord[K]()
+	if word == nil {
 		return radixKeys{}, false
 	}
-	var hi []uint64
-	if length > 8 {
-		hi = make([]uint64, len(ks))
+	img := newRadixKeys(n, 1+extra, -1, sc)
+	for j := 0; j < n; j++ {
+		img.words[j] = word(keyAt(j))
 	}
-	for j := range ks {
-		s := *(*string)(unsafe.Pointer(&ks[j]))
+	return img, true
+}
+
+func newRadixKeys(n, w, class int, sc *xrt.Scratch) radixKeys {
+	img := radixKeys{n: n, w: w, class: class}
+	if sc != nil {
+		img.words = sc.Words(n * w)
+	} else {
+		img.words = make([]uint64, n*w)
+	}
+	return img
+}
+
+// encodeStringKeys packs uniform-length string keys (≤ radixMaxKeyBytes)
+// big-endian into ⌈length/8⌉ words per key, left-aligned. Uniform length
+// makes the zero padding unambiguous — it would otherwise merge "a" and
+// "a\x00" — so word order equals string order and equal words mean equal
+// strings. Ragged or longer batches report false.
+func encodeStringKeys[K cmp.Ordered](n int, keyAt func(i int) K, extra int, sc *xrt.Scratch) (radixKeys, bool) {
+	k := keyAt(0)
+	length := len(*(*string)(unsafe.Pointer(&k)))
+	if length > radixMaxKeyBytes {
+		return radixKeys{}, false
+	}
+	w := (length + 7) / 8
+	img := newRadixKeys(n, w+extra, length, sc)
+	for j := 0; j < n; j++ {
+		if j > 0 {
+			k = keyAt(j)
+		}
+		s := *(*string)(unsafe.Pointer(&k))
 		if len(s) != length {
 			return radixKeys{}, false
 		}
-		var h, l uint64
-		for i := 0; i < length && i < 8; i++ {
-			h |= uint64(s[i]) << (56 - 8*i)
-		}
-		for i := 8; i < length; i++ {
-			l |= uint64(s[i]) << (56 - 8*(i-8))
-		}
-		if hi != nil {
-			hi[j], lo[j] = h, l
-		} else {
-			lo[j] = h
+		for c := 0; c < w; c++ {
+			img.words[c*n+j] = beWord(s[8*c:])
 		}
 	}
-	return radixKeys{lo: lo, hi: hi, class: length}, true
+	return img, true
 }
 
-// radixLE reports image j of a ≤ image i of b (lexicographic on (hi, lo)).
-// Both batches must have the same class.
-func radixLE(a radixKeys, j int, b radixKeys, i int) bool {
-	if a.hi != nil && a.hi[j] != b.hi[i] {
-		return a.hi[j] < b.hi[i]
+// beWord packs the first 8 bytes of s big-endian into a word, zero-padding
+// a shorter s on the right.
+func beWord(s string) uint64 {
+	if len(s) >= 8 {
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
 	}
-	return a.lo[j] <= b.lo[i]
-}
-
-// radixEq reports image j of a == image i of b. Injectivity of the
-// encoding (numeric, or uniform-length strings of equal class) makes this
-// equivalent to key equality.
-func radixEq(a radixKeys, j int, b radixKeys, i int) bool {
-	if a.hi != nil && a.hi[j] != b.hi[i] {
-		return false
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		v |= uint64(s[i]) << (56 - 8*i)
 	}
-	return a.lo[j] == b.lo[i]
+	return v
 }
 
-// radixSortCutoff is the batch size below which a stable binary insertion
-// on the encoded words beats setting up counting passes.
+// radixSortCutoff is the batch size below which a stable insertion sort on
+// the encoded words beats setting up counting passes.
 const radixSortCutoff = 48
 
-// radixSortKeyed stably sorts es by the encoded keys k, permuting k's
-// word arrays alongside so they stay aligned with es on return. Stability
-// is load-bearing: the sort phases feed inputs whose arrival order is the
+// sortPerm returns the permutation that stably sorts the batch by its
+// image — perm[i] is the input position of the i-th key, equal keys in
+// input order — or nil when the input order already is that answer. It is
+// the kernel of every sampleSort phase: only 12 bytes per element move per
+// pass (index and active word), never the element, however fat. Stability
+// is load-bearing: the phases feed batches whose arrival order is the
 // (src, idx) provenance order, and stable key-sorting them reproduces the
-// full (key, src, idx) total order the comparison sorts computed.
+// full (key, src, idx) total order the comparison path computes.
 //
 // LSD counting passes, 8-bit digits, least-significant word first. Digits
-// on which every key agrees are skipped (detected with one OR-of-XOR scan),
-// so nearly-uniform key distributions pay almost nothing. Ping-pong
-// buffers; an odd pass count copies back.
+// on which every key agrees are skipped (one OR-of-XOR scan per word), so
+// nearly-uniform key distributions pay almost nothing. The permutation and
+// the ping-pong buffers are carved from sc and die with it.
+func (k radixKeys) sortPerm(sc *xrt.Scratch) []uint32 {
+	n := k.n
+	inOrder := true
+	for j := 1; j < n && inOrder; j++ {
+		inOrder = radixCmp(k, j-1, k, j) <= 0
+	}
+	if inOrder {
+		return nil
+	}
+	perm := sc.Perm(n)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	if n <= radixSortCutoff {
+		for i := 1; i < n; i++ {
+			j := i - 1
+			for ; j >= 0 && radixCmp(k, int(perm[j]), k, i) > 0; j-- {
+				perm[j+1] = perm[j]
+			}
+			perm[j+1] = uint32(i)
+		}
+		return perm
+	}
+	permB, cur, curB := sc.Perm(n), sc.Words(n), sc.Words(n)
+	for c := k.w - 1; c >= 0; c-- {
+		col := k.col(c)
+		var diff uint64
+		for _, v := range col {
+			diff |= v ^ col[0]
+		}
+		if diff == 0 {
+			continue
+		}
+		for j, i := range perm {
+			cur[j] = col[i]
+		}
+		for shift := uint(0); shift < 64; shift += 8 {
+			if (diff>>shift)&0xff == 0 {
+				continue
+			}
+			var count [256]uint32
+			for _, v := range cur {
+				count[(v>>shift)&0xff]++
+			}
+			sum := uint32(0)
+			for d, cnt := range count {
+				count[d] = sum
+				sum += cnt
+			}
+			for j, v := range cur {
+				d := (v >> shift) & 0xff
+				at := count[d]
+				count[d]++
+				permB[at], curB[at] = perm[j], v
+			}
+			perm, permB = permB, perm
+			cur, curB = curB, cur
+		}
+	}
+	return perm
+}
+
+// permAt reads position i of a sortPerm result, nil being the identity.
+func permAt(perm []uint32, i int) int {
+	if perm == nil {
+		return i
+	}
+	return int(perm[i])
+}
+
+// radixSortKeyed stably sorts es in place by the encoded keys k, moving
+// each element together with its key words through ping-pong buffers (k is
+// left permuted arbitrarily). It is SortLocal's kernel and deliberately not
+// sortPerm's "permute, then gather": SortLocal's callers sort small
+// fixed-size entries (spmv's 16-byte vector entries) under one-word keys,
+// where moving the element with its word costs about what moving an index
+// would, and the gather's extra buffer and pass only add.
 func radixSortKeyed[E any](k radixKeys, es []E) {
-	n := len(es)
-	if n != len(k.lo) || (k.hi != nil && n != len(k.hi)) {
+	n, w := len(es), k.w
+	if n != k.n {
 		panic("mpc: radixSortKeyed key/element length mismatch")
 	}
 	if n <= 1 {
@@ -218,107 +341,71 @@ func radixSortKeyed[E any](k radixKeys, es []E) {
 		insertionSortKeyed(k, es)
 		return
 	}
-
-	var diffLo, diffHi uint64
-	for _, v := range k.lo {
-		diffLo |= v ^ k.lo[0]
-	}
-	if k.hi != nil {
-		for _, v := range k.hi {
-			diffHi |= v ^ k.hi[0]
+	src, srcE := k.words, es
+	var (
+		dst    []uint64
+		dstE   []E
+		passes int
+	)
+	for c := w - 1; c >= 0; c-- {
+		var diff uint64
+		for _, v := range src[c*n : (c+1)*n] {
+			diff |= v ^ src[c*n]
 		}
-	}
-	if diffLo == 0 && diffHi == 0 {
-		return // all keys equal; input order is already the stable answer
-	}
-
-	srcE, dstE := es, make([]E, n)
-	srcLo, dstLo := k.lo, make([]uint64, n)
-	var srcHi, dstHi []uint64
-	if k.hi != nil {
-		srcHi, dstHi = k.hi, make([]uint64, n)
-	}
-	passes := 0
-	pass := func(words []uint64, shift uint) {
-		var count [256]int
-		for _, v := range words {
-			count[(v>>shift)&0xff]++
-		}
-		sum := 0
-		for d := 0; d < 256; d++ {
-			c := count[d]
-			count[d] = sum
-			sum += c
-		}
-		if srcHi != nil {
-			for j := 0; j < n; j++ {
-				d := (words[j] >> shift) & 0xff
-				at := count[d]
-				count[d]++
-				dstE[at], dstLo[at], dstHi[at] = srcE[j], srcLo[j], srcHi[j]
+		for shift := uint(0); shift < 64; shift += 8 {
+			if (diff>>shift)&0xff == 0 {
+				continue
 			}
-		} else {
-			for j := 0; j < n; j++ {
-				d := (words[j] >> shift) & 0xff
-				at := count[d]
-				count[d]++
-				dstE[at], dstLo[at] = srcE[j], srcLo[j]
+			if dst == nil {
+				dst, dstE = make([]uint64, len(src)), make([]E, n)
 			}
-		}
-		srcE, dstE = dstE, srcE
-		srcLo, dstLo = dstLo, srcLo
-		srcHi, dstHi = dstHi, srcHi
-		passes++
-	}
-	for b := uint(0); b < 64; b += 8 {
-		if (diffLo>>b)&0xff != 0 {
-			pass(srcLo, b)
-		}
-	}
-	if k.hi != nil {
-		for b := uint(0); b < 64; b += 8 {
-			if (diffHi>>b)&0xff != 0 {
-				pass(srcHi, b)
+			col := src[c*n : (c+1)*n]
+			var count [256]int
+			for _, v := range col {
+				count[(v>>shift)&0xff]++
 			}
+			sum := 0
+			for d, cnt := range count {
+				count[d] = sum
+				sum += cnt
+			}
+			if w == 1 {
+				for j, v := range col {
+					d := (v >> shift) & 0xff
+					at := count[d]
+					count[d]++
+					dstE[at], dst[at] = srcE[j], v
+				}
+			} else {
+				for j, v := range col {
+					d := (v >> shift) & 0xff
+					at := count[d]
+					count[d]++
+					dstE[at] = srcE[j]
+					for o := 0; o < len(src); o += n {
+						dst[o+at] = src[o+j]
+					}
+				}
+			}
+			src, dst = dst, src
+			srcE, dstE = dstE, srcE
+			passes++
 		}
 	}
 	if passes%2 == 1 {
 		copy(es, srcE)
-		copy(k.lo, srcLo)
-		if k.hi != nil {
-			copy(k.hi, srcHi)
-		}
 	}
 }
 
-// insertionSortKeyed is the stable small-batch path of radixSortKeyed.
+// insertionSortKeyed is the stable small-batch path of radixSortKeyed:
+// each element sinks to its place by adjacent swaps with its key words.
 func insertionSortKeyed[E any](k radixKeys, es []E) {
-	for i := 1; i < len(es); i++ {
-		e, lo := es[i], k.lo[i]
-		var hi uint64
-		if k.hi != nil {
-			hi = k.hi[i]
-		}
-		j := i - 1
-		for j >= 0 {
-			if k.hi != nil {
-				if k.hi[j] < hi || (k.hi[j] == hi && k.lo[j] <= lo) {
-					break
-				}
-			} else if k.lo[j] <= lo {
-				break
+	for i := 1; i < k.n; i++ {
+		for j := i; j > 0 && radixCmp(k, j-1, k, j) > 0; j-- {
+			es[j-1], es[j] = es[j], es[j-1]
+			for o := j; o < len(k.words); o += k.n {
+				k.words[o-1], k.words[o] = k.words[o], k.words[o-1]
 			}
-			es[j+1] = es[j]
-			k.lo[j+1] = k.lo[j]
-			if k.hi != nil {
-				k.hi[j+1] = k.hi[j]
-			}
-			j--
-		}
-		es[j+1] = e
-		k.lo[j+1] = lo
-		if k.hi != nil {
-			k.hi[j+1] = hi
 		}
 	}
 }
@@ -327,16 +414,38 @@ func insertionSortKeyed[E any](k radixKeys, es []E) {
 // Comparison fallbacks
 // ---------------------------------------------------------------------------
 
-// sortFunc and sortStableFunc are the comparison fallbacks for batches the
-// radix kernel cannot encode. They are the only comparison-sort call sites
-// serving the sort/reduce kernels — sort.go and reduce.go deliberately
-// contain none (TestNoComparisonSortsInHotKernels pins that), so a future
-// edit cannot quietly put a hot path back on slices.SortFunc.
+// sortPermFunc and sortStableFunc are the comparison fallbacks for batches
+// the radix kernel cannot encode. They are the only comparison-sort call
+// sites serving the sort/reduce kernels — sort.go, reduce.go and
+// multisearch.go deliberately contain none
+// (TestNoComparisonSortsInHotKernels pins that), so a future edit cannot
+// quietly put a hot path back on slices.SortFunc — and they count their
+// calls, so a test can assert that a batch which should have encoded never
+// reached them.
 
-func sortFunc[E any](es []E, cmpf func(a, b E) int) {
-	slices.SortFunc(es, cmpf)
+// comparisonSorts counts the fallback sorts run since process start.
+var comparisonSorts atomic.Int64
+
+// sortPermFunc is sortPerm by comparison: the permutation that stably
+// sorts n elements under the three-way comparison cmpAt of two positions.
+// Ties break by position, which makes the order total (so the unstable
+// pdqsort is deterministic) and the result the stable one.
+func sortPermFunc(n int, cmpAt func(i, j int) int, sc *xrt.Scratch) []uint32 {
+	comparisonSorts.Add(1)
+	perm := sc.Perm(n)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	slices.SortFunc(perm, func(a, b uint32) int {
+		if c := cmpAt(int(a), int(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return perm
 }
 
 func sortStableFunc[E any](es []E, cmpf func(a, b E) int) {
+	comparisonSorts.Add(1)
 	slices.SortStableFunc(es, cmpf)
 }

@@ -1,13 +1,17 @@
 package mpc
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"mpcjoin/internal/relation"
 	xrt "mpcjoin/internal/runtime"
 )
 
@@ -48,6 +52,11 @@ func radixDistributions(n int) map[string][]int64 {
 		"allequal": equal,
 		"tiny":     tiny,
 	}
+}
+
+// encodeSlice images a key slice on the heap.
+func encodeSlice[K cmp.Ordered](ks []K) (radixKeys, bool) {
+	return encodeRadixKeys(len(ks), func(i int) K { return ks[i] }, 0, nil)
 }
 
 // TestSortRadixMatchesComparison is the radix-vs-SortFunc equivalence
@@ -177,8 +186,8 @@ func TestEncodeRadixKeysOrderPreserving(t *testing.T) {
 		t.Helper()
 		for i := 0; i+1 < len(cmps); i += 2 {
 			a, b := i, i+1
-			imgLess := !radixEq(k, a, k, b) && radixLE(k, a, k, b)
-			imgEq := radixEq(k, a, k, b)
+			imgLess := radixCmp(k, a, k, b) < 0
+			imgEq := radixCmp(k, a, k, b) == 0
 			switch {
 			case cmps[i] < cmps[i+1]:
 				if !imgLess {
@@ -206,20 +215,20 @@ func TestEncodeRadixKeysOrderPreserving(t *testing.T) {
 		for i, v := range ks {
 			cmps[i], _ = slices.BinarySearch(order, v)
 		}
-		enc, ok := encodeRadixKeys(ks)
-		if !ok || enc.class != -1 || enc.hi != nil {
+		enc, ok := encodeSlice(ks)
+		if !ok || enc.class != -1 || enc.w != 1 {
 			t.Fatal("int64 batch must encode to one word")
 		}
 		checkPairs(t, enc, cmps)
 	})
 	t.Run("int8-negative", func(t *testing.T) {
 		ks := []int8{-128, -1, 0, 1, 127, -1}
-		enc, ok := encodeRadixKeys(ks)
+		enc, ok := encodeSlice(ks)
 		if !ok {
 			t.Fatal("int8 batch must encode")
 		}
 		for i := 0; i+1 < len(ks); i++ {
-			if (ks[i] < ks[i+1]) != (!radixEq(enc, i, enc, i+1) && radixLE(enc, i, enc, i+1)) {
+			if (ks[i] < ks[i+1]) != (radixCmp(enc, i, enc, i+1) < 0) {
 				t.Fatalf("int8 order broken at %d", i)
 			}
 		}
@@ -231,26 +240,29 @@ func TestEncodeRadixKeysOrderPreserving(t *testing.T) {
 			rng.Read(b[:])
 			ks[i] = string(b[:])
 		}
-		enc, ok := encodeRadixKeys(ks)
-		if !ok || enc.class != 12 || enc.hi == nil {
+		enc, ok := encodeSlice(ks)
+		if !ok || enc.class != 12 || enc.w != 2 {
 			t.Fatalf("12-byte batch must encode two-word, got ok=%v class=%d", ok, enc.class)
 		}
 		for i := 0; i+1 < len(ks); i++ {
 			wantLess := ks[i] < ks[i+1]
-			gotLess := !radixEq(enc, i, enc, i+1) && radixLE(enc, i, enc, i+1)
+			gotLess := radixCmp(enc, i, enc, i+1) < 0
 			if wantLess != gotLess {
 				t.Fatalf("string order broken at %d: %q vs %q", i, ks[i], ks[i+1])
 			}
 		}
 	})
 	t.Run("rejects", func(t *testing.T) {
-		if _, ok := encodeRadixKeys([]string{"abc", "de"}); ok {
+		if _, ok := encodeSlice([]string{"abc", "de"}); ok {
 			t.Fatal("ragged strings must not encode")
 		}
-		if _, ok := encodeRadixKeys([]string{strings.Repeat("x", 17)}); ok {
-			t.Fatal("17-byte strings must not encode")
+		if _, ok := encodeSlice([]string{strings.Repeat("x", radixMaxKeyBytes)}); !ok {
+			t.Fatalf("%d-byte strings must encode", radixMaxKeyBytes)
 		}
-		if _, ok := encodeRadixKeys([]float64{1, 2}); ok {
+		if _, ok := encodeSlice([]string{strings.Repeat("x", radixMaxKeyBytes+1)}); ok {
+			t.Fatalf("%d-byte strings must not encode", radixMaxKeyBytes+1)
+		}
+		if _, ok := encodeSlice([]float64{1, 2}); ok {
 			t.Fatal("floats must not encode")
 		}
 	})
@@ -270,26 +282,20 @@ func TestRadixSortKeyedStable(t *testing.T) {
 					pos int
 				}
 				es := make([]pay, n)
-				lo := make([]uint64, n)
-				var hi []uint64
+				img := radixKeys{n: n, w: 1, class: -1}
 				if wide {
-					hi = make([]uint64, n)
+					img.w, img.class = 2, 12
 				}
+				img.words = make([]uint64, n*img.w)
 				for i := range es {
 					k := uint64(rng.Intn(7)) // few distinct keys → many ties
 					es[i] = pay{k: k, pos: i}
+					img.words[i] = k
 					if wide {
-						hi[i] = k
-						lo[i] = 0x55
-					} else {
-						lo[i] = k
+						img.words[n+i] = 0x55
 					}
 				}
-				class := -1
-				if wide {
-					class = 12
-				}
-				radixSortKeyed(radixKeys{lo: lo, hi: hi, class: class}, es)
+				radixSortKeyed(img, es)
 				for i := 1; i < n; i++ {
 					if es[i-1].k > es[i].k {
 						t.Fatalf("not sorted at %d", i)
@@ -301,6 +307,191 @@ func TestRadixSortKeyedStable(t *testing.T) {
 			})
 		}
 	}
+}
+
+// permDistributions builds n w-word keys in the shapes sortPerm must
+// handle. Only a few low bits of each word vary, so ties and skipped digits
+// are common; word 0 is the most significant.
+func permDistributions(n, w int) map[string][][]uint64 {
+	rng := rand.New(rand.NewSource(int64(31*n + w)))
+	zrng := rand.NewZipf(rand.New(rand.NewSource(37)), 1.3, 1, 40)
+	mk := func(word func() uint64) [][]uint64 {
+		keys := make([][]uint64, n)
+		for i := range keys {
+			keys[i] = make([]uint64, w)
+			for c := range keys[i] {
+				keys[i][c] = word()
+			}
+		}
+		return keys
+	}
+	uniform := mk(func() uint64 { return uint64(rng.Intn(5)) << (8 * uint(rng.Intn(3))) })
+	sorted := slices.Clone(uniform)
+	slices.SortFunc(sorted, slices.Compare[[]uint64])
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	return map[string][][]uint64{
+		"uniform":  uniform,
+		"zipf":     mk(zrng.Uint64),
+		"sorted":   sorted,
+		"reversed": reversed,
+		"allequal": mk(func() uint64 { return 42 }),
+	}
+}
+
+// TestSortPermProperties pins the permutation kernel against a stable
+// comparison oracle: for 1–5-word images of every distribution, across the
+// insertion and counting-pass regimes, sortPerm returns the stable sorting
+// permutation, nil exactly when the input already is in order, and the
+// comparison fallback sortPermFunc computes the same permutation.
+func TestSortPermProperties(t *testing.T) {
+	sc := xrt.GetScratch()
+	defer xrt.PutScratch(sc)
+	for w := 1; w <= 5; w++ {
+		for _, n := range []int{0, 1, 2, radixSortCutoff, radixSortCutoff + 1, 1000} {
+			for name, keys := range permDistributions(n, w) {
+				t.Run(fmt.Sprintf("w=%d/n=%d/%s", w, n, name), func(t *testing.T) {
+					img := radixKeys{n: n, w: w, class: 8 * w, words: make([]uint64, n*w)}
+					want := make([]uint32, n)
+					for j, k := range keys {
+						want[j] = uint32(j)
+						for c, v := range k {
+							img.words[c*n+j] = v
+						}
+					}
+					cmpAt := func(i, j int) int { return slices.Compare(keys[i], keys[j]) }
+					slices.SortStableFunc(want, func(a, b uint32) int { return cmpAt(int(a), int(b)) })
+					inOrder := slices.IsSortedFunc(keys, slices.Compare[[]uint64])
+
+					got := img.sortPerm(sc)
+					if (got == nil) != inOrder {
+						t.Fatalf("sortPerm returned nil=%v for an input with inOrder=%v", got == nil, inOrder)
+					}
+					if got != nil && !slices.Equal(got, want) {
+						t.Fatalf("sortPerm is not the stable sorting permutation")
+					}
+					if got := sortPermFunc(n, cmpAt, sc); !slices.Equal(got, want) {
+						t.Fatalf("sortPermFunc is not the stable sorting permutation")
+					}
+					sorted := img.sorted(got)
+					for i := 1; i < n; i++ {
+						if radixCmp(sorted, i-1, sorted, i) > 0 {
+							t.Fatalf("sorted image out of order at %d", i)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// fatRows builds n rows of arity columns over a small domain (heavy key
+// duplication, so provenance tie-breaks decide the order) with a distinct
+// annotation each, so a reordered duplicate is visible.
+func fatRows(n, arity int, seed int64) []relation.Row[int64] {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([]relation.Row[int64], n)
+	for i := range rows {
+		vals := make([]relation.Value, arity)
+		for c := range vals {
+			vals[c] = relation.Value(rng.Intn(4) - 1)
+		}
+		rows[i] = relation.Row[int64]{Vals: vals, W: int64(i)}
+	}
+	return rows
+}
+
+func allCols(arity int) []int {
+	idx := make([]int, arity)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+func equalRows(a, b []relation.Row[int64]) bool {
+	return slices.EqualFunc(a, b, func(x, y relation.Row[int64]) bool {
+		return x.W == y.W && slices.Equal(x.Vals, y.Vals)
+	})
+}
+
+// TestSortEncodeKeyAritiesRadixOnly runs Sort over the engines' key shape —
+// relation.EncodeKey strings of 1 to 5 columns, and the 16-column limit —
+// on fat rows: shards and Stats must equal SortBy's, and no phase may reach
+// a comparison fallback (counted, not read off the code). One column more
+// than the limit falls back and still agrees.
+func TestSortEncodeKeyAritiesRadixOnly(t *testing.T) {
+	const p, n, radixMaxWords = 8, 1500, radixMaxKeyBytes / 8
+	for _, arity := range []int{1, 2, 3, 4, 5, radixMaxWords, radixMaxWords + 1} {
+		t.Run(fmt.Sprintf("cols=%d", arity), func(t *testing.T) {
+			rows, idx := fatRows(n, arity, int64(arity)), allCols(arity)
+			key := func(r relation.Row[int64]) string { return relation.EncodeKey(r.Vals, idx) }
+			want, wantSt := SortBy(DistributeIn(nil, rows, p), func(a, b relation.Row[int64]) bool { return key(a) < key(b) })
+			before := comparisonSorts.Load()
+			got, gotSt := Sort(DistributeIn(nil, rows, p), key)
+			fallbacks := comparisonSorts.Load() - before
+			if encodes := arity <= radixMaxWords; encodes == (fallbacks != 0) {
+				t.Errorf("Sort ran %d comparison sorts for a %d-column key", fallbacks, arity)
+			}
+			if gotSt != wantSt {
+				t.Fatalf("Stats diverged: radix %+v, comparison %+v", gotSt, wantSt)
+			}
+			for s := range want.Shards {
+				if !equalRows(got.Shards[s], want.Shards[s]) {
+					t.Fatalf("shard %d diverged", s)
+				}
+			}
+		})
+	}
+}
+
+// TestMultiSearchRadixMatchesComparison pins MultiSearch's radix phases to
+// the comparison-only reference: for int64 keys and 1-, 2- and 3-column
+// EncodeKey keys over a domain so small that every key has Y/X ties and
+// spans several servers, predecessors per shard, Stats and the trace must
+// be identical, and the radix run must reach no comparison fallback.
+func TestMultiSearchRadixMatchesComparison(t *testing.T) {
+	const p = 8
+	type row = relation.Row[int64]
+	check := func(t *testing.T, run func(ex *Exec, radix bool) (Part[Pred[row, row]], Stats)) {
+		t.Helper()
+		trWant, trGot := NewTracer(), NewTracer()
+		want, wantSt := run(NewExec(context.Background(), 1).WithTracer(trWant), false)
+		before := comparisonSorts.Load()
+		got, gotSt := run(NewExec(context.Background(), 4).WithTracer(trGot), true)
+		if d := comparisonSorts.Load() - before; d != 0 {
+			t.Errorf("radix MultiSearch ran %d comparison sorts", d)
+		}
+		if gotSt != wantSt {
+			t.Fatalf("Stats diverged: radix %+v, comparison %+v", gotSt, wantSt)
+		}
+		if !reflect.DeepEqual(trGot.Rounds(), trWant.Rounds()) {
+			t.Fatal("traces diverged")
+		}
+		for s := range want.Shards {
+			if !slices.EqualFunc(got.Shards[s], want.Shards[s], func(a, b Pred[row, row]) bool {
+				return a.Found == b.Found && a.X.W == b.X.W && a.Y.W == b.Y.W
+			}) {
+				t.Fatalf("shard %d diverged", s)
+			}
+		}
+	}
+	for arity := 1; arity <= 3; arity++ {
+		t.Run(fmt.Sprintf("cols=%d", arity), func(t *testing.T) {
+			xs, ys, idx := fatRows(900, arity, 41), fatRows(300, arity, 43), allCols(arity)
+			key := func(r row) string { return relation.EncodeKey(r.Vals, idx) }
+			check(t, func(ex *Exec, radix bool) (Part[Pred[row, row]], Stats) {
+				return multiSearch(DistributeIn(ex, xs, p), DistributeIn(ex, ys, p), key, key, radix)
+			})
+		})
+	}
+	t.Run("int64", func(t *testing.T) {
+		xs, ys := fatRows(900, 1, 47), fatRows(300, 1, 53)
+		key := func(r row) int64 { return int64(r.Vals[0]) }
+		check(t, func(ex *Exec, radix bool) (Part[Pred[row, row]], Stats) {
+			return multiSearch(DistributeIn(ex, xs, p), DistributeIn(ex, ys, p), key, key, radix)
+		})
+	})
 }
 
 // TestSortLocalRadixStable checks SortLocal's stable contract on both the
@@ -391,7 +582,7 @@ func BenchmarkRadixVsSortFunc(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					copy(buf, in)
-					enc, ok := encodeRadixKeys(buf)
+					enc, ok := encodeSlice(buf)
 					if !ok {
 						b.Fatal("int64 must encode")
 					}

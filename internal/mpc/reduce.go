@@ -264,24 +264,17 @@ func TotalCount[T any](pt Part[T]) (int64, Stats) {
 // SortLocal sorts a shard in place by key (local helper, zero cost). The
 // sort is stable: equal-key elements keep their input order. Radix-
 // encodable key batches (integers; uniform-length strings such as the
-// engines' EncodeKey keys — see radix.go) run the LSD radix kernel; other
-// batches take the stable comparison fallback.
+// engines' EncodeKey keys — see radix.go) run the element-moving LSD radix
+// kernel; other batches take the stable comparison fallback.
 func SortLocal[T any, K cmp.Ordered](shard []T, key func(T) K) {
 	if len(shard) <= 1 {
 		return
 	}
-	kcmp := func(a, b T) int { return cmp.Compare(key(a), key(b)) }
-	if !radixEncodable[K]() {
-		sortStableFunc(shard, kcmp)
-		return
+	if radixEncodable[K]() {
+		if enc, ok := encodeRadixKeys(len(shard), func(i int) K { return key(shard[i]) }, 0, nil); ok {
+			radixSortKeyed(enc, shard)
+			return
+		}
 	}
-	ks := make([]K, len(shard))
-	for i, x := range shard {
-		ks[i] = key(x)
-	}
-	if enc, ok := encodeRadixKeys(ks); ok {
-		radixSortKeyed(enc, shard)
-		return
-	}
-	sortStableFunc(shard, kcmp)
+	sortStableFunc(shard, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
 }

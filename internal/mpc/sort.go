@@ -31,8 +31,9 @@ type tagged[T any] struct {
 // less must be safe for concurrent calls across servers.
 //
 // SortBy is sampleSort with no key image: every phase compares. It is the
-// reference Sort's radix phases are tested against (radix_test.go) — both
-// compute the same unique (element, src, idx) total order.
+// reference Sort's and MultiSearch's radix phases are tested against
+// (radix_test.go) — all compute the same unique (element, src, idx) total
+// order, through the same permutation path.
 func SortBy[T any](pt Part[T], less func(a, b T) bool) (Part[T], Stats) {
 	return sampleSort(pt, func(a, b T) int {
 		if less(a, b) {
@@ -46,9 +47,9 @@ func SortBy[T any](pt Part[T], less func(a, b T) bool) (Part[T], Stats) {
 }
 
 // Sort is SortBy ordered by an ordered key. When K is radix-encodable
-// (integers; the engines' uniform-length EncodeKey strings) every sorting
-// phase runs the stable LSD radix kernel of radix.go instead of a
-// comparison sort; results, shard contents and Stats are bit-for-bit
+// (integers; the engines' uniform-length EncodeKey strings, of any column
+// count) every sorting phase runs the LSD radix kernel of radix.go instead
+// of a comparison sort; results, shard contents and Stats are bit-for-bit
 // identical to the comparison path either way, because both compute the
 // same unique (key, src, idx) total order.
 func Sort[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
@@ -56,91 +57,86 @@ func Sort[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
 	if !radixEncodable[K]() {
 		return sampleSort(pt, order, nil)
 	}
-	return sampleSort(pt, order, func(ts []tagged[T]) (radixKeys, bool) {
-		ks := make([]K, len(ts))
-		for i, t := range ts {
-			ks[i] = key(t.x)
-		}
-		return encodeRadixKeys(ks)
+	return sampleSort(pt, order, func(n int, at func(i int) *T, sc *xrt.Scratch) (radixKeys, bool) {
+		return encodeRadixKeys(n, func(i int) K { return key(*at(i)) }, 0, sc)
 	})
 }
 
+// encodeFunc builds the order-preserving radix image of a batch's keys in
+// words carved from sc, or reports false when this batch has none (ragged
+// or long strings). It reads the batch through its size n and the accessor
+// at, so one function serves shards of T and of tagged[T] alike.
+type encodeFunc[T any] func(n int, at func(i int) *T, sc *xrt.Scratch) (radixKeys, bool)
+
 // sampleSort is the one sample sort: local sort, regular samples to the
 // coordinator, splitter broadcast, bucket, reshuffle, final local sort.
-// order is the three-way element comparison; encode, when non-nil, builds
-// the order-preserving radix image of a batch's keys, or reports false when
-// this batch has none (ragged or long strings). Each phase decides for its
-// own batch — an encodable batch runs the stable radix kernel, any other
-// the comparison sort — which cannot change results, because every path
-// computes the same unique (element, src, idx) total order:
+// order is the three-way element comparison; encode, when non-nil, offers
+// the radix image of a batch. Each phase decides for its own batch — an
+// encodable batch runs the radix kernel, any other the comparison sort —
+// which cannot change results, because every path computes the same unique
+// (element, src, idx) total order.
 //
-//   - Local sort: stable by element, then idx assignment. Stability keeps
-//     equal elements in arrival order on the radix and the comparison path
-//     alike.
-//   - Coordinator sample sort: the gathered samples arrive in ascending
-//     (src, element, idx) order, so a stable radix by key alone reproduces
-//     the full (element, src, idx) order.
+// No phase sorts elements. Each sorts a permutation of its batch — by the
+// image, or by order — and then writes every element once, into its final
+// place, so a row is copied three times per sort (tagged in sorted order,
+// exchanged, untagged in sorted order) however many passes the sorts took:
+//
+//   - Local sort: stable by element; the tagged copy is written in sorted
+//     order with idx its position. Stability keeps equal elements in
+//     arrival order on the radix and the comparison path alike.
+//   - Coordinator: the gathered samples arrive in ascending
+//     (src, element, idx) order, so a stable sort by key alone reproduces
+//     the full (element, src, idx) order; the splitters are read through
+//     the permutation.
 //   - Bucketing: shard and splitters are both sorted in the full order, so
-//     one forward merge-walk computes every element's bucket — the count of
-//     splitters ≤ it — in O(n + p) instead of n binary searches. The walk
-//     runs in encoded-word space when the shard's and the splitters' images
-//     share a class, else on comparisons.
+//     an element's bucket — the count of splitters ≤ it — is non-decreasing
+//     along the shard and one forward merge-walk finds every bucket's
+//     boundary in O(n + p). The buckets are therefore contiguous ranges of
+//     the sorted tagged array, and that array is the outbox: its rows are
+//     sub-slices, nothing is copied. The walk runs in encoded-word space
+//     when the shard's and the splitters' images are comparable, else on
+//     comparisons.
 //   - Final sort: a routed shard is the ascending-src concatenation of
-//     sorted runs, so the same stability argument applies again.
-func sampleSort[T any](pt Part[T], order func(a, b T) int, encode func(ts []tagged[T]) (radixKeys, bool)) (Part[T], Stats) {
+//     sorted runs, so the same stability argument applies again; the result
+//     is gathered through the permutation.
+func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T]) (Part[T], Stats) {
 	p := pt.P()
 	ex := pt.scope()
-	xcmp := func(a, b tagged[T]) int { return order(a.x, b.x) }
-	// tcmp extends order by the (src, idx) provenance tie-break into a
-	// total order, so the unstable comparison sort is deterministic.
-	tcmp := func(a, b tagged[T]) int {
-		if c := order(a.x, b.x); c != 0 {
-			return c
+	// sortedPerm returns the permutation that stably sorts a batch (nil when
+	// it already is in order) and, when the batch encoded, its image.
+	sortedPerm := func(n int, at func(i int) *T, sc *xrt.Scratch) ([]uint32, radixKeys, bool) {
+		if encode != nil {
+			if img, ok := encode(n, at, sc); ok {
+				return img.sortPerm(sc), img, true
+			}
 		}
-		if a.src != b.src {
-			return cmp.Compare(a.src, b.src)
-		}
-		return cmp.Compare(a.idx, b.idx)
+		return sortPermFunc(n, func(i, j int) int { return order(*at(i), *at(j)) }, sc), radixKeys{}, false
 	}
-	if encode == nil {
-		encode = func([]tagged[T]) (radixKeys, bool) { return radixKeys{}, false }
-	}
-	// sortTagged sorts a batch that arrives in ascending (src, idx) order
-	// within equal elements into the full order.
-	sortTagged := func(ts []tagged[T]) {
-		if enc, ok := encode(ts); ok {
-			radixSortKeyed(enc, ts)
-			return
-		}
-		sortFunc(ts, tcmp)
-	}
+	// csc serves the coordinator's sort and holds the splitter image, which
+	// the partition workers only read.
+	csc := xrt.GetScratch()
+	defer xrt.PutScratch(csc)
 
 	// Local sort; tag with (src, idx) for global uniqueness. One worker
 	// per server — order must be safe for concurrent calls across servers.
-	// The encoded image is kept per shard (aligned with the sorted
-	// elements) for the bucket walk below.
+	// The sorted image is kept per shard for the bucket walk below.
 	local := make([][]tagged[T], p)
 	localKeys := make([]radixKeys, p)
 	localOK := make([]bool, p)
-	ex.ForEachShard(p, func(s int) {
+	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
 		shard := pt.Shards[s]
 		if len(shard) == 0 {
 			return
 		}
+		perm, img, ok := sortedPerm(len(shard), func(i int) *T { return &shard[i] }, sc)
 		ts := make([]tagged[T], len(shard))
-		for i, x := range shard {
-			ts[i] = tagged[T]{src: s, x: x}
-		}
-		if enc, ok := encode(ts); ok {
-			radixSortKeyed(enc, ts)
-			localKeys[s], localOK[s] = enc, true
-		} else {
-			sortStableFunc(ts, xcmp)
-		}
 		for i := range ts {
-			ts[i].idx = i
+			ts[i] = tagged[T]{src: s, idx: i, x: shard[permAt(perm, i)]}
 		}
 		local[s] = ts
+		if ok {
+			localKeys[s], localOK[s] = img.sorted(perm), true
+		}
 	})
 
 	// Round 1: regular samples to the coordinator (server 0).
@@ -163,11 +159,11 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode func(ts []tagg
 
 	// Coordinator picks p−1 splitters at regular ranks.
 	samples := gathered.Shards[0]
-	sortTagged(samples)
 	var splits []tagged[T]
 	if len(samples) > 0 {
+		perm, _, _ := sortedPerm(len(samples), func(i int) *T { return &samples[i].x }, csc)
 		for i := 1; i < p; i++ {
-			splits = append(splits, samples[i*len(samples)/p])
+			splits = append(splits, samples[permAt(perm, i*len(samples)/p)])
 		}
 	}
 
@@ -181,67 +177,64 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode func(ts []tagg
 	// Encode the splitter keys once; the image is read-only across shards.
 	var splitKeys radixKeys
 	splitOK := false
-	if len(splits) > 0 {
-		splitKeys, splitOK = encode(splits)
+	if len(splits) > 0 && encode != nil {
+		splitKeys, splitOK = encode(len(splits), func(i int) *T { return &splits[i].x }, csc)
 	}
 
-	// Round 3: route each element to its bucket (= number of splitters ≤ it).
+	// Round 3: route each element to its bucket (= number of splitters ≤
+	// it). Bucket d is the run of the sorted shard below splitter d, so the
+	// outbox rows are cut from the tagged array itself.
 	out := make([][][]tagged[T], p)
-	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
+	ex.ForEachShard(p, func(s int) {
 		ts := local[s]
 		if len(ts) == 0 {
 			return
 		}
-		buckets := sc.Ints(len(ts))
-		i := 0
-		if localOK[s] && splitOK && localKeys[s].class == splitKeys.class {
-			enc := localKeys[s]
-			for j := range ts {
-				for i < len(splits) && splitterLE(splitKeys, splits, i, enc, ts, j) {
-					i++
+		// keyCmp three-way compares splitter i's key with sorted element j's.
+		keyCmp := func(i, j int) int { return order(splits[i].x, ts[j].x) }
+		if enc := localKeys[s]; localOK[s] && splitOK && enc.comparable(splitKeys) {
+			keyCmp = func(i, j int) int { return radixCmp(splitKeys, i, enc, j) }
+		}
+		row := make([][]tagged[T], p)
+		j := 0
+		for d := 0; d < p && j < len(ts); d++ {
+			lo := j
+			if d < len(splits) {
+				// Advance over the elements below splitter d in the
+				// (key, src, idx) order; element j's provenance is (s, j).
+				sp := splits[d]
+				for ; j < len(ts); j++ {
+					if c := keyCmp(d, j); c < 0 || (c == 0 && (sp.src < s || (sp.src == s && sp.idx <= j))) {
+						break
+					}
 				}
-				buckets[j] = i
+			} else {
+				j = len(ts)
 			}
-		} else {
-			for j := range ts {
-				for i < len(splits) && tcmp(splits[i], ts[j]) <= 0 {
-					i++
-				}
-				buckets[j] = i
+			if j > lo {
+				row[d] = ts[lo:j:j]
 			}
 		}
-		out[s] = BuildOutboxDests(sc, p, "Sort", buckets, ts)
+		out[s] = row
 	})
 	TraceOp(ex, "sort.partition")
 	routed, st3 := ExchangeIn(ex, p, out)
 
 	// Final local sort.
 	res := NewPartIn[T](ex, p)
-	ex.ForEachShard(p, func(s int) {
+	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
 		ts := routed.Shards[s]
 		if len(ts) == 0 {
 			return
 		}
-		sortTagged(ts)
+		perm, _, _ := sortedPerm(len(ts), func(i int) *T { return &ts[i].x }, sc)
 		xs := make([]T, len(ts))
-		for i, t := range ts {
-			xs[i] = t.x
+		for i := range xs {
+			xs[i] = ts[permAt(perm, i)].x
 		}
 		res.Shards[s] = xs
 	})
 	return res, Seq(st1, st2, st3)
-}
-
-// splitterLE reports splitter i ≤ element j in the (key, src, idx) total
-// order, comparing keys in encoded-word space.
-func splitterLE[T any](sk radixKeys, splits []tagged[T], i int, ek radixKeys, ts []tagged[T], j int) bool {
-	if !radixEq(sk, i, ek, j) {
-		return radixLE(sk, i, ek, j)
-	}
-	if splits[i].src != ts[j].src {
-		return splits[i].src < ts[j].src
-	}
-	return splits[i].idx <= ts[j].idx
 }
 
 // boundarySummary describes one server's key range after a Sort, for

@@ -10,21 +10,28 @@ import (
 )
 
 // TestNoComparisonSortsInHotKernels guards the radix migration: the hot
-// sort/reduce kernels must contain no comparison-sort call sites. Every
-// comparison sort they need goes through the named fallbacks in radix.go
-// (sortFunc, sortStableFunc), so a future edit that quietly puts a hot
-// path back on slices.SortFunc — undoing the 2×+ the radix kernel buys —
-// fails here instead of shipping.
+// sort/reduce/multi-search kernels must contain no comparison-sort call
+// sites. Every comparison sort they need goes through the named fallbacks
+// in radix.go (sortPermFunc, sortStableFunc), so a future edit that quietly
+// puts a hot path back on slices.SortFunc — undoing what the radix kernel
+// buys — fails here instead of shipping. multisearch.go must not call
+// SortBy either — that is sampleSort with no key image, every phase on
+// comparisons — and sort.go builds no outbox by copying: the sorted tagged
+// array is the outbox.
 func TestNoComparisonSortsInHotKernels(t *testing.T) {
 	banned := regexp.MustCompile(`slices\.Sort|sort\.Slice|sort\.Stable|sort\.Sort\b`)
-	for _, file := range []string{"sort.go", "reduce.go"} {
+	for file, banned := range map[string]*regexp.Regexp{
+		"sort.go":        regexp.MustCompile(banned.String() + `|\bBuildOutbox`),
+		"reduce.go":      banned,
+		"multisearch.go": regexp.MustCompile(banned.String() + `|\bSortBy\(`),
+	} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatalf("reading %s: %v", file, err)
 		}
 		if loc := banned.FindIndex(src); loc != nil {
 			line := 1 + countNewlines(src[:loc[0]])
-			t.Errorf("%s:%d: comparison sort call site %q in a hot kernel file; route it through the radix.go fallbacks",
+			t.Errorf("%s:%d: %q in a hot kernel file; comparison sorts go through the radix.go fallbacks, the sort's outbox is cut from the sorted array",
 				file, line, src[loc[0]:loc[1]])
 		}
 	}

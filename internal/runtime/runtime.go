@@ -73,28 +73,47 @@ func (rt *Runtime) Workers() int { return rt.workers }
 // capture them in closures that outlive the call). Data that crosses
 // the round barrier must be allocated normally.
 type Scratch struct {
-	ints []int
-	at   int
+	ints  arena[int]
+	words arena[uint64]
+	perms arena[uint32]
+}
+
+// arena is one element type's bump allocator inside a Scratch.
+type arena[E any] struct {
+	buf []E
+	at  int
+}
+
+// carve returns a zeroed length-n slice disjoint from every slice carved
+// since the last reset.
+func (a *arena[E]) carve(n int) []E {
+	if a.at+n > len(a.buf) {
+		// Grow the backing array. Slices carved earlier in this callback
+		// keep the old backing, so disjointness is preserved.
+		a.buf = make([]E, 2*len(a.buf)+n)
+		a.at = 0
+	}
+	s := a.buf[a.at : a.at+n : a.at+n]
+	a.at += n
+	clear(s)
+	return s
 }
 
 // reset recycles the arena for the next callback invocation. Carved
 // slices from the previous invocation must no longer be referenced.
-func (sc *Scratch) reset() { sc.at = 0 }
+func (sc *Scratch) reset() { sc.ints.at, sc.words.at, sc.perms.at = 0, 0, 0 }
 
 // Ints carves a zeroed length-n []int from the arena. Successive calls
 // within one callback return disjoint slices.
-func (sc *Scratch) Ints(n int) []int {
-	if sc.at+n > len(sc.ints) {
-		// Grow the backing array. Slices carved earlier in this callback
-		// keep the old backing, so disjointness is preserved.
-		sc.ints = make([]int, 2*len(sc.ints)+n)
-		sc.at = 0
-	}
-	s := sc.ints[sc.at : sc.at+n]
-	sc.at += n
-	clear(s)
-	return s
-}
+func (sc *Scratch) Ints(n int) []int { return sc.ints.carve(n) }
+
+// Words carves a zeroed length-n []uint64 — the sort kernels' key-image
+// columns and ping-pong word buffers — under the rules of Ints.
+func (sc *Scratch) Words(n int) []uint64 { return sc.words.carve(n) }
+
+// Perm carves a zeroed length-n []uint32 — the sort kernels' index
+// permutations — under the rules of Ints.
+func (sc *Scratch) Perm(n int) []uint32 { return sc.perms.carve(n) }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 

@@ -132,3 +132,35 @@ func TestExchangeEmptyInboxStaysNil(t *testing.T) {
 		t.Fatalf("inbox 1 wrong: %v recv=%d", shards[1], recv[1])
 	}
 }
+
+// TestScratchCarvesDisjointZeroed pins the arena contract the sort kernels
+// lean on: every carve within one callback — of any element type, across a
+// growth of the backing array — is zeroed, capacity-limited and disjoint
+// from the others, and a reset hands the same storage out again zeroed.
+func TestScratchCarvesDisjointZeroed(t *testing.T) {
+	Serial().ForEachShardScratch(2, func(int, *Scratch) {}) // a pooled, used arena
+	Serial().ForEachShardScratch(2, func(_ int, sc *Scratch) {
+		var words [][]uint64
+		var perms [][]uint32
+		for n := 1; n <= 512; n *= 2 {
+			w, p, is := sc.Words(n), sc.Perm(n), sc.Ints(n)
+			if len(w) != n || cap(w) != n || len(p) != n || cap(p) != n || len(is) != n {
+				t.Fatalf("carve of %d has len/cap %d/%d, %d/%d, %d", n, len(w), cap(w), len(p), cap(p), len(is))
+			}
+			for i := range w {
+				if w[i] != 0 || p[i] != 0 || is[i] != 0 {
+					t.Fatalf("carve of %d not zeroed at %d", n, i)
+				}
+				w[i], p[i], is[i] = ^uint64(0), ^uint32(0), -1
+			}
+			words, perms = append(words, w), append(perms, p)
+		}
+		for k, w := range words {
+			for i := range w {
+				if w[i] != ^uint64(0) || perms[k][i] != ^uint32(0) {
+					t.Fatalf("carve %d was overwritten by a later carve", k)
+				}
+			}
+		}
+	})
+}

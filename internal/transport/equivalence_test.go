@@ -9,6 +9,7 @@ package transport_test
 // carries them, so everything derived downstream is identical too.
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
@@ -216,4 +217,47 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// TestSortOutboxOverTCP drives the sample sort directly over the TCP
+// backend: Sort's partition round ships rows cut from the sorted tagged
+// array rather than from an outbox of its own, and MultiSearch's does the
+// same with its merged items (which cross the wire as opaque payloads).
+// Shards, Stats and the trace must equal the in-process run's.
+func TestSortOutboxOverTCP(t *testing.T) {
+	const p, n = 8, 600
+	type row = relation.Row[int64]
+	rng := rand.New(rand.NewSource(5))
+	rows := make([]row, n)
+	for i := range rows {
+		rows[i] = row{Vals: []relation.Value{relation.Value(rng.Intn(5)), relation.Value(rng.Intn(5)), relation.Value(rng.Intn(5))}, W: int64(i)}
+	}
+	key := func(r row) string { return relation.EncodeKey(r.Vals, []int{0, 1, 2}) }
+	run := func(ex *mpc.Exec) ([][]row, [][]mpc.Pred[row, row], mpc.Stats) {
+		sorted, st1 := mpc.Sort(mpc.DistributeIn(ex, rows, p), key)
+		preds, st2 := mpc.MultiSearch(sorted, mpc.DistributeIn(ex, rows[:n/4], p), key, key)
+		return sorted.Shards, preds.Shards, mpc.Seq(st1, st2)
+	}
+	trI, trT := mpc.NewTracer(), mpc.NewTracer()
+	sortedI, predsI, stI := run(mpc.NewExec(context.Background(), 2).WithTracer(trI))
+
+	w, err := transport.TCP(bootPeers(t, 3)...).Connect(context.Background())
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	defer w.Close()
+	sortedT, predsT, stT := run(mpc.NewExec(context.Background(), 2).WithTracer(trT).WithWire(w))
+
+	if stI != stT {
+		t.Errorf("Stats diverge: inproc %+v, tcp %+v", stI, stT)
+	}
+	if !reflect.DeepEqual(trI.Rounds(), trT.Rounds()) {
+		t.Error("traces diverge")
+	}
+	if !reflect.DeepEqual(sortedI, sortedT) {
+		t.Error("sorted shards diverge")
+	}
+	if !reflect.DeepEqual(predsI, predsT) {
+		t.Error("multi-search shards diverge")
+	}
 }
