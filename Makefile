@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test loc bench-test bench-gate race bench service-smoke cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
+.PHONY: ci vet build test loc bench-test bench-gate identity race bench service-smoke cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
 
 ci: vet build test bench-test race
 
@@ -54,6 +54,16 @@ bench:
 #   make bench-gate BASE=origin/main [BASE_DIR=../base-clone]
 bench-gate:
 	bash scripts/bench-gate.sh $(BASE) $(BASE_DIR)
+
+# Byte-identity against another checkout (scripts/identity.sh): boundcheck,
+# planner-check, chaos in-process and over tcp, and mpcbench -experiment all
+# / -graph, all -quick, built and run in BASE_DIR and here; the four reports
+# must be cmp-identical, the mpcbench rows identical minus wallNs/commit,
+# every table identical minus timing lines. What a refactor of shared code
+# shows instead of saying "outputs unchanged". ~30 s.
+#   make identity BASE_DIR=../base-clone
+identity:
+	bash scripts/identity.sh $(BASE_DIR)
 
 # End-to-end lane for the mpcd daemon: the test builds the binary with
 # -race, boots it on an ephemeral port, registers a dataset, queries it

@@ -26,87 +26,64 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
+	"mpcjoin/internal/experiments"
 	"mpcjoin/internal/experiments/chaos"
 	"mpcjoin/internal/transport"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+// run is main with its exit status returned — 2 for a bad invocation, 1
+// for a failed cell or run — so the deferred peer shutdown executes before
+// the process exits.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		quick   = flag.Bool("quick", false, "shrink instance sizes for a fast pass")
-		p       = flag.Int("p", 8, "simulated cluster size")
-		seed    = flag.Uint64("seed", 1, "randomness seed (runs are reproducible per seed)")
-		workers = flag.Int("workers", 0, "OS workers per run (0 = serial; results must not depend on this)")
-		jsonOut = flag.String("json", "", "write per-(engine,scenario) results as JSON to this file")
-		trans   = flag.String("transport", "inproc", "exchange transport for faulted runs: inproc or tcp")
-		tpeers  = flag.String("transport-peers", "", "comma-separated shuffle peer addresses for -transport tcp (default: boot 3 loopback peers in-process)")
+		quick   = fs.Bool("quick", false, "shrink instance sizes for a fast pass")
+		p       = fs.Int("p", 8, "simulated cluster size")
+		seed    = fs.Uint64("seed", 1, "randomness seed (runs are reproducible per seed)")
+		workers = fs.Int("workers", 0, "OS workers per run (0 = serial; results must not depend on this)")
+		jsonOut = fs.String("json", "", "write per-(engine,scenario) results as JSON to this file")
+		trans   = fs.String("transport", "inproc", "exchange transport for faulted runs: inproc or tcp")
+		tpeers  = fs.String("transport-peers", "", "comma-separated shuffle peer addresses for -transport tcp (default: boot 3 loopback peers in-process)")
 	)
-	flag.Parse()
-
-	cfg := chaos.Config{Quick: *quick, P: *p, Seed: *seed, Workers: *workers}
-	switch *trans {
-	case "", "inproc":
-	case "tcp":
-		var addrs []string
-		for _, a := range strings.Split(*tpeers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			for i := 0; i < 3; i++ {
-				pr, err := transport.ListenPeer("127.0.0.1:0")
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "chaos: booting loopback peer: %v\n", err)
-					return 1
-				}
-				defer pr.Close()
-				addrs = append(addrs, pr.Addr())
-			}
-			fmt.Fprintf(os.Stderr, "chaos: exchanging over tcp via %d loopback shuffle peers\n", len(addrs))
-		}
-		cfg.Transport = transport.TCP(addrs...)
-	default:
-		fmt.Fprintf(os.Stderr, "chaos: unknown -transport %q (want inproc or tcp)\n", *trans)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	results, err := chaos.Run(cfg)
+
+	tr, release, status := transport.FromFlags("chaos", stderr, *trans, *tpeers)
+	if status != 0 {
+		return status
+	}
+	defer release()
+	results, err := chaos.Run(chaos.Config{Quick: *quick, P: *p, Seed: *seed, Workers: *workers, Transport: tr})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		fmt.Fprintf(stderr, "chaos: %v\n", err)
 		return 1
 	}
 
-	fmt.Printf("%-11s %-17s %-6s %-9s %-9s %-9s %-9s %-7s %s\n",
+	fmt.Fprintf(stdout, "%-11s %-17s %-6s %-9s %-9s %-9s %-9s %-7s %s\n",
 		"engine", "scenario", "rows", "injected", "detected", "retried", "absorbed", "budget", "ok")
 	for _, r := range results {
-		fmt.Printf("%-11s %-17s %-6d %-9d %-9d %-9d %-9d %-7v %v\n",
+		fmt.Fprintf(stdout, "%-11s %-17s %-6d %-9d %-9d %-9d %-9d %-7v %v\n",
 			r.Engine, r.Scenario, r.Rows, r.Injected, r.Detected, r.Retried, r.Absorbed, r.BudgetErr, r.OK)
 	}
 
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err == nil {
-			err = chaos.WriteJSON(f, results)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: writing %s: %v\n", *jsonOut, err)
+		if err := experiments.WriteJSON(*jsonOut, results); err != nil {
+			fmt.Fprintf(stderr, "chaos: writing %s: %v\n", *jsonOut, err)
 			return 1
 		}
 	}
 
 	if err := chaos.Check(results); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
+		fmt.Fprintf(stderr, "%v\n", err)
 		return 1
 	}
-	fmt.Printf("all %d engine/scenario cells recovered or failed as specified\n", len(results))
+	fmt.Fprintf(stdout, "all %d engine/scenario cells recovered or failed as specified\n", len(results))
 	return 0
 }

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -28,76 +29,89 @@ import (
 	"mpcjoin/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its exit status returned: 2 for a bad invocation —
+// generator parameter errors (errors.Is workload.ErrInvalidParam) included,
+// they mean the flags, not the program, are wrong — with nothing written,
+// 1 when writing fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		query  = flag.String("query", "matmul", "matmul|line3|line4|star3|star4|fig1|fig2|fig3 (ignored for -kind graph)")
-		kind   = flag.String("kind", "blocks", "blocks|multi|uniform|zipf|graph")
-		blocks = flag.Int("blocks", 64, "blocks (blocks/multi kinds)")
-		fan    = flag.Int("fan", 4, "output-attribute fan per block")
-		mult   = flag.Int("mult", 2, "non-output multiplicity (multi kind)")
-		n      = flag.Int("n", 4096, "tuples per relation (uniform/zipf); vertices (graph)")
-		dom    = flag.Int("dom", 512, "domain size (uniform/zipf)")
-		s      = flag.Float64("s", 1.4, "Zipf exponent (> 1; zipf/graph kinds)")
-		degree = flag.Float64("degree", 8, "average out-degree (graph kind, >= 1)")
-		maxw   = flag.Int64("maxw", 100, "max edge weight (graph kind, >= 1)")
-		seed   = flag.Int64("seed", 1, "randomness seed")
-		out    = flag.String("out", "", "output directory (required)")
+		query  = fs.String("query", "matmul", "matmul|line3|line4|star3|star4|fig1|fig2|fig3 (ignored for -kind graph)")
+		kind   = fs.String("kind", "blocks", "blocks|multi|uniform|zipf|graph")
+		blocks = fs.Int("blocks", 64, "blocks (blocks/multi kinds)")
+		fan    = fs.Int("fan", 4, "output-attribute fan per block")
+		mult   = fs.Int("mult", 2, "non-output multiplicity (multi kind)")
+		n      = fs.Int("n", 4096, "tuples per relation (uniform/zipf); vertices (graph)")
+		dom    = fs.Int("dom", 512, "domain size (uniform/zipf)")
+		s      = fs.Float64("s", 1.4, "Zipf exponent (> 1; zipf/graph kinds)")
+		degree = fs.Float64("degree", 8, "average out-degree (graph kind, >= 1)")
+		maxw   = fs.Int64("maxw", 100, "max edge weight (graph kind, >= 1)")
+		seed   = fs.Int64("seed", 1, "randomness seed")
+		out    = fs.String("out", "", "output directory (required)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usageError := func(msg string) int {
+		fmt.Fprintln(stderr, "datagen:", msg)
+		return 2
+	}
 	if *out == "" {
-		usageError("-out is required")
+		return usageError("-out is required")
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	var q *hypergraph.Query
+	q := workload.GraphQuery()
 	var inst db.Instance[int64]
 	var meta workload.Meta
 	var err error
-
-	if *kind == "graph" {
-		q = workload.GraphQuery()
+	if *kind != "graph" {
+		if q, err = queryByName(*query); err != nil {
+			return usageError(err.Error())
+		}
+	}
+	// The block and uniform generators take their sizes on trust (a zero
+	// domain panics in rand.Intn, a negative count yields an empty
+	// instance and a negative OUT), so the sizes each kind reads are
+	// checked here, where they enter; Zipf and the graph check the rest.
+	for _, name := range map[string][]string{
+		"blocks": {"blocks", "fan"}, "multi": {"blocks", "fan", "mult"}, "uniform": {"n", "dom"}, "zipf": {"n"},
+	}[*kind] {
+		min := 1
+		if name == "n" {
+			min = 0
+		}
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < min {
+			return usageError(fmt.Sprintf("-%s %d must be >= %d", name, v, min))
+		}
+	}
+	switch *kind {
+	case "blocks":
+		inst, meta = workload.Blocks(q, *blocks, *fan)
+	case "multi":
+		inst, meta = workload.BlocksMulti(q, *blocks, *fan, *mult)
+	case "uniform":
+		inst, meta = workload.Uniform(q, *n, *dom, rng)
+	case "zipf":
+		inst, meta, err = workload.Zipf(q, *n, *dom, *s, rng)
+	case "graph":
 		inst, meta, err = workload.PowerLawGraph(*n, *degree, *s, *maxw, rng)
-		if err != nil {
-			usageError(err.Error())
-		}
-	} else {
-		q, err = queryByName(*query)
-		if err != nil {
-			usageError(err.Error())
-		}
-		switch *kind {
-		case "blocks":
-			inst, meta = workload.Blocks(q, *blocks, *fan)
-		case "multi":
-			inst, meta = workload.BlocksMulti(q, *blocks, *fan, *mult)
-		case "uniform":
-			inst, meta = workload.Uniform(q, *n, *dom, rng)
-		case "zipf":
-			// Parameter errors (s <= 1, dom < 2) are usage errors, not
-			// panics out of rand.NewZipf.
-			inst, meta, err = workload.Zipf(q, *n, *dom, *s, rng)
-			if err != nil {
-				usageError(err.Error())
-			}
-		default:
-			usageError(fmt.Sprintf("unknown kind %q", *kind))
-		}
+	default:
+		err = fmt.Errorf("unknown kind %q", *kind)
+	}
+	if err != nil {
+		return usageError(err.Error())
 	}
 
 	if err := textio.WriteInstance(*out, q, inst); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "datagen:", err)
+		return 1
 	}
-	fmt.Printf("wrote %s: %d relations, %s\n", *out, len(q.Edges), meta.Describe())
-}
-
-// usageError reports a bad invocation on stderr and exits with the
-// conventional usage status. Generator parameter errors land here too
-// (errors.Is workload.ErrInvalidParam) — they mean the flags, not the
-// program, are wrong.
-func usageError(msg string) {
-	fmt.Fprintln(os.Stderr, "datagen:", msg)
-	os.Exit(2)
+	fmt.Fprintf(stdout, "wrote %s: %d relations, %s\n", *out, len(q.Edges), meta.Describe())
+	return 0
 }
 
 func queryByName(name string) (*hypergraph.Query, error) {

@@ -67,7 +67,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -162,28 +161,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers, Trace: *trace, Explain: *explain, Faults: faultSpec}
-	switch *trans {
-	case "", "inproc":
-	case "tcp":
-		addrs := splitList(*tpeers)
-		if len(addrs) == 0 {
-			for i := 0; i < 3; i++ {
-				p, err := transport.ListenPeer("127.0.0.1:0")
-				if err != nil {
-					fmt.Fprintf(stderr, "mpcbench: booting loopback peer: %v\n", err)
-					return 1
-				}
-				defer p.Close()
-				addrs = append(addrs, p.Addr())
-			}
-			fmt.Fprintf(stderr, "mpcbench: exchanging over tcp via %d loopback shuffle peers\n", len(addrs))
-		}
-		cfg.Transport = transport.TCP(addrs...)
-	default:
-		fmt.Fprintf(stderr, "mpcbench: unknown -transport %q (want inproc or tcp)\n", *trans)
-		return 2
+	tr, release, status := transport.FromFlags("mpcbench", stderr, *trans, *tpeers)
+	if status != 0 {
+		return status
 	}
+	defer release()
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers, Trace: *trace, Explain: *explain, Faults: faultSpec, Transport: tr}
 	failed := false
 	var bench []experiments.BenchRow
 	for _, id := range ids {
@@ -205,14 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bench = append(bench, tab.Bench...)
 	}
 	if *jsonOut != "" {
-		if bench == nil {
-			bench = []experiments.BenchRow{} // marshal as [], not null
-		}
-		buf, err := json.MarshalIndent(bench, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonOut, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := experiments.WriteJSON(*jsonOut, bench); err != nil {
 			fmt.Fprintf(stderr, "mpcbench: writing %s: %v\n", *jsonOut, err)
 			failed = true
 		}
@@ -221,16 +197,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// splitList parses a comma-separated address list, tolerating whitespace
-// and empty segments from trailing commas.
-func splitList(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

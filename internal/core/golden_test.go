@@ -5,8 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"mpcjoin/internal/db"
-	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/workload"
@@ -60,53 +58,22 @@ var goldenDigests = map[string]uint64{
 	"free-connex/tree":               0xcff4117a5336aabb,
 }
 
-func goldenInstances() []struct {
-	name string
-	q    *hypergraph.Query
-	inst db.Instance[int64]
-} {
-	type c = struct {
-		name string
-		q    *hypergraph.Query
-		inst db.Instance[int64]
-	}
-	var out []c
-	sparse, _ := workload.MatMulBlocks(32, 1, 1)
-	out = append(out, c{"matmul-sparse", hypergraph.MatMulQuery(), workload.InjectDangling(sparse, 1, 31)})
-	dense, _ := workload.MatMulBlocks(32, 8, 8)
-	out = append(out, c{"matmul-dense", hypergraph.MatMulQuery(), dense})
-	for _, bc := range []struct {
-		name   string
-		q      *hypergraph.Query
-		blocks int
-	}{{"line", hypergraph.LineQuery(3), 64}, {"star", hypergraph.StarQuery(3), 64}} {
-		inst, _ := workload.Blocks(bc.q, bc.blocks, 4)
-		out = append(out, c{bc.name, bc.q, inst})
-	}
-	for _, bc := range []struct {
-		name string
-		q    *hypergraph.Query
-	}{{"star-like", hypergraph.Fig1StarLike()}, {"tree", hypergraph.Fig3Twig()}} {
-		inst, _ := workload.BlocksMulti(bc.q, 16, 2, 2)
-		out = append(out, c{bc.name, bc.q, inst})
-	}
-	fc := hypergraph.NewQuery([]hypergraph.Edge{
-		hypergraph.Bin("R1", "A", "B"), hypergraph.Bin("R2", "B", "C"),
-	}, "A", "B", "C")
-	inst, _ := workload.Blocks(fc, 64, 4)
-	return append(out, c{"free-connex", fc, inst})
-}
+// goldenFamilies are the planner-check families, run at quick size: the
+// catalogue spells them, so the digests above pin the catalogue too.
+var goldenFamilies = []string{"matmul-sparse", "matmul-dense", "line", "star", "star-like", "tree", "free-connex"}
 
 func TestGoldenAcrossCommits(t *testing.T) {
-	for _, c := range goldenInstances() {
-		for _, engine := range append([]string{""}, planner.Legal(c.q.Classify())...) {
+	for _, name := range goldenFamilies {
+		fam := workload.Named(name)
+		inst, _ := fam.Canonical(true)
+		for _, engine := range append([]string{""}, planner.Legal(fam.Query.Classify())...) {
 			tr := mpc.NewTracer()
 			var plan planner.Plan
-			res, st, err := Execute[int64](intSR, c.q, c.inst, Options{
+			res, st, err := Execute[int64](intSR, fam.Query, inst, Options{
 				Servers: 16, Seed: 1, Engine: engine, Tracer: tr, PlanOut: &plan,
 			})
 			if err != nil {
-				t.Fatalf("%s engine %q: %v", c.name, engine, err)
+				t.Fatalf("%s engine %q: %v", name, engine, err)
 			}
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%v|", res.Schema())
@@ -117,9 +84,9 @@ func TestGoldenAcrossCommits(t *testing.T) {
 			for _, r := range tr.Rounds() {
 				fmt.Fprintf(h, "%+v;", r)
 			}
-			key := c.name + "/" + engine
+			key := name + "/" + engine
 			if engine == "" {
-				key = c.name + "/auto"
+				key = name + "/auto"
 				fmt.Fprintf(h, "|%s|%+v", plan.Chosen, plan.EstimateStats)
 			}
 			want, pinned := goldenDigests[key]

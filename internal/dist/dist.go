@@ -346,3 +346,42 @@ func RemoveDangling[W any](q *hypergraph.Query, rels map[string]Rel[W]) (map[str
 	}
 	return out, st
 }
+
+// ReduceArms is the full reducer of a query whose relations meet in one
+// centre attribute b (star and star-like queries): arms[i] lists one arm's
+// relations from the centre outward, arms[i][0] containing b. Each arm is
+// swept inward, the arms' b-sets are intersected, and each arm is
+// restricted to the intersection and swept back outward. The arms are
+// reduced in place; the surviving b values are returned. Unlike
+// RemoveDangling it needs no join tree and folds the b-sets with
+// ProjectAgg, so the two meter differently and neither replaces the other.
+func ReduceArms[W any](sr semiring.Semiring[W], arms [][]Rel[W], b Attr) (Rel[W], mpc.Stats) {
+	var st mpc.Stats
+	for _, arm := range arms {
+		for j := len(arm) - 2; j >= 0; j-- {
+			filtered, s := Semijoin(arm[j], arm[j+1])
+			arm[j] = filtered
+			st = mpc.Seq(st, s)
+		}
+	}
+	inter, s := ProjectAgg(sr, arms[0][0], b)
+	st = mpc.Seq(st, s)
+	for _, arm := range arms[1:] {
+		bs, s1 := ProjectAgg(sr, arm[0], b)
+		filtered, s2 := Semijoin(inter, bs)
+		inter = filtered
+		st = mpc.Seq(st, s1, s2)
+	}
+	for _, arm := range arms {
+		for j := range arm {
+			outer := inter
+			if j > 0 {
+				outer = arm[j-1]
+			}
+			filtered, s := Semijoin(arm[j], outer)
+			arm[j] = filtered
+			st = mpc.Seq(st, s)
+		}
+	}
+	return inter, st
+}

@@ -12,22 +12,14 @@
 package boundcheck
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
-	"mpcjoin/internal/db"
-	"mpcjoin/internal/dist"
-	"mpcjoin/internal/hypergraph"
-	"mpcjoin/internal/linequery"
-	"mpcjoin/internal/matmul"
+	"mpcjoin/internal/core"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/semiring"
-	"mpcjoin/internal/starquery"
-	"mpcjoin/internal/treequery"
 	"mpcjoin/internal/workload"
 )
 
@@ -54,13 +46,6 @@ func (c Config) ps() []int {
 	return c.Ps
 }
 
-func (c Config) scale(full, quick int) int {
-	if c.Quick {
-		return quick
-	}
-	return full
-}
-
 // Result is one (class, p) measurement against its Table 1 bound.
 type Result struct {
 	Class   string `json:"class"`
@@ -79,103 +64,54 @@ type Result struct {
 	Trace []mpc.RoundTrace `json:"trace,omitempty"`
 }
 
-// measured is what one class run reports before the bound is applied.
-type measured struct {
-	n     int64 // total input size
-	out   int64
-	st    mpc.Stats
-	bound float64
-}
-
-// class bundles a query class's workload, engine call and Table 1 formula.
-// The slack constants match the per-package loadbound tests.
+// class is one checked row: a catalogue family at its canonical size, the
+// engine forced on it, and the engine's Table 1 formula. The slack
+// constants match the per-package loadbound tests.
 type class struct {
-	name  string
-	slack float64
-	run   func(cfg Config, ex *mpc.Exec, p int) (measured, error)
+	name   string
+	slack  float64
+	family string
+	engine string
+	bound  func(m workload.Meta, p int) float64
 }
 
 var classes = []class{
 	// Theorem 1 linear branch on the OUT ≤ N/p regime: O((N+OUT)/p).
-	{name: "matmul-linear", slack: 6, run: func(cfg Config, ex *mpc.Exec, p int) (measured, error) {
-		inst, meta := workload.MatMulBlocks(cfg.scale(512, 128), 2, 2)
-		st, err := runMatMul(cfg, ex, inst, p, matmul.Linear)
-		bound := 2*float64(meta.N)/float64(p) + float64(meta.Out)/float64(p) + float64(p*p)
-		return measured{n: int64(meta.N), out: meta.Out, st: st, bound: bound}, err
-	}},
+	{name: "matmul-linear", slack: 6, family: "matmul-fan2", engine: planner.EngineMatMulLinear,
+		bound: func(m workload.Meta, p int) float64 {
+			return 2*float64(m.N)/float64(p) + float64(m.Out)/float64(p) + float64(p*p)
+		}},
 	// Lemma 2 output-sensitive branch: (N1N2·OUT)^{1/3}/p^{2/3} + input + OUT terms.
-	{name: "matmul-outsens", slack: 8, run: func(cfg Config, ex *mpc.Exec, p int) (measured, error) {
-		inst, meta := workload.MatMulBlocks(cfg.scale(512, 128), 4, 4)
-		st, err := runMatMul(cfg, ex, inst, p, matmul.OutputSensitive)
-		n1 := float64(meta.PerEdge["R1"])
-		bound := math.Cbrt(n1*n1*float64(meta.Out))/math.Pow(float64(p), 2.0/3.0) +
-			2*n1/float64(p) + float64(meta.Out)/float64(p) + float64(p*p)
-		return measured{n: int64(meta.N), out: meta.Out, st: st, bound: bound}, err
-	}},
-	// Theorem 5, 3-arm star: (N·OUT/p)^{2/3} + N√OUT/p per relation.
-	{name: "star", slack: 8, run: func(cfg Config, ex *mpc.Exec, p int) (measured, error) {
-		q := hypergraph.StarQuery(3)
-		inst, meta := workload.Blocks(q, cfg.scale(256, 64), 4)
-		res, err := runClass(cfg, ex, q, inst, p, func(rels map[string]dist.Rel[int64]) (mpc.Stats, error) {
-			_, st, err := starquery.Compute(intSR, q, rels, starquery.Options{Seed: cfg.Seed})
-			return st, err
-		})
-		n, out := float64(meta.N)/3, float64(meta.Out)
-		bound := math.Pow(n*out/float64(p), 2.0/3.0) + n*math.Sqrt(out)/float64(p) +
-			(3*n+out)/float64(p) + float64(p*p)
-		return measured{n: int64(meta.N), out: meta.Out, st: res, bound: bound}, err
-	}},
-	// Theorem 4, 3-relation line: N√OUT/p + (N·OUT/p)^{2/3}.
-	{name: "line", slack: 8, run: func(cfg Config, ex *mpc.Exec, p int) (measured, error) {
-		q := hypergraph.LineQuery(3)
-		inst, meta := workload.Blocks(q, cfg.scale(256, 64), 4)
-		res, err := runClass(cfg, ex, q, inst, p, func(rels map[string]dist.Rel[int64]) (mpc.Stats, error) {
-			_, st, err := linequery.Compute(intSR, q, rels, linequery.Options{Seed: cfg.Seed})
-			return st, err
-		})
-		n, out := float64(meta.N)/3, float64(meta.Out)
-		bound := n*math.Sqrt(out)/float64(p) + math.Pow(n*out/float64(p), 2.0/3.0) +
-			(3*n+out)/float64(p) + float64(p*p)
-		return measured{n: int64(meta.N), out: meta.Out, st: res, bound: bound}, err
-	}},
+	{name: "matmul-outsens", slack: 8, family: "matmul-fan4", engine: planner.EngineMatMulOutSens,
+		bound: func(m workload.Meta, p int) float64 {
+			n1 := float64(m.PerEdge["R1"])
+			return math.Cbrt(n1*n1*float64(m.Out))/math.Pow(float64(p), 2.0/3.0) +
+				2*n1/float64(p) + float64(m.Out)/float64(p) + float64(p*p)
+		}},
+	// Theorem 5, 3-arm star, and Theorem 4, 3-relation line: the same
+	// (N·OUT/p)^{2/3} + N√OUT/p per relation.
+	{name: "star", slack: 8, family: "star", engine: planner.EngineStar, bound: threeRelBound},
+	{name: "line", slack: 8, family: "line", engine: planner.EngineLine, bound: threeRelBound},
 	// Theorem 6 on the Figure 3 twig: N·OUT^{2/3}/p + (N+OUT)/p.
-	{name: "tree", slack: 8, run: func(cfg Config, ex *mpc.Exec, p int) (measured, error) {
-		q := hypergraph.Fig3Twig()
-		inst, meta := workload.BlocksMulti(q, cfg.scale(64, 16), 2, 2)
-		res, err := runClass(cfg, ex, q, inst, p, func(rels map[string]dist.Rel[int64]) (mpc.Stats, error) {
-			_, st, err := treequery.Compute(intSR, q, rels, treequery.Options{Seed: cfg.Seed})
-			return st, err
-		})
-		nMax := 0
-		for _, n := range meta.PerEdge {
-			if n > nMax {
-				nMax = n
+	{name: "tree", slack: 8, family: "tree", engine: planner.EngineTree,
+		bound: func(m workload.Meta, p int) float64 {
+			nMax := 0
+			for _, n := range m.PerEdge {
+				if n > nMax {
+					nMax = n
+				}
 			}
-		}
-		out := float64(meta.Out)
-		bound := float64(nMax)*math.Pow(out, 2.0/3.0)/float64(p) +
-			(float64(meta.N)+out)/float64(p) + float64(p*p)
-		return measured{n: int64(meta.N), out: meta.Out, st: res, bound: bound}, err
-	}},
+			out := float64(m.Out)
+			return float64(nMax)*math.Pow(out, 2.0/3.0)/float64(p) +
+				(float64(m.N)+out)/float64(p) + float64(p*p)
+		}},
 }
 
-func runMatMul(cfg Config, ex *mpc.Exec, inst db.Instance[int64], p int, alg matmul.Algorithm) (mpc.Stats, error) {
-	in := matmul.Input[int64]{
-		R1: dist.FromRelationIn(ex, inst["R1"], p),
-		R2: dist.FromRelationIn(ex, inst["R2"], p),
-		B:  "B",
-	}
-	_, st, err := matmul.Compute(intSR, in, matmul.Options{Algorithm: alg, Seed: cfg.Seed})
-	return st, err
-}
-
-func runClass(cfg Config, ex *mpc.Exec, q *hypergraph.Query, inst db.Instance[int64], p int,
-	compute func(map[string]dist.Rel[int64]) (mpc.Stats, error)) (mpc.Stats, error) {
-	rels := make(map[string]dist.Rel[int64], len(q.Edges))
-	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelationIn(ex, inst[e.Name], p)
-	}
-	return compute(rels)
+// threeRelBound is Theorems 4 and 5 on three relations of N/3 rows each.
+func threeRelBound(m workload.Meta, p int) float64 {
+	n, out := float64(m.N)/3, float64(m.Out)
+	return math.Pow(n*out/float64(p), 2.0/3.0) + n*math.Sqrt(out)/float64(p) +
+		(3*n+out)/float64(p) + float64(p*p)
 }
 
 // Run sweeps every class across cfg's cluster sizes and returns one Result
@@ -187,24 +123,27 @@ func Run(cfg Config) ([]Result, error) {
 		if cfg.Slack > 0 {
 			slack = cfg.Slack
 		}
+		fam := workload.Named(c.family)
+		inst, meta := fam.Canonical(cfg.Quick)
 		for _, p := range cfg.ps() {
-			ex := mpc.NewExec(context.Background(), 0)
 			var tr *mpc.Tracer
 			if cfg.Trace {
 				tr = mpc.NewTracer()
-				ex = ex.WithTracer(tr)
 			}
-			m, err := c.run(cfg, ex, p)
+			_, st, err := core.Execute(intSR, fam.Query, inst, core.Options{
+				Servers: p, Seed: cfg.Seed, Engine: c.engine, Tracer: tr,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("boundcheck: %s p=%d: %w", c.name, p, err)
 			}
-			limit := slack * m.bound
+			bound := c.bound(meta, p)
+			limit := slack * bound
 			r := Result{
-				Class: c.name, P: p, N: m.n, Out: m.out,
-				MaxLoad: m.st.MaxLoad, Rounds: m.st.Rounds,
-				Bound: m.bound, Slack: slack,
-				Ratio: float64(m.st.MaxLoad) / limit,
-				OK:    float64(m.st.MaxLoad) <= limit,
+				Class: c.name, P: p, N: int64(meta.N), Out: meta.Out,
+				MaxLoad: st.MaxLoad, Rounds: st.Rounds,
+				Bound: bound, Slack: slack,
+				Ratio: float64(st.MaxLoad) / limit,
+				OK:    float64(st.MaxLoad) <= limit,
 			}
 			if tr != nil {
 				r.Trace = tr.Rounds()
@@ -228,18 +167,4 @@ func Check(results []Result) error {
 		return fmt.Errorf("boundcheck: %d violation(s):\n  %s", len(bad), strings.Join(bad, "\n  "))
 	}
 	return nil
-}
-
-// WriteJSON writes results as indented JSON (the CI artifact format).
-func WriteJSON(w io.Writer, results []Result) error {
-	if results == nil {
-		results = []Result{} // marshal as [], not null
-	}
-	buf, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

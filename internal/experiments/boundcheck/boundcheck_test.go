@@ -2,8 +2,12 @@ package boundcheck
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpcjoin/internal/experiments"
 )
 
 // TestBoundsHoldAcrossP is the load-bound regression net: every query
@@ -97,22 +101,25 @@ func TestWriteJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := WriteJSON(&sb, results); err != nil {
+	path := filepath.Join(t.TempDir(), "bound.json")
+	if err := experiments.WriteJSON(path, results); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back []Result
-	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
+	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != len(results) || back[0].Class != results[0].Class || len(back[0].Trace) == 0 {
 		t.Fatalf("round-trip mismatch: %d rows, first %+v", len(back), back[0])
 	}
-	sb.Reset()
-	if err := WriteJSON(&sb, nil); err != nil {
+	if err := experiments.WriteJSON[Result](path, nil); err != nil {
 		t.Fatal(err)
 	}
-	if strings.TrimSpace(sb.String()) != "[]" {
-		t.Fatalf("empty results = %q, want []", sb.String())
+	if buf, _ = os.ReadFile(path); strings.TrimSpace(string(buf)) != "[]" {
+		t.Fatalf("empty results = %q, want []", buf)
 	}
 }

@@ -1,14 +1,10 @@
 package boundcheck
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"mpcjoin/internal/core"
-	"mpcjoin/internal/db"
-	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/workload"
 )
@@ -57,54 +53,9 @@ type PlanResult struct {
 	OK       bool    `json:"ok"`
 }
 
-// planCase is one per-class workload the planner sweep runs on.
-type planCase struct {
-	name string
-	make func(cfg Config) (*hypergraph.Query, db.Instance[int64])
-}
-
-var planCases = []planCase{
-	// Sparse regime: a small true output buried in mostly-dangling inputs,
-	// so OUT ≤ N/p across the whole sweep and the linear branch is live.
-	{name: "matmul-sparse", make: func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		inst, _ := workload.MatMulBlocks(cfg.scale(64, 32), 1, 1)
-		return hypergraph.MatMulQuery(), workload.InjectDangling(inst, 1, 31)
-	}},
-	// Dense regime: every block multiplies 8×8, so OUT = 64·N1/8 and the
-	// square-root/cube-root branches compete.
-	{name: "matmul-dense", make: func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		inst, _ := workload.MatMulBlocks(cfg.scale(64, 32), 8, 8)
-		return hypergraph.MatMulQuery(), inst
-	}},
-	{name: "line", make: func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.LineQuery(3)
-		inst, _ := workload.Blocks(q, cfg.scale(256, 64), 4)
-		return q, inst
-	}},
-	{name: "star", make: func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.StarQuery(3)
-		inst, _ := workload.Blocks(q, cfg.scale(256, 64), 4)
-		return q, inst
-	}},
-	{name: "star-like", make: func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.Fig1StarLike()
-		inst, _ := workload.BlocksMulti(q, cfg.scale(64, 16), 2, 2)
-		return q, inst
-	}},
-	{name: "tree", make: func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.Fig3Twig()
-		inst, _ := workload.BlocksMulti(q, cfg.scale(64, 16), 2, 2)
-		return q, inst
-	}},
-	{name: "free-connex", make: func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.NewQuery([]hypergraph.Edge{
-			hypergraph.Bin("R1", "A", "B"),
-			hypergraph.Bin("R2", "B", "C"),
-		}, "A", "B", "C")
-		inst, _ := workload.Blocks(q, cfg.scale(256, 64), 4)
-		return q, inst
-	}},
-}
+// planCases names the catalogue families the planner sweep runs on, one
+// or two per query class, each at its canonical size.
+var planCases = []string{"matmul-sparse", "matmul-dense", "line", "star", "star-like", "tree", "free-connex"}
 
 // RunPlanner sweeps every planner case across cfg's cluster sizes. For
 // each (instance, p) it executes the query auto-planned once and every legal
@@ -117,8 +68,10 @@ func RunPlanner(cfg Config) ([]PlanResult, error) {
 		slack = cfg.Slack
 	}
 	var out []PlanResult
-	for _, c := range planCases {
-		q, inst := c.make(cfg)
+	for _, name := range planCases {
+		fam := workload.Named(name)
+		q := fam.Query
+		inst, meta := fam.Canonical(cfg.Quick)
 		class := q.Classify()
 		for _, p := range cfg.ps() {
 			var plan planner.Plan
@@ -126,22 +79,19 @@ func RunPlanner(cfg Config) ([]PlanResult, error) {
 				Servers: p, Seed: cfg.Seed, PlanOut: &plan,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("planner-check: %s p=%d auto: %w", c.name, p, err)
+				return nil, fmt.Errorf("planner-check: %s p=%d auto: %w", name, p, err)
 			}
 			r := PlanResult{
-				Name: c.name, Class: class.String(), P: p,
+				Name: name, Class: class.String(), P: p, N: int64(meta.N),
 				Chosen: plan.Chosen, Predicted: plan.PredictedLoad,
 				AutoLoad: st.MaxLoad, Slack: slack,
-			}
-			for _, e := range q.Edges {
-				r.N += int64(inst[e.Name].Len())
 			}
 			for _, eng := range planner.Legal(class) {
 				_, fst, err := core.Execute(intSR, q, inst, core.Options{
 					Servers: p, Seed: cfg.Seed, Engine: eng,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("planner-check: %s p=%d engine=%s: %w", c.name, p, eng, err)
+					return nil, fmt.Errorf("planner-check: %s p=%d engine=%s: %w", name, p, eng, err)
 				}
 				var pred float64
 				for _, cand := range plan.Candidates {
@@ -155,7 +105,7 @@ func RunPlanner(cfg Config) ([]PlanResult, error) {
 				}
 				if eng == plan.Chosen && fst != st {
 					return nil, fmt.Errorf("planner-check: %s p=%d: auto Stats %+v != forced %s Stats %+v (auto/forced divergence)",
-						c.name, p, st, eng, fst)
+						name, p, st, eng, fst)
 				}
 			}
 			limit := slack * float64(r.BestLoad)
@@ -181,19 +131,4 @@ func CheckPlanner(results []PlanResult) error {
 		return fmt.Errorf("planner-check: %d violation(s):\n  %s", len(bad), strings.Join(bad, "\n  "))
 	}
 	return nil
-}
-
-// WritePlanJSON writes planner results as indented JSON (the CI artifact
-// format).
-func WritePlanJSON(w io.Writer, results []PlanResult) error {
-	if results == nil {
-		results = []PlanResult{}
-	}
-	buf, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

@@ -12,18 +12,14 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"strings"
 
 	"mpcjoin/internal/core"
-	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypercube"
-	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
@@ -68,6 +64,16 @@ func (c Config) p() int {
 		return 8
 	}
 	return c.P
+}
+
+// options is one run's execution options: the cell's fault plane and — on
+// faulted runs only, so every baseline stays in-process — the transport.
+func (c Config) options(fp *mpc.FaultPlane) core.Options {
+	o := core.Options{Servers: c.p(), Seed: c.Seed, Workers: c.Workers, Faults: fp}
+	if fp != nil {
+		o.Transport = c.Transport
+	}
+	return o
 }
 
 func (c Config) scale(full, quick int) int {
@@ -117,67 +123,38 @@ func Engines() []string {
 	return names
 }
 
-// coreEngine runs q over inst through core.Execute with the named engine
-// forced ("" = the planner's choice), covering the selections the query
-// service exposes.
-func coreEngine(name, forced string, mk func(cfg Config) (*hypergraph.Query, db.Instance[int64])) engine {
+// coreEngine runs a catalogue family, at this sweep's own (smaller) block
+// counts, through core.Execute with the named engine forced ("" = the
+// planner's choice), covering the selections the query service exposes.
+func coreEngine(name, forced, family string, full, quick int) engine {
 	return engine{name: name, run: func(cfg Config, fp *mpc.FaultPlane) (*relation.Relation[int64], mpc.Stats, error) {
-		q, inst := mk(cfg)
-		o := core.Options{Servers: cfg.p(), Seed: cfg.Seed, Workers: cfg.Workers, Engine: forced, Faults: fp}
-		if fp != nil {
-			o.Transport = cfg.Transport // baseline (fp == nil) stays in-process
-		}
-		return core.Execute(intSR, q, inst, o)
+		fam := workload.Named(family)
+		inst, _ := fam.Gen(cfg.scale(full, quick))
+		o := cfg.options(fp)
+		o.Engine = forced
+		return core.Execute(intSR, fam.Query, inst, o)
 	}}
 }
 
 var engines = []engine{
-	coreEngine("matmul", "", func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.MatMulQuery()
-		inst, _ := workload.MatMulBlocks(cfg.scale(128, 32), 2, 2)
-		return q, inst
-	}),
-	coreEngine("star", "", func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.StarQuery(3)
-		inst, _ := workload.Blocks(q, cfg.scale(64, 16), 4)
-		return q, inst
-	}),
-	coreEngine("line", "", func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.LineQuery(3)
-		inst, _ := workload.Blocks(q, cfg.scale(64, 16), 4)
-		return q, inst
-	}),
-	coreEngine("tree", planner.EngineTree, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.Fig3Twig()
-		inst, _ := workload.BlocksMulti(q, cfg.scale(16, 8), 2, 2)
-		return q, inst
-	}),
-	coreEngine("yannakakis", planner.EngineYannakakis, func(cfg Config) (*hypergraph.Query, db.Instance[int64]) {
-		q := hypergraph.MatMulQuery()
-		inst, _ := workload.MatMulBlocks(cfg.scale(128, 32), 2, 2)
-		return q, inst
-	}),
+	coreEngine("matmul", "", "matmul-fan2", 128, 32),
+	coreEngine("star", "", "star", 64, 16),
+	coreEngine("line", "", "line", 64, 16),
+	coreEngine("tree", planner.EngineTree, "tree", 16, 8),
+	coreEngine("yannakakis", planner.EngineYannakakis, "matmul-fan2", 128, 32),
 	// The HyperCube full-join path (§1.4's alternative) bypasses the core
 	// dispatcher, so it exercises the fault plane through a raw Exec scope
 	// — and, returning no error, through mpc.Recover at this root.
 	{name: "hypercube", run: func(cfg Config, fp *mpc.FaultPlane) (rel *relation.Relation[int64], st mpc.Stats, err error) {
-		q := hypergraph.MatMulQuery()
-		inst, _ := workload.BlocksMulti(q, cfg.scale(64, 16), 4, 2)
+		fam := workload.Named("matmul-mult2")
+		q := fam.Query
+		inst, _ := fam.Canonical(cfg.Quick)
 		defer mpc.Recover(&err)
-		ex := mpc.NewExec(context.Background(), cfg.Workers)
-		if fp != nil {
-			ex = ex.WithFaults(fp)
-			if cfg.Transport != nil {
-				w, werr := cfg.Transport.Connect(context.Background())
-				if werr != nil {
-					return nil, mpc.Stats{}, fmt.Errorf("connecting %s transport: %w", cfg.Transport.Name(), werr)
-				}
-				if w != nil {
-					defer w.Close()
-					ex = ex.WithWire(w)
-				}
-			}
+		ex, release, err := cfg.options(fp).NewScope(context.Background())
+		if err != nil {
+			return nil, mpc.Stats{}, err
 		}
+		defer release()
 		rels := make(map[string]dist.Rel[int64], len(q.Edges))
 		for _, e := range q.Edges {
 			rels[e.Name] = dist.FromRelationIn(ex, inst[e.Name], cfg.p())
@@ -252,8 +229,9 @@ func Run(cfg Config) ([]Result, error) {
 
 		for si, sc := range Scenarios() {
 			spec := sc.Spec
-			// Per-(engine, scenario) schedule seed: deterministic, but no
-			// two cells share a schedule.
+			// Per-cell schedule seed: deterministic, distinct across the
+			// scenarios of one engine, and shared by engines whose names
+			// have equal length (star, line and tree run the same schedules).
 			spec.Seed = cfg.Seed*1000003 + uint64(si)*257 + uint64(len(e.name))
 			fp := mpc.NewFaultPlane(spec)
 			rel, st, err := e.run(cfg, fp)
@@ -303,18 +281,4 @@ func Check(results []Result) error {
 		return fmt.Errorf("chaos: %d failure(s):\n  %s", len(bad), strings.Join(bad, "\n  "))
 	}
 	return nil
-}
-
-// WriteJSON writes results as indented JSON (the CI artifact format).
-func WriteJSON(w io.Writer, results []Result) error {
-	if results == nil {
-		results = []Result{}
-	}
-	buf, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

@@ -1,11 +1,14 @@
 package chaos
 
 import (
-	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"mpcjoin/internal/experiments"
 )
 
 // TestChaosSweep runs the full quick matrix: every engine must absorb
@@ -58,23 +61,26 @@ func TestChaosDeterministicAcrossWorkers(t *testing.T) {
 
 // TestChaosWriteJSON: the artifact is a JSON array that round-trips.
 func TestChaosWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, nil); err != nil {
+	path := filepath.Join(t.TempDir(), "chaos.json")
+	if err := experiments.WriteJSON[Result](path, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.String(); got != "[]\n" {
+	if got, _ := os.ReadFile(path); string(got) != "[]\n" {
 		t.Errorf("empty results = %q, want []", got)
 	}
 	res, err := Run(Config{Quick: true, Seed: 1, P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := WriteJSON(&buf, res); err != nil {
+	if err := experiments.WriteJSON(path, res); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back []Result
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != len(res) {

@@ -27,7 +27,6 @@ import (
 	"mpcjoin/internal/hypercube"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/lowerbound"
-	"mpcjoin/internal/matmul"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/refengine"
@@ -193,8 +192,9 @@ func (c Config) scale(full, quick int) int {
 }
 
 // exec returns a fresh per-experiment execution scope sized by
-// c.Workers, for the experiments that drive engines directly on
-// distributed relations rather than through core.Execute.
+// c.Workers, for the two experiments that drive something other than a
+// table engine on distributed relations: EST-OUT (the estimator alone)
+// and ALT-fulljoin (hypercube). Everything else goes through forced.
 func (c Config) exec() *mpc.Exec {
 	return mpc.NewExec(context.Background(), c.Workers)
 }
@@ -352,18 +352,14 @@ func runEngine(cfg Config, q *hypergraph.Query, inst db.Instance[int64], p int, 
 		tr = mpc.NewTracer()
 	}
 	fp := cfg.faultPlane()
-	seed := cfg.Seed
 	var plan planner.Plan
 	t0 := time.Now()
-	resNew, stNew, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Seed: seed, Workers: cfg.Workers, Tracer: tr, Faults: fp, Transport: cfg.Transport, Engine: engine, PlanOut: &plan})
+	resNew, stNew, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Seed: cfg.Seed, Workers: cfg.Workers, Tracer: tr, Faults: fp, Transport: cfg.Transport, Engine: engine, PlanOut: &plan})
 	wall := time.Since(t0)
 	if err != nil {
 		panic(err)
 	}
-	resY, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: seed, Workers: cfg.Workers})
-	if err != nil {
-		panic(err)
-	}
+	resY, stY := forced(cfg, intSR, q, inst, p, planner.EngineYannakakis)
 	eq := relation.Equal[int64](intSR, func(a, b int64) bool { return a == b }, resNew, resY)
 	rb := bothRun{stNew: stNew, stY: stY, wall: wall, engine: plan.Chosen, verified: eq}
 	if cfg.Explain {
@@ -377,6 +373,18 @@ func runEngine(cfg Config, q *hypergraph.Query, inst db.Instance[int64], p int, 
 		rb.faults = &rep
 	}
 	return rb
+}
+
+// forced runs q over inst on p servers with the named engine forced, on
+// the fault-free in-process path: the baselines and the branch-by-branch
+// comparisons. Instances and engine names are the experiments' own, so a
+// failure is a bug and panics.
+func forced[W any](cfg Config, sr semiring.Semiring[W], q *hypergraph.Query, inst db.Instance[W], p int, engine string) (*relation.Relation[W], mpc.Stats) {
+	res, st, err := core.Execute(sr, q, inst, core.Options{Servers: p, Seed: cfg.Seed, Workers: cfg.Workers, Engine: engine})
+	if err != nil {
+		panic(err)
+	}
+	return res, st
 }
 
 // ---------------------------------------------------------------------------
@@ -428,26 +436,16 @@ func mmCrossover(cfg Config) Table {
 		Notes:  []string{"the dispatcher must pick the smaller branch on each side of the boundary"},
 	}
 	boundary := float64(n) * math.Sqrt(float64(p))
-	ex := cfg.exec()
+	q := hypergraph.MatMulQuery()
 	for _, fan := range []int{2, 4, 8, 32, 128} {
 		blocks := n / fan
 		if blocks < 1 {
 			blocks = 1
 		}
 		inst, meta := workload.MatMulBlocks(blocks, fan, fan)
-		r1 := dist.FromRelationIn(ex, inst["R1"], p)
-		r2 := dist.FromRelationIn(ex, inst["R2"], p)
-		in := matmul.Input[int64]{R1: r1, R2: r2, B: "B"}
-		resWC, stWC, err := matmul.Compute(intSR, in, matmul.Options{Algorithm: matmul.WorstCase, Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
-		}
-		resOS, stOS, err := matmul.Compute(intSR, in, matmul.Options{Algorithm: matmul.OutputSensitive, Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
-		}
-		ok := relation.Equal[int64](intSR, func(a, b int64) bool { return a == b },
-			dist.ToRelation(resWC), dist.ToRelation(resOS))
+		resWC, stWC := forced(cfg, intSR, q, inst, p, planner.EngineMatMulWorstCase)
+		resOS, stOS := forced(cfg, intSR, q, inst, p, planner.EngineMatMulOutSens)
+		ok := relation.Equal[int64](intSR, func(a, b int64) bool { return a == b }, resWC, resOS)
 		pick := "worst-case"
 		n1 := int64(meta.PerEdge["R1"])
 		if math.Cbrt(float64(n1*n1)*float64(meta.Out))/math.Pow(float64(p), 2.0/3.0) <
@@ -582,23 +580,10 @@ func scalingP(cfg Config) Table {
 		},
 	}
 	var ps, los, lwc, lys []float64
-	ex := cfg.exec()
 	for _, p := range []int{4, 8, 16, 32} {
-		r1 := dist.FromRelationIn(ex, inst["R1"], p)
-		r2 := dist.FromRelationIn(ex, inst["R2"], p)
-		in := matmul.Input[int64]{R1: r1, R2: r2, B: "B"}
-		_, stOS, err := matmul.Compute(intSR, in, matmul.Options{Algorithm: matmul.OutputSensitive, Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
-		}
-		_, stWC, err := matmul.Compute(intSR, in, matmul.Options{Algorithm: matmul.WorstCase, Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
-		}
-		_, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
-		if err != nil {
-			panic(err)
-		}
+		_, stOS := forced(cfg, intSR, q, inst, p, planner.EngineMatMulOutSens)
+		_, stWC := forced(cfg, intSR, q, inst, p, planner.EngineMatMulWorstCase)
+		_, stY := forced(cfg, intSR, q, inst, p, planner.EngineYannakakis)
 		t.Rows = append(t.Rows, []string{itoa(p), itoa(stOS.MaxLoad), itoa(stWC.MaxLoad), itoa(stY.MaxLoad)})
 		ps = append(ps, float64(p))
 		los = append(los, float64(stOS.MaxLoad))
@@ -638,31 +623,15 @@ func roundsConstant(cfg Config) Table {
 	small := cfg.scale(64, 16)
 	large := cfg.scale(1024, 128)
 	for _, c := range classes {
-		instS, _ := workload.Blocks(c.q, small, 2)
-		instL, _ := workload.Blocks(c.q, large, 2)
-		nS := 0
-		for _, v := range instS {
-			nS += v.Len()
-		}
-		nL := 0
-		for _, v := range instL {
-			nL += v.Len()
-		}
-		// Each generated instance is executed exactly once: hand over
-		// ownership and skip the initial-placement copy. Each row pins its
-		// class engine (the row label IS the engine) so the round counts
-		// keep describing that engine even where the cost-based planner
-		// would route the instance elsewhere.
-		_, stS, err := core.Execute(intSR, c.q, instS, core.Options{Servers: p, Seed: cfg.Seed, Workers: cfg.Workers, OwnInput: true, Engine: c.name})
-		if err != nil {
-			panic(err)
-		}
-		_, stL, err := core.Execute(intSR, c.q, instL, core.Options{Servers: p, Seed: cfg.Seed, Workers: cfg.Workers, OwnInput: true, Engine: c.name})
-		if err != nil {
-			panic(err)
-		}
+		// Each row pins its class engine (the row label IS the engine) so
+		// the round counts keep describing that engine even where the
+		// cost-based planner would route the instance elsewhere.
+		instS, metaS := workload.Blocks(c.q, small, 2)
+		instL, metaL := workload.Blocks(c.q, large, 2)
+		_, stS := forced(cfg, intSR, c.q, instS, p, c.name)
+		_, stL := forced(cfg, intSR, c.q, instL, p, c.name)
 		t.Rows = append(t.Rows, []string{
-			c.name, itoa(nS), itoa(stS.Rounds), itoa(nL), itoa(stL.Rounds),
+			c.name, itoa(metaS.N), itoa(stS.Rounds), itoa(metaL.N), itoa(stL.Rounds),
 		})
 		if stL.Rounds > 2*stS.Rounds {
 			t.Notes = append(t.Notes, fmt.Sprintf("WARNING: %s rounds grew with N (%d → %d)", c.name, stS.Rounds, stL.Rounds))
@@ -684,22 +653,13 @@ func lbThm2(cfg Config) Table {
 		Header: []string{"N1", "N2", "OUT", "bound", "L_measured", "L/bound"},
 		Notes:  []string{"idempotent (Boolean) semiring, as the theorem requires"},
 	}
-	boolSR := semiring.BoolOrAnd{}
-	ex := cfg.exec()
+	q := hypergraph.MatMulQuery()
 	for _, out := range []int64{n, 2 * n, 4 * n} {
 		hard, err := lowerbound.Thm2(n, n, out)
 		if err != nil {
 			panic(err)
 		}
-		in := matmul.Input[bool]{
-			R1: dist.FromRelationIn(ex, hard.Inst["R1"], p),
-			R2: dist.FromRelationIn(ex, hard.Inst["R2"], p),
-			B:  "B",
-		}
-		_, st, err := matmul.Compute[bool](boolSR, in, matmul.Options{Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
-		}
+		_, st := forced[bool](cfg, semiring.BoolOrAnd{}, q, hard.Inst, p, planner.EngineMatMul)
 		bound := lowerbound.Thm2Bound(hard.N1, hard.N2, p)
 		t.Rows = append(t.Rows, []string{
 			i64(hard.N1), i64(hard.N2), i64(hard.Out), f0(bound),
@@ -718,22 +678,13 @@ func lbThm3(cfg Config) Table {
 		Header: []string{"N1", "N2", "OUT", "bound", "L_measured", "L/bound"},
 		Notes:  []string{"constant-factor gap = optimality evidence (Theorem 1 matches Theorem 3)"},
 	}
-	boolSR := semiring.BoolOrAnd{}
-	ex := cfg.exec()
+	q := hypergraph.MatMulQuery()
 	for _, out := range []int64{4 * n, 64 * n, n * n / 4} {
 		hard, err := lowerbound.Thm3(n, n, out)
 		if err != nil {
 			panic(err)
 		}
-		in := matmul.Input[bool]{
-			R1: dist.FromRelationIn(ex, hard.Inst["R1"], p),
-			R2: dist.FromRelationIn(ex, hard.Inst["R2"], p),
-			B:  "B",
-		}
-		_, st, err := matmul.Compute[bool](boolSR, in, matmul.Options{Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
-		}
+		_, st := forced[bool](cfg, semiring.BoolOrAnd{}, q, hard.Inst, p, planner.EngineMatMul)
 		bound := lowerbound.Thm3Bound(hard.N1, hard.N2, hard.Out, p)
 		t.Rows = append(t.Rows, []string{
 			i64(hard.N1), i64(hard.N2), i64(hard.Out), f0(bound),
@@ -881,14 +832,8 @@ func ablLocality(cfg Config) Table {
 		inst := boolToInt(hard.Inst)
 		q := hypergraph.MatMulQuery()
 		j, _ := refengine.MaxIntermediateJoin[int64](intSR, q, inst)
-		resNew, stNew, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Seed: cfg.Seed, Workers: cfg.Workers, Engine: planner.EngineMatMul})
-		if err != nil {
-			panic(err)
-		}
-		resY, stY, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
-		if err != nil {
-			panic(err)
-		}
+		resNew, stNew := forced(cfg, intSR, q, inst, p, planner.EngineMatMul)
+		resY, stY := forced(cfg, intSR, q, inst, p, planner.EngineYannakakis)
 		if !relation.Equal[int64](intSR, boolEq, resNew, resY) {
 			panic("ABL-locality: engines disagree")
 		}
@@ -972,10 +917,7 @@ func altFullJoin(cfg Config) Table {
 		rb := runEngine(cfg, q, inst, p, planner.EngineMatMul)
 		lNew, lY, ok := rb.stNew.MaxLoad, rb.stY.MaxLoad, rb.verified
 		t.addBench(p, int64(meta.N), meta.Out, rb)
-		resY, _, err := core.Execute(intSR, q, inst, core.Options{Servers: p, Engine: planner.EngineYannakakis, Seed: cfg.Seed, Workers: cfg.Workers})
-		if err != nil {
-			panic(err)
-		}
+		resY, _ := forced(cfg, intSR, q, inst, p, planner.EngineYannakakis)
 		ok = ok && relation.Equal[int64](intSR, func(a, b int64) bool { return a == b },
 			dist.ToRelation(resHC), resY)
 		t.Rows = append(t.Rows, []string{

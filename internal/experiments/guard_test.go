@@ -1,0 +1,195 @@
+package experiments
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The guards below keep "run engine X on instance Y" written once: a
+// harness names a catalogue family and forces an engine through
+// core.Execute. They read the source, so a harness that goes back to
+// placing relations and calling an engine package itself — or to spelling
+// an instance a second time — fails here instead of drifting.
+
+const repoRoot = "../.."
+
+// parsed is one non-test Go file outside bench/, by repo-relative path.
+type parsed struct {
+	path string
+	file *ast.File
+}
+
+// sources parses every Go file under the repo-relative dirs (recursively),
+// skipping bench/ (its own module) and, unless tests is set, _test files.
+func sources(t *testing.T, tests bool, dirs ...string) []parsed {
+	t.Helper()
+	var out []parsed
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		err := filepath.WalkDir(filepath.Join(repoRoot, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(repoRoot, path)
+			rel = filepath.ToSlash(rel)
+			if d.IsDir() {
+				if rel == "bench" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(rel, ".go") || !tests && strings.HasSuffix(rel, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			out = append(out, parsed{rel, f})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// imports lists the last path element of every mpcjoin/internal import.
+func (p parsed) imports() []string {
+	var out []string
+	for _, im := range p.file.Imports {
+		path, _ := strconv.Unquote(im.Path.Value)
+		if rest, ok := strings.CutPrefix(path, "mpcjoin/internal/"); ok {
+			out = append(out, rest[strings.LastIndex(rest, "/")+1:])
+		}
+	}
+	return out
+}
+
+// selectors calls visit for every pkg.Name expression in the file.
+func (p parsed) selectors(visit func(pkg, name string)) {
+	ast.Inspect(p.file, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok {
+				visit(x.Name, sel.Sel.Name)
+			}
+		}
+		return true
+	})
+}
+
+// TestHarnessesImportNoEngine: the experiment packages and the commands
+// reach engines only through core.Execute. The two raw scopes that remain
+// are named here — hypercube is not a table engine, and EST-OUT drives the
+// estimator alone.
+func TestHarnessesImportNoEngine(t *testing.T) {
+	banned := []string{"matmul", "linequery", "starquery", "starlike", "treequery", "yannakakis", "twoway", "hypercube", "estimate"}
+	allowed := map[string][]string{
+		"internal/experiments/experiments.go": {"hypercube", "estimate"},
+		"internal/experiments/chaos/chaos.go": {"hypercube"},
+	}
+	for _, src := range sources(t, false, "internal/experiments", "cmd") {
+		for _, im := range src.imports() {
+			if slices.Contains(banned, im) && !slices.Contains(allowed[src.path], im) {
+				t.Errorf("%s imports internal/%s: run engines through core.Execute with Options.Engine forced", src.path, im)
+			}
+			if im == "dist" && src.path == "internal/experiments/boundcheck/boundcheck.go" {
+				t.Errorf("%s imports internal/dist: placement is core.Execute's", src.path)
+			}
+		}
+	}
+}
+
+// TestEnginesComputeCalledFromTheTableOnly: outside the engine packages
+// (which compose one another) the only caller of an engine's Compute is
+// the runner table in core/engines.go.
+func TestEnginesComputeCalledFromTheTableOnly(t *testing.T) {
+	engines := []string{"matmul", "linequery", "starquery", "starlike", "treequery"}
+	for _, src := range sources(t, false, ".") {
+		dir := filepath.Base(filepath.Dir(src.path))
+		if slices.Contains(engines, dir) || src.path == "internal/core/engines.go" {
+			continue
+		}
+		src.selectors(func(pkg, name string) {
+			if name == "Compute" && slices.Contains(engines, pkg) {
+				t.Errorf("%s calls %s.Compute: the engine table (core/engines.go) is the one caller", src.path, pkg)
+			}
+		})
+	}
+}
+
+// TestHarnessInstancesComeFromTheCatalogue: the sweep harnesses and the
+// golden digests spell no block instance of their own.
+func TestHarnessInstancesComeFromTheCatalogue(t *testing.T) {
+	harness := []string{
+		"internal/experiments/boundcheck/boundcheck.go",
+		"internal/experiments/boundcheck/planner.go",
+		"internal/experiments/chaos/chaos.go",
+		"internal/core/golden_test.go",
+	}
+	generators := []string{"Blocks", "BlocksMulti", "BlocksFan", "MatMulBlocks", "InjectDangling"}
+	seen := 0
+	for _, src := range sources(t, true, "internal/experiments", "internal/core") {
+		if !slices.Contains(harness, src.path) {
+			continue
+		}
+		seen++
+		src.selectors(func(pkg, name string) {
+			if pkg == "workload" && slices.Contains(generators, name) {
+				t.Errorf("%s calls workload.%s: name a family of workload's catalogue instead", src.path, name)
+			}
+		})
+	}
+	if seen != len(harness) {
+		t.Fatalf("found %d of the %d harness files %v", seen, len(harness), harness)
+	}
+}
+
+// TestSweepCLIPlumbingWrittenOnce: one loop boots loopback shuffle peers
+// and one function marshals a -json artifact, in non-test code.
+func TestSweepCLIPlumbingWrittenOnce(t *testing.T) {
+	var boots, writers []string
+	for _, src := range sources(t, false, ".") {
+		ast.Inspect(src.file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := ""
+			switch fn := call.Fun.(type) {
+			case *ast.Ident:
+				name = fn.Name
+			case *ast.SelectorExpr:
+				name = fn.Sel.Name
+			}
+			if name == "MarshalIndent" {
+				writers = append(writers, src.path)
+			}
+			if lit, ok := firstArg(call).(*ast.BasicLit); ok && name == "ListenPeer" && lit.Value == `"127.0.0.1:0"` {
+				boots = append(boots, src.path)
+			}
+			return true
+		})
+	}
+	if want := []string{"internal/transport/transport.go"}; !slices.Equal(boots, want) {
+		t.Errorf(`ListenPeer("127.0.0.1:0") call sites %v, want %v (transport.Loopback)`, boots, want)
+	}
+	if want := []string{"internal/experiments/artifact.go"}; !slices.Equal(writers, want) {
+		t.Errorf("MarshalIndent call sites %v, want %v (experiments.WriteJSON)", writers, want)
+	}
+}
+
+func firstArg(call *ast.CallExpr) ast.Expr {
+	if len(call.Args) == 0 {
+		return nil
+	}
+	return call.Args[0]
+}

@@ -316,15 +316,11 @@ func TestDriverLoopDeterminism(t *testing.T) {
 	check("traced", runTrial(t, core.Options{Workers: 4, Tracer: mpc.NewTracer()}, edges, src))
 
 	// TCP transport: every exchange through a loopback shuffle cluster.
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		peer, err := transport.ListenPeer("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("ListenPeer: %v", err)
-		}
-		defer peer.Close()
-		addrs = append(addrs, peer.Addr())
+	addrs, release, err := transport.Loopback(3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer release()
 	check("tcp", runTrial(t, core.Options{Workers: 4, Transport: transport.TCP(addrs...)}, edges, src))
 }
 

@@ -116,7 +116,12 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 
 	// Dangling removal across the whole query: sweep each arm inward to B,
 	// intersect the arms' B-sets, sweep back outward.
-	st = mpc.Seq(st, removeDangling(sr, arms, b))
+	chains := make([][]dist.Rel[W], n)
+	for i := range arms {
+		chains[i] = arms[i].Rels
+	}
+	_, s := dist.ReduceArms(sr, chains, b)
+	st = mpc.Seq(st, s)
 	nb, sc := mpc.TotalCount(arms[0].Rels[0].Part)
 	st = mpc.Seq(st, sc)
 	if nb == 0 {
@@ -313,42 +318,6 @@ func ShrinkArm[W any](sr semiring.Semiring[W], arm Arm[W], p int) (dist.Rel[W], 
 		acc = dist.Reshape(folded, p)
 	}
 	return acc, st
-}
-
-// removeDangling runs the full reducer across the arms: inward sweeps to
-// B, B-set intersection, outward sweeps.
-func removeDangling[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr) mpc.Stats {
-	var st mpc.Stats
-	// Inward: restrict each relation by its outer neighbor.
-	for i := range arms {
-		for j := len(arms[i].Rels) - 2; j >= 0; j-- {
-			filtered, s := dist.Semijoin(arms[i].Rels[j], arms[i].Rels[j+1])
-			arms[i].Rels[j] = filtered
-			st = mpc.Seq(st, s)
-		}
-	}
-	// Intersect B-sets.
-	inter, s := dist.ProjectAgg(sr, arms[0].Rels[0], b)
-	st = mpc.Seq(st, s)
-	for i := 1; i < len(arms); i++ {
-		bs, s1 := dist.ProjectAgg(sr, arms[i].Rels[0], b)
-		filtered, s2 := dist.Semijoin(inter, bs)
-		inter = filtered
-		st = mpc.Seq(st, s1, s2)
-	}
-	// Outward: restrict the B-incident relation to the intersection, then
-	// sweep outward.
-	for i := range arms {
-		filtered, s := dist.Semijoin(arms[i].Rels[0], inter)
-		arms[i].Rels[0] = filtered
-		st = mpc.Seq(st, s)
-		for j := 1; j < len(arms[i].Rels); j++ {
-			f, s2 := dist.Semijoin(arms[i].Rels[j], arms[i].Rels[j-1])
-			arms[i].Rels[j] = f
-			st = mpc.Seq(st, s2)
-		}
-	}
-	return st
 }
 
 func cloneArms[W any](arms []Arm[W]) []Arm[W] {

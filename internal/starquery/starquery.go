@@ -71,22 +71,14 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 		outSchema = append(outSchema, l...)
 	}
 
-	// Remove dangling tuples: every b must appear in all arms.
+	// Remove dangling tuples: every b must appear in all arms. Each arm is
+	// a one-relation chain aliasing its slot of the copied arms slice.
 	arms = append([]dist.Rel[W](nil), arms...)
-	var st mpc.Stats
-	inter, s := dist.ProjectAgg(sr, arms[0], b)
-	st = mpc.Seq(st, s)
-	for i := 1; i < n; i++ {
-		bs, s1 := dist.ProjectAgg(sr, arms[i], b)
-		filtered, s2 := dist.Semijoin(inter, bs)
-		inter = filtered
-		st = mpc.Seq(st, s1, s2)
-	}
+	chains := make([][]dist.Rel[W], n)
 	for i := range arms {
-		filtered, s := dist.Semijoin(arms[i], inter)
-		arms[i] = filtered
-		st = mpc.Seq(st, s)
+		chains[i] = arms[i : i+1]
 	}
+	inter, st := dist.ReduceArms(sr, chains, b)
 	nb, sc := mpc.TotalCount(inter.Part)
 	st = mpc.Seq(st, sc)
 	if nb == 0 {

@@ -29,15 +29,11 @@ import (
 // returns their addresses.
 func bootPeers(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		p, err := transport.ListenPeer("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-		t.Cleanup(func() { p.Close() })
-		addrs[i] = p.Addr()
+	addrs, release, err := transport.Loopback(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(release)
 	return addrs
 }
 

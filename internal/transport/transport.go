@@ -22,6 +22,9 @@ package transport
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"strings"
 
 	"mpcjoin/internal/mpc"
 )
@@ -59,4 +62,59 @@ func (t tcp) Connect(ctx context.Context) (mpc.Wire, error) {
 // ownership) and must be identical across coordinators.
 func TCP(addrs ...string) Transport {
 	return tcp{addrs: append([]string(nil), addrs...)}
+}
+
+// Loopback boots n shuffle peers on ephemeral loopback ports and returns
+// their addresses; release closes them all. On error nothing is left open.
+func Loopback(n int) (addrs []string, release func(), err error) {
+	peers := make([]*Peer, 0, n)
+	release = func() {
+		for _, p := range peers {
+			p.Close()
+		}
+	}
+	for len(peers) < n {
+		p, err := ListenPeer("127.0.0.1:0")
+		if err != nil {
+			release()
+			return nil, nil, fmt.Errorf("booting loopback peer: %w", err)
+		}
+		peers = append(peers, p)
+		addrs = append(addrs, p.Addr())
+	}
+	return addrs, release, nil
+}
+
+// FromFlags is the sweep CLIs' -transport / -transport-peers handling:
+// "inproc" (or "") is the nil Transport; "tcp" is the TCP backend over the
+// comma-separated peers, or — when none are named — over three loopback
+// peers booted here and announced on stderr. A non-zero status is the exit
+// status of a command that cannot go on, its reason already on stderr
+// under the program's name: 2 for an unknown backend, 1 for peers that
+// would not boot. Otherwise the caller defers release, which closes
+// whatever was booted.
+func FromFlags(prog string, stderr io.Writer, name, peers string) (t Transport, release func(), status int) {
+	switch name {
+	case "", "inproc":
+		return nil, func() {}, 0
+	case "tcp":
+		var addrs []string
+		for _, a := range strings.Split(peers, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				addrs = append(addrs, a)
+			}
+		}
+		if len(addrs) > 0 {
+			return TCP(addrs...), func() {}, 0
+		}
+		addrs, release, err := Loopback(3)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+			return nil, nil, 1
+		}
+		fmt.Fprintf(stderr, "%s: exchanging over tcp via %d loopback shuffle peers\n", prog, len(addrs))
+		return TCP(addrs...), release, 0
+	}
+	fmt.Fprintf(stderr, "%s: unknown -transport %q (want inproc or tcp)\n", prog, name)
+	return nil, nil, 2
 }

@@ -5,9 +5,12 @@ package transport
 // ownership split, and the peer counters.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 
 	"mpcjoin/internal/mpc"
@@ -17,15 +20,11 @@ import (
 // torn down with the test.
 func bootCluster(t *testing.T, n int) *Client {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		p, err := ListenPeer("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-		t.Cleanup(func() { p.Close() })
-		addrs[i] = p.Addr()
+	addrs, release, err := Loopback(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(release)
 	c, err := DialCluster(context.Background(), addrs)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -228,5 +227,76 @@ func TestCancelledContextAbortsRound(t *testing.T) {
 	_, err = c.ExchangeRound(ctx, mkRound(1, 0, 1, 1, []mpc.WireMsg{{From: 0, To: 0, Units: 1, Payload: []byte{9}}}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestLoopbackPeersServeUntilReleased: the helper's peers carry a round
+// like any hand-booted tier, and its release func is what closes them.
+func TestLoopbackPeersServeUntilReleased(t *testing.T) {
+	addrs, release, err := Loopback(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialCluster(context.Background(), addrs)
+	if err != nil {
+		release()
+		t.Fatal(err)
+	}
+	in, err := c.ExchangeRound(context.Background(), mkRound(1, 0, 2, 4, []mpc.WireMsg{
+		{From: 0, To: 3, Units: 2, Payload: []byte{1, 2}},
+		{From: 1, To: 3, Units: 1, Payload: []byte{3}},
+	}))
+	if err != nil || in.Recv[3] != 3 {
+		t.Errorf("round over loopback peers: Recv[3] = %v, err %v, want 3", in, err)
+	}
+	c.Close()
+	release()
+	for _, addr := range addrs {
+		if conn, err := net.Dial("tcp", addr); err == nil {
+			conn.Close()
+			t.Errorf("peer %s still accepts connections after release", addr)
+		}
+	}
+}
+
+// TestFromFlags covers the sweep CLIs' shared -transport handling: both
+// spellings of in-process, named peers, the self-booted tier, and the
+// usage error.
+func TestFromFlags(t *testing.T) {
+	var stderr bytes.Buffer
+	for _, name := range []string{"", "inproc"} {
+		tr, release, status := FromFlags("prog", &stderr, name, "ignored:1")
+		if tr != nil || status != 0 || stderr.Len() != 0 {
+			t.Fatalf("-transport %q: transport %v, status %d, stderr %q", name, tr, status, &stderr)
+		}
+		release()
+	}
+
+	tr, release, status := FromFlags("prog", &stderr, "tcp", " 10.0.0.1:7 ,,10.0.0.2:7,")
+	if status != 0 || stderr.Len() != 0 {
+		t.Fatalf("named peers: status %d, stderr %q", status, &stderr)
+	}
+	release()
+	if got, want := tr.(tcp).addrs, []string{"10.0.0.1:7", "10.0.0.2:7"}; !slices.Equal(got, want) {
+		t.Fatalf("named peers = %v, want %v (nothing booted)", got, want)
+	}
+
+	tr, release, status = FromFlags("prog", &stderr, "tcp", "")
+	if status != 0 || !strings.Contains(stderr.String(), "prog: exchanging over tcp via 3 loopback shuffle peers") {
+		t.Fatalf("self-booted tier: status %d, stderr %q", status, &stderr)
+	}
+	w, err := tr.Connect(context.Background())
+	if err != nil {
+		t.Fatalf("connecting to the self-booted tier: %v", err)
+	}
+	w.Close()
+	release()
+	if _, err := tr.Connect(context.Background()); err == nil {
+		t.Fatal("self-booted tier still reachable after release")
+	}
+
+	stderr.Reset()
+	if _, _, status := FromFlags("prog", &stderr, "udp", ""); status != 2 || !strings.Contains(stderr.String(), `prog: unknown -transport "udp"`) {
+		t.Fatalf("unknown backend: status %d, stderr %q", status, &stderr)
 	}
 }

@@ -169,15 +169,11 @@ func TestOptionsFaultResult(t *testing.T) {
 // and Stats as the in-process default, and an unreachable peer tier must
 // fail Execute with a connection error rather than wrong answers.
 func TestOptionsTransportTCP(t *testing.T) {
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		p, err := transport.ListenPeer("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-		t.Cleanup(func() { p.Close() })
-		addrs = append(addrs, p.Addr())
+	addrs, release, err := transport.Loopback(2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(release)
 
 	q, data := matmulFixture()
 	inp, err := Execute[int64](Ints(), q, data, WithSeed(4), WithServers(8))
