@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The loaded instance is executed once, so hand its rows over to the
 	// execution — unless -verify re-runs it through the baseline.
 	var plan planner.Plan
-	opts := core.Options{Servers: *p, Seed: *seed, Workers: *workers, OwnInput: !*verify, Engine: forced, PlanOut: &plan}
+	opts := core.Options{Servers: *p, Seed: *seed, Workers: *workers, Engine: forced, PlanOut: &plan}
 	t0 := time.Now()
 	res, st, err := core.Execute(semiring.IntSumProd{}, q, inst, opts)
 	wall := time.Since(t0)

@@ -15,7 +15,6 @@ import (
 
 	"mpcjoin/internal/core"
 	"mpcjoin/internal/mpc"
-	"mpcjoin/internal/semiring"
 	"mpcjoin/internal/spmv"
 )
 
@@ -274,7 +273,3 @@ func inScope(ctx context.Context, co core.Options, run func(ex *mpc.Exec, p int)
 	}
 	return trace, faults, nil
 }
-
-// Compile-time check: the drivers' semirings keep implementing the
-// equality the fixpoint machinery relies on.
-var _ semiring.Eq[int64] = semiring.MinPlus{}

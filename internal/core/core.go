@@ -39,13 +39,6 @@ type Options struct {
 	// global), so concurrent Execute calls with different Workers values
 	// never interact.
 	Workers int
-	// OwnInput transfers ownership of the instance's relations to the
-	// execution: the initial placement aliases their row slices instead
-	// of copying them, and the caller must not reuse the instance
-	// afterwards (rows may be reordered in place). Drivers that build an
-	// instance, execute it once and discard it (cmd/mpcrun, generated
-	// experiment inputs) set this to skip one full input copy.
-	OwnInput bool
 	// Tracer, when non-nil, records a per-round load timeline of the
 	// execution (see mpc.RoundTrace). Read the timeline with
 	// Tracer.Rounds() after the call returns. nil (the default) keeps the
@@ -190,11 +183,7 @@ func ExecuteDistributedContext[W any](ctx context.Context, sr semiring.Semiring[
 
 	rels := make(map[string]dist.Rel[W], len(q.Edges))
 	for _, e := range q.Edges {
-		if opts.OwnInput {
-			rels[e.Name] = dist.FromRelationOwnedIn(ex, inst[e.Name], opts.Servers)
-		} else {
-			rels[e.Name] = dist.FromRelationIn(ex, inst[e.Name], opts.Servers)
-		}
+		rels[e.Name] = dist.FromRelationIn(ex, inst[e.Name], opts.Servers)
 	}
 
 	// With no engine forced, the estimate-only pre-pass and the cost model

@@ -13,9 +13,8 @@ import (
 //
 // Knobs that only change how fast or where the work runs are excluded by
 // design: Workers (wall-clock only), Tracer (observer; whether a trace is
-// *returned* is keyed separately by the caller), Transport (bit-identical
-// across backends), and OwnInput (input buffer ownership). Fields are
-// resolved to their effective defaults first so that e.g. Servers 0 and
+// *returned* is keyed separately by the caller) and Transport
+// (bit-identical across backends). Fields are resolved to their effective defaults first so that e.g. Servers 0 and
 // Servers 16 collide, as they must.
 func (o Options) ResultFingerprint() uint64 {
 	o = o.withDefaults()

@@ -90,8 +90,8 @@ func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, 
 // places the relations, runs the same estimate-only pre-pass an automatic
 // execution would run, and returns the ranked plan. The serving tier plans
 // every admitted query and answers its dry-run endpoint (/v2/plan) with
-// this. The instance is never mutated (placement always copies, ignoring
-// OwnInput), and MeasuredLoad is left zero.
+// this. The instance is never mutated (placement copies), and MeasuredLoad
+// is left zero.
 func PlanInstance[W any](ctx context.Context, q *hypergraph.Query, inst db.Instance[W], opts Options) (pl planner.Plan, err error) {
 	opts = opts.withDefaults()
 	class, forced, err := prepare(q, inst, opts.Engine)

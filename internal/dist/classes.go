@@ -79,16 +79,17 @@ func DegreeOrderClasses(degs []mpc.Part[mpc.KeyCount[int64]], class func(order [
 }
 
 // DistinctClasses returns the class ids that occur, ascending: a
-// reduce-by-class, a gather and a broadcast, so every server learns the
+// reduce-by-class and a coordinator round-trip, so every server learns the
 // (constantly many, usually far fewer than n!) classes.
 func DistinctClasses(classes mpc.Part[ValueClass]) ([]int64, mpc.Stats) {
 	distinct, s1 := mpc.ReduceByKey(classes, func(vc ValueClass) int64 { return vc.Class },
 		func(a, _ ValueClass) ValueClass { return a })
-	gathered, s2 := mpc.Gather(mpc.Map(distinct, func(vc ValueClass) int64 { return vc.Class }), 0)
-	bcast, s3 := mpc.Broadcast(gathered)
-	ids := slices.Clone(bcast.Shards[0])
-	slices.Sort(ids)
-	return ids, mpc.Seq(s1, s2, s3)
+	ids, s2 := mpc.Agree(mpc.Map(distinct, func(vc ValueClass) int64 { return vc.Class }), "", "",
+		func(all []int64) []int64 {
+			slices.Sort(all)
+			return all
+		})
+	return ids, mpc.Seq(s1, s2)
 }
 
 // NoClass is the class of a row whose center value has none: class ids are

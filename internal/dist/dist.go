@@ -37,18 +37,6 @@ func FromRelationIn[W any](ex *mpc.Exec, r *relation.Relation[W], p int) Rel[W] 
 	}
 }
 
-// FromRelationOwnedIn is FromRelationIn with ownership transfer: shards
-// alias r.Rows instead of copying it. The caller must not mutate r
-// afterwards and must tolerate primitives reordering rows in place. Use it
-// for freshly built instances handed to exactly one execution (loaded or
-// generated inputs); keep FromRelationIn for relations that are reused.
-func FromRelationOwnedIn[W any](ex *mpc.Exec, r *relation.Relation[W], p int) Rel[W] {
-	return Rel[W]{
-		Schema: append([]Attr(nil), r.Schema()...),
-		Part:   mpc.DistributeOwnedIn(ex, r.Rows, p),
-	}
-}
-
 // Empty returns an empty Rel with the given schema over p servers.
 // The Rel has no execution scope; see EmptyIn.
 func Empty[W any](schema []Attr, p int) Rel[W] {
@@ -271,15 +259,9 @@ func UnionAgg[W any](sr semiring.Semiring[W], rels ...Rel[W]) (Rel[W], mpc.Stats
 		parts = append(parts, reordered.Part)
 	}
 	// Concatenate shard-wise onto the first relation's server count: rows
-	// stay put when server counts match; otherwise fold shards round-robin
-	// (a placement choice, not communication — the rows are already on
-	// those virtual servers and the subsequent reduce re-routes them).
-	merged := mpc.NewPartIn[relation.Row[W]](parts[0].Scope(), p)
-	for _, pt := range parts {
-		for s, shard := range pt.Shards {
-			merged.Shards[s%p] = append(merged.Shards[s%p], shard...)
-		}
-	}
+	// stay put when server counts match; otherwise shards fold round-robin
+	// (the subsequent reduce re-routes them anyway).
+	merged := mpc.Overlay(parts[0].Scope(), p, parts...)
 	res, st := ProjectAgg(sr, Rel[W]{Schema: schema, Part: merged}, schema...)
 	return res, st
 }

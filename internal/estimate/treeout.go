@@ -65,8 +65,9 @@ func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], _ Params
 // Together they predict the Yannakakis candidate's fold costs: a query
 // that aggregates heavily (J ≫ OUT) keeps both near the aggregated
 // output, which is exactly why Yannakakis beats its own worst case on
-// such instances. The maxima are taken over local sums of per-value
-// estimates, so the profile adds no communication rounds to the fold.
+// such instances. The sizes are sums of per-value estimates over all
+// servers, taken with no round (profileSum — the simulator's one
+// un-metered global read), so the profile adds no rounds to the fold.
 //
 // It is the fold over the image algebra: for every value a of the current
 // attribute the fold carries a sketch of the distinct kept output-attribute
@@ -89,7 +90,7 @@ func TreeOutProfile[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p P
 	}
 	// Root values are distinct, so the output tuples {a} × image(a) are
 	// disjoint across a and OUT is the plain sum of per-value images.
-	total := int64(math.Round(f.sumSize(per)))
+	total := int64(math.Round(profileSum(per, f.alg.size)))
 	if total < 1 {
 		total = 1
 	}
@@ -151,8 +152,9 @@ type algebra[V any] struct {
 	// cross is ⊗: the summaries of two sibling subtrees under one value.
 	cross func(a, b V) V
 	// size, when set, is a summary's estimated cardinality, and makes the
-	// fold observe its profile (maxFold, maxImage) as it goes — local sums,
-	// no exchange: the profile is a prediction, not a metered computation.
+	// fold observe its profile (maxFold, maxImage) as it goes — through
+	// profileSum, no exchange: the profile is a prediction, not a metered
+	// computation.
 	size func(V) float64
 }
 
@@ -233,13 +235,7 @@ func (f *fold[W, V]) propagate(r dist.Rel[W], u, v []dist.Attr, sub mpc.Part[V],
 		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, vc) }, f.alg.key)
 	matched := mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], V]) bool { return pr.Found })
 	if f.alg.size != nil {
-		var join float64
-		for _, sh := range matched.Shards {
-			for _, pr := range sh {
-				join += f.alg.size(pr.Y)
-			}
-		}
-		f.noteJoin(join)
+		f.noteJoin(profileSum(matched, func(pr mpc.Pred[relation.Row[W], V]) float64 { return f.alg.size(pr.Y) }))
 	}
 	carried := mpc.Map(matched, func(pr mpc.Pred[relation.Row[W], V]) V {
 		return f.alg.carry(relation.EncodeKey(pr.X.Vals, uc), pr.Y, tag)
@@ -260,23 +256,23 @@ func (f *fold[W, V]) product(a, b mpc.Part[V]) mpc.Part[V] {
 	f.st = mpc.Seq(f.st, st)
 	matched := mpc.Filter(looked, func(pr mpc.Pred[V, V]) bool { return pr.Found })
 	if f.alg.size != nil {
-		var join float64
-		for _, sh := range matched.Shards {
-			for _, pr := range sh {
-				join += f.alg.size(pr.X) * f.alg.size(pr.Y)
-			}
-		}
-		f.noteJoin(join)
+		f.noteJoin(profileSum(matched, func(pr mpc.Pred[V, V]) float64 { return f.alg.size(pr.X) * f.alg.size(pr.Y) }))
 	}
 	return mpc.Map(matched, func(pr mpc.Pred[V, V]) V { return f.alg.cross(pr.X, pr.Y) })
 }
 
-// sumSize sums the per-value sizes of a summary collection locally.
-func (f *fold[W, V]) sumSize(pt mpc.Part[V]) float64 {
+// profileSum adds size over every element on every server — a global sum of
+// p per-server partial sums that no round carries. It is the one place
+// outside internal/mpc that reads all servers' shard contents for free
+// (the shard-access guard in internal/experiments names it): the profile
+// and TreeOutProfile's OUT total are predictions the planner reads, and
+// metering them the way TreeCount's total is (SumCounts' all-reduce) costs
+// two O(p) rounds per sum — see ROADMAP's planning item.
+func profileSum[T any](pt mpc.Part[T], size func(T) float64) float64 {
 	var t float64
 	for _, sh := range pt.Shards {
-		for _, v := range sh {
-			t += f.alg.size(v)
+		for _, x := range sh {
+			t += size(x)
 		}
 	}
 	return t
@@ -297,7 +293,7 @@ func (f *fold[W, V]) noteImage(pt mpc.Part[V]) {
 	if f.alg.size == nil {
 		return
 	}
-	if t := f.sumSize(pt); t > f.maxImage {
+	if t := profileSum(pt, f.alg.size); t > f.maxImage {
 		f.maxImage = t
 	}
 }

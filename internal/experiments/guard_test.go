@@ -24,6 +24,7 @@ const repoRoot = "../.."
 type parsed struct {
 	path string
 	file *ast.File
+	fset *token.FileSet // for line numbers in a guard's report
 }
 
 // sources parses every Go file under the repo-relative dirs (recursively),
@@ -52,7 +53,7 @@ func sources(t *testing.T, tests bool, dirs ...string) []parsed {
 			if err != nil {
 				return err
 			}
-			out = append(out, parsed{rel, f})
+			out = append(out, parsed{rel, f, fset})
 			return nil
 		})
 		if err != nil {

@@ -100,34 +100,32 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	fCounts, stf := mpc.CountByKey(grouped, func(pr mpc.Pred[relation.Row[W], mpc.KeyBin[string]]) int64 {
 		return int64(pr.Y.Bin)
 	})
-	fGathered, stg := mpc.Gather(fCounts, 0)
-	st = mpc.Seq(st, stf, stg)
-	foot := append([]mpc.KeyCount[int64](nil), fGathered.Shards[0]...)
-	mpc.SortLocal(foot, func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
-
-	// Phase A block layout: group i gets ⌈(f_i + N2)/L⌉ virtual servers.
+	// Phase A block layout, decided at the coordinator and broadcast
+	// (O(k1) ≤ O(p) entries): group i gets ⌈(f_i + N2)/L⌉ virtual servers.
 	type blockA struct {
 		group     int64
 		f         int64
 		off, size int
 	}
-	blocksA := make([]blockA, 0, len(foot))
-	at := 0
-	for _, kc := range foot {
-		sz := int(ceilDiv(kc.Count+n2, load))
-		blocksA = append(blocksA, blockA{group: kc.Key, f: kc.Count, off: at, size: sz})
-		at += sz
+	layout, stLay := mpc.Agree(fCounts, "", "", func(foot []mpc.KeyCount[int64]) []blockA {
+		mpc.SortLocal(foot, func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
+		blocksA := make([]blockA, 0, len(foot))
+		at := 0
+		for _, kc := range foot {
+			sz := int(ceilDiv(kc.Count+n2, load))
+			blocksA = append(blocksA, blockA{group: kc.Key, f: kc.Count, off: at, size: sz})
+			at += sz
+		}
+		return blocksA
+	})
+	st = mpc.Seq(st, stf, stLay)
+	totalA := 0
+	for _, b := range layout {
+		totalA += b.size
 	}
-	totalA := at
 	if totalA == 0 {
 		return res2, st
 	}
-	// Broadcast the layout (O(k1) ≤ O(p) entries).
-	layPart := mpc.NewPartIn[blockA](ex, p)
-	layPart.Shards[0] = blocksA
-	layBcast, stb := mpc.Broadcast(layPart)
-	st = mpc.Seq(st, stb)
-	layout := layBcast.Shards[0]
 	blockOf := make(map[int64]blockA, len(layout))
 	for _, b := range layout {
 		blockOf[b.group] = b
@@ -246,58 +244,48 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	}
 	// Each group packs within its own block; the packs run in parallel.
 	st = mpc.Seq(st, mpc.Par(packStats...))
-	binTable := mpc.NewPartIn[mpc.KeyBin[string]](ex, totalA)
-	for _, bt := range binTables {
-		for s, shard := range bt.Shards {
-			binTable.Shards[s%totalA] = append(binTable.Shards[s%totalA], shard...)
-		}
-	}
+	binTable := mpc.Overlay(ex, totalA, binTables...)
 
 	// Per-(group,bin) R2 sizes for the Phase B layout.
 	binSzPart, sb := binSizes(r2Blk, gcCols, binTable)
 	st = mpc.Seq(st, sb)
 
-	// Gather Phase B descriptors at the coordinator.
-	heavyG, sg1 := mpc.Gather(heavyTbl, 0)
-	binSzG, sg2 := mpc.Gather(binSzPart, 0)
-	st = mpc.Seq(st, sg1, sg2)
-
+	// Phase B layout: the coordinator gathers the heavy (G,C) table, then
+	// the bin sizes, lays the sub-blocks out — heavy blocks first, each
+	// list in key order — and broadcasts the layout.
 	type subBlock struct {
 		gcKey     string // heavy blocks: the (G,C…) key; bins: the (G,bin) key
 		isBin     bool
 		off, size int
 	}
-	var subs []subBlock
-	bt := 0
 	footOf := make(map[int64]int64, len(layout))
 	for _, blk := range layout {
 		footOf[blk.group] = blk.f
 	}
-	hlist := append([]mpc.KeyCount[string](nil), heavyG.Shards[0]...)
-	mpc.SortLocal(hlist, func(kc mpc.KeyCount[string]) string { return kc.Key })
-	for _, kc := range hlist {
-		g := int64(relation.DecodeKey(kc.Key)[0])
-		sz := int(ceilDiv(footOf[g]+kc.Count, load))
-		subs = append(subs, subBlock{gcKey: kc.Key, off: bt, size: sz})
-		bt += sz
+	nHeavyGC := heavyTbl.Len()
+	layoutB := func(all []mpc.KeyCount[string]) []subBlock {
+		var subs []subBlock
+		bt := 0
+		for i, list := range [][]mpc.KeyCount[string]{all[:nHeavyGC], all[nHeavyGC:]} {
+			mpc.SortLocal(list, func(kc mpc.KeyCount[string]) string { return kc.Key })
+			for _, kc := range list {
+				g := int64(relation.DecodeKey(kc.Key)[0])
+				sz := int(ceilDiv(footOf[g]+kc.Count, load))
+				subs = append(subs, subBlock{gcKey: kc.Key, isBin: i == 1, off: bt, size: sz})
+				bt += sz
+			}
+		}
+		return subs
 	}
-	blist := append([]mpc.KeyCount[string](nil), binSzG.Shards[0]...)
-	mpc.SortLocal(blist, func(kc mpc.KeyCount[string]) string { return kc.Key })
-	for _, kc := range blist {
-		g := int64(relation.DecodeKey(kc.Key)[0])
-		sz := int(ceilDiv(footOf[g]+kc.Count, load))
-		subs = append(subs, subBlock{gcKey: kc.Key, isBin: true, off: bt, size: sz})
-		bt += sz
+	subList, stSub := mpc.Agree(heavyTbl, "", "", layoutB, binSzPart)
+	st = mpc.Seq(st, stSub)
+	totalB := 0
+	for _, sb := range subList {
+		totalB += sb.size
 	}
-	totalB := bt
 	if totalB == 0 {
 		return dist.Reshape(res2, p), st
 	}
-	subPart := mpc.NewPartIn[subBlock](ex, totalA)
-	subPart.Shards[0] = subs
-	subBcast, sbb := mpc.Broadcast(subPart)
-	st = mpc.Seq(st, sbb)
-	subList := subBcast.Shards[0]
 	heavyBlockOf := make(map[string]subBlock)
 	binBlockOf := make(map[string]subBlock)
 	perGroupSubs := make(map[int64][]subBlock)

@@ -50,10 +50,9 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	lightC := mpc.Filter(dC, func(kc mpc.KeyCount[string]) bool { return kc.Count < load })
 
 	// Heavy lists to the coordinator and out to everyone (|heavy| ≤ N/L ≤ √(N·p)/√N·… = O(√p) each).
-	hAPart, stg1 := mpc.Gather(heavyA, 0)
-	hABcast, stb1 := mpc.Broadcast(hAPart)
-	hCPart, stg2 := mpc.Gather(heavyC, 0)
-	hCBcast, stb2 := mpc.Broadcast(hCPart)
+	asIs := func(all []mpc.KeyCount[string]) []mpc.KeyCount[string] { return all }
+	hA, sth1 := mpc.Agree(heavyA, "", "", asIs)
+	hC, sth2 := mpc.Agree(heavyC, "", "", asIs)
 
 	// Light bins by parallel-packing (degree-weighted, capacity L).
 	binnedA, kBins, stp1 := mpc.ParallelPack(lightA, func(kc mpc.KeyCount[string]) int64 { return kc.Count }, load)
@@ -73,7 +72,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 
 	// Every server reconstructs the identical block layout from the
 	// broadcast heavy lists.
-	lay := newWCLayout(hABcast.Shards[0], hCBcast.Shards[0], n1, n2, load, kBins, lBins)
+	lay := newWCLayout(hA, hC, n1, n2, load, kBins, lBins)
 
 	// One exchange routes everything. The layout is read-only and each
 	// source owns its outbox row, so the builds run concurrently on the
@@ -173,7 +172,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	reduced, str := dist.ProjectAgg(sr, dist.Rel[W]{Schema: in.OutSchema(), Part: reducePart}, in.OutSchema()...)
 
 	result := mpc.Concat(reduced.Part, llPart)
-	st := mpc.Seq(st1, st2, stg1, stb1, stg2, stb2, stp1, stp2, stl1, stl2, stx, str)
+	st := mpc.Seq(st1, st2, sth1, sth2, stp1, stp2, stl1, stl2, stx, str)
 	return dist.Rel[W]{Schema: in.OutSchema(), Part: result}, st
 }
 

@@ -169,9 +169,9 @@ func DistributeIn[T any](ex *Exec, data []T, p int) Part[T] {
 // shards alias sub-slices of data. The caller transfers ownership — it
 // must not mutate data afterwards, and must tolerate primitives
 // reordering elements within it (local in-place sorts). Use it on
-// freshly built inputs that are handed to exactly one execution
-// (cmd/mpcrun's loaded instances, the experiment drivers' generated
-// ones); keep DistributeIn for inputs that are reused or shared.
+// freshly built inputs that are handed to exactly one placement (spmv's
+// edge and entry lists); keep DistributeIn for inputs that are reused or
+// shared.
 func DistributeOwnedIn[T any](ex *Exec, data []T, p int) Part[T] {
 	return distributeIn(ex, data, p, false)
 }

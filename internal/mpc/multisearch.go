@@ -118,35 +118,25 @@ func multiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K
 		}
 		lasts.Shards[s] = []lastY[Y, K]{l}
 	})
-	TraceOp(ex, "multisearch.boundaries")
-	gathered, stA := Gather(lasts, 0)
-	byServer := make([]lastY[Y, K], p)
-	for _, l := range gathered.Shards[0] {
-		byServer[l.src] = l
-	}
-
 	// Prefix: carry[s] = greatest Y among servers < s. The equal-key Y/X
 	// interleaving across a server boundary is safe: a Y with key equal to
 	// a later server's X sorts to an earlier-or-equal position globally,
 	// and if it landed on a previous server it is that server's last Y.
-	carries := make([]lastY[Y, K], p)
-	var cur lastY[Y, K]
-	for s := 0; s < p; s++ {
-		carries[s] = cur
-		if byServer[s].have {
-			cur = byServer[s]
+	carried, stAB := Coordinate(lasts, "multisearch.boundaries", "multisearch.carry", func(all []lastY[Y, K]) [][]lastY[Y, K] {
+		byServer := make([]lastY[Y, K], p)
+		for _, l := range all {
+			byServer[l.src] = l
 		}
-	}
-	// Only the coordinator sends carries: its row slices the prefix-max
-	// vector per destination, the other sources stay nil.
-	carryOut := make([][][]lastY[Y, K], p)
-	carryRow := make([][]lastY[Y, K], p)
-	for dst := 0; dst < p; dst++ {
-		carryRow[dst] = carries[dst : dst+1 : dst+1]
-	}
-	carryOut[0] = carryRow
-	TraceOp(ex, "multisearch.carry")
-	carried, stB := ExchangeIn(ex, p, carryOut)
+		carries := make([]lastY[Y, K], p)
+		var cur lastY[Y, K]
+		for s := 0; s < p; s++ {
+			carries[s] = cur
+			if byServer[s].have {
+				cur = byServer[s]
+			}
+		}
+		return oneEach(carries)
+	})
 
 	// Local scan (one worker per server; each consults only its carry).
 	out := NewPartIn[Pred[X, Y]](ex, p)
@@ -179,7 +169,7 @@ func multiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K
 		}
 		out.Shards[s] = preds
 	})
-	return out, Seq(st, stA, stB)
+	return out, Seq(st, stAB)
 }
 
 // SemijoinKeys filters xs to the elements whose key appears in ys

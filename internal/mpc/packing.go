@@ -40,45 +40,34 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 	p := pt.P()
 	ex := pt.scope()
 
-	// Round 1: local totals to coordinator (per-server sums run on the
+	// Local totals for the coordinator (per-server sums run on the
 	// execution's runtime; weight must be safe for concurrent calls).
-	totals := NewPartIn[int64](ex, p)
+	// Keep per-server order: tag with src via KeyCount.
+	totals := NewPartIn[KeyCount[int]](ex, p)
 	ex.ForEachShard(p, func(s int) {
 		var t int64
 		for _, x := range pt.Shards[s] {
 			t += weight(x)
 		}
-		totals.Shards[s] = []int64{t}
+		totals.Shards[s] = []KeyCount[int]{{Key: s, Count: t}}
 	})
-	// Keep per-server order: tag with src via KeyCount.
-	tagged := NewPartIn[KeyCount[int]](ex, p)
-	for s := range totals.Shards {
-		tagged.Shards[s] = []KeyCount[int]{{Key: s, Count: totals.Shards[s][0]}}
-	}
-	TraceOp(ex, "packing.totals")
-	gathered, st1 := Gather(tagged, 0)
-	base := make([]int64, p)
-	perServer := make([]int64, p)
-	for _, kc := range gathered.Shards[0] {
-		perServer[kc.Key] = kc.Count
-	}
-	var run int64
-	for s := 0; s < p; s++ {
-		base[s] = run
-		run += perServer[s]
-	}
-	grandTotal := run
-
-	// Round 2: base offsets back to servers. Only the coordinator sends:
-	// its row slices the offset vector per destination, the rest stay nil.
-	baseOut := make([][][]int64, p)
-	baseRow := make([][]int64, p)
-	for dst := 0; dst < p; dst++ {
-		baseRow[dst] = base[dst : dst+1 : dst+1]
-	}
-	baseOut[0] = baseRow
-	TraceOp(ex, "packing.offsets")
-	basePart, st2 := ExchangeIn(ex, p, baseOut)
+	// Rounds 1–2: the coordinator prefix-sums the totals in server order
+	// and replies each server its base offset. grandTotal stays with the
+	// caller: the bin count it yields is driver-side knowledge no round
+	// carries (one integer that could ride the offsets reply).
+	var grandTotal int64
+	basePart, st := Coordinate(totals, "packing.totals", "packing.offsets", func(all []KeyCount[int]) [][]int64 {
+		perServer := make([]int64, p)
+		for _, kc := range all {
+			perServer[kc.Key] = kc.Count
+		}
+		base := make([]int64, p)
+		for s := 0; s < p; s++ {
+			base[s] = grandTotal
+			grandTotal += perServer[s]
+		}
+		return oneEach(base)
+	})
 
 	// Local assignment (each server owns its prefix offset).
 	out := NewPartIn[Binned[T]](ex, p)
@@ -101,7 +90,7 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 	if grandTotal == 0 {
 		numBins = 1
 	}
-	return out, numBins, Seq(st1, st2)
+	return out, numBins, st
 }
 
 // KeyBin records a key's assigned group plus its weight.

@@ -61,13 +61,6 @@ func ReduceByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K, combine func(a
 		}
 		edges.Shards[s] = []edge{e}
 	}
-	TraceOp(ex, "reduce.boundaries")
-	gathered, stA := Gather(edges, 0)
-	byServer := make([]edge, p)
-	for _, e := range gathered.Shards[0] {
-		byServer[e.src] = e
-	}
-
 	// Walk servers in key order, tracking the currently "open" run: the key
 	// that the most recent server ended with, which the next server may
 	// continue. A key spans servers s..t exactly when it is the last key of
@@ -79,51 +72,51 @@ func ReduceByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K, combine func(a
 		replace bool // replace the element with item (owner); else drop it
 		item    T
 	}
-	instrs := make([][]instr, p)
-	var (
-		open    bool
-		openKey K
-		acc     T
-		members []int
-	)
-	closeRun := func() {
-		if open && len(members) > 1 {
-			instrs[members[0]] = append(instrs[members[0]], instr{k: openKey, replace: true, item: acc})
-			for _, m := range members[1:] {
-				instrs[m] = append(instrs[m], instr{k: openKey})
+	instrPart, stAB := Coordinate(edges, "reduce.boundaries", "reduce.instructions", func(all []edge) [][]instr {
+		byServer := make([]edge, p)
+		for _, e := range all {
+			byServer[e.src] = e
+		}
+		instrs := make([][]instr, p)
+		var (
+			open    bool
+			openKey K
+			acc     T
+			members []int
+		)
+		closeRun := func() {
+			if open && len(members) > 1 {
+				instrs[members[0]] = append(instrs[members[0]], instr{k: openKey, replace: true, item: acc})
+				for _, m := range members[1:] {
+					instrs[m] = append(instrs[m], instr{k: openKey})
+				}
 			}
+			open = false
+			members = members[:0]
 		}
-		open = false
-		members = members[:0]
-	}
-	for s := 0; s < p; s++ {
-		e := byServer[s]
-		if !e.nonEmpty {
-			continue
-		}
-		if open && e.firstK == openKey {
+		for s := 0; s < p; s++ {
+			e := byServer[s]
+			if !e.nonEmpty {
+				continue
+			}
+			if open && e.firstK == openKey {
+				members = append(members, s)
+				acc = combine(acc, e.firstItem)
+				if e.lastK == openKey {
+					continue // the whole shard is this key; run may extend further
+				}
+				closeRun()
+			} else {
+				closeRun()
+			}
+			open = true
+			openKey = e.lastK
+			acc = e.lastItem
 			members = append(members, s)
-			acc = combine(acc, e.firstItem)
-			if e.lastK == openKey {
-				continue // the whole shard is this key; run may extend further
-			}
-			closeRun()
-		} else {
-			closeRun()
 		}
-		open = true
-		openKey = e.lastK
-		acc = e.lastItem
-		members = append(members, s)
-	}
-	closeRun()
-
-	// Only the coordinator sends instructions, so its row is the whole
-	// outbox (instrs is already indexed by destination server).
-	instrOut := make([][][]instr, p)
-	instrOut[0] = instrs
-	TraceOp(ex, "reduce.instructions")
-	instrPart, stB := ExchangeIn(ex, p, instrOut)
+		closeRun()
+		return instrs
+	})
 
 	// Apply instructions per server; each worker touches only shard s.
 	// After the local combine a server holds one element per key, so the
@@ -155,7 +148,7 @@ func ReduceByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K, combine func(a
 		}
 		out.Shards[s] = shard[lo:]
 	})
-	return out, Seq(st, stA, stB)
+	return out, Seq(st, stAB)
 }
 
 // combineLocal folds equal-key elements of shard into one each, preserving
@@ -217,7 +210,7 @@ type KeyCount[K cmp.Ordered] struct {
 	Count int64
 }
 
-// AllReduce is the one gather → combine → broadcast: server s contributes
+// AllReduce is Agree with a fold for its decision: server s contributes
 // vals[s], the coordinator folds the p contributions with combine — in
 // server order, starting from V's zero value, so combine must treat that as
 // its identity (a sum; a max over non-negatives) — and broadcasts the
@@ -230,21 +223,18 @@ func AllReduce[V any](ex *Exec, vals []V, combine func(acc, v V) V, op string) (
 	for s := range vals {
 		pt.Shards[s] = vals[s : s+1 : s+1]
 	}
+	gatherOp, replyOp := "", ""
 	if op != "" {
-		TraceOp(ex, op+".gather")
+		gatherOp, replyOp = op+".gather", op+".broadcast"
 	}
-	gathered, st1 := Gather(pt, 0)
-	var acc V
-	for _, v := range gathered.Shards[0] {
-		acc = combine(acc, v)
-	}
-	res := NewPartIn[V](ex, p)
-	res.Shards[0] = []V{acc}
-	if op != "" {
-		TraceOp(ex, op+".broadcast")
-	}
-	_, st2 := Broadcast(res)
-	return acc, Seq(st1, st2)
+	res, st := Agree(pt, gatherOp, replyOp, func(all []V) []V {
+		var acc V
+		for _, v := range all {
+			acc = combine(acc, v)
+		}
+		return []V{acc}
+	})
+	return res[0], st
 }
 
 // Add is the AllReduce combine of a global sum.

@@ -139,7 +139,7 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T])
 		}
 	})
 
-	// Round 1: regular samples to the coordinator (server 0).
+	// Regular samples, for the coordinator (server 0).
 	samplePart := NewPartIn[tagged[T]](ex, p)
 	for s, ts := range local {
 		n := len(ts)
@@ -154,25 +154,19 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T])
 			samplePart.Shards[s] = append(samplePart.Shards[s], ts[j*n/c])
 		}
 	}
-	TraceOp(ex, "sort.samples")
-	gathered, st1 := Gather(samplePart, 0)
-
-	// Coordinator picks p−1 splitters at regular ranks.
-	samples := gathered.Shards[0]
-	var splits []tagged[T]
-	if len(samples) > 0 {
+	// Rounds 1–2: the coordinator picks p−1 splitters at regular ranks of
+	// the samples and broadcasts them.
+	splits, st12 := Agree(samplePart, "sort.samples", "sort.splitters", func(samples []tagged[T]) []tagged[T] {
+		if len(samples) == 0 {
+			return nil
+		}
+		splits := make([]tagged[T], 0, p-1)
 		perm, _, _ := sortedPerm(len(samples), func(i int) *T { return &samples[i].x }, csc)
 		for i := 1; i < p; i++ {
 			splits = append(splits, samples[permAt(perm, i*len(samples)/p)])
 		}
-	}
-
-	// Round 2: broadcast splitters.
-	splitPart := NewPartIn[tagged[T]](ex, p)
-	splitPart.Shards[0] = splits
-	TraceOp(ex, "sort.splitters")
-	bcast, st2 := Broadcast(splitPart)
-	splits = bcast.Shards[0] // identical on every server
+		return splits
+	})
 
 	// Encode the splitter keys once; the image is read-only across shards.
 	var splitKeys radixKeys
@@ -234,7 +228,7 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T])
 		}
 		res.Shards[s] = xs
 	})
-	return res, Seq(st1, st2, st3)
+	return res, Seq(st12, st3)
 }
 
 // boundarySummary describes one server's key range after a Sort, for
@@ -258,7 +252,11 @@ func GroupByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats
 	ex := pt.scope()
 	sorted, st := Sort(pt, key)
 
-	// Round A: boundary summaries to the coordinator.
+	// Rounds A–B: boundary summaries to the coordinator, ownership
+	// instructions back. For every key that spans multiple servers the
+	// coordinator merges its run onto the run's first server. A run
+	// continues from server s to the next non-empty server t iff
+	// last(s) == first(t).
 	sum := NewPartIn[boundarySummary[K]](ex, p)
 	for s, shard := range sorted.Shards {
 		b := boundarySummary[K]{src: s}
@@ -269,46 +267,36 @@ func GroupByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats
 		}
 		sum.Shards[s] = []boundarySummary[K]{b}
 	}
-	TraceOp(ex, "groupby.boundaries")
-	gathered, stA := Gather(sum, 0)
-	summaries := make([]boundarySummary[K], p)
-	for _, b := range gathered.Shards[0] {
-		summaries[b.src] = b
-	}
-
-	// Coordinator: for every key that spans multiple servers, merge its run
-	// onto the run's first server. A run continues from server s to the
-	// next non-empty server t iff last(s) == first(t).
 	type ownerInstr struct {
 		k      K
 		target int
 	}
-	instrs := make([][]ownerInstr, p)
-	ownerOf := -1
-	var openKey K
-	open := false
-	for s := 0; s < p; s++ {
-		b := summaries[s]
-		if !b.nonEmpty {
-			continue
+	instrPart, stAB := Coordinate(sum, "groupby.boundaries", "groupby.instructions", func(all []boundarySummary[K]) [][]ownerInstr {
+		summaries := make([]boundarySummary[K], p)
+		for _, b := range all {
+			summaries[b.src] = b
 		}
-		if open && b.first == openKey {
-			instrs[s] = append(instrs[s], ownerInstr{k: b.first, target: ownerOf})
-			if b.last == b.first {
-				continue // entire shard is the open key; run may extend
+		instrs := make([][]ownerInstr, p)
+		ownerOf := -1
+		var openKey K
+		open := false
+		for s := 0; s < p; s++ {
+			b := summaries[s]
+			if !b.nonEmpty {
+				continue
 			}
+			if open && b.first == openKey {
+				instrs[s] = append(instrs[s], ownerInstr{k: b.first, target: ownerOf})
+				if b.last == b.first {
+					continue // entire shard is the open key; run may extend
+				}
+			}
+			ownerOf = s
+			openKey = b.last
+			open = true
 		}
-		ownerOf = s
-		openKey = b.last
-		open = true
-	}
-
-	// Round B: instructions back. Only the coordinator sends, so its row
-	// is the whole outbox (instrs is already indexed by destination).
-	instrOut := make([][][]ownerInstr, p)
-	instrOut[0] = instrs
-	TraceOp(ex, "groupby.instructions")
-	instrPart, stB := ExchangeIn(ex, p, instrOut)
+		return instrs
+	})
 
 	// Round C: move chained-key elements to their owners. The coordinator
 	// issues at most one instruction per server, always for the shard's
@@ -341,5 +329,5 @@ func GroupByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats
 			res.Shards[s] = append(res.Shards[s], moved.Shards[s]...)
 		}
 	}
-	return res, Seq(st, stA, stB, stC)
+	return res, Seq(st, stAB, stC)
 }

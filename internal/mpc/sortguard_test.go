@@ -38,16 +38,42 @@ func TestNoComparisonSortsInHotKernels(t *testing.T) {
 }
 
 // TestOneSampleSort guards the single sample-sort skeleton: the
-// "sort.samples" round is labelled at exactly one call site in the package
-// (sampleSort), so a second sample sort — a keyed twin, a specialised copy
-// for one primitive — cannot reappear beside it unnoticed. Fusing or
-// re-cutting Sort's rounds is then one edit, not one per copy.
+// "sort.samples" round is labelled at exactly one site in the package
+// (sampleSort's coordinator round-trip), so a second sample sort — a keyed
+// twin, a specialised copy for one primitive — cannot reappear beside it
+// unnoticed. Fusing or re-cutting Sort's rounds is then one edit, not one
+// per copy.
 func TestOneSampleSort(t *testing.T) {
+	sites := sitesOf(t, regexp.MustCompile(`"sort\.samples"`))
+	if len(sites) != 1 || !strings.HasPrefix(sites[0], "sort.go:") {
+		t.Fatalf(`"sort.samples" label sites: %v; want exactly one, in sort.go`, sites)
+	}
+}
+
+// TestOneCoordinatorRoundTrip guards the single gather → decide → reply
+// skeleton: within the package only coordinator.go calls Gather, and the
+// primitives that used to spell the round-trip out read no Shards[0].
+func TestOneCoordinatorRoundTrip(t *testing.T) {
+	for _, site := range sitesOf(t, regexp.MustCompile(`\bGather\(`)) {
+		if !strings.HasPrefix(site, "coordinator.go:") {
+			t.Errorf("%s calls Gather: a coordinator step is Coordinate or Agree", site)
+		}
+	}
+	for _, site := range sitesOf(t, regexp.MustCompile(`Shards\[0\]`)) {
+		if !strings.HasPrefix(site, "coordinator.go:") {
+			t.Errorf("%s reads Shards[0]: what the coordinator holds is decide's argument", site)
+		}
+	}
+}
+
+// sitesOf lists, as file:line, every match of re in the package's non-test
+// files, comment lines excluded.
+func sitesOf(t *testing.T, re *regexp.Regexp) []string {
+	t.Helper()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := regexp.MustCompile(`TraceOp\([^)]*"sort\.samples"\)`)
 	var sites []string
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
@@ -57,13 +83,13 @@ func TestOneSampleSort(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading %s: %v", file, err)
 		}
-		for _, loc := range site.FindAllIndex(src, -1) {
-			sites = append(sites, fmt.Sprintf("%s:%d", file, 1+countNewlines(src[:loc[0]])))
+		for i, line := range strings.Split(string(src), "\n") {
+			if !strings.HasPrefix(strings.TrimSpace(line), "//") && re.MatchString(line) {
+				sites = append(sites, fmt.Sprintf("%s:%d", file, i+1))
+			}
 		}
 	}
-	if len(sites) != 1 || !strings.HasPrefix(sites[0], "sort.go:") {
-		t.Fatalf(`TraceOp(ex, "sort.samples") call sites: %v; want exactly one, in sort.go`, sites)
-	}
+	return sites
 }
 
 func countNewlines(b []byte) int {

@@ -37,13 +37,6 @@ type Semiring[W any] interface {
 	Mul(a, b W) W
 }
 
-// Eq is implemented by semirings whose carrier supports a semantic equality
-// test. It is used by tests and by result comparison helpers; the query
-// algorithms themselves never inspect annotations.
-type Eq[W any] interface {
-	Equal(a, b W) bool
-}
-
 // Idempotent is a marker interface for semirings with a ⊕ a = a. The
 // lower-bound audits insist on an idempotent semiring, as Theorems 2 and 3
 // of the paper are proved for that class.

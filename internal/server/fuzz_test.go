@@ -156,8 +156,8 @@ func FuzzQueryEndpoint(f *testing.F) {
 	f.Add(`{"relations":[{"name":"R1","attrs":["A","A"]}]}`)
 	f.Add(`{{{`)
 	s := New(Config{})
-	_ = s.Registry().Put("R1", 2, GenerateRows(2, 50, 8, 1))
-	_ = s.Registry().Put("R2", 2, GenerateRows(2, 50, 8, 2))
+	_, _ = s.Registry().Put("R1", 2, GenerateRows(2, 50, 8, 1))
+	_, _ = s.Registry().Put("R2", 2, GenerateRows(2, 50, 8, 2))
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest("POST", "/v2/query", bytes.NewReader([]byte(body)))
 		rec := httptest.NewRecorder()
@@ -180,8 +180,8 @@ func FuzzTenantHeader(f *testing.F) {
 	f.Add(strings.Repeat("x", 200), "nonsense")
 	f.Add("ünïcode", "default")
 	s := New(Config{})
-	_ = s.Registry().Put("R1", 2, GenerateRows(2, 50, 8, 1))
-	_ = s.Registry().Put("R2", 2, GenerateRows(2, 50, 8, 2))
+	_, _ = s.Registry().Put("R1", 2, GenerateRows(2, 50, 8, 1))
+	_, _ = s.Registry().Put("R2", 2, GenerateRows(2, 50, 8, 2))
 	const body = `{"relations":[{"name":"R1","attrs":["A","B"]},{"name":"R2","attrs":["B","C"]}],"group_by":["A"],"options":{"cache":%q}}`
 	f.Fuzz(func(t *testing.T, tenant, mode string) {
 		req := httptest.NewRequest("POST", "/v2/query", strings.NewReader(fmt.Sprintf(body, mode)))

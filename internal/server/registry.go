@@ -79,22 +79,25 @@ func NewRegistry() *Registry {
 // View returns the current immutable snapshot.
 func (r *Registry) View() *RegistryView { return r.view.Load() }
 
-// Put registers (or replaces) a dataset, publishing a new snapshot. The
-// registry takes ownership of rows; the caller must not modify the slice
-// afterwards.
-func (r *Registry) Put(name string, arity int, rows []relation.Row[int64]) error {
+// Put registers (or replaces) a dataset, publishing a new snapshot, and
+// returns the version it published under the registry's lock — the Version
+// of the Dataset it stored, which a later Get may no longer find once
+// another writer has replaced the name. The registry takes ownership of
+// rows; the caller must not modify the slice afterwards.
+func (r *Registry) Put(name string, arity int, rows []relation.Row[int64]) (uint64, error) {
 	if name == "" {
-		return fmt.Errorf("dataset name must be non-empty")
+		return 0, fmt.Errorf("dataset name must be non-empty")
 	}
 	if arity < 1 || arity > 2 {
-		return fmt.Errorf("dataset %q: arity must be 1 or 2, got %d", name, arity)
+		return 0, fmt.Errorf("dataset %q: arity must be 1 or 2, got %d", name, arity)
 	}
 	for i, row := range rows {
 		if len(row.Vals) != arity {
-			return fmt.Errorf("dataset %q: row %d has %d values, want %d", name, i, len(row.Vals), arity)
+			return 0, fmt.Errorf("dataset %q: row %d has %d values, want %d", name, i, len(row.Vals), arity)
 		}
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	old := r.view.Load()
 	next := &RegistryView{version: old.version + 1, m: make(map[string]*Dataset, len(old.m)+1)}
 	for k, v := range old.m {
@@ -102,8 +105,7 @@ func (r *Registry) Put(name string, arity int, rows []relation.Row[int64]) error
 	}
 	next.m[name] = &Dataset{Arity: arity, Rows: rows, Version: next.version}
 	r.view.Store(next)
-	r.mu.Unlock()
-	return nil
+	return next.version, nil
 }
 
 // Get returns the dataset registered under name in the current snapshot.

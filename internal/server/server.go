@@ -301,7 +301,8 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 			rows[i] = relation.Row[int64]{Vals: vals, W: row[0]}
 		}
 	}
-	if err := s.reg.Put(req.Name, req.Arity, rows); err != nil {
+	version, err := s.reg.Put(req.Name, req.Arity, rows)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -310,8 +311,7 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	// plans key the same way and drop with the same registration.
 	s.cache.InvalidateTags(req.Name)
 	s.plans.InvalidateTags(req.Name)
-	ds, _ := s.reg.Get(req.Name)
-	writeJSON(w, http.StatusOK, DatasetResponse{Name: req.Name, Rows: len(rows), Version: ds.Version})
+	writeJSON(w, http.StatusOK, DatasetResponse{Name: req.Name, Rows: len(rows), Version: version})
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {

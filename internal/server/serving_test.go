@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -379,6 +380,44 @@ func TestRegistrationNeverBlocksQueries(t *testing.T) {
 	}
 	if got, want := s.Registry().Version(), uint64(2+registrations); got != want {
 		t.Fatalf("registry version = %d, want %d", got, want)
+	}
+}
+
+// TestRegistrationReportsItsOwnVersion: Put returns the version of the
+// Dataset it stored, and concurrent re-registrations of one name each
+// answer with their own — 64 writers, 64 distinct response versions (a
+// handler that re-reads the registry after Put reports another writer's).
+func TestRegistrationReportsItsOwnVersion(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	v, err := s.Registry().Put("R", 1, GenerateRows(1, 3, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds, ok := s.Registry().Get("R"); !ok || ds.Version != v || s.Registry().Version() != v {
+		t.Fatalf("Put returned version %d, stored %+v in view %d", v, ds, s.Registry().Version())
+	}
+
+	const writers = 64
+	versions := make([]uint64, writers)
+	var wg sync.WaitGroup
+	for i := range versions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, out := postJSON(t, ts.URL+"/v1/datasets", fmt.Sprintf(`{"name":"R","arity":1,"rows":[[1,%d]]}`, i))
+			var ack DatasetResponse
+			if err := json.Unmarshal(out, &ack); err != nil || resp.StatusCode != http.StatusOK || ack.Rows != 1 {
+				t.Errorf("register: %d %s (%v)", resp.StatusCode, out, err)
+			}
+			versions[i] = ack.Version
+		}()
+	}
+	wg.Wait()
+	slices.Sort(versions)
+	for i, got := range versions {
+		if want := v + 1 + uint64(i); got != want {
+			t.Fatalf("response versions %v: want the %d distinct versions %d..%d", versions, writers, v+1, v+writers)
+		}
 	}
 }
 

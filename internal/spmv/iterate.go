@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpcjoin/internal/mpc"
-	"mpcjoin/internal/semiring"
 )
 
 // Converge selects how Iterate decides the loop is done. Every mode costs
@@ -17,11 +16,6 @@ const (
 	// drained-frontier fixpoint of BFS/SSSP-style loops, where the state
 	// is the set of vertices still propagating.
 	ConvergeEmpty Converge = iota
-	// ConvergeFixpoint stops when an iteration leaves the state
-	// bit-identical — the fixpoint reached under an idempotent ⊕. The
-	// comparison is shard-local (states share the engine's alignment) and
-	// only the per-server difference counts cross the wire.
-	ConvergeFixpoint
 	// ConvergeDelta stops when the L∞ distance between successive states
 	// drops to Tol — the float-carrier criterion (PageRank residuals),
 	// where exact fixpoints never land.
@@ -42,10 +36,6 @@ type IterOptions[W any] struct {
 	MaxIters int
 	// Mode selects the convergence criterion.
 	Mode Converge
-	// Equal compares annotations for ConvergeFixpoint. nil falls back to
-	// the semiring's Eq implementation; Iterate panics if neither exists
-	// (a fixpoint check without equality is undecidable, not default-able).
-	Equal func(a, b W) bool
 	// Delta measures the ConvergeDelta distance between an old and new
 	// annotation (absent entries compare against the semiring zero).
 	Delta func(a, b W) float64
@@ -94,14 +84,6 @@ func Iterate[W any](e *Engine[W], x Vector[W], opts IterOptions[W]) IterResult[W
 	if max <= 0 {
 		max = DefaultMaxIters
 	}
-	eq := opts.Equal
-	if eq == nil {
-		if cmp, ok := e.sr.(semiring.Eq[W]); ok {
-			eq = cmp.Equal
-		} else if opts.Mode == ConvergeFixpoint {
-			panic(fmt.Sprintf("spmv: Iterate: ConvergeFixpoint needs Equal (semiring %T implements no Eq)", e.sr))
-		}
-	}
 	if opts.Mode == ConvergeDelta && opts.Delta == nil {
 		panic("spmv: Iterate: ConvergeDelta needs a Delta distance")
 	}
@@ -125,11 +107,6 @@ func Iterate[W any](e *Engine[W], x Vector[W], opts IterOptions[W]) IterResult[W
 			n, cst := mpc.TotalCount(next.part)
 			st = mpc.Seq(st, cst)
 			converged = n == 0
-		case ConvergeFixpoint:
-			diffs := shardDiffs(e, res.X, next, eq)
-			total, cst := mpc.AllReduce(e.edges.Scope(), diffs, mpc.Add[int64], e.iterTag+".converge")
-			st = mpc.Seq(st, cst)
-			converged = total == 0
 		case ConvergeDelta:
 			deltas := shardDeltas(e, res.X, next, opts.Delta)
 			worst, cst := mpc.AllReduce(e.edges.Scope(), deltas, func(worst, d float64) float64 {
@@ -154,37 +131,6 @@ func Iterate[W any](e *Engine[W], x Vector[W], opts IterOptions[W]) IterResult[W
 		}
 	}
 	return res
-}
-
-// shardDiffs counts, per server, entries where old and new state disagree
-// — an index present on one side only, or present on both with unequal
-// annotations. Local: both states carry the engine's alignment.
-func shardDiffs[W any](e *Engine[W], old, new Vector[W], eq func(a, b W) bool) []int64 {
-	diffs := make([]int64, e.p)
-	e.edges.Scope().ForEachShard(e.p, func(s int) {
-		a, b := old.part.Shards[s], new.part.Shards[s]
-		var d int64
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			switch {
-			case a[i].Idx < b[j].Idx:
-				d++
-				i++
-			case a[i].Idx > b[j].Idx:
-				d++
-				j++
-			default:
-				if !eq(a[i].Val, b[j].Val) {
-					d++
-				}
-				i++
-				j++
-			}
-		}
-		d += int64(len(a) - i + len(b) - j)
-		diffs[s] = d
-	})
-	return diffs
 }
 
 // shardDeltas computes, per server, the max distance between aligned old

@@ -60,13 +60,7 @@ type Vector[W any] struct {
 
 // Len returns the number of entries (driver-side introspection, free in
 // the model — the simulator's coordinator knows shard sizes).
-func (v Vector[W]) Len() int64 {
-	var n int64
-	for _, s := range v.part.Shards {
-		n += int64(len(s))
-	}
-	return n
-}
+func (v Vector[W]) Len() int64 { return int64(v.part.Len()) }
 
 // Entries gathers the vector to the driver, globally sorted by index.
 func (v Vector[W]) Entries() []Entry[W] {
@@ -162,9 +156,7 @@ func NewEngine[W any](ex *mpc.Exec, sr semiring.Semiring[W], edges []Edge[W], p 
 		infos.Shards[s] = out
 	})
 	e.vertices = infos
-	for _, s := range infos.Shards {
-		e.n += int64(len(s))
-	}
+	e.n = int64(infos.Len())
 	e.build = mpc.Seq(st1, st2)
 	return e
 }

@@ -267,11 +267,11 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	})
 	distinct, s1 := mpc.ReduceByKey(mpc.Map(classOf, func(vc dist.ValueClass) int64 { return vc.Class }),
 		func(c int64) int64 { return c }, func(a, b int64) int64 { return a })
-	clPart, s2 := mpc.Gather(distinct, 0)
-	clBcast, s3 := mpc.Broadcast(clPart)
-	st = mpc.Seq(st, s1, s2, s3)
-	classIDs := append([]int64(nil), clBcast.Shards[0]...)
-	slices.Sort(classIDs)
+	classIDs, s2 := mpc.Agree(distinct, "", "", func(ids []int64) []int64 {
+		slices.Sort(ids)
+		return ids
+	})
+	st = mpc.Seq(st, s1, s2)
 
 	tagI, s4 := dist.TagByClass(rI, b, classOf)
 	tagJ, s5 := dist.TagByClass(rJ, b, classOf)

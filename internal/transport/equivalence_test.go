@@ -257,3 +257,64 @@ func TestSortOutboxOverTCP(t *testing.T) {
 		t.Error("multi-search shards diverge")
 	}
 }
+
+// TestCoordinatorReplyOverTCP drives the coordinator round-trip directly
+// over the TCP backend with a pointer-carrying reply element (a layout
+// entry keyed by a string, like the engines' grid and block tables): the
+// scatter form's per-server replies and the agree form's broadcast decision
+// cross real sockets and must equal the in-process run's, Stats and trace
+// included.
+func TestCoordinatorReplyOverTCP(t *testing.T) {
+	const p = 6
+	type block struct {
+		Key       string
+		Off, Size int
+	}
+	stats := make([]mpc.KeyCount[string], 40)
+	for i := range stats {
+		stats[i] = mpc.KeyCount[string]{Key: relation.EncodeKey([]relation.Value{relation.Value(i % 9), relation.Value(i)}, []int{0, 1}), Count: int64(1 + i%4)}
+	}
+	layout := func(all []mpc.KeyCount[string]) []block {
+		var blocks []block
+		at := 0
+		for _, kc := range all {
+			blocks = append(blocks, block{Key: kc.Key, Off: at, Size: int(kc.Count)})
+			at += int(kc.Count)
+		}
+		return blocks
+	}
+	run := func(ex *mpc.Exec) ([][]block, []block, mpc.Stats) {
+		in := mpc.DistributeIn(ex, stats, p)
+		replied, st1 := mpc.Coordinate(in, "t.stats", "t.blocks", func(all []mpc.KeyCount[string]) [][]block {
+			rows := make([][]block, p)
+			for i, b := range layout(all) {
+				rows[i%p] = append(rows[i%p], b)
+			}
+			return rows
+		})
+		agreed, st2 := mpc.Agree(in, "", "", layout)
+		return replied.Shards, agreed, mpc.Seq(st1, st2)
+	}
+	trI, trT := mpc.NewTracer(), mpc.NewTracer()
+	repliedI, agreedI, stI := run(mpc.NewExec(context.Background(), 2).WithTracer(trI))
+
+	w, err := transport.TCP(bootPeers(t, 3)...).Connect(context.Background())
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	defer w.Close()
+	repliedT, agreedT, stT := run(mpc.NewExec(context.Background(), 2).WithTracer(trT).WithWire(w))
+
+	if stI != stT || stI.Rounds != 4 {
+		t.Errorf("Stats diverge: inproc %+v, tcp %+v", stI, stT)
+	}
+	if !reflect.DeepEqual(trI.Rounds(), trT.Rounds()) {
+		t.Error("traces diverge")
+	}
+	if !reflect.DeepEqual(repliedI, repliedT) || len(repliedI[p-1]) == 0 {
+		t.Error("scattered replies diverge")
+	}
+	if !reflect.DeepEqual(agreedI, agreedT) || len(agreedI) != len(stats) {
+		t.Error("agreed decision diverges")
+	}
+}

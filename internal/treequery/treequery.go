@@ -335,12 +335,7 @@ func pendantX[W any](sr semiring.Semiring[W], vt *vtree[W], pq *hypergraph.Query
 			return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
 		}))
 	}
-	merged := mpc.NewPartIn[mpc.KeyCount[int64]](dist.AnyRel(vt.rels).Part.Scope(), p)
-	for _, pt := range per {
-		for s, shard := range pt.Shards {
-			merged.Shards[s%p] = append(merged.Shards[s%p], shard...)
-		}
-	}
+	merged := mpc.Overlay(dist.AnyRel(vt.rels).Part.Scope(), p, per...)
 	// One entry per arm per b; multiply per b.
 	prod, s := mpc.ReduceByKey(merged,
 		func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
@@ -398,8 +393,7 @@ func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergrap
 		}
 
 		// For each child factor: propagate max y(c') through the edge.
-		p := dist.AnyRel(vt.rels).P()
-		merged := mpc.NewPartIn[mpc.KeyCount[int64]](dist.AnyRel(vt.rels).Part.Scope(), p)
+		var terms []mpc.Part[mpc.KeyCount[int64]]
 		for _, f := range factors {
 			erel := vt.rels[ts.Edges[f.edge].Name]
 			vCol := erel.Cols(dist.Attr(v))[0]
@@ -423,15 +417,13 @@ func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergrap
 			st = mpc.Seq(st, s2)
 			// Tag with the edge so the final product multiplies one factor
 			// per child (duplicate keys across children are distinct).
-			for sh, shard := range maxed.Shards {
-				merged.Shards[sh%p] = append(merged.Shards[sh%p], shard...)
-			}
+			terms = append(terms, maxed)
 		}
 		if hasX {
-			for sh, shard := range selfX.Shards {
-				merged.Shards[sh%p] = append(merged.Shards[sh%p], shard...)
-			}
+			terms = append(terms, selfX)
 		}
+		anyRel := dist.AnyRel(vt.rels)
+		merged := mpc.Overlay(anyRel.Part.Scope(), anyRel.P(), terms...)
 		prod, s := mpc.ReduceByKey(merged,
 			func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
 			func(a, b mpc.KeyCount[int64]) mpc.KeyCount[int64] {

@@ -101,18 +101,23 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 	light := mpc.Filter(stats, func(ks keyStat) bool { return ks.dr <= load && ks.ds <= load })
 
 	// Heavy grid assignment at the coordinator (O(p) heavy keys).
-	heavyGathered, st5 := mpc.Gather(heavy, 0)
-	var grids []gridAssign
+	grids, st5 := mpc.Agree(heavy, "", "", func(all []keyStat) []gridAssign {
+		var grids []gridAssign
+		at := 0
+		for _, ks := range all {
+			ar := int((ks.dr + load - 1) / load)
+			bs := int((ks.ds + load - 1) / load)
+			grids = append(grids, gridAssign{key: ks.key, offset: at, ar: ar, bs: bs})
+			at += ar * bs
+		}
+		return grids
+	})
 	heavyServers := 0
-	for _, ks := range heavyGathered.Shards[0] {
-		ar := int((ks.dr + load - 1) / load)
-		bs := int((ks.ds + load - 1) / load)
-		grids = append(grids, gridAssign{key: ks.key, offset: heavyServers, ar: ar, bs: bs})
-		heavyServers += ar * bs
+	gridByKey := make(map[string]gridAssign, len(grids))
+	for _, g := range grids {
+		gridByKey[g.key] = g
+		heavyServers += g.ar * g.bs
 	}
-	gridPart := mpc.NewPartIn[gridAssign](ex, p)
-	gridPart.Shards[0] = grids
-	gridBcast, st6 := mpc.Broadcast(gridPart)
 
 	// Light bin assignment by parallel-packing with capacity 2L (each key
 	// weighs d_R + d_S ≤ 2L).
@@ -132,12 +137,6 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 		pDst = 1
 	}
 	out := make([][][]relation.SidedRow[W], p)
-	gridByKey := make(map[string]gridAssign, len(gridBcast.Shards[0]))
-	// Every server sees the same broadcast table; use shard 0's copy for
-	// the routing closure (identical content).
-	for _, g := range gridBcast.Shards[0] {
-		gridByKey[g.key] = g
-	}
 	// A heavy key's tuples round-robin across its grid rows (columns for
 	// the S side) in global arrival order — a counter that, serially, runs
 	// across source servers. To build the outboxes concurrently with the
@@ -271,7 +270,7 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 		return relation.Join(sr, left, right).Rows
 	})
 
-	st := mpc.Seq(st1, st2, st3, st4, st5, st6, st7, st8, st9, st10)
+	st := mpc.Seq(st1, st2, st3, st4, st5, st7, st8, st9, st10)
 	return dist.Rel[W]{Schema: outSchema, Part: result}, outf, st
 }
 
