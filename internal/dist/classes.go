@@ -101,27 +101,34 @@ const NoClass int64 = -1
 // value, or NoClass.
 type ClassedRel[W any] struct {
 	Schema []Attr
-	rows   mpc.Part[mpc.Pred[relation.Row[W], ValueClass]]
+	rows   mpc.Part[classedRow[W]]
 }
 
-// TagByClass tags every row of r with the class of its b value (one
-// LookupJoin against the per-value classes).
+type classedRow[W any] struct {
+	row   relation.Row[W]
+	class int64
+}
+
+// TagByClass tags every row of r with the class of its b value (one Lookup
+// against the per-value classes).
 func TagByClass[W any](r Rel[W], b Attr, classes mpc.Part[ValueClass]) (ClassedRel[W], mpc.Stats) {
 	bCol := r.Cols(b)[0]
-	rows, st := mpc.LookupJoin(r.Part, classes,
+	rows, st := mpc.Lookup(r.Part, classes,
 		func(row relation.Row[W]) int64 { return int64(row.Vals[bCol]) },
-		func(vc ValueClass) int64 { return int64(vc.B) })
+		func(vc ValueClass) int64 { return int64(vc.B) },
+		func(row relation.Row[W], vc ValueClass, found bool) (classedRow[W], bool) {
+			if !found {
+				vc.Class = NoClass
+			}
+			return classedRow[W]{row: row, class: vc.Class}, true
+		})
 	return ClassedRel[W]{Schema: r.Schema, rows: rows}, st
 }
 
 // Select returns the rows of one class (local, zero cost).
 func (c ClassedRel[W]) Select(class int64) Rel[W] {
-	rows := mpc.Map(mpc.Filter(c.rows, func(pr mpc.Pred[relation.Row[W], ValueClass]) bool {
-		if !pr.Found {
-			return class == NoClass
-		}
-		return pr.Y.Class == class
-	}), func(pr mpc.Pred[relation.Row[W], ValueClass]) relation.Row[W] { return pr.X })
+	rows := mpc.Map(mpc.Filter(c.rows, func(cr classedRow[W]) bool { return cr.class == class }),
+		func(cr classedRow[W]) relation.Row[W] { return cr.row })
 	return Rel[W]{Schema: c.Schema, Part: rows}
 }
 

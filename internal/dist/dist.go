@@ -227,11 +227,13 @@ func Rebalance[W any](r Rel[W]) (Rel[W], mpc.Stats) {
 // match are dropped (they are dangling with respect to the removed
 // relation). Cost: one multi-search.
 func AttachAgg[W any](sr semiring.Semiring[W], r Rel[W], agg Rel[W], on []Attr) (Rel[W], mpc.Stats) {
-	preds, st := mpc.LookupJoin(r.Part, agg.Part, r.Key(on...), agg.Key(on...))
-	matched := mpc.Filter(preds, func(pr mpc.Pred[relation.Row[W], relation.Row[W]]) bool { return pr.Found })
-	rows := mpc.Map(matched, func(pr mpc.Pred[relation.Row[W], relation.Row[W]]) relation.Row[W] {
-		return relation.Row[W]{Vals: pr.X.Vals, W: sr.Mul(pr.X.W, pr.Y.W)}
-	})
+	rows, st := mpc.Lookup(r.Part, agg.Part, r.Key(on...), agg.Key(on...),
+		func(x, y relation.Row[W], found bool) (relation.Row[W], bool) {
+			if !found {
+				return x, false
+			}
+			return relation.Row[W]{Vals: x.Vals, W: sr.Mul(x.W, y.W)}, true
+		})
 	return Rel[W]{Schema: r.Schema, Part: rows}, st
 }
 

@@ -231,9 +231,8 @@ func (f *fold[W, V]) leaf(r dist.Rel[W], u, kept []dist.Attr) mpc.Part[V] {
 func (f *fold[W, V]) propagate(r dist.Rel[W], u, v []dist.Attr, sub mpc.Part[V], tag bool) mpc.Part[V] {
 	uc, vc := r.Cols(u...), r.Cols(v...)
 	f.noteImage(sub)
-	looked, st1 := mpc.LookupJoin(r.Part, sub,
-		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, vc) }, f.alg.key)
-	matched := mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], V]) bool { return pr.Found })
+	matched, st1 := mpc.Lookup(r.Part, sub,
+		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, vc) }, f.alg.key, matchedPair[relation.Row[W], V])
 	if f.alg.size != nil {
 		f.noteJoin(profileSum(matched, func(pr mpc.Pred[relation.Row[W], V]) float64 { return f.alg.size(pr.Y) }))
 	}
@@ -252,13 +251,20 @@ func (f *fold[W, V]) propagate(r dist.Rel[W], u, v []dist.Attr, sub mpc.Part[V],
 func (f *fold[W, V]) product(a, b mpc.Part[V]) mpc.Part[V] {
 	f.noteImage(a)
 	f.noteImage(b)
-	looked, st := mpc.LookupJoin(a, b, f.alg.key, f.alg.key)
+	matched, st := mpc.Lookup(a, b, f.alg.key, f.alg.key, matchedPair[V, V])
 	f.st = mpc.Seq(f.st, st)
-	matched := mpc.Filter(looked, func(pr mpc.Pred[V, V]) bool { return pr.Found })
 	if f.alg.size != nil {
 		f.noteJoin(profileSum(matched, func(pr mpc.Pred[V, V]) float64 { return f.alg.size(pr.X) * f.alg.size(pr.Y) }))
 	}
 	return mpc.Map(matched, func(pr mpc.Pred[V, V]) V { return f.alg.cross(pr.X, pr.Y) })
+}
+
+// matchedPair is the Lookup visitor of a fold step's join: the pairs that
+// matched, kept whole because the profile sums their sizes in element order
+// (a float sum, so the order is part of the plan's bytes) before the step
+// maps them to summaries.
+func matchedPair[X, Y any](x X, y Y, found bool) (mpc.Pred[X, Y], bool) {
+	return mpc.Pred[X, Y]{X: x, Y: y, Found: true}, found
 }
 
 // profileSum adds size over every element on every server — a global sum of

@@ -22,6 +22,7 @@ package linequery
 
 import (
 	"fmt"
+	"math"
 
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/estimate"
@@ -76,18 +77,8 @@ func Run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 
 	// Remove dangling tuples along the chain (forward and backward
 	// semijoin sweeps — the full reducer specialised to a path).
-	var st mpc.Stats
 	rels = append([]dist.Rel[W](nil), rels...)
-	for i := len(rels) - 2; i >= 0; i-- {
-		r, s := dist.Semijoin(rels[i], rels[i+1])
-		rels[i] = r
-		st = mpc.Seq(st, s)
-	}
-	for i := 1; i < len(rels); i++ {
-		r, s := dist.Semijoin(rels[i], rels[i-1])
-		rels[i] = r
-		st = mpc.Seq(st, s)
-	}
+	st := reduceChain(rels, 0)
 	n0, sc := mpc.TotalCount(rels[0].Part)
 	st = mpc.Seq(st, sc)
 	if n0 == 0 {
@@ -131,27 +122,20 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 	a2 := path[1]
 	a2Key1 := rels[0].Key(a2...)
 	a2Key2 := rels[1].Key(a2...)
-	degA2, s1 := mpc.CountByKey(rels[0].Part, func(r relation.Row[W]) string { return a2Key1(r) })
+	degA2, s1 := mpc.CountByKey(rels[0].Part, a2Key1)
 	st = mpc.Seq(st, s1)
 	heavyStats := mpc.Filter(degA2, func(kc mpc.KeyCount[string]) bool { return kc.Count >= thr })
 
-	r1Split, s2 := mpc.LookupJoin(rels[0].Part, heavyStats,
-		func(r relation.Row[W]) string { return a2Key1(r) },
-		func(kc mpc.KeyCount[string]) string { return kc.Key })
-	r2Split, s3 := mpc.LookupJoin(rels[1].Part, heavyStats,
-		func(r relation.Row[W]) string { return a2Key2(r) },
-		func(kc mpc.KeyCount[string]) string { return kc.Key })
-	st = mpc.Seq(st, s2, s3)
-
-	takeRows := func(pt mpc.Part[mpc.Pred[relation.Row[W], mpc.KeyCount[string]]], heavy bool) mpc.Part[relation.Row[W]] {
-		return mpc.Map(mpc.Filter(pt, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) bool {
-			return pr.Found == heavy
-		}), func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) relation.Row[W] { return pr.X })
+	split := func(r dist.Rel[W], key func(relation.Row[W]) string) (heavy, light dist.Rel[W], _ mpc.Stats) {
+		looked, s := mpc.LookupJoin(r.Part, heavyStats, key, func(kc mpc.KeyCount[string]) string { return kc.Key })
+		h, l := mpc.Split(looked, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) (relation.Row[W], bool) {
+			return pr.X, pr.Found
+		})
+		return dist.Rel[W]{Schema: r.Schema, Part: h}, dist.Rel[W]{Schema: r.Schema, Part: l}, s
 	}
-	r1Heavy := dist.Rel[W]{Schema: rels[0].Schema, Part: takeRows(r1Split, true)}
-	r1Light := dist.Rel[W]{Schema: rels[0].Schema, Part: takeRows(r1Split, false)}
-	r2Heavy := dist.Rel[W]{Schema: rels[1].Schema, Part: takeRows(r2Split, true)}
-	r2Light := dist.Rel[W]{Schema: rels[1].Schema, Part: takeRows(r2Split, false)}
+	r1Heavy, r1Light, s2 := split(rels[0], a2Key1)
+	r2Heavy, r2Light, s3 := split(rels[1], a2Key2)
+	st = mpc.Seq(st, s2, s3)
 
 	// Steps 2 and 3 run on disjoint server groups simultaneously; their
 	// costs compose with Par.
@@ -165,16 +149,7 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 		// Remove dangling within the heavy subquery (R2 changed).
 		hRels := append([]dist.Rel[W](nil), rels...)
 		hRels[0], hRels[1] = r1Heavy, r2Heavy
-		for i := len(hRels) - 2; i >= 1; i-- {
-			r, s := dist.Semijoin(hRels[i], hRels[i+1])
-			hRels[i] = r
-			stHeavy = mpc.Seq(stHeavy, s)
-		}
-		for i := 1; i < len(hRels); i++ {
-			r, s := dist.Semijoin(hRels[i], hRels[i-1])
-			hRels[i] = r
-			stHeavy = mpc.Seq(stHeavy, s)
-		}
+		stHeavy = reduceChain(hRels, 1)
 		r, s := dist.Semijoin(hRels[0], hRels[1])
 		hRels[0] = r
 		stHeavy = mpc.Seq(stHeavy, s)
@@ -216,16 +191,7 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 		// the shorter chain are removed (R(A1,A3) may have lost values).
 		sRels := append([]dist.Rel[W]{r13}, rels[2:]...)
 		sPath := append([][]dist.Attr{path[0]}, path[2:]...)
-		for i := len(sRels) - 2; i >= 0; i-- {
-			r, s := dist.Semijoin(sRels[i], sRels[i+1])
-			sRels[i] = r
-			stLight = mpc.Seq(stLight, s)
-		}
-		for i := 1; i < len(sRels); i++ {
-			r, s := dist.Semijoin(sRels[i], sRels[i-1])
-			sRels[i] = r
-			stLight = mpc.Seq(stLight, s)
-		}
+		stLight = mpc.Seq(stLight, reduceChain(sRels, 0))
 		nl0, sc3 := mpc.TotalCount(sRels[0].Part)
 		stLight = mpc.Seq(stLight, sc3)
 		if nl0 > 0 {
@@ -245,13 +211,38 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 	return final, mpc.Seq(st, s)
 }
 
+// reduceChain removes dangling tuples along rels[lo:] in place — the full
+// reducer specialised to a path: a backward semijoin sweep down to lo, then
+// a forward sweep from rels[1] (which rels[0] filters even when lo is 1).
+func reduceChain[W any](rels []dist.Rel[W], lo int) mpc.Stats {
+	var st mpc.Stats
+	for i := len(rels) - 2; i >= lo; i-- {
+		r, s := dist.Semijoin(rels[i], rels[i+1])
+		rels[i] = r
+		st = mpc.Seq(st, s)
+	}
+	for i := 1; i < len(rels); i++ {
+		r, s := dist.Semijoin(rels[i], rels[i-1])
+		rels[i] = r
+		st = mpc.Seq(st, s)
+	}
+	return st
+}
+
+// isqrt returns the smallest r ≥ 1 with r·r ≥ x, and 0 for negative x.
 func isqrt(x int64) int64 {
 	if x < 0 {
 		return 0
 	}
-	r := int64(1)
-	for r*r < x {
+	// math.Sqrt lands within a few units of the answer for every int64; the
+	// loops correct it, comparing by division so nothing overflows
+	// (r·r ≤ y ⟺ r ≤ y/r).
+	r := max(int64(math.Sqrt(float64(x))), 1)
+	for r <= (x-1)/r {
 		r++
+	}
+	for r > 1 && r-1 > (x-1)/(r-1) {
+		r--
 	}
 	return r
 }

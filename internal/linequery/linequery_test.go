@@ -1,9 +1,11 @@
 package linequery
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
@@ -222,5 +224,34 @@ func TestConstantRoundsInN(t *testing.T) {
 	// a small constant band.
 	if len(rounds) > 3 {
 		t.Fatalf("rounds vary wildly with N: %v", rounds)
+	}
+}
+
+// TestIsqrtContract: isqrt(x) is the smallest r ≥ 1 with r·r ≥ x (0 for
+// negative x) and answers in constant time — x is √OUT's OUT, which
+// WithOutOracle takes unvalidated, and the counting loop it replaces never
+// returned near math.MaxInt64 (r·r wrapped negative).
+func TestIsqrtContract(t *testing.T) {
+	want := map[int64]int64{
+		-5: 0, 0: 1, 1: 1, 2: 2, 15: 4, 16: 4, 17: 5,
+		1e12: 1e6, 1e12 + 1: 1e6 + 1, 1 << 62: 1 << 31, math.MaxInt64: 3037000500,
+	}
+	got := make(chan map[int64]int64, 1)
+	go func() {
+		res := make(map[int64]int64, len(want))
+		for x := range want {
+			res[x] = isqrt(x)
+		}
+		got <- res
+	}()
+	select {
+	case res := <-got:
+		for x, w := range want {
+			if res[x] != w {
+				t.Errorf("isqrt(%d) = %d, want %d", x, res[x], w)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("isqrt did not return within the deadline")
 	}
 }

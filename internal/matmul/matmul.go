@@ -227,25 +227,12 @@ func osLoad(n1, n2, out int64, p int) float64 {
 // Shared plumbing
 // ---------------------------------------------------------------------------
 
-// localJoinAgg joins the two sides of a shard on B and ⊕-aggregates onto
-// the output schema — the per-server local computation every strategy ends
-// with. Free in the MPC model.
-func localJoinAgg[W any](sr semiring.Semiring[W], in Input[W], shard []relation.SidedRow[W]) []relation.Row[W] {
-	left := relation.New[W](in.R1.Schema...)
-	right := relation.New[W](in.R2.Schema...)
-	for _, s := range shard {
-		if s.Left {
-			left.AppendRow(s.Row)
-		} else {
-			right.AppendRow(s.Row)
-		}
-	}
-	joined := relation.Join(sr, left, right)
-	attrs := make([]relation.Attr, 0, len(in.OutSchema()))
-	for _, a := range in.OutSchema() {
-		attrs = append(attrs, a)
-	}
-	return relation.ProjectAgg(sr, joined, attrs...).Rows
+// localJoinAgg joins the two sides of a routed shard on their shared
+// attributes and ⊕-aggregates onto outSchema — the per-server local
+// computation every routing strategy ends with. Free in the MPC model.
+func localJoinAgg[W any](sr semiring.Semiring[W], in Input[W], outSchema []dist.Attr, shard []relation.SidedRow[W]) []relation.Row[W] {
+	left, right := relation.Unzip(shard, in.R1.Schema, in.R2.Schema)
+	return relation.ProjectAgg(sr, relation.Join(sr, left, right), outSchema...).Rows
 }
 
 // hashB spreads a B value across m slots with a seeded hash.

@@ -61,10 +61,9 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	split, stSplit := mpc.LookupJoin(in.R1.Part, heavyEst,
 		func(r relation.Row[W]) string { return aKey(r) },
 		func(kc mpc.KeyCount[string]) string { return kc.Key })
-	r1Heavy := mpc.Map(mpc.Filter(split, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) bool { return pr.Found }),
-		func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) relation.Row[W] { return pr.X })
-	r1Light := mpc.Map(mpc.Filter(split, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) bool { return !pr.Found }),
-		func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) relation.Row[W] { return pr.X })
+	r1Heavy, r1Light := mpc.Split(split, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) (relation.Row[W], bool) {
+		return pr.X, pr.Found
+	})
 
 	st := stSplit
 
@@ -189,10 +188,9 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	routedA, stA := mpc.ExchangeToIn(ex, totalA, outA)
 	st = mpc.Seq(st, stA)
 
-	r1Blk := dist.Rel[W]{Schema: gSchema1, Part: mpc.Map(mpc.Filter(routedA, func(s relation.SidedRow[W]) bool { return s.Left }),
-		func(s relation.SidedRow[W]) relation.Row[W] { return s.Row })}
-	r2Blk := dist.Rel[W]{Schema: gSchema2, Part: mpc.Map(mpc.Filter(routedA, func(s relation.SidedRow[W]) bool { return !s.Left }),
-		func(s relation.SidedRow[W]) relation.Row[W] { return s.Row })}
+	r1Rows, r2Rows := mpc.Split(routedA, func(s relation.SidedRow[W]) (relation.Row[W], bool) { return s.Row, s.Left })
+	r1Blk := dist.Rel[W]{Schema: gSchema1, Part: r1Rows}
+	r2Blk := dist.Rel[W]{Schema: gSchema2, Part: r2Rows}
 
 	// Per-(group, c) result-count estimates: sketches of distinct A per
 	// (G, B), folded through R2 onto (G, C) — §2.2 inside each group, run
@@ -217,14 +215,13 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 
 	// Heavy (group, c) pairs: estimated ≥ L results. Join with d(c).
 	heavyGC := mpc.Filter(cEst, func(kc mpc.KeyCount[string]) bool { return kc.Count >= load })
-	heavyGCd, sj := mpc.LookupJoin(heavyGC, dGC,
+	heavyTbl, sj := mpc.Lookup(heavyGC, dGC,
 		func(kc mpc.KeyCount[string]) string { return kc.Key },
-		func(kc mpc.KeyCount[string]) string { return kc.Key })
-	st = mpc.Seq(st, sj)
-	heavyTbl := mpc.Map(mpc.Filter(heavyGCd, func(pr mpc.Pred[mpc.KeyCount[string], mpc.KeyCount[string]]) bool { return pr.Found }),
-		func(pr mpc.Pred[mpc.KeyCount[string], mpc.KeyCount[string]]) mpc.KeyCount[string] {
-			return mpc.KeyCount[string]{Key: pr.X.Key, Count: pr.Y.Count} // (G,C) → d(c)
+		func(kc mpc.KeyCount[string]) string { return kc.Key },
+		func(est, d mpc.KeyCount[string], found bool) (mpc.KeyCount[string], bool) {
+			return mpc.KeyCount[string]{Key: est.Key, Count: d.Count}, found // (G,C) → d(c)
 		})
+	st = mpc.Seq(st, sj)
 
 	// Light (group, c) pairs: pack per group into bins of total estimated
 	// results ≤ 2L. Packing runs once per group on the group's stats.
@@ -366,7 +363,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 		B:  in.B,
 	}
 	partials := mpc.MapShards(routedB, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
-		return localJoinAggOn(sr, gin, outSchema, shard)
+		return localJoinAgg(sr, gin, outSchema, shard)
 	})
 	res34, sAgg := dist.ProjectAgg(sr, dist.Rel[W]{Schema: outSchema, Part: partials}, outSchema...)
 	st = mpc.Seq(st, sAgg)
@@ -387,28 +384,15 @@ func withGroup[W any](g int64, r relation.Row[W]) relation.Row[W] {
 // binSizes counts, per (group, bin), the R2 rows whose (G,C) key belongs to
 // the bin, returning KeyCounts keyed by EncodeKey(G, bin).
 func binSizes[W any](r2Blk dist.Rel[W], gcCols []int, binTable mpc.Part[mpc.KeyBin[string]]) (mpc.Part[mpc.KeyCount[string]], mpc.Stats) {
-	looked, st1 := mpc.LookupJoin(r2Blk.Part, binTable,
+	binKeys, st1 := mpc.Lookup(r2Blk.Part, binTable,
 		func(r relation.Row[W]) string { return relation.EncodeKey(r.Vals, gcCols) },
-		func(kb mpc.KeyBin[string]) string { return kb.Key })
-	inBin := mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], mpc.KeyBin[string]]) bool { return pr.Found })
-	counts, st2 := mpc.CountByKey(inBin, func(pr mpc.Pred[relation.Row[W], mpc.KeyBin[string]]) string {
-		g := pr.X.Vals[gcCols[0]]
-		return relation.EncodeKey([]relation.Value{g, relation.Value(pr.Y.Bin)}, []int{0, 1})
-	})
+		func(kb mpc.KeyBin[string]) string { return kb.Key },
+		func(r relation.Row[W], kb mpc.KeyBin[string], found bool) (string, bool) {
+			if !found {
+				return "", false
+			}
+			return relation.EncodeKey([]relation.Value{r.Vals[gcCols[0]], relation.Value(kb.Bin)}, []int{0, 1}), true
+		})
+	counts, st2 := mpc.CountByKey(binKeys, func(k string) string { return k })
 	return counts, mpc.Seq(st1, st2)
-}
-
-// localJoinAggOn is localJoinAgg with explicit schemas and output attrs.
-func localJoinAggOn[W any](sr semiring.Semiring[W], in Input[W], outSchema []dist.Attr, shard []relation.SidedRow[W]) []relation.Row[W] {
-	left := relation.New[W](in.R1.Schema...)
-	right := relation.New[W](in.R2.Schema...)
-	for _, s := range shard {
-		if s.Left {
-			left.AppendRow(s.Row)
-		} else {
-			right.AppendRow(s.Row)
-		}
-	}
-	joined := relation.Join(sr, left, right)
-	return relation.ProjectAgg(sr, joined, outSchema...).Rows
 }

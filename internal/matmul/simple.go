@@ -22,16 +22,7 @@ func broadcastSmall[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64) (
 	}
 	bsmall, st := dist.Broadcast(small)
 
-	partials := mpc.MapShards(big.Part, func(s int, shard []relation.Row[W]) []relation.Row[W] {
-		rows := make([]relation.SidedRow[W], 0, len(shard)+len(bsmall.Part.Shards[s]))
-		for _, r := range bsmall.Part.Shards[s] {
-			rows = append(rows, relation.SidedRow[W]{Left: smallLeft, Row: r})
-		}
-		for _, r := range shard {
-			rows = append(rows, relation.SidedRow[W]{Left: !smallLeft, Row: r})
-		}
-		return localJoinAgg(sr, in, rows)
-	})
+	partials := joinBroadcast(sr, in, bsmall, big, smallLeft)
 	res, st2 := dist.ProjectAgg(sr, dist.Rel[W]{Schema: in.OutSchema(), Part: partials}, in.OutSchema()...)
 	return res, mpc.Seq(st, st2)
 }
@@ -54,19 +45,25 @@ func unequalRatio[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64) (di
 	grouped, st1 := dist.GroupBy(big, groupAttrs...)
 	bsmall, st2 := dist.Broadcast(small)
 
-	result := mpc.MapShards(grouped.Part, func(s int, shard []relation.Row[W]) []relation.Row[W] {
-		rows := make([]relation.SidedRow[W], 0, len(shard)+len(bsmall.Part.Shards[s]))
-		for _, r := range bsmall.Part.Shards[s] {
-			rows = append(rows, relation.SidedRow[W]{Left: smallLeft, Row: r})
-		}
-		for _, r := range shard {
-			rows = append(rows, relation.SidedRow[W]{Left: !smallLeft, Row: r})
-		}
-		return localJoinAgg(sr, in, rows)
-	})
+	result := joinBroadcast(sr, in, bsmall, grouped, smallLeft)
 	// Output groups are disjoint across servers (each C value lives on one
 	// server), so the local aggregates are final.
 	return dist.Rel[W]{Schema: in.OutSchema(), Part: result}, mpc.Seq(st1, st2)
+}
+
+// joinBroadcast joins, on every server, the local shard of big against the
+// server's copy of the broadcast relation and ⊕-aggregates onto the output
+// schema. The shards are the join's inputs as they stand; smallLeft says
+// the broadcast relation is R1.
+func joinBroadcast[W any](sr semiring.Semiring[W], in Input[W], bsmall, big dist.Rel[W], smallLeft bool) mpc.Part[relation.Row[W]] {
+	return mpc.MapShards(big.Part, func(s int, shard []relation.Row[W]) []relation.Row[W] {
+		left, right := relation.New[W](bsmall.Schema...), relation.New[W](big.Schema...)
+		left.Rows, right.Rows = bsmall.Part.Shards[s], shard
+		if !smallLeft {
+			left, right = right, left
+		}
+		return relation.ProjectAgg(sr, relation.Join(sr, left, right), in.OutSchema()...).Rows
+	})
 }
 
 // linearSparseMM is the OUT ≤ N/p algorithm of §3.2: co-locate both
@@ -100,7 +97,7 @@ func linearSparseMM[W any](sr semiring.Semiring[W], in Input[W]) (dist.Rel[W], m
 	})
 
 	partials := mpc.MapShards(grouped, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
-		return localJoinAgg(sr, in, shard)
+		return localJoinAgg(sr, in, in.OutSchema(), shard)
 	})
 	res, st2 := dist.ProjectAgg(sr, dist.Rel[W]{Schema: in.OutSchema(), Part: partials}, in.OutSchema()...)
 	return res, mpc.Seq(st1, st2)

@@ -160,7 +160,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	routed, stx := mpc.ExchangeToIn(ex, lay.total, out)
 
 	partials := mpc.MapShards(routed, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
-		return localJoinAgg(sr, in, shard)
+		return localJoinAgg(sr, in, in.OutSchema(), shard)
 	})
 
 	// Steps 2–3 partials are reduced globally; step 4 outputs are final.

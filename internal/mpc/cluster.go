@@ -490,6 +490,23 @@ func Filter[T any](pt Part[T], pred func(T) bool) Part[T] {
 	return out
 }
 
+// Split is Map with two outputs: f gives each element's image and whether
+// the first output takes it (the second otherwise); both keep element
+// order. Local, zero cost, one call of f per element.
+func Split[T, U any](pt Part[T], f func(T) (U, bool)) (yes, no Part[U]) {
+	yes, no = NewPartIn[U](pt.scope(), pt.P()), NewPartIn[U](pt.scope(), pt.P())
+	pt.scope().ForEachShard(pt.P(), func(i int) {
+		for _, x := range pt.Shards[i] {
+			if u, first := f(x); first {
+				yes.Shards[i] = append(yes.Shards[i], u)
+			} else {
+				no.Shards[i] = append(no.Shards[i], u)
+			}
+		}
+	})
+	return yes, no
+}
+
 // MapShards applies f to each shard locally (f receives the server index).
 // This is how algorithm packages run their per-server local joins: the
 // shard closures execute concurrently on the scope's runtime, one call

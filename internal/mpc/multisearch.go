@@ -44,13 +44,29 @@ type lastY[Y any, K cmp.Ordered] struct {
 // coordinator round (each server's last Y is prefix-maxed across servers).
 // Cost: the Sort cost plus two O(p)-load rounds.
 func MultiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K) (Part[Pred[X, Y]], Stats) {
-	return multiSearch(xs, ys, xkey, ykey, radixEncodable[K]())
+	return multiSearch(xs, ys, xkey, ykey, radixEncodable[K](), false, func(x X, y Y, found bool) (Pred[X, Y], bool) {
+		return Pred[X, Y]{X: x, Y: y, Found: found}, true
+	})
 }
 
-// multiSearch is MultiSearch with the sort's kernel chosen by the caller:
-// radix false keeps every phase on comparisons, the reference the radix
-// phases are tested against.
-func multiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K, radix bool) (Part[Pred[X, Y]], Stats) {
+// Lookup is the exact-match form of the multi-search with its consumer run
+// inside the scan: visit sees every x once, in sorted order, with its
+// predecessor y in ys (the zero Y when there is none) and found reporting
+// that y's key equals x's; it returns x's image and whether to keep it.
+// ys should hold at most one element per key (e.g. the output of
+// ReduceByKey) unless only found is read. Each key function is called
+// exactly once per element. Cost: one MultiSearch.
+func Lookup[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K, visit func(x X, y Y, found bool) (R, bool)) (Part[R], Stats) {
+	return multiSearch(xs, ys, xkey, ykey, radixEncodable[K](), true, visit)
+}
+
+// multiSearch is the one scan behind MultiSearch and Lookup. visit receives
+// each x with its predecessor and found: that it has one, or with exact set
+// that the predecessor's key equals x's — the scan compares the two keys it
+// sorted by, so no key function runs twice. radix false keeps every phase
+// of the sort on comparisons, the reference the radix phases are tested
+// against.
+func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K, radix, exact bool, visit func(x X, y Y, found bool) (R, bool)) (Part[R], Stats) {
 	p := xs.P()
 	if ys.P() != p {
 		panic("mpc: MultiSearch parts span different server counts")
@@ -139,15 +155,11 @@ func multiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K
 	})
 
 	// Local scan (one worker per server; each consults only its carry).
-	out := NewPartIn[Pred[X, Y]](ex, p)
+	out := NewPartIn[R](ex, p)
 	ex.ForEachShard(p, func(s int) {
-		var (
-			have bool
-			by   Y
-		)
-		if len(carried.Shards[s]) == 1 && carried.Shards[s][0].have {
-			have = true
-			by = carried.Shards[s][0].y
+		var cur lastY[Y, K]
+		if len(carried.Shards[s]) == 1 {
+			cur = carried.Shards[s][0]
 		}
 		nx := 0
 		for _, it := range sorted.Shards[s] {
@@ -158,16 +170,17 @@ func multiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K
 		if nx == 0 {
 			return
 		}
-		preds := make([]Pred[X, Y], 0, nx)
+		rs := make([]R, 0, nx)
 		for _, it := range sorted.Shards[s] {
-			if it.isX {
-				preds = append(preds, Pred[X, Y]{X: it.x, Y: by, Found: have})
-			} else {
-				have = true
-				by = it.y
+			if !it.isX {
+				cur.have, cur.k, cur.y = true, it.k, it.y
+			} else if r, keep := visit(it.x, cur.y, cur.have && (!exact || cur.k == it.k)); keep {
+				rs = append(rs, r)
 			}
 		}
-		out.Shards[s] = preds
+		if len(rs) > 0 {
+			out.Shards[s] = rs
+		}
 	})
 	return out, Seq(st, stAB)
 }
@@ -175,22 +188,17 @@ func multiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K
 // SemijoinKeys filters xs to the elements whose key appears in ys
 // (the §2.1 semijoin-by-multi-search). ys need not be duplicate-free.
 func SemijoinKeys[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K) (Part[X], Stats) {
-	preds, st := MultiSearch(xs, ys, xkey, ykey)
-	matched := Filter(preds, func(pr Pred[X, Y]) bool {
-		return pr.Found && ykey(pr.Y) == xkey(pr.X)
-	})
-	return Map(matched, func(pr Pred[X, Y]) X { return pr.X }), st
+	return Lookup(xs, ys, xkey, ykey, func(x X, _ Y, found bool) (X, bool) { return x, found })
 }
 
 // LookupJoin annotates every x with the Y value sharing its key, if any —
 // a one-to-many lookup where ys must have at most one element per key
-// (e.g. the output of ReduceByKey). Cost: one MultiSearch.
+// (e.g. the output of ReduceByKey). A row that is not Found keeps its
+// predecessor in Y. For callers that consume the pairs row by row (the
+// routers' memo loops); a consumer that filters or maps them is a Lookup
+// visitor. Cost: one MultiSearch.
 func LookupJoin[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K) (Part[Pred[X, Y]], Stats) {
-	preds, st := MultiSearch(xs, ys, xkey, ykey)
-	return Map(preds, func(pr Pred[X, Y]) Pred[X, Y] {
-		if pr.Found && ykey(pr.Y) != xkey(pr.X) {
-			pr.Found = false
-		}
-		return pr
-	}), st
+	return Lookup(xs, ys, xkey, ykey, func(x X, y Y, found bool) (Pred[X, Y], bool) {
+		return Pred[X, Y]{X: x, Y: y, Found: found}, true
+	})
 }

@@ -453,6 +453,9 @@ func TestSortEncodeKeyAritiesRadixOnly(t *testing.T) {
 func TestMultiSearchRadixMatchesComparison(t *testing.T) {
 	const p = 8
 	type row = relation.Row[int64]
+	pred := func(x, y row, found bool) (Pred[row, row], bool) {
+		return Pred[row, row]{X: x, Y: y, Found: found}, true
+	}
 	check := func(t *testing.T, run func(ex *Exec, radix bool) (Part[Pred[row, row]], Stats)) {
 		t.Helper()
 		trWant, trGot := NewTracer(), NewTracer()
@@ -481,7 +484,7 @@ func TestMultiSearchRadixMatchesComparison(t *testing.T) {
 			xs, ys, idx := fatRows(900, arity, 41), fatRows(300, arity, 43), allCols(arity)
 			key := func(r row) string { return relation.EncodeKey(r.Vals, idx) }
 			check(t, func(ex *Exec, radix bool) (Part[Pred[row, row]], Stats) {
-				return multiSearch(DistributeIn(ex, xs, p), DistributeIn(ex, ys, p), key, key, radix)
+				return multiSearch(DistributeIn(ex, xs, p), DistributeIn(ex, ys, p), key, key, radix, false, pred)
 			})
 		})
 	}
@@ -489,7 +492,7 @@ func TestMultiSearchRadixMatchesComparison(t *testing.T) {
 		xs, ys := fatRows(900, 1, 47), fatRows(300, 1, 53)
 		key := func(r row) int64 { return int64(r.Vals[0]) }
 		check(t, func(ex *Exec, radix bool) (Part[Pred[row, row]], Stats) {
-			return multiSearch(DistributeIn(ex, xs, p), DistributeIn(ex, ys, p), key, key, radix)
+			return multiSearch(DistributeIn(ex, xs, p), DistributeIn(ex, ys, p), key, key, radix, false, pred)
 		})
 	})
 }

@@ -260,6 +260,21 @@ type SidedRow[W any] struct {
 	Row  Row[W]
 }
 
+// Unzip takes a shard of sided rows apart into the two relations it
+// carries, each side's rows in arrival order — the input of the local join
+// every two-relation router ends with.
+func Unzip[W any](shard []SidedRow[W], leftSchema, rightSchema []Attr) (left, right *Relation[W]) {
+	left, right = New[W](leftSchema...), New[W](rightSchema...)
+	for _, s := range shard {
+		if s.Left {
+			left.AppendRow(s.Row)
+		} else {
+			right.AppendRow(s.Row)
+		}
+	}
+	return left, right
+}
+
 // AppendWireColumns implements mpc.ColumnarWire: SidedRow exchanges over a
 // transport ship as a sided columnar stream (flag bitmap + per-side
 // column groups) instead of raw row-header memory.

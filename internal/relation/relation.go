@@ -127,9 +127,10 @@ func (r *Relation[W]) String() string {
 // ---------------------------------------------------------------------------
 
 // EncodeKey encodes the projection of vals onto the column indices idx as
-// a comparable string (8 little-endian bytes per value), usable as a sort
-// or grouping key. The encoding flips the sign bit so lexicographic string
-// order equals lexicographic numeric order on the value vectors.
+// a comparable string (8 big-endian bytes per value), usable as a sort,
+// grouping or hash-map key. The encoding flips the sign bit so
+// lexicographic string order equals lexicographic numeric order on the
+// value vectors.
 func EncodeKey(vals []Value, idx []int) string {
 	// Keys of up to four columns (all of the paper's query classes) are
 	// assembled in a stack buffer; only the returned string is heap-allocated.
@@ -161,23 +162,6 @@ func DecodeKey(k string) []Value {
 		out[i] = Value(v ^ (1 << 63))
 	}
 	return out
-}
-
-// key encodes the projection of vals onto the column indices idx as a
-// comparable string (8 little-endian bytes per value).
-func key(vals []Value, idx []int) string {
-	var stack [32]byte // ≤ 4 columns encode without a heap buffer
-	out := stack[:0]
-	if 8*len(idx) > len(stack) {
-		out = make([]byte, 0, 8*len(idx))
-	}
-	for _, i := range idx {
-		v := uint64(vals[i])
-		out = append(out,
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return string(out)
 }
 
 // cols maps attribute names to column indices in r, panicking on absences.
@@ -230,11 +214,11 @@ func Join[W any](sr semiring.Semiring[W], r, s *Relation[W]) *Relation[W] {
 	if len(r.Rows) <= len(s.Rows) {
 		ht := make(map[string][]int, len(r.Rows))
 		for i, row := range r.Rows {
-			k := key(row.Vals, rIdx)
+			k := EncodeKey(row.Vals, rIdx)
 			ht[k] = append(ht[k], i)
 		}
 		for _, srow := range s.Rows {
-			for _, i := range ht[key(srow.Vals, sIdx)] {
+			for _, i := range ht[EncodeKey(srow.Vals, sIdx)] {
 				rrow := r.Rows[i]
 				vals := make([]Value, 0, len(out.schema))
 				vals = append(vals, rrow.Vals...)
@@ -247,11 +231,11 @@ func Join[W any](sr semiring.Semiring[W], r, s *Relation[W]) *Relation[W] {
 	} else {
 		ht := make(map[string][]int, len(s.Rows))
 		for i, row := range s.Rows {
-			k := key(row.Vals, sIdx)
+			k := EncodeKey(row.Vals, sIdx)
 			ht[k] = append(ht[k], i)
 		}
 		for _, rrow := range r.Rows {
-			for _, i := range ht[key(rrow.Vals, rIdx)] {
+			for _, i := range ht[EncodeKey(rrow.Vals, rIdx)] {
 				srow := s.Rows[i]
 				vals := make([]Value, 0, len(out.schema))
 				vals = append(vals, rrow.Vals...)
@@ -280,11 +264,11 @@ func Semijoin[W any](r, s *Relation[W]) *Relation[W] {
 	sIdx := s.cols(shared)
 	seen := make(map[string]struct{}, len(s.Rows))
 	for _, row := range s.Rows {
-		seen[key(row.Vals, sIdx)] = struct{}{}
+		seen[EncodeKey(row.Vals, sIdx)] = struct{}{}
 	}
 	out := r.Empty()
 	for _, row := range r.Rows {
-		if _, ok := seen[key(row.Vals, rIdx)]; ok {
+		if _, ok := seen[EncodeKey(row.Vals, rIdx)]; ok {
 			out.AppendRow(Row[W]{Vals: append([]Value(nil), row.Vals...), W: row.W})
 		}
 	}
@@ -299,7 +283,7 @@ func ProjectAgg[W any](sr semiring.Semiring[W], r *Relation[W], attrs ...Attr) *
 	out := New[W](attrs...)
 	pos := make(map[string]int, len(r.Rows))
 	for _, row := range r.Rows {
-		k := key(row.Vals, idx)
+		k := EncodeKey(row.Vals, idx)
 		if at, ok := pos[k]; ok {
 			out.Rows[at].W = sr.Add(out.Rows[at].W, row.W)
 			continue

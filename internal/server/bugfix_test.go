@@ -181,7 +181,7 @@ func TestErrorClassification(t *testing.T) {
 	// An unknown semiring surfaces as a client error from execute.
 	s := New(Config{})
 	q := &hypergraph.Query{Edges: []hypergraph.Edge{{Name: "R", Attrs: []hypergraph.Attr{"A", "B"}}}}
-	_, err := s.execute(context.Background(), &QueryRequest{Semiring: "floats"}, q,
+	_, err := s.execute(context.Background(), &QueryRequestV2{Semiring: "floats", Options: &QueryOptions{}}, q,
 		map[string]*Dataset{}, core.Options{})
 	if !isClientError(err) {
 		t.Fatalf("unknown semiring: err = %v, want client error", err)

@@ -56,11 +56,11 @@ var validCacheModes = map[string]bool{cacheDefault: true, cacheBypass: true, cac
 //
 // Relation order is preserved: two permutations of the same join key
 // differently and may both miss — a correctness-neutral inefficiency.
-func cacheKey(req *QueryRequest, insts map[string]*Dataset, o core.Options) string {
+func cacheKey(req *QueryRequestV2, insts map[string]*Dataset, o core.Options) string {
 	var b strings.Builder
 	writeBindings(&b, req, insts)
 	fmt.Fprintf(&b, "semiring=%q;trace=%v;explain=%v;opts=%016x",
-		req.Semiring, req.Trace, req.Explain, o.ResultFingerprint())
+		req.Semiring, req.Options.Trace, req.Options.Explain, o.ResultFingerprint())
 	if g := req.Graph; g != nil {
 		// Graph-driver parameters are not core options, so they are not in
 		// the fingerprint; a graph run must never share identity with the
@@ -76,7 +76,7 @@ func cacheKey(req *QueryRequest, insts map[string]*Dataset, o core.Options) stri
 // schedule are irrelevant to planning — only sizes matter — so one plan
 // serves every such variant of the same shape, and /v2/plan warms the
 // /v2/query that follows.
-func planKey(req *QueryRequest, insts map[string]*Dataset, o core.Options) string {
+func planKey(req *QueryRequestV2, insts map[string]*Dataset, o core.Options) string {
 	var b strings.Builder
 	writeBindings(&b, req, insts)
 	fmt.Fprintf(&b, "plan=%016x", planOptions(o).ResultFingerprint())
@@ -85,7 +85,7 @@ func planKey(req *QueryRequest, insts map[string]*Dataset, o core.Options) strin
 
 // writeBindings writes the data identity of a query: every relation
 // binding with its dataset version, and the group-by list.
-func writeBindings(b *strings.Builder, req *QueryRequest, insts map[string]*Dataset) {
+func writeBindings(b *strings.Builder, req *QueryRequestV2, insts map[string]*Dataset) {
 	for _, rel := range req.Relations {
 		fmt.Fprintf(b, "rel=%q attrs=%q ds=%q@%d;", rel.Name, strings.Join(rel.Attrs, ","), datasetOf(rel), insts[rel.Name].Version)
 	}
@@ -106,7 +106,7 @@ func datasetOf(rel QueryRelation) string {
 // entries it obsoletes. (Version-carrying keys already make stale hits
 // impossible; tag invalidation reclaims the memory and surfaces the
 // mpcd_cache_invalidations_total signal.)
-func cacheTags(req *QueryRequest) []string {
+func cacheTags(req *QueryRequestV2) []string {
 	tags := make([]string, 0, len(req.Relations))
 	seen := make(map[string]bool, len(req.Relations))
 	for _, rel := range req.Relations {

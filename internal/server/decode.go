@@ -57,50 +57,6 @@ type QueryRelation struct {
 	Dataset string `json:"dataset,omitempty"`
 }
 
-// QueryRequest is the normalized internal form of a query: what
-// DecodeQueryRequestV2 fills from the wire shape (QueryRequestV2 and its
-// options object) and everything past the decoder runs on.
-type QueryRequest struct {
-	Relations []QueryRelation
-	// GroupBy lists the output attributes; empty means full aggregation.
-	GroupBy []string
-	// Servers is the simulated cluster size p (default 16).
-	Servers int
-	// Strategy is "auto" (default) or an engine name — any value the
-	// response's "engine" field can report (planner.ParseEngine). The
-	// engine must be legal for the query's class.
-	Strategy string
-	// Semiring is "ints" (default), "minplus", "maxplus", "maxmin" or
-	// "bools" (annotation != 0 is true; results are true groups).
-	Semiring string
-	// Workers sizes this query's OS worker pool: 0 (the default)
-	// inherits the ambient runtime — the service never installs one, so 0
-	// runs serially; -1 = GOMAXPROCS; n > 0 = n workers. Per-query, not
-	// process-global. Every value admits at least one unit of weight.
-	Workers int
-	// DeadlineMS bounds queue wait, planning and execution wall time; the
-	// query is cancelled at the next MPC round barrier after the deadline.
-	// 0 means no deadline.
-	DeadlineMS int64
-	// Seed drives hash partitioning and estimators (reproducibility).
-	Seed uint64
-	// Trace returns the per-round load timeline ("rounds" in the
-	// response). Off by default; tracing never changes results or stats.
-	Trace bool
-	// Faults is the fault-injection block.
-	Faults *FaultBlock
-	// Cache is the cache-control mode: cacheDefault (the wire's "" and
-	// "default"), cacheBypass or cacheOff.
-	Cache string
-	// Graph turns the request into an iterated graph-analytics run over
-	// the single bound edge relation.
-	Graph *GraphBlock
-	// Explain asks for the planner's explanation — class, ranked
-	// candidates, chosen engine and why — in the response's "plan" block;
-	// explaining never changes rows or stats.
-	Explain bool
-}
-
 var validSemirings = map[string]bool{"": true, "ints": true, "minplus": true, "maxplus": true, "maxmin": true, "bools": true}
 
 // DecodeDatasetRequest parses and validates a dataset registration body.
@@ -139,8 +95,9 @@ func DecodeDatasetRequest(r io.Reader) (*DatasetRequest, error) {
 	return &req, nil
 }
 
-// validateQueryRequest checks the normalized request shape.
-func validateQueryRequest(req *QueryRequest) error {
+// validateQueryRequest checks the decoded request shape.
+func validateQueryRequest(req *QueryRequestV2) error {
+	o := req.Options
 	if len(req.Relations) == 0 {
 		return fmt.Errorf("relations is required")
 	}
@@ -165,8 +122,8 @@ func validateQueryRequest(req *QueryRequest) error {
 			return fmt.Errorf("group_by[%d]: empty attribute name", i)
 		}
 	}
-	if req.Servers < 0 || req.Servers > maxServers {
-		return fmt.Errorf("servers must be in [0, %d], got %d", maxServers, req.Servers)
+	if o.Servers < 0 || o.Servers > maxServers {
+		return fmt.Errorf("servers must be in [0, %d], got %d", maxServers, o.Servers)
 	}
 	if _, err := planner.ParseEngine(req.Strategy); err != nil {
 		return fmt.Errorf("strategy: %w", err)
@@ -174,19 +131,19 @@ func validateQueryRequest(req *QueryRequest) error {
 	if !validSemirings[req.Semiring] {
 		return fmt.Errorf("unknown semiring %q (want ints, minplus, maxplus, maxmin or bools)", req.Semiring)
 	}
-	if req.Workers < -1 || req.Workers > maxQueryWorkers {
-		return fmt.Errorf("workers must be in [-1, %d], got %d", maxQueryWorkers, req.Workers)
+	if o.Workers < -1 || o.Workers > maxQueryWorkers {
+		return fmt.Errorf("workers must be in [-1, %d], got %d", maxQueryWorkers, o.Workers)
 	}
-	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
-		return fmt.Errorf("deadline_ms must be in [0, %d], got %d", maxDeadlineMS, req.DeadlineMS)
+	if o.DeadlineMS < 0 || o.DeadlineMS > maxDeadlineMS {
+		return fmt.Errorf("deadline_ms must be in [0, %d], got %d", maxDeadlineMS, o.DeadlineMS)
 	}
-	if req.Faults != nil {
-		if err := req.Faults.validate(); err != nil {
+	if o.Faults != nil {
+		if err := o.Faults.validate(); err != nil {
 			return err
 		}
 	}
-	if !validCacheModes[req.Cache] {
-		return fmt.Errorf("unknown cache mode %q (want default, bypass or off)", req.Cache)
+	if !validCacheModes[o.Cache] {
+		return fmt.Errorf("unknown cache mode %q (want default, bypass or off)", o.Cache)
 	}
 	if g := req.Graph; g != nil {
 		if err := g.validate(); err != nil {
@@ -209,7 +166,7 @@ func validateQueryRequest(req *QueryRequest) error {
 		if req.Semiring != "" {
 			return fmt.Errorf("graph queries do not take a semiring (the %s driver fixes it)", g.Kind)
 		}
-		if req.Explain {
+		if o.Explain {
 			return fmt.Errorf("explain does not apply to graph queries (the %s driver is the plan)", g.Kind)
 		}
 	}

@@ -14,8 +14,11 @@ import (
 // checkDecoded asserts what the query decoder promises about anything it
 // accepts: every field inside its documented bounds, so a hostile body
 // cannot smuggle out-of-range parameters past validation into the engine.
-func checkDecoded(t *testing.T, req *QueryRequest) {
+func checkDecoded(t *testing.T, req *QueryRequestV2) {
 	t.Helper()
+	if req.Options == nil {
+		t.Fatal("decoded request without options")
+	}
 	if len(req.Relations) == 0 || len(req.Relations) > maxRelations {
 		t.Fatalf("accepted request with %d relations", len(req.Relations))
 	}
@@ -24,18 +27,18 @@ func checkDecoded(t *testing.T, req *QueryRequest) {
 			t.Fatalf("accepted malformed relation %+v", rel)
 		}
 	}
-	if req.Servers < 0 || req.Servers > maxServers ||
-		req.Workers < -1 || req.Workers > maxQueryWorkers ||
-		req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+	if req.Options.Servers < 0 || req.Options.Servers > maxServers ||
+		req.Options.Workers < -1 || req.Options.Workers > maxQueryWorkers ||
+		req.Options.DeadlineMS < 0 || req.Options.DeadlineMS > maxDeadlineMS {
 		t.Fatalf("accepted out-of-range numerics %+v", req)
 	}
 	if _, err := planner.ParseEngine(req.Strategy); err != nil || !validSemirings[req.Semiring] {
 		t.Fatalf("accepted unknown strategy/semiring %+v", req)
 	}
-	if !validCacheModes[req.Cache] {
-		t.Fatalf("accepted unknown cache mode %q", req.Cache)
+	if !validCacheModes[req.Options.Cache] {
+		t.Fatalf("accepted unknown cache mode %q", req.Options.Cache)
 	}
-	if fb := req.Faults; fb != nil {
+	if fb := req.Options.Faults; fb != nil {
 		if fb.CrashProb < 0 || fb.CrashProb > 1 ||
 			fb.DropProb < 0 || fb.DropProb > 1 ||
 			fb.StragglerProb < 0 || fb.StragglerProb > 1 ||
@@ -44,7 +47,7 @@ func checkDecoded(t *testing.T, req *QueryRequest) {
 			t.Fatalf("accepted out-of-range fault block %+v", fb)
 		}
 		// Whatever the decoder accepts must construct a valid plane.
-		if err := fb.Spec(req.Seed).Validate(); err != nil {
+		if err := fb.Spec(req.Options.Seed).Validate(); err != nil {
 			t.Fatalf("accepted fault block fails engine validation: %v (%+v)", err, fb)
 		}
 	}

@@ -32,7 +32,7 @@ type bindFail struct {
 // one registry snapshot, building the hypergraph query and the dataset
 // map the execution (or planning) runs on. Shared by /v2/query and
 // /v2/plan so both bind — and therefore plan — identically.
-func bindQuery(req *QueryRequest, view *RegistryView) (*hypergraph.Query, map[string]*Dataset, *bindFail) {
+func bindQuery(req *QueryRequestV2, view *RegistryView) (*hypergraph.Query, map[string]*Dataset, *bindFail) {
 	q := &hypergraph.Query{}
 	insts := make(map[string]*Dataset, len(req.Relations))
 	for _, rel := range req.Relations {
@@ -65,7 +65,7 @@ func bindQuery(req *QueryRequest, view *RegistryView) (*hypergraph.Query, map[st
 // returns, so a shared execution may outlive the request that built it.
 type boundQuery struct {
 	tenant string
-	req    *QueryRequest
+	req    *QueryRequestV2
 	view   *RegistryView
 	q      *hypergraph.Query
 	insts  map[string]*Dataset
@@ -124,7 +124,7 @@ func (s *Server) openQuery(w http.ResponseWriter, r *http.Request) (*queryCall, 
 		return c, false
 	}
 	if !s.cacheOn {
-		c.req.Cache = cacheOff
+		c.req.Options.Cache = cacheOff
 	}
 
 	// Resolve relation → dataset bindings against ONE registry snapshot,
@@ -154,18 +154,18 @@ func (s *Server) openQuery(w http.ResponseWriter, r *http.Request) (*queryCall, 
 	// Deadline: derived before admission so it covers queue wait and the
 	// planner pre-pass as well as execution — a query must not sit in the
 	// admission queue past its own deadline and then still run.
-	if c.req.DeadlineMS > 0 {
-		c.ctx, c.cancel = context.WithTimeout(c.ctx, time.Duration(c.req.DeadlineMS)*time.Millisecond)
+	if c.req.Options.DeadlineMS > 0 {
+		c.ctx, c.cancel = context.WithTimeout(c.ctx, time.Duration(c.req.Options.DeadlineMS)*time.Millisecond)
 	}
 	return c, true
 }
 
-// queryOptions is the one QueryRequest → core.Options mapping, shared by
+// queryOptions is the one QueryRequestV2 → core.Options mapping, shared by
 // the query and plan endpoints. For join-aggregate requests it also checks
 // what both need before any work is spent: a well-formed query, and a
 // "strategy" naming an engine the engine table allows for the query's
 // class. Errors are the client's.
-func (s *Server) queryOptions(req *QueryRequest, q *hypergraph.Query) (core.Options, error) {
+func (s *Server) queryOptions(req *QueryRequestV2, q *hypergraph.Query) (core.Options, error) {
 	engine, err := planner.ParseEngine(req.Strategy)
 	if err != nil {
 		return core.Options{}, err
@@ -181,14 +181,14 @@ func (s *Server) queryOptions(req *QueryRequest, q *hypergraph.Query) (core.Opti
 		}
 	}
 	o := core.Options{
-		Servers:   req.Servers,
-		Seed:      req.Seed,
-		Workers:   req.Workers,
+		Servers:   req.Options.Servers,
+		Seed:      req.Options.Seed,
+		Workers:   req.Options.Workers,
 		Transport: s.cfg.Transport,
 		Engine:    engine,
 	}
-	if req.Faults != nil {
-		o.Faults = mpc.NewFaultPlane(req.Faults.Spec(req.Seed))
+	if req.Options.Faults != nil {
+		o.Faults = mpc.NewFaultPlane(req.Options.Faults.Spec(req.Options.Seed))
 	}
 	return o, nil
 }

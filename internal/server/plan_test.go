@@ -177,12 +177,13 @@ func TestPlanEngineMetricProm(t *testing.T) {
 // fingerprint hashes the forced name; an auto query's engine is a function
 // of the rest of the key).
 func TestCacheKeyCarriesResolvedEngine(t *testing.T) {
-	req := &QueryRequest{
+	req := &QueryRequestV2{
 		Relations: []QueryRelation{
 			{Name: "R1", Attrs: []string{"A", "B"}},
 			{Name: "R2", Attrs: []string{"B", "C"}},
 		},
 		GroupBy: []string{"A", "C"},
+		Options: &QueryOptions{},
 	}
 	insts := map[string]*Dataset{
 		"R1": {Arity: 2, Version: 1},
@@ -197,7 +198,7 @@ func TestCacheKeyCarriesResolvedEngine(t *testing.T) {
 		t.Fatalf("cache key ignores the resolved engine: %s", k1)
 	}
 	// Explain changes the response body, so it must change the key too.
-	req.Explain = true
+	req.Options.Explain = true
 	if k3 := cacheKey(req, insts, o); k3 == k2 {
 		t.Fatal("cache key ignores explain")
 	}

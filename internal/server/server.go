@@ -379,7 +379,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mode := c.req.Cache
+	mode := c.req.Options.Cache
 	var key string
 	if mode != cacheOff {
 		key = cacheKey(c.req, c.insts, c.o)
@@ -522,8 +522,8 @@ func (s *Server) admit(ctx context.Context, b *boundQuery) (*planner.Plan, int64
 	// frees its queue slot. workers: 0 (the default) runs serially, which
 	// still occupies one OS worker — clamp to 1 so default queries cannot
 	// bypass the capacity.
-	weight := int64(b.req.Workers)
-	if b.req.Workers < 0 {
+	weight := int64(b.req.Options.Workers)
+	if b.req.Options.Workers < 0 {
 		weight = int64(runtime.GOMAXPROCS(0))
 	}
 	if weight < 1 {
@@ -585,7 +585,7 @@ func (s *Server) execAdmitted(ctx context.Context, b *boundQuery) (resp *QueryRe
 	if plan != nil {
 		o.Engine = plan.Chosen
 	}
-	if b.req.Trace {
+	if b.req.Options.Trace {
 		o.Tracer = mpc.NewTracer()
 	}
 	start := time.Now()
@@ -607,7 +607,7 @@ func (s *Server) execAdmitted(ctx context.Context, b *boundQuery) (resp *QueryRe
 		ran := *plan
 		ran.MeasuredLoad = resp.Stats.MaxLoad
 		resp.Engine, resp.Class = ran.Chosen, ran.Class
-		if b.req.Explain {
+		if b.req.Options.Explain {
 			resp.Plan = &ran
 		}
 	}
@@ -648,7 +648,7 @@ func (s *Server) disconnectCause() string {
 // execute materializes the query's instance from the registry (aliasing
 // the stored rows; the engine's unowned placement copies them into shards)
 // and runs it under the requested semiring.
-func (s *Server) execute(ctx context.Context, req *QueryRequest, q *hypergraph.Query, insts map[string]*Dataset, o core.Options) (*QueryResponse, error) {
+func (s *Server) execute(ctx context.Context, req *QueryRequestV2, q *hypergraph.Query, insts map[string]*Dataset, o core.Options) (*QueryResponse, error) {
 	if req.Semiring == "bools" {
 		inst := make(db.Instance[bool], len(insts))
 		for name, ds := range insts {
@@ -688,7 +688,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, q *hypergraph.Q
 // transport) a join-aggregate query would get. Rows come back as
 // [value, vertex] — hop level, distance or rank first, mirroring the
 // [annotation, values...] shape of join results.
-func (s *Server) executeGraph(ctx context.Context, req *QueryRequest, insts map[string]*Dataset, o core.Options) (resp *QueryResponse, err error) {
+func (s *Server) executeGraph(ctx context.Context, req *QueryRequestV2, insts map[string]*Dataset, o core.Options) (resp *QueryResponse, err error) {
 	g := req.Graph
 	ds := insts[req.Relations[0].Name]
 	p := o.Servers

@@ -12,9 +12,8 @@ import (
 // v2.go is the wire dialect of the query endpoints (/v2/query, /v2/plan):
 // the query shape top-level, every execution knob in an explicit options
 // object, a fault-injection block, a graph block, and a typed error
-// envelope carrying a machine-readable cause. It is the only dialect:
-// DecodeQueryRequestV2 normalizes a body into the QueryRequest everything
-// past the decoder runs on.
+// envelope carrying a machine-readable cause. It is the only dialect, and
+// the decoded QueryRequestV2 is what everything past the decoder runs on.
 
 // FaultBlock is the "faults" object of a v2 query: the wire form of
 // mpc.FaultSpec. All fields are optional; a present block with all-zero
@@ -154,16 +153,21 @@ func (g *GraphBlock) validate() error {
 type QueryOptions struct {
 	// Servers is the simulated cluster size p (default 16).
 	Servers int `json:"servers,omitempty"`
-	// Workers sizes this query's OS worker pool: 0 = serial (default),
-	// -1 = GOMAXPROCS, n > 0 = n workers.
+	// Workers sizes this query's OS worker pool: 0 (the default)
+	// inherits the ambient runtime — the service never installs one, so 0
+	// runs serially; -1 = GOMAXPROCS; n > 0 = n workers. Per-query, not
+	// process-global. Every value admits at least one unit of weight.
 	Workers int `json:"workers,omitempty"`
 	// Seed drives hash partitioning and estimators (reproducibility).
 	Seed uint64 `json:"seed,omitempty"`
-	// Trace returns the per-round load timeline in the response.
+	// Trace returns the per-round load timeline ("rounds" in the
+	// response). Off by default; tracing never changes results or stats.
 	Trace bool `json:"trace,omitempty"`
 	// Faults runs the query under the deterministic fault plane.
 	Faults *FaultBlock `json:"faults,omitempty"`
-	// DeadlineMS bounds queue wait plus execution wall time.
+	// DeadlineMS bounds queue wait, planning and execution wall time; the
+	// query is cancelled at the next MPC round barrier after the deadline.
+	// 0 means no deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Cache is the cache-control mode: "" or "default" reads the result
 	// cache, coalesces onto identical in-flight executions and writes the
@@ -176,52 +180,47 @@ type QueryOptions struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// QueryRequestV2 is the body of POST /v2/query.
+// QueryRequestV2 is the body of POST /v2/query, and the request everything
+// past the decoder runs on.
 type QueryRequestV2 struct {
 	Relations []QueryRelation `json:"relations"`
-	GroupBy   []string        `json:"group_by,omitempty"`
-	Strategy  string          `json:"strategy,omitempty"`
-	Semiring  string          `json:"semiring,omitempty"`
+	// GroupBy lists the output attributes; empty means full aggregation.
+	GroupBy []string `json:"group_by,omitempty"`
+	// Strategy is "auto" (default) or an engine name — any value the
+	// response's "engine" field can report (planner.ParseEngine). The
+	// engine must be legal for the query's class.
+	Strategy string `json:"strategy,omitempty"`
+	// Semiring is "ints" (default), "minplus", "maxplus", "maxmin" or
+	// "bools" (annotation != 0 is true; results are true groups).
+	Semiring string `json:"semiring,omitempty"`
 	// Graph turns the request into an iterated graph-analytics run over
 	// the single bound edge relation.
-	Graph   *GraphBlock   `json:"graph,omitempty"`
+	Graph *GraphBlock `json:"graph,omitempty"`
+	// Options is never nil once decoded.
 	Options *QueryOptions `json:"options,omitempty"`
 }
 
-// DecodeQueryRequestV2 parses and validates a query body and normalizes
-// it into the QueryRequest the execution path runs on. An execution knob
-// arriving top-level instead of inside "options" is an unknown field and
-// rejected.
-func DecodeQueryRequestV2(r io.Reader) (*QueryRequest, error) {
-	var v2 QueryRequestV2
+// DecodeQueryRequestV2 parses and validates a query body. The request it
+// returns always has Options set, with the cache mode "default" normalized
+// to cacheDefault. An execution knob arriving top-level instead of inside
+// "options" is an unknown field and rejected.
+func DecodeQueryRequestV2(r io.Reader) (*QueryRequestV2, error) {
+	var req QueryRequestV2
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v2); err != nil {
+	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("invalid JSON: %w", err)
 	}
-	req := &QueryRequest{
-		Relations: v2.Relations,
-		GroupBy:   v2.GroupBy,
-		Strategy:  v2.Strategy,
-		Semiring:  v2.Semiring,
-		Graph:     v2.Graph,
+	if req.Options == nil {
+		req.Options = &QueryOptions{}
 	}
-	if o := v2.Options; o != nil {
-		req.Servers = o.Servers
-		req.Workers = o.Workers
-		req.Seed = o.Seed
-		req.Trace = o.Trace
-		req.DeadlineMS = o.DeadlineMS
-		req.Faults = o.Faults
-		if req.Cache = o.Cache; req.Cache == "default" {
-			req.Cache = cacheDefault
-		}
-		req.Explain = o.Explain
+	if req.Options.Cache == "default" {
+		req.Options.Cache = cacheDefault
 	}
-	if err := validateQueryRequest(req); err != nil {
+	if err := validateQueryRequest(&req); err != nil {
 		return nil, err
 	}
-	return req, nil
+	return &req, nil
 }
 
 // v2Error is the typed error envelope of the v2 API:

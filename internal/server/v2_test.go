@@ -219,7 +219,7 @@ func TestV2DecodeFaultBounds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid fault block rejected: %v", err)
 	}
-	if req.Faults == nil || req.Faults.CrashProb != 0.5 {
-		t.Errorf("fault block not normalized: %+v", req.Faults)
+	if req.Options.Faults == nil || req.Options.Faults.CrashProb != 0.5 {
+		t.Errorf("fault block not normalized: %+v", req.Options.Faults)
 	}
 }

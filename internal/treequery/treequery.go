@@ -231,20 +231,17 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options)
 	// Per-root heavy tables: b is heavy iff x(b) > y(b).
 	heavyTables := make(map[hypergraph.Attr]mpc.Part[dist.ValueClass], len(roots))
 	for _, b := range roots {
-		joined, s := mpc.LookupJoin(xParts[b], yParts[b],
+		heavy, s := mpc.Lookup(xParts[b], yParts[b],
 			func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
-			func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
-		st = mpc.Seq(st, s)
-		heavyTables[b] = mpc.Map(mpc.Filter(joined,
-			func(pr mpc.Pred[mpc.KeyCount[int64], mpc.KeyCount[int64]]) bool {
-				y := int64(1)
-				if pr.Found {
-					y = pr.Y.Count
+			func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
+			func(x, y mpc.KeyCount[int64], found bool) (dist.ValueClass, bool) {
+				if !found {
+					y.Count = 1
 				}
-				return pr.X.Count > y
-			}), func(pr mpc.Pred[mpc.KeyCount[int64], mpc.KeyCount[int64]]) dist.ValueClass {
-			return dist.ValueClass{B: relation.Value(pr.X.Key), Class: heavyClass}
-		})
+				return dist.ValueClass{B: relation.Value(x.Key), Class: heavyClass}, x.Count > y.Count
+			})
+		st = mpc.Seq(st, s)
+		heavyTables[b] = heavy
 	}
 
 	// Step 2: the 2^{|roots|} heavy/light subqueries, each on its own
@@ -398,14 +395,13 @@ func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergrap
 			erel := vt.rels[ts.Edges[f.edge].Name]
 			vCol := erel.Cols(dist.Attr(v))[0]
 			cCol := erel.Cols(dist.Attr(f.to))[0]
-			looked, s := mpc.LookupJoin(erel.Part, f.part,
+			carried, s := mpc.Lookup(erel.Part, f.part,
 				func(r relation.Row[W]) int64 { return int64(r.Vals[cCol]) },
-				func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
-			st = mpc.Seq(st, s)
-			carried := mpc.Map(mpc.Filter(looked, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[int64]]) bool { return pr.Found }),
-				func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[int64]]) mpc.KeyCount[int64] {
-					return mpc.KeyCount[int64]{Key: int64(pr.X.Vals[vCol]), Count: pr.Y.Count}
+				func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
+				func(r relation.Row[W], y mpc.KeyCount[int64], found bool) (mpc.KeyCount[int64], bool) {
+					return mpc.KeyCount[int64]{Key: int64(r.Vals[vCol]), Count: y.Count}, found
 				})
+			st = mpc.Seq(st, s)
 			maxed, s2 := mpc.ReduceByKey(carried,
 				func(kc mpc.KeyCount[int64]) int64 { return kc.Key },
 				func(a, b mpc.KeyCount[int64]) mpc.KeyCount[int64] {

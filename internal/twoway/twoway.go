@@ -68,14 +68,12 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 	ds, st2 := mpc.CountByKey(s.Part, sKey)
 
 	// Per-key (d_R, d_S) for keys present on both sides.
-	pairs, st3 := mpc.LookupJoin(dr, ds,
+	stats, st3 := mpc.Lookup(dr, ds,
 		func(kc mpc.KeyCount[string]) string { return kc.Key },
-		func(kc mpc.KeyCount[string]) string { return kc.Key })
-	stats := mpc.Map(mpc.Filter(pairs, func(pr mpc.Pred[mpc.KeyCount[string], mpc.KeyCount[string]]) bool {
-		return pr.Found
-	}), func(pr mpc.Pred[mpc.KeyCount[string], mpc.KeyCount[string]]) keyStat {
-		return keyStat{key: pr.X.Key, dr: pr.X.Count, ds: pr.Y.Count}
-	})
+		func(kc mpc.KeyCount[string]) string { return kc.Key },
+		func(x, y mpc.KeyCount[string], found bool) (keyStat, bool) {
+			return keyStat{key: x.Key, dr: x.Count, ds: y.Count}, found
+		})
 
 	// OUT_f = Σ d_R·d_S via a coordinator round.
 	local := make([]int64, p)
@@ -258,15 +256,7 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 	// Local joins.
 	outSchema := joinSchema(r.Schema, s.Schema)
 	result := mpc.MapShards(routed, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
-		left := relation.New[W](r.Schema...)
-		right := relation.New[W](s.Schema...)
-		for _, sr2 := range shard {
-			if sr2.Left {
-				left.AppendRow(sr2.Row)
-			} else {
-				right.AppendRow(sr2.Row)
-			}
-		}
+		left, right := relation.Unzip(shard, r.Schema, s.Schema)
 		return relation.Join(sr, left, right).Rows
 	})
 

@@ -2,8 +2,11 @@ package mpcjoin
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mpcjoin/internal/transport"
 )
@@ -202,5 +205,52 @@ func TestOptionsTransportTCP(t *testing.T) {
 	_, err = Execute[int64](Ints(), q, data, WithTransport(TCPTransport("127.0.0.1:1")))
 	if err == nil || !strings.Contains(err.Error(), "transport") {
 		t.Fatalf("want a transport connect error, got %v", err)
+	}
+}
+
+// TestLineEngineReturnsUnderAnyOutOracle: WithOutOracle is unvalidated
+// public input and the line engine takes its square root; an oracle of
+// math.MaxInt64 used to spin in that root forever, before any round barrier
+// a deadline could cancel at. It must return, with the answer the oracle
+// never changes.
+func TestLineEngineReturnsUnderAnyOutOracle(t *testing.T) {
+	q := NewQuery().
+		Relation("R1", "A", "B").
+		Relation("R2", "B", "C").
+		Relation("R3", "C", "D").
+		GroupBy("A", "D")
+	data := Instance[int64]{
+		"R1": NewRelation[int64]("A", "B"),
+		"R2": NewRelation[int64]("B", "C"),
+		"R3": NewRelation[int64]("C", "D"),
+	}
+	for i := int64(0); i < 60; i++ {
+		data["R1"].Add(1, Value(i%9), Value(i%5))
+		data["R2"].Add(1, Value(i%5), Value(i%7))
+		data["R3"].Add(1, Value(i%7), Value(i%4))
+	}
+	want, err := Execute[int64](Ints(), q, data, WithEngine("line"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *Result[int64]
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Execute[int64](Ints(), q, data, WithEngine("line"), WithOutOracle(math.MaxInt64))
+		done <- outcome{res, err}
+	}()
+	select {
+	case got := <-done:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if !reflect.DeepEqual(got.res.Rows, want.Rows) {
+			t.Errorf("rows under the oracle differ: got %v, want %v", got.res.Rows, want.Rows)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Execute did not return within the deadline")
 	}
 }
