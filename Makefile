@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test loc bench-test bench-gate identity race bench service-smoke cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
+.PHONY: ci vet build test loc bench-test bench-gate identity race bench profile service-smoke cluster-smoke graph-smoke boundcheck planner-check chaos chaos-tcp bench-transport
 
 ci: vet build test bench-test race
 
@@ -42,6 +42,17 @@ race:
 # bench/ (bench-gate below), not from here.
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./... | tee bench.txt
+
+# CPU and allocation profiles of the op mix the tree_mix workload runs
+# (BenchmarkTreeMixShapes: line, star, star-like and twig, auto-planned at
+# p=16), left under .bench_build/ with the test binary — what the next
+# allocation or planning issue is sized from. Read them with
+#   go tool pprof -sample_index=alloc_space -top .bench_build/treemix.test .bench_build/treemix.mem.prof
+#   go tool pprof -top .bench_build/treemix.test .bench_build/treemix.cpu.prof
+profile:
+	mkdir -p .bench_build
+	$(GO) test -run NONE -bench TreeMixShapes -benchtime 10x -benchmem -o .bench_build/treemix.test \
+		-cpuprofile .bench_build/treemix.cpu.prof -memprofile .bench_build/treemix.mem.prof -memprofilerate 4096 .
 
 # The benchmark gate: bench/run.sh on BASE and on this checkout, every
 # workload BENCHMARK.json lists, alternating which side goes first; fails

@@ -10,6 +10,7 @@ package mpcjoin
 // EXPERIMENTS.md records the full-size numbers.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"mpcjoin/internal/experiments"
+	"mpcjoin/internal/workload"
 )
 
 // benchExperiment runs one experiment per iteration and reports the loads
@@ -157,6 +159,41 @@ func BenchmarkExecuteLine3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Execute[int64](Ints(), q, data, WithServers(16)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTreeMixShapes is one pass of the op mix the repository
+// benchmark's tree_mix workload times — the catalogue's line, star,
+// star-like and tree families at that workload's block counts, auto-planned
+// at p=16 through ExecuteContext — as a go test benchmark, so `make profile`
+// attributes CPU samples and allocated bytes over the mix that workload
+// runs rather than over whichever micro-benchmark is at hand.
+func BenchmarkTreeMixShapes(b *testing.B) {
+	type op struct {
+		q    *Query
+		data Instance[int64]
+	}
+	var ops []op
+	for _, shape := range []struct {
+		family string
+		blocks int
+	}{{"line", 2048}, {"star", 512}, {"star-like", 64}, {"tree", 128}} {
+		fam := workload.Named(shape.family)
+		inst, _ := fam.Gen(shape.blocks)
+		data := Instance[int64]{}
+		for name, r := range inst {
+			data[name] = &Relation[int64]{rel: r}
+		}
+		ops = append(ops, op{&Query{q: fam.Query}, data})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range ops {
+			if _, err := ExecuteContext(context.Background(), Ints(), o.q, o.data, WithServers(16), WithSeed(1)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

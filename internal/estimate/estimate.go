@@ -14,20 +14,23 @@
 // star/star-like reductions): every path position is a list of concrete
 // attributes, keyed by its order-preserving byte encoding.
 //
-// Metering note: a sketch vector is O(k·log N) machine words, i.e.
-// O(log N) units in the model's terms. The simulator counts each Part
-// element as one unit, so measured estimator loads are a polylog factor
-// below the physical truth — consistent with the paper's Õ(N/p) claim for
-// this primitive, and called out in EXPERIMENTS.md.
+// Metering note: a sketch vector is one run of len(w) machine words —
+// O(k·log N) of them, i.e. O(log N) units in the model's terms. The
+// simulator counts each Part element as one unit (and the tracer its fixed
+// 40-byte KeySketch header as its Bytes), so measured estimator loads are a
+// polylog factor below the physical truth — consistent with the paper's
+// Õ(N/p) claim for this primitive, and called out in EXPERIMENTS.md.
 package estimate
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/kmv"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/relation"
 )
 
 // DefaultK is the per-sketch size; the estimator's relative error is
@@ -45,8 +48,22 @@ type Params struct {
 	Seed uint64
 }
 
-// WithDefaults fills unset fields given an instance size n.
+// Validate rejects sizes no estimator can run with: a sketch of one value
+// (whose (K−1)/v_K estimate is identically zero) and negative counts. Zero
+// still means "default".
+func (p Params) Validate() error {
+	if p.K == 1 || p.K < 0 || p.Reps < 0 {
+		return fmt.Errorf("sketch size %d must be 0 (default) or at least 2, repetitions %d 0 (default) or positive", p.K, p.Reps)
+	}
+	return nil
+}
+
+// WithDefaults fills unset fields given an instance size n. Invalid Params
+// are a bug in the caller — the public option validates before they get here.
 func (p Params) WithDefaults(n int) Params {
+	if err := p.Validate(); err != nil {
+		panic("estimate: " + err.Error())
+	}
 	if p.K == 0 {
 		p.K = DefaultK
 	}
@@ -62,79 +79,87 @@ func (p Params) WithDefaults(n int) Params {
 	return p
 }
 
-// Vec is a vector of independent KMV sketches (one per repetition).
-type Vec struct {
-	Sk []kmv.Sketch
+// Vec is a vector of independent KMV sketches, one per repetition, held as
+// one flat word run: w[0] = K, w[1] = Reps, w[2] = Seed, then one end offset
+// (an index into w) per repetition, then every repetition's ascending
+// distinct hash values back to back. A Vec is immutable once built: every
+// operation below allocates its result once, fills it in place and never
+// writes into an operand, so vectors may be shared between Part elements
+// (the fold's untagged carry does) and re-sent from an outbox after a fault.
+type Vec struct{ w []uint64 }
+
+const vecHdr = 3
+
+func (v Vec) k() int       { return int(v.w[0]) }
+func (v Vec) reps() int    { return int(v.w[1]) }
+func (v Vec) seed() uint64 { return v.w[2] }
+
+// repSeed is the hash seed of repetition i of a vector seeded seed.
+func repSeed(seed uint64, i int) uint64 { return seed + uint64(i)*0x9e37 }
+
+// rep returns repetition i's values.
+func (v Vec) rep(i int) []uint64 {
+	lo := uint64(vecHdr + v.reps())
+	if i > 0 {
+		lo = v.w[vecHdr+i-1]
+	}
+	return v.w[lo:v.w[vecHdr+i]]
+}
+
+// buildVec allocates a vector and fills it in place: repetition i is what
+// fill appends to region, an empty slice of the result with room for size(i)
+// values.
+func buildVec(k, reps int, seed uint64, size func(i int) int, fill func(i int, region []uint64) []uint64) Vec {
+	total := 0
+	for i := 0; i < reps; i++ {
+		total += size(i)
+	}
+	w := make([]uint64, vecHdr+reps, vecHdr+reps+total)
+	w[0], w[1], w[2] = uint64(k), uint64(reps), seed
+	for i := 0; i < reps; i++ {
+		region := fill(i, w[len(w):len(w):len(w)+size(i)])
+		w = w[:len(w)+len(region)]
+		w[vecHdr+i] = uint64(len(w))
+	}
+	return Vec{w: w}
 }
 
 // NewVec returns an empty sketch vector.
 func NewVec(p Params) Vec {
-	v := Vec{Sk: make([]kmv.Sketch, p.Reps)}
-	for i := range v.Sk {
-		v.Sk[i] = kmv.New(p.K, p.Seed+uint64(i)*0x9e37)
-	}
-	return v
+	return buildVec(p.K, p.Reps, p.Seed, func(int) int { return 0 }, func(_ int, region []uint64) []uint64 { return region })
 }
 
-// SingletonVec is NewVec(p).Insert(item) without the intermediate empty
-// vector: every repetition's one-element value list is carved out of one
-// backing buffer, so building the per-row base-case sketch costs two
-// allocations instead of one per repetition.
+// SingletonVec is NewVec(p).Insert(item), built directly: the per-row base
+// case of the fold.
 func SingletonVec(p Params, item uint64) Vec {
-	v := Vec{Sk: make([]kmv.Sketch, p.Reps)}
-	buf := make([]uint64, p.Reps)
-	for i := range v.Sk {
-		seed := p.Seed + uint64(i)*0x9e37
-		buf[i] = kmv.Hash64(item, seed)
-		v.Sk[i] = kmv.Sketch{K: p.K, Seed: seed, Vals: buf[i : i+1 : i+1]}
-	}
-	return v
+	return buildVec(p.K, p.Reps, p.Seed, func(int) int { return 1 }, func(i int, region []uint64) []uint64 {
+		return append(region, kmv.Hash64(item, repSeed(p.Seed, i)))
+	})
 }
 
 // Insert adds an item to every repetition.
 func (v Vec) Insert(item uint64) Vec {
-	out := Vec{Sk: make([]kmv.Sketch, len(v.Sk))}
-	for i := range v.Sk {
-		out.Sk[i] = v.Sk[i].Insert(item)
-	}
-	return out
+	return MergeVec(v, SingletonVec(Params{K: v.k(), Reps: v.reps(), Seed: v.seed()}, item))
 }
 
-// MergeVec merges two sketch vectors repetition-wise. All repetitions'
-// merged value lists are carved out of one backing buffer (sketch values
-// are immutable once built, so repetitions where one side is empty alias
-// the other side's values directly) — two allocations per merge instead
-// of one per repetition.
+// MergeVec merges two sketch vectors of the same K, Reps and Seed
+// repetition-wise — the ⊕ of the fold.
 func MergeVec(a, b Vec) Vec {
-	out := Vec{Sk: make([]kmv.Sketch, len(a.Sk))}
-	total := 0
-	for i := range a.Sk {
-		la, lb := len(a.Sk[i].Vals), len(b.Sk[i].Vals)
-		if la > 0 && lb > 0 {
-			total += min(la+lb, a.Sk[i].K)
-		}
+	if a.w[0] != b.w[0] || a.w[1] != b.w[1] || a.w[2] != b.w[2] {
+		panic("estimate: merging incompatible sketch vectors")
 	}
-	buf := make([]uint64, 0, total)
-	for i := range a.Sk {
-		switch {
-		case len(b.Sk[i].Vals) == 0:
-			out.Sk[i] = a.Sk[i]
-		case len(a.Sk[i].Vals) == 0:
-			out.Sk[i] = kmv.Sketch{K: a.Sk[i].K, Seed: a.Sk[i].Seed, Vals: b.Sk[i].Vals}
-		default:
-			start := len(buf)
-			buf = kmv.AppendMerge(buf, a.Sk[i], b.Sk[i])
-			out.Sk[i] = kmv.Sketch{K: a.Sk[i].K, Seed: a.Sk[i].Seed, Vals: buf[start:len(buf):len(buf)]}
-		}
-	}
-	return out
+	k := a.k()
+	return buildVec(k, a.reps(), a.seed(),
+		func(i int) int { return min(len(a.rep(i))+len(b.rep(i)), k) },
+		func(i int, region []uint64) []uint64 { return kmv.AppendMerge(region, a.rep(i), b.rep(i), k) })
 }
 
 // Estimate returns the median distinct-count estimate across repetitions.
 func (v Vec) Estimate() float64 {
-	ests := make([]float64, len(v.Sk))
-	for i, s := range v.Sk {
-		ests[i] = s.Estimate()
+	var stack [64]float64
+	ests := stack[:0]
+	for i := 0; i < v.reps(); i++ {
+		ests = append(ests, kmv.Estimate(v.rep(i), v.k()))
 	}
 	sort.Float64s(ests)
 	return ests[len(ests)/2]
@@ -149,13 +174,27 @@ type KeySketch struct {
 // hashItem maps an encoded value tuple to the 64-bit item space (FNV-1a);
 // 64-bit collisions are negligible at the instance sizes involved.
 func hashItem(enc string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
+	h := fnvOffset
 	for i := 0; i < len(enc); i++ {
-		h ^= uint64(enc[i])
-		h *= 0x100000001b3
+		h = (h ^ uint64(enc[i])) * fnvPrime
 	}
 	return h
 }
+
+// hashCols is hashItem(relation.EncodeKey(vals, idx)) without building the
+// key: the same FNV-1a over the same sign-flipped big-endian bytes.
+func hashCols(vals []relation.Value, idx []int) uint64 {
+	h := fnvOffset
+	for _, c := range idx {
+		v := uint64(vals[c]) ^ (1 << 63)
+		for shift := 56; shift >= 0; shift -= 8 {
+			h = (h ^ (v >> shift & 0xff)) * fnvPrime
+		}
+	}
+	return h
+}
+
+const fnvOffset, fnvPrime uint64 = 0xcbf29ce484222325, 0x100000001b3
 
 // SketchValues builds, for every distinct value tuple of keyAttrs in r, a
 // sketch vector of the distinct itemAttrs tuples co-occurring with it — the

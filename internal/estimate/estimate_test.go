@@ -199,43 +199,3 @@ func TestEstimateExactBelowK(t *testing.T) {
 	}
 	_ = math.Pi
 }
-
-func TestSingletonVecEqualsNewInsert(t *testing.T) {
-	p := Params{K: 16, Reps: 5, Seed: 3}
-	for _, item := range []uint64{0, 1, 42, ^uint64(0)} {
-		got, want := SingletonVec(p, item), NewVec(p).Insert(item)
-		if len(got.Sk) != len(want.Sk) {
-			t.Fatalf("item %d: %d repetitions, want %d", item, len(got.Sk), len(want.Sk))
-		}
-		for i := range want.Sk {
-			g, w := got.Sk[i], want.Sk[i]
-			if g.K != w.K || g.Seed != w.Seed || len(g.Vals) != len(w.Vals) {
-				t.Fatalf("item %d rep %d: sketch %+v, want %+v", item, i, g, w)
-			}
-			for j := range w.Vals {
-				if g.Vals[j] != w.Vals[j] {
-					t.Fatalf("item %d rep %d: vals %v, want %v", item, i, g.Vals, w.Vals)
-				}
-			}
-		}
-	}
-}
-
-func TestMergeVecAliasesSingleSidedRepetitions(t *testing.T) {
-	// A repetition where one side is empty must carry the other side's
-	// values unchanged; a later Insert on the result must not disturb the
-	// originals (copy-on-write).
-	p := Params{K: 4, Reps: 5, Seed: 9}
-	a, b := NewVec(p), NewVec(p).Insert(7)
-	m := MergeVec(a, b)
-	before := append([]uint64(nil), b.Sk[0].Vals...)
-	_ = m.Insert(8)
-	for j, v := range before {
-		if b.Sk[0].Vals[j] != v {
-			t.Fatalf("Insert on merged vec mutated source sketch: %v vs %v", b.Sk[0].Vals, before)
-		}
-	}
-	if m.Estimate() != b.Estimate() {
-		t.Fatalf("merge with empty side: estimate %v, want %v", m.Estimate(), b.Estimate())
-	}
-}

@@ -108,7 +108,7 @@ func imageAlgebra(p Params) algebra[KeySketch] {
 		// unit tuple: aggregation projects the far endpoint away, so the
 		// row contributes existence only.
 		leaf: func(key string, vals []relation.Value, ic []int) KeySketch {
-			return KeySketch{Key: key, V: SingletonVec(p, hashItem(relation.EncodeKey(vals, ic)))}
+			return KeySketch{Key: key, V: SingletonVec(p, hashCols(vals, ic))}
 		},
 		// When the far endpoint is itself an output attribute the kept
 		// tuples include its value b, so images reached through different
@@ -312,33 +312,33 @@ func (f *fold[W, V]) noteImage(pt mpc.Part[V]) {
 // degrades to remixing a uniform sample of S, still an unbiased basis for
 // the disjoint-union estimate the caller sums.
 func TagVec(v Vec, tag uint64) Vec {
-	out := Vec{Sk: make([]kmv.Sketch, len(v.Sk))}
-	for i, s := range v.Sk {
-		ns := kmv.New(s.K, s.Seed)
-		for _, hv := range s.Vals {
-			ns = ns.Insert(hv ^ (tag * 0x9e3779b97f4a7c15))
-		}
-		out.Sk[i] = ns
-	}
-	return out
+	k, seed := v.k(), v.seed()
+	tag *= 0x9e3779b97f4a7c15
+	return buildVec(k, v.reps(), seed,
+		func(i int) int { return len(v.rep(i)) },
+		func(i int, region []uint64) []uint64 {
+			for _, hv := range v.rep(i) {
+				region = kmv.Keep(region, k, kmv.Hash64(hv^tag, repSeed(seed, i)))
+			}
+			return region
+		})
 }
 
 // ProductVec returns the sketch vector of the pair set A × B by remixing
 // every retained pair of hash values. Like TagVec it is exact while both
 // inputs are unsaturated; saturated inputs yield a sampled approximation.
 func ProductVec(a, b Vec) Vec {
-	out := Vec{Sk: make([]kmv.Sketch, len(a.Sk))}
-	for i := range a.Sk {
-		sa, sb := a.Sk[i], b.Sk[i]
-		ns := kmv.New(sa.K, sa.Seed)
-		for _, ha := range sa.Vals {
-			for _, hb := range sb.Vals {
-				ns = ns.Insert(ha ^ (hb*0x9e3779b97f4a7c15 + 0x94d049bb133111eb))
+	k, seed := a.k(), a.seed()
+	return buildVec(k, a.reps(), seed,
+		func(i int) int { return min(len(a.rep(i))*len(b.rep(i)), k) },
+		func(i int, region []uint64) []uint64 {
+			for _, ha := range a.rep(i) {
+				for _, hb := range b.rep(i) {
+					region = kmv.Keep(region, k, kmv.Hash64(ha^(hb*0x9e3779b97f4a7c15+0x94d049bb133111eb), repSeed(seed, i)))
+				}
 			}
-		}
-		out.Sk[i] = ns
-	}
-	return out
+			return region
+		})
 }
 
 // addSat and MulSat saturate at a large sentinel instead of wrapping:

@@ -127,6 +127,24 @@ func TestEnginesComputeCalledFromTheTableOnly(t *testing.T) {
 	}
 }
 
+// TestEstimatorHoldsNoSketch: kmv.Sketch is the copy-per-Insert reference
+// the tests compare against; the estimator builds its flat vectors in place
+// from kmv's slice-level functions. A non-test file outside internal/kmv
+// that never names the type, its constructor or its merge cannot hold a
+// Sketch, so it can neither call Insert on one nor spell a kmv.Sketch{…}.
+func TestEstimatorHoldsNoSketch(t *testing.T) {
+	for _, src := range sources(t, false, ".") {
+		if strings.HasPrefix(src.path, "internal/kmv/") {
+			continue
+		}
+		src.selectors(func(pkg, name string) {
+			if pkg == "kmv" && slices.Contains([]string{"Sketch", "New", "Merge"}, name) {
+				t.Errorf("%s uses kmv.%s: build value lists in place with kmv.Keep / kmv.AppendMerge (estimate.Vec does)", src.path, name)
+			}
+		})
+	}
+}
+
 // TestHarnessInstancesComeFromTheCatalogue: the sweep harnesses and the
 // golden digests spell no block instance of their own.
 func TestHarnessInstancesComeFromTheCatalogue(t *testing.T) {

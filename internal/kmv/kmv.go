@@ -26,9 +26,13 @@ func Hash64(x uint64, seed uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Sketch is a KMV sketch: the K smallest distinct hash values seen so far,
-// sorted ascending. The zero Sketch is unusable; construct with New.
-// Sketches are value types; Insert and Merge return the updated sketch.
+// Sketch is one KMV sketch: the K smallest distinct hash values seen so far,
+// sorted ascending. The zero Sketch is unusable; construct with New. It is
+// the single-sketch reference: Insert and Merge never write into their
+// operands and return a freshly built value list, which is what the tests
+// of the estimator's flat sketch vectors (estimate.Vec) compare against.
+// The estimator itself builds its vectors in place from the slice-level
+// functions below — AppendMerge, Keep, Estimate — and never holds a Sketch.
 //
 // A Sketch costs O(K) units of communication, so with constant K it is a
 // constant-size message — the property the §2.2 estimator's linear load
@@ -69,6 +73,27 @@ func (s Sketch) Insert(item uint64) Sketch {
 	return s
 }
 
+// Keep is Insert on a value list its caller owns: it puts the hash value h
+// (already mixed by Hash64) into vals — ascending, distinct, at most k long
+// — in place, and returns the list, one longer unless h was present or not
+// among the k smallest. vals needs room for min(len(vals)+1, k) values.
+func Keep(vals []uint64, k int, h uint64) []uint64 {
+	n := len(vals)
+	if n == k && h >= vals[n-1] {
+		return vals
+	}
+	i := sort.Search(n, func(i int) bool { return vals[i] >= h })
+	if i < n && vals[i] == h {
+		return vals
+	}
+	if n < k {
+		vals = vals[:n+1]
+	}
+	copy(vals[i+1:], vals[i:len(vals)-1])
+	vals[i] = h
+	return vals
+}
+
 // Merge combines two sketches built with the same K and Seed: the result is
 // the sketch of the union of their underlying sets. Merge is associative,
 // commutative and idempotent, making it a valid reduce-by-key combiner.
@@ -76,63 +101,46 @@ func Merge(a, b Sketch) Sketch {
 	if a.K != b.K || a.Seed != b.Seed {
 		panic("kmv: merging incompatible sketches")
 	}
-	// Sketch values are immutable once built (Insert and Merge copy on
-	// write), so when one side contributes nothing the other can be
-	// returned as-is without copying its values.
-	if len(b.Vals) == 0 {
-		return a
-	}
-	if len(a.Vals) == 0 {
-		return Sketch{K: a.K, Seed: a.Seed, Vals: b.Vals}
-	}
-	vals := AppendMerge(make([]uint64, 0, min(len(a.Vals)+len(b.Vals), a.K)), a, b)
+	vals := AppendMerge(make([]uint64, 0, min(len(a.Vals)+len(b.Vals), a.K)), a.Vals, b.Vals, a.K)
 	return Sketch{K: a.K, Seed: a.Seed, Vals: vals}
 }
 
-// AppendMerge appends the merged value list of a and b (the K smallest of
-// their union, ascending, deduplicated) to dst and returns the extended
-// slice. It is the allocation-free core of Merge for callers that batch
-// many merges into one backing buffer; dst must not alias a.Vals or b.Vals.
-func AppendMerge(dst []uint64, a, b Sketch) []uint64 {
-	if a.K != b.K || a.Seed != b.Seed {
-		panic("kmv: merging incompatible sketches")
-	}
-	n := 0
+// AppendMerge appends the merge of two value lists built with the same hash
+// (the k smallest of their union, ascending, deduplicated) to dst and
+// returns the extended slice: the one merge loop, under Merge and under the
+// estimator's vector merge, which runs one per repetition into a single
+// buffer. dst must not alias a or b.
+func AppendMerge(dst, a, b []uint64, k int) []uint64 {
 	i, j := 0, 0
-	for (i < len(a.Vals) || j < len(b.Vals)) && n < a.K {
+	for n := 0; (i < len(a) || j < len(b)) && n < k; n++ {
 		switch {
-		case j >= len(b.Vals) || (i < len(a.Vals) && a.Vals[i] < b.Vals[j]):
-			dst = append(dst, a.Vals[i])
+		case j >= len(b) || (i < len(a) && a[i] < b[j]):
+			dst = append(dst, a[i])
 			i++
-		case i >= len(a.Vals) || b.Vals[j] < a.Vals[i]:
-			dst = append(dst, b.Vals[j])
+		case i >= len(a) || b[j] < a[i]:
+			dst = append(dst, b[j])
 			j++
 		default: // equal
-			dst = append(dst, a.Vals[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
-		n++
 	}
 	return dst
 }
 
 // Estimate returns the estimated number of distinct inserted items:
 // exact when fewer than K distinct values were seen, (K−1)/v_K otherwise.
-func (s Sketch) Estimate() float64 {
-	if len(s.Vals) < s.K {
-		return float64(len(s.Vals))
-	}
-	vk := float64(s.Vals[s.K-1]) / float64(^uint64(0))
-	if vk == 0 {
-		return float64(s.K)
-	}
-	return float64(s.K-1) / vk
-}
+func (s Sketch) Estimate() float64 { return Estimate(s.Vals, s.K) }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Estimate is Sketch.Estimate on a bare value list of a size-k sketch.
+func Estimate(vals []uint64, k int) float64 {
+	if len(vals) < k {
+		return float64(len(vals))
 	}
-	return b
+	vk := float64(vals[k-1]) / float64(^uint64(0))
+	if vk == 0 {
+		return float64(k)
+	}
+	return float64(k-1) / vk
 }

@@ -243,9 +243,17 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithEstimator sets the §2.2 estimator's sketch size and repetition
-// count; zero values keep the defaults.
+// count; zero values keep the defaults. A sketch size of 1 (whose estimate
+// is identically zero) or a negative argument is rejected.
 func WithEstimator(k, reps int) Option {
-	return func(o *optionSet) { o.est = &estimate.Params{K: k, Reps: reps} }
+	return func(o *optionSet) {
+		p := estimate.Params{K: k, Reps: reps}
+		if err := p.Validate(); err != nil {
+			o.fail(fmt.Errorf("mpcjoin: WithEstimator(%d, %d): %w", k, reps, err))
+			return
+		}
+		o.est = &p
+	}
 }
 
 // WithOutOracle supplies the exact output size to the matmul and line

@@ -49,6 +49,8 @@ func TestOptionsMatrix(t *testing.T) {
 		{name: "oracle+baseline-overridden", opts: []Option{WithOutOracle(40), WithEngine(EngineYannakakis), WithEngine(EngineAuto)}},
 		{name: "seed+estimator", opts: []Option{WithSeed(7), WithEstimator(64, 3)}},
 		{name: "estimator+seed", opts: []Option{WithEstimator(64, 3), WithSeed(7)}},
+		{name: "estimator-defaults", opts: []Option{WithEstimator(0, 0)}},
+		{name: "estimator-smallest", opts: []Option{WithEstimator(2, 1)}},
 		{name: "oracle", opts: []Option{WithOutOracle(40)}},
 		{name: "oracle+tree", opts: []Option{WithOutOracle(40), WithEngine(EngineTree)}},
 		{name: "workers", opts: []Option{WithWorkers(4)}},
@@ -71,6 +73,9 @@ func TestOptionsMatrix(t *testing.T) {
 		{name: "engine-illegal-for-class", opts: []Option{WithEngine("line")}, invalid: true},
 		{name: "servers-zero", opts: []Option{WithServers(0)}, invalid: true},
 		{name: "servers-negative", opts: []Option{WithServers(-4)}, invalid: true},
+		{name: "estimator-negative", opts: []Option{WithEstimator(-3, 0)}, invalid: true}, // used to panic in makeslice
+		{name: "estimator-k-one", opts: []Option{WithEstimator(1, 0)}, invalid: true},     // (K−1)/v_K ≡ 0
+		{name: "estimator-reps-negative", opts: []Option{WithEstimator(0, -1)}, invalid: true},
 		{name: "faults-bad-spec", opts: []Option{WithFaults(FaultSpec{CrashProb: 1.5})}, invalid: true},
 	}
 
