@@ -28,10 +28,10 @@ func runners[W any]() map[string]runner[W] {
 			res, st := yannakakis.Run(sr, q, rels)
 			return res, st, nil
 		},
-		planner.EngineMatMul:          runMatMul[W](matmul.Auto),
-		planner.EngineMatMulLinear:    runMatMul[W](matmul.Linear),
-		planner.EngineMatMulWorstCase: runMatMul[W](matmul.WorstCase),
-		planner.EngineMatMulOutSens:   runMatMul[W](matmul.OutputSensitive),
+		planner.EngineMatMul:          runMatMul[W](planner.EngineMatMul),
+		planner.EngineMatMulLinear:    runMatMul[W](planner.EngineMatMulLinear),
+		planner.EngineMatMulWorstCase: runMatMul[W](planner.EngineMatMulWorstCase),
+		planner.EngineMatMulOutSens:   runMatMul[W](planner.EngineMatMulOutSens),
 		planner.EngineLine: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
 			return linequery.Compute(sr, q, rels, linequery.Options{Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
 		},
@@ -47,16 +47,13 @@ func runners[W any]() map[string]runner[W] {
 	}
 }
 
-// runMatMul runs one branch of Theorem 1 (or its own dispatch, for
-// matmul.Auto) on the query's two relations in LineView order.
-func runMatMul[W any](alg matmul.Algorithm) runner[W] {
+// runMatMul runs the named matmul row — one branch of Theorem 1, or its
+// own dispatch for EngineMatMul — on the query's two relations in LineView
+// order.
+func runMatMul[W any](engine string) runner[W] {
 	return func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-		view, _ := q.LineView()
-		in := matmul.Input[W]{
-			R1: rels[q.Edges[view.EdgeOrder[0]].Name],
-			R2: rels[q.Edges[view.EdgeOrder[1]].Name],
-			B:  view.Vertices[1],
-		}
-		return matmul.Compute(sr, in, matmul.Options{Algorithm: alg, Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
+		chain, path, _ := linequery.Bind(q, rels, dist.Single)
+		in := matmul.Input[W]{R1: chain[0], R2: chain[1], B: path[1][0]}
+		return matmul.Compute(sr, in, matmul.Options{Engine: engine, Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/linequery"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 )
@@ -28,11 +29,11 @@ func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, 
 			in.NMax = n
 		}
 	}
-	var view *hypergraph.LineView
+	var chain []dist.Rel[W]
+	var path [][]dist.Attr
 	if class == hypergraph.ClassMatMul {
-		view, _ = q.LineView()
-		in.N1 = int64(rels[q.Edges[view.EdgeOrder[0]].Name].N())
-		in.N2 = int64(rels[q.Edges[view.EdgeOrder[1]].Name].N())
+		chain, path, _ = linequery.Bind(q, rels, dist.Single)
+		in.N1, in.N2 = int64(chain[0].N()), int64(chain[1].N())
 	}
 	// An engine that claims the instance on its input sizes alone (Theorem
 	// 1's degenerate matmul dispatches) needs no estimates: skip the
@@ -45,7 +46,7 @@ func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, 
 	// J — the exact full-join cardinality — prices the Yannakakis
 	// candidate in every class.
 	mpc.TraceOp(ex, "plan.join-count")
-	j, s := estimate.TreeCount(q, rels, opts.Est)
+	j, s := estimate.TreeCount(q, rels)
 	st = mpc.Seq(st, s)
 	in.J = j
 
@@ -57,16 +58,8 @@ func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, 
 	case class == hypergraph.ClassMatMul:
 		// Matmul: the §2.2 sketch fold along the two-edge path, exactly
 		// the estimator the chosen engine would trust.
-		path := make([][]dist.Attr, len(view.Vertices))
-		for i, v := range view.Vertices {
-			path[i] = []dist.Attr{v}
-		}
-		rl := make([]dist.Rel[W], len(view.EdgeOrder))
-		for i, ei := range view.EdgeOrder {
-			rl[i] = rels[q.Edges[ei].Name]
-		}
 		mpc.TraceOp(ex, "plan.out-sketch")
-		_, out, s := estimate.LineOut(rl, path, opts.Est)
+		_, out, s := estimate.LineOut(chain, path, opts.Est)
 		st = mpc.Seq(st, s)
 		in.Out = out
 	default:

@@ -95,6 +95,11 @@ func Without(schema []Attr, b Attr) []Attr {
 	return out
 }
 
+// Single is the identity vertex expansion the engines' Bind functions take:
+// a query vertex is its own one attribute column. (The tree engine's twigs
+// expand combined vertices to several.)
+func Single(v Attr) []Attr { return []Attr{v} }
+
 // AnyRel returns one of the query's placed relations — they all share the
 // server count and the execution scope an engine needs before it touches a
 // particular one.

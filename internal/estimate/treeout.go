@@ -27,7 +27,7 @@ import (
 // count algebra (per-value join-result counts, summed along edges and
 // multiplied across sibling subtrees). Cost: one reduce-by-key per leaf
 // edge and one multi-search + reduce-by-key per internal edge.
-func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], _ Params) (int64, mpc.Stats) {
+func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W]) (int64, mpc.Stats) {
 	type kc = mpc.KeyCount[string]
 	f := &fold[W, kc]{q: q, rels: rels, alg: algebra[kc]{
 		key:   func(c kc) string { return c.Key },

@@ -84,9 +84,9 @@ var classes = []class{
 	// Lemma 2 output-sensitive branch: (N1N2·OUT)^{1/3}/p^{2/3} + input + OUT terms.
 	{name: "matmul-outsens", slack: 8, family: "matmul-fan4", engine: planner.EngineMatMulOutSens,
 		bound: func(m workload.Meta, p int) float64 {
-			n1 := float64(m.PerEdge["R1"])
-			return math.Cbrt(n1*n1*float64(m.Out))/math.Pow(float64(p), 2.0/3.0) +
-				2*n1/float64(p) + float64(m.Out)/float64(p) + float64(p*p)
+			n1 := int64(m.PerEdge["R1"])
+			return planner.OutSensLoad(n1, n1, m.Out, p) +
+				2*float64(n1)/float64(p) + float64(m.Out)/float64(p) + float64(p*p)
 		}},
 	// Theorem 5, 3-arm star, and Theorem 4, 3-relation line: the same
 	// (N·OUT/p)^{2/3} + N√OUT/p per relation.

@@ -413,8 +413,7 @@ func mmLoad(cfg Config) Table {
 		rb := runEngine(cfg, q, inst, p, planner.EngineMatMul)
 		lNew, lY, ok := rb.stNew.MaxLoad, rb.stY.MaxLoad, rb.verified
 		t.addBench(p, int64(meta.N), meta.Out, rb)
-		bn := math.Min(math.Sqrt(float64(n1*n1)/float64(p)),
-			math.Cbrt(float64(n1*n1)*float64(meta.Out))/math.Pow(float64(p), 2.0/3.0))
+		bn := math.Min(planner.WorstCaseLoad(n1, n1, p), planner.OutSensLoad(n1, n1, meta.Out, p))
 		by := float64(n1) * math.Sqrt(float64(meta.Out)) / float64(p)
 		t.Rows = append(t.Rows, []string{
 			itoa(fan), i64(n1), i64(meta.Out), itoa(lNew), itoa(lY),
@@ -448,8 +447,7 @@ func mmCrossover(cfg Config) Table {
 		ok := relation.Equal[int64](intSR, func(a, b int64) bool { return a == b }, resWC, resOS)
 		pick := "worst-case"
 		n1 := int64(meta.PerEdge["R1"])
-		if math.Cbrt(float64(n1*n1)*float64(meta.Out))/math.Pow(float64(p), 2.0/3.0) <
-			math.Sqrt(float64(n1*n1)/float64(p)) {
+		if planner.OutSensLoad(n1, n1, meta.Out, p) < planner.WorstCaseLoad(n1, n1, p) {
 			pick = "output-sensitive"
 		}
 		t.Rows = append(t.Rows, []string{
@@ -488,9 +486,7 @@ func mmUnequal(cfg Config) Table {
 		rb := runEngine(cfg, q, inst, p, planner.EngineMatMul)
 		lNew, lY, ok := rb.stNew.MaxLoad, rb.stY.MaxLoad, rb.verified
 		t.addBench(p, int64(meta.N), meta.Out, rb)
-		bn := float64(rn1+rn2)/float64(p) + math.Min(
-			math.Sqrt(float64(rn1*rn2)/float64(p)),
-			math.Cbrt(float64(rn1*rn2)*float64(meta.Out))/math.Pow(float64(p), 2.0/3.0))
+		bn := float64(rn1+rn2)/float64(p) + math.Min(planner.WorstCaseLoad(rn1, rn2, p), planner.OutSensLoad(rn1, rn2, meta.Out, p))
 		t.Rows = append(t.Rows, []string{
 			i64(rn1), i64(rn2), i64(meta.Out), itoa(lNew), itoa(lY), f0(bn), tick(ok),
 		})

@@ -127,6 +127,22 @@ func TestEnginesComputeCalledFromTheTableOnly(t *testing.T) {
 	}
 }
 
+// TestTheorem1WrittenOnce: Theorem 1's loads, gate and rule live in
+// internal/planner (theorem1.go). A cube root anywhere else is a second
+// copy of (N1·N2·OUT)^{1/3}/p^{2/3}; call planner.OutSensLoad instead.
+func TestTheorem1WrittenOnce(t *testing.T) {
+	for _, src := range sources(t, false, ".") {
+		if strings.HasPrefix(src.path, "internal/planner/") {
+			continue
+		}
+		src.selectors(func(pkg, name string) {
+			if pkg == "math" && name == "Cbrt" {
+				t.Errorf("%s calls math.Cbrt: Theorem 1's arithmetic is internal/planner's (theorem1.go)", src.path)
+			}
+		})
+	}
+}
+
 // TestEstimatorHoldsNoSketch: kmv.Sketch is the copy-per-Insert reference
 // the tests compare against; the estimator builds its flat vectors in place
 // from kmv's slice-level functions. A non-test file outside internal/kmv

@@ -47,20 +47,31 @@ type Options struct {
 // Compute evaluates a line query given by its hypergraph view. rels binds
 // each edge name to its distributed relation.
 func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	view, ok := q.LineView()
+	ordered, path, ok := Bind(q, rels, dist.Single)
 	if !ok {
 		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("linequery: query is not a line query")
 	}
-	ordered := make([]dist.Rel[W], len(view.EdgeOrder))
-	path := make([][]dist.Attr, len(view.Vertices))
+	res, st := Run(sr, ordered, path, opts)
+	return res, st, nil
+}
+
+// Bind turns a line query's view into Run's arguments: its relations in
+// path order and the path, each vertex expanded to its attribute columns
+// (dist.Single for a plain query). ok is false for any other class.
+func Bind[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], expand func(hypergraph.Attr) []dist.Attr) (ordered []dist.Rel[W], path [][]dist.Attr, ok bool) {
+	view, ok := q.LineView()
+	if !ok {
+		return nil, nil, false
+	}
+	ordered = make([]dist.Rel[W], len(view.EdgeOrder))
+	path = make([][]dist.Attr, len(view.Vertices))
 	for i, v := range view.Vertices {
-		path[i] = []dist.Attr{v}
+		path[i] = expand(v)
 	}
 	for i, ei := range view.EdgeOrder {
 		ordered[i] = rels[q.Edges[ei].Name]
 	}
-	res, st := Run(sr, ordered, path, opts)
-	return res, st, nil
+	return ordered, path, true
 }
 
 // Run is the recursive core, operating on relations in path order:

@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"mpcjoin/internal/db"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 )
 
@@ -116,9 +117,7 @@ func Thm3(n1, n2, out int64) (Instance, error) {
 // Thm3Bound is the Theorem 3 load lower bound
 // Ω(min{√(N1·N2/p), (N1·N2·OUT)^{1/3}/p^{2/3}}).
 func Thm3Bound(n1, n2, out int64, p int) float64 {
-	wc := math.Sqrt(float64(n1) * float64(n2) / float64(p))
-	os := math.Cbrt(float64(n1)*float64(n2)*float64(out)) / math.Pow(float64(p), 2.0/3.0)
-	return math.Min(wc, os)
+	return math.Min(planner.WorstCaseLoad(n1, n2, p), planner.OutSensLoad(n1, n2, out, p))
 }
 
 func maxI(a, b int64) int64 {

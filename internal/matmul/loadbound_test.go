@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/workload"
 )
 
@@ -16,7 +17,7 @@ func TestOutputSensitiveWithinLemma2Bound(t *testing.T) {
 		blocks := 2048 / fan
 		inst, meta := workload.MatMulBlocks(blocks, fan, fan)
 		in := mkInput(inst["R1"], inst["R2"], p)
-		_, st, err := Compute[int64](intSR, in, Options{Algorithm: OutputSensitive, Seed: 3})
+		_, st, err := Compute[int64](intSR, in, Options{Engine: planner.EngineMatMulOutSens, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestWorstCaseWithinLemma1BoundOnBlocks(t *testing.T) {
 		blocks := 2048 / fan
 		inst, meta := workload.MatMulBlocks(blocks, fan, fan)
 		in := mkInput(inst["R1"], inst["R2"], p)
-		_, st, err := Compute[int64](intSR, in, Options{Algorithm: WorstCase, Seed: 3})
+		_, st, err := Compute[int64](intSR, in, Options{Engine: planner.EngineMatMulWorstCase, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestLinearWithinLinearBound(t *testing.T) {
 	const p = 16
 	inst, meta := workload.MatMulBlocks(512, 2, 2) // OUT = 2048, N = 2048
 	in := mkInput(inst["R1"], inst["R2"], p)
-	_, st, err := Compute[int64](intSR, in, Options{Algorithm: Linear, Seed: 3})
+	_, st, err := Compute[int64](intSR, in, Options{Engine: planner.EngineMatMulLinear, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

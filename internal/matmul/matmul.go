@@ -6,16 +6,21 @@
 // over an arbitrary commutative semiring, where A and C may be composite
 // ("combined") attribute lists arising from the star/star-like reductions.
 //
-// Five execution strategies are provided, matching the paper's case
-// analysis, plus the Theorem 1 dispatcher that picks among them:
+// Five branches are provided, matching the paper's case analysis. Each is
+// named by its planner constant; which one runs when none is forced is
+// Theorem 1's rule, whose arithmetic lives in internal/planner
+// (theorem1.go) beside the engine table:
 //
-//   - BroadcastSmall — N1 = O(1) (or N2): broadcast the tiny side (§1.5).
-//   - UnequalRatio  — N1/N2 ∉ [1/p, p]: group R2 by C, broadcast R1 (§3).
-//   - Linear        — OUT ≤ N/p: co-locate by B, local aggregate, one
-//     global reduce (LinearSparseMM, §3.2).
-//   - WorstCase     — §3.1: heavy/light on A and C, four subqueries, load
-//     O(√(N1·N2/p)).
-//   - OutputSensitive — §3.2: OUT-adaptive grouping, load
+//   - EngineMatMulBroadcast — N1 = O(1) (or N2): broadcast the tiny side
+//     (§1.5).
+//   - EngineMatMulUnequal — N1/N2 ∉ [1/p, p]: group R2 by C, broadcast R1
+//     (§3).
+//   - EngineMatMulLinear — OUT ≤ N/p: co-locate by B, local aggregate, one
+//     global reduce (LinearSparseMM, §3.2). Forced past its gate it stays
+//     correct; its load degrades to O(max_b d1(b)+d2(b) + OUT).
+//   - EngineMatMulWorstCase — §3.1: heavy/light on A and C, four
+//     subqueries, load O(√(N1·N2/p)).
+//   - EngineMatMulOutSens — §3.2: OUT-adaptive grouping, load
 //     O((N1·N2·OUT)^{1/3}/p^{2/3}).
 //
 // All strategies compute every elementary product a_{ib}·b_{bc} exactly
@@ -26,12 +31,12 @@ package matmul
 
 import (
 	"fmt"
-	"math"
 
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/kmv"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 )
@@ -72,48 +77,12 @@ func (in Input[W]) validate() error {
 	return nil
 }
 
-// Algorithm selects an execution strategy.
-type Algorithm int
-
-const (
-	// Auto is the Theorem 1 dispatcher.
-	Auto Algorithm = iota
-	// WorstCase forces the §3.1 algorithm.
-	WorstCase
-	// OutputSensitive forces the §3.2 algorithm.
-	OutputSensitive
-	// Linear forces LinearSparseMM (correct for any OUT; load degrades to
-	// O(max_b d1(b)+d2(b) + OUT) when its precondition OUT ≤ N/p fails).
-	Linear
-	// BroadcastSmall forces broadcasting the smaller relation.
-	BroadcastSmall
-	// UnequalRatio forces the N1/N2 ∉ [1/p, p] fast path.
-	UnequalRatio
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case Auto:
-		return "auto"
-	case WorstCase:
-		return "worst-case"
-	case OutputSensitive:
-		return "output-sensitive"
-	case Linear:
-		return "linear"
-	case BroadcastSmall:
-		return "broadcast"
-	case UnequalRatio:
-		return "unequal"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
 // Options tunes Compute.
 type Options struct {
-	// Algorithm forces a strategy; Auto dispatches per Theorem 1.
-	Algorithm Algorithm
+	// Engine forces one branch by its planner name, one of
+	// planner.EngineMatMul{Linear,WorstCase,OutSens,Broadcast,Unequal};
+	// "" and planner.EngineMatMul let Theorem 1 decide.
+	Engine string
 	// Est configures the §2.2 estimator.
 	Est estimate.Params
 	// OutOracle, when positive, replaces the §2.2 OUT estimate (used by
@@ -128,10 +97,10 @@ type Options struct {
 }
 
 // Compute evaluates the matrix multiplication and returns the distributed
-// result over OutSchema plus the metered cost. The Auto strategy follows
-// Theorem 1: fast paths for degenerate sizes, then the better of the
-// worst-case optimal and output-sensitive algorithms by their predicted
-// loads, using a constant-factor OUT approximation.
+// result over OutSchema plus the metered cost. Unless a branch is forced it
+// follows Theorem 1: fast paths for degenerate sizes, then the linear gate
+// and the better of the worst-case optimal and output-sensitive algorithms
+// by their predicted loads, on a constant-factor OUT approximation.
 func Compute[W any](sr semiring.Semiring[W], in Input[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
 	if err := in.validate(); err != nil {
 		return dist.Rel[W]{}, mpc.Stats{}, err
@@ -154,73 +123,46 @@ func Compute[W any](sr semiring.Semiring[W], in Input[W], opts Options) (dist.Re
 		return dist.Empty[W](in.OutSchema(), p), st, nil
 	}
 
-	alg := opts.Algorithm
 	var ests mpc.Part[mpc.KeyCount[string]]
 	var out int64
-	if alg == Auto {
-		switch {
-		case n1 <= 1 || n2 <= 1:
-			alg = BroadcastSmall
-		case n1*int64(p) < n2 || n2*int64(p) < n1:
-			alg = UnequalRatio
-		default:
-			// Estimate OUT (§2.2) to choose between the remaining three.
-			var es mpc.Stats
-			ests, out, es = estimate.MatMulOut(in.R1, in.R2, in.ASide(), []dist.Attr{in.B}, in.CSide(), opts.Est)
-			st = mpc.Seq(st, es)
-			if opts.OutOracle > 0 {
-				out = opts.OutOracle
-			}
-			switch {
-			case out <= (n1+n2)/int64(p):
-				alg = Linear
-			case wcLoad(n1, n2, p) <= osLoad(n1, n2, out, p):
-				alg = WorstCase
-			default:
-				alg = OutputSensitive
-			}
+	estimateOut := func() {
+		var es mpc.Stats
+		ests, out, es = estimate.MatMulOut(in.R1, in.R2, in.ASide(), []dist.Attr{in.B}, in.CSide(), opts.Est)
+		st = mpc.Seq(st, es)
+		if opts.OutOracle > 0 {
+			out = opts.OutOracle
+		}
+	}
+	branch := opts.Engine
+	if branch == "" || branch == planner.EngineMatMul {
+		// Theorem 1: a fast path on sizes, else the §2.2 OUT estimate
+		// chooses among the remaining three.
+		if branch = planner.MatMulFastPath(n1, n2, p); branch == "" {
+			estimateOut()
+			branch = planner.MatMulBranch(n1, n2, out, p)
 		}
 	}
 
 	var res dist.Rel[W]
 	var as mpc.Stats
-	var err error
-	switch alg {
-	case BroadcastSmall:
+	switch branch {
+	case planner.EngineMatMulBroadcast:
 		res, as = broadcastSmall(sr, in, n1, n2)
-	case UnequalRatio:
+	case planner.EngineMatMulUnequal:
 		res, as = unequalRatio(sr, in, n1, n2)
-	case Linear:
+	case planner.EngineMatMulLinear:
 		res, as = linearSparseMM(sr, in)
-	case WorstCase:
+	case planner.EngineMatMulWorstCase:
 		res, as = worstCase(sr, in, n1, n2, opts.Seed)
-	case OutputSensitive:
+	case planner.EngineMatMulOutSens:
 		if ests.P() == 0 {
-			var es mpc.Stats
-			ests, out, es = estimate.MatMulOut(in.R1, in.R2, in.ASide(), []dist.Attr{in.B}, in.CSide(), opts.Est)
-			st = mpc.Seq(st, es)
-			if opts.OutOracle > 0 {
-				out = opts.OutOracle
-			}
+			estimateOut()
 		}
 		res, as = outputSensitive(sr, in, n1, n2, out, ests, opts.Seed)
 	default:
-		err = fmt.Errorf("matmul: unknown algorithm %v", alg)
-	}
-	if err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, err
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("matmul: unknown branch %q", branch)
 	}
 	return dist.Reshape(res, p), mpc.Seq(st, as), nil
-}
-
-// wcLoad is the §3.1 load bound √(N1·N2/p).
-func wcLoad(n1, n2 int64, p int) float64 {
-	return math.Sqrt(float64(n1) * float64(n2) / float64(p))
-}
-
-// osLoad is the §3.2 load bound (N1·N2·OUT)^{1/3}/p^{2/3}.
-func osLoad(n1, n2, out int64, p int) float64 {
-	return math.Cbrt(float64(n1)*float64(n2)*float64(out)) / math.Pow(float64(p), 2.0/3.0)
 }
 
 // ---------------------------------------------------------------------------

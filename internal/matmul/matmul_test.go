@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mpcjoin/internal/dist"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 )
@@ -55,7 +56,7 @@ func randMatrices(rng *rand.Rand, n1, n2, domA, domB, domC int) (*relation.Relat
 	return relation.Compact[int64](intSR, r1), relation.Compact[int64](intSR, r2)
 }
 
-func checkAlgorithm(t *testing.T, alg Algorithm, seeds int) {
+func checkAlgorithm(t *testing.T, engine string, seeds int) {
 	t.Helper()
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -63,24 +64,24 @@ func checkAlgorithm(t *testing.T, alg Algorithm, seeds int) {
 		n2 := rng.Intn(150) + 2
 		r1, r2 := randMatrices(rng, n1, n2, 12, 8, 12)
 		p := rng.Intn(10) + 2
-		got, _, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{Algorithm: alg, Seed: uint64(seed)})
+		got, _, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{Engine: engine, Seed: uint64(seed)})
 		if err != nil {
-			t.Fatalf("alg %v seed %d: %v", alg, seed, err)
+			t.Fatalf("engine %q seed %d: %v", engine, seed, err)
 		}
 		want := seqMatMul(r1, r2)
 		if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
-			t.Fatalf("alg %v seed %d p %d: got %v want %v", alg, seed, p,
+			t.Fatalf("engine %q seed %d p %d: got %v want %v", engine, seed, p,
 				dist.ToRelation(got), want)
 		}
 	}
 }
 
-func TestWorstCaseCorrect(t *testing.T)       { checkAlgorithm(t, WorstCase, 12) }
-func TestOutputSensitiveCorrect(t *testing.T) { checkAlgorithm(t, OutputSensitive, 12) }
-func TestLinearCorrect(t *testing.T)          { checkAlgorithm(t, Linear, 12) }
-func TestBroadcastCorrect(t *testing.T)       { checkAlgorithm(t, BroadcastSmall, 8) }
-func TestUnequalCorrect(t *testing.T)         { checkAlgorithm(t, UnequalRatio, 8) }
-func TestAutoCorrect(t *testing.T)            { checkAlgorithm(t, Auto, 12) }
+func TestWorstCaseCorrect(t *testing.T)       { checkAlgorithm(t, planner.EngineMatMulWorstCase, 12) }
+func TestOutputSensitiveCorrect(t *testing.T) { checkAlgorithm(t, planner.EngineMatMulOutSens, 12) }
+func TestLinearCorrect(t *testing.T)          { checkAlgorithm(t, planner.EngineMatMulLinear, 12) }
+func TestBroadcastCorrect(t *testing.T)       { checkAlgorithm(t, planner.EngineMatMulBroadcast, 8) }
+func TestUnequalCorrect(t *testing.T)         { checkAlgorithm(t, planner.EngineMatMulUnequal, 8) }
+func TestAutoCorrect(t *testing.T)            { checkAlgorithm(t, "", 12) }
 
 func TestQuickAutoMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
@@ -143,15 +144,15 @@ func TestNoDanglingSurvives(t *testing.T) {
 	r2 := relation.New[int64]("B", "C")
 	r2.Append(1, 10, 5)
 	r2.Append(1, 88, 6) // dangling
-	for _, alg := range []Algorithm{WorstCase, OutputSensitive, Linear, Auto} {
-		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 3), Options{Algorithm: alg})
+	for _, engine := range []string{planner.EngineMatMulWorstCase, planner.EngineMatMulOutSens, planner.EngineMatMulLinear, ""} {
+		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 3), Options{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := relation.New[int64]("A", "C")
 		want.Append(1, 1, 5)
 		if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
-			t.Fatalf("alg %v: %v", alg, dist.ToRelation(got))
+			t.Fatalf("engine %q: %v", engine, dist.ToRelation(got))
 		}
 	}
 }
@@ -168,15 +169,15 @@ func TestCompositeAttributes(t *testing.T) {
 	}
 	r1 = relation.Compact[int64](intSR, r1)
 	r2 = relation.Compact[int64](intSR, r2)
-	for _, alg := range []Algorithm{WorstCase, OutputSensitive, Linear, Auto} {
+	for _, engine := range []string{planner.EngineMatMulWorstCase, planner.EngineMatMulOutSens, planner.EngineMatMulLinear, ""} {
 		in := Input[int64]{R1: dist.FromRelationIn(nil, r1, 5), R2: dist.FromRelationIn(nil, r2, 5), B: "B"}
-		got, _, err := Compute[int64](intSR, in, Options{Algorithm: alg})
+		got, _, err := Compute[int64](intSR, in, Options{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := relation.ProjectAgg[int64](intSR, relation.Join[int64](intSR, r1, r2), "A1", "A2", "C1", "C2")
 		if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
-			t.Fatalf("alg %v: composite mismatch", alg)
+			t.Fatalf("engine %q: composite mismatch", engine)
 		}
 	}
 }
@@ -191,7 +192,7 @@ func TestIdempotentSemiring(t *testing.T) {
 		r2.Append(true, relation.Value(rng.Intn(6)), relation.Value(rng.Intn(10)))
 	}
 	in := Input[bool]{R1: dist.FromRelationIn(nil, r1, 4), R2: dist.FromRelationIn(nil, r2, 4), B: "B"}
-	got, _, err := Compute[bool](boolSR, in, Options{Algorithm: WorstCase})
+	got, _, err := Compute[bool](boolSR, in, Options{Engine: planner.EngineMatMulWorstCase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestWorstCaseLoadBound(t *testing.T) {
 	r1, r2 := denseBlock(64, 32, 64)
 	const p = 16
 	n := float64(r1.Len())
-	_, st, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{Algorithm: WorstCase})
+	_, st, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{Engine: planner.EngineMatMulWorstCase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +252,11 @@ func TestOutputSensitiveBeatsYannakakisShape(t *testing.T) {
 		r2.Append(1, relation.Value(i%(n/16)), relation.Value(rng.Intn(n)))
 	}
 	in := mkInput(r1, r2, p)
-	_, stOS, err := Compute[int64](intSR, in, Options{Algorithm: OutputSensitive})
+	_, stOS, err := Compute[int64](intSR, in, Options{Engine: planner.EngineMatMulOutSens})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stWC, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{Algorithm: WorstCase})
+	_, stWC, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{Engine: planner.EngineMatMulWorstCase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,19 +267,19 @@ func TestOutputSensitiveBeatsYannakakisShape(t *testing.T) {
 }
 
 func TestConstantRounds(t *testing.T) {
-	for _, alg := range []Algorithm{WorstCase, Linear} {
+	for _, engine := range []string{planner.EngineMatMulWorstCase, planner.EngineMatMulLinear} {
 		rounds := map[int]bool{}
 		for _, n := range []int{200, 800, 3200} {
 			rng := rand.New(rand.NewSource(13))
 			r1, r2 := randMatrices(rng, n, n, n/4, n/8, n/4)
-			_, st, err := Compute[int64](intSR, mkInput(r1, r2, 8), Options{Algorithm: alg})
+			_, st, err := Compute[int64](intSR, mkInput(r1, r2, 8), Options{Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rounds[st.Rounds] = true
 		}
 		if len(rounds) > 2 {
-			t.Fatalf("alg %v: round count varies with N: %v", alg, rounds)
+			t.Fatalf("engine %q: round count varies with N: %v", engine, rounds)
 		}
 	}
 }
@@ -339,7 +340,7 @@ func TestOutOracleAccepted(t *testing.T) {
 	r1, r2 := randMatrices(rng, 100, 100, 10, 6, 10)
 	want := seqMatMul(r1, r2)
 	got, _, err := Compute[int64](intSR, mkInput(r1, r2, 4),
-		Options{Algorithm: OutputSensitive, OutOracle: int64(want.Len())})
+		Options{Engine: planner.EngineMatMulOutSens, OutOracle: int64(want.Len())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,6 +362,10 @@ func TestValidateErrors(t *testing.T) {
 	if _, _, err := Compute[int64](intSR, in2, Options{}); err == nil {
 		t.Fatal("expected duplicate side attribute error")
 	}
+	r1, r2 = denseBlock(2, 2, 2)
+	if _, _, err := Compute[int64](intSR, mkInput(r1, r2, 2), Options{Engine: planner.EngineYannakakis}); err == nil {
+		t.Fatal("expected an error for a name that is no matmul branch")
+	}
 }
 
 func TestTropicalMinPlus(t *testing.T) {
@@ -373,7 +378,7 @@ func TestTropicalMinPlus(t *testing.T) {
 	r2.Append(4, 1, 9)
 	r2.Append(1, 2, 9)
 	in := Input[int64]{R1: dist.FromRelationIn(nil, r1, 3), R2: dist.FromRelationIn(nil, r2, 3), B: "B"}
-	got, _, err := Compute[int64](mp, in, Options{Algorithm: WorstCase})
+	got, _, err := Compute[int64](mp, in, Options{Engine: planner.EngineMatMulWorstCase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +397,7 @@ func BenchmarkWorstCase(b *testing.B) {
 	in := mkInput(r1, r2, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, _ := Compute[int64](intSR, in, Options{Algorithm: WorstCase})
+		res, _, _ := Compute[int64](intSR, in, Options{Engine: planner.EngineMatMulWorstCase})
 		benchSink = res.N()
 	}
 }

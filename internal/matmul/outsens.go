@@ -6,6 +6,7 @@ import (
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	xrt "mpcjoin/internal/runtime"
 	"mpcjoin/internal/semiring"
@@ -40,7 +41,7 @@ import (
 func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out int64, ests mpc.Part[mpc.KeyCount[string]], seed uint64) (dist.Rel[W], mpc.Stats) {
 	p := in.R1.P()
 	ex := in.R1.Part.Scope()
-	load := int64(math.Ceil(math.Cbrt(float64(n1)*float64(n2)*float64(out))/math.Pow(float64(p), 2.0/3.0))) + ceilDiv(n1+n2, int64(p))
+	load := int64(math.Ceil(planner.OutSensLoad(n1, n2, out, p))) + ceilDiv(n1+n2, int64(p))
 	if load < 1 {
 		load = 1
 	}

@@ -12,6 +12,7 @@ import (
 
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/estimate"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 )
@@ -23,9 +24,9 @@ func TestOutputSensitiveWithTinySketches(t *testing.T) {
 		r1, r2 := randMatrices(rng, rng.Intn(120)+2, rng.Intn(120)+2, 10, 6, 10)
 		p := rng.Intn(6) + 2
 		got, _, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{
-			Algorithm: OutputSensitive,
-			Est:       estimate.Params{K: 2, Reps: 5, Seed: uint64(seed)},
-			Seed:      uint64(seed),
+			Engine: planner.EngineMatMulOutSens,
+			Est:    estimate.Params{K: 2, Reps: 5, Seed: uint64(seed)},
+			Seed:   uint64(seed),
 		})
 		if err != nil {
 			return false
@@ -44,7 +45,7 @@ func TestOutputSensitiveWithLyingOracle(t *testing.T) {
 	want := seqMatMul(r1, r2)
 	for _, oracle := range []int64{1, 5, int64(want.Len()) * 1000} {
 		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 4), Options{
-			Algorithm: OutputSensitive,
+			Engine:    planner.EngineMatMulOutSens,
 			OutOracle: oracle,
 			Seed:      9,
 		})
@@ -71,13 +72,13 @@ func TestAllAlgorithmsOnZipfSkew(t *testing.T) {
 	r1 = relation.Compact[int64](intSR, r1)
 	r2 = relation.Compact[int64](intSR, r2)
 	want := seqMatMul(r1, r2)
-	for _, alg := range []Algorithm{Auto, WorstCase, OutputSensitive, Linear} {
-		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 8), Options{Algorithm: alg, Seed: 5})
+	for _, engine := range []string{"", planner.EngineMatMulWorstCase, planner.EngineMatMulOutSens, planner.EngineMatMulLinear} {
+		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 8), Options{Engine: engine, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
-			t.Fatalf("alg %v wrong under Zipf skew", alg)
+			t.Fatalf("engine %q wrong under Zipf skew", engine)
 		}
 	}
 }
@@ -107,7 +108,7 @@ func TestProvenanceThroughWorstCase(t *testing.T) {
 		R2: dist.FromRelationIn(nil, r2, 4),
 		B:  "B",
 	}
-	got, _, err := Compute[semiring.Provenance](why, in, Options{Algorithm: WorstCase, Seed: 3})
+	got, _, err := Compute[semiring.Provenance](why, in, Options{Engine: planner.EngineMatMulWorstCase, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +130,13 @@ func TestForcedBranchesAgreeOnLowerBoundShapes(t *testing.T) {
 	// for the output-sensitive grouping.
 	r1, r2 := denseBlock(24, 16, 24)
 	want := seqMatMul(r1, r2)
-	for _, alg := range []Algorithm{WorstCase, OutputSensitive, Linear} {
-		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 6), Options{Algorithm: alg, Seed: 8})
+	for _, engine := range []string{planner.EngineMatMulWorstCase, planner.EngineMatMulOutSens, planner.EngineMatMulLinear} {
+		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 6), Options{Engine: engine, Seed: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
-			t.Fatalf("alg %v wrong on dense block", alg)
+			t.Fatalf("engine %q wrong on dense block", engine)
 		}
 	}
 }
@@ -144,11 +145,11 @@ func TestSeedDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	r1, r2 := randMatrices(rng, 200, 200, 20, 10, 20)
 	in := mkInput(r1, r2, 8)
-	_, st1, err := Compute[int64](intSR, in, Options{Algorithm: OutputSensitive, Seed: 42})
+	_, st1, err := Compute[int64](intSR, in, Options{Engine: planner.EngineMatMulOutSens, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st2, err := Compute[int64](intSR, mkInput(r1, r2, 8), Options{Algorithm: OutputSensitive, Seed: 42})
+	_, st2, err := Compute[int64](intSR, mkInput(r1, r2, 8), Options{Engine: planner.EngineMatMulOutSens, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

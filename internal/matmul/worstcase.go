@@ -5,6 +5,7 @@ import (
 
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	xrt "mpcjoin/internal/runtime"
 	"mpcjoin/internal/semiring"
@@ -31,7 +32,7 @@ import (
 func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed uint64) (dist.Rel[W], mpc.Stats) {
 	p := in.R1.P()
 	ex := in.R1.Part.Scope()
-	load := int64(math.Ceil(math.Sqrt(float64(n1) * float64(n2) / float64(p))))
+	load := int64(math.Ceil(planner.WorstCaseLoad(n1, n2, p)))
 	if load < 1 {
 		load = 1
 	}

@@ -20,7 +20,7 @@ const (
 	EngineLine            = "line"
 	EngineStar            = "star"
 	EngineStarLike        = "star-like"
-	EngineMatMul          = "matmul" // Theorem 1 auto dispatch (fast paths included)
+	EngineMatMul          = "matmul" // composite: Theorem 1 (theorem1.go) picks the branch
 	EngineMatMulLinear    = "matmul-linear"
 	EngineMatMulWorstCase = "matmul-worstcase"
 	EngineMatMulOutSens   = "matmul-outsens"
@@ -206,16 +206,13 @@ func (in Input) scratch() float64 {
 	return math.Min(float64(in.N)+float64(in.Out), (p+2)*(p+2))
 }
 
-// matMulFastPath mirrors Theorem 1's degenerate dispatches, which the
-// composite matmul engine takes itself.
+// matMulFastPath hands the instances Theorem 1 decides on sizes alone to
+// the composite matmul engine, which takes the same fast path itself.
 func matMulFastPath(in Input) string {
-	switch p := int64(in.P); {
-	case in.N1 <= 1 || in.N2 <= 1:
-		return "broadcast fast path: one side has at most one tuple"
-	case in.N1*p < in.N2 || in.N2*p < in.N1:
-		return "unequal-ratio fast path: size ratio exceeds p"
-	}
-	return ""
+	return map[string]string{
+		EngineMatMulBroadcast: "broadcast fast path: one side has at most one tuple",
+		EngineMatMulUnequal:   "unequal-ratio fast path: size ratio exceeds p",
+	}[MatMulFastPath(in.N1, in.N2, in.P)]
 }
 
 func costMatMulFast(in Input) Candidate {
@@ -228,7 +225,7 @@ func costMatMulLinear(in Input) Candidate {
 	return Candidate{
 		PredictedLoad: math.Max(in.floor(), math.Max(in.sortCost(n1), math.Max(in.sortCost(n2), in.sortCost(out)))),
 		Formula:       "max(sort(N1), sort(N2), sort(OUT))  [OUT ≤ N/p]",
-		Feasible:      out <= (n1+n2)/in.p(),
+		Feasible:      LinearGate(in.N1, in.N2, in.Out, in.P),
 	}
 }
 

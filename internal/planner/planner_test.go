@@ -174,8 +174,9 @@ func TestInfeasibleNeverChosen(t *testing.T) {
 	}
 }
 
-// TestMatMulFastPaths mirrors Theorem 1's degenerate dispatches: they
-// short-circuit to the composite matmul engine with no cost comparison.
+// TestMatMulFastPaths pins Theorem 1's degenerate dispatches at the top
+// level: they short-circuit to the composite matmul engine with no cost
+// comparison.
 func TestMatMulFastPaths(t *testing.T) {
 	pl := rank(t, Input{Class: hypergraph.ClassMatMul, P: 8, N: 5001, NMax: 5000,
 		N1: 1, N2: 5000, Out: 5000})
@@ -336,5 +337,11 @@ func TestParseEngine(t *testing.T) {
 	}
 	if _, err := ParseEngine("quantum"); err == nil || !strings.Contains(err.Error(), EngineMatMulOutSens) {
 		t.Fatalf("unknown engine error must list the table's names, got %v", err)
+	}
+	// The fast-path branches are reached through the composite engine only.
+	for _, s := range []string{EngineMatMulBroadcast, EngineMatMulUnequal} {
+		if _, err := ParseEngine(s); err == nil {
+			t.Fatalf("ParseEngine accepted the branch name %q", s)
+		}
 	}
 }

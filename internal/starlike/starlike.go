@@ -56,27 +56,38 @@ func (a Arm[W]) Leaf() []dist.Attr { return a.Path[len(a.Path)-1] }
 
 // Compute evaluates a star-like query given by its hypergraph view.
 func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	view, ok := q.StarLikeView()
+	arms, center, ok := Bind(q, rels, dist.Single)
 	if !ok {
 		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starlike: query is not a star-like query")
 	}
 	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
 		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starlike: %w", err)
 	}
-	arms := make([]Arm[W], len(view.Arms))
+	res, st := Run(sr, arms, center, opts)
+	return res, st, nil
+}
+
+// Bind turns a star-like query's view into Run's arguments: its arms, each
+// inner vertex and leaf expanded to attribute columns (dist.Single for a
+// plain query), and the center. ok is false for any other class.
+func Bind[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], expand func(hypergraph.Attr) []dist.Attr) (arms []Arm[W], center dist.Attr, ok bool) {
+	view, ok := q.StarLikeView()
+	if !ok {
+		return nil, "", false
+	}
+	arms = make([]Arm[W], len(view.Arms))
 	for i, va := range view.Arms {
 		arm := Arm[W]{Path: [][]dist.Attr{{view.Center}}}
 		for _, inner := range va.Inner {
-			arm.Path = append(arm.Path, []dist.Attr{inner})
+			arm.Path = append(arm.Path, expand(inner))
 		}
-		arm.Path = append(arm.Path, []dist.Attr{va.Leaf})
+		arm.Path = append(arm.Path, expand(va.Leaf))
 		for _, ei := range va.Edges {
 			arm.Rels = append(arm.Rels, rels[q.Edges[ei].Name])
 		}
 		arms[i] = arm
 	}
-	res, st := Run(sr, arms, view.Center, opts)
-	return res, st, nil
+	return arms, view.Center, true
 }
 
 // Run is the core algorithm over explicit arms. Leaves may be composite;

@@ -39,21 +39,32 @@ type Options struct {
 
 // Compute evaluates a star query given by its hypergraph view.
 func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	view, ok := q.StarView()
+	arms, leaves, center, ok := Bind(q, rels, dist.Single)
 	if !ok {
 		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starquery: query is not a star query")
 	}
 	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
 		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starquery: %w", err)
 	}
-	arms := make([]dist.Rel[W], len(view.ArmEdge))
-	leaves := make([][]dist.Attr, len(view.ArmEdge))
+	res, st := Run(sr, arms, leaves, center, opts)
+	return res, st, nil
+}
+
+// Bind turns a star query's view into Run's arguments: its arms, their
+// leaves expanded to attribute columns (dist.Single for a plain query) and
+// the center. ok is false for any other class.
+func Bind[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], expand func(hypergraph.Attr) []dist.Attr) (arms []dist.Rel[W], leaves [][]dist.Attr, center dist.Attr, ok bool) {
+	view, ok := q.StarView()
+	if !ok {
+		return nil, nil, "", false
+	}
+	arms = make([]dist.Rel[W], len(view.ArmEdge))
+	leaves = make([][]dist.Attr, len(view.ArmEdge))
 	for i, ei := range view.ArmEdge {
 		arms[i] = rels[q.Edges[ei].Name]
-		leaves[i] = []dist.Attr{view.Leaves[i]}
+		leaves[i] = expand(view.Leaves[i])
 	}
-	res, st := Run(sr, arms, leaves, view.Center, opts)
-	return res, st, nil
+	return arms, leaves, view.Center, true
 }
 
 // Run is the core algorithm over explicit arms: arms[i] spans

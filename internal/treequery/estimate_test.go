@@ -11,10 +11,7 @@ import (
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/relation"
-	"mpcjoin/internal/semiring"
 )
-
-var sr = semiring.IntSumProd{}
 
 // buildTwig constructs the minimal two-branch twig B1–B2 with controllable
 // pendant fanouts: B1 carries leaves A1, A2 (fan1 values each per b), B2
@@ -64,7 +61,7 @@ func TestPendantXExactOnSmallFans(t *testing.T) {
 	// fan1 = 3 per arm, two arms → x(b) = 9 for every b (below the sketch
 	// size, so estimates are exact).
 	vt, sk := buildTwig(t, 5, 3, 2, 4)
-	xp, _ := pendantX(sr, vt, sk.Pendants["B1"], "B1", Options{})
+	xp, _ := pendantX(vt, sk.Pendants["B1"], "B1", Options{})
 	got := collectCounts(xp)
 	if len(got) != 5 {
 		t.Fatalf("x values for %d b's, want 5", len(got))
@@ -74,7 +71,7 @@ func TestPendantXExactOnSmallFans(t *testing.T) {
 			t.Fatalf("x(%d) = %d, want 9", b, x)
 		}
 	}
-	xp2, _ := pendantX(sr, vt, sk.Pendants["B2"], "B2", Options{})
+	xp2, _ := pendantX(vt, sk.Pendants["B2"], "B2", Options{})
 	for b, x := range collectCounts(xp2) {
 		if x != 4 {
 			t.Fatalf("x2(%d) = %d, want 4", b, x)
@@ -89,10 +86,10 @@ func TestEstimateOutTreeLemma12(t *testing.T) {
 	roots := []hypergraph.Attr{"B1", "B2"}
 	xParts := map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]]{}
 	for _, b := range roots {
-		xp, _ := pendantX(sr, vt, sk.Pendants[b], b, Options{})
+		xp, _ := pendantX(vt, sk.Pendants[b], b, Options{})
 		xParts[b] = xp
 	}
-	y1, _ := estimateOutTree(sr, vt, sk, "B1", roots, xParts, Options{})
+	y1, _ := estimateOutTree(vt, sk, "B1", roots, xParts)
 	got := collectCounts(y1)
 	for b, y := range got {
 		if y < 4 {
@@ -104,7 +101,7 @@ func TestEstimateOutTreeLemma12(t *testing.T) {
 			t.Fatalf("y_B1(%d) = %d, want exactly 4", b, y)
 		}
 	}
-	y2, _ := estimateOutTree(sr, vt, sk, "B2", roots, xParts, Options{})
+	y2, _ := estimateOutTree(vt, sk, "B2", roots, xParts)
 	for b, y := range collectCounts(y2) {
 		if y != 9 {
 			t.Fatalf("y_B2(%d) = %d, want 9", b, y)
@@ -122,10 +119,10 @@ func TestHeavyLightSplitFollowsXandY(t *testing.T) {
 	roots := []hypergraph.Attr{"B1", "B2"}
 	xParts := map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]]{}
 	for _, b := range roots {
-		xp, _ := pendantX(sr, vt, sk.Pendants[b], b, Options{})
+		xp, _ := pendantX(vt, sk.Pendants[b], b, Options{})
 		xParts[b] = xp
 	}
-	y1, _ := estimateOutTree(sr, vt, sk, "B1", roots, xParts, Options{})
+	y1, _ := estimateOutTree(vt, sk, "B1", roots, xParts)
 	x1 := collectCounts(xParts["B1"])
 	yy1 := collectCounts(y1)
 	for b := range x1 {
@@ -133,7 +130,7 @@ func TestHeavyLightSplitFollowsXandY(t *testing.T) {
 			t.Fatalf("b=%d at B1: x=%d y=%d, expected heavy", b, x1[b], yy1[b])
 		}
 	}
-	y2, _ := estimateOutTree(sr, vt, sk, "B2", roots, xParts, Options{})
+	y2, _ := estimateOutTree(vt, sk, "B2", roots, xParts)
 	x2 := collectCounts(xParts["B2"])
 	yy2 := collectCounts(y2)
 	for b := range x2 {

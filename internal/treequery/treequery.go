@@ -147,40 +147,14 @@ func evalTwig[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options) (dist.
 	if len(q.Edges) == 1 {
 		return dist.ProjectAgg(sr, vt.rels[q.Edges[0].Name], vt.expandAll(q.Output)...)
 	}
-	if v, ok := q.LineView(); ok {
-		rels := make([]dist.Rel[W], len(v.EdgeOrder))
-		path := make([][]dist.Attr, len(v.Vertices))
-		for i, vx := range v.Vertices {
-			path[i] = vt.expand(vx)
-		}
-		for i, ei := range v.EdgeOrder {
-			rels[i] = vt.rels[q.Edges[ei].Name]
-		}
+	if rels, path, ok := linequery.Bind(q, vt.rels, vt.expand); ok {
 		return linequery.Run(sr, rels, path, linequery.Options{Est: opts.Est, Seed: vt.seed})
 	}
-	if v, ok := q.StarView(); ok {
-		arms := make([]dist.Rel[W], len(v.ArmEdge))
-		leaves := make([][]dist.Attr, len(v.ArmEdge))
-		for i, ei := range v.ArmEdge {
-			arms[i] = vt.rels[q.Edges[ei].Name]
-			leaves[i] = vt.expand(v.Leaves[i])
-		}
-		return starquery.Run(sr, arms, leaves, v.Center, starquery.Options{Est: opts.Est, Seed: vt.seed})
+	if arms, leaves, center, ok := starquery.Bind(q, vt.rels, vt.expand); ok {
+		return starquery.Run(sr, arms, leaves, center, starquery.Options{Est: opts.Est, Seed: vt.seed})
 	}
-	if v, ok := q.StarLikeView(); ok {
-		arms := make([]starlike.Arm[W], len(v.Arms))
-		for i, va := range v.Arms {
-			arm := starlike.Arm[W]{Path: [][]dist.Attr{{v.Center}}}
-			for _, inner := range va.Inner {
-				arm.Path = append(arm.Path, vt.expand(inner))
-			}
-			arm.Path = append(arm.Path, vt.expand(va.Leaf))
-			for _, ei := range va.Edges {
-				arm.Rels = append(arm.Rels, vt.rels[q.Edges[ei].Name])
-			}
-			arms[i] = arm
-		}
-		return starlike.Run(sr, arms, v.Center, starlike.Options{Est: opts.Est, Seed: vt.seed})
+	if arms, center, ok := starlike.Bind(q, vt.rels, vt.expand); ok {
+		return starlike.Run(sr, arms, center, starlike.Options{Est: opts.Est, Seed: vt.seed})
 	}
 	return skeletonRecurse(sr, vt, opts)
 }
@@ -212,7 +186,7 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options)
 	xParts := make(map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]], len(roots))
 	var xStats []mpc.Stats
 	for _, b := range roots {
-		xp, s := pendantX(sr, vt, sk.Pendants[b], b, opts)
+		xp, s := pendantX(vt, sk.Pendants[b], b, opts)
 		xParts[b] = xp
 		xStats = append(xStats, s)
 	}
@@ -222,7 +196,7 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options)
 	yParts := make(map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]], len(roots))
 	var yStats []mpc.Stats
 	for _, b := range roots {
-		yp, s := estimateOutTree(sr, vt, sk, b, roots, xParts, opts)
+		yp, s := estimateOutTree(vt, sk, b, roots, xParts)
 		yParts[b] = yp
 		yStats = append(yStats, s)
 	}
@@ -320,7 +294,7 @@ func armsOf[W any](vt *vtree[W], pq *hypergraph.Query, b hypergraph.Attr) []pend
 
 // pendantX estimates x(b) = ∏_arms d_arm(b): the number of output
 // combinations of the pendant subtree joinable with each b.
-func pendantX[W any](sr semiring.Semiring[W], vt *vtree[W], pq *hypergraph.Query, b hypergraph.Attr, opts Options) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats) {
+func pendantX[W any](vt *vtree[W], pq *hypergraph.Query, b hypergraph.Attr, opts Options) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats) {
 	arms := armsOf(vt, pq, b)
 	var st mpc.Stats
 	var per []mpc.Part[mpc.KeyCount[int64]]
@@ -348,7 +322,7 @@ func pendantX[W any](sr semiring.Semiring[W], vt *vtree[W], pq *hypergraph.Query
 // root contribute the multiplicative identity 1 and are skipped; a child's
 // factor is max_{c' joinable} y(c'), propagated through the edge relation
 // with a multi-search and a max-reduce.
-func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergraph.Skeleton, root hypergraph.Attr, roots []hypergraph.Attr, xParts map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]], opts Options) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats) {
+func estimateOutTree[W any](vt *vtree[W], sk *hypergraph.Skeleton, root hypergraph.Attr, roots []hypergraph.Attr, xParts map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]]) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats) {
 	ts := sk.TS
 	isRoot := make(map[hypergraph.Attr]bool, len(roots))
 	for _, r := range roots {
@@ -435,7 +409,6 @@ func estimateOutTree[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergrap
 		p := dist.AnyRel(vt.rels).P()
 		res = mpc.NewPartIn[mpc.KeyCount[int64]](dist.AnyRel(vt.rels).Part.Scope(), p)
 	}
-	_ = sr
 	return res, st
 }
 
