@@ -46,13 +46,16 @@ bench:
 # CPU and allocation profiles of the op mix the tree_mix workload runs
 # (BenchmarkTreeMixShapes: line, star, star-like and twig, auto-planned at
 # p=16), left under .bench_build/ with the test binary — what the next
-# allocation or planning issue is sized from. Read them with
-#   go tool pprof -sample_index=alloc_space -top .bench_build/treemix.test .bench_build/treemix.mem.prof
-#   go tool pprof -top .bench_build/treemix.test .bench_build/treemix.cpu.prof
+# allocation or planning issue is sized from. The target then prints the
+# top 20 functions by allocated bytes (alloc_space) and by CPU, the shares
+# ROADMAP quotes; `go tool pprof` on the same files digs further.
+PROF = .bench_build/treemix
 profile:
 	mkdir -p .bench_build
-	$(GO) test -run NONE -bench TreeMixShapes -benchtime 10x -benchmem -o .bench_build/treemix.test \
-		-cpuprofile .bench_build/treemix.cpu.prof -memprofile .bench_build/treemix.mem.prof -memprofilerate 4096 .
+	$(GO) test -run NONE -bench TreeMixShapes -benchtime 10x -benchmem -o $(PROF).test \
+		-cpuprofile $(PROF).cpu.prof -memprofile $(PROF).mem.prof -memprofilerate 4096 .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 $(PROF).test $(PROF).mem.prof
+	$(GO) tool pprof -top -nodecount=20 $(PROF).test $(PROF).cpu.prof
 
 # The benchmark gate: bench/run.sh on BASE and on this checkout, every
 # workload BENCHMARK.json lists, alternating which side goes first; fails

@@ -13,10 +13,13 @@ import (
 // allocation-lean kernel work: steady-state Route, SortBy, GroupByKey and
 // ReduceByKey at p = 16 over a fixed 16k-element instance. Run with
 // -benchmem; bench/'s mpc.*_us and mpc.*_allocs per-layer metrics time the
-// same shapes across commits. Those sort bare int64s; SortRowsKernel and
-// MultiSearchKernel sort what the engines sort — relation.Row payloads
-// under 2- and 3-column EncodeKey keys — where the cost of moving a fat
-// element through a sort shows.
+// same shapes across commits. Those sort bare int64s. The *RowsKernel and
+// MultiSearchKernel benchmarks run what the engines run — relation.Row
+// payloads under EncodeKey keys — where the cost of moving a fat element
+// through a sort shows: SortRowsKernel and MultiSearchKernel under 2- and
+// 3-column keys, SemijoinRowsKernel in dist.Semijoin's shape (1-column
+// keys) and ReduceByKeyRowsKernel in dist.ProjectAgg's (the projected
+// row's 1 or 2 columns are the key, annotations summed).
 
 const (
 	benchP = 16
@@ -118,6 +121,59 @@ func BenchmarkMultiSearchKernel(b *testing.B) {
 				res, _ := MultiSearch(xs, ys, key, key)
 				if res.Len() != benchN {
 					b.Fatal("multi-search wrong")
+				}
+			}
+		})
+	}
+}
+
+// domainRows is n rows of arity columns, each value uniform over [0, d),
+// with a distinct annotation each.
+func domainRows(n, arity, d int, seed int64) []relation.Row[int64] {
+	rng := rand.New(rand.NewSource(seed))
+	buf := make([]relation.Value, n*arity)
+	rows := make([]relation.Row[int64], n)
+	for i := range rows {
+		vals := buf[i*arity : (i+1)*arity : (i+1)*arity]
+		for c := range vals {
+			vals[c] = relation.Value(rng.Intn(d))
+		}
+		rows[i] = relation.Row[int64]{Vals: vals, W: int64(i)}
+	}
+	return rows
+}
+
+func BenchmarkSemijoinRowsKernel(b *testing.B) {
+	xs := DistributeIn(nil, domainRows(benchN, 2, benchN/4, 42), benchP)
+	ys := DistributeIn(nil, domainRows(benchN/4, 2, benchN/4, 43), benchP)
+	idx := []int{0}
+	key := func(r relation.Row[int64]) string { return relation.EncodeKey(r.Vals, idx) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _ := SemijoinKeys(xs, ys, key, key)
+		if res.Len() == 0 {
+			b.Fatal("semijoin wrong")
+		}
+	}
+}
+
+func BenchmarkReduceByKeyRowsKernel(b *testing.B) {
+	// About benchN/4 distinct keys either way: 4096 values in one column,
+	// 64 × 64 in two.
+	for _, c := range []struct{ cols, d int }{{1, benchN / 4}, {2, 64}} {
+		b.Run(fmt.Sprintf("cols=%d", c.cols), func(b *testing.B) {
+			pt, idx := DistributeIn(nil, domainRows(benchN, c.cols, c.d, 42), benchP), allCols(c.cols)
+			key := func(r relation.Row[int64]) string { return relation.EncodeKey(r.Vals, idx) }
+			add := func(a, c relation.Row[int64]) relation.Row[int64] {
+				return relation.Row[int64]{Vals: a.Vals, W: a.W + c.W}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, _ := ReduceByKey(pt, key, add)
+				if res.Len() == 0 {
+					b.Fatal("reduce wrong")
 				}
 			}
 		})

@@ -52,6 +52,36 @@ func TestLookupCallsEachKeyOnce(t *testing.T) {
 	}
 }
 
+// TestReduceByKeyCallsKeyBounded: ReduceByKey reads run boundaries off the
+// sort's key image, so key runs once per element in each of the sort's two
+// encodes (the local one and the final one) plus O(p²) times outside the
+// data — the coordinator's ≤ p² samples and p−1 splitters, each server's
+// two edge keys: 2n + p² + 3p − 1 on this all-distinct instance. A
+// pre-combine that hashes every key, or a run fold that calls key again,
+// adds n per pass (a hash-map pre-combine plus a key-calling fold made it
+// 4n + p² + 3p − 1); on the engines' string keys every call is an EncodeKey
+// allocation.
+func TestReduceByKeyCallsKeyBounded(t *testing.T) {
+	const n, p = 8192, 16
+	data := make([]KeyCount[int64], n)
+	for i, k := range rand.New(rand.NewSource(5)).Perm(n) {
+		data[i] = KeyCount[int64]{Key: int64(k), Count: 1}
+	}
+	var calls atomic.Int64
+	ex := NewExec(context.Background(), 4)
+	reduced, _ := ReduceByKey(DistributeIn(ex, data, p),
+		func(kc KeyCount[int64]) int64 { calls.Add(1); return kc.Key },
+		func(a, b KeyCount[int64]) KeyCount[int64] {
+			return KeyCount[int64]{Key: a.Key, Count: a.Count + b.Count}
+		})
+	if reduced.Len() != n {
+		t.Fatalf("%d distinct keys reduced to %d", n, reduced.Len())
+	}
+	if bound := int64(2*n + p*p + 4*p); calls.Load() > bound {
+		t.Errorf("key called %d times for %d distinct keys at p=%d, want ≤ 2n + p² + 4p = %d", calls.Load(), n, p, bound)
+	}
+}
+
 // TestLookupEqualsFilterMapOverLookupJoin pins the fused form to the
 // dataflow it replaces: a visitor run inside the scan produces, shard for
 // shard and element for element, what Map∘Filter(.Found) over LookupJoin's

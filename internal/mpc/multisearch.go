@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"cmp"
+	"slices"
 
 	xrt "mpcjoin/internal/runtime"
 )
@@ -71,19 +72,7 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 	if ys.P() != p {
 		panic("mpc: MultiSearch parts span different server counts")
 	}
-
 	ex := mergeScope(xs, ys)
-	merged := NewPartIn[msItem[X, Y, K]](ex, p)
-	ex.ForEachShard(p, func(s int) {
-		items := make([]msItem[X, Y, K], 0, len(xs.Shards[s])+len(ys.Shards[s]))
-		for _, y := range ys.Shards[s] {
-			items = append(items, msItem[X, Y, K]{k: ykey(y), y: y})
-		}
-		for _, x := range xs.Shards[s] {
-			items = append(items, msItem[X, Y, K]{k: xkey(x), isX: true, x: x})
-		}
-		merged.Shards[s] = items
-	})
 
 	// Sort by (key, Y-before-X): on equal keys every Y globally precedes
 	// every X, so the local scan plus the cross-server carry below sees the
@@ -91,44 +80,66 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 	// key's with isX appended as the least-significant word, so the tie-break
 	// is part of the image and every phase of the sort goes radix.
 	type item = msItem[X, Y, K]
+	order := func(a, b item) int { return msOrder(a.k, a.isX, b.k, b.isX) }
 	var encode encodeFunc[item]
 	if radix {
 		encode = func(n int, at func(i int) *item, sc *xrt.Scratch) (radixKeys, bool) {
-			img, ok := encodeRadixKeys(n, func(i int) K { return at(i).k }, 1, sc)
-			if ok {
-				side := img.col(img.w - 1)
-				for i := range side {
-					if at(i).isX {
-						side[i] = 1
-					}
-				}
-			}
-			return img, ok
+			return msImage(n, func(i int) K { return at(i).k }, func(i int) bool { return at(i).isX }, sc)
 		}
 	}
-	sorted, st := sampleSort(merged, func(a, b item) int {
-		if c := cmp.Compare(a.k, b.k); c != 0 {
-			return c
+	// Server s's batch is its ys followed by its xs, each key computed once
+	// into keys; an item is built only when the local sort puts it into its
+	// tagged slot.
+	batch := func(s int) sortBatch[item] {
+		xsh, ysh := xs.Shards[s], ys.Shards[s]
+		ny := len(ysh)
+		keys := make([]K, ny+len(xsh))
+		for i, y := range ysh {
+			keys[i] = ykey(y)
 		}
-		if a.isX != b.isX {
-			if b.isX {
-				return -1
+		for i, x := range xsh {
+			keys[ny+i] = xkey(x)
+		}
+		b := sortBatch[item]{
+			n:   len(keys),
+			cmp: func(i, j int) int { return msOrder(keys[i], i >= ny, keys[j], j >= ny) },
+			put: func(i int, dst *item) {
+				if i < ny {
+					*dst = item{k: keys[i], y: ysh[i]}
+				} else {
+					*dst = item{k: keys[i], isX: true, x: xsh[i-ny]}
+				}
+			},
+		}
+		if radix {
+			b.encode = func(sc *xrt.Scratch) (radixKeys, bool) {
+				return msImage(len(keys), func(i int) K { return keys[i] }, func(i int) bool { return i >= ny }, sc)
 			}
-			return 1
 		}
-		return 0
-	}, encode)
+		return b
+	}
+	// What landed is read in place: the inbox through a heap copy of its
+	// sorting permutation, 4 bytes per item instead of an item copy.
+	inbox := make([][]tagged[item], p)
+	perms := make([][]uint32, p)
+	st := sampleSort(ex, p, batch, order, encode, nil, func(s int, ts []tagged[item], sb sortedBatch[item], _ *xrt.Scratch) {
+		inbox[s] = ts
+		if sb.perm != nil {
+			perms[s] = slices.Clone(sb.perm)
+		}
+	})
+	// sorted returns server s's i-th item in the sorted order.
+	sorted := func(s, i int) *item { return &inbox[s][permAt(perms[s], i)].x }
 
 	// Each server's greatest local Y → coordinator.
 	lasts := NewPartIn[lastY[Y, K]](ex, p)
 	ex.ForEachShard(p, func(s int) {
-		shard := sorted.Shards[s]
 		l := lastY[Y, K]{src: s}
-		for i := len(shard) - 1; i >= 0; i-- {
-			if !shard[i].isX {
+		for i := len(inbox[s]) - 1; i >= 0; i-- {
+			if it := sorted(s, i); !it.isX {
 				l.have = true
-				l.k = shard[i].k
-				l.y = shard[i].y
+				l.k = it.k
+				l.y = it.y
 				break
 			}
 		}
@@ -162,8 +173,8 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 			cur = carried.Shards[s][0]
 		}
 		nx := 0
-		for _, it := range sorted.Shards[s] {
-			if it.isX {
+		for _, t := range inbox[s] {
+			if t.x.isX {
 				nx++
 			}
 		}
@@ -171,8 +182,8 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 			return
 		}
 		rs := make([]R, 0, nx)
-		for _, it := range sorted.Shards[s] {
-			if !it.isX {
+		for i := range inbox[s] {
+			if it := sorted(s, i); !it.isX {
 				cur.have, cur.k, cur.y = true, it.k, it.y
 			} else if r, keep := visit(it.x, cur.y, cur.have && (!exact || cur.k == it.k)); keep {
 				rs = append(rs, r)
@@ -183,6 +194,33 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 		}
 	})
 	return out, Seq(st, stAB)
+}
+
+// msOrder is the multi-search order of two items given as (key, isX): by
+// key, Y before X on equal keys.
+func msOrder[K cmp.Ordered](ka K, xa bool, kb K, xb bool) int {
+	if c := cmp.Compare(ka, kb); c != 0 || xa == xb {
+		return c
+	}
+	if xb {
+		return -1
+	}
+	return 1
+}
+
+// msImage is the radix image of msOrder over n items given as (key(i),
+// isX(i)): the key's image with isX as one extra, least-significant word.
+func msImage[K cmp.Ordered](n int, key func(i int) K, isX func(i int) bool, sc *xrt.Scratch) (radixKeys, bool) {
+	img, ok := encodeRadixKeys(n, key, 1, sc)
+	if ok {
+		side := img.col(img.w - 1)
+		for i := range side {
+			if isX(i) {
+				side[i] = 1
+			}
+		}
+	}
+	return img, ok
 }
 
 // SemijoinKeys filters xs to the elements whose key appears in ys

@@ -92,19 +92,21 @@ func radixCmp(a radixKeys, j int, b radixKeys, i int) int {
 	return 0
 }
 
-// sorted returns a heap copy of the image with its keys in perm order (the
-// input order when perm is nil): the form that outlives the scratch arena
-// the image and the permutation were carved from.
-func (k radixKeys) sorted(perm []uint32) radixKeys {
+// sorted returns a heap copy of the image of the keys at positions idx, in
+// idx order — a sort permutation, or the heads of its runs; all keys in
+// input order when idx is nil: the form that outlives the scratch arena the
+// image and idx were carved from.
+func (k radixKeys) sorted(idx []uint32) radixKeys {
 	out := k
-	out.words = make([]uint64, len(k.words))
-	if perm == nil {
-		copy(out.words, k.words)
+	if idx == nil {
+		out.words = slices.Clone(k.words)
 		return out
 	}
+	out.n = len(idx)
+	out.words = make([]uint64, out.n*k.w)
 	for c := 0; c < k.w; c++ {
 		src, dst := k.col(c), out.col(c)
-		for i, j := range perm {
+		for i, j := range idx {
 			dst[i] = src[j]
 		}
 	}

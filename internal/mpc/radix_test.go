@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -561,6 +562,52 @@ func TestSortAllocsBounded(t *testing.T) {
 	bound := float64(24*p + 32)
 	if allocs > bound {
 		t.Errorf("Sort allocated %.1f times per call at p=%d, want ≤ %.0f", allocs, p, bound)
+	}
+}
+
+// bytesPerOp is the heap bytes one call of f allocates, averaged over runs
+// after a warm-up call (runtime.MemStats.TotalAlloc).
+func bytesPerOp(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestKernelBytesBounded is TestSortAllocsBounded's byte-side twin for the
+// two kernels that read the sort where it lands, at p = 16. MultiSearch over
+// 16k×4k rows under 2-column keys measured 10.58 MB/op while it copied its
+// rows into a merged item array and untagged the sorted inbox into a second
+// one, and 7.23 MB/op once the local sort builds each item straight into
+// its tagged slot and the scan reads the inbox through the permutation.
+// ReduceByKey over 16k int64s measured 2.04 MB/op with its hash-map
+// pre-combine, untagged copy and regrown run fold, and 1.00 MB/op folding
+// the two sorts' runs in place. Each bound sits between its two readings,
+// so a merged copy or a map cannot come back unnoticed.
+func TestKernelBytesBounded(t *testing.T) {
+	const p = 16
+	xs := DistributeIn(nil, fatRows(16384, 2, 42), p)
+	ys := DistributeIn(nil, fatRows(4096, 2, 43), p)
+	idx := allCols(2)
+	key := func(r relation.Row[int64]) string { return relation.EncodeKey(r.Vals, idx) }
+	ints := benchPart(16384, p)
+	for _, c := range []struct {
+		name  string
+		bound float64
+		run   func()
+	}{
+		{"MultiSearch", 8.5e6, func() { MultiSearch(xs, ys, key, key) }},
+		{"ReduceByKey", 1.5e6, func() {
+			ReduceByKey(ints, func(x int64) int64 { return x }, func(a, b int64) int64 { return a + b })
+		}},
+	} {
+		if got := bytesPerOp(5, c.run); got > c.bound {
+			t.Errorf("%s allocated %.2f MB per call at p=%d, want ≤ %.2f MB", c.name, got/1e6, p, c.bound/1e6)
+		}
 	}
 }
 

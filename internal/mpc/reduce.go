@@ -2,6 +2,8 @@ package mpc
 
 import (
 	"cmp"
+
+	xrt "mpcjoin/internal/runtime"
 )
 
 // ReduceByKey combines all elements sharing a key into one, using the
@@ -11,11 +13,16 @@ import (
 //
 // This is the paper's reduce-by-key primitive (§2.1, [13]): it computes
 // aggregations ∑_ȳ R and degree statistics with load O(N/p) in O(1) rounds.
-// The implementation is deterministic and skew-proof: a local pre-combine
-// caps every key's surviving multiplicity at p (one per server), a
-// tie-broken sample sort balances the shuffle, a second local combine
-// leaves one element per key per server, and a constant-size coordinator
-// round stitches runs that straddle server boundaries.
+// The implementation is deterministic and skew-proof. One tie-broken sample
+// sort does the shuffle and folds runs of equal keys at both of its ends:
+// the local sort's runs, before the shuffle, so every key's surviving
+// multiplicity is capped at p (one per server), and the runs of each
+// server's inbox, read through the final sort's permutation, so one element
+// per key per server remains. A constant-size coordinator round then
+// stitches runs that straddle server boundaries. Run boundaries are read
+// off the sort's key image, so key runs about twice per element (the two
+// encodes), and the sort is stable, so combine folds equal keys in input
+// order on a server and in server order across them.
 //
 // The per-server phases run on the scope's runtime: key and combine must
 // be safe for concurrent calls across servers.
@@ -23,18 +30,25 @@ func ReduceByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K, combine func(a
 	p := pt.P()
 	ex := pt.scope()
 
-	// Local pre-combine (free).
-	pre := MapShards(pt, func(_ int, shard []T) []T {
-		return combineLocal(shard, key, combine)
-	})
-
-	// Global sort by key; balanced by construction.
-	sorted, st := Sort(pre, key)
-
-	// Local combine of adjacent runs (free): ≤ 1 element per key per server.
-	reduced := MapShards(sorted, func(_ int, shard []T) []T {
-		return combineSortedRuns(shard, key, combine)
-	})
+	// Global sort by key, balanced by construction, folding runs before the
+	// shuffle and after it: ≤ 1 element per key per server.
+	order, encode := keyOrder(key)
+	reduced := NewPartIn[T](ex, p)
+	st := sampleSort(ex, p, shardBatches(pt, order, encode), order, encode, combine,
+		func(s int, ts []tagged[T], sb sortedBatch[T], sc *xrt.Scratch) {
+			heads := sb.heads(true, sc)
+			xs := make([]T, len(heads))
+			r := -1
+			for i := range ts {
+				if j := permAt(sb.perm, i); r+1 < len(xs) && int(heads[r+1]) == j {
+					r++
+					xs[r] = ts[j].x
+				} else {
+					xs[r] = combine(xs[r], ts[j].x)
+				}
+			}
+			reduced.Shards[s] = xs
+		})
 
 	// Boundary resolution: keys may still straddle servers (≤ p copies of a
 	// key globally). Each server reports its first/last elements to the
@@ -149,50 +163,6 @@ func ReduceByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K, combine func(a
 		out.Shards[s] = shard[lo:]
 	})
 	return out, Seq(st, stAB)
-}
-
-// combineLocal folds equal-key elements of shard into one each, preserving
-// no particular order.
-func combineLocal[T any, K cmp.Ordered](shard []T, key func(T) K, combine func(a, b T) T) []T {
-	if len(shard) <= 1 {
-		return shard
-	}
-	acc := make(map[K]T, len(shard))
-	order := make([]K, 0, len(shard))
-	for _, x := range shard {
-		k := key(x)
-		if cur, ok := acc[k]; ok {
-			acc[k] = combine(cur, x)
-		} else {
-			acc[k] = x
-			order = append(order, k)
-		}
-	}
-	out := make([]T, 0, len(order))
-	for _, k := range order {
-		out = append(out, acc[k])
-	}
-	return out
-}
-
-// combineSortedRuns folds adjacent equal-key runs of a key-sorted shard.
-func combineSortedRuns[T any, K cmp.Ordered](shard []T, key func(T) K, combine func(a, b T) T) []T {
-	if len(shard) <= 1 {
-		return shard
-	}
-	out := shard[:0:0]
-	cur := shard[0]
-	curK := key(cur)
-	for _, x := range shard[1:] {
-		k := key(x)
-		if k == curK {
-			cur = combine(cur, x)
-			continue
-		}
-		out = append(out, cur)
-		cur, curK = x, k
-	}
-	return append(out, cur)
 }
 
 // CountByKey counts elements per key: the degree-statistics use of

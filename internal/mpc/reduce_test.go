@@ -219,7 +219,7 @@ func TestAllReduce(t *testing.T) {
 	}
 }
 
-func TestSortedRunsAndSortLocal(t *testing.T) {
+func TestSortLocal(t *testing.T) {
 	shard := []int{3, 1, 2, 1, 3}
 	SortLocal(shard, func(x int) int { return x })
 	if !slices.Equal(shard, []int{1, 1, 2, 3, 3}) {

@@ -35,7 +35,7 @@ type tagged[T any] struct {
 // (radix_test.go) — all compute the same unique (element, src, idx) total
 // order, through the same permutation path.
 func SortBy[T any](pt Part[T], less func(a, b T) bool) (Part[T], Stats) {
-	return sampleSort(pt, func(a, b T) int {
+	return sortPart(pt, func(a, b T) int {
 		if less(a, b) {
 			return -1
 		}
@@ -53,13 +53,36 @@ func SortBy[T any](pt Part[T], less func(a, b T) bool) (Part[T], Stats) {
 // identical to the comparison path either way, because both compute the
 // same unique (key, src, idx) total order.
 func Sort[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
+	order, encode := keyOrder(key)
+	return sortPart(pt, order, encode)
+}
+
+// keyOrder is the element order of a sort by key and, when K is
+// radix-encodable, the encoder of the key's image.
+func keyOrder[T any, K cmp.Ordered](key func(T) K) (func(a, b T) int, encodeFunc[T]) {
 	order := func(a, b T) int { return cmp.Compare(key(a), key(b)) }
 	if !radixEncodable[K]() {
-		return sampleSort(pt, order, nil)
+		return order, nil
 	}
-	return sampleSort(pt, order, func(n int, at func(i int) *T, sc *xrt.Scratch) (radixKeys, bool) {
+	return order, func(n int, at func(i int) *T, sc *xrt.Scratch) (radixKeys, bool) {
 		return encodeRadixKeys(n, func(i int) K { return key(*at(i)) }, 0, sc)
-	})
+	}
+}
+
+// sortPart sample-sorts pt's shards and writes each server's inbox out in
+// the final order inside the final sort's callback, so the permutation it
+// reads stays in the worker's scratch.
+func sortPart[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T]) (Part[T], Stats) {
+	res := NewPartIn[T](pt.scope(), pt.P())
+	st := sampleSort(pt.scope(), pt.P(), shardBatches(pt, order, encode), order, encode, nil,
+		func(s int, ts []tagged[T], sb sortedBatch[T], _ *xrt.Scratch) {
+			xs := make([]T, len(ts))
+			for i := range xs {
+				xs[i] = ts[permAt(sb.perm, i)].x
+			}
+			res.Shards[s] = xs
+		})
+	return res, st
 }
 
 // encodeFunc builds the order-preserving radix image of a batch's keys in
@@ -67,6 +90,84 @@ func Sort[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
 // or long strings). It reads the batch through its size n and the accessor
 // at, so one function serves shards of T and of tagged[T] alike.
 type encodeFunc[T any] func(n int, at func(i int) *T, sc *xrt.Scratch) (radixKeys, bool)
+
+// sortBatch is what one sort phase sees of a server's n elements: their
+// order — the radix image of their keys (encode; nil, or false, when the
+// batch has none) or the three-way comparison cmp of two positions — and,
+// for the local sort's input, put, which writes element i into *dst. The
+// elements need not exist before put builds them: the local sort calls put
+// once per element, into its slot of the sorted tagged array.
+type sortBatch[T any] struct {
+	n      int
+	encode func(sc *xrt.Scratch) (radixKeys, bool)
+	cmp    func(i, j int) int
+	put    func(i int, dst *T)
+}
+
+// elems orders n existing elements read through at (a batch without put).
+func elems[T any](n int, at func(i int) *T, order func(a, b T) int, encode encodeFunc[T]) sortBatch[T] {
+	b := sortBatch[T]{n: n, cmp: func(i, j int) int { return order(*at(i), *at(j)) }}
+	if encode != nil {
+		b.encode = func(sc *xrt.Scratch) (radixKeys, bool) { return encode(n, at, sc) }
+	}
+	return b
+}
+
+// shardBatches is a Part's sample-sort input: server s's batch is shard s.
+func shardBatches[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T]) func(s int) sortBatch[T] {
+	return func(s int) sortBatch[T] {
+		shard := pt.Shards[s]
+		b := elems(len(shard), func(i int) *T { return &shard[i] }, order, encode)
+		b.put = func(i int, dst *T) { *dst = shard[i] }
+		return b
+	}
+}
+
+// sortedBatch is a batch after its stable sort: perm[i] is the input
+// position of the i-th element in order (nil when the input is in order),
+// and img, when ok, the batch's image. perm and img are carved from the
+// sorting worker's scratch.
+type sortedBatch[T any] struct {
+	sortBatch[T]
+	perm []uint32
+	img  radixKeys
+	ok   bool
+}
+
+// sort stably sorts the batch: by its image when it encodes, else by cmp.
+func (b sortBatch[T]) sort(sc *xrt.Scratch) sortedBatch[T] {
+	if b.encode != nil {
+		if img, ok := b.encode(sc); ok {
+			return sortedBatch[T]{b, img.sortPerm(sc), img, true}
+		}
+	}
+	return sortedBatch[T]{sortBatch: b, perm: sortPermFunc(b.n, b.cmp, sc)}
+}
+
+// heads lists, in sorted order, the input position of the first element of
+// every run of equal elements — of every element when runs is false. Run
+// boundaries are read off the image's words when there is one.
+func (b sortedBatch[T]) heads(runs bool, sc *xrt.Scratch) []uint32 {
+	if !runs && b.perm != nil {
+		return b.perm
+	}
+	hs := sc.Perm(b.n)[:0]
+	for i := 0; i < b.n; i++ {
+		j := permAt(b.perm, i)
+		if !runs || len(hs) == 0 || !b.same(int(hs[len(hs)-1]), j) {
+			hs = append(hs, uint32(j))
+		}
+	}
+	return hs
+}
+
+// same reports whether the elements at input positions i and j are equal.
+func (b sortedBatch[T]) same(i, j int) bool {
+	if b.ok {
+		return radixCmp(b.img, i, b.img, j) == 0
+	}
+	return b.cmp(i, j) == 0
+}
 
 // sampleSort is the one sample sort: local sort, regular samples to the
 // coordinator, splitter broadcast, bucket, reshuffle, final local sort.
@@ -76,14 +177,23 @@ type encodeFunc[T any] func(n int, at func(i int) *T, sc *xrt.Scratch) (radixKey
 // which cannot change results, because every path computes the same unique
 // (element, src, idx) total order.
 //
-// No phase sorts elements. Each sorts a permutation of its batch — by the
-// image, or by order — and then writes every element once, into its final
-// place, so a row is copied three times per sort (tagged in sorted order,
-// exchanged, untagged in sorted order) however many passes the sorts took:
+// The two ends belong to the caller. in(s) is server s's input batch, whose
+// elements put builds straight into the tagged array; combine, when
+// non-nil, folds each run of equal elements of a local batch into one slot
+// (ReduceByKey's pre-combine). land(s, ts, sb, sc) is handed what landed on
+// server s: the routed inbox ts in arrival order and sb, the inbox sorted,
+// whose permutation and image are carved from sc and valid only during the
+// call. A consumer reads the inbox through the permutation there, or copies
+// the permutation to read it later; nothing is untagged into a sorted copy
+// first.
 //
-//   - Local sort: stable by element; the tagged copy is written in sorted
-//     order with idx its position. Stability keeps equal elements in
-//     arrival order on the radix and the comparison path alike.
+// No phase sorts elements. Each sorts a permutation of its batch — by the
+// image, or by order — and reads or writes every element through it:
+//
+//   - Local sort: stable by element; the tagged array is written in sorted
+//     order with idx its position, each element (or run fold) put once into
+//     its slot. Stability keeps equal elements in arrival order on the radix
+//     and the comparison path alike, so a fold combines them in input order.
 //   - Coordinator: the gathered samples arrive in ascending
 //     (src, element, idx) order, so a stable sort by key alone reproduces
 //     the full (element, src, idx) order; the splitters are read through
@@ -97,21 +207,10 @@ type encodeFunc[T any] func(n int, at func(i int) *T, sc *xrt.Scratch) (radixKey
 //     when the shard's and the splitters' images are comparable, else on
 //     comparisons.
 //   - Final sort: a routed shard is the ascending-src concatenation of
-//     sorted runs, so the same stability argument applies again; the result
-//     is gathered through the permutation.
-func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T]) (Part[T], Stats) {
-	p := pt.P()
-	ex := pt.scope()
-	// sortedPerm returns the permutation that stably sorts a batch (nil when
-	// it already is in order) and, when the batch encoded, its image.
-	sortedPerm := func(n int, at func(i int) *T, sc *xrt.Scratch) ([]uint32, radixKeys, bool) {
-		if encode != nil {
-			if img, ok := encode(n, at, sc); ok {
-				return img.sortPerm(sc), img, true
-			}
-		}
-		return sortPermFunc(n, func(i, j int) int { return order(*at(i), *at(j)) }, sc), radixKeys{}, false
-	}
+//     sorted runs, so the same stability argument applies again; land reads
+//     the result through the permutation.
+func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(a, b T) int, encode encodeFunc[T],
+	combine func(a, b T) T, land func(s int, ts []tagged[T], sb sortedBatch[T], sc *xrt.Scratch)) Stats {
 	// csc serves the coordinator's sort and holds the splitter image, which
 	// the partition workers only read.
 	csc := xrt.GetScratch()
@@ -119,23 +218,37 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T])
 
 	// Local sort; tag with (src, idx) for global uniqueness. One worker
 	// per server — order must be safe for concurrent calls across servers.
-	// The sorted image is kept per shard for the bucket walk below.
+	// The sorted image, one key per slot, is kept per shard for the bucket
+	// walk below.
 	local := make([][]tagged[T], p)
 	localKeys := make([]radixKeys, p)
 	localOK := make([]bool, p)
 	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
-		shard := pt.Shards[s]
-		if len(shard) == 0 {
+		b := in(s)
+		if b.n == 0 {
 			return
 		}
-		perm, img, ok := sortedPerm(len(shard), func(i int) *T { return &shard[i] }, sc)
-		ts := make([]tagged[T], len(shard))
-		for i := range ts {
-			ts[i] = tagged[T]{src: s, idx: i, x: shard[permAt(perm, i)]}
+		sb := b.sort(sc)
+		heads := sb.heads(combine != nil, sc)
+		ts := make([]tagged[T], len(heads))
+		var x *T // a folded element, on its way to its run's slot
+		if combine != nil {
+			x = new(T)
+		}
+		r := -1
+		for i := 0; i < b.n; i++ {
+			if j := permAt(sb.perm, i); r+1 < len(ts) && int(heads[r+1]) == j {
+				r++
+				ts[r].src, ts[r].idx = s, r
+				b.put(j, &ts[r].x)
+			} else {
+				b.put(j, x)
+				ts[r].x = combine(ts[r].x, *x)
+			}
 		}
 		local[s] = ts
-		if ok {
-			localKeys[s], localOK[s] = img.sorted(perm), true
+		if sb.ok {
+			localKeys[s], localOK[s] = sb.img.sorted(heads), true
 		}
 	})
 
@@ -146,13 +259,12 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T])
 		if n == 0 {
 			continue
 		}
-		c := p
-		if n < c {
-			c = n
+		c := min(p, n)
+		samples := make([]tagged[T], c)
+		for j := range samples {
+			samples[j] = ts[j*n/c]
 		}
-		for j := 0; j < c; j++ {
-			samplePart.Shards[s] = append(samplePart.Shards[s], ts[j*n/c])
-		}
+		samplePart.Shards[s] = samples
 	}
 	// Rounds 1–2: the coordinator picks p−1 splitters at regular ranks of
 	// the samples and broadcasts them.
@@ -161,7 +273,7 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T])
 			return nil
 		}
 		splits := make([]tagged[T], 0, p-1)
-		perm, _, _ := sortedPerm(len(samples), func(i int) *T { return &samples[i].x }, csc)
+		perm := elems(len(samples), func(i int) *T { return &samples[i].x }, order, encode).sort(csc).perm
 		for i := 1; i < p; i++ {
 			splits = append(splits, samples[permAt(perm, i*len(samples)/p)])
 		}
@@ -214,21 +326,15 @@ func sampleSort[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T])
 	TraceOp(ex, "sort.partition")
 	routed, st3 := ExchangeIn(ex, p, out)
 
-	// Final local sort.
-	res := NewPartIn[T](ex, p)
+	// Final local sort; the caller reads what landed.
 	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
 		ts := routed.Shards[s]
 		if len(ts) == 0 {
 			return
 		}
-		perm, _, _ := sortedPerm(len(ts), func(i int) *T { return &ts[i].x }, sc)
-		xs := make([]T, len(ts))
-		for i := range xs {
-			xs[i] = ts[permAt(perm, i)].x
-		}
-		res.Shards[s] = xs
+		land(s, ts, elems(len(ts), func(i int) *T { return &ts[i].x }, order, encode).sort(sc), sc)
 	})
-	return res, Seq(st12, st3)
+	return Seq(st12, st3)
 }
 
 // boundarySummary describes one server's key range after a Sort, for
