@@ -43,19 +43,22 @@ race:
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./... | tee bench.txt
 
-# CPU and allocation profiles of the op mix the tree_mix workload runs
-# (BenchmarkTreeMixShapes: line, star, star-like and twig, auto-planned at
-# p=16), left under .bench_build/ with the test binary — what the next
-# allocation or planning issue is sized from. The target then prints the
-# top 20 functions by allocated bytes (alloc_space) and by CPU, the shares
-# ROADMAP quotes; `go tool pprof` on the same files digs further.
-PROF = .bench_build/treemix
+# CPU and allocation profiles of the op mixes two workloads run, each
+# auto-planned at p=16: tree_mix's (BenchmarkTreeMixShapes: line, star,
+# star-like and twig) into .bench_build/treemix.* and matmul_sweep's
+# (BenchmarkMatMulSweepShapes: b4, b32, z and u) into .bench_build/matmul.*,
+# each beside its test binary — what the next allocation or planning change
+# is sized from. For each mix the target prints the top 20 functions by
+# allocated bytes (alloc_space) and by CPU, the shares ROADMAP quotes;
+# `go tool pprof` on the same files digs further.
+profile_mix = $(GO) test -run NONE -bench '$(2)$$' -benchtime 10x -benchmem -o .bench_build/$(1).test \
+		-cpuprofile .bench_build/$(1).cpu.prof -memprofile .bench_build/$(1).mem.prof -memprofilerate 4096 . && \
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 .bench_build/$(1).test .bench_build/$(1).mem.prof && \
+	$(GO) tool pprof -top -nodecount=20 .bench_build/$(1).test .bench_build/$(1).cpu.prof
 profile:
 	mkdir -p .bench_build
-	$(GO) test -run NONE -bench TreeMixShapes -benchtime 10x -benchmem -o $(PROF).test \
-		-cpuprofile $(PROF).cpu.prof -memprofile $(PROF).mem.prof -memprofilerate 4096 .
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 $(PROF).test $(PROF).mem.prof
-	$(GO) tool pprof -top -nodecount=20 $(PROF).test $(PROF).cpu.prof
+	$(call profile_mix,treemix,TreeMixShapes)
+	$(call profile_mix,matmul,MatMulSweepShapes)
 
 # The benchmark gate: bench/run.sh on BASE and on this checkout, every
 # workload BENCHMARK.json lists, alternating which side goes first; fails

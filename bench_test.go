@@ -18,7 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"mpcjoin/internal/db"
 	"mpcjoin/internal/experiments"
+	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/workload"
 )
 
@@ -163,29 +165,29 @@ func BenchmarkExecuteLine3(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeMixShapes is one pass of the op mix the repository
-// benchmark's tree_mix workload times — the catalogue's line, star,
-// star-like and tree families at that workload's block counts, auto-planned
-// at p=16 through ExecuteContext — as a go test benchmark, so `make profile`
-// attributes CPU samples and allocated bytes over the mix that workload
-// runs rather than over whichever micro-benchmark is at hand.
-func BenchmarkTreeMixShapes(b *testing.B) {
+// mixOp is one query of a benchmark op mix, in the internal spelling the
+// generators return.
+type mixOp struct {
+	q    *hypergraph.Query
+	inst db.Instance[int64]
+}
+
+// benchMix runs one pass of an op mix per iteration, every op auto-planned
+// at p=16 through ExecuteContext — the entry point the repository
+// benchmark's library workloads time.
+func benchMix(b *testing.B, mix []mixOp) {
+	b.Helper()
 	type op struct {
 		q    *Query
 		data Instance[int64]
 	}
 	var ops []op
-	for _, shape := range []struct {
-		family string
-		blocks int
-	}{{"line", 2048}, {"star", 512}, {"star-like", 64}, {"tree", 128}} {
-		fam := workload.Named(shape.family)
-		inst, _ := fam.Gen(shape.blocks)
+	for _, m := range mix {
 		data := Instance[int64]{}
-		for name, r := range inst {
+		for name, r := range m.inst {
 			data[name] = &Relation[int64]{rel: r}
 		}
-		ops = append(ops, op{&Query{q: fam.Query}, data})
+		ops = append(ops, op{&Query{q: m.q}, data})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -196,6 +198,43 @@ func BenchmarkTreeMixShapes(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkTreeMixShapes is one pass of the op mix the repository
+// benchmark's tree_mix workload times — the catalogue's line, star,
+// star-like and tree families at that workload's block counts — as a go
+// test benchmark, so `make profile` attributes CPU samples and allocated
+// bytes over the mix that workload runs rather than over whichever
+// micro-benchmark is at hand.
+func BenchmarkTreeMixShapes(b *testing.B) {
+	var mix []mixOp
+	for _, shape := range []struct {
+		family string
+		blocks int
+	}{{"line", 2048}, {"star", 512}, {"star-like", 64}, {"tree", 128}} {
+		fam := workload.Named(shape.family)
+		inst, _ := fam.Gen(shape.blocks)
+		mix = append(mix, mixOp{fam.Query, inst})
+	}
+	benchMix(b, mix)
+}
+
+// BenchmarkMatMulSweepShapes is the same for the matmul_sweep workload's op
+// mix: b4 (output-sensitive), b32 (worst-case), z (Zipf-skewed B) and u
+// (the unequal-ratio fast path) at that workload's sizes, each random
+// shape drawn from the workload's fixed shape stream.
+func BenchmarkMatMulSweepShapes(b *testing.B) {
+	const shapeSeed = 20200614
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(shapeSeed)) }
+	b4, _ := workload.MatMulBlocks(2048, 4, 4)
+	b32, _ := workload.MatMulBlocks(256, 32, 32)
+	z, _, err := workload.MatMulZipf(2048, 2048, 1.3, rng())
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, _ := workload.MatMulUnequal(256, 8192, 64, rng())
+	q := hypergraph.MatMulQuery()
+	benchMix(b, []mixOp{{q, b4}, {q, b32}, {q, z}, {q, u}})
 }
 
 // BenchmarkMatMulKernel is the kernel-level wall-clock/allocation target

@@ -51,11 +51,19 @@ func EmptyIn[W any](ex *mpc.Exec, schema []Attr, p int) Rel[W] {
 }
 
 // ToRelation gathers all shards into a sequential relation (unmetered;
-// used to read off final distributed outputs for verification).
+// used to read off final distributed outputs for verification). The
+// gathered slice becomes the relation's rows as it is; an empty gather
+// leaves Rows nil.
 func ToRelation[W any](r Rel[W]) *relation.Relation[W] {
 	out := relation.New[W](r.Schema...)
-	for _, row := range mpc.Collect(r.Part) {
-		out.AppendRow(row)
+	rows := mpc.Collect(r.Part)
+	for _, row := range rows {
+		if len(row.Vals) != out.Arity() {
+			panic(fmt.Sprintf("dist: row arity %d does not match schema %v", len(row.Vals), r.Schema))
+		}
+	}
+	if len(rows) > 0 {
+		out.Rows = rows
 	}
 	return out
 }

@@ -30,7 +30,6 @@ import (
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/kmv"
 	"mpcjoin/internal/mpc"
-	"mpcjoin/internal/relation"
 )
 
 // DefaultK is the per-sketch size; the estimator's relative error is
@@ -173,23 +172,11 @@ type KeySketch struct {
 
 // hashItem maps an encoded value tuple to the 64-bit item space (FNV-1a);
 // 64-bit collisions are negligible at the instance sizes involved.
+// relation.HashCols hashes a row's columns into the same space in place.
 func hashItem(enc string) uint64 {
 	h := fnvOffset
 	for i := 0; i < len(enc); i++ {
 		h = (h ^ uint64(enc[i])) * fnvPrime
-	}
-	return h
-}
-
-// hashCols is hashItem(relation.EncodeKey(vals, idx)) without building the
-// key: the same FNV-1a over the same sign-flipped big-endian bytes.
-func hashCols(vals []relation.Value, idx []int) uint64 {
-	h := fnvOffset
-	for _, c := range idx {
-		v := uint64(vals[c]) ^ (1 << 63)
-		for shift := 56; shift >= 0; shift -= 8 {
-			h = (h ^ (v >> shift & 0xff)) * fnvPrime
-		}
 	}
 	return h
 }

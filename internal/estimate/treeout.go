@@ -108,7 +108,7 @@ func imageAlgebra(p Params) algebra[KeySketch] {
 		// unit tuple: aggregation projects the far endpoint away, so the
 		// row contributes existence only.
 		leaf: func(key string, vals []relation.Value, ic []int) KeySketch {
-			return KeySketch{Key: key, V: SingletonVec(p, hashCols(vals, ic))}
+			return KeySketch{Key: key, V: SingletonVec(p, relation.HashCols(vals, ic))}
 		},
 		// When the far endpoint is itself an output attribute the kept
 		// tuples include its value b, so images reached through different

@@ -201,7 +201,6 @@ func TestVecAllocationContract(t *testing.T) {
 		"TagVec":           {1, func() { sink = TagVec(sat, 3) }},
 		"Estimate":         {0, func() { est = sat.Estimate() }},
 		"Estimate/64 reps": {0, func() { est = wide.Estimate() }},
-		"hashCols":         {0, func() { est = float64(hashCols([]relation.Value{1, -2, 3}, []int{2, 0})) }},
 	} {
 		if got := testing.AllocsPerRun(50, c.op); got != c.want {
 			t.Errorf("%s: %v allocations per run, want %v", name, got, c.want)
@@ -239,11 +238,14 @@ func TestElementSizesPinned(t *testing.T) {
 	}
 }
 
-func TestHashColsEqualsHashOfEncodedKey(t *testing.T) {
+// TestHashItemAgreesWithHashCols: a leaf hashes its row in place with
+// relation.HashCols and a tag hashes an encoded key with hashItem; both
+// must name a tuple by the same item.
+func TestHashItemAgreesWithHashCols(t *testing.T) {
 	vals := []relation.Value{0, -1, 7, -1 << 63, 1<<63 - 1, 123456789}
-	for _, idx := range [][]int{{}, {0}, {1}, {3, 4}, {2, 1, 0}, {5, 3, 1, 4}, {0, 1, 2, 3, 4}} {
-		if got, want := hashCols(vals, idx), hashItem(relation.EncodeKey(vals, idx)); got != want {
-			t.Errorf("columns %v: hashCols %#x, hashItem(EncodeKey) %#x", idx, got, want)
+	for _, idx := range [][]int{{}, {0}, {3, 4}, {5, 3, 1, 4}} {
+		if got, want := hashItem(relation.EncodeKey(vals, idx)), relation.HashCols(vals, idx); got != want {
+			t.Errorf("columns %v: hashItem(EncodeKey) %#x, relation.HashCols %#x", idx, got, want)
 		}
 	}
 }

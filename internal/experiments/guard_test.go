@@ -161,6 +161,86 @@ func TestEstimatorHoldsNoSketch(t *testing.T) {
 	}
 }
 
+// TestLocalAggregateIsFused: a server aggregates a local join with
+// relation.JoinAgg, which never materialises the join. ProjectAgg (and
+// Compact, ProjectAgg onto the whole schema) stay the reference the fused
+// kernel is tested against, for internal/relation and the unfused
+// reference engine only.
+func TestLocalAggregateIsFused(t *testing.T) {
+	for _, src := range sources(t, false, ".") {
+		if strings.HasPrefix(src.path, "internal/relation/") || strings.HasPrefix(src.path, "internal/refengine/") {
+			continue
+		}
+		src.selectors(func(pkg, name string) {
+			if pkg == "relation" && (name == "ProjectAgg" || name == "Compact") {
+				t.Errorf("%s calls relation.%s: aggregate a local join with relation.JoinAgg (dist.ProjectAgg across servers)", src.path, name)
+			}
+		})
+	}
+}
+
+// TestValuesHashedOnce: relation.HashCols is the one FNV-1a over a row's
+// Values. Outside internal/relation no non-test function that takes a
+// []relation.Value multiplies by the FNV-1a prime, spelt as a literal or as
+// a constant of the file.
+func TestValuesHashedOnce(t *testing.T) {
+	const fnvPrime = 0x100000001b3
+	isPrime := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.INT {
+			return false
+		}
+		v, err := strconv.ParseUint(lit.Value, 0, 64)
+		return err == nil && v == fnvPrime
+	}
+	for _, src := range sources(t, false, ".") {
+		if strings.HasPrefix(src.path, "internal/relation/") {
+			continue
+		}
+		named := map[string]bool{}
+		for _, d := range src.file.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.CONST {
+				for _, spec := range g.Specs {
+					vs := spec.(*ast.ValueSpec)
+					for i, v := range vs.Values {
+						if isPrime(v) {
+							named[vs.Names[i].Name] = true
+						}
+					}
+				}
+			}
+		}
+		for _, d := range src.file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || !takesValues(fn.Type.Params) {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				id, isIdent := n.(*ast.Ident)
+				if e, ok := n.(ast.Expr); ok && isPrime(e) || isIdent && named[id.Name] {
+					t.Errorf("%s:%d: %s hashes relation.Values with FNV-1a: call relation.HashCols", src.path, src.fset.Position(n.Pos()).Line, fn.Name.Name)
+					return false
+				}
+				return true
+			})
+		}
+	}
+}
+
+// takesValues reports whether a parameter list has a []relation.Value.
+func takesValues(params *ast.FieldList) bool {
+	for _, f := range params.List {
+		if arr, ok := f.Type.(*ast.ArrayType); ok && arr.Len == nil {
+			if sel, ok := arr.Elt.(*ast.SelectorExpr); ok && sel.Sel.Name == "Value" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "relation" {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // TestHarnessInstancesComeFromTheCatalogue: the sweep harnesses and the
 // golden digests spell no block instance of their own.
 func TestHarnessInstancesComeFromTheCatalogue(t *testing.T) {

@@ -171,10 +171,11 @@ func Compute[W any](sr semiring.Semiring[W], in Input[W], opts Options) (dist.Re
 
 // localJoinAgg joins the two sides of a routed shard on their shared
 // attributes and ⊕-aggregates onto outSchema — the per-server local
-// computation every routing strategy ends with. Free in the MPC model.
+// computation every routing strategy ends with, one relation.JoinAgg
+// (no elementary product is materialised). Free in the MPC model.
 func localJoinAgg[W any](sr semiring.Semiring[W], in Input[W], outSchema []dist.Attr, shard []relation.SidedRow[W]) []relation.Row[W] {
 	left, right := relation.Unzip(shard, in.R1.Schema, in.R2.Schema)
-	return relation.ProjectAgg(sr, relation.Join(sr, left, right), outSchema...).Rows
+	return relation.JoinAgg(sr, left, right, outSchema...).Rows
 }
 
 // hashB spreads a B value across m slots with a seeded hash.

@@ -62,7 +62,7 @@ func joinBroadcast[W any](sr semiring.Semiring[W], in Input[W], bsmall, big dist
 		if !smallLeft {
 			left, right = right, left
 		}
-		return relation.ProjectAgg(sr, relation.Join(sr, left, right), in.OutSchema()...).Rows
+		return relation.JoinAgg(sr, left, right, in.OutSchema()...).Rows
 	})
 }
 

@@ -262,9 +262,18 @@ type SidedRow[W any] struct {
 
 // Unzip takes a shard of sided rows apart into the two relations it
 // carries, each side's rows in arrival order — the input of the local join
-// every two-relation router ends with.
+// every two-relation router ends with. Both sides are counted first and
+// sized once.
 func Unzip[W any](shard []SidedRow[W], leftSchema, rightSchema []Attr) (left, right *Relation[W]) {
 	left, right = New[W](leftSchema...), New[W](rightSchema...)
+	nLeft := 0
+	for _, s := range shard {
+		if s.Left {
+			nLeft++
+		}
+	}
+	left.Rows = make([]Row[W], 0, nLeft)
+	right.Rows = make([]Row[W], 0, len(shard)-nLeft)
 	for _, s := range shard {
 		if s.Left {
 			left.AppendRow(s.Row)

@@ -1,6 +1,7 @@
 // Package relation implements annotated relations and the sequential
-// relational algebra over them: natural join, semijoin, selection, and
-// projection with ⊕-aggregation.
+// relational algebra over them: natural join, semijoin, selection,
+// projection with ⊕-aggregation, and the join and aggregation fused
+// (JoinAgg, join.go).
 //
 // Two distinct consumers share this package. First, every simulated MPC
 // server uses it for its local computation (the MPC model allows arbitrary
@@ -191,63 +192,6 @@ func Shared[W any](r, s *Relation[W]) []Attr {
 // ---------------------------------------------------------------------------
 // Operators
 // ---------------------------------------------------------------------------
-
-// Join computes the natural join r ⋈ s. The output schema is r's attributes
-// followed by s's non-shared attributes; each output annotation is
-// w(t_r) ⊗ w(t_s).
-func Join[W any](sr semiring.Semiring[W], r, s *Relation[W]) *Relation[W] {
-	shared := Shared(r, s)
-	rIdx := r.cols(shared)
-	sIdx := s.cols(shared)
-
-	var extra []Attr
-	var extraIdx []int
-	for i, a := range s.schema {
-		if !r.Has(a) {
-			extra = append(extra, a)
-			extraIdx = append(extraIdx, i)
-		}
-	}
-	out := New[W](append(append([]Attr(nil), r.schema...), extra...)...)
-
-	// Build on the smaller side to bound the hash table.
-	if len(r.Rows) <= len(s.Rows) {
-		ht := make(map[string][]int, len(r.Rows))
-		for i, row := range r.Rows {
-			k := EncodeKey(row.Vals, rIdx)
-			ht[k] = append(ht[k], i)
-		}
-		for _, srow := range s.Rows {
-			for _, i := range ht[EncodeKey(srow.Vals, sIdx)] {
-				rrow := r.Rows[i]
-				vals := make([]Value, 0, len(out.schema))
-				vals = append(vals, rrow.Vals...)
-				for _, c := range extraIdx {
-					vals = append(vals, srow.Vals[c])
-				}
-				out.Rows = append(out.Rows, Row[W]{Vals: vals, W: sr.Mul(rrow.W, srow.W)})
-			}
-		}
-	} else {
-		ht := make(map[string][]int, len(s.Rows))
-		for i, row := range s.Rows {
-			k := EncodeKey(row.Vals, sIdx)
-			ht[k] = append(ht[k], i)
-		}
-		for _, rrow := range r.Rows {
-			for _, i := range ht[EncodeKey(rrow.Vals, rIdx)] {
-				srow := s.Rows[i]
-				vals := make([]Value, 0, len(out.schema))
-				vals = append(vals, rrow.Vals...)
-				for _, c := range extraIdx {
-					vals = append(vals, srow.Vals[c])
-				}
-				out.Rows = append(out.Rows, Row[W]{Vals: vals, W: sr.Mul(rrow.W, srow.W)})
-			}
-		}
-	}
-	return out
-}
 
 // Semijoin returns the rows of r that join with at least one row of s on
 // their shared attributes (r ⋉ s). Annotations pass through unchanged.
