@@ -2,8 +2,8 @@ package mpcjoin
 
 // Fingerprint resolves opts exactly as Execute would and returns a 64-bit
 // canonical hash of every knob that can change what a query returns —
-// engine selection, cluster size, seeds, estimator parameters, the output
-// oracle and the fault schedule. Knobs that only change how the work runs
+// engine selection, cluster size, the run seed and the fault schedule.
+// Knobs that only change how the work runs
 // (WithWorkers, WithTrace, WithTransport) do not contribute, because they
 // are bit-identical by construction.
 //

@@ -14,7 +14,6 @@ func TestFingerprintOrderIndependent(t *testing.T) {
 		WithServers(8),
 		WithEngine(EngineTree),
 		WithSeed(42),
-		WithEstimator(64, 7),
 		WithFaults(FaultSpec{DropProb: 0.1, Seed: 9}),
 		WithRetry(5),
 	}
@@ -47,13 +46,11 @@ func TestFingerprintResultKnobsDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := map[string][]Option{
-		"servers":   {WithSeed(1), WithServers(8)},
-		"baseline":  {WithSeed(1), WithEngine(EngineYannakakis)},
-		"tree":      {WithSeed(1), WithEngine(EngineTree)},
-		"seed":      {WithSeed(2)},
-		"estimator": {WithSeed(1), WithEstimator(64, 7)},
-		"oracle":    {WithSeed(1), WithOutOracle(100)},
-		"faults":    {WithSeed(1), WithFaults(FaultSpec{DropProb: 0.1})},
+		"servers":  {WithSeed(1), WithServers(8)},
+		"baseline": {WithSeed(1), WithEngine(EngineYannakakis)},
+		"tree":     {WithSeed(1), WithEngine(EngineTree)},
+		"seed":     {WithSeed(2)},
+		"faults":   {WithSeed(1), WithFaults(FaultSpec{DropProb: 0.1})},
 	}
 	seen := map[uint64]string{base: "base"}
 	for name, opts := range variants {
@@ -141,9 +138,6 @@ func TestFingerprintOneEngineSpelling(t *testing.T) {
 // TestFingerprintConflictErrors asserts invalid combinations surface the
 // same errors Execute reports.
 func TestFingerprintConflictErrors(t *testing.T) {
-	if _, err := Fingerprint(WithEngine(EngineYannakakis), WithOutOracle(5)); err == nil {
-		t.Fatal("an output oracle for the baseline accepted")
-	}
 	if _, err := Fingerprint(WithEngine("quantum")); err == nil {
 		t.Fatal("unknown engine accepted")
 	}

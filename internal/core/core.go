@@ -11,7 +11,6 @@ import (
 
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
-	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
@@ -24,13 +23,8 @@ import (
 type Options struct {
 	// Servers is p, the simulated cluster size (default 16).
 	Servers int
-	// Est configures the §2.2 estimator used by the specialized engines.
-	Est estimate.Params
 	// Seed drives hash partitioning (reproducible runs).
 	Seed uint64
-	// OutOracle, when positive, replaces estimated output sizes in the
-	// matmul/line engines (experiment support).
-	OutOracle int64
 	// Workers sizes the concurrent execution runtime the simulator's
 	// per-server work runs on. 0 and 1 run serially (the default); n > 1
 	// uses n OS workers; negative selects GOMAXPROCS. Results and metered

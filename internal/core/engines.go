@@ -33,16 +33,16 @@ func runners[W any]() map[string]runner[W] {
 		planner.EngineMatMulWorstCase: runMatMul[W](planner.EngineMatMulWorstCase),
 		planner.EngineMatMulOutSens:   runMatMul[W](planner.EngineMatMulOutSens),
 		planner.EngineLine: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return linequery.Compute(sr, q, rels, linequery.Options{Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
+			return linequery.Compute(sr, q, rels, linequery.Options{Seed: opts.Seed})
 		},
 		planner.EngineStar: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return starquery.Compute(sr, q, rels, starquery.Options{Est: opts.Est, Seed: opts.Seed})
+			return starquery.Compute(sr, q, rels, starquery.Options{Seed: opts.Seed})
 		},
 		planner.EngineStarLike: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return starlike.Compute(sr, q, rels, starlike.Options{Est: opts.Est, Seed: opts.Seed})
+			return starlike.Compute(sr, q, rels, starlike.Options{Seed: opts.Seed})
 		},
 		planner.EngineTree: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return treequery.Compute(sr, q, rels, treequery.Options{Est: opts.Est, Seed: opts.Seed})
+			return treequery.Compute(sr, q, rels, treequery.Options{Seed: opts.Seed})
 		},
 	}
 }
@@ -54,6 +54,6 @@ func runMatMul[W any](engine string) runner[W] {
 	return func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
 		chain, path, _ := linequery.Bind(q, rels, dist.Single)
 		in := matmul.Input[W]{R1: chain[0], R2: chain[1], B: path[1][0]}
-		return matmul.Compute(sr, in, matmul.Options{Engine: engine, Est: opts.Est, Seed: opts.Seed, OutOracle: opts.OutOracle})
+		return matmul.Compute(sr, in, matmul.Options{Engine: engine, Seed: opts.Seed})
 	}
 }

@@ -39,11 +39,7 @@ func (o Options) ResultFingerprint() uint64 {
 	// so it is part of the result identity. PlanOut, like Tracer, is an
 	// observer and stays out.
 	putStr(o.Engine)
-	put(uint64(o.Est.K))
-	put(uint64(o.Est.Reps))
-	put(o.Est.Seed)
 	put(o.Seed)
-	put(uint64(o.OutOracle))
 	if o.Faults != nil {
 		s := o.Faults.Spec()
 		put(1)

@@ -50,24 +50,18 @@ func planAuto[W any](ex *mpc.Exec, q *hypergraph.Query, class hypergraph.Class, 
 	st = mpc.Seq(st, s)
 	in.J = j
 
-	switch {
-	case opts.OutOracle > 0:
-		// An oracle short-circuits the sketch rounds (experiment support
-		// and the decision-matrix tests, which need exact OUT regimes).
-		in.Out = opts.OutOracle
-	case class == hypergraph.ClassMatMul:
+	mpc.TraceOp(ex, "plan.out-sketch")
+	if class == hypergraph.ClassMatMul {
 		// Matmul: the §2.2 sketch fold along the two-edge path, exactly
 		// the estimator the chosen engine would trust.
-		mpc.TraceOp(ex, "plan.out-sketch")
-		_, out, s := estimate.LineOut(chain, path, opts.Est)
+		_, out, s := estimate.LineOut(chain, path, estimate.Params{})
 		st = mpc.Seq(st, s)
 		in.Out = out
-	default:
+	} else {
 		// Every tree-shaped class (line included): the KMV image fold,
 		// which estimates OUT and profiles the Yannakakis candidate's
 		// largest pre-aggregation intermediate and aggregated image.
-		mpc.TraceOp(ex, "plan.out-sketch")
-		out, maxFold, maxImage, s := estimate.TreeOutProfile(q, rels, opts.Est)
+		out, maxFold, maxImage, s := estimate.TreeOutProfile(q, rels, estimate.Params{})
 		st = mpc.Seq(st, s)
 		in.Out = out
 		in.MaxFold = maxFold

@@ -7,7 +7,7 @@ import "testing"
 // (leaf + reduce), the ⊗ of two saturated sibling images, and the tagged
 // carry of a small image — all at Reps 17, the planner's count at N ≈ 10⁵.
 func BenchmarkSketchAlgebra(b *testing.B) {
-	p := Params{K: 64, Reps: 17, Seed: 1}
+	p := Params{k: 64, reps: 17, Seed: 1}
 	set := func(lo, n uint64) Vec {
 		v := NewVec(p)
 		for i := lo; i < lo+n; i++ {

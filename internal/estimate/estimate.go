@@ -23,7 +23,6 @@
 package estimate
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -32,48 +31,36 @@ import (
 	"mpcjoin/internal/mpc"
 )
 
-// DefaultK is the per-sketch size; the estimator's relative error is
+// defaultK is the per-sketch size; the estimator's relative error is
 // ~1/√K per repetition, tightened by the median over repetitions.
-const DefaultK = 64
+const defaultK = 64
 
-// Params configures the estimator.
+// Params configures the estimator. Its one setting is Seed: the §2.2
+// configuration — K = 64 and O(log N) repetitions — is not a knob. The
+// unexported sizes exist for this package's tests, which sweep them.
 type Params struct {
-	// K is the KMV sketch size (default DefaultK).
-	K int
-	// Reps is the number of independent repetitions (default ⌈log₂ N⌉,
+	// k is the KMV sketch size (default defaultK).
+	k int
+	// reps is the number of independent repetitions (default ⌈log₂ N⌉,
 	// minimum 5, forced odd for a well-defined median).
-	Reps int
+	reps int
 	// Seed derives the independent hash functions.
 	Seed uint64
 }
 
-// Validate rejects sizes no estimator can run with: a sketch of one value
-// (whose (K−1)/v_K estimate is identically zero) and negative counts. Zero
-// still means "default".
-func (p Params) Validate() error {
-	if p.K == 1 || p.K < 0 || p.Reps < 0 {
-		return fmt.Errorf("sketch size %d must be 0 (default) or at least 2, repetitions %d 0 (default) or positive", p.K, p.Reps)
+// withDefaults fills unset sizes given an instance size n.
+func (p Params) withDefaults(n int) Params {
+	if p.k == 0 {
+		p.k = defaultK
 	}
-	return nil
-}
-
-// WithDefaults fills unset fields given an instance size n. Invalid Params
-// are a bug in the caller — the public option validates before they get here.
-func (p Params) WithDefaults(n int) Params {
-	if err := p.Validate(); err != nil {
-		panic("estimate: " + err.Error())
+	if p.reps == 0 {
+		p.reps = int(math.Ceil(math.Log2(float64(n + 2))))
 	}
-	if p.K == 0 {
-		p.K = DefaultK
+	if p.reps < 5 {
+		p.reps = 5
 	}
-	if p.Reps == 0 {
-		p.Reps = int(math.Ceil(math.Log2(float64(n + 2))))
-	}
-	if p.Reps < 5 {
-		p.Reps = 5
-	}
-	if p.Reps%2 == 0 {
-		p.Reps++
+	if p.reps%2 == 0 {
+		p.reps++
 	}
 	return p
 }
@@ -125,20 +112,20 @@ func buildVec(k, reps int, seed uint64, size func(i int) int, fill func(i int, r
 
 // NewVec returns an empty sketch vector.
 func NewVec(p Params) Vec {
-	return buildVec(p.K, p.Reps, p.Seed, func(int) int { return 0 }, func(_ int, region []uint64) []uint64 { return region })
+	return buildVec(p.k, p.reps, p.Seed, func(int) int { return 0 }, func(_ int, region []uint64) []uint64 { return region })
 }
 
 // SingletonVec is NewVec(p).Insert(item), built directly: the per-row base
 // case of the fold.
 func SingletonVec(p Params, item uint64) Vec {
-	return buildVec(p.K, p.Reps, p.Seed, func(int) int { return 1 }, func(i int, region []uint64) []uint64 {
+	return buildVec(p.k, p.reps, p.Seed, func(int) int { return 1 }, func(i int, region []uint64) []uint64 {
 		return append(region, kmv.Hash64(item, repSeed(p.Seed, i)))
 	})
 }
 
 // Insert adds an item to every repetition.
 func (v Vec) Insert(item uint64) Vec {
-	return MergeVec(v, SingletonVec(Params{K: v.k(), Reps: v.reps(), Seed: v.seed()}, item))
+	return MergeVec(v, SingletonVec(Params{k: v.k(), reps: v.reps(), Seed: v.seed()}, item))
 }
 
 // MergeVec merges two sketch vectors of the same K, Reps and Seed
@@ -188,7 +175,7 @@ const fnvOffset, fnvPrime uint64 = 0xcbf29ce484222325, 0x100000001b3
 // base case of the §2.2 fold (hashing dom(A_{n+1}) per value of A_n), i.e.
 // the leaf step of the image fold. Cost: one reduce-by-key.
 func SketchValues[W any](r dist.Rel[W], keyAttrs, itemAttrs []dist.Attr, p Params) (mpc.Part[KeySketch], mpc.Stats) {
-	f := fold[W, KeySketch]{alg: imageAlgebra(p.WithDefaults(r.N()))}
+	f := fold[W, KeySketch]{alg: imageAlgebra(p.withDefaults(r.N()))}
 	return f.leaf(r, keyAttrs, itemAttrs), f.st
 }
 
@@ -214,7 +201,7 @@ func LineOut[W any](rels []dist.Rel[W], path [][]dist.Attr, p Params) (mpc.Part[
 	if len(rels) < 1 || len(path) != len(rels)+1 {
 		panic("estimate: LineOut path/relation mismatch")
 	}
-	p = p.WithDefaults(totalN(rels))
+	p = p.withDefaults(totalN(rels))
 	n := len(rels)
 	sk, st := SketchValues(rels[n-1], path[n-1], path[n], p)
 	for i := n - 2; i >= 0; i-- {
@@ -231,12 +218,6 @@ func LineOut[W any](rels []dist.Rel[W], path [][]dist.Attr, p Params) (mpc.Part[
 	})
 	total, st2 := SumCounts(ests)
 	return ests, total, mpc.Seq(st, st2)
-}
-
-// MatMulOut estimates OUT and OUT_a for ∑_B R1(A,B) ⋈ R2(B,C): the n = 2
-// line query with (possibly composite) path A–B–C.
-func MatMulOut[W any](r1, r2 dist.Rel[W], a, b, c []dist.Attr, p Params) (mpc.Part[mpc.KeyCount[string]], int64, mpc.Stats) {
-	return LineOut([]dist.Rel[W]{r1, r2}, [][]dist.Attr{a, b, c}, p)
 }
 
 // SumCounts totals the Count fields with an AllReduce, so every server

@@ -16,15 +16,11 @@ import (
 
 var intSR = semiring.IntSumProd{}
 
-// Composite-attribute path segments for the matmul estimator calls.
-var (
-	a1 = []dist.Attr{"A"}
-	b1 = []dist.Attr{"B"}
-	c1 = []dist.Attr{"C"}
-)
+// matmulPath is the two-edge path A–B–C of R1(A,B) ⋈ R2(B,C).
+var matmulPath = [][]dist.Attr{{"A"}, {"B"}, {"C"}}
 
 func TestVecMedianBoost(t *testing.T) {
-	p := Params{K: 32, Reps: 9, Seed: 7}
+	p := Params{k: 32, reps: 9, Seed: 7}
 	v := NewVec(p)
 	for i := uint64(0); i < 5000; i++ {
 		v = v.Insert(i)
@@ -36,7 +32,7 @@ func TestVecMedianBoost(t *testing.T) {
 }
 
 func TestMergeVecEqualsUnion(t *testing.T) {
-	p := Params{K: 16, Reps: 5, Seed: 3}
+	p := Params{k: 16, reps: 5, Seed: 3}
 	a, b, u := NewVec(p), NewVec(p), NewVec(p)
 	for i := uint64(0); i < 300; i++ {
 		if i%2 == 0 {
@@ -73,7 +69,7 @@ func TestMatMulOutAccuracy(t *testing.T) {
 	const p = 8
 	r1 := dist.FromRelationIn(nil, inst["R1"], p)
 	r2 := dist.FromRelationIn(nil, inst["R2"], p)
-	ests, total, st := MatMulOut(r1, r2, a1, b1, c1, Params{Seed: 11})
+	ests, total, st := LineOut([]dist.Rel[int64]{r1, r2}, matmulPath, Params{Seed: 11})
 	if total < 1000 || total > 4000 {
 		t.Fatalf("OUT estimate %d too far from 2000", total)
 	}
@@ -111,7 +107,8 @@ func TestMatMulOutSharedColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	const p = 4
-	_, total, _ := MatMulOut(dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p), a1, b1, c1, Params{Seed: 5})
+	rels := []dist.Rel[int64]{dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p)}
+	_, total, _ := LineOut(rels, matmulPath, Params{Seed: 5})
 	if float64(total) < 0.5*float64(wantOut) || float64(total) > 2*float64(wantOut) {
 		t.Fatalf("OUT estimate %d vs true %d", total, wantOut)
 	}
@@ -161,23 +158,24 @@ func TestLineOutLinearLoad(t *testing.T) {
 		r1.Append(1, relation.Value(rng.Intn(n)), relation.Value(rng.Intn(200)))
 		r2.Append(1, relation.Value(rng.Intn(200)), relation.Value(rng.Intn(n)))
 	}
-	_, _, st := MatMulOut(dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p), a1, b1, c1, Params{Seed: 2})
+	rels := []dist.Rel[int64]{dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p)}
+	_, _, st := LineOut(rels, matmulPath, Params{Seed: 2})
 	if st.MaxLoad > 8*(2*n)/p {
 		t.Fatalf("estimator load %d not linear (N/p = %d)", st.MaxLoad, 2*n/p)
 	}
 }
 
 func TestParamsDefaults(t *testing.T) {
-	p := (Params{}).WithDefaults(1000)
-	if p.K != DefaultK {
-		t.Fatalf("K = %d", p.K)
+	p := (Params{}).withDefaults(1000)
+	if p.k != defaultK {
+		t.Fatalf("k = %d", p.k)
 	}
-	if p.Reps < 5 || p.Reps%2 == 0 {
-		t.Fatalf("Reps = %d", p.Reps)
+	if p.reps < 5 || p.reps%2 == 0 {
+		t.Fatalf("reps = %d", p.reps)
 	}
-	even := Params{Reps: 6}
-	if got := even.WithDefaults(10); got.Reps != 7 {
-		t.Fatalf("even reps not bumped: %d", got.Reps)
+	even := Params{reps: 6}
+	if got := even.withDefaults(10); got.reps != 7 {
+		t.Fatalf("even reps not bumped: %d", got.reps)
 	}
 }
 
@@ -186,9 +184,8 @@ func TestEstimateExactBelowK(t *testing.T) {
 	// deterministic on tiny instances.
 	inst, _ := buildMatMul(10, 3) // per-a fanout 3 < K
 	const p = 4
-	ests, total, _ := MatMulOut(
-		dist.FromRelationIn(nil, inst["R1"], p), dist.FromRelationIn(nil, inst["R2"], p),
-		a1, b1, c1, Params{Seed: 1})
+	rels := []dist.Rel[int64]{dist.FromRelationIn(nil, inst["R1"], p), dist.FromRelationIn(nil, inst["R2"], p)}
+	ests, total, _ := LineOut(rels, matmulPath, Params{Seed: 1})
 	if total != 30 {
 		t.Fatalf("exact regime estimate %d, want 30", total)
 	}

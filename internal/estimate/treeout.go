@@ -81,7 +81,7 @@ func TreeOutProfile[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p P
 	for _, r := range rels {
 		n += r.N()
 	}
-	p = p.WithDefaults(n)
+	p = p.withDefaults(n)
 	f := &fold[W, KeySketch]{q: q, rels: rels, alg: imageAlgebra(p)}
 	f.alg.size = func(ks KeySketch) float64 { return ks.V.Estimate() }
 	per, ok := f.down(foldRoot(q), -1)

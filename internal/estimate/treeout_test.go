@@ -14,7 +14,7 @@ func TestTagVecDisjointUnion(t *testing.T) {
 	// Tagging a set's sketch with two distinct tags yields sketches of two
 	// disjoint copies: their merge must estimate exactly 2·|S| while the
 	// per-repetition sketches stay unsaturated.
-	p := Params{K: 64, Reps: 5, Seed: 11}
+	p := Params{k: 64, reps: 5, Seed: 11}
 	v := NewVec(p)
 	const m = 20
 	for i := uint64(0); i < m; i++ {
@@ -32,7 +32,7 @@ func TestTagVecDisjointUnion(t *testing.T) {
 }
 
 func TestProductVecCardinality(t *testing.T) {
-	p := Params{K: 64, Reps: 5, Seed: 4}
+	p := Params{k: 64, reps: 5, Seed: 4}
 	a, b := NewVec(p), NewVec(p)
 	for i := uint64(0); i < 5; i++ {
 		a = a.Insert(i)

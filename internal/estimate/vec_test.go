@@ -23,9 +23,9 @@ import (
 type oracle []kmv.Sketch
 
 func newOracle(p Params, items ...uint64) oracle {
-	o := make(oracle, p.Reps)
+	o := make(oracle, p.reps)
 	for i := range o {
-		o[i] = kmv.New(p.K, p.Seed+uint64(i)*0x9e37)
+		o[i] = kmv.New(p.k, p.Seed+uint64(i)*0x9e37)
 		for _, it := range items {
 			o[i] = o[i].Insert(it)
 		}
@@ -116,7 +116,7 @@ func TestVecMatchesSketchOracle(t *testing.T) {
 	}
 	for _, k := range []int{2, 8, 64} {
 		for _, reps := range []int{5, 17} {
-			p := Params{K: k, Reps: reps, Seed: uint64(k*131 + reps)}
+			p := Params{k: k, reps: reps, Seed: uint64(k*131 + reps)}
 			sets := map[string][]uint64{
 				"empty":     nil,
 				"one":       {42},
@@ -148,7 +148,7 @@ func TestVecMatchesSketchOracle(t *testing.T) {
 }
 
 func TestSingletonVecEqualsNewInsert(t *testing.T) {
-	p := Params{K: 16, Reps: 5, Seed: 3}
+	p := Params{k: 16, reps: 5, Seed: 3}
 	for _, item := range []uint64{0, 1, 42, ^uint64(0)} {
 		requireOracle(t, fmt.Sprint("singleton ", item), SingletonVec(p, item), newOracle(p, item))
 		requireOracle(t, fmt.Sprint("insert ", item), NewVec(p).Insert(item), newOracle(p, item))
@@ -160,7 +160,7 @@ func TestSingletonVecEqualsNewInsert(t *testing.T) {
 // operation may write into an operand — including a repetition where one
 // side is empty, the case that used to alias.
 func TestVecOpsLeaveOperandsUntouched(t *testing.T) {
-	p := Params{K: 4, Reps: 5, Seed: 9}
+	p := Params{k: 4, reps: 5, Seed: 9}
 	for name, items := range map[string][2][]uint64{
 		"empty-side": {nil, {7}},
 		"unsat":      {{1, 2}, {2, 3}},
@@ -182,12 +182,12 @@ func TestVecOpsLeaveOperandsUntouched(t *testing.T) {
 // TestVecAllocationContract: a vector is built once — every operation is
 // one allocation, and reading the estimate none.
 func TestVecAllocationContract(t *testing.T) {
-	p := Params{K: 64, Reps: 17, Seed: 1}
+	p := Params{k: 64, reps: 17, Seed: 1}
 	var big []uint64
 	for i := uint64(0); i < 500; i++ {
 		big = append(big, i)
 	}
-	small, sat, wide := vecOf(p, big[:6]), vecOf(p, big), vecOf(Params{K: 2, Reps: 64}, big)
+	small, sat, wide := vecOf(p, big[:6]), vecOf(p, big), vecOf(Params{k: 2, reps: 64}, big)
 	var sink Vec
 	var est float64
 	for name, c := range map[string]struct {
@@ -210,11 +210,11 @@ func TestVecAllocationContract(t *testing.T) {
 }
 
 func TestMergeVecIncompatiblePanics(t *testing.T) {
-	base := Params{K: 8, Reps: 5, Seed: 1}
+	base := Params{k: 8, reps: 5, Seed: 1}
 	for name, other := range map[string]Params{
-		"K":    {K: 16, Reps: 5, Seed: 1},
-		"reps": {K: 8, Reps: 7, Seed: 1},
-		"seed": {K: 8, Reps: 5, Seed: 2},
+		"K":    {k: 16, reps: 5, Seed: 1},
+		"reps": {k: 8, reps: 7, Seed: 1},
+		"seed": {k: 8, reps: 5, Seed: 2},
 	} {
 		func() {
 			defer func() {
@@ -247,19 +247,6 @@ func TestHashItemAgreesWithHashCols(t *testing.T) {
 		if got, want := hashItem(relation.EncodeKey(vals, idx)), relation.HashCols(vals, idx); got != want {
 			t.Errorf("columns %v: hashItem(EncodeKey) %#x, relation.HashCols %#x", idx, got, want)
 		}
-	}
-}
-
-func TestParamsRejectsDegenerateSizes(t *testing.T) {
-	for _, p := range []Params{{K: 1}, {K: -3}, {Reps: -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%+v.WithDefaults did not panic", p)
-				}
-			}()
-			p.WithDefaults(100)
-		}()
 	}
 }
 

@@ -788,9 +788,8 @@ func estOut(cfg Config) Table {
 		}
 		r1 := dist.FromRelationIn(ex, red["R1"], p)
 		r2 := dist.FromRelationIn(ex, red["R2"], p)
-		_, est, st := estimate.MatMulOut(r1, r2,
-			[]dist.Attr{"A"}, []dist.Attr{"B"}, []dist.Attr{"C"},
-			estimate.Params{Seed: cfg.Seed + 9})
+		_, est, st := estimate.LineOut([]dist.Rel[int64]{r1, r2},
+			[][]dist.Attr{{"A"}, {"B"}, {"C"}}, estimate.Params{Seed: cfg.Seed + 9})
 		ratio := float64(est) / float64(maxi(trueOut, 1))
 		t.Rows = append(t.Rows, []string{name, itoa(trueOut), i64(est), f2(ratio), itoa(st.MaxLoad)})
 	}

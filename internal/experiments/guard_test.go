@@ -20,7 +20,7 @@ import (
 
 const repoRoot = "../.."
 
-// parsed is one non-test Go file outside bench/, by repo-relative path.
+// parsed is one Go file, by repo-relative path.
 type parsed struct {
 	path string
 	file *ast.File
@@ -28,7 +28,8 @@ type parsed struct {
 }
 
 // sources parses every Go file under the repo-relative dirs (recursively),
-// skipping bench/ (its own module) and, unless tests is set, _test files.
+// skipping bench/ (its own module) unless it is one of dirs and, unless
+// tests is set, _test files.
 func sources(t *testing.T, tests bool, dirs ...string) []parsed {
 	t.Helper()
 	var out []parsed
@@ -41,7 +42,7 @@ func sources(t *testing.T, tests bool, dirs ...string) []parsed {
 			rel, _ := filepath.Rel(repoRoot, path)
 			rel = filepath.ToSlash(rel)
 			if d.IsDir() {
-				if rel == "bench" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+				if rel == "bench" && dir != "bench" || strings.HasPrefix(d.Name(), ".") && rel != "." {
 					return filepath.SkipDir
 				}
 				return nil
@@ -159,6 +160,91 @@ func TestEstimatorHoldsNoSketch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEveryCoreOptionHasACaller: a core.Options field that no caller sets
+// is a knob nothing turns. Every field must be a key of some core.Options{…}
+// literal in a non-test file outside internal/core and the root package
+// (whose option builder writes fields one at a time), bench/ included.
+func TestEveryCoreOptionHasACaller(t *testing.T) {
+	var fields []string
+	for _, src := range sources(t, false, "internal/core") {
+		ast.Inspect(src.file, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Options" {
+				for _, f := range ts.Type.(*ast.StructType).Fields.List {
+					for _, name := range f.Names {
+						fields = append(fields, name.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(fields) == 0 {
+		t.Fatal("core.Options not found")
+	}
+	set := map[string]bool{}
+	for _, src := range sources(t, false, ".", "bench") {
+		if strings.HasPrefix(src.path, "internal/core/") || !strings.Contains(src.path, "/") {
+			continue
+		}
+		ast.Inspect(src.file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || !isSelector(lit.Type, "core", "Options") {
+				return true
+			}
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						set[key.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range fields {
+		if !set[f] {
+			t.Errorf("core.Options.%s is set by no caller outside internal/core and the root package: delete it or give it one", f)
+		}
+	}
+}
+
+// TestEstimatorConfiguredOnce: the §2.2 estimator has one configuration,
+// fixed inside internal/estimate. No non-test struct elsewhere carries an
+// estimate.Params to pass along.
+func TestEstimatorConfiguredOnce(t *testing.T) {
+	for _, src := range sources(t, false, ".", "bench") {
+		if strings.HasPrefix(src.path, "internal/estimate/") {
+			continue
+		}
+		ast.Inspect(src.file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				typ := f.Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if isSelector(typ, "estimate", "Params") {
+					t.Errorf("%s:%d: a struct field of type estimate.Params: the estimator is not configurable; call it with estimate.Params{}", src.path, src.fset.Position(f.Pos()).Line)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isSelector reports whether e is the expression pkg.name.
+func isSelector(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg
 }
 
 // TestLocalAggregateIsFused: a server aggregates a local join with

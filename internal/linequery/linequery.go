@@ -36,10 +36,6 @@ import (
 
 // Options tunes the algorithm.
 type Options struct {
-	// Est configures the §2.2 estimator.
-	Est estimate.Params
-	// OutOracle replaces the OUT estimate when positive (experiments).
-	OutOracle int64
 	// Seed drives hash partitioning inside the matmul subroutine.
 	Seed uint64
 }
@@ -112,7 +108,7 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 			panic("linequery: interior path position must be a single attribute")
 		}
 		res, st, err := matmul.Compute(sr, matmul.Input[W]{R1: rels[0], R2: rels[1], B: path[1][0]},
-			matmul.Options{Est: opts.Est, OutOracle: opts.OutOracle, Seed: opts.Seed, SkipDangling: true})
+			matmul.Options{Seed: opts.Seed, SkipDangling: true})
 		if err != nil {
 			panic(err) // schemas are constructed internally; cannot fail
 		}
@@ -120,10 +116,7 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 	}
 
 	// Estimate OUT (§2.2).
-	_, out, st := estimate.LineOut(rels, path, opts.Est)
-	if opts.OutOracle > 0 {
-		out = opts.OutOracle
-	}
+	_, out, st := estimate.LineOut(rels, path, estimate.Params{})
 	if out < 1 {
 		out = 1
 	}
@@ -176,7 +169,7 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 		}
 		// Step 2.2: one output-sensitive matrix multiplication.
 		res, s2, err := matmul.Compute(sr, matmul.Input[W]{R1: hRels[0], R2: acc, B: path[1][0]},
-			matmul.Options{Est: opts.Est, Seed: opts.Seed, SkipDangling: true})
+			matmul.Options{Seed: opts.Seed, SkipDangling: true})
 		if err != nil {
 			panic(err)
 		}

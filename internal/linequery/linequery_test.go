@@ -228,9 +228,9 @@ func TestConstantRoundsInN(t *testing.T) {
 }
 
 // TestIsqrtContract: isqrt(x) is the smallest r ≥ 1 with r·r ≥ x (0 for
-// negative x) and answers in constant time — x is √OUT's OUT, which
-// WithOutOracle takes unvalidated, and the counting loop it replaces never
-// returned near math.MaxInt64 (r·r wrapped negative).
+// negative x) and answers in constant time for every int64 x — x is the
+// §2.2 OUT estimate, and the counting loop it replaces never returned near
+// math.MaxInt64 (r·r wrapped negative).
 func TestIsqrtContract(t *testing.T) {
 	want := map[int64]int64{
 		-5: 0, 0: 1, 1: 1, 2: 2, 15: 4, 16: 4, 17: 5,

@@ -83,12 +83,6 @@ type Options struct {
 	// planner.EngineMatMul{Linear,WorstCase,OutSens,Broadcast,Unequal};
 	// "" and planner.EngineMatMul let Theorem 1 decide.
 	Engine string
-	// Est configures the §2.2 estimator.
-	Est estimate.Params
-	// OutOracle, when positive, replaces the §2.2 OUT estimate (used by
-	// experiments to separate estimator error from algorithmic behavior).
-	// Per-value OUT_a estimates are still computed by the estimator.
-	OutOracle int64
 	// Seed drives the within-block hash partitioning.
 	Seed uint64
 	// SkipDangling skips the initial dangling-removal pass (callers that
@@ -127,11 +121,9 @@ func Compute[W any](sr semiring.Semiring[W], in Input[W], opts Options) (dist.Re
 	var out int64
 	estimateOut := func() {
 		var es mpc.Stats
-		ests, out, es = estimate.MatMulOut(in.R1, in.R2, in.ASide(), []dist.Attr{in.B}, in.CSide(), opts.Est)
+		ests, out, es = estimate.LineOut([]dist.Rel[W]{in.R1, in.R2},
+			[][]dist.Attr{in.ASide(), {in.B}, in.CSide()}, estimate.Params{})
 		st = mpc.Seq(st, es)
-		if opts.OutOracle > 0 {
-			out = opts.OutOracle
-		}
 	}
 	branch := opts.Engine
 	if branch == "" || branch == planner.EngineMatMul {

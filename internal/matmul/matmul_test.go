@@ -335,17 +335,18 @@ func TestUnequalRatioPath(t *testing.T) {
 	}
 }
 
+// TestOutOracleAccepted: the §3.2 branch on exact OUT_a and OUT.
 func TestOutOracleAccepted(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r1, r2 := randMatrices(rng, 100, 100, 10, 6, 10)
 	want := seqMatMul(r1, r2)
-	got, _, err := Compute[int64](intSR, mkInput(r1, r2, 4),
-		Options{Engine: planner.EngineMatMulOutSens, OutOracle: int64(want.Len())})
-	if err != nil {
-		t.Fatal(err)
+	outA := map[string]int64{}
+	for _, row := range want.Rows {
+		outA[relation.EncodeKey(row.Vals, []int{0})]++
 	}
-	if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
-		t.Fatal("oracle run mismatch")
+	got := outSensWith(r1, r2, 4, int64(want.Len()), func(a string) int64 { return outA[a] }, 0)
+	if !relation.Equal[int64](intSR, intEq, got, want) {
+		t.Fatal("exact-estimate run mismatch")
 	}
 }
 

@@ -2,8 +2,8 @@ package matmul
 
 // robustness_test.go verifies the separation the §3.2 design relies on:
 // output-size estimates steer only the partitioning, so arbitrarily bad
-// estimates (tiny sketches, adversarial oracles) may degrade load but can
-// never corrupt results.
+// estimates may degrade load but can never corrupt results. The tests hand
+// outputSensitive fabricated per-value estimates OUT_a and totals OUT.
 
 import (
 	"math/rand"
@@ -11,27 +11,44 @@ import (
 	"testing/quick"
 
 	"mpcjoin/internal/dist"
-	"mpcjoin/internal/estimate"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 )
 
+// outSensWith runs the §3.2 branch on R1 ⋈ R2 after Compute's dangling
+// removal, with est(a) as every A value's OUT_a estimate (keyed by the
+// value's encoding) and out as the OUT estimate.
+func outSensWith(r1, r2 *relation.Relation[int64], p int, out int64, est func(aKey string) int64, seed uint64) *relation.Relation[int64] {
+	in := mkInput(r1, r2, p)
+	in.R1, _ = dist.Semijoin(in.R1, in.R2)
+	in.R2, _ = dist.Semijoin(in.R2, in.R1)
+	aKey := in.R1.Key(in.ASide()...)
+	seen := map[string]bool{}
+	var ests []mpc.KeyCount[string]
+	for _, r := range mpc.Collect(in.R1.Part) {
+		if k := aKey(r); !seen[k] {
+			seen[k] = true
+			ests = append(ests, mpc.KeyCount[string]{Key: k, Count: est(k)})
+		}
+	}
+	res, _ := outputSensitive(intSR, in, int64(in.R1.N()), int64(in.R2.N()), out, mpc.DistributeIn(nil, ests, p), seed)
+	return dist.ToRelation(res)
+}
+
 func TestOutputSensitiveWithTinySketches(t *testing.T) {
-	// K=2, Reps=5: the estimator is nearly useless; correctness must hold.
+	// Estimates as noisy as a 2-value sketch gives: random OUT_a and OUT.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r1, r2 := randMatrices(rng, rng.Intn(120)+2, rng.Intn(120)+2, 10, 6, 10)
-		p := rng.Intn(6) + 2
-		got, _, err := Compute[int64](intSR, mkInput(r1, r2, p), Options{
-			Engine: planner.EngineMatMulOutSens,
-			Est:    estimate.Params{K: 2, Reps: 5, Seed: uint64(seed)},
-			Seed:   uint64(seed),
-		})
-		if err != nil {
-			return false
+		want := seqMatMul(r1, r2)
+		if want.Len() == 0 {
+			return true
 		}
-		return relation.Equal[int64](intSR, intEq, dist.ToRelation(got), seqMatMul(r1, r2))
+		p := rng.Intn(6) + 2
+		got := outSensWith(r1, r2, p, rng.Int63n(4000)+1, func(string) int64 { return rng.Int63n(200) + 1 }, uint64(seed))
+		return relation.Equal[int64](intSR, intEq, got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -39,21 +56,18 @@ func TestOutputSensitiveWithTinySketches(t *testing.T) {
 }
 
 func TestOutputSensitiveWithLyingOracle(t *testing.T) {
-	// Oracle claims of wildly wrong OUT must not affect answers.
+	// Wildly wrong OUT and OUT_a — every value heavy, every value light, and
+	// the mixes — must not affect answers.
 	rng := rand.New(rand.NewSource(4))
 	r1, r2 := randMatrices(rng, 120, 120, 12, 6, 12)
 	want := seqMatMul(r1, r2)
-	for _, oracle := range []int64{1, 5, int64(want.Len()) * 1000} {
-		got, _, err := Compute[int64](intSR, mkInput(r1, r2, 4), Options{
-			Engine:    planner.EngineMatMulOutSens,
-			OutOracle: oracle,
-			Seed:      9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
-			t.Fatalf("oracle %d corrupted the answer", oracle)
+	huge := int64(want.Len()) * 1000
+	for _, out := range []int64{1, 5, huge} {
+		for _, perA := range []int64{1, huge} {
+			got := outSensWith(r1, r2, 4, out, func(string) int64 { return perA }, 9)
+			if !relation.Equal[int64](intSR, intEq, got, want) {
+				t.Fatalf("OUT %d, OUT_a %d corrupted the answer", out, perA)
+			}
 		}
 	}
 }

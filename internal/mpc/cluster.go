@@ -374,43 +374,12 @@ func recvStats(recv []int64) Stats {
 	return st
 }
 
-// RouteTo performs one exchange onto pDst destination servers, with each
-// element's destinations chosen by dest (returning one or more targets —
-// replication is allowed, as in grid joins). The per-source outbox builds
-// run on the scope's runtime, so dest must be safe for concurrent calls
-// across source servers (pure functions and read-only captures are; it is
-// invoked serially within one source, in element order).
-func RouteTo[T any](pt Part[T], pDst int, dest func(src int, x T) []int) (Part[T], Stats) {
-	ex := pt.scope()
-	TraceOp(ex, "route_to")
-	out := make([][][]T, pt.P())
-	ex.ForEachShardScratch(pt.P(), func(src int, sc *xrt.Scratch) {
-		shard := pt.Shards[src]
-		if len(shard) == 0 {
-			return
-		}
-		// dest is invoked exactly once per element; the returned
-		// destination lists are memoized so both BuildOutbox passes see
-		// the same routing without re-running user code.
-		dlists := make([][]int, len(shard))
-		for j, x := range shard {
-			dlists[j] = dest(src, x)
-		}
-		out[src] = BuildOutbox[T](sc, pDst, "RouteTo", func(fill bool, emit func(int, T)) {
-			for j, x := range shard {
-				for _, d := range dlists[j] {
-					emit(d, x)
-				}
-			}
-		})
-	})
-	return ExchangeToIn(ex, pDst, out)
-}
-
 // Route performs one exchange where each element is sent to the server
 // chosen by dest (given the element's current server and the element).
-// Like RouteTo, dest must be safe for concurrent calls across source
-// servers.
+// The per-source outbox builds run on the scope's runtime, so dest must be
+// safe for concurrent calls across source servers (pure functions and
+// read-only captures are; it is invoked serially within one source, in
+// element order).
 func Route[T any](pt Part[T], dest func(src int, x T) int) (Part[T], Stats) {
 	p := pt.P()
 	ex := pt.scope()
@@ -568,16 +537,6 @@ func Reshape[T any](pt Part[T], p int) Part[T] {
 		d := s % p
 		out.Shards[d] = append(out.Shards[d], shard...)
 	}
-	return out
-}
-
-// Widen pads pt with empty shards up to p servers (p ≥ pt.P()); no cost.
-func Widen[T any](pt Part[T], p int) Part[T] {
-	if p < pt.P() {
-		panic(fmt.Sprintf("mpc: Widen to %d < current %d", p, pt.P()))
-	}
-	out := NewPartIn[T](pt.scope(), p)
-	copy(out.Shards, pt.Shards)
 	return out
 }
 

@@ -184,11 +184,7 @@ func TestConcatWidenSlice(t *testing.T) {
 	if c.P() != 5 || c.Len() != 3 {
 		t.Fatalf("concat P=%d len=%d", c.P(), c.Len())
 	}
-	w := Widen(a, 6)
-	if w.P() != 6 || w.Len() != 2 {
-		t.Fatalf("widen wrong")
-	}
-	s := Slice(w, 0, 2)
+	s := Slice(c, 0, 2)
 	if s.P() != 2 || s.Len() != 2 {
 		t.Fatalf("slice wrong")
 	}

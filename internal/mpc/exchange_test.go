@@ -27,15 +27,32 @@ func TestExchangeToRectangular(t *testing.T) {
 	}
 }
 
+// routeTo is how engines replicate onto a wider server set (grid joins,
+// per-group blocks): a BuildOutbox per source that emits each element to
+// every destination dests names, then one ExchangeToIn.
+func routeTo(pt Part[int], pDst int, dests func(x int) []int) (Part[int], Stats) {
+	out := make([][][]int, pt.P())
+	for src, shard := range pt.Shards {
+		out[src] = BuildOutbox[int](nil, pDst, "routeTo", func(_ bool, emit func(int, int)) {
+			for _, x := range shard {
+				for _, d := range dests(x) {
+					emit(d, x)
+				}
+			}
+		})
+	}
+	return ExchangeToIn(nil, pDst, out)
+}
+
 func TestRouteToReplication(t *testing.T) {
 	pt := DistributeIn(nil, []int{1, 2, 3}, 2)
 	// Every element goes to destinations 0 and 2 of a 3-server target.
-	res, st := RouteTo(pt, 3, func(_ int, x int) []int { return []int{0, 2} })
+	res, st := routeTo(pt, 3, func(int) []int { return []int{0, 2} })
 	if len(res.Shards[0]) != 3 || len(res.Shards[2]) != 3 || len(res.Shards[1]) != 0 {
 		t.Fatalf("replication wrong: %v", res.Shards)
 	}
-	if st.TotalComm != 6 {
-		t.Fatalf("total = %d", st.TotalComm)
+	if st.TotalComm != 6 || st.MaxLoad != 3 || st.Rounds != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -46,7 +63,7 @@ func TestRouteToOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	pt := DistributeIn(nil, []int{1}, 1)
-	RouteTo(pt, 2, func(_ int, _ int) []int { return []int{7} })
+	routeTo(pt, 2, func(int) []int { return []int{7} })
 }
 
 func TestReshape(t *testing.T) {

@@ -69,7 +69,7 @@ type Plan struct {
 	// forced engines (nothing was compared).
 	Candidates []Candidate `json:"candidates,omitempty"`
 	// PredictedOut is the pre-pass output-size prediction (0 when the
-	// plan was forced or an oracle short-circuited the sketches).
+	// plan was forced or a fast path skipped the pre-pass).
 	PredictedOut int64 `json:"predicted_out,omitempty"`
 	// PredictedJoin is the predicted full-join cardinality feeding the
 	// yannakakis candidate.

@@ -41,14 +41,14 @@ var validCacheModes = map[string]bool{cacheDefault: true, cacheBypass: true, cac
 //     hits are structurally impossible even without invalidation;
 //   - the group-by list and the semiring;
 //   - the canonical fingerprint of the request's engine options (servers,
-//     forced engine or "" for auto, seeds, estimator, fault schedule — see
+//     forced engine or "" for auto, seed, fault schedule — see
 //     core.ResultFingerprint);
 //   - whether a trace or an explanation was requested, since the response
 //     body differs.
 //
 // It is computed before the query is planned, and that is sound: the
 // planner is itself a function of what the key already carries (dataset
-// versions, p, seed, estimator), and it runs on a scope the request's
+// versions and p: its sketches use fixed hash functions), and it runs on a scope the request's
 // tracer and fault plane never see, so an auto query's engine — and with
 // it rows, Stats, trace and fault report — is determined by the key. A
 // forced run and an auto run that resolves to the same engine key apart

@@ -158,7 +158,10 @@ type QueryOptions struct {
 	// runs serially; -1 = GOMAXPROCS; n > 0 = n workers. Per-query, not
 	// process-global. Every value admits at least one unit of weight.
 	Workers int `json:"workers,omitempty"`
-	// Seed drives hash partitioning and estimators (reproducibility).
+	// Seed drives hash partitioning, the output-sensitive matmul's
+	// per-group estimates and a fault schedule left unseeded
+	// (reproducibility). The §2.2 OUT estimate and the planner's sketches
+	// use fixed hash functions and do not read it.
 	Seed uint64 `json:"seed,omitempty"`
 	// Trace returns the per-round load timeline ("rounds" in the
 	// response). Off by default; tracing never changes results or stats.

@@ -36,8 +36,6 @@ import (
 
 // Options tunes the algorithm.
 type Options struct {
-	// Est configures the §2.2 estimator.
-	Est estimate.Params
 	// Seed drives hash partitioning in subroutines.
 	Seed uint64
 }
@@ -120,7 +118,7 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 			path = append(path, arms[0].Path[j])
 		}
 		path = append(path, arms[1].Path[1:]...)
-		res, s := linequery.Run(sr, rels, path, linequery.Options{Est: opts.Est, Seed: opts.Seed})
+		res, s := linequery.Run(sr, rels, path, linequery.Options{Seed: opts.Seed})
 		st = mpc.Seq(st, s)
 		return dist.Reshape(dist.Reorder(res, outSchema), p), st
 	}
@@ -147,7 +145,7 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 	// every arm is tagged with its b's class.
 	degs := make([]mpc.Part[mpc.KeyCount[int64]], n)
 	for i := range arms {
-		ests, _, s := estimate.LineOut(arms[i].Rels, arms[i].Path, opts.Est)
+		ests, _, s := estimate.LineOut(arms[i].Rels, arms[i].Path, estimate.Params{})
 		st = mpc.Seq(st, s)
 		degs[i] = mpc.Map(ests, func(kc mpc.KeyCount[string]) mpc.KeyCount[int64] {
 			return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
@@ -237,7 +235,7 @@ func runSmall[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	smallAttrs := dist.Without(acc.Schema, b)
 	rels := append([]dist.Rel[W]{acc}, last.Rels...)
 	path := append([][]dist.Attr{smallAttrs}, last.Path...)
-	res, s := linequery.Run(sr, rels, path, linequery.Options{Est: opts.Est, Seed: opts.Seed})
+	res, s := linequery.Run(sr, rels, path, linequery.Options{Seed: opts.Seed})
 	return res, mpc.Seq(st, s)
 }
 
@@ -293,7 +291,7 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	var mmStats []mpc.Stats
 	for _, cid := range classIDs {
 		res, s, err := matmul.Compute(sr, matmul.Input[W]{R1: tagI.Select(cid), R2: tagJ.Select(cid), B: b},
-			matmul.Options{Est: opts.Est, Seed: opts.Seed ^ uint64(cid), SkipDangling: true})
+			matmul.Options{Seed: opts.Seed ^ uint64(cid), SkipDangling: true})
 		if err != nil {
 			panic(err)
 		}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"mpcjoin/internal/dist"
-	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/matmul"
 	"mpcjoin/internal/mpc"
@@ -31,8 +30,6 @@ import (
 
 // Options tunes the algorithm.
 type Options struct {
-	// Est configures the estimator used inside the matmul subroutine.
-	Est estimate.Params
 	// Seed drives hash partitioning in subroutines.
 	Seed uint64
 }
@@ -134,7 +131,7 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 		rEven, s2 := twoway.JoinAll(sr, p, even...)
 
 		res, s, err := matmul.Compute(sr, matmul.Input[W]{R1: rOdd, R2: rEven, B: b},
-			matmul.Options{Est: opts.Est, Seed: opts.Seed ^ uint64(pid), SkipDangling: true})
+			matmul.Options{Seed: opts.Seed ^ uint64(pid), SkipDangling: true})
 		if err != nil {
 			panic(err)
 		}

@@ -61,7 +61,7 @@ func TestPendantXExactOnSmallFans(t *testing.T) {
 	// fan1 = 3 per arm, two arms → x(b) = 9 for every b (below the sketch
 	// size, so estimates are exact).
 	vt, sk := buildTwig(t, 5, 3, 2, 4)
-	xp, _ := pendantX(vt, sk.Pendants["B1"], "B1", Options{})
+	xp, _ := pendantX(vt, sk.Pendants["B1"], "B1")
 	got := collectCounts(xp)
 	if len(got) != 5 {
 		t.Fatalf("x values for %d b's, want 5", len(got))
@@ -71,7 +71,7 @@ func TestPendantXExactOnSmallFans(t *testing.T) {
 			t.Fatalf("x(%d) = %d, want 9", b, x)
 		}
 	}
-	xp2, _ := pendantX(vt, sk.Pendants["B2"], "B2", Options{})
+	xp2, _ := pendantX(vt, sk.Pendants["B2"], "B2")
 	for b, x := range collectCounts(xp2) {
 		if x != 4 {
 			t.Fatalf("x2(%d) = %d, want 4", b, x)
@@ -86,7 +86,7 @@ func TestEstimateOutTreeLemma12(t *testing.T) {
 	roots := []hypergraph.Attr{"B1", "B2"}
 	xParts := map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]]{}
 	for _, b := range roots {
-		xp, _ := pendantX(vt, sk.Pendants[b], b, Options{})
+		xp, _ := pendantX(vt, sk.Pendants[b], b)
 		xParts[b] = xp
 	}
 	y1, _ := estimateOutTree(vt, sk, "B1", roots, xParts)
@@ -119,7 +119,7 @@ func TestHeavyLightSplitFollowsXandY(t *testing.T) {
 	roots := []hypergraph.Attr{"B1", "B2"}
 	xParts := map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]]{}
 	for _, b := range roots {
-		xp, _ := pendantX(vt, sk.Pendants[b], b, Options{})
+		xp, _ := pendantX(vt, sk.Pendants[b], b)
 		xParts[b] = xp
 	}
 	y1, _ := estimateOutTree(vt, sk, "B1", roots, xParts)

@@ -45,8 +45,6 @@ import (
 
 // Options tunes the algorithm.
 type Options struct {
-	// Est configures the §2.2 estimator.
-	Est estimate.Params
 	// Seed drives hash partitioning in subroutines.
 	Seed uint64
 }
@@ -84,7 +82,7 @@ func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[strin
 		for _, e := range tw.Query.Edges {
 			vt.rels[e.Name] = live[e.Name]
 		}
-		res, s := evalTwig(sr, vt, opts)
+		res, s := evalTwig(sr, vt)
 		twigStats = append(twigStats, s)
 		name := fmt.Sprintf("twig%d", i)
 		twigRels[name] = dist.Reshape(res, p)
@@ -142,25 +140,25 @@ func (vt *vtree[W]) expandAll(vs []hypergraph.Attr) []dist.Attr {
 
 // evalTwig evaluates a twig query (outputs = leaves), dispatching on its
 // class and falling back to the skeleton recursion for general twigs.
-func evalTwig[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options) (dist.Rel[W], mpc.Stats) {
+func evalTwig[W any](sr semiring.Semiring[W], vt *vtree[W]) (dist.Rel[W], mpc.Stats) {
 	q := vt.q
 	if len(q.Edges) == 1 {
 		return dist.ProjectAgg(sr, vt.rels[q.Edges[0].Name], vt.expandAll(q.Output)...)
 	}
 	if rels, path, ok := linequery.Bind(q, vt.rels, vt.expand); ok {
-		return linequery.Run(sr, rels, path, linequery.Options{Est: opts.Est, Seed: vt.seed})
+		return linequery.Run(sr, rels, path, linequery.Options{Seed: vt.seed})
 	}
 	if arms, leaves, center, ok := starquery.Bind(q, vt.rels, vt.expand); ok {
-		return starquery.Run(sr, arms, leaves, center, starquery.Options{Est: opts.Est, Seed: vt.seed})
+		return starquery.Run(sr, arms, leaves, center, starquery.Options{Seed: vt.seed})
 	}
 	if arms, center, ok := starlike.Bind(q, vt.rels, vt.expand); ok {
-		return starlike.Run(sr, arms, center, starlike.Options{Est: opts.Est, Seed: vt.seed})
+		return starlike.Run(sr, arms, center, starlike.Options{Seed: vt.seed})
 	}
-	return skeletonRecurse(sr, vt, opts)
+	return skeletonRecurse(sr, vt)
 }
 
 // skeletonRecurse is the §7.1 divide-and-conquer on a general twig.
-func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options) (dist.Rel[W], mpc.Stats) {
+func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W]) (dist.Rel[W], mpc.Stats) {
 	q := vt.q
 	p := dist.AnyRel(vt.rels).P()
 	outSchema := vt.expandAll(q.Output)
@@ -186,7 +184,7 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options)
 	xParts := make(map[hypergraph.Attr]mpc.Part[mpc.KeyCount[int64]], len(roots))
 	var xStats []mpc.Stats
 	for _, b := range roots {
-		xp, s := pendantX(vt, sk.Pendants[b], b, opts)
+		xp, s := pendantX(vt, sk.Pendants[b], b)
 		xParts[b] = xp
 		xStats = append(xStats, s)
 	}
@@ -242,7 +240,7 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], opts Options)
 			lights = roots[:1]
 		}
 
-		res, s2 := materializeAndRecurse(sr, sub, sk, lights, outSchema, opts)
+		res, s2 := materializeAndRecurse(sr, sub, sk, lights, outSchema)
 		subStats = append(subStats, mpc.Seq(s, s2))
 		results = append(results, dist.Reshape(dist.Reorder(res, outSchema), p))
 	}
@@ -294,13 +292,13 @@ func armsOf[W any](vt *vtree[W], pq *hypergraph.Query, b hypergraph.Attr) []pend
 
 // pendantX estimates x(b) = ∏_arms d_arm(b): the number of output
 // combinations of the pendant subtree joinable with each b.
-func pendantX[W any](vt *vtree[W], pq *hypergraph.Query, b hypergraph.Attr, opts Options) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats) {
+func pendantX[W any](vt *vtree[W], pq *hypergraph.Query, b hypergraph.Attr) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats) {
 	arms := armsOf(vt, pq, b)
 	var st mpc.Stats
 	var per []mpc.Part[mpc.KeyCount[int64]]
 	p := dist.AnyRel(vt.rels).P()
 	for _, arm := range arms {
-		ests, _, s := estimate.LineOut(arm.rels, arm.path, opts.Est)
+		ests, _, s := estimate.LineOut(arm.rels, arm.path, estimate.Params{})
 		st = mpc.Seq(st, s)
 		per = append(per, mpc.Map(ests, func(kc mpc.KeyCount[string]) mpc.KeyCount[int64] {
 			return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
@@ -447,7 +445,7 @@ func buildSubquery[W any](sr semiring.Semiring[W], vt *vtree[W], roots []hypergr
 
 // materializeAndRecurse computes Q_B for every light pendant root,
 // replaces each pendant by a combined output vertex, and recurses.
-func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergraph.Skeleton, lights []hypergraph.Attr, outSchema []dist.Attr, opts Options) (dist.Rel[W], mpc.Stats) {
+func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hypergraph.Skeleton, lights []hypergraph.Attr, outSchema []dist.Attr) (dist.Rel[W], mpc.Stats) {
 	var st mpc.Stats
 	p := dist.AnyRel(vt.rels).P()
 
@@ -516,7 +514,7 @@ func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hyp
 	}
 	next.q.Output = outs
 
-	res, s := evalTwig(sr, next, opts)
+	res, s := evalTwig(sr, next)
 	st = mpc.Seq(st, s)
 	return dist.Reorder(res, outSchema), st
 }

@@ -242,9 +242,8 @@ func ExecuteContext[W any](ctx context.Context, sr Semiring[W], q *Query, data I
 		return nil, err
 	}
 	// Resolve the options as a set: conflicts (WithRetry without
-	// WithFaults, an oracle for the baseline, …) fail here, before any work
-	// runs.
-	// See options.go for the combination rules.
+	// WithFaults, …) fail here, before any work runs. See options.go for
+	// the combination rules.
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err

@@ -8,15 +8,11 @@ package mpcjoin
 // Combination rules:
 //
 //   - Options are order-independent. Each With* records intent on an
-//     internal builder; nothing is resolved until Execute, so
-//     WithEstimator before or after WithSeed produces the same estimator
-//     seed, and WithRetry before or after WithFaults produces the same
-//     retry budget.
+//     internal builder; nothing is resolved until Execute, so WithFaults
+//     before or after WithSeed derives the same fault-schedule seed, and
+//     WithRetry before or after WithFaults produces the same retry budget.
 //   - Repeating the same option overwrites its earlier value (last call
 //     wins within one option).
-//   - WithOutOracle feeds the cost-based planner and the specialized
-//     matmul/line engines, and conflicts with
-//     WithEngine(EngineYannakakis): the baseline cannot consume it.
 //   - WithRetry tunes the fault plane and requires WithFaults.
 //   - Out-of-domain arguments (WithServers(p < 1), an invalid FaultSpec)
 //     fail Execute with a descriptive error rather than being clamped.
@@ -30,7 +26,6 @@ import (
 	"fmt"
 
 	"mpcjoin/internal/core"
-	"mpcjoin/internal/estimate"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
 	"mpcjoin/internal/transport"
@@ -69,13 +64,11 @@ type FaultEvent = mpc.FaultEvent
 type Option func(*optionSet)
 
 // optionSet is the internal builder the With* constructors write to.
-// It defers every cross-option check and derivation (oracle vs. engine,
-// estimator seed, fault retry budget) to build time for order
-// independence.
+// It defers every cross-option check and derivation (fault-schedule seed,
+// retry budget) to build time for order independence.
 type optionSet struct {
 	core core.Options
 
-	est    *estimate.Params // Seed filled at build
 	faults *mpc.FaultSpec
 	retry  *int
 
@@ -108,21 +101,15 @@ func (o *optionSet) build() (core.Options, error) {
 // buildCore is build without the iterated-option rejection — the shared
 // tail the graph entry points use after consuming those options.
 func (o *optionSet) buildCore() (core.Options, error) {
-	if o.core.OutOracle > 0 && o.core.Engine == planner.EngineYannakakis {
-		o.fail(fmt.Errorf("%w: WithOutOracle requires the matmul/line engines, which WithEngine(EngineYannakakis) disables", ErrOptionConflict))
-	}
 	if o.retry != nil && o.faults == nil {
 		o.fail(fmt.Errorf("%w: WithRetry tunes the fault plane and requires WithFaults", ErrOptionConflict))
-	}
-	if o.est != nil {
-		// Derived here, not at apply time, so the estimator seed is the
-		// same whether WithEstimator comes before or after WithSeed.
-		o.core.Est = estimate.Params{K: o.est.K, Reps: o.est.Reps, Seed: o.core.Seed + 0xabc}
 	}
 	if o.faults != nil {
 		spec := *o.faults
 		if spec.Seed == 0 {
-			spec.Seed = o.core.Seed + 1 // plane must be seeded; derive from the run seed
+			// Derived here, not at apply time, so the schedule seed is the
+			// same whether WithFaults comes before or after WithSeed.
+			spec.Seed = o.core.Seed + 1
 		}
 		if o.retry != nil {
 			spec.MaxRetries = *o.retry
@@ -222,7 +209,7 @@ const (
 // WithEngine selects the execution engine: EngineAuto (the cost-based
 // planner, the default) or a specific engine, which must be legal for the
 // query's class — Execute fails otherwise. It is the only engine-selecting
-// option. Forcing EngineYannakakis conflicts with WithOutOracle.
+// option.
 func WithEngine(e Engine) Option {
 	return func(o *optionSet) {
 		name, err := planner.ParseEngine(string(e))
@@ -234,33 +221,15 @@ func WithEngine(e Engine) Option {
 	}
 }
 
-// WithSeed fixes the randomness seed (hash partitioning, estimators);
-// executions are fully reproducible for a given seed. Order relative to
-// WithEstimator and WithFaults does not matter: derived seeds are
+// WithSeed fixes the randomness seed: the engines' hash partitioning, the
+// per-group estimate inside the output-sensitive matrix multiplication, and
+// the fault schedule of a WithFaults spec with Seed 0. The §2.2 OUT
+// estimate and the planner's sketches use fixed hash functions, so plans do
+// not depend on it. Executions are fully reproducible for a given seed, and
+// its order relative to WithFaults does not matter: the derived seed is
 // resolved when Execute builds the configuration.
 func WithSeed(seed uint64) Option {
 	return func(o *optionSet) { o.core.Seed = seed }
-}
-
-// WithEstimator sets the §2.2 estimator's sketch size and repetition
-// count; zero values keep the defaults. A sketch size of 1 (whose estimate
-// is identically zero) or a negative argument is rejected.
-func WithEstimator(k, reps int) Option {
-	return func(o *optionSet) {
-		p := estimate.Params{K: k, Reps: reps}
-		if err := p.Validate(); err != nil {
-			o.fail(fmt.Errorf("mpcjoin: WithEstimator(%d, %d): %w", k, reps, err))
-			return
-		}
-		o.est = &p
-	}
-}
-
-// WithOutOracle supplies the exact output size to the matmul and line
-// engines instead of the §2.2 estimate (experiment support). Conflicts
-// with WithEngine(EngineYannakakis).
-func WithOutOracle(out int64) Option {
-	return func(o *optionSet) { o.core.OutOracle = out }
 }
 
 // WithWorkers runs the simulator's per-server work on n concurrent OS

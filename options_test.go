@@ -2,11 +2,9 @@ package mpcjoin
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"mpcjoin/internal/transport"
 )
@@ -46,13 +44,6 @@ func TestOptionsMatrix(t *testing.T) {
 		{name: "auto", opts: []Option{WithEngine(EngineAuto)}},
 		{name: "engine-by-name", opts: []Option{WithEngine("matmul-outsens")}},
 		{name: "engine-repeated", opts: []Option{WithEngine(EngineYannakakis), WithEngine(EngineTree)}}, // last wins, like every repeated option
-		{name: "oracle+baseline-overridden", opts: []Option{WithOutOracle(40), WithEngine(EngineYannakakis), WithEngine(EngineAuto)}},
-		{name: "seed+estimator", opts: []Option{WithSeed(7), WithEstimator(64, 3)}},
-		{name: "estimator+seed", opts: []Option{WithEstimator(64, 3), WithSeed(7)}},
-		{name: "estimator-defaults", opts: []Option{WithEstimator(0, 0)}},
-		{name: "estimator-smallest", opts: []Option{WithEstimator(2, 1)}},
-		{name: "oracle", opts: []Option{WithOutOracle(40)}},
-		{name: "oracle+tree", opts: []Option{WithOutOracle(40), WithEngine(EngineTree)}},
 		{name: "workers", opts: []Option{WithWorkers(4)}},
 		{name: "workers-auto", opts: []Option{WithWorkers(0)}},
 		{name: "trace", opts: []Option{WithTrace()}},
@@ -62,20 +53,15 @@ func TestOptionsMatrix(t *testing.T) {
 		{name: "faults+retry", opts: []Option{WithFaults(FaultSpec{Seed: 5, DropProb: 0.3}), WithRetry(8)}},
 		{name: "retry+faults", opts: []Option{WithRetry(8), WithFaults(FaultSpec{Seed: 5, DropProb: 0.3})}},
 		{name: "everything", opts: []Option{
-			WithServers(8), WithSeed(3), WithEstimator(32, 2), WithWorkers(2),
+			WithServers(8), WithSeed(3), WithWorkers(2),
 			WithTrace(), WithFaults(FaultSpec{DropProb: 0.2}), WithRetry(10),
 		}},
 
-		{name: "baseline+oracle", opts: []Option{WithEngine(EngineYannakakis), WithOutOracle(40)}, conflict: true},
-		{name: "oracle+baseline", opts: []Option{WithOutOracle(40), WithEngine(EngineYannakakis)}, conflict: true},
 		{name: "retry-alone", opts: []Option{WithRetry(3)}, conflict: true},
 		{name: "engine-unknown", opts: []Option{WithEngine("quantum")}, invalid: true},
 		{name: "engine-illegal-for-class", opts: []Option{WithEngine("line")}, invalid: true},
 		{name: "servers-zero", opts: []Option{WithServers(0)}, invalid: true},
 		{name: "servers-negative", opts: []Option{WithServers(-4)}, invalid: true},
-		{name: "estimator-negative", opts: []Option{WithEstimator(-3, 0)}, invalid: true}, // used to panic in makeslice
-		{name: "estimator-k-one", opts: []Option{WithEstimator(1, 0)}, invalid: true},     // (K−1)/v_K ≡ 0
-		{name: "estimator-reps-negative", opts: []Option{WithEstimator(0, -1)}, invalid: true},
 		{name: "faults-bad-spec", opts: []Option{WithFaults(FaultSpec{CrashProb: 1.5})}, invalid: true},
 	}
 
@@ -107,24 +93,28 @@ func TestOptionsMatrix(t *testing.T) {
 	}
 }
 
-// TestOptionsOrderIndependent: WithEstimator's derived seed must not
-// depend on whether WithSeed comes before or after it (the old apply-time
-// derivation was order-dependent).
+// TestOptionsOrderIndependent: the fault schedule's seed, derived from
+// WithSeed when the spec leaves it 0, and the retry budget must not depend
+// on the order of WithSeed, WithFaults and WithRetry.
 func TestOptionsOrderIndependent(t *testing.T) {
 	q, data := matmulFixture()
-	a, err := Execute[int64](Ints(), q, data, WithSeed(42), WithEstimator(64, 3))
+	spec := FaultSpec{DropProb: 0.3, CrashProb: 0.1}
+	a, err := Execute[int64](Ints(), q, data, WithSeed(42), WithFaults(spec), WithRetry(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute[int64](Ints(), q, data, WithEstimator(64, 3), WithSeed(42))
+	b, err := Execute[int64](Ints(), q, data, WithRetry(12), WithFaults(spec), WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Stats != b.Stats {
-		t.Errorf("option order changed stats: %+v vs %+v", a.Stats, b.Stats)
+	if a.Faults.Injected == 0 {
+		t.Fatal("schedule injected nothing (weak seed)")
 	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Errorf("option order changed row count: %d vs %d", len(a.Rows), len(b.Rows))
+	if !reflect.DeepEqual(a.Faults, b.Faults) {
+		t.Errorf("option order changed the fault schedule: %+v vs %+v", a.Faults, b.Faults)
+	}
+	if a.Stats != b.Stats || !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Errorf("option order changed the result: %+v vs %+v", a.Stats, b.Stats)
 	}
 }
 
@@ -210,52 +200,5 @@ func TestOptionsTransportTCP(t *testing.T) {
 	_, err = Execute[int64](Ints(), q, data, WithTransport(TCPTransport("127.0.0.1:1")))
 	if err == nil || !strings.Contains(err.Error(), "transport") {
 		t.Fatalf("want a transport connect error, got %v", err)
-	}
-}
-
-// TestLineEngineReturnsUnderAnyOutOracle: WithOutOracle is unvalidated
-// public input and the line engine takes its square root; an oracle of
-// math.MaxInt64 used to spin in that root forever, before any round barrier
-// a deadline could cancel at. It must return, with the answer the oracle
-// never changes.
-func TestLineEngineReturnsUnderAnyOutOracle(t *testing.T) {
-	q := NewQuery().
-		Relation("R1", "A", "B").
-		Relation("R2", "B", "C").
-		Relation("R3", "C", "D").
-		GroupBy("A", "D")
-	data := Instance[int64]{
-		"R1": NewRelation[int64]("A", "B"),
-		"R2": NewRelation[int64]("B", "C"),
-		"R3": NewRelation[int64]("C", "D"),
-	}
-	for i := int64(0); i < 60; i++ {
-		data["R1"].Add(1, Value(i%9), Value(i%5))
-		data["R2"].Add(1, Value(i%5), Value(i%7))
-		data["R3"].Add(1, Value(i%7), Value(i%4))
-	}
-	want, err := Execute[int64](Ints(), q, data, WithEngine("line"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		res *Result[int64]
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := Execute[int64](Ints(), q, data, WithEngine("line"), WithOutOracle(math.MaxInt64))
-		done <- outcome{res, err}
-	}()
-	select {
-	case got := <-done:
-		if got.err != nil {
-			t.Fatal(got.err)
-		}
-		if !reflect.DeepEqual(got.res.Rows, want.Rows) {
-			t.Errorf("rows under the oracle differ: got %v, want %v", got.res.Rows, want.Rows)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("Execute did not return within the deadline")
 	}
 }
