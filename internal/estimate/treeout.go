@@ -66,8 +66,9 @@ func TreeCount[W any](q *hypergraph.Query, rels map[string]dist.Rel[W]) (int64, 
 // that aggregates heavily (J ≫ OUT) keeps both near the aggregated
 // output, which is exactly why Yannakakis beats its own worst case on
 // such instances. The sizes are sums of per-value estimates over all
-// servers, taken with no round (profileSum — the simulator's one
-// un-metered global read), so the profile adds no rounds to the fold.
+// servers: every server keeps its partial sum for each fold step, and one
+// all-reduce of those vectors at the end yields OUT and both maxima — two
+// O(p)-load rounds on top of the fold.
 //
 // It is the fold over the image algebra: for every value a of the current
 // attribute the fold carries a sketch of the distinct kept output-attribute
@@ -89,13 +90,23 @@ func TreeOutProfile[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], p P
 		return 0, 0, 0, f.st
 	}
 	// Root values are distinct, so the output tuples {a} × image(a) are
-	// disjoint across a and OUT is the plain sum of per-value images.
-	total := int64(math.Round(profileSum(per, f.alg.size)))
+	// disjoint across a and OUT is the plain sum of per-value images: the
+	// last step of the profile.
+	noteSizes(f, false, per, f.alg.size)
+	sums, st := f.profile(per.Scope(), per.P())
+	total := int64(math.Round(sums[len(sums)-1]))
 	if total < 1 {
 		total = 1
 	}
-	f.noteJoin(float64(total))
-	return total, int64(math.Round(f.maxFold)), int64(math.Round(f.maxImage)), f.st
+	foldMax, imageMax := float64(total), 0.0
+	for i, step := range f.steps[:len(f.steps)-1] {
+		if step.image {
+			imageMax = max(imageMax, sums[i])
+		} else {
+			foldMax = max(foldMax, sums[i])
+		}
+	}
+	return total, int64(math.Round(foldMax)), int64(math.Round(imageMax)), mpc.Seq(f.st, st)
 }
 
 // imageAlgebra is the KMV image algebra of the §2.2 sketch fold: a value's
@@ -152,9 +163,9 @@ type algebra[V any] struct {
 	// cross is ⊗: the summaries of two sibling subtrees under one value.
 	cross func(a, b V) V
 	// size, when set, is a summary's estimated cardinality, and makes the
-	// fold observe its profile (maxFold, maxImage) as it goes — through
-	// profileSum, no exchange: the profile is a prediction, not a metered
-	// computation.
+	// fold observe its profile (maxFold, maxImage) as it goes: each server
+	// notes its partial sum per step, and the steps are summed across
+	// servers once, at the end (fold.profile).
 	size func(V) float64
 }
 
@@ -166,8 +177,18 @@ type fold[W, V any] struct {
 	rels map[string]dist.Rel[W]
 	alg  algebra[V]
 	st   mpc.Stats
-	// The profile, observed only when alg.size is set.
-	maxFold, maxImage float64
+	// The profile, observed only when alg.size is set: one entry per
+	// fold intermediate or consumed image, in fold order.
+	steps []profileStep
+}
+
+// profileStep is one size the profile observes: per server, the sum of the
+// sizes of that server's elements. image marks an aggregated image a fold
+// consumes (maxImage); the others are un-aggregated intermediates
+// (maxFold).
+type profileStep struct {
+	image     bool
+	perServer []float64
 }
 
 // down returns, for every value a of attribute u reachable through edges
@@ -234,7 +255,7 @@ func (f *fold[W, V]) propagate(r dist.Rel[W], u, v []dist.Attr, sub mpc.Part[V],
 	matched, st1 := mpc.Lookup(r.Part, sub,
 		func(row relation.Row[W]) string { return relation.EncodeKey(row.Vals, vc) }, f.alg.key, matchedPair[relation.Row[W], V])
 	if f.alg.size != nil {
-		f.noteJoin(profileSum(matched, func(pr mpc.Pred[relation.Row[W], V]) float64 { return f.alg.size(pr.Y) }))
+		noteSizes(f, false, matched, func(pr mpc.Pred[relation.Row[W], V]) float64 { return f.alg.size(pr.Y) })
 	}
 	carried := mpc.Map(matched, func(pr mpc.Pred[relation.Row[W], V]) V {
 		return f.alg.carry(relation.EncodeKey(pr.X.Vals, uc), pr.Y, tag)
@@ -254,7 +275,7 @@ func (f *fold[W, V]) product(a, b mpc.Part[V]) mpc.Part[V] {
 	matched, st := mpc.Lookup(a, b, f.alg.key, f.alg.key, matchedPair[V, V])
 	f.st = mpc.Seq(f.st, st)
 	if f.alg.size != nil {
-		f.noteJoin(profileSum(matched, func(pr mpc.Pred[V, V]) float64 { return f.alg.size(pr.X) * f.alg.size(pr.Y) }))
+		noteSizes(f, false, matched, func(pr mpc.Pred[V, V]) float64 { return f.alg.size(pr.X) * f.alg.size(pr.Y) })
 	}
 	return mpc.Map(matched, func(pr mpc.Pred[V, V]) V { return f.alg.cross(pr.X, pr.Y) })
 }
@@ -267,30 +288,6 @@ func matchedPair[X, Y any](x X, y Y, found bool) (mpc.Pred[X, Y], bool) {
 	return mpc.Pred[X, Y]{X: x, Y: y, Found: true}, found
 }
 
-// profileSum adds size over every element on every server — a global sum of
-// p per-server partial sums that no round carries. It is the one place
-// outside internal/mpc that reads all servers' shard contents for free
-// (the shard-access guard in internal/experiments names it): the profile
-// and TreeOutProfile's OUT total are predictions the planner reads, and
-// metering them the way TreeCount's total is (SumCounts' all-reduce) costs
-// two O(p) rounds per sum — see ROADMAP's planning item.
-func profileSum[T any](pt mpc.Part[T], size func(T) float64) float64 {
-	var t float64
-	for _, sh := range pt.Shards {
-		for _, x := range sh {
-			t += size(x)
-		}
-	}
-	return t
-}
-
-// noteJoin records a fold-intermediate size for the profile.
-func (f *fold[W, V]) noteJoin(size float64) {
-	if size > f.maxFold {
-		f.maxFold = size
-	}
-}
-
 // noteImage records an aggregated image at the moment a fold consumes it
 // as join input. Only consumed images count toward maxImage: the root
 // image is the output itself, produced by the last fold but never fed
@@ -299,9 +296,36 @@ func (f *fold[W, V]) noteImage(pt mpc.Part[V]) {
 	if f.alg.size == nil {
 		return
 	}
-	if t := profileSum(pt, f.alg.size); t > f.maxImage {
-		f.maxImage = t
+	noteSizes(f, true, pt, f.alg.size)
+}
+
+// noteSizes records one profile step over pt: each server's sum of size
+// over its own elements, in element order (a float sum, so the order is
+// part of the plan's bytes). No round runs here; fold.profile sums every
+// step across servers at once.
+func noteSizes[W, V, T any](f *fold[W, V], image bool, pt mpc.Part[T], size func(T) float64) {
+	perServer := make([]float64, pt.P())
+	for s, sh := range pt.Shards {
+		for _, x := range sh {
+			perServer[s] += size(x)
+		}
 	}
+	f.steps = append(f.steps, profileStep{image: image, perServer: perServer})
+}
+
+// profile sums every profile step across the p servers in one all-reduce:
+// server s contributes the vector of its partial sums, the coordinator adds
+// the vectors in server order and broadcasts the step totals. Two O(p)-load
+// rounds, however many steps the fold took.
+func (f *fold[W, V]) profile(ex *mpc.Exec, p int) ([]float64, mpc.Stats) {
+	vals := make([][]float64, p)
+	for s := range vals {
+		vals[s] = make([]float64, len(f.steps))
+		for i, step := range f.steps {
+			vals[s][i] = step.perServer[s]
+		}
+	}
+	return mpc.AllReduce(ex, vals, mpc.AddVec[float64], "plan.profile")
 }
 
 // TagVec returns the sketch vector of the tagged set {tag} × S given the

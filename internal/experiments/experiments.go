@@ -592,18 +592,18 @@ func scalingP(cfg Config) Table {
 	return t
 }
 
-// roundsConstant demonstrates the O(1)-round claim: for each query class,
-// the round count of the new algorithm must not grow with the data size
-// (it may vary slightly with which heavy/light branches are non-empty).
+// roundsConstant checks the O(1)-round claim: for each query class, the
+// round count of the new algorithm at N and at 16·N must be equal — the
+// verified column reads MISMATCH otherwise.
 func roundsConstant(cfg Config) Table {
 	p := cfg.scale(16, 8)
 	t := Table{
 		ID:     "T1-rounds",
 		Title:  "constant rounds: round count vs data size per query class",
-		Header: []string{"class", "N_small", "rounds", "N_large", "rounds_large"},
+		Header: []string{"class", "N_small", "rounds", "N_large", "rounds_large", "verified"},
 		Notes: []string{
 			"the model requires O(1) rounds; the simulator's counts are conservative upper bounds",
-			"(conceptually parallel phases inside one subquery are partially serialized) but must not grow with N",
+			"(conceptually parallel phases inside one subquery are partially serialized) but must not change with N",
 		},
 	}
 	classes := []struct {
@@ -617,7 +617,7 @@ func roundsConstant(cfg Config) Table {
 		{planner.EngineTree, hypergraph.Fig3Twig()},
 	}
 	small := cfg.scale(64, 16)
-	large := cfg.scale(1024, 128)
+	large := 16 * small
 	for _, c := range classes {
 		// Each row pins its class engine (the row label IS the engine) so
 		// the round counts keep describing that engine even where the
@@ -627,11 +627,8 @@ func roundsConstant(cfg Config) Table {
 		_, stS := forced(cfg, intSR, c.q, instS, p, c.name)
 		_, stL := forced(cfg, intSR, c.q, instL, p, c.name)
 		t.Rows = append(t.Rows, []string{
-			c.name, itoa(metaS.N), itoa(stS.Rounds), itoa(metaL.N), itoa(stL.Rounds),
+			c.name, itoa(metaS.N), itoa(stS.Rounds), itoa(metaL.N), itoa(stL.Rounds), tick(stS.Rounds == stL.Rounds),
 		})
-		if stL.Rounds > 2*stS.Rounds {
-			t.Notes = append(t.Notes, fmt.Sprintf("WARNING: %s rounds grew with N (%d → %d)", c.name, stS.Rounds, stL.Rounds))
-		}
 	}
 	return t
 }

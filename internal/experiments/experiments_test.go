@@ -70,6 +70,24 @@ func TestMMLoadShape(t *testing.T) {
 	}
 }
 
+// TestRoundsConstantInN asserts EXPERIMENTS.md's T1-rounds sentence at quick
+// size: every class runs exactly as many rounds at 16·N as at N.
+func TestRoundsConstantInN(t *testing.T) {
+	tab, err := Run("T1-rounds", Config{Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 5 {
+		t.Fatalf("%d classes, want 5\n%s", len(tab.Rows), tab.Format())
+	}
+	for _, row := range tab.Rows {
+		nS, rS, nL, rL := atofCol(t, row[1]), atofCol(t, row[2]), atofCol(t, row[3]), atofCol(t, row[4])
+		if nL != 16*nS || rS != rL || row[5] != "yes" {
+			t.Errorf("%s: %v rounds at N = %v, %v at N = %v (want equal, at 16·N)", row[0], rS, nS, rL, nL)
+		}
+	}
+}
+
 func atofCol(t *testing.T, s string) float64 {
 	t.Helper()
 	var x float64

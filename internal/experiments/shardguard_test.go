@@ -18,10 +18,9 @@ import (
 // followed by a read of shard 0. The rules are by form, never by line.
 
 // shardFreeReads lists the functions allowed to range over every server's
-// shard contents without a round, each with its reason. One entry.
-var shardFreeReads = map[string]string{
-	"internal/estimate/treeout.go:profileSum": "TreeOutProfile's OUT total and profile maxima are a free global sum of p floats, whereas TreeCount's total pays SumCounts' two O(p) rounds; metering it re-pins the tree-class */auto digests (ROADMAP, planning item)",
-}
+// shard contents without a round, each with its reason. It is empty: every
+// global read rides a metered round.
+var shardFreeReads = map[string]string{}
 
 // perServerCalls are the dispatchers whose callback's first parameter is
 // the server index.
@@ -140,8 +139,8 @@ func enclosingFunc(stack []ast.Node) string {
 // TestShardsAreTheServersOwn runs the guard over every non-test file outside
 // internal/mpc (the package that implements the rounds) and bench/.
 func TestShardsAreTheServersOwn(t *testing.T) {
-	if len(shardFreeReads) != 1 {
-		t.Fatalf("the guard's exception list has %d entries, want exactly one", len(shardFreeReads))
+	if len(shardFreeReads) != 0 {
+		t.Fatalf("the guard's exception list has %d entries, want none", len(shardFreeReads))
 	}
 	declared := map[string]bool{}
 	for _, src := range sources(t, false, ".") {

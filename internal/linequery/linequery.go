@@ -142,13 +142,14 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 	st = mpc.Seq(st, s2, s3)
 
 	// Steps 2 and 3 run on disjoint server groups simultaneously; their
-	// costs compose with Par.
+	// costs compose with Par. Which of them runs at all is one count.
 	var stHeavy, stLight mpc.Stats
+	ns, sc := mpc.TotalCounts(r1Heavy.Part, r1Light.Part)
+	nHeavy, nLight := ns[0], ns[1]
+	st = mpc.Seq(st, sc)
 
 	// Step 2: the heavy subquery.
 	var resHeavy dist.Rel[W]
-	nHeavy, sc := mpc.TotalCount(r1Heavy.Part)
-	st = mpc.Seq(st, sc)
 	if nHeavy > 0 {
 		// Remove dangling within the heavy subquery (R2 changed).
 		hRels := append([]dist.Rel[W](nil), rels...)
@@ -181,8 +182,6 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 
 	// Step 3: the light subquery.
 	var resLight dist.Rel[W]
-	nLight, sc2 := mpc.TotalCount(r1Light.Part)
-	st = mpc.Seq(st, sc2)
 	if nLight > 0 {
 		// Step 3.1: R(A1, A3) = ∑_{A2} R1^light ⋈ R2^light — join then
 		// aggregate; the join has ≤ N·√OUT results by lightness of A2.

@@ -108,9 +108,8 @@ func Compute[W any](sr semiring.Semiring[W], in Input[W], opts Options) (dist.Re
 	}
 
 	p := in.R1.P()
-	n1, s := mpc.TotalCount(in.R1.Part)
-	st = mpc.Seq(st, s)
-	n2, s := mpc.TotalCount(in.R2.Part)
+	ns, s := mpc.TotalCounts(in.R1.Part, in.R2.Part)
+	n1, n2 := ns[0], ns[1]
 	st = mpc.Seq(st, s)
 
 	if n1 == 0 || n2 == 0 {

@@ -55,49 +55,47 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	bCol2 := in.R2.Cols(in.B)[0]
 	outSchema := in.OutSchema()
 
-	heavyEst := mpc.Filter(ests, func(kc mpc.KeyCount[string]) bool { return kc.Count >= thr })
-	lightEst := mpc.Filter(ests, func(kc mpc.KeyCount[string]) bool { return kc.Count < thr })
-
-	// Partition R1 rows by the heaviness of their A value.
-	split, stSplit := mpc.LookupJoin(in.R1.Part, heavyEst,
-		func(r relation.Row[W]) string { return aKey(r) },
-		func(kc mpc.KeyCount[string]) string { return kc.Key })
-	r1Heavy, r1Light := mpc.Split(split, func(pr mpc.Pred[relation.Row[W], mpc.KeyCount[string]]) (relation.Row[W], bool) {
-		return pr.X, pr.Found
+	// One table classifies R1's A values: heavy values are flagged and
+	// weigh 0 in the packing, so they keep the current bin and the light
+	// values' groups of total OUT_a ≤ 2T are those of the light values
+	// packed alone. One lookup then splits R1 into heavy rows and grouped
+	// light rows.
+	heavyA := func(kc mpc.KeyCount[string]) bool { return kc.Count >= thr }
+	binnedA, _, stPack := mpc.ParallelPack(ests, func(kc mpc.KeyCount[string]) int64 {
+		if heavyA(kc) {
+			return 0
+		}
+		return kc.Count
+	}, thr)
+	groupTable := mpc.Map(binnedA, func(b mpc.Binned[mpc.KeyCount[string]]) aGroup {
+		return aGroup{KeyBin: mpc.KeyBin[string]{Key: b.X.Key, Bin: b.Bin}, heavy: heavyA(b.X)}
 	})
-
-	st := stSplit
+	looked, stLook := mpc.LookupJoin(in.R1.Part, groupTable,
+		func(r relation.Row[W]) string { return aKey(r) },
+		func(g aGroup) string { return g.Key })
+	heavy, grouped := mpc.Split(looked, func(pr mpc.Pred[relation.Row[W], aGroup]) (mpc.Pred[relation.Row[W], aGroup], bool) {
+		return pr, pr.Found && pr.Y.heavy
+	})
+	ns, sc := mpc.TotalCounts(heavy, grouped)
+	nHeavy, nLight := ns[0], ns[1]
+	st := mpc.Seq(stPack, stLook, sc)
 
 	// Step 2: heavy rows through the Yannakakis algorithm.
 	var res2 dist.Rel[W]
-	nHeavy, sc := mpc.TotalCount(r1Heavy)
-	st = mpc.Seq(st, sc)
 	if nHeavy > 0 {
 		var s2 mpc.Stats
+		r1Heavy := mpc.Map(heavy, func(pr mpc.Pred[relation.Row[W], aGroup]) relation.Row[W] { return pr.X })
 		res2, s2 = twoway.JoinAgg(sr, dist.Rel[W]{Schema: in.R1.Schema, Part: r1Heavy}, in.R2, outSchema...)
 		st = mpc.Seq(st, s2)
 	} else {
 		res2 = dist.EmptyIn[W](in.R1.Part.Scope(), outSchema, p)
 	}
-
-	nLight, sc2 := mpc.TotalCount(r1Light)
-	st = mpc.Seq(st, sc2)
 	if nLight == 0 {
 		return res2, st
 	}
 
-	// Pack light A values into groups of total OUT_a ≤ 2T.
-	binnedA, _, stPack := mpc.ParallelPack(lightEst, func(kc mpc.KeyCount[string]) int64 { return kc.Count }, thr)
-	groupTable := mpc.Map(binnedA, func(b mpc.Binned[mpc.KeyCount[string]]) mpc.KeyBin[string] {
-		return mpc.KeyBin[string]{Key: b.X.Key, Bin: b.Bin}
-	})
-	grouped, stLook := mpc.LookupJoin(r1Light, groupTable,
-		func(r relation.Row[W]) string { return aKey(r) },
-		func(kb mpc.KeyBin[string]) string { return kb.Key })
-	st = mpc.Seq(st, stPack, stLook)
-
 	// Group footprints f_i at the coordinator.
-	fCounts, stf := mpc.CountByKey(grouped, func(pr mpc.Pred[relation.Row[W], mpc.KeyBin[string]]) int64 {
+	fCounts, stf := mpc.CountByKey(grouped, func(pr mpc.Pred[relation.Row[W], aGroup]) int64 {
 		return int64(pr.Y.Bin)
 	})
 	// Phase A block layout, decided at the coordinator and broadcast
@@ -244,9 +242,23 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	st = mpc.Seq(st, mpc.Par(packStats...))
 	binTable := mpc.Overlay(ex, totalA, binTables...)
 
-	// Per-(group,bin) R2 sizes for the Phase B layout.
-	binSzPart, sb := binSizes(r2Blk, gcCols, binTable)
-	st = mpc.Seq(st, sb)
+	// R2 rows learn their bin (if light) before routing; the per-(group,
+	// bin) R2 sizes of the Phase B layout are counted off the rows that
+	// found one.
+	r2WithBin, sl2 := mpc.LookupJoin(r2Blk.Part, binTable,
+		func(r relation.Row[W]) string { return relation.EncodeKey(r.Vals, gcCols) },
+		func(kb mpc.KeyBin[string]) string { return kb.Key })
+	binKeys := mpc.MapShards(r2WithBin, func(_ int, shard []mpc.Pred[relation.Row[W], mpc.KeyBin[string]]) []string {
+		var keys []string
+		for _, pr := range shard {
+			if pr.Found {
+				keys = append(keys, relation.EncodeKey([]relation.Value{pr.X.Vals[gcCols[0]], relation.Value(pr.Y.Bin)}, []int{0, 1}))
+			}
+		}
+		return keys
+	})
+	binSzPart, sb := mpc.CountByKey(binKeys, func(k string) string { return k })
+	st = mpc.Seq(st, sl2, sb)
 
 	// Phase B layout: the coordinator gathers the heavy (G,C) table, then
 	// the bin sizes, lays the sub-blocks out — heavy blocks first, each
@@ -296,12 +308,6 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 		g := int64(relation.DecodeKey(sb.gcKey)[0])
 		perGroupSubs[g] = append(perGroupSubs[g], sb)
 	}
-
-	// R2 rows learn their bin (if light) before routing.
-	r2WithBin, sl2 := mpc.LookupJoin(r2Blk.Part, binTable,
-		func(r relation.Row[W]) string { return relation.EncodeKey(r.Vals, gcCols) },
-		func(kb mpc.KeyBin[string]) string { return kb.Key })
-	st = mpc.Seq(st, sl2)
 
 	// Phase B routing.
 	gCol1 := 0 // G is the leading column on both sides
@@ -374,26 +380,17 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	return dist.Rel[W]{Schema: outSchema, Part: final}, st
 }
 
+// aGroup is an A value's entry in outputSensitive's R1 table: its light
+// group (Bin), or heavy.
+type aGroup struct {
+	mpc.KeyBin[string]
+	heavy bool
+}
+
 // withGroup prepends a group id column to a row.
 func withGroup[W any](g int64, r relation.Row[W]) relation.Row[W] {
 	vals := make([]relation.Value, 0, len(r.Vals)+1)
 	vals = append(vals, relation.Value(g))
 	vals = append(vals, r.Vals...)
 	return relation.Row[W]{Vals: vals, W: r.W}
-}
-
-// binSizes counts, per (group, bin), the R2 rows whose (G,C) key belongs to
-// the bin, returning KeyCounts keyed by EncodeKey(G, bin).
-func binSizes[W any](r2Blk dist.Rel[W], gcCols []int, binTable mpc.Part[mpc.KeyBin[string]]) (mpc.Part[mpc.KeyCount[string]], mpc.Stats) {
-	binKeys, st1 := mpc.Lookup(r2Blk.Part, binTable,
-		func(r relation.Row[W]) string { return relation.EncodeKey(r.Vals, gcCols) },
-		func(kb mpc.KeyBin[string]) string { return kb.Key },
-		func(r relation.Row[W], kb mpc.KeyBin[string], found bool) (string, bool) {
-			if !found {
-				return "", false
-			}
-			return relation.EncodeKey([]relation.Value{r.Vals[gcCols[0]], relation.Value(kb.Bin)}, []int{0, 1}), true
-		})
-	counts, st2 := mpc.CountByKey(binKeys, func(k string) string { return k })
-	return counts, mpc.Seq(st1, st2)
 }

@@ -45,15 +45,38 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	// Step 1: degrees and the heavy/light split.
 	dA, st1 := mpc.CountByKey(in.R1.Part, func(r relation.Row[W]) string { return aKey(r) })
 	dC, st2 := mpc.CountByKey(in.R2.Part, func(r relation.Row[W]) string { return cKey(r) })
-	heavyA := mpc.Filter(dA, func(kc mpc.KeyCount[string]) bool { return kc.Count >= load })
 	lightA := mpc.Filter(dA, func(kc mpc.KeyCount[string]) bool { return kc.Count < load })
-	heavyC := mpc.Filter(dC, func(kc mpc.KeyCount[string]) bool { return kc.Count >= load })
 	lightC := mpc.Filter(dC, func(kc mpc.KeyCount[string]) bool { return kc.Count < load })
 
-	// Heavy lists to the coordinator and out to everyone (|heavy| ≤ N/L ≤ √(N·p)/√N·… = O(√p) each).
-	asIs := func(all []mpc.KeyCount[string]) []mpc.KeyCount[string] { return all }
-	hA, sth1 := mpc.Agree(heavyA, "", "", asIs)
-	hC, sth2 := mpc.Agree(heavyC, "", "", asIs)
+	// Both heavy lists to the coordinator and out to everyone in one
+	// round-trip, each entry tagged with its side (|heavy| ≤ N/L = O(√p)
+	// per side).
+	type sidedKey struct {
+		kc  mpc.KeyCount[string]
+		isC bool
+	}
+	heavy := mpc.NewPartIn[sidedKey](ex, p)
+	for s := range heavy.Shards {
+		for _, kc := range dA.Shards[s] {
+			if kc.Count >= load {
+				heavy.Shards[s] = append(heavy.Shards[s], sidedKey{kc: kc})
+			}
+		}
+		for _, kc := range dC.Shards[s] {
+			if kc.Count >= load {
+				heavy.Shards[s] = append(heavy.Shards[s], sidedKey{kc: kc, isC: true})
+			}
+		}
+	}
+	var hA, hC []mpc.KeyCount[string]
+	both, sth := mpc.Agree(heavy, "", "", func(all []sidedKey) []sidedKey { return all })
+	for _, h := range both {
+		if h.isC {
+			hC = append(hC, h.kc)
+		} else {
+			hA = append(hA, h.kc)
+		}
+	}
 
 	// Light bins by parallel-packing (degree-weighted, capacity L).
 	binnedA, kBins, stp1 := mpc.ParallelPack(lightA, func(kc mpc.KeyCount[string]) int64 { return kc.Count }, load)
@@ -173,7 +196,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	reduced, str := dist.ProjectAgg(sr, dist.Rel[W]{Schema: in.OutSchema(), Part: reducePart}, in.OutSchema()...)
 
 	result := mpc.Concat(reduced.Part, llPart)
-	st := mpc.Seq(st1, st2, sth1, sth2, stp1, stp2, stl1, stl2, stx, str)
+	st := mpc.Seq(st1, st2, sth, stp1, stp2, stl1, stl2, stx, str)
 	return dist.Rel[W]{Schema: in.OutSchema(), Part: result}, st
 }
 

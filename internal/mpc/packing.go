@@ -19,7 +19,7 @@ import "cmp"
 // the benchmark harness reports measured constants.
 //
 // Cost: two O(p)-load coordinator rounds (local totals up, base offsets
-// down); the assignment itself is local.
+// and the grand total down); the assignment itself is local.
 
 // Binned pairs an element with its assigned bin index.
 type Binned[T any] struct {
@@ -52,19 +52,22 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 		totals.Shards[s] = []KeyCount[int]{{Key: s, Count: t}}
 	})
 	// Rounds 1–2: the coordinator prefix-sums the totals in server order
-	// and replies each server its base offset. grandTotal stays with the
-	// caller: the bin count it yields is driver-side knowledge no round
-	// carries (one integer that could ride the offsets reply).
-	var grandTotal int64
-	basePart, st := Coordinate(totals, "packing.totals", "packing.offsets", func(all []KeyCount[int]) [][]int64 {
+	// and replies each server its base offset and the grand total, from
+	// which every server derives the bin count.
+	type offsets struct{ base, grand int64 }
+	basePart, st := Coordinate(totals, "packing.totals", "packing.offsets", func(all []KeyCount[int]) [][]offsets {
 		perServer := make([]int64, p)
 		for _, kc := range all {
 			perServer[kc.Key] = kc.Count
 		}
-		base := make([]int64, p)
+		var grand int64
+		base := make([]offsets, p)
 		for s := 0; s < p; s++ {
-			base[s] = grandTotal
-			grandTotal += perServer[s]
+			base[s].base = grand
+			grand += perServer[s]
+		}
+		for s := range base {
+			base[s].grand = grand
 		}
 		return oneEach(base)
 	})
@@ -76,7 +79,7 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 		if len(shard) == 0 {
 			return
 		}
-		prefix := basePart.Shards[s][0]
+		prefix := basePart.Shards[s][0].base
 		bs := make([]Binned[T], 0, len(shard))
 		for _, x := range shard {
 			// Assign by the window containing the element's start.
@@ -86,6 +89,9 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 		}
 		out.Shards[s] = bs
 	})
+	// Every server learned the same grand total; the last one's reply is
+	// read here.
+	grandTotal := basePart.Shards[p-1][0].grand
 	numBins := int((grandTotal+cap-1)/cap) + 1
 	if grandTotal == 0 {
 		numBins = 1

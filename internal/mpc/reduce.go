@@ -210,15 +210,40 @@ func AllReduce[V any](ex *Exec, vals []V, combine func(acc, v V) V, op string) (
 // Add is the AllReduce combine of a global sum.
 func Add[V ~int64 | ~float64](a, b V) V { return a + b }
 
-// TotalCount sums shard sizes with an AllReduce, so every server learns
-// |pt| — used when an algorithm branches on a global size. Returns the
-// count and the (O(p)-load) stats.
-func TotalCount[T any](pt Part[T]) (int64, Stats) {
-	counts := make([]int64, pt.P())
-	for s, shard := range pt.Shards {
-		counts[s] = int64(len(shard))
+// AddVec is the AllReduce combine of several global sums at once, one per
+// vector position; it never writes to v.
+func AddVec[V ~int64 | ~float64](acc, v []V) []V {
+	if acc == nil {
+		acc = make([]V, len(v))
 	}
-	return AllReduce(pt.scope(), counts, Add[int64], "count")
+	for i := range v {
+		acc[i] += v[i]
+	}
+	return acc
+}
+
+// TotalCount sums shard sizes with an all-reduce, so every server learns
+// |pt| — used when an algorithm branches on a global size. It is
+// TotalCounts of one Part.
+func TotalCount[T any](pt Part[T]) (int64, Stats) {
+	n, st := TotalCounts(pt)
+	return n[0], st
+}
+
+// TotalCounts is the all-reduce of several independent global sizes at
+// once: server s contributes the vector of its shard sizes
+// |parts[i].Shards[s]|, the coordinator adds the vectors in server order and
+// broadcasts the totals. The Parts must span the same servers. Two O(p)-load
+// rounds, however many sizes ride them.
+func TotalCounts[T any](parts ...Part[T]) ([]int64, Stats) {
+	sizes := make([][]int64, parts[0].P())
+	for s := range sizes {
+		sizes[s] = make([]int64, len(parts))
+		for i, pt := range parts {
+			sizes[s][i] = int64(len(pt.Shards[s]))
+		}
+	}
+	return AllReduce(parts[0].scope(), sizes, AddVec[int64], "count")
 }
 
 // SortLocal sorts a shard in place by key (local helper, zero cost). The

@@ -166,6 +166,17 @@ func TestTotalCount(t *testing.T) {
 	if st.MaxLoad > 5 {
 		t.Fatalf("TotalCount load %d should be O(p)", st.MaxLoad)
 	}
+
+	// Several sizes ride the one all-reduce: the same two rounds and loads,
+	// one total per Part, and AddVec leaves the servers' vectors alone.
+	totals, stN := TotalCounts(pt, DistributeIn(nil, make([]int, 3), 5), NewPartIn[int](nil, 5))
+	if len(totals) != 3 || totals[0] != 77 || totals[1] != 3 || totals[2] != 0 || stN != st {
+		t.Fatalf("totals %v, stats %+v; want [77 3 0], %+v", totals, stN, st)
+	}
+	v := []int64{1, 2}
+	if acc := AddVec(AddVec(nil, v), v); acc[0] != 2 || acc[1] != 4 || v[0] != 1 || v[1] != 2 {
+		t.Fatalf("AddVec: %v, operand %v", acc, v)
+	}
 }
 
 // TestAllReduce pins the one gather → combine → broadcast: the fold runs in

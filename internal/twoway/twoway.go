@@ -13,6 +13,10 @@
 //     (and symmetrically for S), so every cell holds O(L) tuples and the
 //     cells tile all d_R·d_S output pairs.
 //
+// Both degree vectors come from one reduce-by-key over the two sides' join
+// keys (§2.1's degree statistic, an r row counting toward d_R and an s row
+// toward d_S), so the statistics cost one sample sort per join.
+//
 // The join output is produced in place (each server holds the results its
 // tuples generate) and is NOT rebalanced: in the MPC model outputs are
 // emitted, not shuffled, and downstream operators (aggregation) pay their
@@ -52,28 +56,62 @@ type binAssign struct {
 // Join computes the full natural join r ⋈ s on their shared attributes,
 // annotations ⊗-multiplied. The result spans O(p) virtual servers and is
 // left where it is produced. Returns the result, the exact full-join size,
-// and the metered cost.
+// and the metered cost. The degree statistics (d_R, d_S) cost one
+// reduce-by-key over both sides' join keys; the rest is one packing, two
+// bin lookups and one routing exchange.
 func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64, mpc.Stats) {
 	shared := dist.SharedAttrs(r, s)
 	if len(shared) == 0 {
 		panic("twoway: relations share no attributes")
 	}
-	p := r.P()
-	ex := r.Part.Scope()
 	rKey := r.Key(shared...)
 	sKey := s.Key(shared...)
+	stats, st1 := degrees(r, s, rKey, sKey)
+	routed, outf, st2 := route(r, s, rKey, sKey, stats)
 
-	// Degree statistics per side.
-	dr, st1 := mpc.CountByKey(r.Part, rKey)
-	ds, st2 := mpc.CountByKey(s.Part, sKey)
+	// Local joins.
+	outSchema := joinSchema(r.Schema, s.Schema)
+	result := mpc.MapShards(routed, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
+		left, right := relation.Unzip(shard, r.Schema, s.Schema)
+		return relation.Join(sr, left, right).Rows
+	})
+	return dist.Rel[W]{Schema: outSchema, Part: result}, outf, mpc.Seq(st1, st2)
+}
 
-	// Per-key (d_R, d_S) for keys present on both sides.
-	stats, st3 := mpc.Lookup(dr, ds,
-		func(kc mpc.KeyCount[string]) string { return kc.Key },
-		func(kc mpc.KeyCount[string]) string { return kc.Key },
-		func(x, y mpc.KeyCount[string], found bool) (keyStat, bool) {
-			return keyStat{key: x.Key, dr: x.Count, ds: y.Count}, found
-		})
+// degrees is the §2.1 degree statistic of both sides at once: one
+// reduce-by-key whose elements are {key, d_R, d_S}, an r row counting
+// (1, 0) and an s row (0, 1) — both key functions encode the shared
+// attributes in r's order, so the keys share one space. Keys seen on one
+// side only have no join results and are dropped where they land. The
+// output holds one element per key present on both sides, in key order.
+func degrees[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string) (mpc.Part[keyStat], mpc.Stats) {
+	p := r.P()
+	ex := r.Part.Scope()
+	ones := mpc.NewPartIn[keyStat](ex, p)
+	ex.ForEachShard(p, func(sv int) {
+		rs, ss := r.Part.Shards[sv], s.Part.Shards[sv]
+		ks := make([]keyStat, 0, len(rs)+len(ss))
+		for _, row := range rs {
+			ks = append(ks, keyStat{key: rKey(row), dr: 1})
+		}
+		for _, row := range ss {
+			ks = append(ks, keyStat{key: sKey(row), ds: 1})
+		}
+		ones.Shards[sv] = ks
+	})
+	both, st := mpc.ReduceByKey(ones, func(ks keyStat) string { return ks.key }, func(a, b keyStat) keyStat {
+		return keyStat{key: a.key, dr: a.dr + b.dr, ds: a.ds + b.ds}
+	})
+	return mpc.Filter(both, func(ks keyStat) bool { return ks.dr > 0 && ks.ds > 0 }), st
+}
+
+// route places r's and s's rows on the heavy grids and light bins the
+// per-key statistics call for, in one exchange: OUT_f = Σ d_R·d_S by an
+// all-reduce, heavy grids at the coordinator, light keys packed into bins
+// and looked up by both sides. Returns the routed rows, OUT_f and the cost.
+func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, stats mpc.Part[keyStat]) (mpc.Part[relation.SidedRow[W]], int64, mpc.Stats) {
+	p := r.P()
+	ex := r.Part.Scope()
 
 	// OUT_f = Σ d_R·d_S via a coordinator round.
 	local := make([]int64, p)
@@ -252,16 +290,7 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 	})
 	mpc.TraceOp(ex, "twoway.grid")
 	routed, st10 := mpc.ExchangeToIn(ex, pDst, out)
-
-	// Local joins.
-	outSchema := joinSchema(r.Schema, s.Schema)
-	result := mpc.MapShards(routed, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
-		left, right := relation.Unzip(shard, r.Schema, s.Schema)
-		return relation.Join(sr, left, right).Rows
-	})
-
-	st := mpc.Seq(st1, st2, st3, st4, st5, st7, st8, st9, st10)
-	return dist.Rel[W]{Schema: outSchema, Part: result}, outf, st
+	return routed, outf, mpc.Seq(st4, st5, st7, st8, st9, st10)
 }
 
 // JoinAgg computes π̂_attrs(r ⋈ s): the two-way join followed by the

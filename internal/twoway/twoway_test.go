@@ -3,10 +3,12 @@ package twoway
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"mpcjoin/internal/dist"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 )
@@ -144,5 +146,93 @@ func TestJoinConstantRounds(t *testing.T) {
 	}
 	if len(rounds) != 1 {
 		t.Fatalf("rounds vary with data size: %v", rounds)
+	}
+}
+
+// threeSortDegrees is the statistics step as three sample sorts — one
+// count per side, then a lookup pairing the two counts — the reference the
+// one reduce-by-key of degrees must reproduce element for element.
+func threeSortDegrees(r, s dist.Rel[int64], rKey, sKey func(relation.Row[int64]) string) (mpc.Part[keyStat], mpc.Stats) {
+	dr, st1 := mpc.CountByKey(r.Part, rKey)
+	ds, st2 := mpc.CountByKey(s.Part, sKey)
+	stats, st3 := mpc.Lookup(dr, ds,
+		func(kc mpc.KeyCount[string]) string { return kc.Key },
+		func(kc mpc.KeyCount[string]) string { return kc.Key },
+		func(x, y mpc.KeyCount[string], found bool) (keyStat, bool) {
+			return keyStat{key: x.Key, dr: x.Count, ds: y.Count}, found
+		})
+	return stats, mpc.Seq(st1, st2, st3)
+}
+
+// TestTwowayStatisticsSortedOnce pins the statistics' cost and shows it
+// moved nothing else: on an instance with a grid-heavy key, light keys and
+// keys present on one side only, Join runs 22 rounds (the three-sort
+// statistics made it 32), and the routed shards and the result rows, in
+// order, are those the three-sort statistics produce.
+func TestTwowayStatisticsSortedOnce(t *testing.T) {
+	const p = 8
+	r := relation.New[int64]("A", "B")
+	s := relation.New[int64]("B", "C")
+	for i := 0; i < 200; i++ { // b = 0: heavy on both sides
+		r.Append(int64(i%3+1), relation.Value(i), 0)
+		s.Append(int64(i%5+1), 0, relation.Value(i))
+	}
+	for b := 1; b <= 50; b++ { // light keys
+		for j := 0; j < 2; j++ {
+			r.Append(1, relation.Value(1000+2*b+j), relation.Value(b))
+			s.Append(2, relation.Value(b), relation.Value(1000+2*b+j))
+		}
+	}
+	for b := 0; b < 20; b++ { // one-sided keys
+		r.Append(1, relation.Value(b), relation.Value(100+b))
+		s.Append(1, relation.Value(200+b), relation.Value(b))
+	}
+	rd, sd := dist.FromRelationIn(nil, r, p), dist.FromRelationIn(nil, s, p)
+	rKey, sKey := rd.Key("B"), sd.Key("B")
+
+	got, outf, st := Join[int64](intSR, rd, sd)
+	if st.Rounds != 22 {
+		t.Errorf("Join ran %d rounds, want 22", st.Rounds)
+	}
+	one, stOne := degrees(rd, sd, rKey, sKey)
+	three, stThree := threeSortDegrees(rd, sd, rKey, sKey)
+	if stOne.Rounds != 5 || stThree.Rounds != 15 {
+		t.Errorf("statistics rounds: one reduce-by-key %d (want 5), three sorts %d (want 15)", stOne.Rounds, stThree.Rounds)
+	}
+	if !reflect.DeepEqual(mpc.Collect(one), mpc.Collect(three)) {
+		t.Fatal("the reduce-by-key's (d_R, d_S) differ from the three sorts'")
+	}
+	heavy := 0
+	for _, ks := range mpc.Collect(one) {
+		if ks.dr > 80 {
+			heavy++
+		}
+	}
+	if n := one.Len(); n != 51 || heavy != 1 {
+		t.Fatalf("%d keys on both sides, %d heavy; want 51 and 1 (one-sided keys dropped)", n, heavy)
+	}
+
+	routedOne, outfOne, _ := route(rd, sd, rKey, sKey, one)
+	routedThree, outfThree, _ := route(rd, sd, rKey, sKey, three)
+	if outf != outfOne || outfOne != outfThree || outf != 200*200+50*4 {
+		t.Fatalf("OUT_f %d / %d / %d, want %d", outf, outfOne, outfThree, 200*200+50*4)
+	}
+	// A routed shard interleaves the two sides in source order, and the
+	// sources hold different slices of the bin lookups' output; each side's
+	// rows, in order, are what every server receives and joins.
+	if len(routedOne.Shards) != len(routedThree.Shards) {
+		t.Fatalf("%d routed shards, want %d", len(routedOne.Shards), len(routedThree.Shards))
+	}
+	var want []relation.Row[int64]
+	for d := range routedThree.Shards {
+		l1, r1 := relation.Unzip(routedOne.Shards[d], rd.Schema, sd.Schema)
+		l3, r3 := relation.Unzip(routedThree.Shards[d], rd.Schema, sd.Schema)
+		if !reflect.DeepEqual(l1.Rows, l3.Rows) || !reflect.DeepEqual(r1.Rows, r3.Rows) {
+			t.Fatalf("shard %d: routed rows differ from the three-sort statistics' routing", d)
+		}
+		want = append(want, relation.Join[int64](intSR, l3, r3).Rows...)
+	}
+	if !reflect.DeepEqual(mpc.Collect(got.Part), want) {
+		t.Fatal("result rows differ, in order, from the three-sort statistics' join")
 	}
 }
