@@ -60,38 +60,38 @@ var goldenRows = map[string]uint64{
 }
 
 var goldenCosts = map[string]uint64{
-	"matmul-sparse/auto":             0xfc95b0145cb099d8,
-	"matmul-sparse/matmul-linear":    0x5f884aab919dbf6e,
-	"matmul-sparse/matmul-worstcase": 0xb1ad97c61f2c6057,
-	"matmul-sparse/matmul-outsens":   0x2d939c30064216f2,
-	"matmul-sparse/yannakakis":       0xbe669baa896f5a9a,
-	"matmul-sparse/matmul":           0x2d939c30064216f2,
-	"matmul-sparse/tree":             0x431aaef585f505fd,
-	"matmul-dense/auto":              0x89a02c798baf4560,
-	"matmul-dense/matmul-linear":     0x648f687eafb00f81,
-	"matmul-dense/matmul-worstcase":  0xd89dcea865a05ed4,
-	"matmul-dense/matmul-outsens":    0xa973c3febabdf959,
-	"matmul-dense/yannakakis":        0x6483d1df65027fff,
-	"matmul-dense/matmul":            0x5c5a321e5147f5bd,
-	"matmul-dense/tree":              0xfcecf59a928a00d0,
-	"line/auto":                      0x865f131aeba627f4,
-	"line/yannakakis":                0x3667097dd0818a1c,
-	"line/line":                      0x5e86cb51749d27cf,
-	"line/tree":                      0xcf06ef32d9f61daf,
-	"star/auto":                      0xc457866abfa1b05,
-	"star/yannakakis":                0xde85b114bd03236e,
-	"star/star":                      0xcda96c473c01a99e,
-	"star/tree":                      0x63a1d137eaa9684c,
-	"star-like/auto":                 0xa044b60b6ac12c11,
-	"star-like/yannakakis":           0xba3c4c41c46e4aa8,
-	"star-like/star-like":            0x7ce1312ad1a1066c,
-	"star-like/tree":                 0x5736ffc7976b4cd8,
-	"tree/auto":                      0x7f7266cb2f070ae,
-	"tree/tree":                      0x658cf9bd6e6f5563,
-	"tree/yannakakis":                0x3b786ac285251a0b,
-	"free-connex/auto":               0x8d84e4d0a6392686,
-	"free-connex/yannakakis":         0xe3090b96bfa487cd,
-	"free-connex/tree":               0x54c495bb2bcac0f3,
+	"matmul-sparse/auto":             0xc9a187bbd21af221,
+	"matmul-sparse/matmul-linear":    0xf4508a3265b73bde,
+	"matmul-sparse/matmul-worstcase": 0x80ee4d60447be019,
+	"matmul-sparse/matmul-outsens":   0x5b461fea4d387c,
+	"matmul-sparse/yannakakis":       0x37078043c32cc229,
+	"matmul-sparse/matmul":           0x5b461fea4d387c,
+	"matmul-sparse/tree":             0x6fd027c73bd9d7bb,
+	"matmul-dense/auto":              0x3cc19c3fffda8dfe,
+	"matmul-dense/matmul-linear":     0x1b4ccdea9b306c0,
+	"matmul-dense/matmul-worstcase":  0x7340984f54618f72,
+	"matmul-dense/matmul-outsens":    0x39bd3e283d55e808,
+	"matmul-dense/yannakakis":        0x9954cf1862bbbe8b,
+	"matmul-dense/matmul":            0xdeeb3c11671d63e8,
+	"matmul-dense/tree":              0x75a793cb3aac7486,
+	"line/auto":                      0x30f0ed9cf76fc7a0,
+	"line/yannakakis":                0xcec8f863219f6c47,
+	"line/line":                      0xe4e9aeefa490a21c,
+	"line/tree":                      0xadd939b3a5e2ecc7,
+	"star/auto":                      0x87f243d77956fa3,
+	"star/yannakakis":                0x510be42e871e7092,
+	"star/star":                      0x12aa44df04fb8dab,
+	"star/tree":                      0xd6bbb694028c9226,
+	"star-like/auto":                 0x9ad1391a31f24f8d,
+	"star-like/yannakakis":           0x24a86e30209b429c,
+	"star-like/star-like":            0x7eb615cc7e3d090e,
+	"star-like/tree":                 0x50eb9abf4d6594e9,
+	"tree/auto":                      0xe85975f6cc9018a5,
+	"tree/tree":                      0x429fb0b1f90fca2b,
+	"tree/yannakakis":                0xbf1f33a97013a7b1,
+	"free-connex/auto":               0xc3c5f9fa8d0dbf09,
+	"free-connex/yannakakis":         0xc1f60be99a48c958,
+	"free-connex/tree":               0x383ce6c7b9c5c8d6,
 }
 
 // goldenFamilies are the planner-check families, run at quick size: the

@@ -10,7 +10,8 @@ import (
 
 // TestOutSensLooksEachTableUpOnce counts the multi-searches of a forced
 // matmul-outsens run on the matmul-sparse family (quick size, p = 16, seed
-// 1) by their "multisearch.boundaries" rounds: R1 is looked up once against
+// 1) by their "multisearch.samples" rounds — the first round of every
+// multi-search's sort carries that label: R1 is looked up once against
 // one table that flags heavy A values and groups the light ones, and the
 // replicated R2 once against the bin table, whose found rows also give the
 // per-(group, bin) sizes. A second lookup of either table makes it 8 or 9.
@@ -25,11 +26,11 @@ func TestOutSensLooksEachTableUpOnce(t *testing.T) {
 	}
 	n := 0
 	for _, r := range tr.Rounds() {
-		if r.Op == "multisearch.boundaries" {
+		if r.Op == "multisearch.samples" {
 			n++
 		}
 	}
 	if n != 7 {
-		t.Fatalf("%d multisearch.boundaries rounds, want 7", n)
+		t.Fatalf("%d multisearch.samples rounds, want 7", n)
 	}
 }

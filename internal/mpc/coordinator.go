@@ -84,6 +84,72 @@ func toCoordinator[S any](op string, in Part[S]) ([]S, Stats) {
 	return gathered.Shards[0], st
 }
 
+// AllReduce is Agree with a fold for its decision: server s contributes
+// vals[s], the coordinator folds the p contributions with combine — in
+// server order, starting from V's zero value, so combine must treat that as
+// its identity (a sum; a max over non-negatives) — and broadcasts the
+// result, so every server learns it. Two O(p)-load rounds. A non-empty op
+// labels them op+".gather" and op+".broadcast"; with an empty op they keep
+// Gather's and Broadcast's own labels.
+func AllReduce[V any](ex *Exec, vals []V, combine func(acc, v V) V, op string) (V, Stats) {
+	p := len(vals)
+	pt := NewPartIn[V](ex, p)
+	for s := range vals {
+		pt.Shards[s] = vals[s : s+1 : s+1]
+	}
+	gatherOp, replyOp := "", ""
+	if op != "" {
+		gatherOp, replyOp = op+".gather", op+".broadcast"
+	}
+	res, st := Agree(pt, gatherOp, replyOp, func(all []V) []V {
+		var acc V
+		for _, v := range all {
+			acc = combine(acc, v)
+		}
+		return []V{acc}
+	})
+	return res[0], st
+}
+
+// Add is the AllReduce combine of a global sum.
+func Add[V ~int64 | ~float64](a, b V) V { return a + b }
+
+// AddVec is the AllReduce combine of several global sums at once, one per
+// vector position; it never writes to v.
+func AddVec[V ~int64 | ~float64](acc, v []V) []V {
+	if acc == nil {
+		acc = make([]V, len(v))
+	}
+	for i := range v {
+		acc[i] += v[i]
+	}
+	return acc
+}
+
+// TotalCount sums shard sizes with an all-reduce, so every server learns
+// |pt| — used when an algorithm branches on a global size. It is
+// TotalCounts of one Part.
+func TotalCount[T any](pt Part[T]) (int64, Stats) {
+	n, st := TotalCounts(pt)
+	return n[0], st
+}
+
+// TotalCounts is the all-reduce of several independent global sizes at
+// once: server s contributes the vector of its shard sizes
+// |parts[i].Shards[s]|, the coordinator adds the vectors in server order and
+// broadcasts the totals. The Parts must span the same servers. Two O(p)-load
+// rounds, however many sizes ride them.
+func TotalCounts[T any](parts ...Part[T]) ([]int64, Stats) {
+	sizes := make([][]int64, parts[0].P())
+	for s := range sizes {
+		sizes[s] = make([]int64, len(parts))
+		for i, pt := range parts {
+			sizes[s][i] = int64(len(pt.Shards[s]))
+		}
+	}
+	return AllReduce(parts[0].scope(), sizes, AddVec[int64], "count")
+}
+
 // Overlay hosts several Parts on p servers: shard s of every part lands on
 // server s mod p, parts in argument order, shards of one part in index
 // order — Reshape's hosting map for more than one Part. Like Reshape it is

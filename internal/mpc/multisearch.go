@@ -26,24 +26,17 @@ type msItem[X, Y any, K cmp.Ordered] struct {
 	y   Y
 }
 
-// lastY carries a server's final local Y element (if any) to the
-// coordinator for cross-server predecessor propagation.
-type lastY[Y any, K cmp.Ordered] struct {
-	src  int
-	have bool
-	k    K
-	y    Y
-}
-
 // MultiSearch computes, for every x ∈ xs, its predecessor in ys: the
 // element with the greatest ykey ≤ xkey(x). This is the §2.1 multi-search
 // primitive of [13]; semijoins reduce to it. Both Parts must span the same
 // number of servers.
 //
 // The implementation sorts the union of the two sets with Y-before-X
-// tie-breaking, scans locally, and fixes server boundaries with one O(p)
-// coordinator round (each server's last Y is prefix-maxed across servers).
-// Cost: the Sort cost plus two O(p)-load rounds.
+// tie-breaking and scans locally. Server boundaries are fixed inside the
+// sort's partition round: each source also sends every destination its
+// last Y below that destination's bucket, so a bucket's first X finds its
+// predecessor among what landed. Cost: the Sort cost — 3 rounds — with at
+// most p more units per destination in the partition round.
 func MultiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K) (Part[Pred[X, Y]], Stats) {
 	return multiSearch(xs, ys, xkey, ykey, radixEncodable[K](), false, func(x X, y Y, found bool) (Pred[X, Y], bool) {
 		return Pred[X, Y]{X: x, Y: y, Found: found}, true
@@ -75,10 +68,11 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 	ex := mergeScope(xs, ys)
 
 	// Sort by (key, Y-before-X): on equal keys every Y globally precedes
-	// every X, so the local scan plus the cross-server carry below sees the
-	// correct "greatest Y with key ≤ x" for every X. The radix image is the
-	// key's with isX appended as the least-significant word, so the tie-break
-	// is part of the image and every phase of the sort goes radix.
+	// every X, so the local scan over a bucket and the Ys carried into it
+	// sees the correct "greatest Y with key ≤ x" for every X. The radix
+	// image is the key's with isX appended as the least-significant word, so
+	// the tie-break is part of the image and every phase of the sort goes
+	// radix.
 	type item = msItem[X, Y, K]
 	order := func(a, b item) int { return msOrder(a.k, a.isX, b.k, b.isX) }
 	var encode encodeFunc[item]
@@ -118,11 +112,15 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 		}
 		return b
 	}
-	// What landed is read in place: the inbox through a heap copy of its
-	// sorting permutation, 4 bytes per item instead of an item copy.
+	// What landed is read in place: the inbox — the carried Ys, then the
+	// bucket — through a heap copy of its sorting permutation, 4 bytes per
+	// item instead of an item copy. The sort's first round carries the
+	// multi-search's own label.
 	inbox := make([][]tagged[item], p)
 	perms := make([][]uint32, p)
-	st := sampleSort(ex, p, batch, order, encode, nil, func(s int, ts []tagged[item], sb sortedBatch[item], _ *xrt.Scratch) {
+	TraceOp(ex, "multisearch.samples")
+	isY := func(it *item) bool { return !it.isX }
+	st := sampleSort(ex, p, batch, order, encode, nil, isY, func(s int, ts []tagged[item], sb sortedBatch[item], _ *xrt.Scratch) {
 		inbox[s] = ts
 		if sb.perm != nil {
 			perms[s] = slices.Clone(sb.perm)
@@ -131,47 +129,10 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 	// sorted returns server s's i-th item in the sorted order.
 	sorted := func(s, i int) *item { return &inbox[s][permAt(perms[s], i)].x }
 
-	// Each server's greatest local Y → coordinator.
-	lasts := NewPartIn[lastY[Y, K]](ex, p)
-	ex.ForEachShard(p, func(s int) {
-		l := lastY[Y, K]{src: s}
-		for i := len(inbox[s]) - 1; i >= 0; i-- {
-			if it := sorted(s, i); !it.isX {
-				l.have = true
-				l.k = it.k
-				l.y = it.y
-				break
-			}
-		}
-		lasts.Shards[s] = []lastY[Y, K]{l}
-	})
-	// Prefix: carry[s] = greatest Y among servers < s. The equal-key Y/X
-	// interleaving across a server boundary is safe: a Y with key equal to
-	// a later server's X sorts to an earlier-or-equal position globally,
-	// and if it landed on a previous server it is that server's last Y.
-	carried, stAB := Coordinate(lasts, "multisearch.boundaries", "multisearch.carry", func(all []lastY[Y, K]) [][]lastY[Y, K] {
-		byServer := make([]lastY[Y, K], p)
-		for _, l := range all {
-			byServer[l.src] = l
-		}
-		carries := make([]lastY[Y, K], p)
-		var cur lastY[Y, K]
-		for s := 0; s < p; s++ {
-			carries[s] = cur
-			if byServer[s].have {
-				cur = byServer[s]
-			}
-		}
-		return oneEach(carries)
-	})
-
-	// Local scan (one worker per server; each consults only its carry).
+	// Local scan (one worker per server); the carried Ys sort in front of
+	// the bucket, so the last Y seen is always the global predecessor.
 	out := NewPartIn[R](ex, p)
 	ex.ForEachShard(p, func(s int) {
-		var cur lastY[Y, K]
-		if len(carried.Shards[s]) == 1 {
-			cur = carried.Shards[s][0]
-		}
 		nx := 0
 		for _, t := range inbox[s] {
 			if t.x.isX {
@@ -182,10 +143,19 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 			return
 		}
 		rs := make([]R, 0, nx)
+		var none Y
+		var pred *item // the last Y seen
 		for i := range inbox[s] {
-			if it := sorted(s, i); !it.isX {
-				cur.have, cur.k, cur.y = true, it.k, it.y
-			} else if r, keep := visit(it.x, cur.y, cur.have && (!exact || cur.k == it.k)); keep {
+			it := sorted(s, i)
+			if !it.isX {
+				pred = it
+				continue
+			}
+			y, found := none, false
+			if pred != nil {
+				y, found = pred.y, !exact || pred.k == it.k
+			}
+			if r, keep := visit(it.x, y, found); keep {
 				rs = append(rs, r)
 			}
 		}
@@ -193,7 +163,7 @@ func multiSearch[X, Y, R any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X
 			out.Shards[s] = rs
 		}
 	})
-	return out, Seq(st, stAB)
+	return out, st
 }
 
 // msOrder is the multi-search order of two items given as (key, isX): by

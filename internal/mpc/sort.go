@@ -74,7 +74,7 @@ func keyOrder[T any, K cmp.Ordered](key func(T) K) (func(a, b T) int, encodeFunc
 // reads stays in the worker's scratch.
 func sortPart[T any](pt Part[T], order func(a, b T) int, encode encodeFunc[T]) (Part[T], Stats) {
 	res := NewPartIn[T](pt.scope(), pt.P())
-	st := sampleSort(pt.scope(), pt.P(), shardBatches(pt, order, encode), order, encode, nil,
+	st := sampleSort(pt.scope(), pt.P(), shardBatches(pt, order, encode), order, encode, nil, nil,
 		func(s int, ts []tagged[T], sb sortedBatch[T], _ *xrt.Scratch) {
 			xs := make([]T, len(ts))
 			for i := range xs {
@@ -180,12 +180,14 @@ func (b sortedBatch[T]) same(i, j int) bool {
 // The two ends belong to the caller. in(s) is server s's input batch, whose
 // elements put builds straight into the tagged array; combine, when
 // non-nil, folds each run of equal elements of a local batch into one slot
-// (ReduceByKey's pre-combine). land(s, ts, sb, sc) is handed what landed on
-// server s: the routed inbox ts in arrival order and sb, the inbox sorted,
-// whose permutation and image are carved from sc and valid only during the
-// call. A consumer reads the inbox through the permutation there, or copies
-// the permutation to read it later; nothing is untagged into a sorted copy
-// first.
+// (ReduceByKey's pre-combine) and lands each run whole on one server.
+// carry, when non-nil, marks the elements source s also sends destination
+// d, its last one before bucket d (MultiSearch's predecessor carry).
+// land(s, ts, sb, sc) is handed what landed on server s: the routed inbox
+// ts in arrival order and sb, the inbox sorted, whose permutation and image
+// are carved from sc and valid only during the call. A consumer reads the
+// inbox through the permutation there, or copies the permutation to read
+// it later; nothing is untagged into a sorted copy first.
 //
 // No phase sorts elements. Each sorts a permutation of its batch — by the
 // image, or by order — and reads or writes every element through it:
@@ -205,12 +207,18 @@ func (b sortedBatch[T]) same(i, j int) bool {
 //     the sorted tagged array, and that array is the outbox: its rows are
 //     sub-slices, nothing is copied. The walk runs in encoded-word space
 //     when the shard's and the splitters' images are comparable, else on
-//     comparisons.
+//     comparisons. With combine, buckets are cut by element alone, and an
+//     element equal to the first splitter with its key also goes past that
+//     splitter; land sees each key on one of the two servers (owned). With
+//     one element per source per key, a bucket grows by at most 2p−1.
+//   - Carries ride as one-element sub-slices of the tagged array, in extra
+//     source rows ahead of the bucket rows: a carry is below its bucket in
+//     the full order and arrives first, so the final sort keeps it first.
 //   - Final sort: a routed shard is the ascending-src concatenation of
 //     sorted runs, so the same stability argument applies again; land reads
 //     the result through the permutation.
 func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(a, b T) int, encode encodeFunc[T],
-	combine func(a, b T) T, land func(s int, ts []tagged[T], sb sortedBatch[T], sc *xrt.Scratch)) Stats {
+	combine func(a, b T) T, carry func(x *T) bool, land func(s int, ts []tagged[T], sb sortedBatch[T], sc *xrt.Scratch)) Stats {
 	// csc serves the coordinator's sort and holds the splitter image, which
 	// the partition workers only read.
 	csc := xrt.GetScratch()
@@ -289,8 +297,13 @@ func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(
 
 	// Round 3: route each element to its bucket (= number of splitters ≤
 	// it). Bucket d is the run of the sorted shard below splitter d, so the
-	// outbox rows are cut from the tagged array itself.
-	out := make([][][]tagged[T], p)
+	// outbox rows are cut from the tagged array itself. Source s's carries
+	// go out as source row s, ahead of the bucket rows at p+s.
+	rows := p
+	if carry != nil {
+		rows = 2 * p
+	}
+	out := make([][][]tagged[T], rows)
 	ex.ForEachShard(p, func(s int) {
 		ts := local[s]
 		if len(ts) == 0 {
@@ -301,40 +314,118 @@ func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(
 		if enc := localKeys[s]; localOK[s] && splitOK && enc.comparable(splitKeys) {
 			keyCmp = func(i, j int) int { return radixCmp(splitKeys, i, enc, j) }
 		}
-		row := make([][]tagged[T], p)
+		row, carries := make([][]tagged[T], p), [][]tagged[T](nil)
+		if carry != nil {
+			carries = make([][]tagged[T], p)
+		}
+		// last is the last carried element before bucket d; under combine,
+		// tie is a bucket's last element when it equals the bucket's
+		// splitter, which bucket tieTo — past the splitter's repeats — also
+		// receives.
+		last, tie, tieTo := -1, -1, -1
 		j := 0
-		for d := 0; d < p && j < len(ts); d++ {
+		for d := 0; d < p; d++ {
+			if last >= 0 {
+				carries[d] = ts[last : last+1 : last+1]
+			}
 			lo := j
 			if d < len(splits) {
 				// Advance over the elements below splitter d in the
-				// (key, src, idx) order; element j's provenance is (s, j).
+				// (key, src, idx) order, or up to its key under combine;
+				// element j's provenance is (s, j).
 				sp := splits[d]
 				for ; j < len(ts); j++ {
-					if c := keyCmp(d, j); c < 0 || (c == 0 && (sp.src < s || (sp.src == s && sp.idx <= j))) {
+					if c := keyCmp(d, j); c < 0 || (c == 0 && combine == nil && (sp.src < s || (sp.src == s && sp.idx <= j))) {
 						break
 					}
 				}
 			} else {
 				j = len(ts)
 			}
-			if j > lo {
-				row[d] = ts[lo:j:j]
+			from := lo
+			if d == tieTo {
+				from = tie
+			}
+			if j > from {
+				row[d] = ts[from:j:j]
+			}
+			if combine != nil && d < len(splits) && j > lo && keyCmp(d, j-1) == 0 {
+				tie, tieTo = j-1, d+1
+				for tieTo < len(splits) && splits[tieTo].src == splits[d].src && splits[tieTo].idx == splits[d].idx {
+					tieTo++ // a repeat of splitter d: fewer samples than servers
+				}
+			}
+			for k := j - 1; carry != nil && k >= lo; k-- {
+				if carry(&ts[k].x) {
+					last = k
+					break
+				}
 			}
 		}
-		out[s] = row
+		if carry != nil {
+			out[s], out[p+s] = carries, row
+		} else {
+			out[s] = row
+		}
 	})
 	TraceOp(ex, "sort.partition")
-	routed, st3 := ExchangeIn(ex, p, out)
+	routed, st3 := ExchangeToIn(ex, p, out)
 
-	// Final local sort; the caller reads what landed.
+	// Final local sort; the caller reads what landed — under combine, only
+	// the runs this server owns.
 	ex.ForEachShardScratch(p, func(s int, sc *xrt.Scratch) {
 		ts := routed.Shards[s]
 		if len(ts) == 0 {
 			return
 		}
-		land(s, ts, elems(len(ts), func(i int) *T { return &ts[i].x }, order, encode).sort(sc), sc)
+		sb := elems(len(ts), func(i int) *T { return &ts[i].x }, order, encode).sort(sc)
+		if combine != nil {
+			sb = owned(s, ts, sb, splits, splitKeys, splitOK, order, sc)
+		}
+		land(s, ts, sb, sc)
 	})
 	return Seq(st12, st3)
+}
+
+// owned is server s's sorted inbox sb, of the routed ts, cut to the runs s
+// keeps when sampleSort folds equal elements. The servers on either side
+// of the first splitter with a key — past its repeats — receive every copy
+// of that key; the one that keeps it is the server the (element, src, idx)
+// cut gives its first copy: the lower one when some copy comes from a
+// source before the splitter's, else the upper.
+func owned[T any](s int, ts []tagged[T], sb sortedBatch[T], splits []tagged[T], splitKeys radixKeys, splitOK bool,
+	order func(a, b T) int, sc *xrt.Scratch) sortedBatch[T] {
+	at := func(k int) *tagged[T] { return &ts[permAt(sb.perm, k)] }
+	cmpAt := func(i, k int) int { return order(splits[i].x, at(k).x) }
+	if sb.ok && splitOK && sb.img.comparable(splitKeys) {
+		cmpAt = func(i, k int) int { return radixCmp(splitKeys, i, sb.img, permAt(sb.perm, k)) }
+	}
+	lo, hi := 0, sb.n
+	if i := s - 1; i >= 0 && cmpAt(i, 0) == 0 && at(0).src < splits[i].src {
+		for lo < hi && cmpAt(i, lo) == 0 {
+			lo++
+		}
+	}
+	if s < len(splits) {
+		r := hi
+		for r > lo && cmpAt(s, r-1) == 0 {
+			r--
+		}
+		if r < hi && at(r).src >= splits[s].src {
+			hi = r
+		}
+	}
+	if lo == 0 && hi == sb.n {
+		return sb
+	}
+	if sb.perm == nil {
+		sb.perm = sc.Perm(sb.n)
+		for i := range sb.perm {
+			sb.perm[i] = uint32(i)
+		}
+	}
+	sb.perm, sb.n = sb.perm[lo:hi], hi-lo
+	return sb
 }
 
 // boundarySummary describes one server's key range after a Sort, for

@@ -66,6 +66,18 @@ func TestOneCoordinatorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFixupsRideThePartition guards the fused boundary fix-ups: the
+// multi-search's predecessor carry and reduce-by-key's whole keys ride the
+// sort's partition round, so multisearch.go and reduce.go run no
+// coordinator round of their own.
+func TestFixupsRideThePartition(t *testing.T) {
+	for _, site := range sitesOf(t, regexp.MustCompile(`\b(Coordinate|Agree)\(`)) {
+		if strings.HasPrefix(site, "multisearch.go:") || strings.HasPrefix(site, "reduce.go:") {
+			t.Errorf("%s runs a coordinator round: a boundary fix-up rides the sort's partition round", site)
+		}
+	}
+}
+
 // sitesOf lists, as file:line, every match of re in the package's non-test
 // files, comment lines excluded.
 func sitesOf(t *testing.T, re *regexp.Regexp) []string {

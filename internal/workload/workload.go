@@ -7,8 +7,10 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/hypergraph"
@@ -228,12 +230,14 @@ func MatMulUnequal(n1, n2, domB int, rng *rand.Rand) (db.Instance[int64], Meta) 
 
 // InjectDangling appends, to every relation, extra tuples over fresh
 // domain values that cannot join (a fraction frac of the relation's size),
-// exercising the dangling-removal passes. Returns the modified instance;
-// OUT is unchanged.
+// exercising the dangling-removal passes. Relations draw their fresh
+// values in name order, so the instance is the same on every call. Returns
+// the modified instance; OUT is unchanged.
 func InjectDangling[W any](inst db.Instance[W], one W, frac float64) db.Instance[W] {
 	out := db.Clone(inst)
 	fresh := relation.Value(1 << 40)
-	for name, r := range out {
+	for _, name := range slices.Sorted(maps.Keys(out)) {
+		r := out[name]
 		extra := int(frac * float64(r.Len()))
 		for i := 0; i < extra; i++ {
 			vals := make([]relation.Value, r.Arity())

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mpcjoin/internal/db"
@@ -121,6 +122,21 @@ func TestInjectDanglingPreservesAnswer(t *testing.T) {
 	b, _ := refengine.BruteForce[int64](intSR, q, noisy)
 	if a.Len() != b.Len() {
 		t.Fatalf("dangling changed answer: %d vs %d", a.Len(), b.Len())
+	}
+}
+
+// TestInjectDanglingIsDeterministic: relations draw their fresh values in
+// name order, so every call builds the same rows in the same order — the
+// instance an execution's rounds and loads are pinned on.
+func TestInjectDanglingIsDeterministic(t *testing.T) {
+	first, _ := Named("matmul-sparse").Canonical(true)
+	for i := 0; i < 20; i++ {
+		again, _ := Named("matmul-sparse").Canonical(true)
+		for name, r := range first {
+			if !reflect.DeepEqual(again[name].Rows, r.Rows) {
+				t.Fatalf("call %d: %s's rows differ from the first call's", i, name)
+			}
+		}
 	}
 }
 
