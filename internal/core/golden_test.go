@@ -60,38 +60,38 @@ var goldenRows = map[string]uint64{
 }
 
 var goldenCosts = map[string]uint64{
-	"matmul-sparse/auto":             0xc9a187bbd21af221,
-	"matmul-sparse/matmul-linear":    0xf4508a3265b73bde,
-	"matmul-sparse/matmul-worstcase": 0x80ee4d60447be019,
-	"matmul-sparse/matmul-outsens":   0x5b461fea4d387c,
-	"matmul-sparse/yannakakis":       0x37078043c32cc229,
-	"matmul-sparse/matmul":           0x5b461fea4d387c,
-	"matmul-sparse/tree":             0x6fd027c73bd9d7bb,
-	"matmul-dense/auto":              0x3cc19c3fffda8dfe,
-	"matmul-dense/matmul-linear":     0x1b4ccdea9b306c0,
-	"matmul-dense/matmul-worstcase":  0x7340984f54618f72,
-	"matmul-dense/matmul-outsens":    0x39bd3e283d55e808,
-	"matmul-dense/yannakakis":        0x9954cf1862bbbe8b,
-	"matmul-dense/matmul":            0xdeeb3c11671d63e8,
-	"matmul-dense/tree":              0x75a793cb3aac7486,
-	"line/auto":                      0x30f0ed9cf76fc7a0,
-	"line/yannakakis":                0xcec8f863219f6c47,
-	"line/line":                      0xe4e9aeefa490a21c,
-	"line/tree":                      0xadd939b3a5e2ecc7,
-	"star/auto":                      0x87f243d77956fa3,
-	"star/yannakakis":                0x510be42e871e7092,
-	"star/star":                      0x12aa44df04fb8dab,
-	"star/tree":                      0xd6bbb694028c9226,
-	"star-like/auto":                 0x9ad1391a31f24f8d,
-	"star-like/yannakakis":           0x24a86e30209b429c,
-	"star-like/star-like":            0x7eb615cc7e3d090e,
-	"star-like/tree":                 0x50eb9abf4d6594e9,
-	"tree/auto":                      0xe85975f6cc9018a5,
-	"tree/tree":                      0x429fb0b1f90fca2b,
-	"tree/yannakakis":                0xbf1f33a97013a7b1,
-	"free-connex/auto":               0xc3c5f9fa8d0dbf09,
-	"free-connex/yannakakis":         0xc1f60be99a48c958,
-	"free-connex/tree":               0x383ce6c7b9c5c8d6,
+	"matmul-sparse/auto":             0x68eb316a239061f8,
+	"matmul-sparse/matmul-linear":    0xc6ed6d48cc1a9ebf,
+	"matmul-sparse/matmul-worstcase": 0x1217d32c422061eb,
+	"matmul-sparse/matmul-outsens":   0x4ffb5b4f7d9b879c,
+	"matmul-sparse/yannakakis":       0x2a177c64589b853c,
+	"matmul-sparse/matmul":           0x4ffb5b4f7d9b879c,
+	"matmul-sparse/tree":             0xf2a4e141169ac829,
+	"matmul-dense/auto":              0x54a9e108b76a49d3,
+	"matmul-dense/matmul-linear":     0x34dddce1394b5177,
+	"matmul-dense/matmul-worstcase":  0xca48e294201d2425,
+	"matmul-dense/matmul-outsens":    0x2deb1e87ed635cfb,
+	"matmul-dense/yannakakis":        0xd37fd0d3cac4df42,
+	"matmul-dense/matmul":            0xd2ec83cdcbee983d,
+	"matmul-dense/tree":              0x750667f4c2d647c0,
+	"line/auto":                      0x4a920f4c29c4147d,
+	"line/yannakakis":                0x7fa9654d8541afda,
+	"line/line":                      0x6362ee96ea4f1257,
+	"line/tree":                      0x41a693017f737b95,
+	"star/auto":                      0x2c5d8b77729173a1,
+	"star/yannakakis":                0x19570920e3bdb844,
+	"star/star":                      0x428e98004df83804,
+	"star/tree":                      0x9ac3525a37302db0,
+	"star-like/auto":                 0x1d54950f9ede9946,
+	"star-like/yannakakis":           0x6f692a736061cf50,
+	"star-like/star-like":            0x2c5e8069d30887ed,
+	"star-like/tree":                 0x3074fb1b7be87497,
+	"tree/auto":                      0xb45e67b883e0c953,
+	"tree/tree":                      0xbefff6216854ed44,
+	"tree/yannakakis":                0x232e589a3a952308,
+	"free-connex/auto":               0xd1070315d86f2440,
+	"free-connex/yannakakis":         0x26338ca593fcb3cd,
+	"free-connex/tree":               0x202c66b94fd6e300,
 }
 
 // goldenFamilies are the planner-check families, run at quick size: the

@@ -79,12 +79,12 @@ func DegreeOrderClasses(degs []mpc.Part[mpc.KeyCount[int64]], class func(order [
 }
 
 // DistinctClasses returns the class ids that occur, ascending: a
-// reduce-by-class and a coordinator round-trip, so every server learns the
+// reduce-by-class and an all-gather, so every server learns the
 // (constantly many, usually far fewer than n!) classes.
 func DistinctClasses(classes mpc.Part[ValueClass]) ([]int64, mpc.Stats) {
 	distinct, s1 := mpc.ReduceByKey(classes, func(vc ValueClass) int64 { return vc.Class },
 		func(a, _ ValueClass) ValueClass { return a })
-	ids, s2 := mpc.Agree(mpc.Map(distinct, func(vc ValueClass) int64 { return vc.Class }), "", "",
+	ids, s2 := mpc.Agree(mpc.Map(distinct, func(vc ValueClass) int64 { return vc.Class }), "",
 		func(all []int64) []int64 {
 			slices.Sort(all)
 			return all

@@ -209,6 +209,7 @@ func Degrees[W any](r Rel[W], a Attr) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats)
 
 // Broadcast replicates r's rows to every server. Cost: one round with load
 // |r| per server — only sensible for small relations (the N₁=1 fast path).
+// The shards are read-only and may share storage (see mpc.Broadcast).
 func Broadcast[W any](r Rel[W]) (Rel[W], mpc.Stats) {
 	part, st := mpc.Broadcast(r.Part)
 	return Rel[W]{Schema: r.Schema, Part: part}, st

@@ -314,9 +314,9 @@ func noteSizes[W, V, T any](f *fold[W, V], image bool, pt mpc.Part[T], size func
 }
 
 // profile sums every profile step across the p servers in one all-reduce:
-// server s contributes the vector of its partial sums, the coordinator adds
-// the vectors in server order and broadcasts the step totals. Two O(p)-load
-// rounds, however many steps the fold took.
+// server s contributes the vector of its partial sums, and every server adds
+// the vectors in server order. One O(p)-load round, however many steps the
+// fold took.
 func (f *fold[W, V]) profile(ex *mpc.Exec, p int) ([]float64, mpc.Stats) {
 	vals := make([][]float64, p)
 	for s := range vals {

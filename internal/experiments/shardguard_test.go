@@ -14,8 +14,8 @@ import (
 // shard contents cross servers only through a metered round. Outside
 // internal/mpc a shard is therefore only ever addressed as "my own": by the
 // server index the enclosing per-server loop or callback binds. A
-// coordinator step is a call (mpc.Coordinate, mpc.Agree), never a Gather
-// followed by a read of shard 0. The rules are by form, never by line.
+// coordinator step is a call (mpc.Agree), never a Gather followed by a
+// read of shard 0. The rules are by form, never by line.
 
 // shardFreeReads lists the functions allowed to range over every server's
 // shard contents without a round, each with its reason. It is empty: every
@@ -46,7 +46,7 @@ func shardAccessViolations(path string, fset *token.FileSet, f *ast.File) []stri
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Gather" && isIdent(sel.X, "mpc") {
-				report(n, "mpc.Gather outside internal/mpc: a coordinator step is mpc.Coordinate or mpc.Agree")
+				report(n, "mpc.Gather outside internal/mpc: a coordinator step is mpc.Agree")
 			}
 		case *ast.IndexExpr:
 			if !isShards(n.X) {

@@ -95,13 +95,13 @@ func OptimalShares(q *hypergraph.Query, sizes map[string]int, p int) Shares {
 // an output) in a single data round with the HyperCube grid. The result
 // stays where it is produced; each join result is emitted at exactly one
 // server, so no deduplication is needed. Load: the worst-case optimal
-// O(N/p^{1/ρ*}) per server for the chosen shares, plus the coordinator
+// O(N/p^{1/ρ*}) per server for the chosen shares, plus the all-reduce
 // rounds that size the shares.
 func FullJoin[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], seed uint64) (dist.Rel[W], mpc.Stats) {
 	p := dist.AnyRel(rels).P()
 	ex := dist.AnyRel(rels).Part.Scope()
 
-	// Learn the relation sizes (a coordinator statistic).
+	// Learn the relation sizes (one all-reduce each).
 	sizes := make(map[string]int, len(q.Edges))
 	var st mpc.Stats
 	for _, e := range q.Edges {

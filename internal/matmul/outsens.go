@@ -94,18 +94,19 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 		return res2, st
 	}
 
-	// Group footprints f_i at the coordinator.
+	// Group footprints f_i.
 	fCounts, stf := mpc.CountByKey(grouped, func(pr mpc.Pred[relation.Row[W], aGroup]) int64 {
 		return int64(pr.Y.Bin)
 	})
-	// Phase A block layout, decided at the coordinator and broadcast
-	// (O(k1) ≤ O(p) entries): group i gets ⌈(f_i + N2)/L⌉ virtual servers.
+	// Phase A block layout, decided on every server from the all-gathered
+	// footprints (O(k1) ≤ O(p) entries): group i gets ⌈(f_i + N2)/L⌉
+	// virtual servers.
 	type blockA struct {
 		group     int64
 		f         int64
 		off, size int
 	}
-	layout, stLay := mpc.Agree(fCounts, "", "", func(foot []mpc.KeyCount[int64]) []blockA {
+	layout, stLay := mpc.Agree(fCounts, "", func(foot []mpc.KeyCount[int64]) []blockA {
 		mpc.SortLocal(foot, func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
 		blocksA := make([]blockA, 0, len(foot))
 		at := 0
@@ -260,9 +261,9 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	binSzPart, sb := mpc.CountByKey(binKeys, func(k string) string { return k })
 	st = mpc.Seq(st, sl2, sb)
 
-	// Phase B layout: the coordinator gathers the heavy (G,C) table, then
-	// the bin sizes, lays the sub-blocks out — heavy blocks first, each
-	// list in key order — and broadcasts the layout.
+	// Phase B layout: every server receives the heavy (G,C) table, then
+	// the bin sizes, and lays the sub-blocks out — heavy blocks first, each
+	// list in key order.
 	type subBlock struct {
 		gcKey     string // heavy blocks: the (G,C…) key; bins: the (G,bin) key
 		isBin     bool
@@ -287,7 +288,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 		}
 		return subs
 	}
-	subList, stSub := mpc.Agree(heavyTbl, "", "", layoutB, binSzPart)
+	subList, stSub := mpc.Agree(heavyTbl, "", layoutB, binSzPart)
 	st = mpc.Seq(st, stSub)
 	totalB := 0
 	for _, sb := range subList {

@@ -53,8 +53,9 @@ func unequalRatio[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64) (di
 
 // joinBroadcast joins, on every server, the local shard of big against the
 // server's copy of the broadcast relation and ⊕-aggregates onto the output
-// schema. The shards are the join's inputs as they stand; smallLeft says
-// the broadcast relation is R1.
+// schema. The shards are the join's inputs as they stand, only read — the
+// broadcast copies may share one slice; smallLeft says the broadcast
+// relation is R1.
 func joinBroadcast[W any](sr semiring.Semiring[W], in Input[W], bsmall, big dist.Rel[W], smallLeft bool) mpc.Part[relation.Row[W]] {
 	return mpc.MapShards(big.Part, func(s int, shard []relation.Row[W]) []relation.Row[W] {
 		left, right := relation.New[W](bsmall.Schema...), relation.New[W](big.Schema...)

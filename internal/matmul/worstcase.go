@@ -47,9 +47,8 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	lightA := mpc.Filter(dA, func(kc mpc.KeyCount[string]) bool { return kc.Count < load })
 	lightC := mpc.Filter(dC, func(kc mpc.KeyCount[string]) bool { return kc.Count < load })
 
-	// Both heavy lists to the coordinator and out to everyone in one
-	// round-trip, each entry tagged with its side (|heavy| ≤ N/L = O(√p)
-	// per side).
+	// Both heavy lists to every server in one all-gather, each entry
+	// tagged with its side (|heavy| ≤ N/L = O(√p) per side).
 	type sidedKey struct {
 		kc  mpc.KeyCount[string]
 		isC bool
@@ -68,7 +67,7 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 		}
 	}
 	var hA, hC []mpc.KeyCount[string]
-	both, sth := mpc.Agree(heavy, "", "", func(all []sidedKey) []sidedKey { return all })
+	both, sth := mpc.Agree(heavy, "", func(all []sidedKey) []sidedKey { return all })
 	for _, h := range both {
 		if h.isC {
 			hC = append(hC, h.kc)

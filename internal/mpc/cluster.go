@@ -215,9 +215,12 @@ func Collect[T any](pt Part[T]) []T {
 // ex. out[src][dst] holds the units server src sends to server dst; the
 // result's shard dst is the concatenation over src (in src order,
 // preserving order within each message). A nil out[src] row means server
-// src sends nothing — sparse senders (coordinator fan-outs) need not
+// src sends nothing — sparse senders (a move of boundary runs) need not
 // materialize p empty destinations. The returned Stats has Rounds=1 and
-// MaxLoad equal to the largest per-destination received volume.
+// MaxLoad equal to the largest per-destination received volume. When every
+// source sends one slice to every destination (Broadcast's shape), every
+// destination's shard may be the same slice: such a round's result is
+// read-only.
 //
 // The round runs on the scope's runtime (one worker per destination; see
 // internal/runtime.ExchangeCtx for why the result and metering are
@@ -341,7 +344,8 @@ func exchange[T any](ex *Exec, pDst int, out [][][]T) (Part[T], Stats) {
 // and attempt only matter to a wire). A dropped message is withheld from
 // assembly through a view that shallow-copies the affected source row
 // only; a crashed destination dies mid-round and its assembled inbox is
-// lost with everything in it.
+// lost with everything in it. A broadcast round's inboxes are all the same
+// concatenation, so without a drop it is assembled once (sharedInbox).
 func carryInProc[T any](ex *Exec, _ int64, _, pDst int, out [][][]T, inj injection) (shards [][]T, recv []int64, lost int64) {
 	if inj.dropIdx >= 0 {
 		m := inj.dropped
@@ -349,9 +353,13 @@ func carryInProc[T any](ex *Exec, _ int64, _, pDst int, out [][][]T, inj injecti
 		out[m.From] = slices.Clone(out[m.From])
 		out[m.From][m.To] = nil
 	}
-	shards, recv, err := xrt.ExchangeCtx(ex.Context(), ex.runtime(), pDst, out)
-	if err != nil {
-		panic(canceled{err})
+	if inj.dropIdx < 0 && oneMessageEach(out) {
+		shards, recv = sharedInbox(pDst, out)
+	} else {
+		var err error
+		if shards, recv, err = xrt.ExchangeCtx(ex.Context(), ex.runtime(), pDst, out); err != nil {
+			panic(canceled{err})
+		}
 	}
 	if inj.crash >= 0 {
 		lost = recv[inj.crash]
@@ -359,6 +367,47 @@ func carryInProc[T any](ex *Exec, _ int64, _, pDst int, out [][][]T, inj injecti
 		recv[inj.crash] = 0
 	}
 	return shards, recv, lost
+}
+
+// oneMessageEach reports whether every source sends one slice — the same
+// backing array and length — to every destination, the shape Broadcast
+// builds. Only there is every destination's inbox the same concatenation.
+func oneMessageEach[T any](out [][][]T) bool {
+	for _, row := range out {
+		for _, m := range row {
+			if len(m) != len(row[0]) || unsafe.SliceData(m) != unsafe.SliceData(row[0]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sharedInbox assembles a broadcast round (oneMessageEach) once: every
+// destination's shard is the same read-only slice, and each destination's
+// received count is its length, so metering and the manifest check stay
+// per destination. The barrier checked cancellation just before.
+func sharedInbox[T any](pDst int, out [][][]T) (shards [][]T, recv []int64) {
+	total := 0
+	for _, row := range out {
+		if len(row) > 0 {
+			total += len(row[0])
+		}
+	}
+	shards, recv = make([][]T, pDst), make([]int64, pDst)
+	if total == 0 {
+		return shards, recv
+	}
+	inbox := make([]T, 0, total)
+	for _, row := range out {
+		if len(row) > 0 {
+			inbox = append(inbox, row[0]...)
+		}
+	}
+	for dst := range shards {
+		shards[dst], recv[dst] = inbox, int64(total)
+	}
+	return shards, recv
 }
 
 // recvStats folds a round's per-destination received counts into Stats.
@@ -403,7 +452,9 @@ func Route[T any](pt Part[T], dest func(src int, x T) int) (Part[T], Stats) {
 
 // Broadcast replicates the elements of pt to every server: afterwards each
 // shard holds all elements (in server, then local order). One round; the
-// load is the total element count.
+// load is the total element count. The shards are read-only and may share
+// storage: the in-process carrier assembles the inbox once and hands every
+// server the same slice.
 func Broadcast[T any](pt Part[T]) (Part[T], Stats) {
 	p := pt.P()
 	TraceOp(pt.scope(), "broadcast")
@@ -415,13 +466,6 @@ func Broadcast[T any](pt Part[T]) (Part[T], Stats) {
 		}
 	}
 	return ExchangeIn(pt.scope(), p, out)
-}
-
-// Gather routes every element of pt to server dst (a "convergecast"); used
-// for coordinator steps on small statistics vectors.
-func Gather[T any](pt Part[T], dst int) (Part[T], Stats) {
-	TraceOp(pt.scope(), "gather")
-	return Route(pt, func(int, T) int { return dst })
 }
 
 // Map applies f to every element locally; zero rounds, zero load. The

@@ -154,9 +154,10 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
+// TestGather: a convergecast is a Route to one destination.
 func TestGather(t *testing.T) {
 	pt := DistributeIn(nil, []int{1, 2, 3, 4, 5}, 3)
-	res, st := Gather(pt, 1)
+	res, st := Route(pt, func(int, int) int { return 1 })
 	if len(res.Shards[1]) != 5 || len(res.Shards[0]) != 0 {
 		t.Fatalf("gather wrong: %v", res.Shards)
 	}
@@ -231,8 +232,8 @@ func TestSortCorrectness(t *testing.T) {
 	if !sortedGlobal(sorted, func(a, b int) bool { return a < b }) {
 		t.Fatal("not globally sorted")
 	}
-	if st.Rounds != 3 {
-		t.Fatalf("sort rounds = %d, want 3", st.Rounds)
+	if st.Rounds != 2 {
+		t.Fatalf("sort rounds = %d, want 2", st.Rounds)
 	}
 	got := Collect(sorted)
 	sort.Ints(got)

@@ -1,107 +1,65 @@
 package mpc
 
-// coordinator.go holds the one coordinator round-trip. Every algorithm of
-// the paper gets its global knowledge the same way: each server sends O(1)
-// statistics to a coordinator (server 0), the coordinator decides, and the
-// decision comes back — as one reply per server (Coordinate) or as one
-// decision every server learns (Agree). Both are built from Gather,
-// Broadcast and ExchangeIn alone, so metering, tracing, fault retry and the
-// wire carrier are those primitives'.
+// coordinator.go holds the one coordinator step. Every algorithm of the
+// paper gets its global knowledge the same way: each server contributes
+// O(1) statistics, and one decision is taken on all of them. Here that is
+// one all-gather round — every server receives every statistic
+// (Broadcast) — after which the decision is a local function of an inbox
+// every server holds, so no second round carries it back (Agree). The
+// per-server load is the statistics' total, exactly what a coordinator
+// receives when they are gathered to it; only the total communication is
+// p times larger. Agree is built from Broadcast alone, so metering,
+// tracing, fault retry and the wire carrier are that primitive's.
 //
-// The gathered elements are visible only inside decide: what the
-// coordinator holds reaches another server through the metered reply round
-// and no other way. This is also the only file of the package that calls
-// Gather (see sortguard_test.go).
-//
-// The replies address the server set the statistics came from — in.P()
-// servers, which is a set of virtual servers when in lives on one.
+// The simulator evaluates decide once, on server 0's inbox: every server
+// holds the same inbox and decide is deterministic, so each server would
+// compute the same decision. This is also the only file of the package
+// that calls Broadcast (see sortguard_test.go).
 
-// Coordinate is the scatter form of the round-trip: in is gathered to
-// server 0, decide runs once there on everything that arrived (ascending
-// source server, local order within one) and returns one reply row per
-// server, and replies[d] goes to server d in one exchange only server 0
-// sends into. all is the coordinator's own inbox: decide may reorder or
-// keep it.
-//
-// A non-empty gatherOp / replyOp labels the respective round; empty, the
-// gather keeps Gather's own label and the reply is an unlabelled exchange.
-// Cost: two rounds, load |in| at the coordinator and max_d |replies[d]|.
-func Coordinate[S, R any](in Part[S], gatherOp, replyOp string, decide func(all []S) [][]R) (Part[R], Stats) {
-	ex, p := in.scope(), in.P()
-	all, st := toCoordinator(gatherOp, in)
-	out := make([][][]R, p)
-	out[0] = decide(all)
-	if replyOp != "" {
-		TraceOp(ex, replyOp)
-	}
-	replied, stReply := ExchangeIn(ex, p, out)
-	return replied, Seq(st, stReply)
-}
-
-// Agree is the broadcast form of the round-trip: in — then each of more,
-// one gather round apiece, in argument order — is gathered to server 0,
-// decide runs once there on the concatenation of what arrived, and its
-// decision is broadcast and returned: the slice every server now holds. A
+// Agree is the coordinator step: in — then each of more, one all-gather
+// round apiece, in argument order — is broadcast to every server, decide
+// runs on the concatenation of what arrived (ascending source server,
+// local order within one) and its decision is returned: the slice every
+// server computes from its own inbox. decide may reorder or keep all. A
 // caller gathering several inputs splits all at the inputs' sizes
 // (Part.Len — shard sizes are free driver-side knowledge, shard contents
-// are not).
+// are not); a caller that needs one reply per server returns p of them and
+// lets server s read its own.
 //
-// Labels as in Coordinate; an empty replyOp keeps Broadcast's own. Cost:
-// one round per input at load |input|, then one at load |decision|.
-func Agree[S, R any](in Part[S], gatherOp, replyOp string, decide func(all []S) []R, more ...Part[S]) ([]R, Stats) {
-	ex := in.scope()
-	all, st := toCoordinator(gatherOp, in)
+// A non-empty op labels every round; empty, they keep Broadcast's own
+// label. Cost: one round per input at load |input|.
+func Agree[S, R any](in Part[S], op string, decide func(all []S) []R, more ...Part[S]) ([]R, Stats) {
+	all, st := allGather(op, in)
 	for _, m := range more {
-		next, s := toCoordinator(gatherOp, m)
+		next, s := allGather(op, m)
 		all, st = append(all[:len(all):len(all)], next...), Seq(st, s)
 	}
-	decision := NewPartIn[R](ex, in.P())
-	decision.Shards[0] = decide(all)
-	if replyOp != "" {
-		TraceOp(ex, replyOp)
-	}
-	known, stReply := Broadcast(decision)
-	return known.Shards[0], Seq(st, stReply)
+	return decide(all), st
 }
 
-// oneEach is the reply rows of a decision that holds one element per
-// server: row d slices vals[d], nothing is copied.
-func oneEach[R any](vals []R) [][]R {
-	rows := make([][]R, len(vals))
-	for d := range vals {
-		rows[d] = vals[d : d+1 : d+1]
-	}
-	return rows
-}
-
-// toCoordinator gathers in to server 0 in one round and returns what the
-// coordinator then holds, in arrival order.
-func toCoordinator[S any](op string, in Part[S]) ([]S, Stats) {
+// allGather broadcasts in in one round and returns server 0's inbox, which
+// every server holds a copy of.
+func allGather[S any](op string, in Part[S]) ([]S, Stats) {
 	if op != "" {
 		TraceOp(in.scope(), op)
 	}
-	gathered, st := Gather(in, 0)
-	return gathered.Shards[0], st
+	known, st := Broadcast(in)
+	return known.Shards[0], st
 }
 
 // AllReduce is Agree with a fold for its decision: server s contributes
-// vals[s], the coordinator folds the p contributions with combine — in
-// server order, starting from V's zero value, so combine must treat that as
-// its identity (a sum; a max over non-negatives) — and broadcasts the
-// result, so every server learns it. Two O(p)-load rounds. A non-empty op
-// labels them op+".gather" and op+".broadcast"; with an empty op they keep
-// Gather's and Broadcast's own labels.
+// vals[s], and every server folds the p contributions it received with
+// combine — in server order, starting from V's zero value, so combine must
+// treat that as its identity (a sum; a max over non-negatives). One
+// O(p)-load round. A non-empty op labels it; with an empty op it keeps
+// Broadcast's own label.
 func AllReduce[V any](ex *Exec, vals []V, combine func(acc, v V) V, op string) (V, Stats) {
 	p := len(vals)
 	pt := NewPartIn[V](ex, p)
 	for s := range vals {
 		pt.Shards[s] = vals[s : s+1 : s+1]
 	}
-	gatherOp, replyOp := "", ""
-	if op != "" {
-		gatherOp, replyOp = op+".gather", op+".broadcast"
-	}
-	res, st := Agree(pt, gatherOp, replyOp, func(all []V) []V {
+	res, st := Agree(pt, op, func(all []V) []V {
 		var acc V
 		for _, v := range all {
 			acc = combine(acc, v)
@@ -136,9 +94,9 @@ func TotalCount[T any](pt Part[T]) (int64, Stats) {
 
 // TotalCounts is the all-reduce of several independent global sizes at
 // once: server s contributes the vector of its shard sizes
-// |parts[i].Shards[s]|, the coordinator adds the vectors in server order and
-// broadcasts the totals. The Parts must span the same servers. Two O(p)-load
-// rounds, however many sizes ride them.
+// |parts[i].Shards[s]|, and every server adds the p vectors it receives in
+// server order. The Parts must span the same servers. One O(p)-load round,
+// however many sizes ride it.
 func TotalCounts[T any](parts ...Part[T]) ([]int64, Stats) {
 	sizes := make([][]int64, parts[0].P())
 	for s := range sizes {

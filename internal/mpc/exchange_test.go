@@ -154,8 +154,8 @@ func TestSortBySingleServer(t *testing.T) {
 	if got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
-	if st.Rounds != 3 {
-		t.Fatalf("rounds = %d", st.Rounds)
+	if st.Rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", st.Rounds)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestMultiSearchCarriesPredecessorsAcrossBuckets(t *testing.T) {
 	scopes := map[string]func() (*Exec, *FaultPlane){
 		"in-proc": func() (*Exec, *FaultPlane) { return NewExec(context.Background(), 4), nil },
 		"wire":    func() (*Exec, *FaultPlane) { return NewExec(context.Background(), 1).WithWire(&loopWire{}), nil },
-		"faulted": func() (*Exec, *FaultPlane) { return execWith(2, &FaultSpec{Seed: 7, CrashRound: 3}) },
+		"faulted": func() (*Exec, *FaultPlane) { return execWith(2, &FaultSpec{Seed: 7, CrashRound: 2}) },
 	}
 	cases := []struct{ p, k, m int }{{1, 6, 3}, {2, 6, 5}, {16, 12, 33}, {16, 1, 2}}
 	for _, c := range cases {
@@ -112,8 +112,8 @@ func TestMultiSearchCarriesPredecessorsAcrossBuckets(t *testing.T) {
 				if st != refSt || !reflect.DeepEqual(trGot.Rounds(), trRef.Rounds()) {
 					t.Errorf("Stats %+v / trace differ from the comparison-only sort's %+v", st, refSt)
 				}
-				if st.Rounds != 3 {
-					t.Errorf("%d rounds, want 3", st.Rounds)
+				if st.Rounds != 2 {
+					t.Errorf("%d rounds, want 2", st.Rounds)
 				}
 				if fp != nil && fp.Report().Crashes == 0 {
 					t.Error("the fault plane lost no round (the test exercises no retry)")
@@ -144,7 +144,7 @@ func precombined(shards [][]kc) [][]kc {
 // TestReduceByKeyKeepsKeysWhole: ReduceByKey's partition round lands every
 // key on one server — the one where a tie-broken sort of the same
 // pre-combined shards puts the key's first copy, which is where stitching
-// straddling runs used to leave it — in three rounds, at most 2p−1 units
+// straddling runs used to leave it — in two rounds, at most 2p−1 units
 // above that sort's partition load. Instances run from fewer elements than
 // servers (repeated splitters) to one hot key and many straddling keys.
 func TestReduceByKeyKeepsKeysWhole(t *testing.T) {
@@ -175,8 +175,8 @@ func TestReduceByKeyKeepsKeysWhole(t *testing.T) {
 		}
 
 		got, st := ReduceByKey(partOf(NewExec(context.Background(), 4).WithTracer(trGot), shards), kcKey, add)
-		if st.Rounds != 3 {
-			t.Errorf("seed %d: %d rounds, want 3", seed, st.Rounds)
+		if st.Rounds != 2 {
+			t.Errorf("seed %d: %d rounds, want 2", seed, st.Rounds)
 		}
 		n = 0
 		for s, shard := range got.Shards {
@@ -191,15 +191,16 @@ func TestReduceByKeyKeepsKeysWhole(t *testing.T) {
 		if n != len(owner) {
 			t.Fatalf("seed %d: %d keys reduced, want %d", seed, n, len(owner))
 		}
-		if ref, rounds := trRef.Rounds(), trGot.Rounds(); len(ref) == 3 && rounds[2].MaxLoad > ref[2].MaxLoad+2*p-1 {
-			t.Errorf("seed %d p=%d: partition load %d, above the tie-broken %d + 2p−1", seed, p, rounds[2].MaxLoad, ref[2].MaxLoad)
+		if ref, rounds := trRef.Rounds(), trGot.Rounds(); len(ref) == 2 && rounds[1].MaxLoad > ref[1].MaxLoad+2*p-1 {
+			t.Errorf("seed %d p=%d: partition load %d, above the tie-broken %d + 2p−1", seed, p, rounds[1].MaxLoad, ref[1].MaxLoad)
 		}
 	}
 }
 
-// TestFusedPrimitivesTakeThreeRounds: every multi-search form and every
-// reduce-by-key form is one sample sort — samples, splitters, partition.
-func TestFusedPrimitivesTakeThreeRounds(t *testing.T) {
+// TestFusedPrimitivesTakeTwoRounds: every multi-search form and every
+// reduce-by-key form is one sample sort — the samples' all-gather, from
+// which every server picks the splitters, and the partition.
+func TestFusedPrimitivesTakeTwoRounds(t *testing.T) {
 	xs, ys := lookupInputs(400, 30, 2)
 	ex := NewExec(context.Background(), 2)
 	x, y := DistributeIn(ex, xs, 8), DistributeIn(ex, ys, 8)
@@ -210,8 +211,8 @@ func TestFusedPrimitivesTakeThreeRounds(t *testing.T) {
 	_, rk := ReduceByKey(x, kcKey, func(a, b kc) kc { return kc{Key: a.Key, Count: a.Count + b.Count} })
 	_, ck := CountByKey(x, kcKey)
 	for name, st := range map[string]Stats{"MultiSearch": ms, "Lookup": lk, "LookupJoin": lj, "SemijoinKeys": sj, "ReduceByKey": rk, "CountByKey": ck} {
-		if st.Rounds != 3 {
-			t.Errorf("%s ran %d rounds, want 3", name, st.Rounds)
+		if st.Rounds != 2 {
+			t.Errorf("%s ran %d rounds, want 2", name, st.Rounds)
 		}
 	}
 }

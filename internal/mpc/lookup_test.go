@@ -93,7 +93,7 @@ func TestLookupEqualsFilterMapOverLookupJoin(t *testing.T) {
 	scopes := map[string]func() (*Exec, *FaultPlane){
 		"in-proc": func() (*Exec, *FaultPlane) { return NewExec(context.Background(), 4), nil },
 		"wire":    func() (*Exec, *FaultPlane) { return NewExec(context.Background(), 1).WithWire(&loopWire{}), nil },
-		"faulted": func() (*Exec, *FaultPlane) { return execWith(2, &FaultSpec{Seed: 3, CrashRound: 3}) },
+		"faulted": func() (*Exec, *FaultPlane) { return execWith(2, &FaultSpec{Seed: 3, CrashRound: 2}) },
 	}
 	for _, c := range []struct{ nx, ny, p int }{{600, 30, 8}, {600, 30, 1}, {0, 30, 4}, {200, 0, 4}, {0, 0, 3}, {5, 40, 16}} {
 		xs, ys := lookupInputs(c.nx, c.ny, int64(c.nx+c.ny+c.p))

@@ -35,7 +35,7 @@ type msItem[X, Y any, K cmp.Ordered] struct {
 // tie-breaking and scans locally. Server boundaries are fixed inside the
 // sort's partition round: each source also sends every destination its
 // last Y below that destination's bucket, so a bucket's first X finds its
-// predecessor among what landed. Cost: the Sort cost — 3 rounds — with at
+// predecessor among what landed. Cost: the Sort cost — 2 rounds — with at
 // most p more units per destination in the partition round.
 func MultiSearch[X, Y any, K cmp.Ordered](xs Part[X], ys Part[Y], xkey func(X) K, ykey func(Y) K) (Part[Pred[X, Y]], Stats) {
 	return multiSearch(xs, ys, xkey, ykey, radixEncodable[K](), false, func(x X, y Y, found bool) (Pred[X, Y], bool) {

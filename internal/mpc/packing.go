@@ -18,8 +18,8 @@ import "cmp"
 // ≥ cap/2 for all but one bin); the algorithms only need O(cap) bins, and
 // the benchmark harness reports measured constants.
 //
-// Cost: two O(p)-load coordinator rounds (local totals up, base offsets
-// and the grand total down); the assignment itself is local.
+// Cost: one O(p)-load all-gather round (every server receives the p local
+// totals and prefix-sums them itself); the assignment itself is local.
 
 // Binned pairs an element with its assigned bin index.
 type Binned[T any] struct {
@@ -40,36 +40,24 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 	p := pt.P()
 	ex := pt.scope()
 
-	// Local totals for the coordinator (per-server sums run on the
-	// execution's runtime; weight must be safe for concurrent calls).
-	// Keep per-server order: tag with src via KeyCount.
-	totals := NewPartIn[KeyCount[int]](ex, p)
+	// Local totals (per-server sums run on the execution's runtime; weight
+	// must be safe for concurrent calls), one per server in server order.
+	totals := NewPartIn[int64](ex, p)
 	ex.ForEachShard(p, func(s int) {
 		var t int64
 		for _, x := range pt.Shards[s] {
 			t += weight(x)
 		}
-		totals.Shards[s] = []KeyCount[int]{{Key: s, Count: t}}
+		totals.Shards[s] = []int64{t}
 	})
-	// Rounds 1–2: the coordinator prefix-sums the totals in server order
-	// and replies each server its base offset and the grand total, from
-	// which every server derives the bin count.
-	type offsets struct{ base, grand int64 }
-	basePart, st := Coordinate(totals, "packing.totals", "packing.offsets", func(all []KeyCount[int]) [][]offsets {
-		perServer := make([]int64, p)
-		for _, kc := range all {
-			perServer[kc.Key] = kc.Count
+	// Round 1: every server receives all totals and prefix-sums them in
+	// server order: base[s] is server s's offset, base[p] the grand total.
+	base, st := Agree(totals, "packing.totals", func(all []int64) []int64 {
+		base := make([]int64, p+1)
+		for s, t := range all {
+			base[s+1] = base[s] + t
 		}
-		var grand int64
-		base := make([]offsets, p)
-		for s := 0; s < p; s++ {
-			base[s].base = grand
-			grand += perServer[s]
-		}
-		for s := range base {
-			base[s].grand = grand
-		}
-		return oneEach(base)
+		return base
 	})
 
 	// Local assignment (each server owns its prefix offset).
@@ -79,7 +67,7 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 		if len(shard) == 0 {
 			return
 		}
-		prefix := basePart.Shards[s][0].base
+		prefix := base[s]
 		bs := make([]Binned[T], 0, len(shard))
 		for _, x := range shard {
 			// Assign by the window containing the element's start.
@@ -89,9 +77,7 @@ func ParallelPack[T any](pt Part[T], weight func(T) int64, cap int64) (Part[Binn
 		}
 		out.Shards[s] = bs
 	})
-	// Every server learned the same grand total; the last one's reply is
-	// read here.
-	grandTotal := basePart.Shards[p-1][0].grand
+	grandTotal := base[p]
 	numBins := int((grandTotal+cap-1)/cap) + 1
 	if grandTotal == 0 {
 		numBins = 1

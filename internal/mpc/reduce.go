@@ -24,7 +24,7 @@ import (
 // boundaries are read off the sort's key image, so key runs about twice
 // per element (the two encodes), and the sort is stable, so combine folds
 // equal keys in input order on a server, then the servers' folds in one
-// left fold in server order. Cost: the Sort cost, 3 rounds.
+// left fold in server order. Cost: the Sort cost, 2 rounds.
 //
 // The per-server phases run on the scope's runtime: key and combine must
 // be safe for concurrent calls across servers.

@@ -179,10 +179,10 @@ func TestTotalCount(t *testing.T) {
 	}
 }
 
-// TestAllReduce pins the one gather → combine → broadcast: the fold runs in
-// server order from the zero value (float sums are order-sensitive), the
-// two rounds are exactly a Gather of one unit per server plus a Broadcast
-// of one unit, and op labels them — or, empty, leaves the primitives' own.
+// TestAllReduce pins the one all-gather → combine: the fold runs in server
+// order from the zero value (float sums are order-sensitive), the one round
+// is exactly a Broadcast of one unit per server (load p, p² units moved),
+// and op labels it — or, empty, leaves Broadcast's own.
 func TestAllReduce(t *testing.T) {
 	const p = 6
 	ex, tr := tracedExec(t)
@@ -192,12 +192,9 @@ func TestAllReduce(t *testing.T) {
 	for s := range ones.Shards {
 		ones.Shards[s] = []int64{1}
 	}
-	one := NewPartIn[int64](nil, p)
-	one.Shards[0] = []int64{1}
-	_, g := Gather(ones, 0)
-	_, b := Broadcast(one)
-	if sum != 22 || st != Seq(g, b) || st.Rounds != 2 || st.MaxLoad != p || st.TotalComm != 2*p {
-		t.Fatalf("sum %d, stats %+v; want 22, %+v", sum, st, Seq(g, b))
+	_, b := Broadcast(ones)
+	if sum != 22 || st != b || st.Rounds != 1 || st.MaxLoad != p || st.TotalComm != p*p {
+		t.Fatalf("sum %d, stats %+v; want 22, %+v", sum, st, b)
 	}
 
 	worst, _ := AllReduce(ex, []float64{0.25, 3, 0, 1.5, 3, 0.5}, func(w, d float64) float64 {
@@ -219,13 +216,13 @@ func TestAllReduce(t *testing.T) {
 	}
 
 	var ops []string
-	for _, r := range tr.Rounds()[:4] {
+	for _, r := range tr.Rounds() {
 		ops = append(ops, r.Op)
-		if r.Servers != p || r.TotalUnits != p {
-			t.Fatalf("round %+v is not an O(p) round", r)
+		if r.Servers != p || r.MaxLoad != p || r.TotalUnits != p*p {
+			t.Fatalf("round %+v is not an O(p)-load all-gather", r)
 		}
 	}
-	if want := []string{"count.gather", "count.broadcast", "gather", "broadcast"}; !slices.Equal(ops, want) {
+	if want := []string{"count", "broadcast", "mass", "mass"}; !slices.Equal(ops, want) {
 		t.Fatalf("round labels %v, want %v", ops, want)
 	}
 }
@@ -380,17 +377,19 @@ func TestParallelPackInvariants(t *testing.T) {
 	}
 }
 
-func TestParallelPackLoadIsCoordinatorOnly(t *testing.T) {
+// TestParallelPackIsOneAllGather: packing moves only the p local totals,
+// to every server, in one round.
+func TestParallelPackIsOneAllGather(t *testing.T) {
 	data := make([]int64, 10000)
 	for i := range data {
 		data[i] = 1
 	}
 	const p = 16
 	_, _, st := ParallelPack(DistributeIn(nil, data, p), func(x int64) int64 { return x }, 100)
-	if st.MaxLoad > p {
-		t.Fatalf("pack load %d should be O(p)", st.MaxLoad)
+	if st.MaxLoad != p || st.TotalComm != p*p {
+		t.Fatalf("pack load %d, total %d; want p = %d, p² = %d", st.MaxLoad, st.TotalComm, p, p*p)
 	}
-	if st.Rounds != 2 {
-		t.Fatalf("pack rounds = %d, want 2", st.Rounds)
+	if st.Rounds != 1 {
+		t.Fatalf("pack rounds = %d, want 1", st.Rounds)
 	}
 }

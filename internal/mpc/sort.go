@@ -24,8 +24,9 @@ type tagged[T any] struct {
 // sorted within each server, and shard sizes are balanced regardless of
 // skew (ties are broken by element provenance).
 //
-// Cost: 3 rounds — samples to coordinator (≤ p² units), splitter broadcast
-// (≤ p units per server), and the data reshuffle (≈ 2N/p per server).
+// Cost: 2 rounds — the samples to every server (≤ p² units per server),
+// from which each picks the same splitters, and the data reshuffle (≈ 2N/p
+// per server).
 //
 // The per-server sort and partition phases run on the scope's runtime, so
 // less must be safe for concurrent calls across servers.
@@ -169,8 +170,9 @@ func (b sortedBatch[T]) same(i, j int) bool {
 	return b.cmp(i, j) == 0
 }
 
-// sampleSort is the one sample sort: local sort, regular samples to the
-// coordinator, splitter broadcast, bucket, reshuffle, final local sort.
+// sampleSort is the one sample sort: local sort, regular samples to every
+// server (Agree), splitters picked locally, bucket, reshuffle, final local
+// sort.
 // order is the three-way element comparison; encode, when non-nil, offers
 // the radix image of a batch. Each phase decides for its own batch — an
 // encodable batch runs the radix kernel, any other the comparison sort —
@@ -196,7 +198,7 @@ func (b sortedBatch[T]) same(i, j int) bool {
 //     order with idx its position, each element (or run fold) put once into
 //     its slot. Stability keeps equal elements in arrival order on the radix
 //     and the comparison path alike, so a fold combines them in input order.
-//   - Coordinator: the gathered samples arrive in ascending
+//   - Splitters: the all-gathered samples arrive in ascending
 //     (src, element, idx) order, so a stable sort by key alone reproduces
 //     the full (element, src, idx) order; the splitters are read through
 //     the permutation.
@@ -219,7 +221,7 @@ func (b sortedBatch[T]) same(i, j int) bool {
 //     the result through the permutation.
 func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(a, b T) int, encode encodeFunc[T],
 	combine func(a, b T) T, carry func(x *T) bool, land func(s int, ts []tagged[T], sb sortedBatch[T], sc *xrt.Scratch)) Stats {
-	// csc serves the coordinator's sort and holds the splitter image, which
+	// csc serves the splitter pick's sort and holds the splitter image, which
 	// the partition workers only read.
 	csc := xrt.GetScratch()
 	defer xrt.PutScratch(csc)
@@ -260,7 +262,7 @@ func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(
 		}
 	})
 
-	// Regular samples, for the coordinator (server 0).
+	// Regular samples, for every server.
 	samplePart := NewPartIn[tagged[T]](ex, p)
 	for s, ts := range local {
 		n := len(ts)
@@ -274,9 +276,9 @@ func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(
 		}
 		samplePart.Shards[s] = samples
 	}
-	// Rounds 1–2: the coordinator picks p−1 splitters at regular ranks of
-	// the samples and broadcasts them.
-	splits, st12 := Agree(samplePart, "sort.samples", "sort.splitters", func(samples []tagged[T]) []tagged[T] {
+	// Round 1: every server receives all samples and picks the same p−1
+	// splitters at regular ranks of them.
+	splits, st1 := Agree(samplePart, "sort.samples", func(samples []tagged[T]) []tagged[T] {
 		if len(samples) == 0 {
 			return nil
 		}
@@ -295,7 +297,7 @@ func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(
 		splitKeys, splitOK = encode(len(splits), func(i int) *T { return &splits[i].x }, csc)
 	}
 
-	// Round 3: route each element to its bucket (= number of splitters ≤
+	// Round 2: route each element to its bucket (= number of splitters ≤
 	// it). Bucket d is the run of the sorted shard below splitter d, so the
 	// outbox rows are cut from the tagged array itself. Source s's carries
 	// go out as source row s, ahead of the bucket rows at p+s.
@@ -369,7 +371,7 @@ func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(
 		}
 	})
 	TraceOp(ex, "sort.partition")
-	routed, st3 := ExchangeToIn(ex, p, out)
+	routed, st2 := ExchangeToIn(ex, p, out)
 
 	// Final local sort; the caller reads what landed — under combine, only
 	// the runs this server owns.
@@ -384,7 +386,7 @@ func sampleSort[T any](ex *Exec, p int, in func(s int) sortBatch[T], order func(
 		}
 		land(s, ts, sb, sc)
 	})
-	return Seq(st12, st3)
+	return Seq(st1, st2)
 }
 
 // owned is server s's sorted inbox sb, of the routed ts, cut to the runs s
@@ -429,9 +431,8 @@ func owned[T any](s int, ts []tagged[T], sb sortedBatch[T], splits []tagged[T], 
 }
 
 // boundarySummary describes one server's key range after a Sort, for
-// coordinator-side run-chain resolution.
+// run-chain resolution.
 type boundarySummary[K cmp.Ordered] struct {
-	src      int
 	nonEmpty bool
 	first    K
 	last     K
@@ -440,23 +441,24 @@ type boundarySummary[K cmp.Ordered] struct {
 // GroupByKey redistributes pt so that all elements sharing a key reside on
 // a single server, with keys in sorted contiguous order across servers. It
 // is Sort plus the paper's "same value lands on consecutive servers — move
-// them to one" fix-up round (§3, LinearSparseMM). The destination load of
-// the fix-up is bounded by the largest key multiplicity, which the caller
-// is responsible for keeping ≤ the intended load (the paper's algorithms
-// only invoke this on light keys).
+// them to one" fix-up (§3, LinearSparseMM): one all-gather round of
+// boundary summaries and one move round. The destination load of the move
+// is bounded by the largest key multiplicity, which the caller is
+// responsible for keeping ≤ the intended load (the paper's algorithms only
+// invoke this on light keys). Cost: 4 rounds.
 func GroupByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats) {
 	p := pt.P()
 	ex := pt.scope()
 	sorted, st := Sort(pt, key)
 
-	// Rounds A–B: boundary summaries to the coordinator, ownership
-	// instructions back. For every key that spans multiple servers the
-	// coordinator merges its run onto the run's first server. A run
-	// continues from server s to the next non-empty server t iff
-	// last(s) == first(t).
+	// Round A: every server learns every boundary summary and resolves the
+	// same ownership: a key that spans several servers merges its run onto
+	// the run's first server. A run continues from server s to the next
+	// non-empty server t iff last(s) == first(t). Server s reads target[s]
+	// (-1: it keeps its shard).
 	sum := NewPartIn[boundarySummary[K]](ex, p)
 	for s, shard := range sorted.Shards {
-		b := boundarySummary[K]{src: s}
+		var b boundarySummary[K]
 		if len(shard) > 0 {
 			b.nonEmpty = true
 			b.first = key(shard[0])
@@ -464,26 +466,18 @@ func GroupByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats
 		}
 		sum.Shards[s] = []boundarySummary[K]{b}
 	}
-	type ownerInstr struct {
-		k      K
-		target int
-	}
-	instrPart, stAB := Coordinate(sum, "groupby.boundaries", "groupby.instructions", func(all []boundarySummary[K]) [][]ownerInstr {
-		summaries := make([]boundarySummary[K], p)
-		for _, b := range all {
-			summaries[b.src] = b
-		}
-		instrs := make([][]ownerInstr, p)
+	target, stA := Agree(sum, "groupby.boundaries", func(summaries []boundarySummary[K]) []int {
+		target := make([]int, p)
 		ownerOf := -1
 		var openKey K
 		open := false
-		for s := 0; s < p; s++ {
-			b := summaries[s]
+		for s, b := range summaries {
+			target[s] = -1
 			if !b.nonEmpty {
 				continue
 			}
 			if open && b.first == openKey {
-				instrs[s] = append(instrs[s], ownerInstr{k: b.first, target: ownerOf})
+				target[s] = ownerOf
 				if b.last == b.first {
 					continue // entire shard is the open key; run may extend
 				}
@@ -492,39 +486,34 @@ func GroupByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[T], Stats
 			openKey = b.last
 			open = true
 		}
-		return instrs
+		return target
 	})
 
-	// Round C: move chained-key elements to their owners. The coordinator
-	// issues at most one instruction per server, always for the shard's
-	// first key (only a shard's first key can continue the previous
-	// server's run), so the moved elements are exactly a sorted prefix of
-	// the shard: split it instead of hashing every element through a map.
+	// Round B: move chained-key elements to their owners. Only a shard's
+	// first key can continue the previous server's run, so the moved
+	// elements are exactly a sorted prefix of the shard: split it instead
+	// of hashing every element through a map.
 	moveOut := make([][][]T, p)
 	res := NewPartIn[T](ex, p)
 	ex.ForEachShard(p, func(s int) {
 		shard := sorted.Shards[s]
-		ins := instrPart.Shards[s]
-		if len(ins) == 0 {
+		if target[s] < 0 {
 			res.Shards[s] = shard
 			return
 		}
-		in := ins[0]
-		if len(ins) != 1 || len(shard) == 0 || key(shard[0]) != in.k {
-			panic("mpc: GroupByKey internal error: unexpected ownership instructions")
-		}
-		i := sort.Search(len(shard), func(j int) bool { return key(shard[j]) != in.k })
+		first := key(shard[0])
+		i := sort.Search(len(shard), func(j int) bool { return key(shard[j]) != first })
 		row := make([][]T, p)
-		row[in.target] = shard[:i:i]
+		row[target[s]] = shard[:i:i]
 		moveOut[s] = row
 		res.Shards[s] = shard[i:len(shard):len(shard)]
 	})
 	TraceOp(ex, "groupby.merge")
-	moved, stC := ExchangeIn(ex, p, moveOut)
+	moved, stB := ExchangeIn(ex, p, moveOut)
 	for s := range res.Shards {
 		if len(moved.Shards[s]) > 0 {
 			res.Shards[s] = append(res.Shards[s], moved.Shards[s]...)
 		}
 	}
-	return res, Seq(st, stAB, stC)
+	return res, Seq(st, stA, stB)
 }

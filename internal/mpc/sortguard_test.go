@@ -2,9 +2,13 @@ package mpc
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -50,19 +54,57 @@ func TestOneSampleSort(t *testing.T) {
 	}
 }
 
-// TestOneCoordinatorRoundTrip guards the single gather → decide → reply
-// skeleton: within the package only coordinator.go calls Gather, and the
-// primitives that used to spell the round-trip out read no Shards[0].
+// TestOneCoordinatorRoundTrip guards the single all-gather → decide
+// skeleton: within the package only coordinator.go calls Broadcast, and the
+// primitives that used to spell the step out read no Shards[0].
 func TestOneCoordinatorRoundTrip(t *testing.T) {
-	for _, site := range sitesOf(t, regexp.MustCompile(`\bGather\(`)) {
+	for _, site := range sitesOf(t, regexp.MustCompile(`\bBroadcast\(`)) {
 		if !strings.HasPrefix(site, "coordinator.go:") {
-			t.Errorf("%s calls Gather: a coordinator step is Coordinate or Agree", site)
+			t.Errorf("%s calls Broadcast: a coordinator step is Agree", site)
 		}
 	}
 	for _, site := range sitesOf(t, regexp.MustCompile(`Shards\[0\]`)) {
 		if !strings.HasPrefix(site, "coordinator.go:") {
-			t.Errorf("%s reads Shards[0]: what the coordinator holds is decide's argument", site)
+			t.Errorf("%s reads Shards[0]: what every server holds is decide's argument", site)
 		}
+	}
+}
+
+// TestSharedInboxOnlyInProc guards the shared broadcast inbox: its one
+// caller is the in-process carrier of the exchange barrier, so no other
+// path — the wire carrier, a primitive — hands two servers one slice.
+func TestSharedInboxOnlyInProc(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "sharedInbox" {
+						callers = append(callers, fmt.Sprintf("%s:%s", fset.Position(call.Pos()).Filename, fn.Name.Name))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !slices.Equal(callers, []string{"cluster.go:carryInProc"}) {
+		t.Fatalf("sharedInbox callers %v; want only cluster.go's carryInProc", callers)
 	}
 }
 

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -58,13 +59,13 @@ func TestTracerLabelsPrimitives(t *testing.T) {
 
 	routed, _ := Route(pt, func(_ int, x int) int { return x % 3 })
 	_, _ = Broadcast(routed)
-	_, _ = Gather(routed, 0)
+	_, _ = Rebalance(routed)
 
 	rounds := tr.Rounds()
 	if len(rounds) != 3 {
 		t.Fatalf("rounds = %d, want 3", len(rounds))
 	}
-	want := []string{"route", "broadcast", "gather"}
+	want := []string{"route", "broadcast", "rebalance"}
 	for i, w := range want {
 		if rounds[i].Op != w {
 			t.Fatalf("round %d op = %q, want %q", i+1, rounds[i].Op, w)
@@ -80,9 +81,10 @@ func TestTracerFirstLabelWins(t *testing.T) {
 	pt := DistributeIn(ex, []int{1, 2, 3}, 2)
 
 	// An outer label set before an inner primitive labels itself must
-	// survive: Gather delegates to Route, and the round reads "gather".
+	// survive: Broadcast labels its own round, and the round reads
+	// "outer.phase".
 	TraceOp(ex, "outer.phase")
-	_, _ = Gather(pt, 0)
+	_, _ = Broadcast(pt)
 	_, _ = Route(pt, func(_ int, x int) int { return 0 })
 
 	rounds := tr.Rounds()
@@ -103,21 +105,21 @@ func TestTracerSortLabels(t *testing.T) {
 	pt := DistributeIn(ex, []int64{9, 3, 7, 1, 8, 2, 6, 4, 5, 0}, 4)
 	_, _ = SortBy(pt, func(a, b int64) bool { return a < b })
 
-	ops := map[string]bool{}
+	// The samples' all-gather round is the splitter step: no round
+	// carries splitters back.
+	var ops []string
 	for _, rt := range tr.Rounds() {
-		ops[rt.Op] = true
+		ops = append(ops, rt.Op)
 	}
-	for _, want := range []string{"sort.samples", "sort.splitters", "sort.partition"} {
-		if !ops[want] {
-			t.Fatalf("missing op %q in %v", want, ops)
-		}
+	if want := []string{"sort.samples", "sort.partition"}; !slices.Equal(ops, want) {
+		t.Fatalf("sort rounds %v, want %v", ops, want)
 	}
 }
 
 func TestTracerResetAndUntraced(t *testing.T) {
 	ex, tr := tracedExec(t)
 	pt := DistributeIn(ex, []int{1, 2, 3}, 2)
-	_, _ = Gather(pt, 0)
+	_, _ = Broadcast(pt)
 	if len(tr.Rounds()) != 1 {
 		t.Fatalf("rounds = %d", len(tr.Rounds()))
 	}
@@ -131,7 +133,7 @@ func TestTracerResetAndUntraced(t *testing.T) {
 	TraceOp(plain, "ignored")
 	TraceOp(nil, "ignored")
 	pt2 := DistributeIn(plain, []int{1, 2}, 2)
-	_, _ = Gather(pt2, 0)
+	_, _ = Broadcast(pt2)
 	if plain.Tracer() != nil {
 		t.Fatal("plain scope has a tracer")
 	}
@@ -144,7 +146,7 @@ func TestTracerIdenticalResultsAndStats(t *testing.T) {
 	run := func(ex *Exec) (Part[int64], Stats) {
 		pt := DistributeIn(ex, []int64{42, 17, 99, 3, 8, 56, 23, 71, 5, 64, 12, 88}, 4)
 		sorted, st1 := SortBy(pt, func(a, b int64) bool { return a < b })
-		g, st2 := Gather(sorted, 0)
+		g, st2 := Route(sorted, func(int, int64) int { return 0 })
 		return g, Seq(st1, st2)
 	}
 	plainRes, plainSt := run(NewExec(context.Background(), 1))

@@ -182,8 +182,8 @@ func always(load float64, formula string) Candidate {
 
 // sortCost prices one distributed sample sort of a collection of size m:
 // the balanced range-partition reshuffle (m/p per server) and the
-// regular-sampling gather (each holder sends min(p, local) samples to one
-// coordinator, so the coordinator receives min(m, p²)).
+// regular-sampling all-gather (each holder sends min(p, local) samples to
+// every server, so each receives min(m, p²)).
 func (in Input) sortCost(m float64) float64 {
 	p := in.p()
 	return math.Max(m/p, math.Min(m, p*p))

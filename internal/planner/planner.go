@@ -19,8 +19,8 @@
 //
 //	sortCost(M) = max(M/p, min(M, p²))
 //
-// — the balanced reshuffle M/p plus the regular-sampling gather, in which
-// every holder sends min(p, local) samples to one coordinator. Table 1's
+// — the balanced reshuffle M/p plus the regular-sampling all-gather, in
+// which every holder sends min(p, local) samples to every server. Table 1's
 // data-dependent worst-case terms (N·√OUT/p and friends) bound the skew
 // handling of the specialized engines; the collections they sort are what
 // distinguishes the engines on a concrete instance, so the formulas below

@@ -261,7 +261,7 @@ func (rt *Runtime) forEachShard(ctx context.Context, n int, scratch bool, fn fun
 // (max → MaxLoad, sum → TotalComm) independent of scheduling.
 //
 // A nil (or empty) out[src] row means source src sends nothing this
-// round; sparse senders (coordinator fan-outs, boundary fix-ups) use
+// round; sparse senders (boundary fix-ups) use
 // this to avoid materializing p empty destination rows per silent
 // source. ExchangeCtx validates only pDst-conformance of out's rows that
 // it touches; callers perform shape validation (with their own panic

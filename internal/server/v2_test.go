@@ -32,7 +32,7 @@ func TestV2QueryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"attrs":["A","C"],"class":"matmul","dataset_version":2,"engine":"matmul","rows":[[6,0,1],[15,1,1]],"stats":{"MaxLoad":4,"Rounds":12,"SumLoad":30,"TotalComm":71},"wall_ns":0}`
+	const golden = `{"attrs":["A","C"],"class":"matmul","dataset_version":2,"engine":"matmul","rows":[[6,0,1],[15,1,1]],"stats":{"MaxLoad":4,"Rounds":8,"SumLoad":20,"TotalComm":67},"wall_ns":0}`
 	if string(got) != golden {
 		t.Errorf("v2 golden mismatch:\n got %s\nwant %s", got, golden)
 	}

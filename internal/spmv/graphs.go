@@ -176,7 +176,7 @@ type PageRankResult struct {
 // PageRank computes damped PageRank over the edge list (edge annotations
 // are ignored; each vertex spreads its rank uniformly over its
 // out-neighbors). Dangling mass is redistributed uniformly each
-// iteration via one O(p) gather/broadcast of per-server dangling sums.
+// iteration via one O(p)-load all-reduce of per-server dangling sums.
 // The state is dense over the vertex universe, so every iteration runs
 // the dense multiply path; convergence is the L∞ residual dropping to
 // tol (<= 0 selects 1e-9), under a maxIters budget (<= 0 selects
@@ -221,7 +221,7 @@ func PageRank[W any](ex *mpc.Exec, edges []Edge[W], p int, seed uint64, damping,
 	step := func(iter int, x, y Vector[float64]) (Vector[float64], mpc.Stats) {
 		// Dangling mass: rank sitting on out-degree-0 vertices, summed
 		// locally (vertex metadata and state share placement) and totaled
-		// in one gather/broadcast pair.
+		// in one all-reduce.
 		fs := make([]float64, p)
 		ex.ForEachShard(p, func(s int) {
 			var m float64

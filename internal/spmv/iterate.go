@@ -7,8 +7,8 @@ import (
 )
 
 // Converge selects how Iterate decides the loop is done. Every mode costs
-// a constant number of O(p)-load rounds per iteration (a driver-summary
-// gather plus a broadcast), metered into that iteration's Stats.
+// a constant number of O(p)-load rounds per iteration (one all-reduce of
+// per-server summaries), metered into that iteration's Stats.
 type Converge int
 
 const (

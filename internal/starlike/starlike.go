@@ -276,7 +276,7 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	})
 	distinct, s1 := mpc.ReduceByKey(mpc.Map(classOf, func(vc dist.ValueClass) int64 { return vc.Class }),
 		func(c int64) int64 { return c }, func(a, b int64) int64 { return a })
-	classIDs, s2 := mpc.Agree(distinct, "", "", func(ids []int64) []int64 {
+	classIDs, s2 := mpc.Agree(distinct, "", func(ids []int64) []int64 {
 		slices.Sort(ids)
 		return ids
 	})

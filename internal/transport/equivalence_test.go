@@ -258,12 +258,12 @@ func TestSortOutboxOverTCP(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReplyOverTCP drives the coordinator round-trip directly
-// over the TCP backend with a pointer-carrying reply element (a layout
-// entry keyed by a string, like the engines' grid and block tables): the
-// scatter form's per-server replies and the agree form's broadcast decision
-// cross real sockets and must equal the in-process run's, Stats and trace
-// included.
+// TestCoordinatorReplyOverTCP drives the coordinator step directly over
+// the TCP backend with pointer-carrying statistics (string keys, like the
+// engines' grid and block tables): their all-gather crosses real sockets,
+// every server decides a layout from its own inbox, and the decisions —
+// one input and two inputs in two rounds — must equal the in-process run's,
+// Stats and trace included.
 func TestCoordinatorReplyOverTCP(t *testing.T) {
 	const p = 6
 	type block struct {
@@ -283,38 +283,32 @@ func TestCoordinatorReplyOverTCP(t *testing.T) {
 		}
 		return blocks
 	}
-	run := func(ex *mpc.Exec) ([][]block, []block, mpc.Stats) {
+	run := func(ex *mpc.Exec) ([]block, []block, mpc.Stats) {
 		in := mpc.DistributeIn(ex, stats, p)
-		replied, st1 := mpc.Coordinate(in, "t.stats", "t.blocks", func(all []mpc.KeyCount[string]) [][]block {
-			rows := make([][]block, p)
-			for i, b := range layout(all) {
-				rows[i%p] = append(rows[i%p], b)
-			}
-			return rows
-		})
-		agreed, st2 := mpc.Agree(in, "", "", layout)
-		return replied.Shards, agreed, mpc.Seq(st1, st2)
+		one, st1 := mpc.Agree(in, "t.stats", layout)
+		two, st2 := mpc.Agree(in, "", layout, mpc.DistributeIn(ex, stats[:7], p))
+		return one, two, mpc.Seq(st1, st2)
 	}
 	trI, trT := mpc.NewTracer(), mpc.NewTracer()
-	repliedI, agreedI, stI := run(mpc.NewExec(context.Background(), 2).WithTracer(trI))
+	oneI, twoI, stI := run(mpc.NewExec(context.Background(), 2).WithTracer(trI))
 
 	w, err := transport.TCP(bootPeers(t, 3)...).Connect(context.Background())
 	if err != nil {
 		t.Fatalf("connect: %v", err)
 	}
 	defer w.Close()
-	repliedT, agreedT, stT := run(mpc.NewExec(context.Background(), 2).WithTracer(trT).WithWire(w))
+	oneT, twoT, stT := run(mpc.NewExec(context.Background(), 2).WithTracer(trT).WithWire(w))
 
-	if stI != stT || stI.Rounds != 4 {
+	if stI != stT || stI.Rounds != 3 || stI.MaxLoad != len(stats) || stI.TotalComm != int64(p*(2*len(stats)+7)) {
 		t.Errorf("Stats diverge: inproc %+v, tcp %+v", stI, stT)
 	}
 	if !reflect.DeepEqual(trI.Rounds(), trT.Rounds()) {
 		t.Error("traces diverge")
 	}
-	if !reflect.DeepEqual(repliedI, repliedT) || len(repliedI[p-1]) == 0 {
-		t.Error("scattered replies diverge")
+	if !reflect.DeepEqual(oneI, oneT) || len(oneI) != len(stats) {
+		t.Error("one-input decision diverges")
 	}
-	if !reflect.DeepEqual(agreedI, agreedT) || len(agreedI) != len(stats) {
-		t.Error("agreed decision diverges")
+	if !reflect.DeepEqual(twoI, twoT) || len(twoI) != len(stats)+7 {
+		t.Error("two-input decision diverges")
 	}
 }

@@ -107,13 +107,13 @@ func degrees[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string) (
 
 // route places r's and s's rows on the heavy grids and light bins the
 // per-key statistics call for, in one exchange: OUT_f = Σ d_R·d_S by an
-// all-reduce, heavy grids at the coordinator, light keys packed into bins
+// all-reduce, heavy grids agreed on every server, light keys packed into bins
 // and looked up by both sides. Returns the routed rows, OUT_f and the cost.
 func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, stats mpc.Part[keyStat]) (mpc.Part[relation.SidedRow[W]], int64, mpc.Stats) {
 	p := r.P()
 	ex := r.Part.Scope()
 
-	// OUT_f = Σ d_R·d_S via a coordinator round.
+	// OUT_f = Σ d_R·d_S via an all-reduce.
 	local := make([]int64, p)
 	for sv, shard := range stats.Shards {
 		for _, ks := range shard {
@@ -136,8 +136,8 @@ func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, sta
 	heavy := mpc.Filter(stats, func(ks keyStat) bool { return ks.dr > load || ks.ds > load })
 	light := mpc.Filter(stats, func(ks keyStat) bool { return ks.dr <= load && ks.ds <= load })
 
-	// Heavy grid assignment at the coordinator (O(p) heavy keys).
-	grids, st5 := mpc.Agree(heavy, "", "", func(all []keyStat) []gridAssign {
+	// Heavy grid assignment on every server (O(p) heavy keys).
+	grids, st5 := mpc.Agree(heavy, "", func(all []keyStat) []gridAssign {
 		var grids []gridAssign
 		at := 0
 		for _, ks := range all {

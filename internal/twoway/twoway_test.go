@@ -166,8 +166,8 @@ func threeSortDegrees(r, s dist.Rel[int64], rKey, sKey func(relation.Row[int64])
 
 // TestTwowayStatisticsSortedOnce pins the statistics' cost and shows it
 // moved nothing else: on an instance with a grid-heavy key, light keys and
-// keys present on one side only, Join runs 16 rounds (the three-sort
-// statistics made it 22), and the routed shards and the result rows, in
+// keys present on one side only, Join runs 10 rounds (the three-sort
+// statistics would make it 14), and the routed shards and the result rows, in
 // order, are those the three-sort statistics produce.
 func TestTwowayStatisticsSortedOnce(t *testing.T) {
 	const p = 8
@@ -191,13 +191,13 @@ func TestTwowayStatisticsSortedOnce(t *testing.T) {
 	rKey, sKey := rd.Key("B"), sd.Key("B")
 
 	got, outf, st := Join[int64](intSR, rd, sd)
-	if st.Rounds != 16 {
-		t.Errorf("Join ran %d rounds, want 16", st.Rounds)
+	if st.Rounds != 10 {
+		t.Errorf("Join ran %d rounds, want 10", st.Rounds)
 	}
 	one, stOne := degrees(rd, sd, rKey, sKey)
 	three, stThree := threeSortDegrees(rd, sd, rKey, sKey)
-	if stOne.Rounds != 3 || stThree.Rounds != 9 {
-		t.Errorf("statistics rounds: one reduce-by-key %d (want 3), three sorts %d (want 9)", stOne.Rounds, stThree.Rounds)
+	if stOne.Rounds != 2 || stThree.Rounds != 6 {
+		t.Errorf("statistics rounds: one reduce-by-key %d (want 2), three sorts %d (want 6)", stOne.Rounds, stThree.Rounds)
 	}
 	if !reflect.DeepEqual(mpc.Collect(one), mpc.Collect(three)) {
 		t.Fatal("the reduce-by-key's (d_R, d_S) differ from the three sorts'")
