@@ -23,8 +23,8 @@ import (
 var shardFreeReads = map[string]string{}
 
 // perServerCalls are the dispatchers whose callback's first parameter is
-// the server index.
-var perServerCalls = []string{"ForEachShard", "ForEachShardScratch", "MapShards"}
+// the server index (RouteBlocks': the source server).
+var perServerCalls = []string{"ForEachShard", "ForEachShardScratch", "MapShards", "RouteBlocks"}
 
 // shardAccessViolations reports every use of .Shards in f that reads
 // another server's shard — or could: a literal index, an index that is not
@@ -57,10 +57,10 @@ func shardAccessViolations(path string, fset *token.FileSet, f *ast.File) []stri
 				report(n, ".Shards[%s]: a literal server index reads one server's shard from outside it", idx.Value)
 			case *ast.Ident:
 				if !bindsServer(stack, idx.Name) {
-					report(n, ".Shards[%s]: %s is not the server index of an enclosing ForEachShard/ForEachShardScratch/MapShards callback or for loop", idx.Name, idx.Name)
+					report(n, ".Shards[%s]: %s is not the server index of an enclosing ForEachShard/ForEachShardScratch/MapShards/RouteBlocks callback or for loop", idx.Name, idx.Name)
 				}
 			default:
-				report(n, ".Shards[…]: index is not a server variable (folds are mpc.Overlay / mpc.Reshape)")
+				report(n, ".Shards[…]: index is not a server variable (hosting is mpc.Overlay)")
 			}
 		case *ast.RangeStmt:
 			if isShards(n.X) && blank(n.Key) && !blank(n.Value) {
@@ -179,6 +179,7 @@ func TestShardGuardCatchesPlantedReads(t *testing.T) {
 		{"own shard in a callback", "ex.ForEachShard(p, func(s int) { _ = pt.Shards[s] })", 0},
 		{"own shard in loops", "for s := range x.Shards { _ = pt.Shards[s] }\nfor i := 0; i < p; i++ { _ = x.Shards[i] }", 0},
 		{"own shard in MapShards", "_ = mpc.MapShards(pt, func(s int, shard []int) []int { return x.Shards[s] })", 0},
+		{"own shard in RouteBlocks", "_, _ = mpc.RouteBlocks(ex, lay, \"op\", p, func(src int, _ *xrt.Scratch) func(bool, func(int, int, int)) { _ = pt.Shards[src]; return nil })", 0},
 	} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, "planted.go", header+tc.body+"\n}\n", parser.SkipObjectResolution)

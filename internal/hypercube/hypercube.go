@@ -24,6 +24,7 @@ import (
 	"mpcjoin/internal/kmv"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/relation"
+	xrt "mpcjoin/internal/runtime"
 	"mpcjoin/internal/semiring"
 )
 
@@ -116,40 +117,40 @@ func FullJoin[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[stri
 	attrs := shares.Attrs
 	radix := shares.Dims
 
-	// Route every tuple to all grid cells agreeing with its hashed values.
+	// Route every tuple to all grid cells agreeing with its hashed values:
+	// the grid is one block of the layout. Within a source the emission
+	// order is edge-major, then row order.
 	type hcRow struct {
 		edge int
 		row  relation.Row[W]
 	}
-	out := make([][][]hcRow, p)
-	for src := range out {
-		out[src] = make([][]hcRow, grid)
-	}
-	// Source-major (edge inner) so each source's outbox builds on one
-	// worker; within a source the append order is edge-major, matching the
-	// serial edge-outer iteration exactly.
+	var lay mpc.Layout
+	cube := lay.Add(grid)
 	edgeCols := make([][]int, len(q.Edges))
 	for ei, e := range q.Edges {
 		edgeCols[ei] = rels[e.Name].Cols(e.Attrs...)
 	}
-	ex.ForEachShard(p, func(src int) {
-		for ei, e := range q.Edges {
-			cols := edgeCols[ei]
-			for _, row := range rels[e.Name].Part.Shards[src] {
-				// Fixed coordinates from the tuple's values.
-				fixed := make(map[int]int, len(cols))
-				for i, c := range cols {
-					ai := idxOf(attrs, e.Attrs[i])
-					fixed[ai] = int(kmv.Hash64(uint64(row.Vals[c]), seed+uint64(ai)) % uint64(radix[ai]))
+	routed, s := mpc.RouteBlocks(ex, lay, "hypercube.grid", p, func(src int, _ *xrt.Scratch) func(bool, func(int, int, hcRow)) {
+		// coords[d] is the row's coordinate on dimension d, -1 where the
+		// row's edge leaves d free.
+		coords := make([]int, len(radix))
+		return func(_ bool, emit func(int, int, hcRow)) {
+			for ei, e := range q.Edges {
+				for _, row := range rels[e.Name].Part.Shards[src] {
+					for d := range coords {
+						coords[d] = -1
+					}
+					for i, c := range edgeCols[ei] {
+						ai := idxOf(attrs, e.Attrs[i])
+						coords[ai] = int(kmv.Hash64(uint64(row.Vals[c]), seed+uint64(ai)) % uint64(radix[ai]))
+					}
+					forEachCell(radix, coords, func(cell int) {
+						emit(cube, cell, hcRow{edge: ei, row: row})
+					})
 				}
-				forEachCell(radix, fixed, func(cell int) {
-					out[src][cell] = append(out[src][cell], hcRow{edge: ei, row: row})
-				})
 			}
 		}
 	})
-	mpc.TraceOp(ex, "hypercube.grid")
-	routed, s := mpc.ExchangeToIn(ex, grid, out)
 	st = mpc.Seq(st, s)
 
 	// Local full join per cell.
@@ -185,16 +186,17 @@ func JoinAggregate[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map
 	return agg, mpc.Seq(st, s2)
 }
 
-// forEachCell enumerates all grid cells whose coordinates agree with the
-// fixed dimensions, calling f with the mixed-radix cell id.
-func forEachCell(radix []int, fixed map[int]int, f func(cell int)) {
+// forEachCell enumerates, in ascending order, all grid cells whose
+// coordinates agree with coords on every dimension where it is not -1,
+// calling f with the mixed-radix cell id.
+func forEachCell(radix, coords []int, f func(cell int)) {
 	var rec func(i, acc int)
 	rec = func(i, acc int) {
 		if i == len(radix) {
 			f(acc)
 			return
 		}
-		if v, ok := fixed[i]; ok {
+		if v := coords[i]; v >= 0 {
 			rec(i+1, acc*radix[i]+v)
 			return
 		}

@@ -153,7 +153,7 @@ func TestAggregationIsTheBottleneck(t *testing.T) {
 func TestForEachCell(t *testing.T) {
 	radix := []int{2, 3, 2}
 	var cells []int
-	forEachCell(radix, map[int]int{1: 2}, func(c int) { cells = append(cells, c) })
+	forEachCell(radix, []int{-1, 2, -1}, func(c int) { cells = append(cells, c) })
 	if len(cells) != 4 { // 2·1·2 free combinations
 		t.Fatalf("cells = %v", cells)
 	}

@@ -99,93 +99,75 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 		return int64(pr.Y.Bin)
 	})
 	// Phase A block layout, decided on every server from the all-gathered
-	// footprints (O(k1) ≤ O(p) entries): group i gets ⌈(f_i + N2)/L⌉
-	// virtual servers.
-	type blockA struct {
-		group     int64
-		f         int64
-		off, size int
-	}
-	layout, stLay := mpc.Agree(fCounts, "", func(foot []mpc.KeyCount[int64]) []blockA {
+	// footprints (O(k1) ≤ O(p) entries) in group order: group i gets
+	// ⌈(f_i + N2)/L⌉ virtual servers, block i.
+	groups, stLay := mpc.Agree(fCounts, "", func(foot []mpc.KeyCount[int64]) []mpc.KeyCount[int64] {
 		mpc.SortLocal(foot, func(kc mpc.KeyCount[int64]) int64 { return kc.Key })
-		blocksA := make([]blockA, 0, len(foot))
-		at := 0
-		for _, kc := range foot {
-			sz := int(ceilDiv(kc.Count+n2, load))
-			blocksA = append(blocksA, blockA{group: kc.Key, f: kc.Count, off: at, size: sz})
-			at += sz
-		}
-		return blocksA
+		return foot
 	})
 	st = mpc.Seq(st, stf, stLay)
-	totalA := 0
-	for _, b := range layout {
-		totalA += b.size
+	var layA mpc.Layout
+	blockOf := make(map[int64]int, len(groups))
+	for _, g := range groups {
+		blockOf[g.Key] = layA.Add(int(ceilDiv(g.Count+n2, load)))
 	}
-	if totalA == 0 {
+	if layA.Total() == 0 {
 		return res2, st
-	}
-	blockOf := make(map[int64]blockA, len(layout))
-	for _, b := range layout {
-		blockOf[b.group] = b
 	}
 
 	// Phase A routing: group rows to their block, R2 replicated to every
 	// block. Rows gain a synthetic leading G column carrying the group.
 	gSchema1 := append([]dist.Attr{"⟨G⟩"}, in.R1.Schema...)
 	gSchema2 := append([]dist.Attr{"⟨G⟩"}, in.R2.Schema...)
-	outA := make([][][]relation.SidedRow[W], p)
-	ex.ForEachShardScratch(p, func(src int, sc *xrt.Scratch) {
+	routedA, stA := mpc.RouteBlocks(ex, layA, "matmul.os.gridA", p, func(src int, sc *xrt.Scratch) func(bool, func(int, int, relation.SidedRow[W])) {
 		gShard := grouped.Shards[src]
 		r2Shard := in.R2.Part.Shards[src]
 		if len(gShard)+len(r2Shard) == 0 {
-			return
+			return nil
 		}
-		// Memoize destinations so the counted build's two passes pay the
-		// key encodings, hashes and map lookups once (-1 marks grouped
-		// rows with no block); the synthetic G column is prepended on the
-		// fill pass only, when the row is actually placed.
-		gDests := sc.Ints(len(gShard))
+		// Memoize (block, index) pairs so the counted build's two passes
+		// pay the key encodings, hashes and map lookups once (block -1
+		// marks grouped rows with no block); the synthetic G column is
+		// prepended on the fill pass only, when the row is actually placed.
+		gDests := sc.Ints(2 * len(gShard))
 		for j, pr := range gShard {
 			blk, ok := blockOf[int64(pr.Y.Bin)]
 			if !ok {
-				gDests[j] = -1
+				gDests[2*j] = -1
 				continue
 			}
-			gDests[j] = blk.off + hashStr(aKey(pr.X), blk.size, seed)
+			gDests[2*j], gDests[2*j+1] = blk, hashStr(aKey(pr.X), layA.Size(blk), seed)
 		}
-		r2Dests := sc.Ints(len(r2Shard) * len(layout))
+		r2Idx := sc.Ints(len(r2Shard) * len(groups))
 		for j, r := range r2Shard {
 			ck := cKey(r)
-			for l, blk := range layout {
-				r2Dests[j*len(layout)+l] = blk.off + hashStr(ck, blk.size, seed^0x51ed)
+			for blk := range groups {
+				r2Idx[j*len(groups)+blk] = hashStr(ck, layA.Size(blk), seed^0x51ed)
 			}
 		}
-		outA[src] = mpc.BuildOutbox[relation.SidedRow[W]](sc, totalA, "outputSensitive phase A", func(fill bool, emit func(int, relation.SidedRow[W])) {
+		return func(fill bool, emit func(int, int, relation.SidedRow[W])) {
 			for j, pr := range gShard {
-				d := gDests[j]
-				if d < 0 {
+				blk := gDests[2*j]
+				if blk < 0 {
 					continue
 				}
 				var row relation.Row[W]
 				if fill {
 					row = withGroup(int64(pr.Y.Bin), pr.X)
 				}
-				emit(d, relation.SidedRow[W]{Left: true, Row: row})
+				emit(blk, gDests[2*j+1], relation.SidedRow[W]{Left: true, Row: row})
 			}
 			for j, r := range r2Shard {
-				for l, blk := range layout {
+				for blk, g := range groups {
 					var row relation.Row[W]
 					if fill {
-						row = withGroup(blk.group, r)
+						row = withGroup(g.Key, r)
 					}
-					emit(r2Dests[j*len(layout)+l], relation.SidedRow[W]{Left: false, Row: row})
+					emit(blk, r2Idx[j*len(groups)+blk], relation.SidedRow[W]{Left: false, Row: row})
 				}
 			}
-		})
+		}
 	})
-	mpc.TraceOp(ex, "matmul.os.gridA")
-	routedA, stA := mpc.ExchangeToIn(ex, totalA, outA)
 	st = mpc.Seq(st, stA)
 
 	r1Rows, r2Rows := mpc.Split(routedA, func(s relation.SidedRow[W]) (relation.Row[W], bool) { return s.Row, s.Left })
@@ -228,8 +210,8 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	lightGC := mpc.Filter(cEst, func(kc mpc.KeyCount[string]) bool { return kc.Count < load })
 	var binTables []mpc.Part[mpc.KeyBin[string]]
 	var packStats []mpc.Stats
-	for _, blk := range layout {
-		g := blk.group
+	for _, grp := range groups {
+		g := grp.Key
 		mine := mpc.Filter(lightGC, func(kc mpc.KeyCount[string]) bool {
 			return relation.DecodeKey(kc.Key)[0] == relation.Value(g)
 		})
@@ -241,7 +223,7 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 	}
 	// Each group packs within its own block; the packs run in parallel.
 	st = mpc.Seq(st, mpc.Par(packStats...))
-	binTable := mpc.Overlay(ex, totalA, binTables...)
+	binTable := mpc.Overlay(ex, routedA.P(), binTables...)
 
 	// R2 rows learn their bin (if light) before routing; the per-(group,
 	// bin) R2 sizes of the Phase B layout are counted off the rows that
@@ -263,103 +245,84 @@ func outputSensitive[W any](sr semiring.Semiring[W], in Input[W], n1, n2, out in
 
 	// Phase B layout: every server receives the heavy (G,C) table, then
 	// the bin sizes, and lays the sub-blocks out — heavy blocks first, each
-	// list in key order.
-	type subBlock struct {
-		gcKey     string // heavy blocks: the (G,C…) key; bins: the (G,bin) key
-		isBin     bool
-		off, size int
-	}
-	footOf := make(map[int64]int64, len(layout))
-	for _, blk := range layout {
-		footOf[blk.group] = blk.f
+	// list in key order. A heavy (G,C) key or a (G,bin) key of group G
+	// gets ⌈(f_G + its R2 count)/L⌉ virtual servers.
+	footOf := make(map[int64]int64, len(groups))
+	for _, g := range groups {
+		footOf[g.Key] = g.Count
 	}
 	nHeavyGC := heavyTbl.Len()
-	layoutB := func(all []mpc.KeyCount[string]) []subBlock {
-		var subs []subBlock
-		bt := 0
-		for i, list := range [][]mpc.KeyCount[string]{all[:nHeavyGC], all[nHeavyGC:]} {
+	subList, stSub := mpc.Agree(heavyTbl, "", func(all []mpc.KeyCount[string]) []mpc.KeyCount[string] {
+		for _, list := range [][]mpc.KeyCount[string]{all[:nHeavyGC], all[nHeavyGC:]} {
 			mpc.SortLocal(list, func(kc mpc.KeyCount[string]) string { return kc.Key })
-			for _, kc := range list {
-				g := int64(relation.DecodeKey(kc.Key)[0])
-				sz := int(ceilDiv(footOf[g]+kc.Count, load))
-				subs = append(subs, subBlock{gcKey: kc.Key, isBin: i == 1, off: bt, size: sz})
-				bt += sz
-			}
 		}
-		return subs
-	}
-	subList, stSub := mpc.Agree(heavyTbl, "", layoutB, binSzPart)
+		return all
+	}, binSzPart)
 	st = mpc.Seq(st, stSub)
-	totalB := 0
-	for _, sb := range subList {
-		totalB += sb.size
+	var layB mpc.Layout
+	heavyBlockOf := make(map[string]int)
+	binBlockOf := make(map[string]int)
+	perGroupSubs := make(map[int64][]int)
+	for i, kc := range subList {
+		g := int64(relation.DecodeKey(kc.Key)[0])
+		blk := layB.Add(int(ceilDiv(footOf[g]+kc.Count, load)))
+		if i < nHeavyGC {
+			heavyBlockOf[kc.Key] = blk
+		} else {
+			binBlockOf[kc.Key] = blk
+		}
+		perGroupSubs[g] = append(perGroupSubs[g], blk)
 	}
-	if totalB == 0 {
+	if layB.Total() == 0 {
 		return dist.Reshape(res2, p), st
 	}
-	heavyBlockOf := make(map[string]subBlock)
-	binBlockOf := make(map[string]subBlock)
-	perGroupSubs := make(map[int64][]subBlock)
-	for _, sb := range subList {
-		if sb.isBin {
-			binBlockOf[sb.gcKey] = sb
-		} else {
-			heavyBlockOf[sb.gcKey] = sb
-		}
-		g := int64(relation.DecodeKey(sb.gcKey)[0])
-		perGroupSubs[g] = append(perGroupSubs[g], sb)
-	}
 
-	// Phase B routing.
+	// Phase B routing, from the Phase A blocks.
 	gCol1 := 0 // G is the leading column on both sides
 	b1 := r1Blk.Cols(in.B)[0]
-	outB := make([][][]relation.SidedRow[W], totalA)
-	ex.ForEachShardScratch(totalA, func(src int, sc *xrt.Scratch) {
+	routedB, stB := mpc.RouteBlocks(ex, layB, "matmul.os.gridB", routedA.P(), func(src int, sc *xrt.Scratch) func(bool, func(int, int, relation.SidedRow[W])) {
 		r1Shard := r1Blk.Part.Shards[src]
 		r2Shard := r2WithBin.Shards[src]
 		if len(r1Shard)+len(r2Shard) == 0 {
-			return
+			return nil
 		}
-		// Memoize R2 destinations: the (G,C…) key encodings and block map
-		// lookups happen once, not once per counted pass (-1 marks rows
-		// that are neither heavy nor binned — the (group, c) pair has no
-		// matching group rows, cannot produce output, and is dropped).
-		// R1 destinations are cheap arithmetic re-derived per pass.
-		r2Dests := sc.Ints(len(r2Shard))
+		// Memoize R2 (block, index) pairs: the (G,C…) key encodings and
+		// block map lookups happen once, not once per counted pass (block
+		// -1 marks rows that are neither heavy nor binned — the (group, c)
+		// pair has no matching group rows, cannot produce output, and is
+		// dropped). R1 destinations are cheap arithmetic re-derived per
+		// pass.
+		r2Dests := sc.Ints(2 * len(r2Shard))
 		for j, pr := range r2Shard {
 			r := pr.X
 			gc := relation.EncodeKey(r.Vals, gcCols)
 			b := r.Vals[bCol2+1] // +1 for the leading G column
-			if sb, ok := heavyBlockOf[gc]; ok {
-				r2Dests[j] = sb.off + hashB(b, sb.size, seed^0xb10c)
+			blk, ok := heavyBlockOf[gc]
+			if !ok && pr.Found {
+				g := r.Vals[gcCols[0]]
+				blk, ok = binBlockOf[relation.EncodeKey([]relation.Value{g, relation.Value(pr.Y.Bin)}, []int{0, 1})]
+			}
+			if !ok {
+				r2Dests[2*j] = -1
 				continue
 			}
-			r2Dests[j] = -1
-			if pr.Found {
-				g := r.Vals[gcCols[0]]
-				bk := relation.EncodeKey([]relation.Value{g, relation.Value(pr.Y.Bin)}, []int{0, 1})
-				if sb, ok := binBlockOf[bk]; ok {
-					r2Dests[j] = sb.off + hashB(b, sb.size, seed^0xb10c)
-				}
-			}
+			r2Dests[2*j], r2Dests[2*j+1] = blk, hashB(b, layB.Size(blk), seed^0xb10c)
 		}
-		outB[src] = mpc.BuildOutbox[relation.SidedRow[W]](sc, totalB, "outputSensitive phase B", func(fill bool, emit func(int, relation.SidedRow[W])) {
+		return func(_ bool, emit func(int, int, relation.SidedRow[W])) {
 			for _, r := range r1Shard {
 				g := int64(r.Vals[gCol1])
 				b := r.Vals[b1]
-				for _, sb := range perGroupSubs[g] {
-					emit(sb.off+hashB(b, sb.size, seed^0xb10c), relation.SidedRow[W]{Left: true, Row: r})
+				for _, blk := range perGroupSubs[g] {
+					emit(blk, hashB(b, layB.Size(blk), seed^0xb10c), relation.SidedRow[W]{Left: true, Row: r})
 				}
 			}
 			for j, pr := range r2Shard {
-				if d := r2Dests[j]; d >= 0 {
-					emit(d, relation.SidedRow[W]{Left: false, Row: pr.X})
+				if blk := r2Dests[2*j]; blk >= 0 {
+					emit(blk, r2Dests[2*j+1], relation.SidedRow[W]{Left: false, Row: pr.X})
 				}
 			}
-		})
+		}
 	})
-	mpc.TraceOp(ex, "matmul.os.gridB")
-	routedB, stB := mpc.ExchangeToIn(ex, totalB, outB)
 	st = mpc.Seq(st, stB)
 
 	// Local join-aggregate per sub-block server. The G column joins along

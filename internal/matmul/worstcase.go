@@ -99,12 +99,11 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	// One exchange routes everything. The layout is read-only and each
 	// source owns its outbox row, so the builds run concurrently on the
 	// execution's runtime.
-	out := make([][][]relation.SidedRow[W], p)
-	ex.ForEachShardScratch(p, func(src int, sc *xrt.Scratch) {
+	routed, stx := mpc.RouteBlocks(ex, lay.blocks, "matmul.wc.grid", p, func(src int, sc *xrt.Scratch) func(bool, func(int, int, relation.SidedRow[W])) {
 		rShard := rLook.Shards[src]
 		sShard := sLook.Shards[src]
 		if len(rShard)+len(sShard) == 0 {
-			return
+			return nil
 		}
 		// Memoize each row's classification so the counted build's two
 		// passes pay the key encoding and map lookup once: tag t > 0 is
@@ -130,27 +129,29 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 				sTags[j] = -1
 			}
 		}
-		out[src] = mpc.BuildOutbox[relation.SidedRow[W]](sc, lay.total, "worstCase route", func(fill bool, emit func(int, relation.SidedRow[W])) {
+		return func(_ bool, emit func(int, int, relation.SidedRow[W])) {
+			// hashed sends a row to the server of block blk its B value
+			// hashes to.
+			hashed := func(blk int, b relation.Value, left bool, row relation.Row[W]) {
+				emit(blk, hashB(b, lay.blocks.Size(blk), seed), relation.SidedRow[W]{Left: left, Row: row})
+			}
 			for j, pr := range rShard {
 				row := pr.X
 				b := row.Vals[bCol1]
 				if t := rTags[j]; t > 0 {
 					ai := t - 1
 					for cj := range lay.hC {
-						off, size := lay.hhBlock(ai, cj)
-						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: true, Row: row})
+						hashed(lay.hh(ai, cj), b, true, row)
 					}
-					off, size := lay.hlOff[ai], lay.hlSize[ai]
-					emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: true, Row: row})
+					hashed(lay.hl+ai, b, true, row)
 				} else {
 					// Light a: its bin row of the LL grid plus every LH block.
 					bin := -t - 1
 					for j2 := 0; j2 < lay.lBins; j2++ {
-						emit(lay.llStart+bin*lay.lBins+j2, relation.SidedRow[W]{Left: true, Row: row})
+						emit(lay.ll, bin*lay.lBins+j2, relation.SidedRow[W]{Left: true, Row: row})
 					}
 					for cj := range lay.hC {
-						off, size := lay.lhOff[cj], lay.lhSize[cj]
-						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: true, Row: row})
+						hashed(lay.lh+cj, b, true, row)
 					}
 				}
 			}
@@ -160,35 +161,30 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 				if t := sTags[j]; t > 0 {
 					cj := t - 1
 					for ai := range lay.hA {
-						off, size := lay.hhBlock(ai, cj)
-						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: false, Row: row})
+						hashed(lay.hh(ai, cj), b, false, row)
 					}
-					off, size := lay.lhOff[cj], lay.lhSize[cj]
-					emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: false, Row: row})
+					hashed(lay.lh+cj, b, false, row)
 				} else {
 					bin := -t - 1
 					for i := 0; i < lay.kBins; i++ {
-						emit(lay.llStart+i*lay.lBins+bin, relation.SidedRow[W]{Left: false, Row: row})
+						emit(lay.ll, i*lay.lBins+bin, relation.SidedRow[W]{Left: false, Row: row})
 					}
 					for ai := range lay.hA {
-						off, size := lay.hlOff[ai], lay.hlSize[ai]
-						emit(off+hashB(b, size, seed), relation.SidedRow[W]{Left: false, Row: row})
+						hashed(lay.hl+ai, b, false, row)
 					}
 				}
 			}
-		})
+		}
 	})
-	mpc.TraceOp(ex, "matmul.wc.grid")
-	routed, stx := mpc.ExchangeToIn(ex, lay.total, out)
 
 	partials := mpc.MapShards(routed, func(_ int, shard []relation.SidedRow[W]) []relation.Row[W] {
 		return localJoinAgg(sr, in, in.OutSchema(), shard)
 	})
 
 	// Steps 2–3 partials are reduced globally; step 4 outputs are final.
-	reducePart := mpc.Slice(partials, 0, lay.llStart)
-	llPart := mpc.Slice(partials, lay.llStart, partials.P())
-	if lay.llStart == 0 {
+	reducePart := mpc.SliceBlocks(partials, lay.blocks, 0, lay.ll)
+	llPart := mpc.SliceBlocks(partials, lay.blocks, lay.ll, lay.ll+1)
+	if reducePart.P() == 0 {
 		reducePart = mpc.NewPartIn[relation.Row[W]](ex, 1)
 	}
 	reduced, str := dist.ProjectAgg(sr, dist.Rel[W]{Schema: in.OutSchema(), Part: reducePart}, in.OutSchema()...)
@@ -236,17 +232,16 @@ func degrees[W any](r1, r2 mpc.Part[relation.Row[W]], aKey, cKey func(relation.R
 }
 
 // wcLayout is the deterministic block layout of the §3.1 algorithm,
-// recomputable identically on every server from the broadcast heavy lists.
+// recomputable identically on every server from the broadcast heavy lists:
+// the |hA|·|hC| heavy-heavy blocks (i-major), then one heavy-light block
+// per heavy a (from block hl), one light-heavy block per heavy c (from
+// block lh), and last the kBins × lBins light-light grid (block ll).
 type wcLayout struct {
 	hA, hC               []mpc.KeyCount[string]
 	heavyAIdx, heavyCIdx map[string]int
-	hhOff                []int // |hA|·|hC| blocks, i-major
-	hhSz                 []int
-	hlOff, hlSize        []int
-	lhOff, lhSize        []int
-	llStart              int
 	kBins, lBins         int
-	total                int
+	blocks               mpc.Layout
+	hl, lh, ll           int
 }
 
 func newWCLayout(hA, hC []mpc.KeyCount[string], n1, n2, load int64, kBins, lBins int) *wcLayout {
@@ -270,36 +265,22 @@ func newWCLayout(hA, hC []mpc.KeyCount[string], n1, n2, load int64, kBins, lBins
 	n1Light := n1 - hSumA
 	n2Light := n2 - hSumC
 
-	at := 0
 	for i := range hA {
 		for j := range hC {
-			sz := int(ceilDiv(hA[i].Count+hC[j].Count, load))
-			lay.hhOff = append(lay.hhOff, at)
-			lay.hhSz = append(lay.hhSz, sz)
-			at += sz
+			lay.blocks.Add(int(ceilDiv(hA[i].Count+hC[j].Count, load)))
 		}
 	}
+	lay.hl = len(hA) * len(hC)
 	for i := range hA {
-		sz := int(ceilDiv(hA[i].Count+n2Light, load))
-		lay.hlOff = append(lay.hlOff, at)
-		lay.hlSize = append(lay.hlSize, sz)
-		at += sz
+		lay.blocks.Add(int(ceilDiv(hA[i].Count+n2Light, load)))
 	}
+	lay.lh = lay.hl + len(hA)
 	for j := range hC {
-		sz := int(ceilDiv(hC[j].Count+n1Light, load))
-		lay.lhOff = append(lay.lhOff, at)
-		lay.lhSize = append(lay.lhSize, sz)
-		at += sz
+		lay.blocks.Add(int(ceilDiv(hC[j].Count+n1Light, load)))
 	}
-	lay.llStart = at
-	lay.total = at + kBins*lBins
-	if lay.total == 0 {
-		lay.total = 1
-	}
+	lay.ll = lay.blocks.Add(kBins * lBins)
 	return lay
 }
 
-func (l *wcLayout) hhBlock(ai, cj int) (off, size int) {
-	idx := ai*len(l.hC) + cj
-	return l.hhOff[idx], l.hhSz[idx]
-}
+// hh is the heavy-heavy block of (hA[ai], hC[cj]).
+func (l *wcLayout) hh(ai, cj int) int { return ai*len(l.hC) + cj }

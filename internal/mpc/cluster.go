@@ -17,9 +17,10 @@
 // another add rounds (Seq); independent sub-algorithms executed on disjoint
 // server groups in the same phase run simultaneously, so their costs merge
 // by taking the maximum rounds and maximum load (Par). Paper algorithms
-// that "allocate p_i servers to subquery i" are simulated by routing each
-// subquery's input to its group in one metered global exchange and then
-// Par-merging the groups' costs.
+// that "allocate p_i servers to subquery i" lay the groups out as blocks of
+// a Layout and route each subquery's input to its block in one metered
+// global exchange (RouteBlocks), then Par-merge the groups' costs. Overlay
+// (Reshape is its one-Part case) hosts the virtual servers on p.
 //
 // Where the paper allocates c·p servers for a constant c > 1 (e.g. the sum
 // of ⌈·⌉ allocations), the simulator uses that many virtual servers; the
@@ -236,9 +237,10 @@ func ExchangeIn[T any](ex *Exec, p int, out [][][]T) (Part[T], Stats) {
 // ExchangeToIn performs one communication round from the current server
 // set onto a (possibly different-sized) destination server set:
 // out[src][dst] with len(out) source servers and pDst destinations per
-// source (nil rows allowed, as in ExchangeIn). This is how "allocate p_i
-// servers to subquery i" steps route each subquery's input onto its group
-// of (virtual) servers in a single metered round.
+// source (nil rows allowed, as in ExchangeIn). Outside ExchangeIn and the
+// sample sort's partition round its one caller is RouteBlocks, the
+// routing round of "allocate p_i servers to subquery i" steps (see
+// sortguard_test.go).
 func ExchangeToIn[T any](ex *Exec, pDst int, out [][][]T) (Part[T], Stats) {
 	for src := range out {
 		if len(out[src]) != pDst && len(out[src]) != 0 {
@@ -445,7 +447,7 @@ func Route[T any](pt Part[T], dest func(src int, x T) int) (Part[T], Stats) {
 		for j, x := range shard {
 			dests[j] = dest(src, x)
 		}
-		out[src] = BuildOutboxDests(sc, p, "Route", dests, shard)
+		out[src] = buildOutboxDests(sc, p, "Route", dests, shard)
 	})
 	return ExchangeIn(ex, p, out)
 }
@@ -555,42 +557,21 @@ func Concat[T any](groups ...Part[T]) Part[T] {
 	return out
 }
 
-// Reshape reinterprets a Part over a different server count: shard i of
-// the input lands on shard i mod p of the output. It costs nothing because
-// "virtual servers" allocated by sub-algorithms (grids, bins, subquery
-// groups) are hosted by the p physical servers; Reshape merely fixes the
-// hosting map after the fact. The metering convention is unchanged: loads
-// are measured per virtual server, an undercount of at most the constant
-// co-location factor ⌈P_virtual/p⌉ that the paper's own O(p)-allocation
-// analysis hides as well.
+// Reshape reinterprets a Part over a different server count: it is
+// Overlay of the one Part, so shard i of the input lands on shard i mod p
+// of the output, and a Part already on p servers is returned unchanged. It
+// costs nothing because "virtual servers" allocated by sub-algorithms
+// (RouteBlocks' grids, bins and subquery blocks) are hosted by the p
+// physical servers; Reshape merely fixes the hosting map after the fact.
+// The metering convention is unchanged: loads are measured per virtual
+// server, an undercount of at most the constant co-location factor
+// ⌈P_virtual/p⌉ that the paper's own O(p)-allocation analysis hides as
+// well.
 func Reshape[T any](pt Part[T], p int) Part[T] {
 	if pt.P() == p {
 		return pt
 	}
-	out := NewPartIn[T](pt.scope(), p)
-	counts := make([]int, p)
-	for s, shard := range pt.Shards {
-		counts[s%p] += len(shard)
-	}
-	for d, c := range counts {
-		if c > 0 {
-			out.Shards[d] = make([]T, 0, c)
-		}
-	}
-	for s, shard := range pt.Shards {
-		d := s % p
-		out.Shards[d] = append(out.Shards[d], shard...)
-	}
-	return out
-}
-
-// Slice returns the sub-Part of servers [lo, hi); shards are shared, not
-// copied. It models addressing a contiguous server group.
-func Slice[T any](pt Part[T], lo, hi int) Part[T] {
-	if lo < 0 || hi > pt.P() || lo > hi {
-		panic(fmt.Sprintf("mpc: Slice [%d,%d) out of range [0,%d)", lo, hi, pt.P()))
-	}
-	return Part[T]{Shards: pt.Shards[lo:hi], ex: pt.ex}
+	return Overlay(pt.scope(), p, pt)
 }
 
 // Rebalance spreads pt's elements evenly (round-robin by global arrival

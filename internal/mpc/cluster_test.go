@@ -185,7 +185,10 @@ func TestConcatWidenSlice(t *testing.T) {
 	if c.P() != 5 || c.Len() != 3 {
 		t.Fatalf("concat P=%d len=%d", c.P(), c.Len())
 	}
-	s := Slice(c, 0, 2)
+	var lay Layout
+	lay.Add(2)
+	lay.Add(3)
+	s := SliceBlocks(c, lay, 0, 1)
 	if s.P() != 2 || s.Len() != 2 {
 		t.Fatalf("slice wrong")
 	}

@@ -110,11 +110,23 @@ func TotalCounts[T any](parts ...Part[T]) ([]int64, Stats) {
 
 // Overlay hosts several Parts on p servers: shard s of every part lands on
 // server s mod p, parts in argument order, shards of one part in index
-// order — Reshape's hosting map for more than one Part. Like Reshape it is
-// a placement choice, not communication: the rows already sit on those
-// (virtual) servers. The result owns its shards.
+// order. It is the package's one hosting map (Reshape is Overlay of one
+// Part). Like Reshape it is a placement choice, not communication: the
+// rows already sit on those (virtual) servers. The result owns its shards,
+// each allocated once at its exact size.
 func Overlay[T any](ex *Exec, p int, parts ...Part[T]) Part[T] {
 	out := NewPartIn[T](ex, p)
+	counts := make([]int, p)
+	for _, pt := range parts {
+		for s, shard := range pt.Shards {
+			counts[s%p] += len(shard)
+		}
+	}
+	for d, c := range counts {
+		if c > 0 {
+			out.Shards[d] = make([]T, 0, c)
+		}
+	}
 	for _, pt := range parts {
 		for s, shard := range pt.Shards {
 			out.Shards[s%p] = append(out.Shards[s%p], shard...)

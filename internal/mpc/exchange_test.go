@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	xrt "mpcjoin/internal/runtime"
 )
 
 func TestExchangeToRectangular(t *testing.T) {
@@ -27,21 +29,21 @@ func TestExchangeToRectangular(t *testing.T) {
 	}
 }
 
-// routeTo is how engines replicate onto a wider server set (grid joins,
-// per-group blocks): a BuildOutbox per source that emits each element to
-// every destination dests names, then one ExchangeToIn.
+// routeTo replicates onto a wider server set the way engines do (grid
+// joins, per-group blocks): one RouteBlocks block of pDst servers, each
+// element emitted to every index dests names.
 func routeTo(pt Part[int], pDst int, dests func(x int) []int) (Part[int], Stats) {
-	out := make([][][]int, pt.P())
-	for src, shard := range pt.Shards {
-		out[src] = BuildOutbox[int](nil, pDst, "routeTo", func(_ bool, emit func(int, int)) {
-			for _, x := range shard {
+	var lay Layout
+	blk := lay.Add(pDst)
+	return RouteBlocks(nil, lay, "routeTo", pt.P(), func(src int, _ *xrt.Scratch) func(bool, func(int, int, int)) {
+		return func(_ bool, emit func(b, i, x int)) {
+			for _, x := range pt.Shards[src] {
 				for _, d := range dests(x) {
-					emit(d, x)
+					emit(blk, d, x)
 				}
 			}
-		})
-	}
-	return ExchangeToIn(nil, pDst, out)
+		}
+	})
 }
 
 func TestRouteToReplication(t *testing.T) {

@@ -7,7 +7,8 @@ import (
 )
 
 // kernels.go holds the allocation-lean routing kernel shared by every
-// primitive and engine that builds exchange outboxes. Historically each
+// primitive that builds exchange outboxes (engines reach it through
+// RouteBlocks). Historically each
 // call site grew p destination rows by repeated append — p slice
 // headers plus O(log) reallocation copies per row, every round. The
 // counted two-pass build replaces that with exactly three allocations
@@ -15,9 +16,10 @@ import (
 // Scratch arena amortizes away): count per-destination sizes, carve
 // contiguous sub-slices of one buffer, fill.
 
-// BuildOutbox assembles one source server's destination rows for an
-// exchange onto pDst servers using a counted two-pass build. scan is
-// invoked exactly twice with an emit callback: the first invocation
+// buildOutbox assembles one source server's destination rows for an
+// exchange onto lay's blocks (max(lay.Total(), 1) servers) using a
+// counted two-pass build. scan is invoked exactly twice with an emit
+// callback that addresses server i of block b: the first invocation
 // (fill == false) tallies per-destination unit counts, the second
 // (fill == true) places elements into contiguous sub-slices of a
 // single backing buffer. scan must emit the same destination sequence
@@ -27,12 +29,13 @@ import (
 // expensive elements to the fill pass.
 //
 // Destinations that receive nothing keep a nil row, matching the
-// append-built outboxes this replaces. Out-of-range destinations panic
-// with what naming the calling primitive.
+// append-built outboxes this replaces. An index outside its block
+// panics with what naming the calling primitive.
 //
 // sc, when non-nil, provides the count vector from the worker's arena;
 // a nil sc allocates it (serial helpers, tests).
-func BuildOutbox[T any](sc *xrt.Scratch, pDst int, what string, scan func(fill bool, emit func(dst int, x T))) [][]T {
+func buildOutbox[T any](sc *xrt.Scratch, lay Layout, what string, scan func(fill bool, emit func(b, i int, x T))) [][]T {
+	pDst := max(lay.Total(), 1)
 	var counts []int
 	if sc != nil {
 		counts = sc.Ints(pDst)
@@ -40,11 +43,12 @@ func BuildOutbox[T any](sc *xrt.Scratch, pDst int, what string, scan func(fill b
 		counts = make([]int, pDst)
 	}
 	total := 0
-	scan(false, func(dst int, _ T) {
-		if dst < 0 || dst >= pDst {
-			panic(fmt.Sprintf("mpc: %s destination %d out of range [0,%d)", what, dst, pDst))
+	scan(false, func(b, i int, _ T) {
+		lo, hi := lay.off[b], lay.off[b+1]
+		if i < 0 || i >= hi-lo {
+			panic(fmt.Sprintf("mpc: %s index %d out of block %d's range [0,%d)", what, i, b, hi-lo))
 		}
-		counts[dst]++
+		counts[lo+i]++
 		total++
 	})
 	row := make([][]T, pDst)
@@ -59,8 +63,9 @@ func BuildOutbox[T any](sc *xrt.Scratch, pDst int, what string, scan func(fill b
 			at += c
 		}
 	}
-	scan(true, func(dst int, x T) {
-		row[dst] = append(row[dst], x)
+	scan(true, func(b, i int, x T) {
+		d := lay.off[b] + i
+		row[d] = append(row[d], x)
 	})
 	for d, c := range counts {
 		if len(row[d]) != c {
@@ -70,21 +75,21 @@ func BuildOutbox[T any](sc *xrt.Scratch, pDst int, what string, scan func(fill b
 	return row
 }
 
-// BuildOutboxDests assembles one source's destination rows from a
+// buildOutboxDests assembles one source's destination rows from a
 // precomputed destination array: element src[j] goes to dests[j]. It keeps
-// BuildOutbox's layout — contiguous sub-slices of one backing buffer in
+// buildOutbox's layout — contiguous sub-slices of one backing buffer in
 // ascending destination order, nil rows for empty destinations — but
 // places elements in a single pass over the data, since the destinations
 // are already materialized: count from the int array (which the CPU
 // streams far faster than re-running a scan closure), carve, then write
 // through per-destination cursors. Use it wherever the destination of
 // every element is known up front (Route's memoized dests, the sort
-// partition's bucket walk); keep BuildOutbox for scans with variable
+// partition's bucket walk); keep buildOutbox for scans with variable
 // fan-out.
 //
 // Out-of-range destinations panic with what naming the calling primitive.
 // sc, when non-nil, provides the count vector from the worker's arena.
-func BuildOutboxDests[T any](sc *xrt.Scratch, pDst int, what string, dests []int, src []T) [][]T {
+func buildOutboxDests[T any](sc *xrt.Scratch, pDst int, what string, dests []int, src []T) [][]T {
 	if len(dests) != len(src) {
 		panic(fmt.Sprintf("mpc: %s destination array has %d entries for %d elements", what, len(dests), len(src)))
 	}

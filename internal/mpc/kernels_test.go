@@ -116,13 +116,13 @@ func TestCountedRouteMatchesSerialOracle(t *testing.T) {
 func TestBuildOutboxFillCountMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BuildOutbox accepted a count/fill mismatch")
+			t.Fatal("buildOutbox accepted a count/fill mismatch")
 		}
 	}()
 	calls := 0
-	BuildOutbox[int64](nil, 4, "test", func(fill bool, emit func(int, int64)) {
+	buildOutbox[int64](nil, flat(4), "test", func(fill bool, emit func(int, int, int64)) {
 		calls++
-		emit(calls%4, 1) // different destination each pass
+		emit(0, calls%4, 1) // different destination each pass
 	})
 }
 
@@ -132,15 +132,22 @@ func TestBuildOutboxOutOfRangePanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("BuildOutbox accepted an out-of-range destination")
+			t.Fatal("buildOutbox accepted an out-of-range destination")
 		}
 	}()
-	BuildOutbox[int64](nil, 4, "test", func(fill bool, emit func(int, int64)) {
-		emit(4, 1)
+	buildOutbox[int64](nil, flat(4), "test", func(fill bool, emit func(int, int, int64)) {
+		emit(0, 4, 1)
 	})
 }
 
 var sinkRows [][]int64 // defeat dead-code elimination in alloc tests
+
+// flat is the one-block layout of p servers: block 0, index = server.
+func flat(p int) Layout {
+	var lay Layout
+	lay.Add(p)
+	return lay
+}
 
 // TestBuildOutboxAllocs asserts the kernel's allocation contract: with a
 // worker arena supplying the count vector, one build performs a small
@@ -152,23 +159,24 @@ func TestBuildOutboxAllocs(t *testing.T) {
 	for i := range data {
 		data[i] = int64(i)
 	}
-	scan := func(fill bool, emit func(dst int, x int64)) {
+	scan := func(fill bool, emit func(b, i int, x int64)) {
 		for _, x := range data {
-			emit(int(uint64(x)%7), x)
+			emit(0, int(uint64(x)%7), x)
 		}
 	}
+	lay := flat(7)
 	rt := xrt.Serial()
 	// Warm the scratch pool and the arena so steady state is measured.
 	rt.ForEachShardScratch(1, func(_ int, sc *xrt.Scratch) {
-		sinkRows = BuildOutbox[int64](sc, 7, "test", scan)
+		sinkRows = buildOutbox[int64](sc, lay, "test", scan)
 	})
 	allocs := testing.AllocsPerRun(50, func() {
 		rt.ForEachShardScratch(1, func(_ int, sc *xrt.Scratch) {
-			sinkRows = BuildOutbox[int64](sc, 7, "test", scan)
+			sinkRows = buildOutbox[int64](sc, lay, "test", scan)
 		})
 	})
 	if allocs > 6 {
-		t.Errorf("BuildOutbox allocated %.1f times per build, want ≤ 6 (row table, backing buffer, emit closures)", allocs)
+		t.Errorf("buildOutbox allocated %.1f times per build, want ≤ 6 (row table, backing buffer, emit closures)", allocs)
 	}
 }
 
@@ -176,7 +184,7 @@ var sinkPart Part[int64]
 
 // TestRouteAllocsBounded asserts the steady-state allocation bound of a
 // full single-pass Route round: out table (1) + per-source
-// BuildOutboxDests (row table + backing buffer — 2p) + exchange
+// buildOutboxDests (row table + backing buffer — 2p) + exchange
 // shard/recv tables (2) + per-destination inbox (≤ p) + small change.
 // 4p + 16 is the ceiling — the append-grown build this lineage replaced
 // performed O(p² log(N/p²)) allocations (1950 measured at p = 16,
@@ -208,12 +216,12 @@ func TestBuildOutboxDestsMatchesBuildOutbox(t *testing.T) {
 			for j, x := range shard {
 				dests[j] = int(uint64(x) % uint64(p))
 			}
-			want := BuildOutbox[int64](nil, p, "oracle", func(fill bool, emit func(int, int64)) {
+			want := buildOutbox[int64](nil, flat(p), "oracle", func(fill bool, emit func(int, int, int64)) {
 				for j, x := range shard {
-					emit(dests[j], x)
+					emit(0, dests[j], x)
 				}
 			})
-			got := BuildOutboxDests(nil, p, "test", dests, shard)
+			got := buildOutboxDests(nil, p, "test", dests, shard)
 			if len(got) != len(want) {
 				t.Fatalf("%s src %d: row count %d, want %d", name, src, len(got), len(want))
 			}
@@ -240,10 +248,10 @@ func TestBuildOutboxDestsOutOfRangePanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("BuildOutboxDests accepted destination %d of range [0,4)", bad)
+					t.Fatalf("buildOutboxDests accepted destination %d of range [0,4)", bad)
 				}
 			}()
-			BuildOutboxDests(nil, 4, "test", []int{bad}, []int64{7})
+			buildOutboxDests(nil, 4, "test", []int{bad}, []int64{7})
 		}()
 	}
 }
@@ -252,10 +260,10 @@ func TestBuildOutboxDestsOutOfRangePanics(t *testing.T) {
 func TestBuildOutboxDestsLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BuildOutboxDests accepted mismatched dests/src lengths")
+			t.Fatal("buildOutboxDests accepted mismatched dests/src lengths")
 		}
 	}()
-	BuildOutboxDests(nil, 4, "test", []int{0, 1}, []int64{7})
+	buildOutboxDests(nil, 4, "test", []int{0, 1}, []int64{7})
 }
 
 // TestBuildOutboxDestsAllocs asserts the single-pass builder's allocation
@@ -271,13 +279,13 @@ func TestBuildOutboxDestsAllocs(t *testing.T) {
 	}
 	rt := xrt.Serial()
 	build := func(_ int, sc *xrt.Scratch) {
-		sinkRows = BuildOutboxDests(sc, 7, "test", dests, data)
+		sinkRows = buildOutboxDests(sc, 7, "test", dests, data)
 	}
 	rt.ForEachShardScratch(1, build)
 	allocs := testing.AllocsPerRun(50, func() {
 		rt.ForEachShardScratch(1, build)
 	})
 	if allocs > 2 {
-		t.Errorf("BuildOutboxDests allocated %.1f times per build, want ≤ 2 (row table, backing buffer)", allocs)
+		t.Errorf("buildOutboxDests allocated %.1f times per build, want ≤ 2 (row table, backing buffer)", allocs)
 	}
 }

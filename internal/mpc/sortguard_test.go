@@ -25,7 +25,7 @@ import (
 func TestNoComparisonSortsInHotKernels(t *testing.T) {
 	banned := regexp.MustCompile(`slices\.Sort|sort\.Slice|sort\.Stable|sort\.Sort\b`)
 	for file, banned := range map[string]*regexp.Regexp{
-		"sort.go":        regexp.MustCompile(banned.String() + `|\bBuildOutbox`),
+		"sort.go":        regexp.MustCompile(banned.String() + `|\bbuildOutbox`),
 		"reduce.go":      banned,
 		"multisearch.go": regexp.MustCompile(banned.String() + `|\bSortBy\(`),
 	} {
@@ -74,16 +74,9 @@ func TestOneCoordinatorRoundTrip(t *testing.T) {
 // caller is the in-process carrier of the exchange barrier, so no other
 // path — the wire carrier, a primitive — hands two servers one slice.
 func TestSharedInboxOnlyInProc(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var callers []string
 	fset := token.NewFileSet()
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
+	for _, file := range nonTestFiles(t, ".") {
 		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -108,6 +101,93 @@ func TestSharedInboxOnlyInProc(t *testing.T) {
 	}
 }
 
+// TestOneAllocationRoute guards the allocation step ("allocate p_i servers
+// to subquery i"): RouteBlocks is its one routing round. Within the
+// package ExchangeToIn is called only by ExchangeIn, RouteBlocks and
+// sampleSort's partition round (onto the sort's own p servers); outside
+// it no non-test file calls ExchangeToIn or builds an outbox by hand.
+func TestOneAllocationRoute(t *testing.T) {
+	var callers []string
+	fset := token.NewFileSet()
+	for _, file := range nonTestFiles(t, ".") {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isIdentNamed(stripIndex(call.Fun), "ExchangeToIn") {
+					return true
+				}
+				site := fmt.Sprintf("%s:%s", fset.Position(call.Pos()).Filename, fn.Name.Name)
+				if site == "sort.go:sampleSort" && !isIdentNamed(call.Args[1], "p") {
+					site += " (destination count is not p)"
+				}
+				callers = append(callers, site)
+				return true
+			})
+		}
+	}
+	slices.Sort(callers)
+	if want := []string{"cluster.go:ExchangeIn", "layout.go:RouteBlocks", "sort.go:sampleSort"}; !slices.Equal(callers, want) {
+		t.Errorf("ExchangeToIn callers %v; want %v — an allocation step routes through RouteBlocks", callers, want)
+	}
+
+	mpcDir := filepath.Join("..", "..", "internal", "mpc") + string(filepath.Separator)
+	for _, site := range sitesIn(t, filepath.Join("..", ".."), regexp.MustCompile(`\b(ExchangeToIn|BuildOutbox|buildOutbox)\b`)) {
+		if !strings.HasPrefix(site, mpcDir) {
+			t.Errorf("%s: an exchange or outbox built by hand outside internal/mpc; an allocation step is mpc.RouteBlocks", site)
+		}
+	}
+}
+
+// nonTestFiles lists the non-test Go files under root, skipping hidden
+// directories (build and benchmark checkouts) and testdata.
+func nonTestFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// stripIndex drops a call's explicit instantiation: f[T] is f.
+func stripIndex(fun ast.Expr) ast.Expr {
+	switch fn := fun.(type) {
+	case *ast.IndexExpr:
+		return fn.X
+	case *ast.IndexListExpr:
+		return fn.X
+	}
+	return fun
+}
+
+func isIdentNamed(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
 // TestFixupsRideThePartition guards the fused boundary fix-ups: the
 // multi-search's predecessor carry and reduce-by-key's whole keys ride the
 // sort's partition round, so multisearch.go and reduce.go run no
@@ -122,17 +202,13 @@ func TestFixupsRideThePartition(t *testing.T) {
 
 // sitesOf lists, as file:line, every match of re in the package's non-test
 // files, comment lines excluded.
-func sitesOf(t *testing.T, re *regexp.Regexp) []string {
+func sitesOf(t *testing.T, re *regexp.Regexp) []string { return sitesIn(t, ".", re) }
+
+// sitesIn is sitesOf over every non-test file under root.
+func sitesIn(t *testing.T, root string, re *regexp.Regexp) []string {
 	t.Helper()
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sites []string
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
+	for _, file := range nonTestFiles(t, root) {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatalf("reading %s: %v", file, err)

@@ -40,10 +40,11 @@ type keyStat struct {
 	dr, ds int64
 }
 
-// gridAssign is a heavy key's server block: servers [offset, offset+ar*bs).
+// gridAssign is a heavy key's ar × bs grid: block of the route's layout,
+// cell (i, j) at index i·bs + j.
 type gridAssign struct {
 	key    string
-	offset int
+	block  int
 	ar, bs int
 }
 
@@ -139,25 +140,24 @@ func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, sta
 	// Heavy grid assignment on every server (O(p) heavy keys).
 	grids, st5 := mpc.Agree(heavy, "", func(all []keyStat) []gridAssign {
 		var grids []gridAssign
-		at := 0
 		for _, ks := range all {
 			ar := int((ks.dr + load - 1) / load)
 			bs := int((ks.ds + load - 1) / load)
-			grids = append(grids, gridAssign{key: ks.key, offset: at, ar: ar, bs: bs})
-			at += ar * bs
+			grids = append(grids, gridAssign{key: ks.key, ar: ar, bs: bs})
 		}
 		return grids
 	})
-	heavyServers := 0
+	var lay mpc.Layout
 	gridByKey := make(map[string]gridAssign, len(grids))
 	for _, g := range grids {
+		g.block = lay.Add(g.ar * g.bs)
 		gridByKey[g.key] = g
-		heavyServers += g.ar * g.bs
 	}
 
 	// Light bin assignment by parallel-packing with capacity 2L (each key
 	// weighs d_R + d_S ≤ 2L).
 	binned, nBins, st7 := mpc.ParallelPack(light, func(ks keyStat) int64 { return ks.dr + ks.ds }, 2*load)
+	bins := lay.Add(nBins) // after the grids, one server per bin
 	binTable := mpc.Map(binned, func(b mpc.Binned[keyStat]) binAssign {
 		return binAssign{key: b.X.key, bin: b.Bin}
 	})
@@ -167,12 +167,7 @@ func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, sta
 	sBins, st9 := mpc.LookupJoin(s.Part, binTable, sKey, func(b binAssign) string { return b.key })
 
 	// One exchange routes both relations onto the heavy grids and light
-	// bins. Destination space: [0, heavyServers) grids, then bins.
-	pDst := heavyServers + nBins
-	if pDst == 0 {
-		pDst = 1
-	}
-	out := make([][][]relation.SidedRow[W], p)
+	// bins.
 	// A heavy key's tuples round-robin across its grid rows (columns for
 	// the S side) in global arrival order — a counter that, serially, runs
 	// across source servers. To build the outboxes concurrently with the
@@ -215,81 +210,59 @@ func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, sta
 		}
 		rBase[src], sBase[src] = rb, sb
 	}
-	ex.ForEachShardScratch(p, func(src int, scr *xrt.Scratch) {
+	routed, st10 := mpc.RouteBlocks(ex, lay, "twoway.grid", p, func(src int, scr *xrt.Scratch) func(bool, func(int, int, relation.SidedRow[W])) {
 		rShard := rBins.Shards[src]
 		sShard := sBins.Shards[src]
 		if len(rShard)+len(sShard) == 0 {
-			return
+			return nil
 		}
 		rowRR := rBase[src] // owned by this source from here on
 		colRR := sBase[src]
-		// Memoize each tuple's grid placement so the stateful round-robin
+		// Memoize each tuple's placement so the stateful round-robin
 		// counters advance exactly once and the counted build's two
-		// passes replay identical destinations. An R tuple's replicas are
-		// the contiguous cells base..base+n-1 of its grid row; an S
-		// tuple's stride down its column: base + i·step for i < n. n = 0
-		// encodes a single light-bin destination, n = -1 a dropped tuple
-		// (its key is absent from the other side: no join results).
-		rMemo := scr.Ints(2 * len(rShard))
+		// passes replay identical destinations. A tuple goes to n cells
+		// of one block: an R tuple's replicas are the contiguous cells
+		// at..at+n-1 of its grid row, an S tuple's stride down its column,
+		// at + i·step for i < n. A light tuple's one cell is its bin
+		// (n = 1); n = 0 drops a tuple whose key is absent from the other
+		// side (no join results).
+		rMemo := scr.Ints(3 * len(rShard))
 		for m, pr := range rShard {
 			k := rKey(pr.X)
 			if g, isHeavy := gridByKey[k]; isHeavy {
 				i := rowRR[k] % g.ar
 				rowRR[k]++
-				rMemo[2*m] = g.offset + i*g.bs
-				rMemo[2*m+1] = g.bs
+				rMemo[3*m], rMemo[3*m+1], rMemo[3*m+2] = g.block, i*g.bs, g.bs
 			} else if pr.Found {
-				rMemo[2*m] = heavyServers + pr.Y.bin
-				rMemo[2*m+1] = 0
-			} else {
-				rMemo[2*m+1] = -1
+				rMemo[3*m], rMemo[3*m+1], rMemo[3*m+2] = bins, pr.Y.bin, 1
 			}
 		}
-		sMemo := scr.Ints(3 * len(sShard))
+		sMemo := scr.Ints(4 * len(sShard))
 		for m, pr := range sShard {
 			k := sKey(pr.X)
 			if g, isHeavy := gridByKey[k]; isHeavy {
 				j := colRR[k] % g.bs
 				colRR[k]++
-				sMemo[3*m] = g.offset + j
-				sMemo[3*m+1] = g.bs
-				sMemo[3*m+2] = g.ar
+				sMemo[4*m], sMemo[4*m+1], sMemo[4*m+2], sMemo[4*m+3] = g.block, j, g.bs, g.ar
 			} else if pr.Found {
-				sMemo[3*m] = heavyServers + pr.Y.bin
-				sMemo[3*m+2] = 0
-			} else {
-				sMemo[3*m+2] = -1
+				sMemo[4*m], sMemo[4*m+1], sMemo[4*m+3] = bins, pr.Y.bin, 1
 			}
 		}
-		out[src] = mpc.BuildOutbox[relation.SidedRow[W]](scr, pDst, "twoway route", func(fill bool, emit func(int, relation.SidedRow[W])) {
+		return func(_ bool, emit func(int, int, relation.SidedRow[W])) {
 			for m, pr := range rShard {
-				base, n := rMemo[2*m], rMemo[2*m+1]
-				switch {
-				case n < 0:
-				case n == 0:
-					emit(base, relation.SidedRow[W]{Left: true, Row: pr.X})
-				default:
-					for j := 0; j < n; j++ {
-						emit(base+j, relation.SidedRow[W]{Left: true, Row: pr.X})
-					}
+				b, at, n := rMemo[3*m], rMemo[3*m+1], rMemo[3*m+2]
+				for j := 0; j < n; j++ {
+					emit(b, at+j, relation.SidedRow[W]{Left: true, Row: pr.X})
 				}
 			}
 			for m, pr := range sShard {
-				base, step, n := sMemo[3*m], sMemo[3*m+1], sMemo[3*m+2]
-				switch {
-				case n < 0:
-				case n == 0:
-					emit(base, relation.SidedRow[W]{Left: false, Row: pr.X})
-				default:
-					for i := 0; i < n; i++ {
-						emit(base+i*step, relation.SidedRow[W]{Left: false, Row: pr.X})
-					}
+				b, at, step, n := sMemo[4*m], sMemo[4*m+1], sMemo[4*m+2], sMemo[4*m+3]
+				for i := 0; i < n; i++ {
+					emit(b, at+i*step, relation.SidedRow[W]{Left: false, Row: pr.X})
 				}
 			}
-		})
+		}
 	})
-	mpc.TraceOp(ex, "twoway.grid")
-	routed, st10 := mpc.ExchangeToIn(ex, pDst, out)
 	return routed, outf, mpc.Seq(st4, st5, st7, st8, st9, st10)
 }
 
