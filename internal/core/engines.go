@@ -21,7 +21,11 @@ type runner[W any] func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[s
 // planner.Engines, under the same name (TestRunnersMatchEngineTable fails
 // when the key sets differ). It is a function only because a runner is
 // generic over the semiring type; there is nothing to register — adding an
-// engine is adding an entry here and a row there.
+// engine is adding an entry here and a row there. A runner binds the query
+// to its engine's arguments and runs it with the execution's seed; it
+// checks nothing, because the planner only chooses, or lets a caller force,
+// an engine legal for the query's class (and, for the class-split engines,
+// within dist.MaxPermArms), so Bind cannot fail here.
 func runners[W any]() map[string]runner[W] {
 	return map[string]runner[W]{
 		planner.EngineYannakakis: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], _ Options) (dist.Rel[W], mpc.Stats, error) {
@@ -33,16 +37,23 @@ func runners[W any]() map[string]runner[W] {
 		planner.EngineMatMulWorstCase: runMatMul[W](planner.EngineMatMulWorstCase),
 		planner.EngineMatMulOutSens:   runMatMul[W](planner.EngineMatMulOutSens),
 		planner.EngineLine: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return linequery.Compute(sr, q, rels, linequery.Options{Seed: opts.Seed})
+			chain, path, _ := linequery.Bind(q, rels, dist.Single)
+			res, st := linequery.Run(sr, chain, path, opts.Seed)
+			return res, st, nil
 		},
 		planner.EngineStar: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return starquery.Compute(sr, q, rels, starquery.Options{Seed: opts.Seed})
+			arms, leaves, center, _ := starquery.Bind(q, rels, dist.Single)
+			res, st := starquery.Run(sr, arms, leaves, center, opts.Seed)
+			return res, st, nil
 		},
 		planner.EngineStarLike: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return starlike.Compute(sr, q, rels, starlike.Options{Seed: opts.Seed})
+			arms, center, _ := starlike.Bind(q, rels, dist.Single)
+			res, st := starlike.Run(sr, arms, center, opts.Seed)
+			return res, st, nil
 		},
 		planner.EngineTree: func(sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-			return treequery.Compute(sr, q, rels, treequery.Options{Seed: opts.Seed})
+			res, st := treequery.Compute(sr, q, rels, opts.Seed)
+			return res, st, nil
 		},
 	}
 }

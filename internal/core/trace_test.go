@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mpcjoin/internal/db"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/planner"
@@ -106,6 +107,50 @@ func TestTracerReuseAcrossExecutions(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("round %d differs across identical executions:\n%+v\n%+v", i+1, first[i], second[i])
+		}
+	}
+}
+
+// TestEmptyResultsStayInTheExecution runs every legal engine on an
+// all-dangling instance — each relation draws its values from its own
+// range, so nothing joins — traced. An engine that finds its input empty
+// returns an empty result on the execution's scope, so every round that
+// follows (the twig projection, the final ⊕-merge) is traced, fault-injected
+// and cancellable like any other; a result built outside the scope would
+// meter rounds no tracer sees.
+func TestEmptyResultsStayInTheExecution(t *testing.T) {
+	queries := []*hypergraph.Query{
+		hypergraph.MatMulQuery(),
+		hypergraph.LineQuery(3),
+		hypergraph.StarQuery(3),
+		hypergraph.Fig1StarLike(),
+		hypergraph.Fig3Twig(),
+	}
+	for _, q := range queries {
+		inst := make(db.Instance[int64])
+		for i, e := range q.Edges {
+			r := relation.New[int64](e.Attrs...)
+			for j := 0; j < 12; j++ {
+				vals := make([]relation.Value, len(e.Attrs))
+				for c := range vals {
+					vals[c] = relation.Value(100*i + (j+c)%6)
+				}
+				r.AppendRow(relation.Row[int64]{Vals: vals, W: 1})
+			}
+			inst[e.Name] = relation.Compact[int64](intSR, r)
+		}
+		for _, engine := range planner.Legal(q.Classify()) {
+			tr := mpc.NewTracer()
+			res, st, err := Execute[int64](intSR, q, inst, Options{Servers: 4, Engine: engine, Tracer: tr})
+			if err != nil {
+				t.Fatalf("%s on %v: %v", engine, q.Classify(), err)
+			}
+			if res.Len() != 0 {
+				t.Fatalf("%s on %v: %d rows from an all-dangling instance", engine, q.Classify(), res.Len())
+			}
+			if n := len(tr.Rounds()); n < st.Rounds {
+				t.Fatalf("%s on %v: %d traced rounds, %d metered", engine, q.Classify(), n, st.Rounds)
+			}
 		}
 	}
 }

@@ -138,8 +138,9 @@ const MaxPermArms = 15
 
 // CheckPermArms is the refusal of the engines built on the class split: a
 // query joining more than MaxPermArms relations at one aggregated attribute
-// (hypergraph.Query.AggregatedDegree) is an error before any round — from
-// the engine, from the planner's feasibility and from a forced plan alike.
+// (hypergraph.Query.AggregatedDegree) is an error before any round. The
+// planner is the one caller (a forced plan; its pricing marks the same
+// queries infeasible), so the engines never see such a query.
 func CheckPermArms(arms int) error {
 	if arms > MaxPermArms {
 		return fmt.Errorf("%d relations meet at one aggregated attribute; the degree-permutation class split handles at most %d", arms, MaxPermArms)
@@ -150,7 +151,7 @@ func CheckPermArms(arms int) error {
 // EncodePerm packs an arm order into an int64 class id (base-n digits).
 func EncodePerm(order []int, n int) int64 {
 	if n > MaxPermArms {
-		panic("dist: EncodePerm beyond MaxPermArms; the engine must refuse the query first")
+		panic("dist: EncodePerm beyond MaxPermArms; the planner must refuse the query first")
 	}
 	var id int64
 	for i := len(order) - 1; i >= 0; i-- {

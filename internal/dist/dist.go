@@ -37,15 +37,11 @@ func FromRelationIn[W any](ex *mpc.Exec, r *relation.Relation[W], p int) Rel[W] 
 	}
 }
 
-// Empty returns an empty Rel with the given schema over p servers.
-// The Rel has no execution scope; see EmptyIn.
-func Empty[W any](schema []Attr, p int) Rel[W] {
-	return EmptyIn[W](nil, schema, p)
-}
-
-// EmptyIn is Empty scoped to the execution ex, so downstream operations
-// that merge the empty Rel with scoped inputs stay on the execution's
-// runtime and cancellation context.
+// EmptyIn returns an empty Rel with the given schema over p servers, scoped
+// to the execution ex: an engine that finds its input empty returns one on
+// its input's scope, so the rounds downstream of it (a projection, an
+// ⊕-merge) stay on the execution's runtime, tracer, fault plane and
+// cancellation context.
 func EmptyIn[W any](ex *mpc.Exec, schema []Attr, p int) Rel[W] {
 	return Rel[W]{Schema: append([]Attr(nil), schema...), Part: mpc.NewPartIn[relation.Row[W]](ex, p)}
 }

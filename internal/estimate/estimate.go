@@ -12,7 +12,9 @@
 //
 // Attributes may be composite ("combined attributes" arising from the
 // star/star-like reductions): every path position is a list of concrete
-// attributes, keyed by its order-preserving byte encoding.
+// attributes, keyed by its order-preserving byte encoding. ArmOut is the
+// one reader of that encoding here: the engines' per-arm estimates are
+// keyed by the single centre value it decodes.
 //
 // Metering note: a sketch vector is one run of len(w) machine words —
 // O(k·log N) of them, i.e. O(log N) units in the model's terms. The
@@ -29,6 +31,7 @@ import (
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/kmv"
 	"mpcjoin/internal/mpc"
+	"mpcjoin/internal/relation"
 )
 
 // defaultK is the per-sketch size; the estimator's relative error is
@@ -157,19 +160,6 @@ type KeySketch struct {
 	V   Vec
 }
 
-// hashItem maps an encoded value tuple to the 64-bit item space (FNV-1a);
-// 64-bit collisions are negligible at the instance sizes involved.
-// relation.HashCols hashes a row's columns into the same space in place.
-func hashItem(enc string) uint64 {
-	h := fnvOffset
-	for i := 0; i < len(enc); i++ {
-		h = (h ^ uint64(enc[i])) * fnvPrime
-	}
-	return h
-}
-
-const fnvOffset, fnvPrime uint64 = 0xcbf29ce484222325, 0x100000001b3
-
 // SketchValues builds, for every distinct value tuple of keyAttrs in r, a
 // sketch vector of the distinct itemAttrs tuples co-occurring with it — the
 // base case of the §2.2 fold (hashing dom(A_{n+1}) per value of A_n), i.e.
@@ -218,6 +208,19 @@ func LineOut[W any](rels []dist.Rel[W], path [][]dist.Attr, p Params) (mpc.Part[
 	})
 	total, st2 := SumCounts(ests)
 	return ests, total, mpc.Seq(st, st2)
+}
+
+// ArmOut is LineOut along one arm of a star-like query, the per-arm
+// degree estimate d_i(b) of §6 step 1 and §7.1's x(b): path[0] is the
+// arm's single center attribute B, and every estimate is keyed by its b
+// value itself. No caller reads LineOut's total, but its all-reduce round
+// stays: dropping it would move the rounds of every star-like and tree
+// execution.
+func ArmOut[W any](rels []dist.Rel[W], path [][]dist.Attr) (mpc.Part[mpc.KeyCount[int64]], mpc.Stats) {
+	ests, _, st := LineOut(rels, path, Params{})
+	return mpc.Map(ests, func(kc mpc.KeyCount[string]) mpc.KeyCount[int64] {
+		return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
+	}), st
 }
 
 // SumCounts totals the Count fields with an AllReduce, so every server

@@ -126,7 +126,7 @@ func imageAlgebra(p Params) algebra[KeySketch] {
 		// b values are disjoint rather than merged: tag each by b first.
 		carry: func(key string, sub KeySketch, tag bool) KeySketch {
 			if tag {
-				return KeySketch{Key: key, V: TagVec(sub.V, hashItem(sub.Key))}
+				return KeySketch{Key: key, V: TagVec(sub.V, relation.HashString(sub.Key, 0))}
 			}
 			return KeySketch{Key: key, V: sub.V}
 		},

@@ -239,13 +239,13 @@ func TestElementSizesPinned(t *testing.T) {
 }
 
 // TestHashItemAgreesWithHashCols: a leaf hashes its row in place with
-// relation.HashCols and a tag hashes an encoded key with hashItem; both
-// must name a tuple by the same item.
+// relation.HashCols and a tag hashes an encoded key with relation.HashString
+// at seed 0; both must name a tuple by the same item.
 func TestHashItemAgreesWithHashCols(t *testing.T) {
 	vals := []relation.Value{0, -1, 7, -1 << 63, 1<<63 - 1, 123456789}
 	for _, idx := range [][]int{{}, {0}, {3, 4}, {5, 3, 1, 4}} {
-		if got, want := hashItem(relation.EncodeKey(vals, idx)), relation.HashCols(vals, idx); got != want {
-			t.Errorf("columns %v: hashItem(EncodeKey) %#x, relation.HashCols %#x", idx, got, want)
+		if got, want := relation.HashString(relation.EncodeKey(vals, idx), 0), relation.HashCols(vals, idx); got != want {
+			t.Errorf("columns %v: HashString(EncodeKey, 0) %#x, relation.HashCols %#x", idx, got, want)
 		}
 	}
 }

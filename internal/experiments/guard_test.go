@@ -111,8 +111,9 @@ func TestHarnessesImportNoEngine(t *testing.T) {
 }
 
 // TestEnginesComputeCalledFromTheTableOnly: outside the engine packages
-// (which compose one another) the only caller of an engine's Compute is
-// the runner table in core/engines.go.
+// (which compose one another) the only caller of an engine's entry point —
+// matmul's and treequery's Compute, the Run of linequery, starquery and
+// starlike — is the runner table in core/engines.go.
 func TestEnginesComputeCalledFromTheTableOnly(t *testing.T) {
 	engines := []string{"matmul", "linequery", "starquery", "starlike", "treequery"}
 	for _, src := range sources(t, false, ".") {
@@ -121,8 +122,66 @@ func TestEnginesComputeCalledFromTheTableOnly(t *testing.T) {
 			continue
 		}
 		src.selectors(func(pkg, name string) {
-			if name == "Compute" && slices.Contains(engines, pkg) {
-				t.Errorf("%s calls %s.Compute: the engine table (core/engines.go) is the one caller", src.path, pkg)
+			if (name == "Compute" || name == "Run") && slices.Contains(engines, pkg) {
+				t.Errorf("%s calls %s.%s: the engine table (core/engines.go) is the one caller", src.path, pkg, name)
+			}
+		})
+	}
+}
+
+// TestEnginesAreBindAndRun: linequery, starquery and starlike export their
+// algorithm as Bind plus Run(…, seed) and nothing that wraps them — no
+// Options type (the seed is Run's argument) and no Compute shell (the
+// runner binds and runs; the planner already checked the class and the
+// arm count).
+func TestEnginesAreBindAndRun(t *testing.T) {
+	for _, src := range sources(t, false, "internal/linequery", "internal/starquery", "internal/starlike") {
+		for _, d := range src.file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.Name == "Compute" {
+					t.Errorf("%s:%d: func Compute: the engine is Bind and Run; core/engines.go binds and runs it", src.path, src.fset.Position(d.Pos()).Line)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Options" {
+						t.Errorf("%s:%d: type Options: pass the seed to Run", src.path, src.fset.Position(ts.Pos()).Line)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEmptyResultsKeepTheirScope: an empty Rel is built on its input's
+// execution scope with dist.EmptyIn, so the rounds after it are traced,
+// fault-injected and cancellable; a scope-less dist.Empty would run them
+// outside the execution.
+func TestEmptyResultsKeepTheirScope(t *testing.T) {
+	for _, src := range sources(t, false, ".") {
+		src.selectors(func(pkg, name string) {
+			if pkg == "dist" && name == "Empty" {
+				t.Errorf("%s calls dist.Empty: build the empty result with dist.EmptyIn on the input's scope", src.path)
+			}
+		})
+	}
+}
+
+// TestKeysDecodedInFewPlaces: relation.DecodeKey turns a key string back
+// into values; keying the estimator's output by value retires it from the
+// engines. Until then its callers are relation itself, the reference
+// engine, the instance generators and text I/O, the estimator's one
+// per-arm map (estimate.ArmOut) and outsens' group lookups.
+func TestKeysDecodedInFewPlaces(t *testing.T) {
+	allowed := []string{"internal/relation/", "internal/refengine/", "internal/workload/", "internal/textio/",
+		"internal/estimate/estimate.go", "internal/matmul/outsens.go"}
+	for _, src := range sources(t, false, ".") {
+		if slices.ContainsFunc(allowed, func(a string) bool { return strings.HasPrefix(src.path, a) }) {
+			continue
+		}
+		src.selectors(func(pkg, name string) {
+			if pkg == "relation" && name == "DecodeKey" {
+				t.Errorf("%s calls relation.DecodeKey: take per-value estimates from estimate.ArmOut", src.path)
 			}
 		})
 	}

@@ -18,10 +18,13 @@
 // Endpoints may be composite attribute lists: the star-like reduction
 // (§6, step 2.2) produces line queries whose first endpoint is a combined
 // attribute.
+//
+// The engine is Bind, which reads a line query's relations and path off
+// its hypergraph view, and Run(…, seed), the algorithm over them; the
+// planner has already checked the class.
 package linequery
 
 import (
-	"fmt"
 	"math"
 
 	"mpcjoin/internal/dist"
@@ -33,23 +36,6 @@ import (
 	"mpcjoin/internal/semiring"
 	"mpcjoin/internal/twoway"
 )
-
-// Options tunes the algorithm.
-type Options struct {
-	// Seed drives hash partitioning inside the matmul subroutine.
-	Seed uint64
-}
-
-// Compute evaluates a line query given by its hypergraph view. rels binds
-// each edge name to its distributed relation.
-func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	ordered, path, ok := Bind(q, rels, dist.Single)
-	if !ok {
-		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("linequery: query is not a line query")
-	}
-	res, st := Run(sr, ordered, path, opts)
-	return res, st, nil
-}
 
 // Bind turns a line query's view into Run's arguments: its relations in
 // path order and the path, each vertex expanded to its attribute columns
@@ -74,8 +60,9 @@ func Bind[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], expand func(h
 // rels[i] spans path[i] ∪ path[i+1]; the output attributes are
 // path[0] ∪ path[n]. Path positions are composite attribute lists;
 // interior positions must be single attributes (they are join attributes
-// of the §3 matmul base case).
-func Run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr, opts Options) (dist.Rel[W], mpc.Stats) {
+// of the §3 matmul base case). seed drives hash partitioning inside the
+// matmul subroutine.
+func Run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr, seed uint64) (dist.Rel[W], mpc.Stats) {
 	if len(rels) < 2 || len(path) != len(rels)+1 {
 		panic("linequery: malformed path")
 	}
@@ -89,16 +76,16 @@ func Run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 	n0, sc := mpc.TotalCount(rels[0].Part)
 	st = mpc.Seq(st, sc)
 	if n0 == 0 {
-		return dist.Empty[W](outSchema, p), st
+		return dist.EmptyIn[W](rels[0].Part.Scope(), outSchema, p), st
 	}
 
-	res, st2 := run(sr, rels, path, opts)
+	res, st2 := run(sr, rels, path, seed)
 	return res, mpc.Seq(st, st2)
 }
 
 // run assumes dangling tuples are already removed and recursion invariants
 // hold.
-func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr, opts Options) (dist.Rel[W], mpc.Stats) {
+func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr, seed uint64) (dist.Rel[W], mpc.Stats) {
 	p := rels[0].P()
 	outSchema := append(append([]dist.Attr(nil), path[0]...), path[len(path)-1]...)
 
@@ -108,7 +95,7 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 			panic("linequery: interior path position must be a single attribute")
 		}
 		res, st, err := matmul.Compute(sr, matmul.Input[W]{R1: rels[0], R2: rels[1], B: path[1][0]},
-			matmul.Options{Seed: opts.Seed, SkipDangling: true})
+			matmul.Options{Seed: seed, SkipDangling: true})
 		if err != nil {
 			panic(err) // schemas are constructed internally; cannot fail
 		}
@@ -160,17 +147,11 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 		stHeavy = mpc.Seq(stHeavy, s)
 
 		// Step 2.1: fold the tail right-to-left into R(A2, A_{n+1}).
-		last := path[len(path)-1]
-		acc := hRels[len(hRels)-1]
-		for i := len(hRels) - 2; i >= 1; i-- {
-			keep := append(append([]dist.Attr(nil), path[i]...), last...)
-			folded, s := twoway.JoinAgg(sr, hRels[i], acc, keep...)
-			acc = dist.Reshape(folded, p)
-			stHeavy = mpc.Seq(stHeavy, s)
-		}
+		acc, s1 := twoway.FoldChain(sr, hRels[1:], path[1:], p)
+		stHeavy = mpc.Seq(stHeavy, s1)
 		// Step 2.2: one output-sensitive matrix multiplication.
 		res, s2, err := matmul.Compute(sr, matmul.Input[W]{R1: hRels[0], R2: acc, B: path[1][0]},
-			matmul.Options{Seed: opts.Seed, SkipDangling: true})
+			matmul.Options{Seed: seed, SkipDangling: true})
 		if err != nil {
 			panic(err)
 		}
@@ -198,7 +179,7 @@ func run[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr,
 		nl0, sc3 := mpc.TotalCount(sRels[0].Part)
 		stLight = mpc.Seq(stLight, sc3)
 		if nl0 > 0 {
-			res, s2 := run(sr, sRels, sPath, opts)
+			res, s2 := run(sr, sRels, sPath, seed)
 			resLight = dist.Reshape(res, p)
 			stLight = mpc.Seq(stLight, s2)
 		} else {

@@ -1,6 +1,7 @@
 package linequery
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/refengine"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
@@ -39,9 +41,20 @@ func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]di
 	return rels
 }
 
-func check(t *testing.T, q *hypergraph.Query, inst db.Instance[int64], p int, opts Options) {
+// compute binds a plain line query and runs it, as core's runner does; a
+// query of another class is an error.
+func compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], seed uint64) (dist.Rel[W], mpc.Stats, error) {
+	chain, path, ok := Bind(q, rels, dist.Single)
+	if !ok {
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("not a line query")
+	}
+	res, st := Run(sr, chain, path, seed)
+	return res, st, nil
+}
+
+func check(t *testing.T, q *hypergraph.Query, inst db.Instance[int64], p int, seed uint64) {
 	t.Helper()
-	got, _, err := Compute[int64](intSR, q, distRels(q, inst, p), opts)
+	got, _, err := compute[int64](intSR, q, distRels(q, inst, p), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +72,7 @@ func TestLine3AgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomInstance(rng, q, 60, 10)
-		check(t, q, inst, rng.Intn(8)+2, Options{Seed: uint64(seed)})
+		check(t, q, inst, rng.Intn(8)+2, uint64(seed))
 	}
 }
 
@@ -69,7 +82,7 @@ func TestLine4And5AgainstReference(t *testing.T) {
 		for seed := int64(0); seed < 5; seed++ {
 			rng := rand.New(rand.NewSource(seed + 100))
 			inst := randomInstance(rng, q, 40, 9)
-			check(t, q, inst, rng.Intn(6)+2, Options{Seed: uint64(seed)})
+			check(t, q, inst, rng.Intn(6)+2, uint64(seed))
 		}
 	}
 }
@@ -81,7 +94,7 @@ func TestQuickRandomLines(t *testing.T) {
 		q := hypergraph.LineQuery(n)
 		inst := randomInstance(rng, q, rng.Intn(60)+5, rng.Intn(8)+3)
 		p := rng.Intn(8) + 2
-		got, _, err := Compute[int64](intSR, q, distRels(q, inst, p), Options{Seed: uint64(seed)})
+		got, _, err := compute[int64](intSR, q, distRels(q, inst, p), uint64(seed))
 		if err != nil {
 			return false
 		}
@@ -115,7 +128,7 @@ func TestHeavySkewChain(t *testing.T) {
 		r3.Append(1, relation.Value(i), relation.Value(i))
 	}
 	inst["R1"], inst["R2"], inst["R3"] = r1, r2, r3
-	check(t, q, inst, 6, Options{})
+	check(t, q, inst, 6, 0)
 }
 
 func TestEmptyChain(t *testing.T) {
@@ -128,7 +141,7 @@ func TestEmptyChain(t *testing.T) {
 	r3 := relation.New[int64]("A3", "A4")
 	r3.Append(1, 1, 1)
 	inst["R1"], inst["R2"], inst["R3"] = r1, r2, r3
-	got, _, err := Compute[int64](intSR, q, distRels(q, inst, 4), Options{})
+	got, _, err := compute[int64](intSR, q, distRels(q, inst, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestCompositeEndpoint(t *testing.T) {
 		dist.FromRelationIn(nil, r1, p), dist.FromRelationIn(nil, r2, p), dist.FromRelationIn(nil, r3, p),
 	}
 	path := [][]dist.Attr{{"X1", "X2"}, {"A2"}, {"A3"}, {"A4"}}
-	got, _ := Run[int64](intSR, rels, path, Options{})
+	got, _ := Run[int64](intSR, rels, path, 0)
 
 	want := relation.ProjectAgg[int64](intSR,
 		relation.Join[int64](intSR, relation.Join[int64](intSR, r1, r2), r3),
@@ -186,7 +199,7 @@ func TestTropicalShortestPath(t *testing.T) {
 	for _, e := range q.Edges {
 		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], 4)
 	}
-	got, _, err := Compute[int64](mp, q, rels, Options{})
+	got, _, err := compute[int64](mp, q, rels, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +214,8 @@ func TestTropicalShortestPath(t *testing.T) {
 
 func TestRejectNonLine(t *testing.T) {
 	q := hypergraph.StarQuery(3)
-	if _, _, err := Compute[int64](intSR, q, nil, Options{}); err == nil {
-		t.Fatal("expected error on star query")
+	if _, _, ok := Bind[int64](q, nil, dist.Single); ok {
+		t.Fatal("Bind accepted a star query")
 	}
 }
 
@@ -212,7 +225,7 @@ func TestConstantRoundsInN(t *testing.T) {
 	for _, n := range []int{100, 400, 1600} {
 		rng := rand.New(rand.NewSource(9))
 		inst := randomInstance(rng, q, n, n/6)
-		got, st, err := Compute[int64](intSR, q, distRels(q, inst, 8), Options{})
+		got, st, err := compute[int64](intSR, q, distRels(q, inst, 8), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestLoadWithinTheorem4Bound(t *testing.T) {
 		blocks := 1024 / fan
 		inst, meta := workload.Blocks(q, blocks, fan)
 		rels := distRels(q, inst, p)
-		_, st, err := Compute[int64](intSR, q, rels, Options{Seed: 7})
+		_, st, err := compute[int64](intSR, q, rels, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestLoadBeatsBaselineAtLargeOut(t *testing.T) {
 	const p, fan = 16, 16
 	inst, meta := workload.Blocks(q, 1024/fan, fan)
 	rels := distRels(q, inst, p)
-	_, st, err := Compute[int64](intSR, q, rels, Options{Seed: 7})
+	_, st, err := compute[int64](intSR, q, rels, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func Compute[W any](sr semiring.Semiring[W], in Input[W], opts Options) (dist.Re
 	st = mpc.Seq(st, s)
 
 	if n1 == 0 || n2 == 0 {
-		return dist.Empty[W](in.OutSchema(), p), st, nil
+		return dist.EmptyIn[W](in.R1.Part.Scope(), in.OutSchema(), p), st, nil
 	}
 
 	var ests mpc.Part[mpc.KeyCount[string]]
@@ -182,12 +182,7 @@ func hashStr(s string, m int, seed uint64) int {
 	if m <= 1 {
 		return 0
 	}
-	var h uint64 = 0xcbf29ce484222325 ^ seed
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return int(h % uint64(m))
+	return int(relation.HashString(s, seed) % uint64(m))
 }
 
 // ceilDiv is ⌈a/b⌉ for positive b.

@@ -194,41 +194,23 @@ func worstCase[W any](sr semiring.Semiring[W], in Input[W], n1, n2 int64, seed u
 	return dist.Rel[W]{Schema: in.OutSchema(), Part: result}, st
 }
 
-// acDegree is one key's degree as an A value and as a C value.
-type acDegree struct {
-	key    string
-	da, dc int64
-}
-
-// degrees is d(a) and d(c) in one reduce-by-key, as twoway's degrees are:
-// an R1 row counts (1, 0) under its A key, an R2 row (0, 1) under its C
-// key, and an A and a C value that encode alike share an element and keep
-// their own counts. Each side comes back as key counts in key order.
+// degrees is d(a) and d(c) in one mpc.CountBySide, as twoway's degrees
+// are: an R1 row counts under its A key, an R2 row under its C key, and an
+// A and a C value that encode alike share an element and keep their own
+// counts. Each side comes back as key counts in key order.
 func degrees[W any](r1, r2 mpc.Part[relation.Row[W]], aKey, cKey func(relation.Row[W]) string) (dA, dC mpc.Part[mpc.KeyCount[string]], st mpc.Stats) {
-	ones := mpc.MapShards(r1, func(sv int, rs []relation.Row[W]) []acDegree {
-		ds := make([]acDegree, 0, len(rs)+len(r2.Shards[sv]))
-		for _, row := range rs {
-			ds = append(ds, acDegree{key: aKey(row), da: 1})
-		}
-		for _, row := range r2.Shards[sv] {
-			ds = append(ds, acDegree{key: cKey(row), dc: 1})
-		}
-		return ds
-	})
-	both, st := mpc.ReduceByKey(ones, func(d acDegree) string { return d.key }, func(a, b acDegree) acDegree {
-		return acDegree{key: a.key, da: a.da + b.da, dc: a.dc + b.dc}
-	})
-	side := func(n func(acDegree) int64) mpc.Part[mpc.KeyCount[string]] {
-		return mpc.MapShards(both, func(_ int, shard []acDegree) (kcs []mpc.KeyCount[string]) {
+	both, st := mpc.CountBySide(r1, r2, aKey, cKey)
+	side := func(n func(mpc.SideCount[string]) int64) mpc.Part[mpc.KeyCount[string]] {
+		return mpc.MapShards(both, func(_ int, shard []mpc.SideCount[string]) (kcs []mpc.KeyCount[string]) {
 			for _, d := range shard {
 				if c := n(d); c > 0 {
-					kcs = append(kcs, mpc.KeyCount[string]{Key: d.key, Count: c})
+					kcs = append(kcs, mpc.KeyCount[string]{Key: d.Key, Count: c})
 				}
 			}
 			return kcs
 		})
 	}
-	return side(func(d acDegree) int64 { return d.da }), side(func(d acDegree) int64 { return d.dc }), st
+	return side(func(d mpc.SideCount[string]) int64 { return d.L }), side(func(d mpc.SideCount[string]) int64 { return d.R }), st
 }
 
 // wcLayout is the deterministic block layout of the §3.1 algorithm,

@@ -64,6 +64,33 @@ func CountByKey[T any, K cmp.Ordered](pt Part[T], key func(T) K) (Part[KeyCount[
 	})
 }
 
+// CountBySide is CountByKey over two Parts at once — §2.1's degree
+// statistic of both sides of a join in one reduce-by-key: an l element
+// counts (1, 0) under lKey, an r element (0, 1) under rKey, and the two
+// sides share one key space. Keys come back in order, one element each,
+// with each side's count (0 where the key is absent from that side).
+func CountBySide[T any, K cmp.Ordered](l, r Part[T], lKey, rKey func(T) K) (Part[SideCount[K]], Stats) {
+	ones := MapShards(l, func(s int, ls []T) []SideCount[K] {
+		cs := make([]SideCount[K], 0, len(ls)+len(r.Shards[s]))
+		for _, x := range ls {
+			cs = append(cs, SideCount[K]{Key: lKey(x), L: 1})
+		}
+		for _, x := range r.Shards[s] {
+			cs = append(cs, SideCount[K]{Key: rKey(x), R: 1})
+		}
+		return cs
+	})
+	return ReduceByKey(ones, func(c SideCount[K]) K { return c.Key }, func(a, b SideCount[K]) SideCount[K] {
+		return SideCount[K]{Key: a.Key, L: a.L + b.L, R: a.R + b.R}
+	})
+}
+
+// SideCount pairs a key with its count on each side of a CountBySide.
+type SideCount[K cmp.Ordered] struct {
+	Key  K
+	L, R int64
+}
+
 // KeyCount pairs a key with a count (or any integer statistic).
 type KeyCount[K cmp.Ordered] struct {
 	Key   K

@@ -35,6 +35,17 @@ func HashCols(vals []Value, idx []int) uint64 {
 	return h
 }
 
+// HashString is the 64-bit FNV-1a hash of s with seed xored into the
+// offset basis; seed 0 is plain FNV-1a, the item space HashCols hashes an
+// encoded key into.
+func HashString(s string, seed uint64) uint64 {
+	h := fnvOffset ^ seed
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
 const fnvOffset, fnvPrime uint64 = 0xcbf29ce484222325, 0x100000001b3
 
 // table is an open-addressing slot array sized for at most n entries at

@@ -23,6 +23,33 @@ func TestHashColsEqualsHashOfEncodedKey(t *testing.T) {
 	}
 }
 
+// TestHashStringIsSeededFNV1a pins HashString bit for bit to the two
+// string hashes it replaced: the estimator's item hash (plain FNV-1a, seed
+// 0) and matmul's seeded spread (FNV-1a from offset ⊕ seed).
+func TestHashStringIsSeededFNV1a(t *testing.T) {
+	seeded := func(s string, seed uint64) uint64 {
+		var h uint64 = 0xcbf29ce484222325 ^ seed
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 0x100000001b3
+		}
+		return h
+	}
+	vals := []Value{0, -1, 7, -1 << 63, 1<<63 - 1, 123456789}
+	for _, s := range []string{"", "a", "hash me", EncodeKey(vals, []int{0}), EncodeKey(vals, []int{3, 4, 5})} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := HashString(s, 0), h.Sum64(); got != want {
+			t.Errorf("%q: HashString(s, 0) %#x, FNV-1a %#x", s, got, want)
+		}
+		for _, seed := range []uint64{0, 1, 0x51ed, 1<<64 - 1} {
+			if got, want := HashString(s, seed), seeded(s, seed); got != want {
+				t.Errorf("%q seed %#x: HashString %#x, seeded FNV-1a %#x", s, seed, got, want)
+			}
+		}
+	}
+}
+
 // symbolic is a recording semiring over expression strings: every ⊗ and ⊕
 // returns the expression it built and logs it, so two computations that
 // agree on every annotation and both logs made the same calls on the same

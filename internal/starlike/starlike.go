@@ -17,10 +17,15 @@
 // (powers of two) and finishes with one matrix multiplication per degree
 // class. Load: Õ((N·N')^{1/3}·OUT^{1/2}/p^{2/3} + N'^{2/3}·OUT^{1/3}/p^{2/3}
 // + N·OUT^{2/3}/p + (N+N'+OUT)/p) (Lemma 7).
+//
+// The engine is Bind, which reads a star-like query's arms off its
+// hypergraph view, and Run(…, seed), the algorithm over them; the planner
+// has already checked the class and refused more than dist.MaxPermArms
+// arms. An arm shrinks toward B with twoway.FoldChain, and its degree
+// estimates come from estimate.ArmOut.
 package starlike
 
 import (
-	"fmt"
 	"slices"
 
 	"mpcjoin/internal/dist"
@@ -34,12 +39,6 @@ import (
 	"mpcjoin/internal/twoway"
 )
 
-// Options tunes the algorithm.
-type Options struct {
-	// Seed drives hash partitioning in subroutines.
-	Seed uint64
-}
-
 // Arm is one arm of a star-like query: relations ordered from the center
 // outward (Rels[0] touches B), with the vertex path [B], inner…, Leaf.
 type Arm[W any] struct {
@@ -51,19 +50,6 @@ type Arm[W any] struct {
 
 // Leaf returns the arm's output attribute list.
 func (a Arm[W]) Leaf() []dist.Attr { return a.Path[len(a.Path)-1] }
-
-// Compute evaluates a star-like query given by its hypergraph view.
-func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	arms, center, ok := Bind(q, rels, dist.Single)
-	if !ok {
-		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starlike: query is not a star-like query")
-	}
-	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starlike: %w", err)
-	}
-	res, st := Run(sr, arms, center, opts)
-	return res, st, nil
-}
 
 // Bind turns a star-like query's view into Run's arguments: its arms, each
 // inner vertex and leaf expanded to attribute columns (dist.Single for a
@@ -90,13 +76,15 @@ func Bind[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], expand func(h
 
 // Run is the core algorithm over explicit arms. Leaves may be composite;
 // the center b and all interior attributes are single. The output schema
-// is the concatenation of the arm leaves in the given order.
-func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Options) (dist.Rel[W], mpc.Stats) {
+// is the concatenation of the arm leaves in the given order. seed drives
+// hash partitioning in the matrix multiplications and line queries below.
+func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, seed uint64) (dist.Rel[W], mpc.Stats) {
 	n := len(arms)
 	if n < 2 {
 		panic("starlike: need at least 2 arms")
 	}
 	p := arms[0].Rels[0].P()
+	ex := arms[0].Rels[0].Part.Scope()
 	var outSchema []dist.Attr
 	for _, a := range arms {
 		outSchema = append(outSchema, a.Leaf()...)
@@ -118,7 +106,7 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 			path = append(path, arms[0].Path[j])
 		}
 		path = append(path, arms[1].Path[1:]...)
-		res, s := linequery.Run(sr, rels, path, linequery.Options{Seed: opts.Seed})
+		res, s := linequery.Run(sr, rels, path, seed)
 		st = mpc.Seq(st, s)
 		return dist.Reshape(dist.Reorder(res, outSchema), p), st
 	}
@@ -134,7 +122,7 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 	nb, sc := mpc.TotalCount(arms[0].Rels[0].Part)
 	st = mpc.Seq(st, sc)
 	if nb == 0 {
-		return dist.Empty[W](outSchema, p), st
+		return dist.EmptyIn[W](ex, outSchema, p), st
 	}
 
 	// Step 1: per-arm degree estimates d_i(b) by the §2.2 estimator run
@@ -145,11 +133,9 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 	// every arm is tagged with its b's class.
 	degs := make([]mpc.Part[mpc.KeyCount[int64]], n)
 	for i := range arms {
-		ests, _, s := estimate.LineOut(arms[i].Rels, arms[i].Path, estimate.Params{})
+		var s mpc.Stats
+		degs[i], s = estimate.ArmOut(arms[i].Rels, arms[i].Path)
 		st = mpc.Seq(st, s)
-		degs[i] = mpc.Map(ests, func(kc mpc.KeyCount[string]) mpc.KeyCount[int64] {
-			return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
-		})
 	}
 	classes, s2 := dist.DegreeOrderClasses(degs, func(order []int, sorted []int64) int64 {
 		var prod int64 = 1
@@ -198,9 +184,9 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 		var res dist.Rel[W]
 		var s mpc.Stats
 		if small {
-			res, s = runSmall(sr, classArms, order, b, p, opts)
+			res, s = runSmall(sr, classArms, order, b, p, seed)
 		} else {
-			res, s = runLarge(sr, classArms, order, b, p, opts)
+			res, s = runLarge(sr, classArms, order, b, p, seed)
 		}
 		cst = mpc.Seq(cst, s)
 		classStats = append(classStats, cst)
@@ -208,7 +194,7 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 	}
 	st = mpc.Seq(st, mpc.Par(classStats...))
 	if len(results) == 0 {
-		return dist.Empty[W](outSchema, p), st
+		return dist.EmptyIn[W](ex, outSchema, p), st
 	}
 	final, s6 := dist.UnionAgg(sr, results...)
 	return final, mpc.Seq(st, s6)
@@ -217,13 +203,13 @@ func Run[W any](sr semiring.Semiring[W], arms []Arm[W], b dist.Attr, opts Option
 // runSmall handles Q^small_ϕ: shrink arms ϕ(1..n−1) (Step 2.1), join them
 // into the combined attribute A^small (Step 2.2), and run the remaining
 // arm as a line query.
-func runSmall[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist.Attr, p int, opts Options) (dist.Rel[W], mpc.Stats) {
+func runSmall[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist.Attr, p int, seed uint64) (dist.Rel[W], mpc.Stats) {
 	var st mpc.Stats
 	n := len(arms)
 
 	shrunk := make([]dist.Rel[W], 0, n-1)
 	for _, i := range order[:n-1] {
-		r, s := ShrinkArm(sr, arms[i], p)
+		r, s := twoway.FoldChain(sr, arms[i].Rels, arms[i].Path, p)
 		st = mpc.Seq(st, s)
 		shrunk = append(shrunk, r)
 	}
@@ -235,7 +221,7 @@ func runSmall[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	smallAttrs := dist.Without(acc.Schema, b)
 	rels := append([]dist.Rel[W]{acc}, last.Rels...)
 	path := append([][]dist.Attr{smallAttrs}, last.Path...)
-	res, s := linequery.Run(sr, rels, path, linequery.Options{Seed: opts.Seed})
+	res, s := linequery.Run(sr, rels, path, seed)
 	return res, mpc.Seq(st, s)
 }
 
@@ -243,13 +229,13 @@ func runSmall[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 // I/J index sets of Lemma 11 (Step 3.2), uniformize by the power-of-two
 // degree of b in R(A^I, B) (Step 3.3), and run one matrix multiplication
 // per degree class (Step 3.4).
-func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist.Attr, p int, opts Options) (dist.Rel[W], mpc.Stats) {
+func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist.Attr, p int, seed uint64) (dist.Rel[W], mpc.Stats) {
 	var st mpc.Stats
 	n := len(arms)
 
 	shrunk := make([]dist.Rel[W], n)
 	for i := range arms {
-		r, s := ShrinkArm(sr, arms[i], p)
+		r, s := twoway.FoldChain(sr, arms[i].Rels, arms[i].Path, p)
 		st = mpc.Seq(st, s)
 		shrunk[i] = r
 	}
@@ -291,7 +277,7 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 	var mmStats []mpc.Stats
 	for _, cid := range classIDs {
 		res, s, err := matmul.Compute(sr, matmul.Input[W]{R1: tagI.Select(cid), R2: tagJ.Select(cid), B: b},
-			matmul.Options{Seed: opts.Seed ^ uint64(cid), SkipDangling: true})
+			matmul.Options{Seed: seed ^ uint64(cid), SkipDangling: true})
 		if err != nil {
 			panic(err)
 		}
@@ -307,26 +293,10 @@ func runLarge[W any](sr semiring.Semiring[W], arms []Arm[W], order []int, b dist
 		rels[i] = dist.Rel[W]{Schema: outSchema, Part: pt}
 	}
 	if len(rels) == 0 {
-		return dist.Empty[W](outSchema, p), st
+		return dist.EmptyIn[W](rI.Part.Scope(), outSchema, p), st
 	}
 	res, s6 := dist.UnionAgg(sr, rels...)
 	return res, mpc.Seq(st, s6)
-}
-
-// ShrinkArm folds an arm into R(leaf…, B) with Yannakakis aggregations
-// from the leaf toward the center (Step 2.1 / 3.1).
-func ShrinkArm[W any](sr semiring.Semiring[W], arm Arm[W], p int) (dist.Rel[W], mpc.Stats) {
-	var st mpc.Stats
-	h := len(arm.Rels) - 1
-	acc := arm.Rels[h]
-	leaf := arm.Leaf()
-	for j := h - 1; j >= 0; j-- {
-		keep := append(append([]dist.Attr(nil), arm.Path[j]...), leaf...)
-		folded, s := twoway.JoinAgg(sr, arm.Rels[j], acc, keep...)
-		st = mpc.Seq(st, s)
-		acc = dist.Reshape(folded, p)
-	}
-	return acc, st
 }
 
 func cloneArms[W any](arms []Arm[W]) []Arm[W] {

@@ -1,6 +1,7 @@
 package starlike
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/refengine"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
@@ -39,9 +41,20 @@ func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]di
 	return rels
 }
 
-func check(t *testing.T, q *hypergraph.Query, inst db.Instance[int64], p int, opts Options) {
+// compute binds a plain star-like query and runs it, as core's runner
+// does; a query of another class is an error.
+func compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], seed uint64) (dist.Rel[W], mpc.Stats, error) {
+	arms, center, ok := Bind(q, rels, dist.Single)
+	if !ok {
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("not a star-like query")
+	}
+	res, st := Run(sr, arms, center, seed)
+	return res, st, nil
+}
+
+func check(t *testing.T, q *hypergraph.Query, inst db.Instance[int64], p int, seed uint64) {
 	t.Helper()
-	got, _, err := Compute[int64](intSR, q, distRels(q, inst, p), opts)
+	got, _, err := compute[int64](intSR, q, distRels(q, inst, p), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +81,7 @@ func TestSmallStarLikeAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomInstance(rng, q, 30, 7)
-		check(t, q, inst, rng.Intn(6)+2, Options{Seed: uint64(seed)})
+		check(t, q, inst, rng.Intn(6)+2, uint64(seed))
 	}
 }
 
@@ -77,7 +90,7 @@ func TestFig1StarLikeAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed + 50))
 		inst := randomInstance(rng, q, 20, 6)
-		check(t, q, inst, rng.Intn(5)+2, Options{Seed: uint64(seed)})
+		check(t, q, inst, rng.Intn(5)+2, uint64(seed))
 	}
 }
 
@@ -106,7 +119,7 @@ func TestQuickRandomStarLike(t *testing.T) {
 		}
 		inst := randomInstance(rng, q, rng.Intn(25)+5, rng.Intn(5)+3)
 		p := rng.Intn(5) + 2
-		got, _, err := Compute[int64](intSR, q, distRels(q, inst, p), Options{Seed: uint64(seed)})
+		got, _, err := compute[int64](intSR, q, distRels(q, inst, p), uint64(seed))
 		if err != nil {
 			// Pure star queries (all arms single relations) are still
 			// star-like by our view; errors are real failures.
@@ -146,7 +159,7 @@ func TestLargeClassPath(t *testing.T) {
 	inst["R22"] = relation.Compact[int64](intSR, r22)
 	inst["R31"] = relation.Compact[int64](intSR, r31)
 	inst["R32"] = relation.Compact[int64](intSR, r32)
-	check(t, q, inst, 4, Options{})
+	check(t, q, inst, 4, 0)
 }
 
 func TestSmallClassPath(t *testing.T) {
@@ -170,7 +183,7 @@ func TestSmallClassPath(t *testing.T) {
 	inst["R22"] = r22
 	inst["R31"] = r31
 	inst["R32"] = r32
-	check(t, q, inst, 4, Options{})
+	check(t, q, inst, 4, 0)
 }
 
 func TestEmptyAfterDangling(t *testing.T) {
@@ -185,7 +198,7 @@ func TestEmptyAfterDangling(t *testing.T) {
 	inst["R22"].Append(1, 1, 2) // b = 2 ≠ 1: empty intersection
 	inst["R31"].Append(1, 1, 1)
 	inst["R32"].Append(1, 1, 1)
-	got, _, err := Compute[int64](intSR, q, distRels(q, inst, 3), Options{})
+	got, _, err := compute[int64](intSR, q, distRels(q, inst, 3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +228,7 @@ func TestRunTwoArmsDegeneratesToLine(t *testing.T) {
 		{Rels: []dist.Rel[int64]{dist.FromRelationIn(nil, rb0, p), dist.FromRelationIn(nil, rb1, p)},
 			Path: [][]dist.Attr{{"B"}, {"C2"}, {"Y"}}},
 	}
-	got, _ := Run[int64](intSR, arms, "B", Options{})
+	got, _ := Run[int64](intSR, arms, "B", 0)
 	joined := relation.Join[int64](intSR, relation.Join[int64](intSR, relation.Join[int64](intSR, ra1, ra0), rb0), rb1)
 	want := relation.ProjectAgg[int64](intSR, joined, "X", "Y")
 	if !relation.Equal[int64](intSR, intEq, dist.ToRelation(got), want) {
@@ -245,8 +258,8 @@ func TestPermCodecRoundtrip(t *testing.T) {
 
 func TestRejectNonStarLike(t *testing.T) {
 	q := hypergraph.LineQuery(3)
-	if _, _, err := Compute[int64](intSR, q, nil, Options{}); err == nil {
-		t.Fatal("expected error on line query")
+	if _, _, ok := Bind[int64](q, nil, dist.Single); ok {
+		t.Fatal("Bind accepted a line query")
 	}
 }
 
@@ -256,7 +269,7 @@ func TestFig1WithMultiplicity(t *testing.T) {
 	q := hypergraph.Fig1StarLike()
 	for _, mult := range []int{2, 3} {
 		inst, _ := workload.BlocksMulti(q, 6, 2, mult)
-		check(t, q, inst, 4, Options{Seed: uint64(mult)})
+		check(t, q, inst, 4, uint64(mult))
 	}
 }
 
@@ -264,5 +277,5 @@ func TestDanglingInjectionStarLike(t *testing.T) {
 	q := hypergraph.Fig1StarLike()
 	inst, _ := workload.Blocks(q, 8, 2)
 	noisy := workload.InjectDangling(inst, int64(1), 0.5)
-	check(t, q, noisy, 4, Options{})
+	check(t, q, noisy, 4, 0)
 }

@@ -18,7 +18,7 @@ func TestLoadWithinTheorem5Bound(t *testing.T) {
 		blocks := 1024 / fan
 		inst, meta := workload.Blocks(q, blocks, fan)
 		rels := distRels(q, inst, p)
-		_, st, err := Compute[int64](intSR, q, rels, Options{Seed: 7})
+		_, st, err := compute[int64](intSR, q, rels, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,11 +43,11 @@ func TestObliviousToOut(t *testing.T) {
 	q := hypergraph.StarQuery(3)
 	inst, _ := workload.Blocks(q, 64, 4)
 	rels := distRels(q, inst, 8)
-	_, st1, err := Compute[int64](intSR, q, rels, Options{Seed: 1})
+	_, st1, err := compute[int64](intSR, q, rels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st2, err := Compute[int64](intSR, q, distRels(q, inst, 8), Options{Seed: 1})
+	_, st2, err := compute[int64](intSR, q, distRels(q, inst, 8), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

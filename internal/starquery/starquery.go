@@ -15,11 +15,13 @@
 // R_ϕ(A^even, B) — Lemmas 5 and 6 bound both by N·√OUT — and the subquery
 // reduces to one output-sensitive matrix multiplication. The n! subquery
 // results are ⊕-merged by the output attributes.
+//
+// The engine is Bind, which reads a star query's arms off its hypergraph
+// view, and Run(…, seed), the algorithm over them; the planner has already
+// checked the class and refused a star of more than dist.MaxPermArms arms.
 package starquery
 
 import (
-	"fmt"
-
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/matmul"
@@ -27,25 +29,6 @@ import (
 	"mpcjoin/internal/semiring"
 	"mpcjoin/internal/twoway"
 )
-
-// Options tunes the algorithm.
-type Options struct {
-	// Seed drives hash partitioning in subroutines.
-	Seed uint64
-}
-
-// Compute evaluates a star query given by its hypergraph view.
-func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	arms, leaves, center, ok := Bind(q, rels, dist.Single)
-	if !ok {
-		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starquery: query is not a star query")
-	}
-	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("starquery: %w", err)
-	}
-	res, st := Run(sr, arms, leaves, center, opts)
-	return res, st, nil
-}
 
 // Bind turns a star query's view into Run's arguments: its arms, their
 // leaves expanded to attribute columns (dist.Single for a plain query) and
@@ -67,13 +50,15 @@ func Bind[W any](q *hypergraph.Query, rels map[string]dist.Rel[W], expand func(h
 // Run is the core algorithm over explicit arms: arms[i] spans
 // leaves[i] ∪ {b}. Leaves may be composite attribute lists (combined
 // attributes from the tree-query reduction); the center b is a single
-// attribute. The output schema is the concatenation of the leaves.
-func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Attr, b dist.Attr, opts Options) (dist.Rel[W], mpc.Stats) {
+// attribute. The output schema is the concatenation of the leaves. seed
+// drives hash partitioning in the per-class matrix multiplications.
+func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Attr, b dist.Attr, seed uint64) (dist.Rel[W], mpc.Stats) {
 	n := len(arms)
 	if n < 2 {
 		panic("starquery: need at least 2 arms")
 	}
 	p := arms[0].P()
+	ex := arms[0].Part.Scope()
 	var outSchema []dist.Attr
 	for _, l := range leaves {
 		outSchema = append(outSchema, l...)
@@ -90,7 +75,7 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 	nb, sc := mpc.TotalCount(inter.Part)
 	st = mpc.Seq(st, sc)
 	if nb == 0 {
-		return dist.Empty[W](outSchema, p), st
+		return dist.EmptyIn[W](ex, outSchema, p), st
 	}
 
 	// Step 1: per-arm degrees d_i(b); each b's class is its sorting
@@ -131,7 +116,7 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 		rEven, s2 := twoway.JoinAll(sr, p, even...)
 
 		res, s, err := matmul.Compute(sr, matmul.Input[W]{R1: rOdd, R2: rEven, B: b},
-			matmul.Options{Seed: opts.Seed ^ uint64(pid), SkipDangling: true})
+			matmul.Options{Seed: seed ^ uint64(pid), SkipDangling: true})
 		if err != nil {
 			panic(err)
 		}
@@ -140,7 +125,7 @@ func Run[W any](sr semiring.Semiring[W], arms []dist.Rel[W], leaves [][]dist.Att
 	}
 	st = mpc.Seq(st, mpc.Par(classStats...))
 	if len(results) == 0 {
-		return dist.Empty[W](outSchema, p), st
+		return dist.EmptyIn[W](ex, outSchema, p), st
 	}
 
 	final, s6 := dist.UnionAgg(sr, results...)

@@ -1,6 +1,7 @@
 package starquery
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/refengine"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
@@ -38,9 +40,20 @@ func distRels(q *hypergraph.Query, inst db.Instance[int64], p int) map[string]di
 	return rels
 }
 
-func check(t *testing.T, q *hypergraph.Query, inst db.Instance[int64], p int, opts Options) {
+// compute binds a plain star query and runs it, as core's runner does; a
+// query of another class is an error.
+func compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], seed uint64) (dist.Rel[W], mpc.Stats, error) {
+	arms, leaves, center, ok := Bind(q, rels, dist.Single)
+	if !ok {
+		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("not a star query")
+	}
+	res, st := Run(sr, arms, leaves, center, seed)
+	return res, st, nil
+}
+
+func check(t *testing.T, q *hypergraph.Query, inst db.Instance[int64], p int, seed uint64) {
 	t.Helper()
-	got, _, err := Compute[int64](intSR, q, distRels(q, inst, p), opts)
+	got, _, err := compute[int64](intSR, q, distRels(q, inst, p), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +71,7 @@ func TestStar3AgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomInstance(rng, q, 50, 10, 8)
-		check(t, q, inst, rng.Intn(8)+2, Options{Seed: uint64(seed)})
+		check(t, q, inst, rng.Intn(8)+2, uint64(seed))
 	}
 }
 
@@ -68,7 +81,7 @@ func TestStar4And5AgainstReference(t *testing.T) {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(seed + 31))
 			inst := randomInstance(rng, q, 25, 6, 6)
-			check(t, q, inst, rng.Intn(6)+2, Options{Seed: uint64(seed)})
+			check(t, q, inst, rng.Intn(6)+2, uint64(seed))
 		}
 	}
 }
@@ -80,7 +93,7 @@ func TestQuickRandomStars(t *testing.T) {
 		q := hypergraph.StarQuery(n)
 		inst := randomInstance(rng, q, rng.Intn(40)+5, rng.Intn(8)+2, rng.Intn(6)+2)
 		p := rng.Intn(6) + 2
-		got, _, err := Compute[int64](intSR, q, distRels(q, inst, p), Options{Seed: uint64(seed)})
+		got, _, err := compute[int64](intSR, q, distRels(q, inst, p), uint64(seed))
 		if err != nil {
 			return false
 		}
@@ -114,7 +127,7 @@ func TestMixedDegreePermutations(t *testing.T) {
 		}
 	}
 	inst["R1"], inst["R2"], inst["R3"] = r[0], r[1], r[2]
-	check(t, q, inst, 5, Options{})
+	check(t, q, inst, 5, 0)
 }
 
 func TestSkewedCenter(t *testing.T) {
@@ -131,7 +144,7 @@ func TestSkewedCenter(t *testing.T) {
 		}
 		inst[e.Name] = r
 	}
-	check(t, q, inst, 6, Options{})
+	check(t, q, inst, 6, 0)
 }
 
 func TestEmptyIntersection(t *testing.T) {
@@ -142,7 +155,7 @@ func TestEmptyIntersection(t *testing.T) {
 		r.Append(1, 1, relation.Value(ei)) // disjoint b values
 		inst[e.Name] = r
 	}
-	got, _, err := Compute[int64](intSR, q, distRels(q, inst, 4), Options{})
+	got, _, err := compute[int64](intSR, q, distRels(q, inst, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +182,7 @@ func TestCompositeLeaves(t *testing.T) {
 	const p = 4
 	got, _ := Run[int64](intSR,
 		[]dist.Rel[int64]{dist.FromRelationIn(nil, a1, p), dist.FromRelationIn(nil, a2, p), dist.FromRelationIn(nil, a3, p)},
-		[][]dist.Attr{{"X1", "X2"}, {"Y1"}, {"Z1", "Z2"}}, "B", Options{})
+		[][]dist.Attr{{"X1", "X2"}, {"Y1"}, {"Z1", "Z2"}}, "B", 0)
 
 	want := relation.ProjectAgg[int64](intSR,
 		relation.Join[int64](intSR, relation.Join[int64](intSR, a1, a2), a3),
@@ -201,8 +214,8 @@ func TestPermCodec(t *testing.T) {
 
 func TestRejectNonStar(t *testing.T) {
 	q := hypergraph.LineQuery(3)
-	if _, _, err := Compute[int64](intSR, q, nil, Options{}); err == nil {
-		t.Fatal("expected error on line query")
+	if _, _, _, ok := Bind[int64](q, nil, dist.Single); ok {
+		t.Fatal("Bind accepted a line query")
 	}
 }
 
@@ -212,6 +225,6 @@ func TestStarWithMultiplicity(t *testing.T) {
 	q := hypergraph.StarQuery(3)
 	for _, mult := range []int{2, 4} {
 		inst, _ := workload.BlocksMulti(q, 8, 2, mult)
-		check(t, q, inst, 4, Options{Seed: uint64(mult)})
+		check(t, q, inst, 4, uint64(mult))
 	}
 }

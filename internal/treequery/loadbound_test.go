@@ -19,10 +19,7 @@ func TestLoadWithinTheorem6Bound(t *testing.T) {
 	} {
 		inst, meta := workload.BlocksMulti(q, sc.blocks, sc.fan, sc.mult)
 		rels := distRels(q, inst, p)
-		_, st, err := Compute[int64](intSR, q, rels, Options{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, st := Compute[int64](intSR, q, rels, 7)
 		nMax := 0
 		for _, n := range meta.PerEdge {
 			if n > nMax {
@@ -43,10 +40,7 @@ func TestConstantRoundsInDataSize(t *testing.T) {
 	rounds := map[int]bool{}
 	for _, blocks := range []int{8, 32, 128} {
 		inst, _ := workload.Blocks(q, blocks, 2)
-		_, st, err := Compute[int64](intSR, q, distRels(q, inst, 8), Options{Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, st := Compute[int64](intSR, q, distRels(q, inst, 8), 3)
 		rounds[st.Rounds] = true
 	}
 	// The recursion structure is fixed by the query; rounds may vary only

@@ -23,7 +23,13 @@
 // the 2^{|S∩ȳ|} heavy/light subqueries materializes Q_B for its light
 // roots (at least one exists by Lemma 13), replacing T_B by a combined
 // output attribute, and recurses on the strictly smaller residual query
-// until it leaves the general-tree class.
+// until it leaves the general-tree class. A pendant arm shrinks toward its
+// root with twoway.FoldChain, and its x(b) factor is estimate.ArmOut.
+//
+// The engine is Compute(…, seed); the caller has validated the query and
+// the planner has refused one whose star or star-like twigs would need
+// more than dist.MaxPermArms arms (no reduction below widens a join, so
+// the query's own widest aggregated join bounds every twig's).
 package treequery
 
 import (
@@ -43,22 +49,9 @@ import (
 	"mpcjoin/internal/yannakakis"
 )
 
-// Options tunes the algorithm.
-type Options struct {
-	// Seed drives hash partitioning in subroutines.
-	Seed uint64
-}
-
-// Compute evaluates an arbitrary tree join-aggregate query.
-func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], opts Options) (dist.Rel[W], mpc.Stats, error) {
-	if err := q.Validate(); err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, err
-	}
-	// Star and star-like twigs run the class split; no reduction below
-	// widens a join, so the query's own widest aggregated join bounds theirs.
-	if err := dist.CheckPermArms(q.AggregatedDegree()); err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, fmt.Errorf("treequery: %w", err)
-	}
+// Compute evaluates an arbitrary tree join-aggregate query. seed drives
+// hash partitioning in the engines the twigs dispatch to.
+func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[string]dist.Rel[W], seed uint64) (dist.Rel[W], mpc.Stats) {
 	p := dist.AnyRel(rels).P()
 
 	// Dangling removal, then the §7 preprocessing reduction.
@@ -78,7 +71,7 @@ func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[strin
 	pseudo := &hypergraph.Query{Output: reduced.Output}
 	var twigStats []mpc.Stats
 	for i, tw := range twigs {
-		vt := &vtree[W]{q: tw.Query, groups: map[hypergraph.Attr][]dist.Attr{}, rels: map[string]dist.Rel[W]{}, seed: opts.Seed}
+		vt := &vtree[W]{q: tw.Query, groups: map[hypergraph.Attr][]dist.Attr{}, rels: map[string]dist.Rel[W]{}, seed: seed}
 		for _, e := range tw.Query.Edges {
 			vt.rels[e.Name] = live[e.Name]
 		}
@@ -107,7 +100,7 @@ func Compute[W any](sr semiring.Semiring[W], q *hypergraph.Query, rels map[strin
 		final = f
 		st = mpc.Seq(st, s1, s2)
 	}
-	return dist.Reshape(final, p), st, nil
+	return dist.Reshape(final, p), st
 }
 
 // vtree is a query over possibly-synthetic vertices: groups maps a
@@ -146,13 +139,13 @@ func evalTwig[W any](sr semiring.Semiring[W], vt *vtree[W]) (dist.Rel[W], mpc.St
 		return dist.ProjectAgg(sr, vt.rels[q.Edges[0].Name], vt.expandAll(q.Output)...)
 	}
 	if rels, path, ok := linequery.Bind(q, vt.rels, vt.expand); ok {
-		return linequery.Run(sr, rels, path, linequery.Options{Seed: vt.seed})
+		return linequery.Run(sr, rels, path, vt.seed)
 	}
 	if arms, leaves, center, ok := starquery.Bind(q, vt.rels, vt.expand); ok {
-		return starquery.Run(sr, arms, leaves, center, starquery.Options{Seed: vt.seed})
+		return starquery.Run(sr, arms, leaves, center, vt.seed)
 	}
 	if arms, center, ok := starlike.Bind(q, vt.rels, vt.expand); ok {
-		return starlike.Run(sr, arms, center, starlike.Options{Seed: vt.seed})
+		return starlike.Run(sr, arms, center, vt.seed)
 	}
 	return skeletonRecurse(sr, vt)
 }
@@ -246,7 +239,7 @@ func skeletonRecurse[W any](sr semiring.Semiring[W], vt *vtree[W]) (dist.Rel[W],
 	}
 	st = mpc.Seq(st, mpc.Par(subStats...))
 	if len(results) == 0 {
-		return dist.Empty[W](outSchema, p), st
+		return dist.EmptyIn[W](dist.AnyRel(vt.rels).Part.Scope(), outSchema, p), st
 	}
 	final, s := dist.UnionAgg(sr, results...)
 	return final, mpc.Seq(st, s)
@@ -298,11 +291,9 @@ func pendantX[W any](vt *vtree[W], pq *hypergraph.Query, b hypergraph.Attr) (mpc
 	var per []mpc.Part[mpc.KeyCount[int64]]
 	p := dist.AnyRel(vt.rels).P()
 	for _, arm := range arms {
-		ests, _, s := estimate.LineOut(arm.rels, arm.path, estimate.Params{})
+		d, s := estimate.ArmOut(arm.rels, arm.path)
 		st = mpc.Seq(st, s)
-		per = append(per, mpc.Map(ests, func(kc mpc.KeyCount[string]) mpc.KeyCount[int64] {
-			return mpc.KeyCount[int64]{Key: int64(relation.DecodeKey(kc.Key)[0]), Count: kc.Count}
-		}))
+		per = append(per, d)
 	}
 	merged := mpc.Overlay(dist.AnyRel(vt.rels).Part.Scope(), p, per...)
 	// One entry per arm per b; multiply per b.
@@ -470,7 +461,7 @@ func materializeAndRecurse[W any](sr semiring.Semiring[W], vt *vtree[W], sk *hyp
 		// the arms into Q_B over (b, all pendant leaves).
 		var acc dist.Rel[W]
 		for ai, arm := range arms {
-			armRel, s := starlike.ShrinkArm(sr, starlike.Arm[W]{Rels: arm.rels, Path: arm.path}, p)
+			armRel, s := twoway.FoldChain(sr, arm.rels, arm.path, p)
 			st = mpc.Seq(st, s)
 			// Single-relation arms may span extra attrs already (keep all).
 			if ai == 0 {

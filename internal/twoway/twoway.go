@@ -14,14 +14,19 @@
 //     cells tile all d_R·d_S output pairs.
 //
 // Both degree vectors come from one reduce-by-key over the two sides' join
-// keys (§2.1's degree statistic, an r row counting toward d_R and an s row
-// toward d_S), so the statistics cost one sample sort per join.
+// keys (mpc.CountBySide: §2.1's degree statistic, an r row counting toward
+// d_R and an s row toward d_S), so the statistics cost one sample sort per
+// join.
 //
 // The join output is produced in place (each server holds the results its
 // tuples generate) and is NOT rebalanced: in the MPC model outputs are
 // emitted, not shuffled, and downstream operators (aggregation) pay their
 // own shuffle cost — which is exactly how the distributed Yannakakis
 // baseline ends up with its O(J/p) term.
+//
+// Built on Join: JoinAgg is one Yannakakis fold step, FoldChain the
+// right-to-left fold of a whole chain (a line query's tail, a star-like
+// arm), and JoinAll the left-deep full join of arms sharing a centre.
 package twoway
 
 import (
@@ -34,11 +39,8 @@ import (
 	"mpcjoin/internal/semiring"
 )
 
-// keyStat carries per-join-key degrees.
-type keyStat struct {
-	key    string
-	dr, ds int64
-}
+// keyStat carries a join key's degrees: L = d_R, R = d_S.
+type keyStat = mpc.SideCount[string]
 
 // gridAssign is a heavy key's ar × bs grid: block of the route's layout,
 // cell (i, j) at index i·bs + j.
@@ -79,31 +81,15 @@ func Join[W any](sr semiring.Semiring[W], r, s dist.Rel[W]) (dist.Rel[W], int64,
 	return dist.Rel[W]{Schema: outSchema, Part: result}, outf, mpc.Seq(st1, st2)
 }
 
-// degrees is the §2.1 degree statistic of both sides at once: one
-// reduce-by-key whose elements are {key, d_R, d_S}, an r row counting
-// (1, 0) and an s row (0, 1) — both key functions encode the shared
-// attributes in r's order, so the keys share one space. Keys seen on one
-// side only have no join results and are dropped where they land. The
-// output holds one element per key present on both sides, in key order.
+// degrees is the §2.1 degree statistic of both sides at once — one
+// mpc.CountBySide over the join keys (both key functions encode the shared
+// attributes in r's order, so the keys share one space), L = d_R and
+// R = d_S. Keys seen on one side only have no join results and are dropped
+// where they land. The output holds one element per key present on both
+// sides, in key order.
 func degrees[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string) (mpc.Part[keyStat], mpc.Stats) {
-	p := r.P()
-	ex := r.Part.Scope()
-	ones := mpc.NewPartIn[keyStat](ex, p)
-	ex.ForEachShard(p, func(sv int) {
-		rs, ss := r.Part.Shards[sv], s.Part.Shards[sv]
-		ks := make([]keyStat, 0, len(rs)+len(ss))
-		for _, row := range rs {
-			ks = append(ks, keyStat{key: rKey(row), dr: 1})
-		}
-		for _, row := range ss {
-			ks = append(ks, keyStat{key: sKey(row), ds: 1})
-		}
-		ones.Shards[sv] = ks
-	})
-	both, st := mpc.ReduceByKey(ones, func(ks keyStat) string { return ks.key }, func(a, b keyStat) keyStat {
-		return keyStat{key: a.key, dr: a.dr + b.dr, ds: a.ds + b.ds}
-	})
-	return mpc.Filter(both, func(ks keyStat) bool { return ks.dr > 0 && ks.ds > 0 }), st
+	both, st := mpc.CountBySide(r.Part, s.Part, rKey, sKey)
+	return mpc.Filter(both, func(ks keyStat) bool { return ks.L > 0 && ks.R > 0 }), st
 }
 
 // route places r's and s's rows on the heavy grids and light bins the
@@ -118,7 +104,7 @@ func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, sta
 	local := make([]int64, p)
 	for sv, shard := range stats.Shards {
 		for _, ks := range shard {
-			local[sv] += ks.dr * ks.ds
+			local[sv] += ks.L * ks.R
 		}
 	}
 	outf, st4 := mpc.AllReduce(ex, local, mpc.Add[int64], "")
@@ -134,16 +120,16 @@ func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, sta
 	}
 
 	// Split stats into heavy and light keys.
-	heavy := mpc.Filter(stats, func(ks keyStat) bool { return ks.dr > load || ks.ds > load })
-	light := mpc.Filter(stats, func(ks keyStat) bool { return ks.dr <= load && ks.ds <= load })
+	heavy := mpc.Filter(stats, func(ks keyStat) bool { return ks.L > load || ks.R > load })
+	light := mpc.Filter(stats, func(ks keyStat) bool { return ks.L <= load && ks.R <= load })
 
 	// Heavy grid assignment on every server (O(p) heavy keys).
 	grids, st5 := mpc.Agree(heavy, "", func(all []keyStat) []gridAssign {
 		var grids []gridAssign
 		for _, ks := range all {
-			ar := int((ks.dr + load - 1) / load)
-			bs := int((ks.ds + load - 1) / load)
-			grids = append(grids, gridAssign{key: ks.key, ar: ar, bs: bs})
+			ar := int((ks.L + load - 1) / load)
+			bs := int((ks.R + load - 1) / load)
+			grids = append(grids, gridAssign{key: ks.Key, ar: ar, bs: bs})
 		}
 		return grids
 	})
@@ -156,10 +142,10 @@ func route[W any](r, s dist.Rel[W], rKey, sKey func(relation.Row[W]) string, sta
 
 	// Light bin assignment by parallel-packing with capacity 2L (each key
 	// weighs d_R + d_S ≤ 2L).
-	binned, nBins, st7 := mpc.ParallelPack(light, func(ks keyStat) int64 { return ks.dr + ks.ds }, 2*load)
+	binned, nBins, st7 := mpc.ParallelPack(light, func(ks keyStat) int64 { return ks.L + ks.R }, 2*load)
 	bins := lay.Add(nBins) // after the grids, one server per bin
 	binTable := mpc.Map(binned, func(b mpc.Binned[keyStat]) binAssign {
-		return binAssign{key: b.X.key, bin: b.Bin}
+		return binAssign{key: b.X.Key, bin: b.Bin}
 	})
 
 	// Tell every light tuple its bin via multi-search lookups.
@@ -275,6 +261,25 @@ func JoinAgg[W any](sr semiring.Semiring[W], r, s dist.Rel[W], attrs ...relation
 	joined, _, st := Join(sr, r, s)
 	agg, st2 := dist.ProjectAgg(sr, joined, attrs...)
 	return agg, mpc.Seq(st, st2)
+}
+
+// FoldChain folds a chain right to left with Yannakakis aggregations:
+// rels[i] spans path[i] ∪ path[i+1], and the result is
+// π̂_{path[0] ∪ path[n]}(rels[0] ⋈ … ⋈ rels[n−1]), each fold keeping its
+// near end and the far end and hosted back on p servers. It is the §4
+// step 2.1 fold of a line query's tail and the §6/§7.1 shrink of an arm
+// toward its center.
+func FoldChain[W any](sr semiring.Semiring[W], rels []dist.Rel[W], path [][]dist.Attr, p int) (dist.Rel[W], mpc.Stats) {
+	var st mpc.Stats
+	far := path[len(path)-1]
+	acc := rels[len(rels)-1]
+	for i := len(rels) - 2; i >= 0; i-- {
+		keep := append(append([]dist.Attr(nil), path[i]...), far...)
+		folded, s := JoinAgg(sr, rels[i], acc, keep...)
+		st = mpc.Seq(st, s)
+		acc = dist.Reshape(folded, p)
+	}
+	return acc, st
 }
 
 // JoinAll is the left-deep chain rels[0] ⋈ rels[1] ⋈ …, every

@@ -159,7 +159,7 @@ func threeSortDegrees(r, s dist.Rel[int64], rKey, sKey func(relation.Row[int64])
 		func(kc mpc.KeyCount[string]) string { return kc.Key },
 		func(kc mpc.KeyCount[string]) string { return kc.Key },
 		func(x, y mpc.KeyCount[string], found bool) (keyStat, bool) {
-			return keyStat{key: x.Key, dr: x.Count, ds: y.Count}, found
+			return keyStat{Key: x.Key, L: x.Count, R: y.Count}, found
 		})
 	return stats, mpc.Seq(st1, st2, st3)
 }
@@ -204,7 +204,7 @@ func TestTwowayStatisticsSortedOnce(t *testing.T) {
 	}
 	heavy := 0
 	for _, ks := range mpc.Collect(one) {
-		if ks.dr > 80 {
+		if ks.L > 80 {
 			heavy++
 		}
 	}

@@ -21,7 +21,6 @@
 package yannakakis
 
 import (
-	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
 	"mpcjoin/internal/mpc"
@@ -90,19 +89,4 @@ func keepAttrs[W any](q *hypergraph.Query, remaining []int, schema []dist.Attr, 
 		}
 	}
 	return keep
-}
-
-// RunOnInstance distributes a sequential instance over p servers and runs
-// the algorithm — the convenience entry point used by benchmarks and the
-// public API.
-func RunOnInstance[W any](sr semiring.Semiring[W], q *hypergraph.Query, inst db.Instance[W], p int) (dist.Rel[W], mpc.Stats, error) {
-	if err := db.Validate(q, inst); err != nil {
-		return dist.Rel[W]{}, mpc.Stats{}, err
-	}
-	rels := make(map[string]dist.Rel[W], len(q.Edges))
-	for _, e := range q.Edges {
-		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
-	}
-	res, st := Run(sr, q, rels)
-	return res, st, nil
 }

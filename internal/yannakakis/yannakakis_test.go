@@ -8,10 +8,25 @@ import (
 	"mpcjoin/internal/db"
 	"mpcjoin/internal/dist"
 	"mpcjoin/internal/hypergraph"
+	"mpcjoin/internal/mpc"
 	"mpcjoin/internal/refengine"
 	"mpcjoin/internal/relation"
 	"mpcjoin/internal/semiring"
 )
+
+// runOnInstance distributes a sequential instance over p servers and runs
+// the algorithm on it.
+func runOnInstance[W any](sr semiring.Semiring[W], q *hypergraph.Query, inst db.Instance[W], p int) (dist.Rel[W], mpc.Stats, error) {
+	if err := db.Validate(q, inst); err != nil {
+		return dist.Rel[W]{}, mpc.Stats{}, err
+	}
+	rels := make(map[string]dist.Rel[W], len(q.Edges))
+	for _, e := range q.Edges {
+		rels[e.Name] = dist.FromRelationIn(nil, inst[e.Name], p)
+	}
+	res, st := Run(sr, q, rels)
+	return res, st, nil
+}
 
 var intSR = semiring.IntSumProd{}
 
@@ -39,7 +54,7 @@ func checkAgainstReference(t *testing.T, q *hypergraph.Query, seeds int, n, dom 
 		rng := rand.New(rand.NewSource(int64(seed)))
 		inst := randomInstance(rng, q, n, dom)
 		p := rng.Intn(10) + 2
-		got, _, err := RunOnInstance[int64](intSR, q, inst, p)
+		got, _, err := runOnInstance[int64](intSR, q, inst, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +120,7 @@ func TestEmptyAnswer(t *testing.T) {
 	r2 := relation.New[int64]("B", "C")
 	r2.Append(1, 99, 5)
 	inst["R1"], inst["R2"] = r1, r2
-	got, _, err := RunOnInstance[int64](intSR, q, inst, 4)
+	got, _, err := runOnInstance[int64](intSR, q, inst, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +141,7 @@ func TestIdempotentSemiring(t *testing.T) {
 		}
 		inst[e.Name] = r
 	}
-	got, _, err := RunOnInstance[bool](boolSR, q, inst, 6)
+	got, _, err := runOnInstance[bool](boolSR, q, inst, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +181,7 @@ func TestQuickRandomTrees(t *testing.T) {
 			return true // skip degenerate shapes
 		}
 		inst := randomInstance(rng, q, 15, 4)
-		got, _, err := RunOnInstance[int64](intSR, q, inst, rng.Intn(6)+2)
+		got, _, err := runOnInstance[int64](intSR, q, inst, rng.Intn(6)+2)
 		if err != nil {
 			return false
 		}
@@ -196,7 +211,7 @@ func TestLoadScalesWithIntermediateJoin(t *testing.T) {
 		r2.Append(1, 0, relation.Value(i))
 	}
 	inst["R1"], inst["R2"] = r1, r2
-	_, st, err := RunOnInstance[int64](intSR, q, inst, p)
+	_, st, err := runOnInstance[int64](intSR, q, inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
